@@ -77,19 +77,17 @@ class EngineCore:
         unless *stop_when* fired, ends at ``max(now, until)``.  Returns
         whether the run stopped early.
         """
-        stopped = stop_when is not None and stop_when()
-        while not stopped:
-            next_time = self.queue.next_time()
-            if next_time is None or next_time > until:
-                break
-            time, _, event = self.queue.pop()
-            self.clock.advance(time)
+        if stop_when is not None and stop_when():
+            return True
+        clock = self.clock
+        for time, event in self.queue.pop_due(until):
+            if time > clock.now:  # Clock.advance, inline: never backwards
+                clock.now = time
             dispatch(event)
             if stop_when is not None and stop_when():
-                stopped = True
-        if not stopped:
-            self.clock.advance(until)
-        return stopped
+                return True
+        clock.advance(until)
+        return False
 
 
 __all__ = ["EngineCore", "Dispatch", "StopCondition"]

@@ -52,18 +52,18 @@ class EventQueue:
         heapq.heappush(self._heap, (time, sequence, event))
         return sequence
 
-    def next_time(self) -> Optional[float]:
-        """The timestamp of the earliest pending event, or ``None`` when empty."""
-        return self._heap[0][0] if self._heap else None
-
-    def pop(self) -> Tuple[float, int, Any]:
-        """Remove and return the earliest ``(time, sequence, event)`` triple."""
-        return heapq.heappop(self._heap)
-
     def pop_due(self, until: float) -> Iterator[Tuple[float, Any]]:
-        """Yield ``(time, event)`` for every event with ``time <= until``, in order."""
-        while self._heap and self._heap[0][0] <= until:
-            time, _, event = heapq.heappop(self._heap)
+        """Yield ``(time, event)`` for every event with ``time <= until``, in order.
+
+        This is the one drain primitive: the heap is re-examined on every
+        resumption, so events scheduled while the consumer handles an
+        earlier one are yielded in their ``(time, sequence)`` place, and a
+        consumer that stops iterating leaves the rest pending.
+        """
+        heap = self._heap
+        pop = heapq.heappop
+        while heap and heap[0][0] <= until:
+            time, _, event = pop(heap)
             yield time, event
 
     def clear(self) -> None:

@@ -286,20 +286,35 @@ class ScalarStepBackend:
         monitor: Optional[Any],
         scope: Tuple[int, ...],
     ) -> Optional[Callable[[], bool]]:
-        conditions: List[Callable[[], bool]] = []
-        if monitor is not None:
-            conditions.append(lambda: bool(getattr(monitor, "stop_requested", False)))
-        if not batch.run_full_horizon and scope:
-            scope_set = frozenset(scope)
-            decisions = trace.decisions
-            conditions.append(lambda: scope_set.issubset(decisions))
-        if env.fault_model == "fault-free":
-            # Always-good runs have no meaningful time horizon; cut the
-            # simulation once the lockstep front passes the round horizon.
-            conditions.append(lambda: trace.max_round() > batch.max_rounds)
-        if not conditions:
+        """The early-stop poll of one replica, compiled into a single closure.
+
+        The simulator calls it after every event, so the three possible
+        conditions are resolved to constants here and tested flat, cheapest
+        first: a monitor's stop request, the scope having decided (decisions
+        only ever grow, so the count gates the subset test), and -- for
+        always-good runs, which have no meaningful time horizon -- the
+        lockstep front passing the round horizon.
+        """
+        scope_set = frozenset(scope) if scope and not batch.run_full_horizon else None
+        round_limit = batch.max_rounds if env.fault_model == "fault-free" else None
+        if monitor is None and scope_set is None and round_limit is None:
             return None
-        return lambda: any(condition() for condition in conditions)
+        decisions = trace.decisions
+        needed = len(scope)
+        max_round = trace.max_round
+
+        def stop() -> bool:
+            if monitor is not None and getattr(monitor, "stop_requested", False):
+                return True
+            if (
+                scope_set is not None
+                and len(decisions) >= needed
+                and scope_set.issubset(decisions)
+            ):
+                return True
+            return round_limit is not None and max_round() > round_limit
+
+        return stop
 
     # ------------------------------------------------------------------ #
     # the trace -> outcome projection

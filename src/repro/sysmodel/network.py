@@ -32,16 +32,34 @@ from .periods import PeriodSchedule
 if TYPE_CHECKING:
     import random
 
+#: ``plan_delivery``'s "period not supplied" marker (``None`` means a bad period).
+_LOOK_UP = object()
 
-@dataclass(frozen=True)
+
 class Envelope:
-    """A message in transit or in a reception buffer."""
+    """A message in transit or in a reception buffer.
 
-    sender: ProcessId
-    receiver: ProcessId
-    payload: Any
-    send_time: float
-    sequence: int
+    Envelopes are compared and hashed by identity: ``sequence`` already
+    makes every envelope of a network unique, and the ``network_p`` /
+    ``buffer_p`` lists look one up (make-ready, receive) on every event, so
+    a field-by-field ``__eq__`` would deep-compare payloads for nothing.
+    """
+
+    __slots__ = ("sender", "receiver", "payload", "send_time", "sequence")
+
+    def __init__(
+        self,
+        sender: ProcessId,
+        receiver: ProcessId,
+        payload: Any,
+        send_time: float,
+        sequence: int,
+    ) -> None:
+        self.sender = sender
+        self.receiver = receiver
+        self.payload = payload
+        self.send_time = send_time
+        self.sequence = sequence
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
@@ -138,19 +156,13 @@ class Network:
         """Execute the network side of a send step; returns the created envelopes."""
         envelopes = []
         for receiver in receivers:
-            envelope = Envelope(
-                sender=sender,
-                receiver=receiver,
-                payload=payload,
-                send_time=time,
-                sequence=next(self._sequence),
-            )
+            envelope = Envelope(sender, receiver, payload, time, next(self._sequence))
             self.network[receiver].append(envelope)
             envelopes.append(envelope)
-            self.messages_sent += 1
+        self.messages_sent += len(envelopes)
         return envelopes
 
-    def plan_delivery(self, envelope: Envelope) -> Optional[float]:
+    def plan_delivery(self, envelope: Envelope, period: Any = _LOOK_UP) -> Optional[float]:
         """Decide when *envelope* becomes ready for reception.
 
         Returns the make-ready time, or ``None`` when the message is lost.
@@ -158,15 +170,17 @@ class Network:
         synchronous core at send time, the message is ready within ``delta``
         (scaled by ``good_delay_factor``; 1.0 reproduces the worst case used
         by the analytic bounds).  Otherwise the bad-period behaviour applies.
+
+        *period* is the good period in force at send time (``None`` for a
+        bad period); a caller that already resolved it -- the simulator does,
+        once per step event -- passes it in, otherwise the schedule is asked.
         """
-        period = self.schedule.period_at(envelope.send_time)
-        synchronous = (
-            period is not None
-            and envelope.sender in period.pi0
-            and envelope.receiver in period.pi0
-        )
-        if synchronous:
-            return envelope.send_time + self.params.delta * self.good_delay_factor
+        if period is _LOOK_UP:
+            period = self.schedule.period_at(envelope.send_time)
+        if period is not None:
+            pi0 = period.pi0
+            if envelope.sender in pi0 and envelope.receiver in pi0:
+                return envelope.send_time + self.params.delta * self.good_delay_factor
         delay = self.bad_behavior.sample_delay(self._rng)
         if delay is None:
             self.messages_dropped += 1
@@ -179,10 +193,10 @@ class Network:
         Returns ``False`` when the message is no longer in transit (it was
         purged by a crash or by the start of a pi0-down good period).
         """
-        in_transit = self.network[envelope.receiver]
-        if envelope not in in_transit:
+        try:
+            self.network[envelope.receiver].remove(envelope)
+        except ValueError:
             return False
-        in_transit.remove(envelope)
         self.buffer[envelope.receiver].append(envelope)
         self.messages_made_ready += 1
         return True

@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, Optional, Sequence
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.types import ProcessId, all_processes, validate_process_subset
 
@@ -68,6 +68,22 @@ class GoodPeriod:
     def contains(self, time: float) -> bool:
         """Whether *time* falls inside the period (half-open ``[start, end)``)."""
         return self.start <= time < self.end
+
+
+def step_scope(period: Optional[GoodPeriod], process: ProcessId) -> Tuple[bool, bool]:
+    """``(down, synchronous)`` for *process* under *period* (``None`` = bad period).
+
+    The two answers :meth:`PeriodSchedule.is_down` and
+    :meth:`PeriodSchedule.is_synchronous` give for the same instant, derived
+    from one already-resolved :meth:`PeriodSchedule.period_at` lookup -- the
+    step-level simulator resolves the period once per step event and
+    classifies the stepping process with this.
+    """
+    if period is None:
+        return False, False
+    if process in period.pi0:
+        return False, True
+    return period.kind is GoodPeriodKind.PI0_DOWN, False
 
 
 @dataclass
@@ -144,10 +160,12 @@ class PeriodSchedule:
     def period_at(self, time: float) -> Optional[GoodPeriod]:
         """The good period containing *time*, or ``None`` when in a bad period."""
         for period in self.good_periods:
-            if period.contains(time):
-                return period
-            if period.start > time:
+            # Sorted and non-overlapping: the first period starting after
+            # *time* rules out every later one.
+            if time < period.start:
                 break
+            if time < period.end:
+                return period
         return None
 
     def is_good(self, time: float) -> bool:
@@ -185,4 +203,4 @@ class PeriodSchedule:
         return sorted(values)
 
 
-__all__ = ["GoodPeriodKind", "GoodPeriod", "PeriodSchedule"]
+__all__ = ["GoodPeriodKind", "GoodPeriod", "PeriodSchedule", "step_scope"]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, Optional, Sequence, Union
+from typing import Any, Dict, Generator, NamedTuple, Optional, Sequence, Union
 
 from ..core.types import ProcessId
 from .network import Envelope
@@ -42,8 +42,7 @@ class ReceiveStep:
 StepAction = Union[SendStep, ReceiveStep]
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     """What the simulator hands back after executing a step.
 
     For a receive step, *envelope* is the received message or ``None`` for

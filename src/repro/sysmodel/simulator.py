@@ -27,15 +27,14 @@ replayed exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from ..core.types import ProcessId
 from ..engine import EngineCore, FaultEvent
 from .faults import BadPeriodProcessBehavior, FaultSchedule
-from .network import BadPeriodNetwork, Envelope, Network
+from .network import BadPeriodNetwork, Network
 from .params import SynchronyParams
-from .periods import GoodPeriod, GoodPeriodKind, PeriodSchedule
+from .periods import GoodPeriod, GoodPeriodKind, PeriodSchedule, step_scope
 from .process import (
     ProcessRuntime,
     ReceiveStep,
@@ -46,15 +45,9 @@ from .process import (
 from .trace import SystemRunTrace
 
 
-@dataclass(frozen=True)
-class _Event:
-    """An entry of the event queue (ordering is imposed by the engine queue)."""
-
-    kind: str
-    process: Optional[ProcessId] = None
-    generation: int = 0
-    envelope: Optional[Envelope] = None
-    period: Optional[GoodPeriod] = None
+def _dispatch(event: tuple) -> None:
+    """Route a queue entry: every entry is a tuple headed by its bound handler."""
+    event[0](event)
 
 
 class SystemSimulator:
@@ -121,6 +114,8 @@ class SystemSimulator:
             )
         self.trace = trace if trace is not None else SystemRunTrace(n=self.n)
         self._engine = EngineCore(seed)
+        self._clock = self._engine.clock
+        self._schedule_event = self._engine.queue.schedule
         self._rng = self._engine.rng.stream("steps")
         self._injector = self._engine.attach_faults(
             self.fault_schedule,
@@ -143,7 +138,7 @@ class SystemSimulator:
     @property
     def now(self) -> float:
         """Current simulated time (owned by the engine clock)."""
-        return self._engine.now
+        return self._clock.now
 
     @property
     def skipped_fault_events(self) -> List[FaultEvent]:
@@ -153,16 +148,15 @@ class SystemSimulator:
     # ------------------------------------------------------------------ #
     # event-queue helpers
     # ------------------------------------------------------------------ #
+    #
+    # Queue entries are plain tuples headed by the bound handler that
+    # consumes them -- ``(handler, *payload)`` -- so routing an event is one
+    # index and one call, with nothing to construct or type-test.
 
     def _schedule_step(self, process: ProcessId, time: float) -> None:
-        runtime = self.runtimes[process]
-        self._engine.queue.schedule(
-            time,
-            _Event(kind="step", process=process, generation=runtime.schedule_generation),
+        self._schedule_event(
+            time, (self._handle_step, process, self.runtimes[process].schedule_generation)
         )
-
-    def _schedule_make_ready(self, envelope: Envelope, time: float) -> None:
-        self._engine.queue.schedule(time, _Event(kind="make_ready", envelope=envelope))
 
     # ------------------------------------------------------------------ #
     # start-up
@@ -177,15 +171,21 @@ class SystemSimulator:
             if first_gap is not None:
                 self._schedule_step(process, first_gap)
         for period in self.schedule.good_periods:
-            self._engine.queue.schedule(period.start, _Event(kind="period_start", period=period))
-        self._engine.arm_faults()
+            self._schedule_event(period.start, (self._handle_period_start, period))
+        for fault in self.fault_schedule.events:
+            self._schedule_event(fault.time, (self._handle_fault, fault))
 
     # ------------------------------------------------------------------ #
     # step scheduling policy
     # ------------------------------------------------------------------ #
 
     def _step_gap(self, process: ProcessId, time: float) -> Optional[float]:
-        """The time until the next step of *process*, or ``None`` to not schedule one."""
+        """The time until the first step of *process* after booting or recovering at *time*.
+
+        ``None`` means no step is scheduled (the process is forced down).
+        Steady-state rescheduling happens inside :meth:`_handle_step`, which
+        draws from the same ``steps`` stream in the same order.
+        """
         if self.schedule.is_down(process, time):
             return None
         if self.schedule.is_synchronous(process, time):
@@ -193,77 +193,88 @@ class SystemSimulator:
         behavior = self.bad_process_behavior
         return self._rng.uniform(behavior.min_step_gap, behavior.max_step_gap)
 
-    def _stalls(self, process: ProcessId, time: float) -> bool:
-        """Whether a bad-period process skips the step it was about to take."""
-        if self.schedule.is_synchronous(process, time):
-            return False
-        return self._rng.random() < self.bad_period_stall_probability
-
-    @property
-    def bad_period_stall_probability(self) -> float:
-        return self.bad_process_behavior.stall_probability
-
     # ------------------------------------------------------------------ #
     # event handlers
     # ------------------------------------------------------------------ #
 
-    def _handle_step(self, event: _Event) -> None:
-        process = event.process
-        assert process is not None
+    def _handle_step(self, event: tuple) -> None:
+        _, process, generation = event
         runtime = self.runtimes[process]
-        if not runtime.up or event.generation != runtime.schedule_generation:
+        if not runtime.up or generation != runtime.schedule_generation:
             return
-        if self.schedule.is_down(process, self.now):
+        now = self._clock.now
+        period = self.schedule.period_at(now)
+        down, synchronous = step_scope(period, process)
+        if down:
             # Down processes take no steps; they will be rescheduled when they recover.
             return
 
-        if not self._stalls(process, self.now):
-            self._execute_step(process, runtime)
+        if synchronous:
+            self._execute_step(process, runtime, now, period)
+            gap = self.good_step_gap
+        else:
+            # A bad-period process may stall (skip the step it was about to
+            # take) and steps again after an arbitrary gap; the draw order --
+            # stall, then gap -- is part of the per-seed contract.
+            rng = self._rng
+            behavior = self.bad_process_behavior
+            if not rng.random() < behavior.stall_probability:
+                self._execute_step(process, runtime, now, period)
+            gap = rng.uniform(behavior.min_step_gap, behavior.max_step_gap)
+        if runtime.up:
+            self._schedule_step(process, now + gap)
 
-        gap = self._step_gap(process, self.now)
-        if gap is not None and runtime.up:
-            self._schedule_step(process, self.now + gap)
-
-    def _execute_step(self, process: ProcessId, runtime: ProcessRuntime) -> None:
+    def _execute_step(
+        self,
+        process: ProcessId,
+        runtime: ProcessRuntime,
+        now: float,
+        period: Optional[GoodPeriod],
+    ) -> None:
         action = runtime.next_action()
         if action is None:
             return
-        if isinstance(action, SendStep):
-            receivers = list(range(self.n)) if action.to is None else [action.to]
-            envelopes = self.network.send(process, receivers, action.payload, self.now)
-            self.trace.messages_sent += len(envelopes)
-            for envelope in envelopes:
-                ready_time = self.network.plan_delivery(envelope)
-                if ready_time is None:
-                    self.trace.messages_dropped += 1
-                else:
-                    self._schedule_make_ready(envelope, max(ready_time, self.now))
-            self.trace.total_send_steps += 1
-            runtime.complete_step(StepResult(time=self.now))
-        elif isinstance(action, ReceiveStep):
+        if isinstance(action, ReceiveStep):  # tested first: ~90% of all steps
             buffered = self.network.buffered(process)
             envelope = runtime.program.select_message(buffered) if buffered else None
             if envelope is not None:
                 self.network.take_from_buffer(process, envelope)
             self.trace.total_receive_steps += 1
-            runtime.complete_step(StepResult(time=self.now, envelope=envelope))
+            runtime.complete_step(StepResult(now, envelope))
+        elif isinstance(action, SendStep):
+            network = self.network
+            receivers = range(self.n) if action.to is None else (action.to,)
+            envelopes = network.send(process, receivers, action.payload, now)
+            self.trace.messages_sent += len(envelopes)
+            for envelope in envelopes:
+                # Lost copies are counted by the network (``messages_dropped``).
+                ready_time = network.plan_delivery(envelope, period)
+                if ready_time is not None:
+                    self._schedule_event(
+                        ready_time if ready_time > now else now,
+                        (self._handle_make_ready, envelope),
+                    )
+            self.trace.total_send_steps += 1
+            runtime.complete_step(StepResult(now))
         else:  # pragma: no cover - defensive
             raise TypeError(f"unknown step action {action!r}")
 
-    def _handle_make_ready(self, event: _Event) -> None:
-        assert event.envelope is not None
-        self.network.make_ready(event.envelope)
+    def _handle_make_ready(self, event: tuple) -> None:
+        self.network.make_ready(event[1])
 
-    def _handle_period_start(self, event: _Event) -> None:
-        period = event.period
-        assert period is not None
+    def _handle_fault(self, event: tuple) -> None:
+        self._injector.apply(event[1])
+
+    def _handle_period_start(self, event: tuple) -> None:
+        period: GoodPeriod = event[1]
+        now = self._clock.now
         if period.kind in (GoodPeriodKind.PI0_DOWN, GoodPeriodKind.PI_GOOD):
             outside = [p for p in range(self.n) if p not in period.pi0]
             for process in outside:
                 runtime = self.runtimes[process]
                 if runtime.up:
                     runtime.crash()
-                    self.trace.record_crash(process, self.now)
+                    self.trace.record_crash(process, now)
                     self.network.purge_process_state(process)
             if outside:
                 self.network.purge_messages_from(outside)
@@ -271,10 +282,10 @@ class SystemSimulator:
             runtime = self.runtimes[process]
             if not runtime.up:
                 runtime.recover()
-                self.trace.record_recovery(process, self.now)
+                self.trace.record_recovery(process, now)
             else:
                 runtime.schedule_generation += 1
-            self._schedule_step(process, self.now + self.good_step_gap)
+            self._schedule_step(process, now + self.good_step_gap)
 
     # ------------------------------------------------------------------ #
     # fault-injection hooks (called by the engine's CrashRecoveryInjector)
@@ -317,25 +328,14 @@ class SystemSimulator:
             raise ValueError(f"cannot run backwards: now={self.now}, until={until}")
         if not self._started:
             self._start()
-        self._engine.run(until, self._dispatch, stop_when=stop_when)
+        self._engine.run(until, _dispatch, stop_when=stop_when)
         self._finalise_trace()
         return self.trace
 
-    def _dispatch(self, event: Any) -> None:
-        if isinstance(event, FaultEvent):
-            self._injector.apply(event)
-        elif event.kind == "step":
-            self._handle_step(event)
-        elif event.kind == "make_ready":
-            self._handle_make_ready(event)
-        elif event.kind == "period_start":
-            self._handle_period_start(event)
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown event kind {event.kind!r}")
-
     def _finalise_trace(self) -> None:
+        # The network owns the drop counter; the trace mirrors it.  (messages_sent
+        # and the step totals are incremented live on the trace.)
         self.trace.messages_dropped = self.network.messages_dropped
-        # messages_sent is incremented live (per envelope); step totals likewise.
 
 
 __all__ = ["SystemSimulator"]

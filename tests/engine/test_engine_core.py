@@ -37,7 +37,28 @@ class TestEventQueue:
         queue.schedule(5.0, "late")
         assert [event for _, event in queue.pop_due(2.0)] == ["early"]
         assert len(queue) == 1
-        assert queue.next_time() == 5.0
+        assert list(queue.pop_due(5.0)) == [(5.0, "late")]
+
+    def test_pop_due_sees_events_scheduled_mid_drain(self):
+        queue = EventQueue()
+        queue.schedule(1.0, "a")
+        queue.schedule(3.0, "c")
+        seen = []
+        for time, event in queue.pop_due(3.0):
+            seen.append(event)
+            if event == "a":
+                queue.schedule(2.0, "b")  # lands between the two pending ones
+                queue.schedule(1.0, "a2")  # same time as the event being handled
+        assert seen == ["a", "a2", "b", "c"]
+
+    def test_abandoned_drain_leaves_the_rest_pending(self):
+        queue = EventQueue()
+        for label in "abc":
+            queue.schedule(1.0, label)
+        for _, event in queue.pop_due(1.0):
+            if event == "a":
+                break
+        assert [event for _, event in queue.pop_due(1.0)] == ["b", "c"]
 
     def test_explicit_sequence_controls_ties(self):
         queue = EventQueue()
@@ -175,3 +196,72 @@ class TestEngineCoreRunLoop:
         engine.queue.schedule(1.0, "first")
         engine.run(5.0, dispatch)
         assert seen == ["first", "second"]
+
+    def test_equal_time_events_dispatch_fifo(self):
+        engine = EngineCore(seed=0)
+        seen = []
+
+        def dispatch(event):
+            seen.append(event)
+            if event == "b":
+                # Scheduled for the very time being drained: runs after every
+                # event already queued for that time, before anything later.
+                engine.queue.schedule(engine.now, "b-child")
+
+        for label in "abc":
+            engine.queue.schedule(1.0, label)
+        engine.queue.schedule(2.0, "later")
+        engine.run(5.0, dispatch)
+        assert seen == ["a", "b", "c", "b-child", "later"]
+
+    def test_until_exactly_on_an_event_time_includes_it(self):
+        engine = EngineCore(seed=0)
+        seen = []
+        engine.queue.schedule(2.0, "on-the-horizon")
+        engine.queue.schedule(2.5, "beyond")
+        stopped = engine.run(2.0, seen.append)
+        assert not stopped
+        assert seen == ["on-the-horizon"]
+        assert engine.now == 2.0
+        assert len(engine.queue) == 1
+
+    def test_stop_on_first_event_keeps_clock_and_queue(self):
+        engine = EngineCore(seed=0)
+        seen = []
+        for t in (1.0, 1.0, 4.0):
+            engine.queue.schedule(t, t)
+        stopped = engine.run(10.0, seen.append, stop_when=lambda: bool(seen))
+        assert stopped
+        assert seen == [1.0]
+        assert engine.now == 1.0  # not max(now, until): the run was stopped
+        assert len(engine.queue) == 2  # the equal-time sibling is still pending
+        # A follow-up segment resumes with the pending sibling first.
+        engine.run(10.0, seen.append)
+        assert seen == [1.0, 1.0, 4.0]
+        assert engine.now == 10.0
+
+    def test_stop_condition_already_true_dispatches_nothing(self):
+        engine = EngineCore(seed=0)
+        seen = []
+        engine.queue.schedule(1.0, "never")
+        assert engine.run(5.0, seen.append, stop_when=lambda: True)
+        assert seen == []
+        assert engine.now == 0.0
+        assert len(engine.queue) == 1
+
+    def test_empty_queue_advances_to_the_horizon(self):
+        engine = EngineCore(seed=0)
+        assert not engine.run(7.0, lambda event: pytest.fail("nothing to dispatch"))
+        assert engine.now == 7.0
+        # Never backwards: a shorter horizon leaves the clock where it is.
+        assert not engine.run(3.0, lambda event: pytest.fail("nothing to dispatch"))
+        assert engine.now == 7.0
+
+    def test_past_events_do_not_move_the_clock_backwards(self):
+        engine = EngineCore(seed=0)
+        times = []
+        engine.run(5.0, lambda event: None)
+        engine.queue.schedule(2.0, "stale")
+        engine.run(6.0, lambda event: times.append(engine.now))
+        assert times == [5.0]
+        assert engine.now == 6.0

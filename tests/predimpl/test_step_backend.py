@@ -12,10 +12,10 @@ import pytest
 
 from repro._optional import have_numpy
 from repro.algorithms import OneThirdRule
-from repro.engine.rng import SeededRng
 from repro.predimpl.step_backend import (
     ARBITRARY_GOOD,
     DOWN_GOOD,
+    STEP_FAULT_MODELS,
     BatchStepBackend,
     ScalarStepBackend,
     StepEnvironment,
@@ -30,13 +30,18 @@ from repro.rounds.backend import (
 )
 from repro.rounds.bitmask import mask_of
 
+from ._golden_step import (
+    SEEDS,
+    SIZES,
+    STACKS,
+    cell_key,
+    compute_traces,
+    load_goldens,
+    run_cell,
+    shuffled_values,
+)
+
 needs_numpy = pytest.mark.skipif(not have_numpy(), reason="numpy not available")
-
-
-def shuffled_values(n, seed):
-    values = [10 * (p + 1) for p in range(n)]
-    SeededRng(seed).stream("values").shuffle(values)
-    return values
 
 
 def make_batch(env, n, seeds, max_rounds=None, **kwargs):
@@ -254,3 +259,50 @@ class TestDegradation:
         else:
             assert "numpy" in backend.last_fallback_reason
         assert outcomes == ScalarStepBackend().run(make_batch(env, 4, [0]))
+
+
+class TestGoldenStepFingerprints:
+    """The event loop below ``step-scalar`` is pinned per seed, below the aggregates.
+
+    ``tests/data/golden_step_fingerprints.json`` was captured before the
+    lean event loop replaced the original one (see ``_golden_step``): any
+    change to a period lookup, an RNG draw, an envelope's place in a buffer
+    or the stop poll shows up here as a different fingerprint, decision
+    round or counter for some seed.
+    """
+
+    @pytest.fixture(scope="class")
+    def goldens(self):
+        return load_goldens()
+
+    def test_the_pinned_matrix_is_the_whole_matrix(self, goldens):
+        expected = {
+            cell_key(label, fault_model, n)
+            for label, _, _, _ in STACKS
+            for fault_model in STEP_FAULT_MODELS
+            for n in SIZES
+        }
+        assert set(goldens["outcomes"]) == expected
+
+    @pytest.mark.parametrize("label,kind,f,use_translation", STACKS)
+    @pytest.mark.parametrize("fault_model", STEP_FAULT_MODELS)
+    @pytest.mark.parametrize("n", SIZES)
+    def test_per_seed_outcomes_match_the_golden(
+        self, goldens, label, kind, f, use_translation, fault_model, n
+    ):
+        pinned = goldens["outcomes"][cell_key(label, fault_model, n)]
+        outcomes = run_cell(kind, f, use_translation, fault_model, n)
+        assert [outcome.seed for outcome in outcomes] == list(SEEDS)
+        for outcome, pin in zip(outcomes, pinned):
+            context = f"{label}/{fault_model}/n={n}/seed={outcome.seed}"
+            assert outcome.seed == pin["seed"], context
+            assert outcome.rounds_executed == pin["rounds_executed"], context
+            assert {
+                str(p): r for p, r in outcome.decision_rounds.items()
+            } == pin["decision_rounds"], context
+            assert outcome.fingerprint == pin["fingerprint"], context
+
+    def test_trace_level_counters_match_the_golden(self, goldens):
+        assert compute_traces() == goldens["traces"]
+        # The crash-recovery pin exercises the good-period veto.
+        assert goldens["traces"]["crash-recovery/n=7/seed=3"]["skipped_fault_events"]

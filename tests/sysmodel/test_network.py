@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sysmodel.network import BadPeriodNetwork, Network
+from repro.sysmodel.network import BadPeriodNetwork, Envelope, Network
 from repro.sysmodel.params import SynchronyParams
 from repro.sysmodel.periods import GoodPeriodKind, PeriodSchedule
 
@@ -91,6 +91,53 @@ class TestSendAndMakeReady:
         network.purge_process_state(1)
         assert not network.make_ready(envelope)
         assert network.buffer[1] == []
+
+    def test_make_ready_after_sender_purge_is_a_noop(self):
+        network = make_network()
+        doomed = network.send(0, [1], "m", time=0.0)[0]
+        kept = network.send(2, [1], "m", time=0.0)[0]
+        assert network.purge_messages_from([0]) == 1
+        assert not network.make_ready(doomed)
+        assert network.make_ready(kept)
+        assert network.buffer[1] == [kept]
+        assert network.messages_made_ready == 1
+
+    def test_removal_is_by_identity_not_by_value(self):
+        """Two copies equal in every field but ``sequence``-distinct in the
+        network are different messages: removing one must leave the other,
+        and a look-alike that was never sent must not match either."""
+        network = make_network()
+        first, second = network.send(0, [1, 1], "same", time=0.0)
+        assert first is not second and first != second
+        lookalike = Envelope(0, 1, "same", 0.0, first.sequence)
+        assert not network.make_ready(lookalike)
+        assert network.make_ready(second)
+        assert network.network[1] == [first]
+        assert network.buffer[1] == [second]
+        # A made-ready message is no longer in transit ...
+        assert not network.make_ready(second)
+        # ... and after a crash purge neither copy can be made ready.
+        network.purge_process_state(1)
+        assert not network.make_ready(first)
+        assert not network.make_ready(second)
+        assert network.buffer[1] == []
+        assert network.messages_made_ready == 1
+
+    def test_plan_delivery_with_a_resolved_period_matches_the_lookup(self):
+        schedule = PeriodSchedule.single_good_period(
+            3, start=10.0, length=10.0, kind=GoodPeriodKind.PI0_ARBITRARY, pi0=[0, 1]
+        )
+        behavior = BadPeriodNetwork(loss_probability=0.5, min_delay=1.0, max_delay=9.0)
+        looked_up = make_network(schedule=schedule, bad_behavior=behavior, seed=3)
+        resolved = make_network(schedule=schedule, bad_behavior=behavior, seed=3)
+        for time in (0.0, 9.5, 10.0, 15.0, 20.0, 25.0):
+            for sender, receiver in ((0, 1), (0, 2), (2, 0)):
+                a = looked_up.send(sender, [receiver], "m", time=time)[0]
+                b = resolved.send(sender, [receiver], "m", time=time)[0]
+                assert looked_up.plan_delivery(a) == resolved.plan_delivery(
+                    b, schedule.period_at(time)
+                )
+        assert looked_up.messages_dropped == resolved.messages_dropped
 
     def test_take_from_buffer(self):
         network = make_network()

@@ -231,3 +231,54 @@ class TestBadPeriods:
         assert trace.total_send_steps > 0
         assert trace.total_receive_steps > 0
         assert trace.messages_sent == 2 * trace.total_send_steps  # broadcast to n=2
+
+    def test_drop_counter_has_one_owner_across_run_segments(self):
+        """The network counts lost copies; the trace mirrors it after every
+        ``run()`` segment -- neither double-counted nor reset in between."""
+        n = 3
+        schedule = PeriodSchedule.single_good_period(
+            n, start=40.0, length=40.0, kind=GoodPeriodKind.PI0_DOWN
+        )
+        simulator, _ = make_simulator(
+            n=n,
+            schedule=schedule,
+            seed=7,
+            bad_network=BadPeriodNetwork(loss_probability=0.5, min_delay=1.0, max_delay=8.0),
+        )
+        trace = simulator.run(until=20.0)
+        first = simulator.network.messages_dropped
+        assert first > 0
+        assert trace.messages_dropped == first
+        trace = simulator.run(until=80.0)
+        assert simulator.network.messages_dropped > first
+        assert trace.messages_dropped == simulator.network.messages_dropped
+        # Every copy is either lost, made ready, purged or still in transit.
+        assert trace.messages_sent == simulator.network.messages_sent
+        assert trace.messages_dropped < trace.messages_sent
+
+    def test_segmented_run_equals_one_run(self):
+        """Stopping at an intermediate horizon and resuming replays the same events."""
+
+        def run(horizons):
+            schedule = PeriodSchedule.single_good_period(
+                3, start=25.0, length=30.0, kind=GoodPeriodKind.PI0_DOWN, pi0=[0, 1]
+            )
+            simulator, programs = make_simulator(
+                n=3,
+                schedule=schedule,
+                seed=11,
+                fault_schedule=FaultSchedule.crash_recovery([(1, 5.0, 12.0)]),
+                bad_network=BadPeriodNetwork(loss_probability=0.3, min_delay=0.5, max_delay=9.0),
+            )
+            for until in horizons:
+                trace = simulator.run(until=until)
+            return (
+                [program.step_times for program in programs],
+                [program.received for program in programs],
+                trace.messages_sent,
+                trace.messages_dropped,
+                trace.crashes,
+                trace.recoveries,
+            )
+
+        assert run([70.0]) == run([10.0, 25.0, 25.0, 40.5, 70.0])
