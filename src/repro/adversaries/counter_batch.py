@@ -26,11 +26,11 @@ rather than silently replaying history.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Optional, Sequence, Tuple
 
 from .._optional import require_numpy
 from ..batch.arrays import pack_bools
-from ..engine.counter import counter_hash_array, units_of_counters
+from ..engine.counter import DrawScratch, counter_hash_array, units_of_counters
 from ..rounds.bitmask import WORD_BITS, word_count
 from .classic import CounterKernelOracle
 from .dynamic import (
@@ -42,7 +42,14 @@ from .dynamic import (
 
 
 class _CounterDualBase:
-    """Shared scaffolding: per-row keys, full/self word constants."""
+    """Shared scaffolding: per-row keys, full/self word constants, draw scratch.
+
+    The ``(R, n, n)`` link-coin draws of a round all run in one lazily built
+    scratch set -- a :class:`~repro.engine.counter.DrawScratch` for the hash
+    and the uniforms, one bool matrix for the comparison that follows --
+    which never leaves the dual: whatever ``round_masks`` returns or
+    memoises is a fresh :func:`pack_bools` result or a constant.
+    """
 
     def __init__(self, oracles: Sequence[Any]) -> None:
         np = require_numpy()
@@ -66,6 +73,17 @@ class _CounterDualBase:
         # (n, W) full-mask rows (every process heard).
         eye = np.ones((1, n), dtype=bool)
         self._full_words = np.broadcast_to(pack_bools(eye, n), (n, W))
+        self._scratch: Optional[Tuple[DrawScratch, Any]] = None
+
+    def _link_scratch(self) -> Tuple[DrawScratch, Any]:
+        """The ``(R, n, n)`` draw scratch and its bool companion."""
+        if self._scratch is None:
+            shape = (self.replicas, self.n, self.n)
+            self._scratch = (
+                DrawScratch(self.np, shape),
+                self.np.empty(shape, dtype=bool),
+            )
+        return self._scratch
 
     def _full_rows(self) -> Any:
         """The all-heard ``(R, n, W)`` array (stabilised / healed rounds)."""
@@ -73,6 +91,17 @@ class _CounterDualBase:
         return np.broadcast_to(
             self._full_words, (self.replicas, self.n, self._words)
         )
+
+
+def _select(np: Any, mask: Any, if_true: Any, if_false: Any, out: Any) -> None:
+    """``out = where(mask, if_true, if_false)`` on bool arrays, no temporary.
+
+    Branch-free (``f ^ (mask & (t ^ f))``) and destructive: *if_true* is
+    overwritten on the way.  *out* may be *mask* or *if_true*.
+    """
+    np.bitwise_xor(if_true, if_false, out=if_true)
+    np.bitwise_and(if_true, mask, out=if_true)
+    np.bitwise_xor(if_true, if_false, out=out)
 
 
 class MobileOmissionBatchDual(_CounterDualBase):
@@ -189,6 +218,8 @@ class BurstyLossBatchDual(_CounterDualBase):
         self.loss_good = first.loss_good
         self.stable_from = first.stable_from
         self._bursty = np.zeros((self.replicas, self.n, self.n), dtype=bool)
+        # The second comparison of each two-threshold select (see _select).
+        self._alt_coins = np.empty_like(self._bursty)
         self._computed_round = 0
         self._round_words: Optional[Any] = None
         eye = np.eye(self.n, dtype=bool)
@@ -199,22 +230,25 @@ class BurstyLossBatchDual(_CounterDualBase):
         p_axis = self._arange[:, None]
         q_axis = self._arange[None, :]
         keys = self.keys[:, None, None]
+        draw, coins = self._link_scratch()
+        bursty, alt = self._bursty, self._alt_coins
         while self._computed_round < round:
             self._computed_round += 1
             r = np.uint64(self._computed_round)
             u_state = units_of_counters(
-                np, keys, [np.uint64(0), r, p_axis, q_axis]
+                np, keys, [np.uint64(0), r, p_axis, q_axis], out=draw
             )
-            bursty = np.where(
-                self._bursty, u_state >= self.p_recover, u_state < self.p_burst
-            )
-            self._bursty = bursty
-            loss = np.where(bursty, self.loss_burst, self.loss_good)
+            np.greater_equal(u_state, self.p_recover, out=coins)
+            np.less(u_state, self.p_burst, out=alt)
+            _select(np, bursty, coins, alt, out=bursty)
             u_loss = units_of_counters(
-                np, keys, [np.uint64(1), r, p_axis, q_axis]
+                np, keys, [np.uint64(1), r, p_axis, q_axis], out=draw
             )
-            heard = self._eye | (u_loss >= loss)
-            self._round_words = pack_bools(heard, self.n)
+            np.greater_equal(u_loss, self.loss_burst, out=coins)
+            np.greater_equal(u_loss, self.loss_good, out=alt)
+            _select(np, bursty, coins, alt, out=coins)
+            coins |= self._eye
+            self._round_words = pack_bools(coins, self.n)
 
     def round_masks(self, round: int, active: Any) -> Any:
         if self.stable_from is not None and round >= self.stable_from:
@@ -254,14 +288,14 @@ class EventuallyStableCoordinatorBatchDual(_CounterDualBase):
         r = np.uint64(round)
         n = self.n
         pretender = counter_hash_array(np, self.keys, [np.uint64(0), r]) % np.uint64(n)
-        heard = (
-            units_of_counters(
-                np,
-                self.keys[:, None, None],
-                [np.uint64(2), r, self._arange[:, None], self._arange[None, :]],
-            )
-            < self.background_probability
+        draw, heard = self._link_scratch()
+        background = units_of_counters(
+            np,
+            self.keys[:, None, None],
+            [np.uint64(2), r, self._arange[:, None], self._arange[None, :]],
+            out=draw,
         )
+        np.less(background, self.background_probability, out=heard)
         flaky_ok = (
             units_of_counters(
                 np, self.keys[:, None], [np.uint64(1), r, self._arange]
@@ -295,6 +329,7 @@ class CounterKernelBatchDual(_CounterDualBase):
         for p in first.pi0:
             member[p] = True
         self._member = member
+        self._outsider = ~member
         self._pi0_words = pack_bools(member[None, :], self.n)[0]
 
     def round_masks(self, round: int, active: Any) -> Any:
@@ -303,14 +338,16 @@ class CounterKernelBatchDual(_CounterDualBase):
         keys = self.keys[:, None, None]
         p_axis = self._arange[:, None]
         q_axis = self._arange[None, :]
-        extras = (
-            units_of_counters(np, keys, [np.uint64(0), r, p_axis, q_axis]) < 0.5
-        ) & (~self._member)[None, None, :]
-        member_words = pack_bools(extras, self.n) | self._pi0_words[None, None, :]
-        outsider = (
-            units_of_counters(np, keys, [np.uint64(1), r, p_axis, q_axis]) < 0.5
-        )
-        outsider_words = pack_bools(outsider, self.n) | self._self_bits[None, :, :]
+        draw, coins = self._link_scratch()
+        extras = units_of_counters(np, keys, [np.uint64(0), r, p_axis, q_axis], out=draw)
+        np.less(extras, 0.5, out=coins)
+        coins &= self._outsider[None, None, :]
+        member_words = pack_bools(coins, self.n)
+        member_words |= self._pi0_words[None, None, :]
+        outsider = units_of_counters(np, keys, [np.uint64(1), r, p_axis, q_axis], out=draw)
+        np.less(outsider, 0.5, out=coins)
+        outsider_words = pack_bools(coins, self.n)
+        outsider_words |= self._self_bits[None, :, :]
         return np.where(
             self._member[None, :, None], member_words, outsider_words
         )

@@ -271,11 +271,22 @@ class BatchKernel(abc.ABC):
 
     # shared helpers ---------------------------------------------------- #
 
+    def _heard_codes(self, heard: Any, fill: int) -> Any:
+        """(R, n, n) scratch -- ``x[r, q]`` where ``heard[r, p, q]``, else *fill*.
+
+        Arithmetic rather than ``where``: ``heard * (x - fill) + fill`` is
+        branch-free and writes straight into the reused buffer.
+        """
+        np = self.np
+        fill = np.int32(fill)
+        codes = self._scratch("heard_codes", heard.shape, np.int32)
+        np.multiply(heard, (self.x - fill)[:, None, :], out=codes)
+        np.add(codes, fill, out=codes)
+        return codes
+
     def _min_heard_code(self, heard: Any) -> Any:
         """(R, n) -- min estimate code among heard senders (garbage when none)."""
-        np = self.np
-        big = np.int32(self.n + 1)
-        return np.where(heard, self.x[:, None, :], big).min(axis=2)
+        return self._heard_codes(heard, self.n + 1).min(axis=2)
 
     def _first_heard_code(self, eligible: Any) -> Any:
         """(R, n) -- code of the lowest-id sender with ``eligible[r, p, q]``.
@@ -314,14 +325,24 @@ class BatchOneThirdRule(BatchKernel):
         top_i = top.astype(np.int32)
 
         # Counter.most_common tie-break: the winning value is the one carried
-        # by the first heard sender whose value attains the top count.
-        counts_by_sender = np.take_along_axis(
-            counts, np.broadcast_to(x[:, None, :], heard.shape), axis=2
-        )
-        winner = self._first_heard_code(heard & (counts_by_sender == top[:, :, None]))
+        # by the first heard sender whose value attains the top count.  A
+        # second matmul against the transposed one-hot gathers each sender's
+        # count, counts[r, p, x_q] (one nonzero term per sum, so exact); it
+        # lands in heard_f, which the first matmul is done with.
+        counts_by_sender = heard_f
+        np.matmul(counts, onehot.transpose(0, 2, 1), out=counts_by_sender)
+        flags = self._scratch("otr_flags", shape, bool)
+        np.equal(counts_by_sender, top[:, :, None], out=flags)
+        flags &= heard
+        winner = self._first_heard_code(flags)
+
+        # Codes sort like values, so the smallest heard value is the first
+        # code with a nonzero count (garbage when nothing was heard).
+        np.greater(counts, 0, out=flags)
+        min_heard = flags.argmax(axis=2).astype(np.int32)
 
         adopt_top = (hc - top_i) <= n_col // 3
-        new_x = np.where(adopt_top, winner, self._min_heard_code(heard))
+        new_x = np.where(adopt_top, winner, min_heard)
         self.x = np.where(act, new_x, x)
 
         # A value with multiplicity > 2n/3 is unique, and is the top value.
@@ -354,9 +375,8 @@ class BatchUniformVoting(BatchKernel):
         if round % 2 == 1:
             # Voting round: vote for the common estimate iff every heard
             # estimate is equal (and something was heard); else vote None.
-            big = np.int32(n + 1)
-            lo = np.where(heard, self.x[:, None, :], big).min(axis=2)
-            hi = np.where(heard, self.x[:, None, :], np.int32(-1)).max(axis=2)
+            lo = self._min_heard_code(heard)
+            hi = self._heard_codes(heard, -1).max(axis=2)
             unanimous = (hc > 0) & (lo == hi)
             self.vote = np.where(act, np.where(unanimous, lo, np.int32(-1)), self.vote)
             return
@@ -364,7 +384,8 @@ class BatchUniformVoting(BatchKernel):
         # Resolve round: adopt the first heard vote (or the min estimate),
         # decide iff every heard sender voted; votes always reset.
         has_any = hc > 0
-        votes_heard = heard & (self.vote[:, None, :] >= 0)
+        votes_heard = self._scratch("uv_votes_heard", heard.shape, bool)
+        np.logical_and(heard, (self.vote >= 0)[:, None, :], out=votes_heard)
         nv = votes_heard.sum(axis=2, dtype=np.int32)
         qstar = votes_heard.argmax(axis=2)
         first_vote = np.take_along_axis(self.vote, qstar, axis=1)

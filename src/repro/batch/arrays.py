@@ -30,40 +30,40 @@ def mask_from_words_row(row: Iterable[int]) -> int:
     return words_to_mask(int(word) for word in row)
 
 
-def unpack_words(words: Any, n: int, out: Any = None, bits: Any = None) -> Any:
+def unpack_words(words: Any, n: int, out: Any = None) -> Any:
     """Unpack a ``(..., W)`` uint64 word array into a ``(..., n)`` bool array.
 
     Bit ``q`` of the mask becomes column ``q``; the padding bits above ``n``
-    in the last word are dropped.  The round loops call this once per round,
-    so both temporaries accept caller-owned buffers: *out* is the
-    ``(..., n)`` bool result, *bits* the ``(..., W, 64)`` uint64
-    intermediate.
+    in the last word are dropped.  The words are read through a ``<u8`` view
+    so byte ``b`` of a word holds bits ``8b .. 8b + 7`` on any host -- the
+    layout of :func:`repro.rounds.bitmask.mask_to_words`.  Strided and
+    read-only inputs (the oracles' broadcast all-heard rows) are fine.  The
+    round loops call this once per round and pass their own ``(..., n)`` bool
+    buffer as *out*.
     """
     np = require_numpy()
-    shifts = np.arange(WORD_BITS, dtype=np.uint64)
-    expanded = words[..., :, None]
-    if bits is None:
-        bits = (expanded >> shifts) & np.uint64(1)
-    else:
-        np.right_shift(expanded, shifts, out=bits)
-        bits &= np.uint64(1)
-    flat = bits.reshape(*words.shape[:-1], words.shape[-1] * WORD_BITS)
-    trimmed = flat[..., :n]
+    octets = words.astype("<u8", copy=False).view(np.uint8)
+    bits = np.unpackbits(octets, axis=-1, count=n, bitorder="little").view(bool)
     if out is None:
-        return trimmed.astype(bool)
-    np.copyto(out, trimmed, casting="unsafe")
+        return bits
+    np.copyto(out, bits)
     return out
 
 
 def pack_bools(bits: Any, n: int) -> Any:
-    """Pack a ``(..., n)`` bool array into its ``(..., W)`` uint64 word spill."""
+    """Pack a ``(..., n)`` bool array into its ``(..., W)`` uint64 word spill.
+
+    The inverse of :func:`unpack_words`, through the same ``<u8`` byte
+    layout.  The result is always a fresh array, never a view of *bits*.
+    """
     np = require_numpy()
-    w = word_count(n)
-    padded = np.zeros((*bits.shape[:-1], w * WORD_BITS), dtype=np.uint64)
-    padded[..., :n] = bits
-    shifts = np.arange(WORD_BITS, dtype=np.uint64)
-    grouped = padded.reshape(*bits.shape[:-1], w, WORD_BITS) << shifts
-    return np.bitwise_or.reduce(grouped, axis=-1)
+    octets = np.packbits(np.asarray(bits, dtype=bool), axis=-1, bitorder="little")
+    width = word_count(n) * (WORD_BITS // 8)
+    if octets.shape[-1] != width:
+        padded = np.zeros((*octets.shape[:-1], width), dtype=np.uint8)
+        padded[..., : octets.shape[-1]] = octets
+        octets = padded
+    return octets.view("<u8").astype(np.uint64, copy=False)
 
 
 def popcount_words(words: Any) -> Any:

@@ -29,7 +29,7 @@ from ..rounds.backend import (
     ReplicaOutcome,
     finish_fingerprint,
 )
-from ..rounds.bitmask import WORD_BITS, iter_bits, word_count
+from ..rounds.bitmask import iter_bits
 from .arrays import int_masks_from_words, popcount_words, unpack_words
 
 
@@ -80,12 +80,9 @@ class BatchEngine:
         if batch.fingerprints:
             fingerprints = [ReplicaFingerprint() for _ in range(replicas)]
 
-        # Round-loop scratch: the unpacked heard-matrix and its bit-expansion
-        # intermediate are rewritten in place every round.
+        # Round-loop scratch: the unpacked heard-matrix is rewritten in place
+        # every round.
         heard_buffer = np.empty((replicas, n, n), dtype=bool)
-        bits_buffer = np.empty(
-            (replicas, n, word_count(n), WORD_BITS), dtype=np.uint64
-        )
 
         round = 0
         while round < batch.max_rounds:
@@ -101,7 +98,7 @@ class BatchEngine:
                 break
             round += 1
             words = oracle.round_masks(round, active)
-            heard = unpack_words(words, n, out=heard_buffer, bits=bits_buffer)
+            heard = unpack_words(words, n, out=heard_buffer)
             decided_before = kernel.decided() if fingerprints is not None else None
             kernel.step(round, heard, active)
             rounds_executed[active] = round

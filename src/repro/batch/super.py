@@ -38,7 +38,7 @@ from ..rounds.backend import (
     ReplicaOutcome,
     register_backend,
 )
-from ..rounds.bitmask import WORD_BITS, iter_bits, word_count
+from ..rounds.bitmask import iter_bits, word_count
 from ..rounds.fallback import FallbackReason
 from .arrays import popcount_words, unpack_words
 from .backends import BatchBackend
@@ -222,9 +222,6 @@ class _SuperBatchEngine:
         buffer = np.zeros((self.rows, n_max, self.w_max), dtype=np.uint64)
         # Round-loop scratch, reallocated with the buffer on compaction.
         heard_buffer = np.empty((self.rows, n_max, n_max), dtype=bool)
-        bits_buffer = np.empty(
-            (self.rows, n_max, self.w_max, WORD_BITS), dtype=np.uint64
-        )
 
         round = 0
         while True:
@@ -248,9 +245,6 @@ class _SuperBatchEngine:
                 orig_of = orig_of[keep]
                 buffer = np.zeros((live, n_max, self.w_max), dtype=np.uint64)
                 heard_buffer = np.empty((live, n_max, n_max), dtype=bool)
-                bits_buffer = np.empty(
-                    (live, n_max, self.w_max, WORD_BITS), dtype=np.uint64
-                )
                 alive = np.ones(live, dtype=bool)
 
             round += 1
@@ -266,7 +260,7 @@ class _SuperBatchEngine:
                 w_c = words.shape[-1]
                 buffer[positions, : batch.n, :w_c] = words[replica_idx]
 
-            heard = unpack_words(buffer, n_max, out=heard_buffer, bits=bits_buffer)
+            heard = unpack_words(buffer, n_max, out=heard_buffer)
             kernel.step(round, heard, alive)
             updated = orig_of[alive]
             self.rounds_executed[updated] = round

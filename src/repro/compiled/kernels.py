@@ -47,7 +47,14 @@ from ..algorithms.uniform_voting import UniformVoting
 
 # The splitmix64 constants -- shared with the scalar/array implementations
 # in repro.engine.counter (friend access; one definition per constant).
-from ..engine.counter import _MIX1, _MIX2, _PHI, _UNIT_SCALE
+from ..engine.counter import (
+    _MIX1,
+    _MIX2,
+    _PHI,
+    _UNIT_SCALE,
+    DrawScratch,
+    counter_hash_array,
+)
 from ..predimpl.batched_translation import BatchTranslationKernel
 from ..predimpl.translation import KernelToUniformTranslation
 
@@ -71,58 +78,67 @@ if np is not None:
 # --------------------------------------------------------------------------- #
 
 
-def _counter_units_core(keys: Any, counters: Any, out: Any) -> None:
-    """Fused ``unit_of(counter_hash(...))`` over flat arrays.
+def _counter_units_core(prefix: Any, last: Any, out: Any) -> None:
+    """The last stage of ``counter_hash`` fused with ``unit_of``, flat arrays.
 
-    ``keys`` is ``(N,)`` uint64, ``counters`` is ``(C, N)`` uint64 (one row
-    per counter position), ``out`` is ``(N,)`` float64.  One pass, no
-    intermediate hash array -- the top 53 bits scale to a float64 exactly,
-    so the result is bit-identical to the two-step numpy path.
+    ``prefix`` is the ``(N,)`` uint64 hash of every counter but the last,
+    ``last`` the ``(N,)`` uint64 last counter, ``out`` is ``(N,)`` float64.
+    One pass -- the top 53 bits scale to a float64 exactly, so the result
+    is bit-identical to the two-step numpy path.
     """
-    C = counters.shape[0]
-    for i in range(keys.shape[0]):
-        z = keys[i]
-        for c in range(C):
-            z = z + _U_PHI
-            z = z ^ counters[c, i]
-            z = z ^ (z >> _U_30)
-            z = z * _U_MIX1
-            z = z ^ (z >> _U_27)
-            z = z * _U_MIX2
-            z = z ^ (z >> _U_31)
+    for i in range(prefix.shape[0]):
+        z = prefix[i] + _U_PHI
+        z = z ^ last[i]
+        z = z ^ (z >> _U_30)
+        z = z * _U_MIX1
+        z = z ^ (z >> _U_27)
+        z = z * _U_MIX2
+        z = z ^ (z >> _U_31)
         out[i] = np.float64(z >> _U_11) * _UNIT_SCALE
 
 
 def counter_units(
-    np_mod: Any, keys: Any, counters: Any, compiled: Optional[bool] = None
+    np_mod: Any,
+    keys: Any,
+    counters: Any,
+    compiled: Optional[bool] = None,
+    out: Optional[DrawScratch] = None,
 ) -> Any:
     """The fused form of ``units_of_array(counter_hash_array(keys, counters))``.
 
-    Broadcasts like :func:`repro.engine.counter.counter_hash_array`, then
-    hashes and scales in one nopython pass.  *compiled* selects the jitted
-    (True) or interpreted (False) core; None means "jitted when numba is
-    available".  Values are bit-identical either way.
+    Broadcasts like :func:`repro.engine.counter.counter_hash_array`.  The
+    counters before the last are absorbed by that function at their own
+    (for the duals' link draws: small) broadcast shape; the last stage,
+    the one that reaches full shape, and the unit scaling are one nopython
+    pass over the three buffers of *out* -- prefix hashes, last counter,
+    uniforms -- so nothing of the full shape is allocated per draw.
+    Without *out* a fresh scratch is used.  Returns ``out.units``.
+
+    *compiled* selects the jitted (True) or interpreted (False) core; None
+    means "jitted when numba is available".  Values are bit-identical
+    either way.
     """
     if compiled is None:
         compiled = _counter_units_jit is not None
-    arrays = np_mod.broadcast_arrays(
-        np_mod.asarray(keys, dtype=np_mod.uint64),
-        *[np_mod.asarray(c, dtype=np_mod.uint64) for c in counters],
-    )
-    shape = arrays[0].shape
-    flat_keys = np_mod.ascontiguousarray(arrays[0]).reshape(-1)
-    size = flat_keys.shape[0]
-    stacked = np_mod.empty((len(counters), size), dtype=np_mod.uint64)
-    for i, counter in enumerate(arrays[1:]):
-        stacked[i, :] = counter.reshape(-1)
-    out = np_mod.empty(size, dtype=np_mod.float64)
+    prefix = counter_hash_array(np_mod, keys, counters[:-1])
+    last = np_mod.asarray(counters[-1], dtype=np_mod.uint64)
+    shape = np_mod.broadcast_shapes(prefix.shape, last.shape)
+    if out is None:
+        out = DrawScratch(np_mod, shape)
+    elif out.units.shape != shape:
+        raise ValueError(
+            f"scratch of shape {out.units.shape} does not fit a draw of shape {shape}"
+        )
+    np_mod.copyto(out.hashes, prefix)
+    np_mod.copyto(out.shifted, last)
+    args = (out.hashes.reshape(-1), out.shifted.reshape(-1), out.units.reshape(-1))
     if compiled and _counter_units_jit is not None:
-        _counter_units_jit(flat_keys, stacked, out)
+        _counter_units_jit(*args)
     else:
         # uint64 wraparound is the point; numpy warns about it on scalars.
         with np_mod.errstate(over="ignore"):
-            _counter_units_core(flat_keys, stacked, out)
-    return out.reshape(shape)
+            _counter_units_core(*args)
+    return out.units
 
 
 # --------------------------------------------------------------------------- #

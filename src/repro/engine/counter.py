@@ -31,7 +31,7 @@ for bit.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Optional, Sequence, Tuple
 
 _MASK64 = (1 << 64) - 1
 
@@ -115,6 +115,27 @@ class CounterStream:
 # --------------------------------------------------------------------------- #
 
 
+class DrawScratch:
+    """Caller-owned buffers of one draw shape, passed as ``out=`` below.
+
+    A consumer that draws the same broadcast shape every round (the batch
+    duals' ``(R, n, n)`` link coins) builds one of these per run, and the
+    array path then writes every stage of that shape into it instead of
+    allocating: :attr:`hashes` receives the hash, :attr:`shifted` is the
+    xorshift temporary, :attr:`units` receives the uniforms.  A result
+    returned from an ``out=`` call *is* one of these buffers and is
+    overwritten by the owner's next draw, so it must be consumed (compared,
+    packed) before then and never handed on.
+    """
+
+    __slots__ = ("hashes", "shifted", "units")
+
+    def __init__(self, np: Any, shape: Tuple[int, ...]) -> None:
+        self.hashes = np.empty(shape, dtype=np.uint64)
+        self.shifted = np.empty(shape, dtype=np.uint64)
+        self.units = np.empty(shape, dtype=np.float64)
+
+
 def _mix64_array(np: Any, z: Any) -> Any:
     z = z ^ (z >> np.uint64(30))
     z = z * np.uint64(_MIX1)
@@ -123,27 +144,74 @@ def _mix64_array(np: Any, z: Any) -> Any:
     return z ^ (z >> np.uint64(31))
 
 
-def counter_hash_array(np: Any, keys: Any, counters: Sequence[Any]) -> Any:
+def _mix64_inplace(np: Any, z: Any, shifted: Any) -> None:
+    """:func:`_mix64_array` on *z* in place; *shifted* holds each ``z >> k``."""
+    np.right_shift(z, np.uint64(30), out=shifted)
+    np.bitwise_xor(z, shifted, out=z)
+    np.multiply(z, np.uint64(_MIX1), out=z)
+    np.right_shift(z, np.uint64(27), out=shifted)
+    np.bitwise_xor(z, shifted, out=z)
+    np.multiply(z, np.uint64(_MIX2), out=z)
+    np.right_shift(z, np.uint64(31), out=shifted)
+    np.bitwise_xor(z, shifted, out=z)
+
+
+def counter_hash_array(
+    np: Any, keys: Any, counters: Sequence[Any], out: Optional[DrawScratch] = None
+) -> Any:
     """The array form of :func:`counter_hash`, broadcasting over all inputs.
 
     *keys* and every entry of *counters* may be scalars or arrays of any
     mutually broadcastable shapes; the result has the broadcast shape and
     dtype uint64, bit-identical to the scalar function element-wise.
+
+    Each counter is absorbed at the broadcast shape reached so far, so the
+    leading scalar counters (tag, round) cost almost nothing and only the
+    last stages run at full shape.  With *out* -- which must have exactly
+    the broadcast shape, else :class:`ValueError` -- those full-shape
+    stages run in its buffers and the result is ``out.hashes``; the small
+    stages before them, and every stage without *out*, are plain
+    expressions.  The values are the same either way.
     """
+    full = None if out is None else out.hashes.shape
     # uint64 wraparound is the point; numpy warns about it on 0-d scalars.
     with np.errstate(over="ignore"):
         z = np.asarray(keys, dtype=np.uint64)
         for counter in counters:
-            z = z + np.uint64(_PHI)
-            z = _mix64_array(np, z ^ np.asarray(counter, dtype=np.uint64))
+            counter = np.asarray(counter, dtype=np.uint64)
+            if full is None or np.broadcast_shapes(z.shape, counter.shape) != full:
+                z = _mix64_array(np, (z + np.uint64(_PHI)) ^ counter)
+                continue
+            # The bump keeps z's own (smaller) shape; it is in place only
+            # once the previous stage already filled the scratch.
+            z = np.add(z, np.uint64(_PHI), out=z if z is out.hashes else None)
+            z = np.bitwise_xor(z, counter, out=out.hashes)
+            _mix64_inplace(np, z, out.shifted)
+    if out is not None and z is not out.hashes:
+        raise ValueError(
+            f"scratch of shape {full} does not fit a draw of shape {np.shape(z)}"
+        )
     if z.dtype != np.uint64:  # all-scalar inputs collapse to a 0-d value
         z = np.asarray(z, dtype=np.uint64)
     return z
 
 
-def units_of_array(np: Any, hashes: Any) -> Any:
-    """The array form of :func:`unit_of`: uniform float64 in ``[0, 1)``."""
-    return (hashes >> np.uint64(11)).astype(np.float64) * _UNIT_SCALE
+def units_of_array(np: Any, hashes: Any, out: Optional[DrawScratch] = None) -> Any:
+    """The array form of :func:`unit_of`: uniform float64 in ``[0, 1)``.
+
+    With *out* (of exactly ``hashes.shape``) the result is ``out.units``.
+    """
+    if out is None:
+        shifted = units = None
+    elif out.units.shape == np.shape(hashes):
+        shifted, units = out.shifted, out.units
+    else:
+        raise ValueError(
+            f"scratch of shape {out.units.shape} does not fit "
+            f"hashes of shape {np.shape(hashes)}"
+        )
+    shifted = np.right_shift(hashes, np.uint64(11), out=shifted)
+    return np.multiply(shifted, _UNIT_SCALE, out=units)
 
 
 #: the fused compiled kernel, resolved on first use: False = unresolved,
@@ -151,14 +219,18 @@ def units_of_array(np: Any, hashes: Any) -> Any:
 _FUSED_UNITS: Any = False
 
 
-def units_of_counters(np: Any, keys: Any, counters: Sequence[Any]) -> Any:
+def units_of_counters(
+    np: Any, keys: Any, counters: Sequence[Any], out: Optional[DrawScratch] = None
+) -> Any:
     """``units_of_array(counter_hash_array(keys, counters))``, fused.
 
     The hot form of a counter-based uniform draw: when numba is available
-    the hash chain and the unit scaling run as one nopython pass with no
-    intermediate hash array (:func:`repro.compiled.kernels.counter_units`);
-    otherwise the two-step numpy path runs.  Bit-identical either way --
-    the top 53 hash bits scale to a float64 exactly.
+    the last hash stage and the unit scaling run as one nopython pass
+    (:func:`repro.compiled.kernels.counter_units`);
+    otherwise the two-step numpy path runs.  Either one works in the
+    buffers of *out* when given and then returns ``out.units``.
+    Bit-identical every way -- the top 53 hash bits scale to a float64
+    exactly.
 
     The compiled module is imported lazily at first use (this module sits
     below :mod:`repro.compiled` in the layering DAG) and the resolution is
@@ -175,8 +247,8 @@ def units_of_counters(np: Any, keys: Any, counters: Sequence[Any]) -> Any:
         else:
             _FUSED_UNITS = None
     if _FUSED_UNITS is not None:
-        return _FUSED_UNITS(np, keys, counters)
-    return units_of_array(np, counter_hash_array(np, keys, counters))
+        return _FUSED_UNITS(np, keys, counters, out=out)
+    return units_of_array(np, counter_hash_array(np, keys, counters, out), out)
 
 
 __all__ = [
@@ -184,6 +256,7 @@ __all__ = [
     "counter_hash",
     "unit_of",
     "CounterStream",
+    "DrawScratch",
     "counter_hash_array",
     "units_of_array",
     "units_of_counters",

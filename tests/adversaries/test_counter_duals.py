@@ -32,6 +32,7 @@ from repro.adversaries.batch import (
 )
 from repro.adversaries.counter_batch import counter_batch_dual
 from repro.engine.rng import SeededRng
+from tests.conftest import steady_state_peak_growth
 
 needs_numpy = pytest.mark.skipif(not have_numpy(), reason="numpy not available")
 
@@ -57,12 +58,16 @@ def scalar_masks(oracles, round):
     ]
 
 
-def dual_masks(dual, round, replicas, n):
+def words_as_masks(words, replicas, n):
     from repro.batch.arrays import mask_from_words_row
 
+    return [[mask_from_words_row(words[r, p]) for p in range(n)] for r in range(replicas)]
+
+
+def dual_masks(dual, round, replicas, n):
     np = __import__("numpy")
     words = dual.round_masks(round, np.ones(replicas, dtype=bool))
-    return [[mask_from_words_row(words[r, p]) for p in range(n)] for r in range(replicas)]
+    return words_as_masks(words, replicas, n)
 
 
 @needs_numpy
@@ -98,6 +103,65 @@ class TestScalarDualEquality:
             for p in reversed(range(5))
         }
         assert forward == shuffled
+
+
+@needs_numpy
+class TestScratchNeverEscapes:
+    """The duals draw every round into one reused scratch set; nothing they
+    return or memoise may be backed by it."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_FACTORIES))
+    @pytest.mark.parametrize("n", [8, 65])
+    def test_round_words_survive_the_next_draw(self, family, n):
+        """Keep round r's words, draw r+1: r's words are unchanged and
+        still equal the scalar oracle's."""
+        np = __import__("numpy")
+        replicas = 3
+        oracles = [FAMILY_FACTORIES[family](n, 40 + i) for i in range(replicas)]
+        shadows = [FAMILY_FACTORIES[family](n, 40 + i) for i in range(replicas)]
+        dual = counter_batch_dual(oracles, replicas)
+        active = np.ones(replicas, dtype=bool)
+        kept = dual.round_masks(1, active)
+        for round in range(1, 8):
+            copy = kept.copy()
+            following = dual.round_masks(round + 1, active)
+            assert np.array_equal(kept, copy), f"{family} round {round} was overwritten"
+            assert words_as_masks(kept, replicas, n) == scalar_masks(shadows, round)
+            kept = following
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_FACTORIES))
+    def test_results_share_no_memory_with_the_scratch(self, family):
+        np = __import__("numpy")
+        replicas, n = 3, 8
+        dual = counter_batch_dual(
+            [FAMILY_FACTORIES[family](n, 60 + i) for i in range(replicas)], replicas
+        )
+        active = np.ones(replicas, dtype=bool)
+        results = [dual.round_masks(round, active) for round in (1, 2, 3)]
+        draw, coins = dual._link_scratch()
+        for words in results:
+            for buffer in (draw.hashes, draw.shifted, draw.units, coins):
+                assert not np.shares_memory(words, buffer)
+
+    # The partition dual draws per epoch, not per round: its one fresh
+    # (R, n, n) comparison at an epoch change is outside the per-round claim.
+    @pytest.mark.parametrize("family", sorted(set(FAMILY_FACTORIES) - {"partition"}))
+    def test_steady_state_rounds_allocate_no_link_matrix(self, family):
+        """After two warm-up rounds at R = n = 64, three further rounds grow
+        the traced peak by less than one ``R*n*n``-byte matrix -- the
+        smallest full-shape temporary there is (a bool one)."""
+        np = __import__("numpy")
+        replicas = n = 64
+        active = np.ones(replicas, dtype=bool)
+
+        def build():
+            dual = counter_batch_dual(
+                [FAMILY_FACTORIES[family](n, i) for i in range(replicas)], replicas
+            )
+            return lambda round: dual.round_masks(round, active)
+
+        growth = steady_state_peak_growth(build)
+        assert growth < replicas * n * n, (family, growth)
 
 
 class TestDualEligibility:

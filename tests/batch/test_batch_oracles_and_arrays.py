@@ -220,3 +220,94 @@ class TestArrayBoundary:
         assert popcount_words(words).tolist() == [bit_count(m) for m in masks]
         repacked = pack_bools(bits, n)
         assert np.array_equal(repacked, words)
+
+
+WORD_SPILL_SIZES = [1, 7, 63, 64, 65, 127, 128, 129]
+
+
+class TestPackUnpackLayout:
+    """``pack_bools`` / ``unpack_words`` against ``mask_to_words``, the one
+    definition of the word-spill layout, at every word boundary."""
+
+    @staticmethod
+    def _bits(np, lead, n):
+        size = int(np.prod(lead, dtype=np.int64)) * n
+        # A fixed, aperiodic pattern: no word or byte of it repeats.
+        flat = (np.arange(size, dtype=np.int64) * 2654435761 >> 7) % 3 == 0
+        return flat.reshape(*lead, n)
+
+    @staticmethod
+    def _reference_words(np, bits, n):
+        from repro.rounds.bitmask import mask_to_words
+
+        rows = bits.reshape(-1, n)
+        words = [
+            mask_to_words(sum(1 << q for q in range(n) if row[q]), n) for row in rows
+        ]
+        return np.array(words, dtype=np.uint64).reshape(*bits.shape[:-1], -1)
+
+    @pytest.mark.parametrize("n", WORD_SPILL_SIZES)
+    @pytest.mark.parametrize("lead", ["scalar", "rows", "replica_rows"])
+    def test_round_trip_equals_mask_to_words(self, n, lead):
+        import numpy as np
+
+        from repro.batch.arrays import pack_bools, unpack_words
+        from repro.rounds.bitmask import word_count
+
+        shape = {"scalar": (), "rows": (n,), "replica_rows": (3, n)}[lead]
+        bits = self._bits(np, shape, n)
+        words = pack_bools(bits, n)
+        assert words.dtype == np.uint64
+        assert words.shape == (*shape, word_count(n))
+        assert np.array_equal(words, self._reference_words(np, bits, n))
+
+        fresh = unpack_words(words, n)
+        assert fresh.dtype == np.bool_ and np.array_equal(fresh, bits)
+        out = np.ones((*shape, n), dtype=bool)
+        assert unpack_words(words, n, out=out) is out
+        assert np.array_equal(out, bits)
+
+    @pytest.mark.parametrize("n", [7, 64, 65])
+    def test_pack_accepts_non_bool_and_non_contiguous_input(self, n):
+        import numpy as np
+
+        from repro.batch.arrays import pack_bools
+
+        bits = self._bits(np, (3, n), n)
+        want = self._reference_words(np, bits, n)
+        assert np.array_equal(pack_bools(bits.astype(np.int64), n), want)
+        assert np.array_equal(pack_bools(bits.astype(np.float64), n), want)
+        strided = np.zeros((3, n, n, 2), dtype=bool)
+        strided[..., 0] = bits
+        assert not strided[..., 0].flags.c_contiguous
+        assert np.array_equal(pack_bools(strided[..., 0], n), want)
+        transposed = np.ascontiguousarray(bits.transpose(0, 2, 1)).transpose(0, 2, 1)
+        assert np.array_equal(pack_bools(transposed, n), want)
+
+    @pytest.mark.parametrize("n", [7, 64, 65])
+    def test_pack_result_is_never_a_view_of_its_input(self, n):
+        import numpy as np
+
+        from repro.batch.arrays import pack_bools
+
+        bits = self._bits(np, (n,), n)
+        words = pack_bools(bits, n)
+        kept = words.copy()
+        bits[...] = ~bits
+        assert np.array_equal(words, kept)
+
+    @pytest.mark.parametrize("n", [7, 64, 65])
+    def test_unpack_accepts_read_only_broadcast_rows(self, n):
+        """The shape ``_CounterDualBase._full_rows()`` hands the engines:
+        one constant row of words broadcast to ``(R, n, W)`` with stride 0."""
+        import numpy as np
+
+        from repro.batch.arrays import pack_bools, unpack_words
+        from repro.rounds.bitmask import word_count
+
+        full = pack_bools(np.ones((1, n), dtype=bool), n)
+        rows = np.broadcast_to(full, (4, n, word_count(n)))
+        assert not rows.flags.writeable and rows.strides[0] == 0
+        out = np.zeros((4, n, n), dtype=bool)
+        assert unpack_words(rows, n, out=out).all()
+        assert unpack_words(rows, n).all()

@@ -353,3 +353,65 @@ def test_units_of_counters_dispatcher_is_bit_identical():
         np, counter_hash_array(np, keys, [np.uint64(2), np.uint64(9)])
     )
     assert (got == want).all()
+
+
+def _link_draw(np, replicas, n):
+    """The duals' ``(R, n, n)`` link-coin draw: keys and counters."""
+    keys = (np.arange(replicas, dtype=np.uint64) + np.uint64(5)) * np.uint64(2**61 - 1)
+    procs = np.arange(n, dtype=np.uint64)
+    return keys[:, None, None], [np.uint64(1), np.uint64(9), procs[:, None], procs[None, :]]
+
+
+def test_counter_units_draws_into_the_callers_scratch():
+    """With ``out=`` the fused kernel returns ``out.units``, bit-identical
+    to the fresh result, draw after draw over the same scratch."""
+    from repro._optional import require_numpy
+    from repro.compiled.kernels import counter_units
+    from repro.engine.counter import DrawScratch, counter_hash_array, units_of_array
+
+    np = require_numpy()
+    keys, counters = _link_draw(np, 3, 5)
+    want = units_of_array(np, counter_hash_array(np, keys, counters))
+    scratch = DrawScratch(np, (3, 5, 5))
+    for compiled in (None, False):
+        for _ in range(2):
+            got = counter_units(np, keys, counters, compiled=compiled, out=scratch)
+            assert got is scratch.units
+            assert (got == want).all()
+    assert (counter_units(np, keys, counters) == want).all()
+    # 0-d: every input a scalar.
+    scalar = counter_units(np, np.uint64(7), [np.uint64(2)], out=DrawScratch(np, ()))
+    assert float(scalar) == float(units_of_array(np, counter_hash_array(np, 7, [2])))
+    with pytest.raises(ValueError, match="does not fit"):
+        counter_units(np, keys[:, :, 0], counters[:2] + [counters[3][0]], out=scratch)
+
+
+def test_fused_dispatch_allocates_nothing_of_the_draw_shape(monkeypatch):
+    """The numba tier's branch of ``units_of_counters`` (forced here; the
+    core runs interpreted when numba is absent) hands the scratch to the
+    fused kernel, so a link draw allocates only its small prefix stages."""
+    from repro._optional import require_numpy
+    from repro.compiled.kernels import counter_units
+    from repro.engine import counter
+    from tests.conftest import steady_state_peak_growth
+
+    np = require_numpy()
+    monkeypatch.setattr(counter, "_FUSED_UNITS", counter_units)
+    replicas, n = 8, 48
+    keys, counters = _link_draw(np, replicas, n)
+    want = counter.units_of_array(np, counter.counter_hash_array(np, keys, counters))
+
+    def build():
+        scratch = counter.DrawScratch(np, (replicas, n, n))
+
+        def draw(round):
+            units = counter.units_of_counters(np, keys, counters, out=scratch)
+            assert units is scratch.units
+            return None
+
+        return draw
+
+    growth = steady_state_peak_growth(build)
+    assert growth < replicas * n * n, growth
+    scratch = counter.DrawScratch(np, (replicas, n, n))
+    assert (counter.units_of_counters(np, keys, counters, out=scratch) == want).all()

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Sequence
+import tracemalloc
+from typing import Callable, Dict, Iterable, Mapping, Sequence
 
 import pytest
 
@@ -22,6 +23,33 @@ def make_collection(n: int, rounds: Sequence[Mapping[int, Iterable[int]]]) -> HO
             ho = ho_sets.get(process, range(n))
             collection.record(process, round_number, ho)
     return collection
+
+
+def steady_state_peak_growth(
+    build: Callable[[], Callable[[int], object]],
+    warm_up: Sequence[int] = (1, 2),
+    steady: Sequence[int] = (3, 4, 5),
+) -> int:
+    """Bytes the traced peak grows over the *steady* rounds of a round function.
+
+    *build* runs under tracing and returns ``call(round)``, so whatever it
+    allocates once -- state arrays, lazily built scratch touched by the
+    *warm_up* rounds -- is part of the settled level the growth is measured
+    from.  What is left is what one round allocates transiently.
+    """
+    tracemalloc.start()
+    try:
+        call = build()
+        for round in warm_up:
+            call(round)
+        settled, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        for round in steady:
+            call(round)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - settled
 
 
 def uniform_round(n: int, ho: Iterable[int]) -> Dict[int, Iterable[int]]:

@@ -15,11 +15,13 @@ import pytest
 from repro._optional import have_numpy, require_numpy
 from repro.engine.counter import (
     CounterStream,
+    DrawScratch,
     counter_hash,
     counter_hash_array,
     mix64,
     unit_of,
     units_of_array,
+    units_of_counters,
 )
 from repro.engine.rng import SeededRng, derive_seed
 
@@ -139,3 +141,85 @@ class TestArrayDual:
         )
         assert hashes.dtype == np.uint64
         assert int(hashes[0]) == counter_hash(big, big)
+
+
+def _dual_draw_shapes(np):
+    """``(name, keys, counters)`` of every counter arity the batch duals draw.
+
+    The shapes of :mod:`repro.adversaries.counter_batch` at R=3, n=5, plus
+    the all-scalar draw whose broadcast shape is 0-d.
+    """
+    keys = np.array([11, 2**64 - 1, 2**63 + 5], dtype=np.uint64)
+    procs = np.arange(5, dtype=np.uint64)
+    r = np.uint64(7)
+    return [
+        ("scalar", np.uint64(11), [np.uint64(2), r]),
+        ("per-replica", keys, [np.uint64(0), r]),
+        ("per-process", keys[:, None], [r, procs]),
+        ("tagged-per-process", keys[:, None], [np.uint64(1), r, procs]),
+        (
+            "per-link",
+            keys[:, None, None],
+            [np.uint64(2), r, procs[:, None], procs[None, :]],
+        ),
+    ]
+
+
+@needs_numpy
+class TestDrawScratch:
+    """``out=`` only moves where the stages are written, never what they hold."""
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_out_is_bit_identical_to_fresh(self, index):
+        np = require_numpy()
+        name, keys, counters = _dual_draw_shapes(np)[index]
+        want_hash = counter_hash_array(np, keys, counters)
+        want_units = units_of_array(np, want_hash)
+        assert want_hash.dtype == np.uint64 and want_units.dtype == np.float64
+
+        scratch = DrawScratch(np, want_hash.shape)
+        got_hash = counter_hash_array(np, keys, counters, out=scratch)
+        assert got_hash is scratch.hashes, name
+        assert np.array_equal(got_hash, want_hash), name
+        got_units = units_of_array(np, got_hash, out=scratch)
+        assert got_units is scratch.units, name
+        assert np.array_equal(got_units, want_units), name
+
+        # The one-call form, twice over the same scratch: the second draw
+        # must not be contaminated by what the first left behind.
+        for _ in range(2):
+            fused = units_of_counters(np, keys, counters, out=scratch)
+            assert np.array_equal(fused, want_units), name
+        assert np.array_equal(units_of_counters(np, keys, counters), want_units), name
+
+    def test_scalar_oracle_agrees_with_the_out_path(self):
+        np = require_numpy()
+        _, keys, counters = _dual_draw_shapes(np)[4]
+        scratch = DrawScratch(np, (3, 5, 5))
+        units = units_of_counters(np, keys, counters, out=scratch)
+        for i in range(3):
+            stream = CounterStream(int(keys[i, 0, 0]))
+            for p in range(5):
+                for q in range(5):
+                    assert float(units[i, p, q]) == stream.unit(2, 7, p, q)
+
+    def test_mismatched_scratch_is_an_error(self):
+        """A scratch of another shape is a caller bug, not a silent fallback."""
+        np = require_numpy()
+        _, keys, counters = _dual_draw_shapes(np)[3]
+        scratch = DrawScratch(np, (3, 5, 5))
+        with pytest.raises(ValueError, match="does not fit"):
+            counter_hash_array(np, keys, counters, out=scratch)
+        with pytest.raises(ValueError, match="does not fit"):
+            units_of_array(np, counter_hash_array(np, keys, counters), out=scratch)
+        with pytest.raises(ValueError, match="does not fit"):
+            units_of_counters(np, keys, counters, out=scratch)
+
+    def test_inputs_are_never_written(self):
+        np = require_numpy()
+        keys = np.arange(12, dtype=np.uint64).reshape(3, 4)
+        counter = np.arange(12, dtype=np.uint64).reshape(3, 4) + np.uint64(100)
+        kept = keys.copy(), counter.copy()
+        scratch = DrawScratch(np, (3, 4))
+        counter_hash_array(np, keys, [counter, counter], out=scratch)
+        assert np.array_equal(keys, kept[0]) and np.array_equal(counter, kept[1])
