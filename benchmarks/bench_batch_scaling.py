@@ -40,12 +40,8 @@ from typing import Any, Dict, List, Optional
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro._optional import have_numpy  # noqa: E402
-from repro.algorithms import OneThirdRule  # noqa: E402
-from repro.engine.rng import SeededRng  # noqa: E402
-from repro.rounds.backend import ReplicaBatch, ReplicaTask, get_backend  # noqa: E402
-from repro.rounds.bitmask import mask_of  # noqa: E402
-from repro.workloads.batched import _classic_oracle, _classic_values  # noqa: E402
-from repro.workloads.scenarios import _scope_for  # noqa: E402
+from repro.rounds.backend import ReplicaBatch, get_backend  # noqa: E402
+from repro.workloads.batched import build_classic_batch  # noqa: E402
 
 SCHEMA = "repro-bench-batch/2"
 
@@ -70,31 +66,16 @@ GRID_CELLS = [
 def build_batch(n: int, replicas: int, rounds: int, base_seed: int) -> ReplicaBatch:
     """One ho-classic crash-stop cell: R replicas with seed-shuffled values.
 
-    Built from the same workload helpers the ``ho-classic-*`` scenarios use,
-    so the bench times exactly the cell the CI acceptance gate certifies.
+    Built by the ``ho-classic-otr`` scenario's own CellPlan builder, so the
+    bench times exactly the cell the CI acceptance gate certifies.
     ``run_full_horizon`` keeps every replica executing all ``rounds`` rounds,
     so both backends do identical amounts of work and throughput numbers
     compare rounds, not early-decision luck.
     """
-    tasks = []
-    for i in range(replicas):
-        seed = base_seed + i
-        rng = SeededRng(seed)
-        tasks.append(
-            ReplicaTask(
-                seed=seed,
-                algorithm=OneThirdRule(n),
-                oracle=_classic_oracle(FAULT_MODEL, n, rng, rounds, 0.2),
-                initial_values=_classic_values(n, rng, shuffle_values=True),
-            )
-        )
-    return ReplicaBatch(
-        n=n,
-        tasks=tasks,
-        max_rounds=rounds,
-        scope_mask=mask_of(_scope_for(FAULT_MODEL, n)),
-        run_full_horizon=True,
-    )
+    seeds = range(base_seed, base_seed + replicas)
+    return build_classic_batch(
+        FAULT_MODEL, n=n, seeds=seeds, algorithm="otr", rounds=rounds, run_full_horizon=True
+    ).batch
 
 
 def time_backend(name: str, n: int, replicas: int, rounds: int, repeats: int):

@@ -14,20 +14,18 @@ safety held, and whether termination was reached.  The paper's claims:
 from __future__ import annotations
 
 
-from repro.algorithms import LastVoting, OneThirdRule, UniformVoting
-from repro.analysis import check_consensus
-from repro.core import (
+from repro.adversaries import (
     FaultFreeOracle,
     GoodPeriodOracle,
-    HOMachine,
-    POtr,
-    PRestrOtr,
     PartitionOracle,
     RandomOmissionOracle,
     SilentRoundsOracle,
     StaticCrashOracle,
-    otr_threshold,
 )
+from repro.algorithms import LastVoting, OneThirdRule, UniformVoting
+from repro.analysis import check_consensus
+from repro.core import HOMachine
+from repro.predicates import POtr, PRestrOtr, otr_threshold
 
 N = 6
 ROUNDS = 40

@@ -59,7 +59,6 @@ def subset_batch(batch: ReplicaBatch, replicas: int) -> ReplicaBatch:
         max_rounds=batch.max_rounds,
         scope_mask=batch.scope_mask,
         run_full_horizon=batch.run_full_horizon,
-        monitor_factory=batch.monitor_factory,
         monitor_spec=batch.monitor_spec,
         fingerprints=batch.fingerprints,
     )

@@ -33,8 +33,8 @@ from repro.adversaries import (
 )
 from repro.algorithms import OneThirdRule
 from repro.analysis import check_consensus
-from repro.core import HOMachine, POtr, PRestrOtr
-from repro.predicates import MonitorBank, StopAfterHeld, build_monitor
+from repro.core import HOMachine
+from repro.predicates import MonitorBank, POtr, PRestrOtr, StopAfterHeld, build_monitor
 from repro.runner import JsonlSink, build_grid, run_sweep
 
 

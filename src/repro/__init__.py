@@ -7,8 +7,10 @@ The package implements the full stack described by the paper:
   (time, sequence)-ordered event queue, the simulated clock, named seeded
   random sub-streams and the crash/recovery fault-injection layer that both
   simulators delegate to;
-* :mod:`repro.core` -- the Heard-Of (HO) model: rounds, algorithms,
-  communication predicates, heard-of oracles;
+* :mod:`repro.core` -- the Heard-Of (HO) model: rounds, algorithms and the
+  HO machine;
+* :mod:`repro.predicates` / :mod:`repro.adversaries` -- communication
+  predicates and the heard-of oracles playing the environment;
 * :mod:`repro.algorithms` -- consensus algorithms in the HO model
   (OneThirdRule, LastVoting, UniformVoting);
 * :mod:`repro.sysmodel` -- the step-level partially synchronous system model

@@ -19,15 +19,12 @@ satisfy or violate.
   partitions with churn, bursty (Gilbert-Elliott) link loss, and the
   eventually-stable coordinator;
 * :mod:`~repro.adversaries.synthesis` -- build an oracle that satisfies or
-  violates any :class:`~repro.core.predicates.CommunicationPredicate`;
+  violates any :class:`~repro.predicates.static.CommunicationPredicate`;
 * :mod:`~repro.adversaries.batch` -- the batched (replica-vectorised)
   environment layer: the :class:`~repro.adversaries.batch.BatchOracle`
   protocol, broadcasting for the replica-invariant classic zoo and the
   automatic per-replica fallback loop for the stateful dynamic/combinator
   families.
-
-``repro.core.adversary`` remains as a thin compatibility shim re-exporting
-this package.
 """
 
 from .batch import (

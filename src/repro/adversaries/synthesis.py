@@ -2,7 +2,7 @@
 
 A communication predicate *is* the specification of an environment, so it
 can be run backwards: given any
-:class:`~repro.core.predicates.CommunicationPredicate`, search for a finite
+:class:`~repro.predicates.static.CommunicationPredicate`, search for a finite
 heard-of collection that satisfies (or violates) it, and replay that
 collection as an oracle.  This turns every predicate in the library into a
 test-environment factory: ``synthesize_oracle(POtr(), n=5)`` yields an
@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional
 if TYPE_CHECKING:
     import random
 
-from ..core.predicates import CommunicationPredicate
+from ..predicates.static import CommunicationPredicate
 from ..core.types import HOCollection, ProcessId, Round
 from ..engine.rng import SeededRng
 from ..rounds.bitmask import full_mask, mask_of

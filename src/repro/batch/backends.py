@@ -8,10 +8,7 @@ can engage:
 1. numpy is available (the ``fast`` extra; honours ``REPRO_DISABLE_NUMPY``);
 2. every replica runs the same algorithm class and a batched kernel is
    registered for it (:func:`repro.algorithms.batched.batch_kernel_for`);
-3. every replica's initial values are encodable (totally ordered, hashable);
-4. monitoring, if requested, came with a declarative
-   :class:`~repro.rounds.backend.MonitorSpec` (an opaque observer factory
-   cannot be vectorised).
+3. every replica's initial values are encodable (totally ordered, hashable).
 
 When any check fails the batch runs on the scalar reference backend
 instead -- same outcomes, replica by replica, just without the array hot
@@ -21,7 +18,6 @@ benchmark harness to report.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, List, Optional
 
 from .._optional import have_numpy
@@ -54,31 +50,8 @@ class BatchBackend:
             engine, reason = self._try_build_engine(batch)
         self.last_fallback_reason = reason
         if engine is None:
-            return self._scalar.run(self._with_scalar_monitors(batch))
+            return self._scalar.run(batch)
         return engine.run()
-
-    @staticmethod
-    def _with_scalar_monitors(batch: ReplicaBatch) -> ReplicaBatch:
-        """Derive a scalar monitor factory from the spec before falling back.
-
-        A caller may attach only the declarative :class:`MonitorSpec`
-        (vectorised monitoring needs nothing else); the scalar loop monitors
-        through observers, so the fallback must synthesise the equivalent
-        :class:`~repro.predicates.MonitorBank` factory -- otherwise the two
-        paths would diverge in reports *and* in early-stop timing, breaking
-        the identical-results contract.
-        """
-        if batch.monitor_spec is None or batch.monitor_factory is not None:
-            return batch
-        from ..predicates import build_monitor_bank
-        from ..rounds.bitmask import iter_bits
-
-        spec = batch.monitor_spec
-        pi0 = None if spec.pi0_mask is None else frozenset(iter_bits(spec.pi0_mask))
-        factory = lambda: build_monitor_bank(  # noqa: E731
-            batch.n, spec.predicates, pi0=pi0, stop_after_held=spec.stop_after_held
-        )
-        return replace(batch, monitor_factory=factory)
 
     # ------------------------------------------------------------------ #
     # the vectorisation decision
@@ -104,8 +77,6 @@ class BatchBackend:
             return FallbackReason.NO_BATCH_KERNEL.render(
                 algorithm=batch.tasks[0].algorithm.__class__.__name__
             )
-        if batch.monitor_factory is not None and batch.monitor_spec is None:
-            return FallbackReason.OPAQUE_MONITOR.render()
         return None
 
     def _try_build_engine(

@@ -139,7 +139,7 @@ class SuperBatchBackend:
                 FallbackReason.NOT_SUPER_BATCHABLE.render(kernel=kernel_class.__name__),
                 None,
             )
-        if batch.monitor_factory is not None or batch.monitor_spec is not None:
+        if batch.monitor_spec is not None:
             # Monitors are per-cell constructs (their arrays are sized to
             # the cell); monitored cells keep the per-cell batch path.
             return FallbackReason.MONITORED_PER_CELL.render(), None

@@ -112,7 +112,7 @@ class CompiledBackend:
             return FallbackReason.NO_COMPILED_KERNEL.render(
                 kernel=kernel_class.__name__
             )
-        if batch.monitor_factory is not None or batch.monitor_spec is not None:
+        if batch.monitor_spec is not None:
             return FallbackReason.MONITORED_COMPILED_CELL.render()
         if batch.fingerprints:
             return FallbackReason.FINGERPRINTED_COMPILED_CELL.render()

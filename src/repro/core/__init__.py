@@ -1,13 +1,14 @@
-"""Core of the Heard-Of (HO) model: rounds, algorithms, predicates, oracles.
+"""Core of the Heard-Of (HO) model: rounds, algorithms and the HO machine.
 
 The subpackage implements the paper's primary abstraction (Section 3):
 
 * :mod:`repro.core.types` -- process ids, rounds, heard-of sets and traces;
 * :mod:`repro.core.algorithm` -- the ``<S_p^r, T_p^r>`` algorithm interface;
-* :mod:`repro.core.machine` -- a pure round-level executor (HO machine);
-* :mod:`repro.core.predicates` -- communication predicates (Table 1 and
-  Section 4.2);
-* :mod:`repro.core.adversary` -- heard-of oracles playing the environment.
+* :mod:`repro.core.machine` -- a pure round-level executor (HO machine).
+
+Communication predicates (Table 1 and Section 4.2) live in
+:mod:`repro.predicates`, the heard-of oracles playing the environment in
+:mod:`repro.adversaries`; both build on :mod:`repro.core.types`.
 """
 
 from .algorithm import ConsensusAlgorithm, HOAlgorithm
@@ -46,102 +47,4 @@ __all__ = [
     "HOMachine",
     "HOOracle",
     "run_ho_algorithm",
-    # predicates
-    "CommunicationPredicate",
-    "And",
-    "Or",
-    "Not",
-    "TruePredicate",
-    "PerRoundCardinality",
-    "MajorityEveryRound",
-    "NonEmptyKernelEveryRound",
-    "UniformRoundExists",
-    "POtr",
-    "PRestrOtr",
-    "PSpaceUniform",
-    "PKernel",
-    "P2Otr",
-    "P11Otr",
-    "ExistsPi0",
-    "exists_p2otr",
-    "exists_p11otr",
-    "psu_holds",
-    "pk_holds",
-    "find_psu_window",
-    "find_pk_window",
-    "otr_threshold",
-    # oracles (lazily re-exported from repro.adversaries, see __getattr__)
-    "HOOracleBase",
-    "MaskOracleBase",
-    "FaultFreeOracle",
-    "StaticCrashOracle",
-    "RandomOmissionOracle",
-    "PartitionOracle",
-    "SilentRoundsOracle",
-    "ScriptedOracle",
-    "GoodPeriodOracle",
-    "KernelOnlyOracle",
 ]
-
-#: Oracle names re-exported from :mod:`repro.adversaries`.  The re-export is
-#: lazy (PEP 562) so that ``repro.core`` never imports the adversary package
-#: at module-import time -- the adversaries themselves build on
-#: ``repro.core.types``, and an eager import here would close a cycle.
-_ADVERSARY_EXPORTS = frozenset(
-    {
-        "HOOracleBase",
-        "MaskOracleBase",
-        "FaultFreeOracle",
-        "StaticCrashOracle",
-        "RandomOmissionOracle",
-        "PartitionOracle",
-        "SilentRoundsOracle",
-        "ScriptedOracle",
-        "GoodPeriodOracle",
-        "KernelOnlyOracle",
-    }
-)
-
-#: Predicate names re-exported from :mod:`repro.predicates` (via the
-#: ``core.predicates`` shim).  Lazy for the same reason as the adversaries:
-#: the predicate package builds on ``repro.core.types``, so an eager import
-#: here would close a cycle when an import starts at ``repro.predicates``.
-_PREDICATE_EXPORTS = frozenset(
-    {
-        "CommunicationPredicate",
-        "And",
-        "Or",
-        "Not",
-        "TruePredicate",
-        "PerRoundCardinality",
-        "MajorityEveryRound",
-        "NonEmptyKernelEveryRound",
-        "UniformRoundExists",
-        "POtr",
-        "PRestrOtr",
-        "PSpaceUniform",
-        "PKernel",
-        "P2Otr",
-        "P11Otr",
-        "ExistsPi0",
-        "exists_p2otr",
-        "exists_p11otr",
-        "psu_holds",
-        "pk_holds",
-        "find_psu_window",
-        "find_pk_window",
-        "otr_threshold",
-    }
-)
-
-
-def __getattr__(name: str):
-    if name in _ADVERSARY_EXPORTS:
-        from .. import adversaries
-
-        return getattr(adversaries, name)
-    if name in _PREDICATE_EXPORTS:
-        from . import predicates
-
-        return getattr(predicates, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,7 +12,7 @@ omission, a message loss on a link -- manifests at this level as a
 
 This module defines the identifiers, heard-of collections and run traces
 shared by the algorithmic layer (:mod:`repro.algorithms`), the predicate
-layer (:mod:`repro.core.predicates`) and the predicate-implementation layer
+layer (:mod:`repro.predicates`) and the predicate-implementation layer
 (:mod:`repro.predimpl`).
 
 Heard-of sets are stored as integer bitmasks internally (one bit per
@@ -88,7 +88,7 @@ class RoundMessage:
 class HOCollection:
     """A recorded collection of heard-of sets ``HO(p, r)``.
 
-    Communication predicates (:mod:`repro.core.predicates`) are evaluated
+    Communication predicates (:mod:`repro.predicates`) are evaluated
     over instances of this class.  The collection is *finite*: it covers the
     rounds ``1 .. max_round`` actually executed by a run.  Predicates of the
     form "there exists a round such that ..." are interpreted over that

@@ -2,7 +2,7 @@
 
 The backends' bit-identity contract rests on *registration coherence*: a
 scalar oracle family and its array dual, a scalar algorithm and its batched
-kernel, a scenario and its batch runner must all be wired so that the
+kernel, a scenario and its cell builder must all be wired so that the
 vectorised path is a faithful stand-in for the scalar reference.  A
 mis-registration does not crash -- it silently drops a cell to the scalar
 loop, or worse, runs the wrong dual.  These rules load the *live*
@@ -16,10 +16,9 @@ vocabulary closed over :class:`~repro.rounds.fallback.FallbackReason`.
 * REP102 -- every batched kernel registration is coherent: the kernel
   subclasses ``BatchKernel``, names the algorithm class it is the dual of,
   and is registered *under* that class.
-* REP103 -- every scenario with a batch runner resolves each generic sweep
-  backend choice (auto/batch/compiled/super/scalar) to a registered
-  execution backend, and every super-batchable scenario (batch builder)
-  also has the per-cell batch runner the fallback path needs.
+* REP103 -- every batchable scenario (one with a CellPlan builder) resolves
+  each generic sweep backend choice (auto/batch/compiled/super/scalar) to a
+  registered execution backend.
 * REP104 -- fallback reasons in the backends' decision functions are
   rendered from the shared ``FallbackReason`` enum, never inline literals.
 * REP105 -- ``RunRecord`` stays a slim picklable wire record: every field
@@ -224,7 +223,7 @@ class ScenarioBackendResolutionRule(AuditRule):
     name = "scenario-backend-resolution"
     summary = (
         "every batchable scenario resolves auto/batch/compiled/super/scalar "
-        "to a registered execution backend; builders imply runners"
+        "to a registered execution backend"
     )
 
     def audit(self, project: ProjectContext) -> List[Finding]:
@@ -242,15 +241,6 @@ class ScenarioBackendResolutionRule(AuditRule):
                         f"{choice!r} to {resolved!r}, which is not a "
                         f"registered execution backend ({exc})",
                     ))
-        for name in registry.scenario_names():
-            if registry.batch_builder(name) is not None and \
-                    registry.batch_runner(name) is None:
-                findings.append(_finding(
-                    self.code, project, type(registry),
-                    f"scenario {name!r} registers a batch_builder (super-"
-                    "batchable) but no batch_runner; the per-cell fallback "
-                    "path would have nothing to execute",
-                ))
         return findings
 
 

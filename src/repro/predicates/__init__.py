@@ -15,9 +15,6 @@ pair (Section 3.1, Table 1) -- lives here in two dual forms:
   streaming monitors, consuming ``(R, n, ceil(n/64))`` uint64 mask arrays
   for all R replicas of a batch at once (numpy-only; imported lazily by the
   batch execution backend, hence not re-exported here).
-
-``repro.core.predicates`` remains as an import shim over the static half
-(mirroring the ``core.adversary`` -> ``repro.adversaries`` precedent).
 """
 
 from .monitors import (

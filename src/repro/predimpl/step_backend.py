@@ -223,7 +223,7 @@ class ScalarStepBackend:
             if self.keep_traces:
                 self.last_traces.append(None)
             return self._empty_outcome(batch, task)
-        monitor = batch.monitor_factory() if batch.monitor_factory is not None else None
+        monitor = batch.monitor_spec.scalar_bank(n) if batch.monitor_spec is not None else None
         observers: Tuple[Any, ...] = (monitor,) if monitor is not None else ()
         params = env.params()
         if env.kind == DOWN_GOOD:
@@ -501,7 +501,7 @@ class BatchStepBackend:
             return FallbackReason.ARBITRARY_GOOD_STACK.render()
         if env.fault_model != "fault-free":
             return FallbackReason.FAULTED_STEP_CELL.render(fault_model=env.fault_model)
-        if batch.monitor_factory is not None or batch.monitor_spec is not None:
+        if batch.monitor_spec is not None:
             return FallbackReason.MONITORED_STEP_PATH.render()
         return None
 

@@ -86,18 +86,34 @@ class ReplicaTask:
 class MonitorSpec:
     """A declarative description of the predicate monitors a batch wants.
 
-    The scalar backend runs monitors through the structural
-    ``monitor_factory`` observer; vectorised backends cannot introspect an
-    arbitrary observer, so callers that want vectorised monitoring also
-    attach this data-only spec (predicate names as accepted by
+    Data only (predicate names as accepted by
     :func:`repro.predicates.build_monitor`, the Pi0 scope as a bitmask, and
-    the optional stop-after-held policy).  A batch carrying a factory but no
-    spec simply runs on the scalar loop.
+    the optional stop-after-held policy), so every backend builds its own
+    form from it: the vectorised ones a
+    :class:`~repro.predicates.batch.BatchMonitorBank`, the scalar reference
+    loops the observer :meth:`scalar_bank` returns.  *completion_scope*
+    narrows the observer's round-completion quorum to Pi0 -- step cells set
+    it, because a crashed process stops reporting forever and rounds
+    complete once the surviving scope did.
     """
 
     predicates: Tuple[str, ...]
     pi0_mask: Optional[int] = None
     stop_after_held: Optional[int] = None
+    completion_scope: bool = False
+
+    def scalar_bank(self, n: int) -> Any:
+        """A fresh :class:`~repro.predicates.MonitorBank` for one scalar replica."""
+        from ..predicates import build_monitor_bank  # lazy: rounds never imports upward
+
+        pi0 = None if self.pi0_mask is None else frozenset(iter_bits(self.pi0_mask))
+        return build_monitor_bank(
+            n,
+            self.predicates,
+            pi0=pi0,
+            stop_after_held=self.stop_after_held,
+            completion_scope=pi0 if self.completion_scope else None,
+        )
 
 
 @dataclass
@@ -107,11 +123,7 @@ class ReplicaBatch:
     *scope_mask* is the set of processes whose decisions end a replica
     (``None`` means all of Pi); *run_full_horizon* keeps executing rounds
     after the scope decided (monitored runs measuring first-hold rounds).
-    *monitor_factory* builds one fresh observer per replica -- anything with
-    an ``on_record(record)`` hook, a ``stop_requested`` flag and a
-    ``reports_json()`` method (a :class:`repro.predicates.MonitorBank`
-    fits); the batch backend pairs it with its vectorised monitor kernels
-    instead of calling it per record.
+    *monitor_spec* describes the predicate monitors every replica carries.
     """
 
     n: int
@@ -119,7 +131,6 @@ class ReplicaBatch:
     max_rounds: int
     scope_mask: Optional[int] = None
     run_full_horizon: bool = False
-    monitor_factory: Optional[Callable[[], Any]] = None
     monitor_spec: Optional[MonitorSpec] = None
     fingerprints: bool = False
 
@@ -291,7 +302,7 @@ class ScalarBackend:
             raise ValueError(f"algorithm is sized for n={algorithm.n}, batch has n={n}")
         scope = tuple(iter_bits(batch.effective_scope_mask))
         sink = _TallySink()
-        monitor = batch.monitor_factory() if batch.monitor_factory is not None else None
+        monitor = batch.monitor_spec.scalar_bank(n) if batch.monitor_spec is not None else None
         observers = (monitor,) if monitor is not None else ()
         engine = RoundEngine(algorithm, OracleTransport(task.oracle, n), sink, observers)
         states: Dict[ProcessId, Any] = {

@@ -39,7 +39,6 @@ class FallbackReason(Enum):
     SIZE_MISMATCH = "algorithm size does not match the batch"
     MIXED_ALGORITHMS = "mixed algorithm classes: {classes}"
     NO_BATCH_KERNEL = "no batched kernel for {algorithm}"
-    OPAQUE_MONITOR = "opaque monitor factory without a MonitorSpec"
 
     # -- value encoding (repro.algorithms.batched.encode_values) ------- #
     UNENCODABLE_VALUES = "initial values are not encodable: {error}"

@@ -33,7 +33,6 @@ class TaskRegistry:
         self._measurements: Dict[str, Callable] = {}
         self._fault_models: Dict[str, None] = {}
         self._monitorable: Dict[str, bool] = {}
-        self._batch_runners: Dict[str, Callable] = {}
         self._batch_builders: Dict[str, Callable] = {}
         self._backend_aliases: Dict[str, Dict[str, str]] = {}
         self._populated = False
@@ -46,7 +45,6 @@ class TaskRegistry:
         fn: Callable,
         *,
         monitorable: bool = False,
-        batch_runner: Optional[Callable] = None,
         batch_builder: Optional[Callable] = None,
         backend_aliases: Optional[Mapping[str, str]] = None,
     ) -> Callable:
@@ -57,19 +55,16 @@ class TaskRegistry:
         streaming predicate monitors (DES-based baselines have no heard-of
         collection, so the CLI refuses ``--predicates`` for them up front).
 
-        *batch_runner* declares the scenario batchable: a callable
-        ``fn(fault_model, n=..., seeds=[...], backend=..., **params)``
-        returning one flat per-replica outcome dict per seed, bit-identical
-        to running the scalar scenario once per seed.  The sweep executor
-        routes ``replicas=`` cells through it instead of R scalar runs.
-
-        *batch_builder* additionally exposes the cell's construction as
-        data: a callable ``fn(fault_model, n=..., seeds=[...], **params)``
-        returning a :class:`~repro.rounds.backend.CellPlan` (the built
-        :class:`~repro.rounds.backend.ReplicaBatch` plus the outcome
-        flattener).  The super-batch sweep path uses it to pack *all* cells
-        of a grid into one cross-cell engine run instead of executing them
-        cell by cell.
+        *batch_builder* declares the scenario batchable by exposing the
+        cell's construction as data: a callable ``fn(fault_model, n=...,
+        seeds=[...], **params)`` returning a
+        :class:`~repro.rounds.backend.CellPlan` (the built
+        :class:`~repro.rounds.backend.ReplicaBatch` plus the flattener to
+        one flat per-replica outcome dict per seed, bit-identical to running
+        the scalar scenario once per seed).  The sweep executor hands the
+        plans of ``replicas=`` cells to an execution backend -- one per
+        cell, or the whole grid at once on the super-batch path -- instead
+        of doing R scalar runs.
 
         *backend_aliases* maps the sweep's generic backend choices
         (``auto``/``batch``/``compiled``/``super``/``scalar``) onto the
@@ -81,8 +76,6 @@ class TaskRegistry:
         """
         self._scenarios[name] = fn
         self._monitorable[name] = monitorable
-        if batch_runner is not None:
-            self._batch_runners[name] = batch_runner
         if batch_builder is not None:
             self._batch_builders[name] = batch_builder
         if backend_aliases is not None:
@@ -142,18 +135,13 @@ class TaskRegistry:
         self._ensure_populated()
         return sorted(name for name, flag in self._monitorable.items() if flag)
 
-    def batch_runner(self, name: str) -> Optional[Callable]:
-        """The batch runner of scenario *name*, or None when not batchable."""
-        self._ensure_populated()
-        return self._batch_runners.get(name)
-
     def batchable_scenario_names(self) -> List[str]:
-        """The scenarios with a registered batch runner (vectorisable cells)."""
+        """The scenarios with a registered CellPlan builder (vectorisable cells)."""
         self._ensure_populated()
-        return sorted(self._batch_runners)
+        return sorted(self._batch_builders)
 
     def batch_builder(self, name: str) -> Optional[Callable]:
-        """The CellPlan builder of scenario *name*, or None (super-batch food)."""
+        """The CellPlan builder of scenario *name*, or None when not batchable."""
         self._ensure_populated()
         return self._batch_builders.get(name)
 

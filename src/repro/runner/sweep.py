@@ -16,7 +16,7 @@ per-run metrics deterministically:
   such a file to skip the cells a killed grid already completed;
 * :class:`SweepResult` holds the records in grid order and computes
   seed-stable aggregates plus a machine-readable JSON summary
-  (``schema: repro-sweep/2``) for benchmark trajectories in CI.
+  (``schema: repro-sweep/4``) for benchmark trajectories in CI.
 
 Wire discipline: parallel workers return a slim, picklable
 :class:`RunRecord` -- the full ``ScenarioResult`` (which may carry an
@@ -54,6 +54,7 @@ from typing import (
     runtime_checkable,
 )
 
+from ..rounds.backend import CellPlan, ExecutionBackend, ReplicaOutcome, get_backend
 from .registry import REGISTRY
 
 #: JSON schema tag of the sweep summary (v4: batched cells -- a per-run
@@ -102,8 +103,8 @@ class RunSpec:
 
     With *replicas* set, the cell covers the R consecutive seeds
     ``seed .. seed + replicas - 1`` and is executed as one replica batch
-    (through the scenario's registered batch runner on the requested
-    execution *backend*, or as R scalar runs when none is registered or
+    (the scenario's registered builder's plan on the requested execution
+    *backend*, or R scalar runs when none is registered or
     ``backend="scalar"``); the record then carries per-replica outcomes.
     """
 
@@ -116,7 +117,8 @@ class RunSpec:
     params: Tuple[Tuple[str, Any], ...] = ()
     #: number of replicas of a batched cell; None = a plain single run.
     replicas: Optional[int] = None
-    #: execution backend of a batched cell: "auto", "batch" or "scalar".
+    #: execution backend of a batched cell: "auto", "batch", "compiled",
+    #: "scalar" or "super" (:data:`BACKEND_CHOICES`).
     backend: str = "auto"
 
     @classmethod
@@ -276,8 +278,8 @@ def execute_run(spec: RunSpec) -> RunRecord:
     """Run one spec and flatten its outcome (top-level: picklable for workers).
 
     Batched specs (``spec.replicas``) execute the whole cell -- all R seeds
-    -- in one call, through the scenario's batch runner when one is
-    registered and the backend allows it, else as R scalar runs.
+    -- in one call, from the scenario's builder when one is registered and
+    the backend allows it, else as R scalar runs.
     """
     if spec.replicas is not None:
         return _execute_batch_cell(spec)
@@ -301,7 +303,7 @@ def execute_run(spec: RunSpec) -> RunRecord:
             messages_sent=0,
             wall_seconds=time.perf_counter() - started,
             params=spec.params,
-            error=f"{type(exc).__name__}: {exc}",
+            error=_error_text(exc),
         )
     wall = time.perf_counter() - started
     metrics = result.metrics
@@ -394,82 +396,85 @@ def _cell_aggregates(outcomes: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
     return aggregates
 
 
-def _effective_backend(requested: str) -> str:
+def _effective_backend(backend: ExecutionBackend) -> str:
     """What actually executed a batched cell, for the record's diagnostics.
 
-    The backend registry holds one backend instance per process, and the
-    batch backend records per ``run`` whether vectorisation engaged
-    (``last_fallback_reason``); reading it right after the batch runner
-    returned turns the requested name into the effective one, e.g.
-    ``"batch"`` or ``"batch:scalar-fallback (numpy unavailable ...)"``.
-    Diagnostic only -- outcomes are backend-independent by contract, so the
-    field is deliberately outside the cell identity.
+    Backends that can decline their fast path record per ``run`` why they
+    did (``last_fallback_reason``); reading it right after the run turns the
+    backend's name into the effective one, e.g. ``"batch"`` or
+    ``"batch:scalar-fallback (numpy unavailable ...)"``.  Diagnostic only --
+    outcomes are backend-independent by contract, so the field is
+    deliberately outside the cell identity.
     """
-    try:
-        from ..rounds.backend import get_backend
-
-        backend = get_backend(requested)
-    except Exception:  # noqa: BLE001 - diagnostics must never fail a cell
-        return requested
     reason = getattr(backend, "last_fallback_reason", None)
     if reason is None:
         return backend.name
     # The super backend degrades to the per-cell *batch* path (which may
     # still vectorise); the compiled backend degrades to the numpy batch
-    # path; the batch backend degrades to the scalar loop.
-    name = getattr(backend, "name", "")
-    if name == "super":
-        kind = "cell-fallback"
-    elif name == "compiled":
-        kind = "batch-fallback"
-    else:
-        kind = "scalar-fallback"
+    # path; the batch and step-batch backends degrade to their scalar loop.
+    kind = {"super": "cell-fallback", "compiled": "batch-fallback"}.get(
+        backend.name, "scalar-fallback"
+    )
     return f"{backend.name}:{kind} ({reason})"
+
+
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _cell_seeds(spec: RunSpec) -> List[int]:
+    """The consecutive replica seeds a batched cell covers."""
+    return list(range(spec.seed, spec.seed + (spec.replicas or 1)))
+
+
+def _build_plan(builder: Callable[..., CellPlan], spec: RunSpec) -> CellPlan:
+    """Build a batchable cell's :class:`~repro.rounds.backend.CellPlan` (may raise)."""
+    return builder(spec.fault_model, n=spec.n, seeds=_cell_seeds(spec), **spec.kwargs)
+
+
+def _finalize(
+    plan: CellPlan, results: List[ReplicaOutcome]
+) -> Tuple[List[Dict[str, Any]], Optional[str]]:
+    """A plan's per-replica wire outcomes, or none and the error text."""
+    try:
+        return list(plan.finalize(results)), None
+    except Exception as exc:  # noqa: BLE001 - a failed cell must not kill the sweep
+        return [], _error_text(exc)
 
 
 def _execute_batch_cell(spec: RunSpec) -> RunRecord:
     """Execute one batched cell: R replica seeds as one unit of work.
 
-    Routes through the scenario's registered batch runner (one vectorised
-    batch on the requested backend) unless ``backend="scalar"`` or no
-    runner exists -- then the cell is R scalar ``execute_run`` calls, which
-    is the reference the batch path is pinned against.  Either way the cell
-    yields a single wire record whose ``replicas`` payload carries the
-    per-replica outcomes and the per-cell aggregates.
+    A batchable scenario's cell is built once by its registered builder and
+    handed to the execution backend the scenario resolves ``spec.backend``
+    to (step-path scenarios alias the generic choices onto ``step-batch``).
+    With ``backend="scalar"``, or no builder, the cell is R scalar
+    ``execute_run`` calls -- the reference every backend is pinned against.
+    Either way the cell yields a single wire record whose ``replicas``
+    payload carries the per-replica outcomes and the per-cell aggregates.
     """
-    count = spec.replicas or 1
-    seeds = list(range(spec.seed, spec.seed + count))
-    batch_runner = (
-        REGISTRY.batch_runner(spec.scenario) if spec.backend != "scalar" else None
-    )
-    # A scenario may alias the generic backend choices onto its own
-    # execution backends (step-path scenarios: "batch" -> "step-batch").
-    resolved_backend = REGISTRY.resolve_backend(spec.scenario, spec.backend)
     started = time.perf_counter()
-    error: Optional[str] = None
-    outcomes: List[Dict[str, Any]] = []
-    if batch_runner is not None:
-        try:
-            outcomes = list(
-                batch_runner(
-                    spec.fault_model, n=spec.n, seeds=seeds, backend=resolved_backend,
-                    **spec.kwargs,
-                )
-            )
-            # Only a completed run can tell whether vectorisation engaged;
-            # an exception may have fired before any backend executed, so
-            # the label then stays the requested name.
-            used_backend = _effective_backend(resolved_backend)
-        except Exception as exc:  # noqa: BLE001 - a failed cell must not kill the sweep
-            error = f"{type(exc).__name__}: {exc}"
-            used_backend = resolved_backend
-    else:
-        used_backend = "scalar-loop"
-        for seed in seeds:
-            record = execute_run(replace(spec, seed=seed, replicas=None))
-            outcomes.append(_replica_outcome_from_record(record))
-    wall = time.perf_counter() - started
-    return _cell_record(spec, outcomes, used_backend, wall, error)
+    builder = REGISTRY.batch_builder(spec.scenario) if spec.backend != "scalar" else None
+    if builder is None:
+        outcomes = [
+            _replica_outcome_from_record(execute_run(replace(spec, seed=seed, replicas=None)))
+            for seed in _cell_seeds(spec)
+        ]
+        return _cell_record(spec, outcomes, "scalar-loop", time.perf_counter() - started, None)
+    resolved_backend = REGISTRY.resolve_backend(spec.scenario, spec.backend)
+    try:
+        plan = _build_plan(builder, spec)
+        backend = get_backend(resolved_backend)
+        results = backend.run(plan.batch)
+    except Exception as exc:  # noqa: BLE001 - a failed cell must not kill the sweep
+        # Nothing ran to completion, so the label stays the requested name.
+        return _cell_record(
+            spec, [], resolved_backend, time.perf_counter() - started, _error_text(exc)
+        )
+    outcomes, error = _finalize(plan, results)
+    return _cell_record(
+        spec, outcomes, _effective_backend(backend), time.perf_counter() - started, error
+    )
 
 
 def _cell_record(
@@ -651,9 +656,11 @@ class JsonSummarySink:
 def load_jsonl_records(path: str) -> List[RunRecord]:
     """Reload the wire records persisted by a :class:`JsonlSink`.
 
-    Tolerates the torn final line a killed process can leave behind (and
-    blank lines); later lines win when a cell appears twice, so appended
-    resume runs supersede nothing and plain re-runs supersede everything.
+    Tolerates the torn final line a killed process can leave behind, blank
+    lines, and lines that parse as JSON but lack a required wire field (a
+    tear can land on a closing brace): such cells simply re-execute.  Later
+    lines win when a cell appears twice, so appended resume runs supersede
+    nothing and plain re-runs supersede everything.
     """
     records: Dict[str, RunRecord] = {}
     with open(path, encoding="utf-8") as handle:
@@ -665,9 +672,12 @@ def load_jsonl_records(path: str) -> List[RunRecord]:
                 payload = json.loads(line)
             except json.JSONDecodeError:
                 continue  # torn tail of a killed run
-            if not isinstance(payload, dict) or "scenario" not in payload:
+            if not isinstance(payload, dict):
                 continue
-            record = RunRecord.from_json_dict(payload)
+            try:
+                record = RunRecord.from_json_dict(payload)
+            except KeyError:
+                continue  # valid JSON, but not a whole record
             records[record.cell_key] = record
     return list(records.values())
 
@@ -677,7 +687,7 @@ def _replica_entries(record: RunRecord) -> List[Mapping[str, Any]]:
 
     Group aggregates are computed at *replica* granularity so that batched
     and unbatched sweeps of the same seeds aggregate identically.  A batched
-    cell that failed before producing outcomes (its batch runner raised)
+    cell that failed before producing outcomes (its builder or backend raised)
     counts as one errored entry per replica, so the error is as visible in
     the aggregates as R failed scalar runs would be.
     """
@@ -871,7 +881,7 @@ class SweepResult:
         return aggregates
 
     def to_json(self) -> Dict[str, Any]:
-        """The machine-readable summary (``schema: repro-sweep/2``)."""
+        """The machine-readable summary (``schema: repro-sweep/4``)."""
         return {
             "schema": SCHEMA,
             "grid_size": len(self.records),
@@ -1000,26 +1010,23 @@ def _execute_super_grid(
     single call -- the whole grid becomes the schedulable unit -- and emits
     one wire record per cell.  The grid's wall clock is split evenly across
     its cells (per-cell timing is meaningless inside one lockstep loop).
-    Returns the cells that must take the ordinary per-cell path (no
-    builder, or the cross-cell run failed).
+    Returns the cells that must take the ordinary per-cell path: no
+    builder, a scenario that aliases ``super`` onto its own backend (a step
+    cell's ``StepEnvironment`` is no heard-of oracle to vectorise), or the
+    cross-cell run failed.
     """
-    from ..rounds.backend import get_backend
-
     leftover: List[Tuple[int, RunSpec]] = []
-    plans: List[Tuple[int, RunSpec, Any]] = []
+    plans: List[Tuple[int, RunSpec, CellPlan]] = []
     started = time.perf_counter()
     for index, spec in cells:
         builder = REGISTRY.batch_builder(spec.scenario)
-        if builder is None:
+        if builder is None or REGISTRY.resolve_backend(spec.scenario, "super") != "super":
             leftover.append((index, spec))
             continue
-        seeds = list(range(spec.seed, spec.seed + (spec.replicas or 1)))
         try:
-            plan = builder(spec.fault_model, n=spec.n, seeds=seeds, **spec.kwargs)
+            plan = _build_plan(builder, spec)
         except Exception as exc:  # noqa: BLE001 - a bad cell must not kill the grid
-            record = _cell_record(
-                spec, [], "super", 0.0, f"{type(exc).__name__}: {exc}"
-            )
+            record = _cell_record(spec, [], "super", 0.0, _error_text(exc))
             emit(record)
             slots[index] = record
             continue
@@ -1037,12 +1044,7 @@ def _execute_super_grid(
     for slot, (index, spec, plan) in enumerate(plans):
         reason = reasons.get(slot)
         used = "super" if reason is None else f"super:cell-fallback ({reason})"
-        error: Optional[str] = None
-        outcomes: List[Dict[str, Any]] = []
-        try:
-            outcomes = list(plan.finalize(results[slot]))
-        except Exception as exc:  # noqa: BLE001
-            error = f"{type(exc).__name__}: {exc}"
+        outcomes, error = _finalize(plan, results[slot])
         record = _cell_record(spec, outcomes, used, per_cell_wall, error)
         emit(record)
         slots[index] = record
@@ -1070,14 +1072,13 @@ def run_sweep(
     ``replicas=R`` turns every spec into a *batched cell* covering the R
     consecutive seeds ``spec.seed .. spec.seed + R - 1``, scheduled as one
     unit of work instead of R independent runs: scenarios with a registered
-    batch runner execute the whole cell on the requested execution
-    *backend* (``auto``/``batch`` = the vectorised lockstep-replica engine
+    :class:`~repro.rounds.backend.CellPlan` builder execute the whole cell
+    on the requested execution *backend* (``auto``/``batch`` = the vectorised lockstep-replica engine
     with its automatic scalar fallback; ``scalar`` = R reference runs), and
     every cell's record carries the per-replica outcomes next to the cell
     aggregates.  Specs that already carry ``replicas`` are left untouched.
 
-    ``backend="super"`` goes one step further: every cell whose scenario
-    registered a :class:`~repro.rounds.backend.CellPlan` builder is packed,
+    ``backend="super"`` goes one step further: every such cell is packed,
     together with all the others, into ONE cross-cell lockstep engine run
     -- the whole grid becomes the schedulable unit.  Super-batching is
     single-process by design, so combining it with ``workers > 1`` raises

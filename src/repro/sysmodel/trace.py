@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from ..core.predicates import pk_holds, psu_holds
+from ..predicates.static import pk_holds, psu_holds
 from ..core.types import HOCollection, ProcessId, Round, validate_process_subset
 from ..rounds.bitmask import mask_of
 from ..rounds.record import DecisionRecord, RoundRecord

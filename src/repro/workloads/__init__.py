@@ -3,13 +3,14 @@
 from .adversarial import (
     DEFAULT_MONITORED_PREDICATES,
     ROUND_FAMILIES,
+    build_round_adversary_batch,
     run_round_adversary,
     run_round_adversary_monitored,
 )
 from .batched import (
     CLASSIC_ALGORITHMS,
+    build_classic_batch,
     run_classic,
-    run_classic_batch,
 )
 from .measure import (
     DEFAULT_BAD_BEHAVIOR,
@@ -34,10 +35,10 @@ from .scenarios import (
 )
 from .theorems import (
     STEP_BACKEND_ALIASES,
+    build_step_batch,
+    build_translation_batch,
     run_step,
-    run_step_batch,
     run_translation,
-    run_translation_batch,
 )
 
 __all__ = [
@@ -60,14 +61,15 @@ __all__ = [
     "compare_stacks",
     "ROUND_FAMILIES",
     "DEFAULT_MONITORED_PREDICATES",
+    "build_round_adversary_batch",
     "run_round_adversary",
     "run_round_adversary_monitored",
     "CLASSIC_ALGORITHMS",
+    "build_classic_batch",
     "run_classic",
-    "run_classic_batch",
     "STEP_BACKEND_ALIASES",
+    "build_step_batch",
     "run_step",
-    "run_step_batch",
+    "build_translation_batch",
     "run_translation",
-    "run_translation_batch",
 ]

@@ -28,38 +28,23 @@ through named sub-streams, so a single seed controls the whole environment.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..adversaries import (
     BurstyLossOracle,
     EventuallyStableCoordinatorOracle,
-    FaultFreeOracle,
     HOOracleBase,
     IntersectOracle,
     MobileOmissionOracle,
-    RandomOmissionOracle,
     RotatingPartitionOracle,
-    SequenceOracle,
-    StaticCrashOracle,
 )
 from ..algorithms import OneThirdRule
-from ..analysis.consensus_check import check_consensus
-from ..analysis.metrics import metrics_from_trace
-from ..core.machine import HOMachine
 from ..engine.rng import SeededRng
-from ..predicates import MonitorBank, build_monitor_bank
 from ..predimpl.bounds import arbitrary_p2otr_rounds
-from ..rounds.backend import (
-    CellPlan,
-    MonitorSpec,
-    ReplicaBatch,
-    ReplicaTask,
-    get_backend,
-)
-from ..rounds.bitmask import mask_of
+from ..rounds.backend import CellPlan, ReplicaTask
 from ..runner.registry import REGISTRY
-from .batched import _replica_outcome_dict
-from .scenarios import FAULT_MODELS, ScenarioResult, _initial_values, _scope_for
+from .batched import cell_plan, fault_overlay, run_single_seed
+from .scenarios import ScenarioResult, _initial_values, _scope_for
 
 #: The dynamic adversary families swept by the ``ho-round-*`` scenarios.
 ROUND_FAMILIES = (
@@ -90,6 +75,14 @@ _FAMILY_CLASSES = {
     "eventually-stable-coordinator": EventuallyStableCoordinatorOracle,
 }
 
+#: the constructor keyword (and attribute) each family keeps its stabilisation round under.
+_STABILITY_KEYS = {
+    "mobile-omission": "stable_from",
+    "rotating-partition": "heal_from",
+    "bursty-loss": "stable_from",
+    "eventually-stable-coordinator": "stable_from",
+}
+
 
 def _family_oracle(
     family: str, n: int, stabilize_round: int, rng: SeededRng, params: Dict[str, Any]
@@ -108,125 +101,16 @@ def _family_oracle(
     kwargs.update(params)
     if family == "mobile-omission" and kwargs["faults"] is None:
         kwargs["faults"] = max(1, n // 4)
-    stability_key = {
-        "mobile-omission": "stable_from",
-        "rotating-partition": "heal_from",
-        "bursty-loss": "stable_from",
-        "eventually-stable-coordinator": "stable_from",
-    }[family]
-    kwargs[stability_key] = stabilize_round
+    kwargs[_STABILITY_KEYS[family]] = stabilize_round
     return _FAMILY_CLASSES[family](n, rng=rng.spawn("family"), **kwargs)
 
 
-def _overlay_oracle(
-    fault_model: str, n: int, stabilize_round: int, rng: SeededRng
-) -> Optional[HOOracleBase]:
-    """The fault-model axis, expressed with the oracle combinators."""
-    if fault_model == "fault-free":
-        return None
-    if fault_model == "crash-stop":
-        # The last process crashes early and never recovers.
-        return StaticCrashOracle(n, {n - 1: 3})
-    if fault_model == "crash-recovery":
-        # The last process is down for a window during the unstable phase:
-        # fault-free, then crashed, then fault-free again -- a transient
-        # crash scripted with SequenceOracle.
-        down_from = max(2, stabilize_round // 3)
-        down_length = max(1, stabilize_round // 3)
-        return SequenceOracle(
-            n,
-            [
-                (FaultFreeOracle(n), down_from - 1),
-                (StaticCrashOracle(n, {n - 1: 1}), down_length),
-                (FaultFreeOracle(n), None),
-            ],
-        )
-    if fault_model == "lossy":
-        return RandomOmissionOracle(n, 0.2, rng=rng.spawn("overlay"))
-    raise ValueError(f"unknown fault model {fault_model!r}; expected one of {FAULT_MODELS}")
-
-
-def run_round_adversary(
-    fault_model: str,
-    n: int = 4,
-    seed: int = 0,
-    family: str = "mobile-omission",
-    rounds: int = 80,
-    stabilize_round: Optional[int] = None,
-    keep_trace: bool = False,
-    predicates: Optional[Sequence[str]] = None,
-    stop_after_held: Optional[int] = None,
-    run_full_horizon: bool = False,
-    **params: Any,
-) -> ScenarioResult:
-    """Run OneThirdRule under a dynamic adversary family crossed with *fault_model*.
-
-    The environment is ``IntersectOracle(family, overlay)``: the dynamic
-    family provides the churn, the fault-model overlay the static/transient
-    crashes or extra loss.  Latency is measured in rounds (the round-level
-    clock).  *keep_trace* attaches the full :class:`~repro.core.types.RunTrace`
-    as ``extra["trace"]`` for in-process consumers (predicate checks on the
-    heard-of collection); such results are deliberately heavy, which is why
-    the sweep executor ships only slim wire records across worker pools.
-
-    *predicates* names streaming monitors (:data:`repro.predicates.MONITOR_NAMES`)
-    attached to the round engine, scoped to the fault model's surviving
-    processes; their compact reports land in ``extra["predicate_reports"]``
-    (JSON form) without the trace ever leaving the run.  *stop_after_held*
-    additionally stops the run once any monitored predicate's good
-    condition held for that many consecutive rounds.  *run_full_horizon*
-    keeps executing rounds after every in-scope process decided (monitored
-    runs measuring first-hold rounds want the whole horizon, not the
-    decision prefix); early-stop policies still apply.
-    """
-    if fault_model not in FAULT_MODELS:
-        raise ValueError(f"unknown fault model {fault_model!r}; expected one of {FAULT_MODELS}")
-    if stabilize_round is None:
-        stabilize_round = max(2, rounds // 2)
-    rng = SeededRng(seed)
-    oracle: HOOracleBase = _family_oracle(family, n, stabilize_round, rng, params)
-    overlay = _overlay_oracle(fault_model, n, stabilize_round, rng)
-    if overlay is not None:
-        oracle = IntersectOracle(n, oracle, overlay)
-
-    values = _initial_values(n)
-    scope = _scope_for(fault_model, n)
-    bank: Optional[MonitorBank] = None
-    observers: Sequence[Any] = ()
-    if predicates:
-        bank = build_monitor_bank(n, predicates, pi0=scope, stop_after_held=stop_after_held)
-        observers = (bank,)
-    elif stop_after_held is not None:
-        raise ValueError("stop_after_held requires at least one monitored predicate")
-    machine = HOMachine(OneThirdRule(n), oracle, values, observers=observers)
-    # Under the lossy overlay the post-stabilisation rounds still lose
-    # messages, so a decision is likely but not certain within the horizon.
-    if run_full_horizon:
-        while machine.current_round < rounds and not machine.engine.stop_requested:
-            machine.run_round()
-        trace = machine.trace
-    else:
-        trace = machine.run_until_decision(max_rounds=rounds, scope=scope)
-    verdict = check_consensus(trace, values, scope=scope)
-    extra: Dict[str, Any] = {
-        "family": family,
-        "stabilize_round": stabilize_round,
-        "rounds": rounds,
-    }
-    if bank is not None:
-        extra["predicate_reports"] = bank.reports_json()
-        extra["stopped_early"] = bank.stop_requested
-    if keep_trace:
-        extra["trace"] = trace
-    return ScenarioResult(
-        stack=f"ho-round/{family}",
-        fault_model=fault_model,
-        n=n,
-        seed=seed,
-        verdict=verdict,
-        metrics=metrics_from_trace(trace, scope=scope),
-        extra=extra,
-    )
+def _stabilize_round(plan: CellPlan, family: str) -> int:
+    """The stabilisation round a built cell runs under, read back from its family oracle."""
+    oracle = plan.batch.tasks[0].oracle
+    if isinstance(oracle, IntersectOracle):
+        oracle = oracle.oracles[0]
+    return getattr(oracle, _STABILITY_KEYS[family])
 
 
 def build_round_adversary_batch(
@@ -241,27 +125,31 @@ def build_round_adversary_batch(
     run_full_horizon: bool = False,
     **params: Any,
 ) -> CellPlan:
-    """Build one dynamic-adversary sweep cell as data (super-batch food).
+    """Build one dynamic-adversary sweep cell -- OneThirdRule under *family* -- as data.
 
-    One :class:`~repro.rounds.backend.ReplicaTask` per seed with exactly
-    the oracle stack the scalar :func:`run_round_adversary` run of that
-    seed would build -- the counter-based dynamic family intersected with
-    the fault-model overlay -- so every backend, per-cell or cross-cell,
-    reproduces the scalar decisions bit for bit.
+    The environment of each seed is ``IntersectOracle(family, overlay)``:
+    the counter-based dynamic family provides the churn, the fault-model
+    overlay (:func:`~repro.workloads.batched.fault_overlay`, its transient
+    crash inside the unstable phase, 20% loss when lossy) the
+    static/transient crashes or extra loss.  Latency is measured in rounds.
+
+    *predicates* names streaming monitors (:data:`repro.predicates.MONITOR_NAMES`)
+    scoped to the fault model's surviving processes.  *stop_after_held*
+    additionally stops a run once any monitored predicate's good condition
+    held for that many consecutive rounds.  *run_full_horizon* keeps
+    executing rounds after every in-scope process decided (monitored runs
+    measuring first-hold rounds want the whole horizon, not the decision
+    prefix); early-stop policies still apply.  *stabilize_round* defaults to
+    the middle of the horizon.
     """
-    if fault_model not in FAULT_MODELS:
-        raise ValueError(f"unknown fault model {fault_model!r}; expected one of {FAULT_MODELS}")
     if stabilize_round is None:
         stabilize_round = max(2, rounds // 2)
-    if stop_after_held is not None and not predicates:
-        raise ValueError("stop_after_held requires at least one monitored predicate")
     values = _initial_values(n)
-    scope = sorted(_scope_for(fault_model, n))
     tasks: List[ReplicaTask] = []
     for seed in seeds:
         rng = SeededRng(seed)
         oracle: HOOracleBase = _family_oracle(family, n, stabilize_round, rng, params)
-        overlay = _overlay_oracle(fault_model, n, stabilize_round, rng)
+        overlay = fault_overlay(fault_model, n, stabilize_round // 3, 0.2, rng.spawn("overlay"))
         if overlay is not None:
             oracle = IntersectOracle(n, oracle, overlay)
         tasks.append(
@@ -272,49 +160,33 @@ def build_round_adversary_batch(
                 initial_values=list(values),
             )
         )
-    monitor_factory: Optional[Callable[[], Any]] = None
-    monitor_spec: Optional[MonitorSpec] = None
-    if predicates:
-        names = tuple(predicates)
-        pi0 = frozenset(scope)
-        monitor_factory = lambda: build_monitor_bank(  # noqa: E731
-            n, names, pi0=pi0, stop_after_held=stop_after_held
-        )
-        monitor_spec = MonitorSpec(
-            predicates=names, pi0_mask=mask_of(pi0), stop_after_held=stop_after_held
-        )
-    batch = ReplicaBatch(
-        n=n,
-        tasks=tasks,
-        max_rounds=rounds,
-        scope_mask=mask_of(scope),
-        run_full_horizon=run_full_horizon,
-        monitor_factory=monitor_factory,
-        monitor_spec=monitor_spec,
+    return cell_plan(
+        n, tasks, rounds, _scope_for(fault_model, n),
+        predicates, stop_after_held, run_full_horizon,
     )
 
-    def finalize(outcomes: Sequence[Any]) -> List[Dict[str, Any]]:
-        return [_replica_outcome_dict(outcome, values, scope) for outcome in outcomes]
 
-    return CellPlan(batch=batch, finalize=finalize)
-
-
-def run_round_adversary_batch(
+def run_round_adversary(
     fault_model: str,
     n: int = 4,
-    seeds: Sequence[int] = (0,),
-    backend: str = "auto",
-    **kwargs: Any,
-) -> List[Dict[str, Any]]:
-    """Run one dynamic-adversary sweep cell -- all *seeds* -- as one batch.
+    seed: int = 0,
+    family: str = "mobile-omission",
+    keep_trace: bool = False,
+    **cell: Any,
+) -> ScenarioResult:
+    """Run one seed of a dynamic-adversary cell on the scalar reference.
 
-    The counter-based draws of the dynamic families make the whole
-    environment replica-vectorisable, so these cells no longer need the
-    per-replica oracle fallback loop; bit-identity with R scalar
-    :func:`run_round_adversary` runs is the contract.
+    *cell* takes the keywords of :func:`build_round_adversary_batch`.
+    *keep_trace* attaches the full :class:`~repro.core.types.RunTrace` as
+    ``extra["trace"]`` for in-process consumers (predicate checks on the
+    heard-of collection); such results are deliberately heavy, which is why
+    the sweep executor ships only slim wire records across worker pools.
+    Under the lossy overlay the post-stabilisation rounds still lose
+    messages, so a decision is likely but not certain within the horizon.
     """
-    plan = build_round_adversary_batch(fault_model, n=n, seeds=seeds, **kwargs)
-    return plan.finalize(get_backend(backend).run(plan.batch))
+    plan = build_round_adversary_batch(fault_model, n=n, seeds=(seed,), family=family, **cell)
+    extra = {"family": family, "stabilize_round": _stabilize_round(plan, family)}
+    return run_single_seed(plan, f"ho-round/{family}", fault_model, extra, keep_trace)
 
 
 #: Predicates monitored by default in the ``ho-round-*-monitored`` family.
@@ -346,8 +218,6 @@ def run_round_adversary_monitored(
     in ``extra["bound_check"]`` next to the predicate reports; nothing of
     this requires shipping a trace out of the run.
     """
-    if stabilize_round is None:
-        stabilize_round = max(2, rounds // 2)
     result = run_round_adversary(
         fault_model,
         n=n,
@@ -363,6 +233,7 @@ def run_round_adversary_monitored(
     )
     scope = _scope_for(fault_model, n)
     f = n - len(scope)
+    stabilize_round = result.extra["stabilize_round"]
     round_bound = stabilize_round + arbitrary_p2otr_rounds(f)
     reports = result.extra.get("predicate_reports") or {}
     report = reports.get("p_2otr")
@@ -383,7 +254,6 @@ for _family in ROUND_FAMILIES:
         f"ho-round-{_family}",
         partial(run_round_adversary, family=_family),
         monitorable=True,
-        batch_runner=partial(run_round_adversary_batch, family=_family),
         batch_builder=partial(build_round_adversary_batch, family=_family),
     )
     REGISTRY.register_scenario(
@@ -396,8 +266,7 @@ for _family in ROUND_FAMILIES:
 __all__ = [
     "ROUND_FAMILIES",
     "DEFAULT_MONITORED_PREDICATES",
-    "run_round_adversary",
     "build_round_adversary_batch",
-    "run_round_adversary_batch",
+    "run_round_adversary",
     "run_round_adversary_monitored",
 ]

@@ -30,16 +30,16 @@ seed shuffles the initial-value assignment through the run's
 ``values`` :class:`~repro.engine.rng.SeededRng` sub-stream -- the
 round-level analogue of drawing a workload per seed.
 
-``run_classic`` is the scalar reference (an ordinary
-:class:`~repro.core.machine.HOMachine` run); ``run_classic_batch`` is the
-registered batch runner the sweep executor calls for ``replicas=`` cells.
-The equivalence tests pin them against each other per seed.
+``build_classic_batch`` is the one definition of a cell; ``run_classic`` is
+that builder at a single seed, executed on the scalar reference (an ordinary
+:class:`~repro.core.machine.HOMachine` run).  The equivalence tests pin it
+against every backend per seed.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from ..adversaries import (
     FaultFreeOracle,
@@ -53,15 +53,8 @@ from ..analysis.consensus_check import check_consensus
 from ..analysis.metrics import metrics_from_trace
 from ..core.machine import HOMachine
 from ..engine.rng import SeededRng
-from ..predicates import MonitorBank, build_monitor_bank
-from ..rounds.backend import (
-    CellPlan,
-    MonitorSpec,
-    ReplicaBatch,
-    ReplicaTask,
-    get_backend,
-)
-from ..rounds.bitmask import mask_of
+from ..rounds.backend import CellPlan, MonitorSpec, ReplicaBatch, ReplicaTask
+from ..rounds.bitmask import iter_bits, mask_of
 from ..runner.registry import REGISTRY
 from .scenarios import FAULT_MODELS, ScenarioResult, _initial_values, _scope_for
 
@@ -89,96 +82,36 @@ def _classic_values(n: int, rng: SeededRng, shuffle_values: bool) -> List[int]:
     return values
 
 
-def _classic_oracle(
-    fault_model: str,
-    n: int,
-    rng: SeededRng,
-    rounds: int,
-    loss_probability: float,
-) -> HOOracleBase:
+def fault_overlay(
+    fault_model: str, n: int, window: int, loss_probability: float, loss_rng: SeededRng
+) -> Optional[HOOracleBase]:
+    """The fault-model axis as an oracle to intersect a family with (None = fault-free).
+
+    ``crash-stop`` silences the last process for good from
+    :data:`CRASH_ROUND`; ``crash-recovery`` is a transient crash scripted
+    with :class:`SequenceOracle` -- fault-free, the last process down for
+    *window* rounds, fault-free again; ``lossy`` drops every message
+    independently with *loss_probability*, drawing from *loss_rng*.
+
+    This is also where the round-level builders reject an unknown fault
+    model: once per seed, so a cell built with no seeds validates nothing.
+    """
     if fault_model == "fault-free":
-        return FaultFreeOracle(n)
+        return None
     if fault_model == "crash-stop":
         return StaticCrashOracle(n, {n - 1: CRASH_ROUND})
     if fault_model == "crash-recovery":
-        # A deterministic partition schedule: the last process is down for a
-        # window of the first half of the horizon, then comes back.
-        down_from = max(2, rounds // 6)
-        down_length = max(1, rounds // 6)
         return SequenceOracle(
             n,
             [
-                (FaultFreeOracle(n), down_from - 1),
-                (StaticCrashOracle(n, {n - 1: 1}), down_length),
+                (FaultFreeOracle(n), max(2, window) - 1),
+                (StaticCrashOracle(n, {n - 1: 1}), max(1, window)),
                 (FaultFreeOracle(n), None),
             ],
         )
     if fault_model == "lossy":
-        return RandomOmissionOracle(n, loss_probability, rng=rng)
+        return RandomOmissionOracle(n, loss_probability, rng=loss_rng)
     raise ValueError(f"unknown fault model {fault_model!r}; expected one of {FAULT_MODELS}")
-
-
-def run_classic(
-    fault_model: str,
-    n: int = 4,
-    seed: int = 0,
-    algorithm: str = "otr",
-    rounds: int = 60,
-    loss_probability: float = 0.2,
-    shuffle_values: bool = True,
-    predicates: Optional[Sequence[str]] = None,
-    stop_after_held: Optional[int] = None,
-    run_full_horizon: bool = False,
-    keep_trace: bool = False,
-) -> ScenarioResult:
-    """Run one classic-oracle lockstep scenario on the scalar RoundEngine path.
-
-    This is the per-seed reference the batch runner is pinned against.  The
-    surface mirrors :func:`repro.workloads.adversarial.run_round_adversary`:
-    *predicates* attaches streaming monitors scoped to the surviving
-    processes, *stop_after_held* adds the early-stop policy, and
-    *run_full_horizon* keeps executing after the scope decided.
-    """
-    if fault_model not in FAULT_MODELS:
-        raise ValueError(f"unknown fault model {fault_model!r}; expected one of {FAULT_MODELS}")
-    if algorithm not in CLASSIC_ALGORITHMS:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; expected one of {sorted(CLASSIC_ALGORITHMS)}"
-        )
-    rng = SeededRng(seed)
-    values = _classic_values(n, rng, shuffle_values)
-    oracle = _classic_oracle(fault_model, n, rng, rounds, loss_probability)
-    scope = _scope_for(fault_model, n)
-    bank: Optional[MonitorBank] = None
-    observers: Sequence[Any] = ()
-    if predicates:
-        bank = build_monitor_bank(n, predicates, pi0=scope, stop_after_held=stop_after_held)
-        observers = (bank,)
-    elif stop_after_held is not None:
-        raise ValueError("stop_after_held requires at least one monitored predicate")
-    machine = HOMachine(CLASSIC_ALGORITHMS[algorithm](n), oracle, values, observers=observers)
-    if run_full_horizon:
-        while machine.current_round < rounds and not machine.engine.stop_requested:
-            machine.run_round()
-        trace = machine.trace
-    else:
-        trace = machine.run_until_decision(max_rounds=rounds, scope=scope)
-    verdict = check_consensus(trace, values, scope=scope)
-    extra: Dict[str, Any] = {"algorithm": algorithm, "rounds": rounds}
-    if bank is not None:
-        extra["predicate_reports"] = bank.reports_json()
-        extra["stopped_early"] = bank.stop_requested
-    if keep_trace:
-        extra["trace"] = trace
-    return ScenarioResult(
-        stack=f"ho-classic/{algorithm}",
-        fault_model=fault_model,
-        n=n,
-        seed=seed,
-        verdict=verdict,
-        metrics=metrics_from_trace(trace, scope=scope),
-        extra=extra,
-    )
 
 
 class _DecisionsView:
@@ -220,6 +153,96 @@ def _replica_outcome_dict(
     }
 
 
+def cell_plan(
+    n: int,
+    tasks: List[ReplicaTask],
+    rounds: int,
+    scope: Iterable[int],
+    predicates: Optional[Sequence[str]],
+    stop_after_held: Optional[int],
+    run_full_horizon: bool,
+    completion_scope: bool = False,
+) -> CellPlan:
+    """The tail every family's builder ends in: monitors, batch, flattener.
+
+    *scope* is the cell's Π0: the processes whose decisions end a replica,
+    the monitors' Pi0 and the scope of the wire verdict.
+    """
+    if stop_after_held is not None and not predicates:
+        raise ValueError("stop_after_held requires at least one monitored predicate")
+    scope = sorted(scope)
+    monitor_spec: Optional[MonitorSpec] = None
+    if predicates:
+        monitor_spec = MonitorSpec(
+            predicates=tuple(predicates),
+            pi0_mask=mask_of(scope),
+            stop_after_held=stop_after_held,
+            completion_scope=completion_scope,
+        )
+    batch = ReplicaBatch(
+        n=n,
+        tasks=tasks,
+        max_rounds=rounds,
+        scope_mask=mask_of(scope),
+        run_full_horizon=run_full_horizon,
+        monitor_spec=monitor_spec,
+    )
+
+    def finalize(outcomes: Sequence[Any]) -> List[Dict[str, Any]]:
+        return [
+            _replica_outcome_dict(outcome, task.initial_values, scope)
+            for outcome, task in zip(outcomes, tasks)
+        ]
+
+    return CellPlan(batch=batch, finalize=finalize)
+
+
+def run_single_seed(
+    plan: CellPlan,
+    stack: str,
+    fault_model: str,
+    extra: Dict[str, Any],
+    keep_trace: bool,
+) -> ScenarioResult:
+    """Execute a one-seed round-level *plan* on the scalar reference, with a full trace.
+
+    The single-seed runners are their family's builder at ``seeds=(seed,)``
+    handed to this loop: an ordinary :class:`~repro.core.machine.HOMachine`
+    run of the plan's task (the same round engine the ``scalar`` backend
+    drives, with a trace-keeping sink), so *keep_trace* works and the
+    equivalence tests pin HOMachine against every backend per seed.
+    """
+    batch = plan.batch
+    (task,) = batch.tasks
+    scope = frozenset(iter_bits(batch.effective_scope_mask))
+    bank = batch.monitor_spec.scalar_bank(batch.n) if batch.monitor_spec is not None else None
+    machine = HOMachine(
+        task.algorithm, task.oracle, task.initial_values,
+        observers=() if bank is None else (bank,),
+    )
+    if batch.run_full_horizon:
+        while machine.current_round < batch.max_rounds and not machine.engine.stop_requested:
+            machine.run_round()
+        trace = machine.trace
+    else:
+        trace = machine.run_until_decision(max_rounds=batch.max_rounds, scope=scope)
+    extra = dict(extra, rounds=batch.max_rounds)
+    if bank is not None:
+        extra["predicate_reports"] = bank.reports_json()
+        extra["stopped_early"] = bank.stop_requested
+    if keep_trace:
+        extra["trace"] = trace
+    return ScenarioResult(
+        stack=stack,
+        fault_model=fault_model,
+        n=batch.n,
+        seed=task.seed,
+        verdict=check_consensus(trace, task.initial_values, scope=scope),
+        metrics=metrics_from_trace(trace, scope=scope),
+        extra=extra,
+    )
+
+
 def build_classic_batch(
     fault_model: str,
     n: int = 4,
@@ -234,77 +257,51 @@ def build_classic_batch(
 ) -> CellPlan:
     """Build one sweep cell -- all *seeds* of one classic scenario -- as data.
 
-    One :class:`~repro.rounds.backend.ReplicaTask` per seed, with exactly
-    the algorithm/oracle/values the scalar :func:`run_classic` run of that
-    seed would build, plus the flattener from backend outcomes to the
-    sweep's per-replica wire dicts.  Execution is the caller's choice: the
-    per-cell batch runner hands the batch to one backend, the super-batch
-    sweep path packs many plans into one cross-cell engine run.
+    One :class:`~repro.rounds.backend.ReplicaTask` per seed (algorithm,
+    oracle, seed-shuffled values) plus the flattener from backend outcomes
+    to the sweep's per-replica wire dicts.  *predicates* attaches streaming
+    monitors scoped to the surviving processes, *stop_after_held* adds the
+    early-stop policy, and *run_full_horizon* keeps executing after the
+    scope decided.  Execution is the caller's choice: :func:`run_classic`
+    runs one seed on the scalar reference, the sweep hands the batch to one
+    backend, the super-batch path packs many plans into one engine run.
     """
-    if fault_model not in FAULT_MODELS:
-        raise ValueError(f"unknown fault model {fault_model!r}; expected one of {FAULT_MODELS}")
     if algorithm not in CLASSIC_ALGORITHMS:
         raise ValueError(
             f"unknown algorithm {algorithm!r}; expected one of {sorted(CLASSIC_ALGORITHMS)}"
         )
-    if stop_after_held is not None and not predicates:
-        raise ValueError("stop_after_held requires at least one monitored predicate")
     algorithm_class = CLASSIC_ALGORITHMS[algorithm]
-    scope = sorted(_scope_for(fault_model, n))
     tasks: List[ReplicaTask] = []
     for seed in seeds:
         rng = SeededRng(seed)
         values = _classic_values(n, rng, shuffle_values)
-        oracle = _classic_oracle(fault_model, n, rng, rounds, loss_probability)
+        # crash-recovery: the down window sits in the first half of the horizon.
+        overlay = fault_overlay(fault_model, n, rounds // 6, loss_probability, rng)
+        oracle = FaultFreeOracle(n) if overlay is None else overlay
         tasks.append(ReplicaTask(seed=seed, algorithm=algorithm_class(n), oracle=oracle,
                                  initial_values=values))
-    monitor_factory: Optional[Callable[[], Any]] = None
-    monitor_spec: Optional[MonitorSpec] = None
-    if predicates:
-        names = tuple(predicates)
-        pi0 = frozenset(scope)
-        monitor_factory = lambda: build_monitor_bank(  # noqa: E731
-            n, names, pi0=pi0, stop_after_held=stop_after_held
-        )
-        monitor_spec = MonitorSpec(
-            predicates=names, pi0_mask=mask_of(pi0), stop_after_held=stop_after_held
-        )
-    batch = ReplicaBatch(
-        n=n,
-        tasks=tasks,
-        max_rounds=rounds,
-        scope_mask=mask_of(scope),
-        run_full_horizon=run_full_horizon,
-        monitor_factory=monitor_factory,
-        monitor_spec=monitor_spec,
+    return cell_plan(
+        n, tasks, rounds, _scope_for(fault_model, n),
+        predicates, stop_after_held, run_full_horizon,
     )
-    task_values = [task.initial_values for task in tasks]
-
-    def finalize(outcomes: Sequence[Any]) -> List[Dict[str, Any]]:
-        return [
-            _replica_outcome_dict(outcome, values, scope)
-            for outcome, values in zip(outcomes, task_values)
-        ]
-
-    return CellPlan(batch=batch, finalize=finalize)
 
 
-def run_classic_batch(
+def run_classic(
     fault_model: str,
     n: int = 4,
-    seeds: Sequence[int] = (0,),
-    backend: str = "auto",
-    **kwargs: Any,
-) -> List[Dict[str, Any]]:
-    """Run one sweep cell -- all *seeds* of one classic scenario -- as a batch.
+    seed: int = 0,
+    algorithm: str = "otr",
+    keep_trace: bool = False,
+    **cell: Any,
+) -> ScenarioResult:
+    """Run one seed of a classic-oracle cell on the scalar reference.
 
-    Builds the cell with :func:`build_classic_batch`, hands it to the
-    requested execution backend, and flattens the outcomes into the sweep's
-    per-replica wire dicts.  Bit-identity with R scalar runs is the
-    contract (and is pinned by the equivalence tests).
+    *cell* takes the keywords of :func:`build_classic_batch`.
     """
-    plan = build_classic_batch(fault_model, n=n, seeds=seeds, **kwargs)
-    return plan.finalize(get_backend(backend).run(plan.batch))
+    plan = build_classic_batch(fault_model, n=n, seeds=(seed,), algorithm=algorithm, **cell)
+    return run_single_seed(
+        plan, f"ho-classic/{algorithm}", fault_model, {"algorithm": algorithm}, keep_trace
+    )
 
 
 for _key in CLASSIC_ALGORITHMS:
@@ -312,14 +309,15 @@ for _key in CLASSIC_ALGORITHMS:
         f"ho-classic-{_key}",
         partial(run_classic, algorithm=_key),
         monitorable=True,
-        batch_runner=partial(run_classic_batch, algorithm=_key),
         batch_builder=partial(build_classic_batch, algorithm=_key),
     )
 
 
 __all__ = [
     "CLASSIC_ALGORITHMS",
-    "run_classic",
+    "fault_overlay",
+    "cell_plan",
+    "run_single_seed",
     "build_classic_batch",
-    "run_classic_batch",
+    "run_classic",
 ]

@@ -33,23 +33,13 @@ unless the in-process caller opts in with ``keep_trace=True``.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
-from ..adversaries import (
-    CounterKernelOracle,
-    FaultFreeOracle,
-    HOOracleBase,
-    IntersectOracle,
-    RandomOmissionOracle,
-    SequenceOracle,
-    StaticCrashOracle,
-)
+from ..adversaries import CounterKernelOracle, HOOracleBase, IntersectOracle
 from ..algorithms import OneThirdRule
 from ..analysis.consensus_check import check_consensus
-from ..analysis.metrics import RunMetrics, metrics_from_trace
-from ..core.machine import HOMachine
+from ..analysis.metrics import RunMetrics
 from ..engine.rng import SeededRng
-from ..predicates import MonitorBank, build_monitor_bank
 from ..predimpl.step_backend import (
     ARBITRARY_GOOD,
     DOWN_GOOD,
@@ -58,22 +48,14 @@ from ..predimpl.step_backend import (
     step_horizon_rounds,
 )
 from ..predimpl.translation import KernelToUniformTranslation
-from ..rounds.backend import (
-    CellPlan,
-    MonitorSpec,
-    ReplicaBatch,
-    ReplicaOutcome,
-    ReplicaTask,
-    get_backend,
-)
-from ..rounds.bitmask import mask_of
+from ..rounds.backend import CellPlan, ReplicaOutcome, ReplicaTask
+from ..rounds.bitmask import iter_bits
 from ..runner.registry import REGISTRY
-from .batched import _classic_values, _DecisionsView, _replica_outcome_dict
-from .scenarios import FAULT_MODELS, ScenarioResult, _scope_for
+from .batched import _classic_values, _DecisionsView, cell_plan, fault_overlay, run_single_seed
+from .scenarios import ScenarioResult, _scope_for
 
-#: How the sweep's generic backend choices resolve for step-path scenarios.
-#: Registered as the scenarios' ``backend_aliases``; the batch runners apply
-#: the same map so direct calls with ``backend="auto"`` work identically.
+#: How the sweep's generic backend choices resolve for step-path scenarios
+#: (registered as the scenarios' ``backend_aliases``).
 STEP_BACKEND_ALIASES = {
     "auto": "step-batch",
     "batch": "step-batch",
@@ -81,10 +63,6 @@ STEP_BACKEND_ALIASES = {
     "super": "step-batch",
     "scalar": "step-scalar",
 }
-
-
-def _resolve_step_backend(backend: str) -> str:
-    return STEP_BACKEND_ALIASES.get(backend, backend)
 
 
 def _metrics_from_outcome(outcome: ReplicaOutcome, scope: Sequence[int]) -> RunMetrics:
@@ -114,55 +92,6 @@ def _metrics_from_outcome(outcome: ReplicaOutcome, scope: Sequence[int]) -> RunM
 # --------------------------------------------------------------------------- #
 
 
-def _step_environment(
-    kind: str,
-    fault_model: str,
-    n: int,
-    phi: float,
-    delta: float,
-    f: Optional[int],
-    use_translation: bool,
-    bad_period_length: float,
-    good_period_length: float,
-) -> StepEnvironment:
-    if fault_model not in FAULT_MODELS:
-        raise ValueError(f"unknown fault model {fault_model!r}; expected one of {FAULT_MODELS}")
-    if f is None:
-        f = (n - 1) // 3 if kind == ARBITRARY_GOOD else 0
-    return StepEnvironment(
-        kind=kind,
-        fault_model=fault_model,
-        phi=phi,
-        delta=delta,
-        f=f,
-        use_translation=use_translation,
-        bad_period_length=bad_period_length,
-        good_period_length=good_period_length,
-    )
-
-
-def _step_monitoring(
-    n: int,
-    scope: Sequence[int],
-    predicates: Optional[Sequence[str]],
-    stop_after_held: Optional[int],
-) -> tuple:
-    """(monitor_factory, monitor_spec) for a step cell, or (None, None)."""
-    if not predicates:
-        if stop_after_held is not None:
-            raise ValueError("stop_after_held requires at least one monitored predicate")
-        return None, None
-    names = tuple(predicates)
-    pi0 = frozenset(scope)
-    # completion_scope: as in run_ho_stack -- a crashed process stops
-    # reporting forever, so rounds complete once the surviving scope did.
-    factory = lambda: build_monitor_bank(  # noqa: E731
-        n, names, pi0=pi0, stop_after_held=stop_after_held, completion_scope=pi0
-    )
-    spec = MonitorSpec(predicates=names, pi0_mask=mask_of(pi0), stop_after_held=stop_after_held)
-    return factory, spec
-
-
 def build_step_batch(
     fault_model: str,
     n: int = 4,
@@ -187,58 +116,33 @@ def build_step_batch(
     the seed-shuffled initial values; the flattener produces the sweep's
     per-replica wire dicts over the backends' round-level projection.
     """
-    env = _step_environment(
-        kind, fault_model, n, phi, delta, f, use_translation,
-        bad_period_length, good_period_length,
+    if f is None:
+        f = (n - 1) // 3 if kind == ARBITRARY_GOOD else 0
+    env = StepEnvironment(
+        kind=kind,
+        fault_model=fault_model,
+        phi=phi,
+        delta=delta,
+        f=f,
+        use_translation=use_translation,
+        bad_period_length=bad_period_length,
+        good_period_length=good_period_length,
     )
     if rounds is None:
         rounds = step_horizon_rounds(env, n)
-    scope = sorted(_scope_for(fault_model, n))
-    tasks: List[ReplicaTask] = []
-    for seed in seeds:
-        rng = SeededRng(seed)
-        values = _classic_values(n, rng, shuffle_values)
-        upper = OneThirdRule(n)
-        tasks.append(
-            ReplicaTask(seed=seed, algorithm=upper, oracle=env, initial_values=values)
+    tasks = [
+        ReplicaTask(
+            seed=seed,
+            algorithm=OneThirdRule(n),
+            oracle=env,
+            initial_values=_classic_values(n, SeededRng(seed), shuffle_values),
         )
-    monitor_factory, monitor_spec = _step_monitoring(n, scope, predicates, stop_after_held)
-    batch = ReplicaBatch(
-        n=n,
-        tasks=tasks,
-        max_rounds=rounds,
-        scope_mask=mask_of(scope),
-        run_full_horizon=run_full_horizon,
-        monitor_factory=monitor_factory,
-        monitor_spec=monitor_spec,
+        for seed in seeds
+    ]
+    return cell_plan(
+        n, tasks, rounds, _scope_for(fault_model, n),
+        predicates, stop_after_held, run_full_horizon, completion_scope=True,
     )
-    task_values = [task.initial_values for task in tasks]
-
-    def finalize(outcomes: Sequence[Any]) -> List[Dict[str, Any]]:
-        return [
-            _replica_outcome_dict(outcome, values, scope)
-            for outcome, values in zip(outcomes, task_values)
-        ]
-
-    return CellPlan(batch=batch, finalize=finalize)
-
-
-def run_step_batch(
-    fault_model: str,
-    n: int = 4,
-    seeds: Sequence[int] = (0,),
-    backend: str = "auto",
-    **kwargs: Any,
-) -> List[Dict[str, Any]]:
-    """Run one step-path sweep cell -- all *seeds* -- through a step backend.
-
-    The generic backend names resolve through :data:`STEP_BACKEND_ALIASES`
-    (``auto``/``batch``/``super`` -> ``step-batch``, ``scalar`` ->
-    ``step-scalar``); bit-identity between the two step backends per seed
-    is the contract.
-    """
-    plan = build_step_batch(fault_model, n=n, seeds=seeds, **kwargs)
-    return plan.finalize(get_backend(_resolve_step_backend(backend)).run(plan.batch))
 
 
 def run_step(
@@ -246,23 +150,14 @@ def run_step(
     n: int = 4,
     seed: int = 0,
     kind: str = DOWN_GOOD,
-    phi: float = 1.0,
-    delta: float = 2.0,
-    f: Optional[int] = None,
-    use_translation: bool = True,
-    bad_period_length: float = 80.0,
-    good_period_length: float = 400.0,
-    rounds: Optional[int] = None,
-    shuffle_values: bool = True,
-    predicates: Optional[Sequence[str]] = None,
-    stop_after_held: Optional[int] = None,
-    run_full_horizon: bool = False,
     keep_trace: bool = False,
+    **cell: Any,
 ) -> ScenarioResult:
     """Run one step-path scenario (one seed) on the scalar step backend.
 
-    The per-seed reference of the ``ho-step-*`` family: a single-replica
-    cell executed by :class:`~repro.predimpl.step_backend.ScalarStepBackend`
+    The per-seed reference of the ``ho-step-*`` family: the one-seed cell of
+    :func:`build_step_batch` (whose keywords *cell* takes) executed by
+    :class:`~repro.predimpl.step_backend.ScalarStepBackend`
     and reported at round granularity (latency in rounds, an all-to-all
     message count per round), so scalar and batched sweeps of the same cell
     are comparable record for record.  *keep_trace* attaches the full
@@ -270,34 +165,23 @@ def run_step(
     ``extra["trace"]`` for in-process consumers; sweeps leave it off so
     records stay slim and picklable.
     """
-    env = _step_environment(
-        kind, fault_model, n, phi, delta, f, use_translation,
-        bad_period_length, good_period_length,
-    )
-    if rounds is None:
-        rounds = step_horizon_rounds(env, n)
-    plan = build_step_batch(
-        fault_model, n=n, seeds=(seed,), kind=kind, phi=phi, delta=delta, f=f,
-        use_translation=use_translation, bad_period_length=bad_period_length,
-        good_period_length=good_period_length, rounds=rounds,
-        shuffle_values=shuffle_values, predicates=predicates,
-        stop_after_held=stop_after_held, run_full_horizon=run_full_horizon,
-    )
+    plan = build_step_batch(fault_model, n=n, seeds=(seed,), kind=kind, **cell)
+    batch = plan.batch
+    (task,) = batch.tasks
     # A private backend instance: the registered singleton must not have
     # its trace retention toggled behind the sweeps' back.
     backend = ScalarStepBackend(keep_traces=keep_trace)
-    outcome = backend.run(plan.batch)[0]
-    values = plan.batch.tasks[0].initial_values
-    scope = sorted(_scope_for(fault_model, n))
-    verdict = check_consensus(_DecisionsView(outcome.decisions), values, scope=scope)
+    (outcome,) = backend.run(batch)
+    scope = sorted(iter_bits(batch.effective_scope_mask))
+    verdict = check_consensus(_DecisionsView(outcome.decisions), task.initial_values, scope=scope)
     extra: Dict[str, Any] = {
         "kind": kind,
-        "rounds": rounds,
-        "f": env.f,
-        "use_translation": env.use_translation,
+        "rounds": batch.max_rounds,
+        "f": task.oracle.f,
+        "use_translation": task.oracle.use_translation,
         "rounds_executed": outcome.rounds_executed,
     }
-    if predicates:
+    if batch.monitor_spec is not None:
         extra["predicate_reports"] = outcome.predicate_reports
         extra["stopped_early"] = outcome.stopped_early
     if keep_trace:
@@ -318,126 +202,6 @@ def run_step(
 # --------------------------------------------------------------------------- #
 
 
-def _translation_f(n: int, f: Optional[int]) -> int:
-    """Default resilience: the largest f with both n > 2f and n > 3f.
-
-    ``n > 2f`` is Algorithm 4's own requirement; ``n > 3f`` additionally
-    lets the embedded OneThirdRule decide from ``NewHO`` sets of size
-    ``n - f``, so the default cell terminates in a fault-free kernel.
-    """
-    if f is not None:
-        return f
-    return (n - 1) // 3
-
-
-def _translation_oracle(
-    fault_model: str,
-    n: int,
-    pi0: Sequence[int],
-    rng: SeededRng,
-    rounds: int,
-    loss_probability: float,
-) -> HOOracleBase:
-    """The kernel oracle crossed with the standard fault-model overlays."""
-    base: HOOracleBase = CounterKernelOracle(n, pi0, rng=rng)
-    if fault_model == "fault-free":
-        return base
-    if fault_model == "crash-stop":
-        overlay: HOOracleBase = StaticCrashOracle(n, {n - 1: 3})
-    elif fault_model == "crash-recovery":
-        down_from = max(2, rounds // 6)
-        down_length = max(1, rounds // 6)
-        overlay = SequenceOracle(
-            n,
-            [
-                (FaultFreeOracle(n), down_from - 1),
-                (StaticCrashOracle(n, {n - 1: 1}), down_length),
-                (FaultFreeOracle(n), None),
-            ],
-        )
-    elif fault_model == "lossy":
-        overlay = RandomOmissionOracle(n, loss_probability, rng=rng.spawn("overlay"))
-    else:
-        raise ValueError(f"unknown fault model {fault_model!r}; expected one of {FAULT_MODELS}")
-    return IntersectOracle(n, base, overlay)
-
-
-def _translation_rounds(f: int, rounds: Optional[int]) -> int:
-    if rounds is not None:
-        return rounds
-    return max(60, 12 * (f + 1))
-
-
-def run_translation(
-    fault_model: str,
-    n: int = 4,
-    seed: int = 0,
-    f: Optional[int] = None,
-    rounds: Optional[int] = None,
-    loss_probability: float = 0.2,
-    shuffle_values: bool = True,
-    predicates: Optional[Sequence[str]] = None,
-    stop_after_held: Optional[int] = None,
-    run_full_horizon: bool = False,
-    keep_trace: bool = False,
-) -> ScenarioResult:
-    """Run the Theorem 8 translation cell (one seed) on the scalar round path.
-
-    OneThirdRule under Algorithm 4 over a ``P_k`` kernel oracle: the
-    kernel ``pi0 = {0..n-f-1}`` hears of itself every round, so every
-    macro-round of ``f+1`` kernel rounds yields a space-uniform ``NewHO``
-    of at least ``n - f`` processes and the embedded OneThirdRule decides
-    (Theorem 8 at round granularity).  The fault-model overlays intersect
-    the kernel exactly like the ``ho-round-*`` scenarios' overlays.
-    """
-    if fault_model not in FAULT_MODELS:
-        raise ValueError(f"unknown fault model {fault_model!r}; expected one of {FAULT_MODELS}")
-    f = _translation_f(n, f)
-    rounds = _translation_rounds(f, rounds)
-    rng = SeededRng(seed)
-    values = _classic_values(n, rng, shuffle_values)
-    pi0 = sorted(range(n - f))
-    oracle = _translation_oracle(fault_model, n, pi0, rng, rounds, loss_probability)
-    scope = sorted(frozenset(pi0) & _scope_for(fault_model, n))
-    bank: Optional[MonitorBank] = None
-    observers: Sequence[Any] = ()
-    if predicates:
-        bank = build_monitor_bank(
-            n, predicates, pi0=frozenset(scope), stop_after_held=stop_after_held
-        )
-        observers = (bank,)
-    elif stop_after_held is not None:
-        raise ValueError("stop_after_held requires at least one monitored predicate")
-    algorithm = KernelToUniformTranslation(OneThirdRule(n), f)
-    machine = HOMachine(algorithm, oracle, values, observers=observers)
-    if run_full_horizon:
-        while machine.current_round < rounds and not machine.engine.stop_requested:
-            machine.run_round()
-        trace = machine.trace
-    else:
-        trace = machine.run_until_decision(max_rounds=rounds, scope=scope)
-    verdict = check_consensus(trace, values, scope=scope)
-    extra: Dict[str, Any] = {
-        "f": f,
-        "rounds": rounds,
-        "rounds_per_macro": algorithm.rounds_per_macro,
-    }
-    if bank is not None:
-        extra["predicate_reports"] = bank.reports_json()
-        extra["stopped_early"] = bank.stop_requested
-    if keep_trace:
-        extra["trace"] = trace
-    return ScenarioResult(
-        stack="ho-theorem8/translation",
-        fault_model=fault_model,
-        n=n,
-        seed=seed,
-        verdict=verdict,
-        metrics=metrics_from_trace(trace, scope=scope),
-        extra=extra,
-    )
-
-
 def build_translation_batch(
     fault_model: str,
     n: int = 4,
@@ -452,26 +216,37 @@ def build_translation_batch(
 ) -> CellPlan:
     """Build one Theorem 8 sweep cell as data.
 
-    One task per seed with exactly the translation algorithm and oracle
-    stack the scalar :func:`run_translation` of that seed builds.  The
-    ``batch`` backend vectorises these cells end to end: the transitions
-    through :class:`~repro.predimpl.batched_translation.BatchTranslationKernel`,
+    OneThirdRule under Algorithm 4 over a ``P_k`` kernel oracle: the
+    kernel ``pi0 = {0..n-f-1}`` hears of itself every round, so every
+    macro-round of ``f+1`` kernel rounds yields a space-uniform ``NewHO``
+    of at least ``n - f`` processes and the embedded OneThirdRule decides
+    (Theorem 8 at round granularity).  The fault-model overlays intersect
+    the kernel exactly like the ``ho-round-*`` scenarios' overlays.
+
+    *f* defaults to the largest value with both ``n > 2f`` (Algorithm 4's
+    own requirement) and ``n > 3f`` (which additionally lets the embedded
+    OneThirdRule decide from ``NewHO`` sets of size ``n - f``), so the
+    default cell terminates in a fault-free kernel.  The ``batch`` backend
+    vectorises these cells end to end: the transitions through
+    :class:`~repro.predimpl.batched_translation.BatchTranslationKernel`,
     the fault-free environment through
     :class:`~repro.adversaries.counter_batch.CounterKernelBatchDual`.
     """
-    if fault_model not in FAULT_MODELS:
-        raise ValueError(f"unknown fault model {fault_model!r}; expected one of {FAULT_MODELS}")
-    if stop_after_held is not None and not predicates:
-        raise ValueError("stop_after_held requires at least one monitored predicate")
-    f = _translation_f(n, f)
-    rounds = _translation_rounds(f, rounds)
-    pi0 = sorted(range(n - f))
-    scope = sorted(frozenset(pi0) & _scope_for(fault_model, n))
+    if f is None:
+        f = (n - 1) // 3
+    if rounds is None:
+        rounds = max(60, 12 * (f + 1))
+    pi0 = list(range(n - f))
     tasks: List[ReplicaTask] = []
     for seed in seeds:
         rng = SeededRng(seed)
         values = _classic_values(n, rng, shuffle_values)
-        oracle = _translation_oracle(fault_model, n, pi0, rng, rounds, loss_probability)
+        oracle: HOOracleBase = CounterKernelOracle(n, pi0, rng=rng)
+        overlay = fault_overlay(
+            fault_model, n, rounds // 6, loss_probability, rng.spawn("overlay")
+        )
+        if overlay is not None:
+            oracle = IntersectOracle(n, oracle, overlay)
         tasks.append(
             ReplicaTask(
                 seed=seed,
@@ -480,78 +255,45 @@ def build_translation_batch(
                 initial_values=values,
             )
         )
-    monitor_factory: Optional[Callable[[], Any]] = None
-    monitor_spec: Optional[MonitorSpec] = None
-    if predicates:
-        names = tuple(predicates)
-        pi0_set = frozenset(scope)
-        monitor_factory = lambda: build_monitor_bank(  # noqa: E731
-            n, names, pi0=pi0_set, stop_after_held=stop_after_held
-        )
-        monitor_spec = MonitorSpec(
-            predicates=names, pi0_mask=mask_of(pi0_set), stop_after_held=stop_after_held
-        )
-    batch = ReplicaBatch(
-        n=n,
-        tasks=tasks,
-        max_rounds=rounds,
-        scope_mask=mask_of(scope),
-        run_full_horizon=run_full_horizon,
-        monitor_factory=monitor_factory,
-        monitor_spec=monitor_spec,
+    return cell_plan(
+        n, tasks, rounds, frozenset(pi0) & _scope_for(fault_model, n),
+        predicates, stop_after_held, run_full_horizon,
     )
-    task_values = [task.initial_values for task in tasks]
-
-    def finalize(outcomes: Sequence[Any]) -> List[Dict[str, Any]]:
-        return [
-            _replica_outcome_dict(outcome, values, scope)
-            for outcome, values in zip(outcomes, task_values)
-        ]
-
-    return CellPlan(batch=batch, finalize=finalize)
 
 
-def run_translation_batch(
-    fault_model: str,
-    n: int = 4,
-    seeds: Sequence[int] = (0,),
-    backend: str = "auto",
-    **kwargs: Any,
-) -> List[Dict[str, Any]]:
-    """Run one Theorem 8 sweep cell -- all *seeds* -- as one replica batch."""
-    plan = build_translation_batch(fault_model, n=n, seeds=seeds, **kwargs)
-    return plan.finalize(get_backend(backend).run(plan.batch))
+def run_translation(
+    fault_model: str, n: int = 4, seed: int = 0, keep_trace: bool = False, **cell: Any
+) -> ScenarioResult:
+    """Run one seed of the Theorem 8 translation cell on the scalar reference.
+
+    *cell* takes the keywords of :func:`build_translation_batch`.
+    """
+    plan = build_translation_batch(fault_model, n=n, seeds=(seed,), **cell)
+    algorithm = plan.batch.tasks[0].algorithm
+    extra = {"f": algorithm.f, "rounds_per_macro": algorithm.rounds_per_macro}
+    return run_single_seed(plan, "ho-theorem8/translation", fault_model, extra, keep_trace)
 
 
-REGISTRY.register_scenario(
-    "ho-step-down-otr",
-    partial(run_step, kind=DOWN_GOOD),
-    monitorable=True,
-    batch_runner=partial(run_step_batch, kind=DOWN_GOOD),
-    backend_aliases=STEP_BACKEND_ALIASES,
-)
-REGISTRY.register_scenario(
-    "ho-step-arbitrary-otr",
-    partial(run_step, kind=ARBITRARY_GOOD),
-    monitorable=True,
-    batch_runner=partial(run_step_batch, kind=ARBITRARY_GOOD),
-    backend_aliases=STEP_BACKEND_ALIASES,
-)
+for _name, _kind in (("ho-step-down-otr", DOWN_GOOD), ("ho-step-arbitrary-otr", ARBITRARY_GOOD)):
+    REGISTRY.register_scenario(
+        _name,
+        partial(run_step, kind=_kind),
+        monitorable=True,
+        batch_builder=partial(build_step_batch, kind=_kind),
+        backend_aliases=STEP_BACKEND_ALIASES,
+    )
 REGISTRY.register_scenario(
     "ho-theorem8-translation",
     run_translation,
     monitorable=True,
-    batch_runner=run_translation_batch,
     batch_builder=build_translation_batch,
 )
 
 
 __all__ = [
     "STEP_BACKEND_ALIASES",
-    "run_step",
     "build_step_batch",
-    "run_step_batch",
-    "run_translation",
+    "run_step",
     "build_translation_batch",
-    "run_translation_batch",
+    "run_translation",
 ]

@@ -12,7 +12,7 @@ from repro.adversaries import (
 )
 from repro.algorithms import OneThirdRule
 from repro.core.machine import HOMachine
-from repro.core.predicates import (
+from repro.predicates import (
     MajorityEveryRound,
     NonEmptyKernelEveryRound,
     POtr,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms import LastVoting
-from repro.core.adversary import FaultFreeOracle, RandomOmissionOracle, ScriptedOracle
+from repro.adversaries import FaultFreeOracle, RandomOmissionOracle, ScriptedOracle
 from repro.core.machine import HOMachine
 
 

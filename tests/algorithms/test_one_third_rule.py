@@ -6,7 +6,7 @@ import pytest
 
 from repro.algorithms import OneThirdRule
 from repro.algorithms.one_third_rule import OneThirdRuleMessage, OneThirdRuleState
-from repro.core.adversary import FaultFreeOracle, ScriptedOracle, SilentRoundsOracle
+from repro.adversaries import FaultFreeOracle, ScriptedOracle, SilentRoundsOracle
 from repro.core.machine import HOMachine
 
 

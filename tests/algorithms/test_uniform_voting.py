@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.algorithms import UniformVoting
-from repro.core.adversary import FaultFreeOracle, RandomOmissionOracle, ScriptedOracle
+from repro.adversaries import FaultFreeOracle, RandomOmissionOracle, ScriptedOracle
 from repro.core.machine import HOMachine
 
 

@@ -12,7 +12,7 @@ from repro.analysis import (
     metrics_from_ho_trace,
     metrics_from_system_trace,
 )
-from repro.core.adversary import FaultFreeOracle, ScriptedOracle
+from repro.adversaries import FaultFreeOracle, ScriptedOracle
 from repro.core.machine import HOMachine
 from repro.des import DESProcess, EventSimulator
 from repro.sysmodel.trace import SystemRunTrace

@@ -23,7 +23,7 @@ from repro.adversaries import (
 from repro.algorithms import LastVoting, OneThirdRule, UniformVoting
 from repro.batch import BatchBackend
 from repro.engine.rng import SeededRng
-from repro.predicates import MONITOR_NAMES, build_monitor_bank
+from repro.predicates import MONITOR_NAMES
 from repro.rounds.backend import (
     MonitorSpec,
     ReplicaBatch,
@@ -210,9 +210,6 @@ class TestMonitoredBatches:
         batch = make_batch(
             OneThirdRule, fault_model, n, 7, 6,
             run_full_horizon=horizon,
-            monitor_factory=lambda: build_monitor_bank(
-                n, names, pi0=pi0, stop_after_held=stop
-            ),
             monitor_spec=MonitorSpec(
                 predicates=names, pi0_mask=mask_of(pi0), stop_after_held=stop
             ),
@@ -226,32 +223,20 @@ class TestMonitoredBatches:
         batched = get_backend("batch").run(self._make(fault_model, stop, horizon))
         assert batched == scalar
 
-    def test_spec_only_monitoring_survives_the_fallback(self):
-        """A batch carrying only a MonitorSpec must monitor on *every* path.
+    def test_monitoring_survives_the_fallback(self):
+        """A monitored batch must monitor on *every* path.
 
-        The fallback loop synthesises the scalar MonitorBank from the spec,
-        so reports and early-stop timing are identical whether or not
+        The scalar loop builds its MonitorBank from the same spec, so
+        reports and early-stop timing are identical whether or not
         vectorisation engaged.
         """
-        def spec_only():
-            batch = self._make("partition-heal", stop=3, horizon=True)
-            batch.monitor_factory = None
-            return batch
-
-        forced = BatchBackend(force_fallback=True).run(spec_only())
-        free = BatchBackend().run(spec_only())
+        forced = BatchBackend(force_fallback=True).run(
+            self._make("partition-heal", stop=3, horizon=True)
+        )
+        free = BatchBackend().run(self._make("partition-heal", stop=3, horizon=True))
         assert forced == free
         assert all(o.predicate_reports for o in forced)
         assert all(o.stopped_early for o in forced)
-
-    @needs_numpy
-    def test_opaque_monitor_factory_falls_back(self):
-        batch = self._make("partition-heal")
-        batch.monitor_spec = None
-        backend = BatchBackend()
-        outcomes = backend.run(batch)
-        assert backend.last_fallback_reason == "opaque monitor factory without a MonitorSpec"
-        assert outcomes == get_backend("scalar").run(self._make("partition-heal"))
 
 
 class TestRngReplicate:

@@ -24,8 +24,7 @@ from repro.adversaries import (
 )
 from repro.algorithms import LastVoting, OneThirdRule, UniformVoting
 from repro.batch import SuperBatchBackend
-from repro.predicates import build_monitor_bank
-from repro.rounds.backend import ReplicaBatch, ReplicaTask, get_backend
+from repro.rounds.backend import MonitorSpec, ReplicaBatch, ReplicaTask, get_backend
 from repro.rounds.bitmask import mask_of
 
 needs_numpy = pytest.mark.skipif(not have_numpy(), reason="numpy not available")
@@ -161,7 +160,7 @@ class TestPerCellFallbacks:
             4,
             0,
             2,
-            monitor_factory=lambda: build_monitor_bank(4, predicates=("p_otr",)),
+            monitor_spec=MonitorSpec(predicates=("p_otr",)),
         )
         backend = SuperBatchBackend()
         outcomes = backend.run(cell)
@@ -194,7 +193,7 @@ class TestPerCellFallbacks:
             4,
             10,
             2,
-            monitor_factory=lambda: build_monitor_bank(4, predicates=("p_otr",)),
+            monitor_spec=MonitorSpec(predicates=("p_otr",)),
         )
         backend = SuperBatchBackend()
         results = backend.run_batches([eligible, monitored])

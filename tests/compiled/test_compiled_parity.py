@@ -234,9 +234,7 @@ def test_monitored_cells_take_the_batch_path():
     outcomes = backend.run(batch)
     assert backend.last_fallback_reason == \
         FallbackReason.MONITORED_COMPILED_CELL.render()
-    # spec-only monitoring is a *batch*-tier feature (the scalar path
-    # monitors through monitor_factory), so the reference is the batch run.
-    reference = get_backend("batch").run(make_batch(
+    reference = get_backend("scalar").run(make_batch(
         OneThirdRule, "partition-heal", 5, 40, 3,
         monitor_spec=MonitorSpec(predicates=("p_su",)),
     ))

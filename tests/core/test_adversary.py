@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.adversary import (
+from repro.adversaries import (
     FaultFreeOracle,
     GoodPeriodOracle,
     KernelOnlyOracle,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms import OneThirdRule
-from repro.core.adversary import FaultFreeOracle, ScriptedOracle, StaticCrashOracle
+from repro.adversaries import FaultFreeOracle, ScriptedOracle, StaticCrashOracle
 from repro.core.machine import HOMachine, run_ho_algorithm
 
 

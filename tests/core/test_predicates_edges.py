@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.predicates import (
+from repro.predicates import (
     And,
     MajorityEveryRound,
     NonEmptyKernelEveryRound,

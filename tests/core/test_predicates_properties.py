@@ -13,7 +13,7 @@ from typing import List
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.predicates import (
+from repro.predicates import (
     P11Otr,
     P2Otr,
     PKernel,

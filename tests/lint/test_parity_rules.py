@@ -104,11 +104,7 @@ def test_rep102_catches_non_boolean_super_batchable():
 # --- REP103: scenario backend resolution ---------------------------------- #
 
 class _BrokenRegistry:
-    """Resolves every sweep choice to a backend that does not exist, and
-    registers a batch builder without the per-cell runner it implies."""
-
-    def scenario_names(self):
-        return ["demo", "builder-only"]
+    """Resolves every sweep choice to a backend that does not exist."""
 
     def batchable_scenario_names(self):
         return ["demo"]
@@ -116,25 +112,18 @@ class _BrokenRegistry:
     def resolve_backend(self, name, requested):
         return "no-such-backend"
 
-    def batch_runner(self, name):
-        return (lambda: None) if name == "demo" else None
-
-    def batch_builder(self, name):
-        return (lambda: None) if name == "builder-only" else None
-
 
 def _no_backend(name):
     raise KeyError(f"unknown backend {name!r}")
 
 
-def test_rep103_catches_unresolvable_backends_and_builder_without_runner():
+def test_rep103_catches_unresolvable_backends():
     project = ProjectContext(registry=_BrokenRegistry(),
                              get_backend=_no_backend)
     findings = get_rule("REP103").audit(project)
     messages = [f.message for f in findings]
     # one finding per unresolvable sweep choice for 'demo'
     assert sum("no-such-backend" in m for m in messages) == 5
-    assert any("no batch_runner" in m for m in messages)
 
 
 # --- REP106: compiled kernel registration coherence ----------------------- #

@@ -209,13 +209,10 @@ class TestDegradation:
     def test_monitored_cells_degrade_with_reason(self):
         if not have_numpy():
             pytest.skip("without numpy every cell degrades for numpy first")
-        from repro.predicates import build_monitor_bank
-
         env = StepEnvironment()
         n = 4
         batch = make_batch(
             env, n, [0],
-            monitor_factory=lambda: build_monitor_bank(n, ("p_su",), pi0=range(n)),
             monitor_spec=MonitorSpec(
                 predicates=("p_su",), pi0_mask=mask_of(range(n)), stop_after_held=None
             ),

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms import OneThirdRule
-from repro.core.adversary import FaultFreeOracle, KernelOnlyOracle, ScriptedOracle
+from repro.adversaries import FaultFreeOracle, KernelOnlyOracle, ScriptedOracle
 from repro.core.machine import HOMachine
 from repro.predimpl.translation import KernelToUniformTranslation
 

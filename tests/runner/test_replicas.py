@@ -94,7 +94,7 @@ class TestBatchedCells:
 
     def test_non_batchable_scenarios_fall_back_to_the_scalar_loop(self):
         # The -monitored round-adversary variants deliberately register no
-        # batch runner (full horizon + bound checks stay scalar); the plain
+        # cell builder (full horizon + bound checks stay scalar); the plain
         # dynamic families are batchable since the counter-based streams.
         scenario = "ho-round-mobile-omission-monitored"
         specs = [RunSpec.make(scenario, "fault-free", 0, n=4, rounds=30)]

@@ -179,6 +179,22 @@ class TestResume:
             s.cell_key for s in GRID
         }
 
+    def test_resume_skips_a_line_that_is_not_a_whole_record(self, tmp_path):
+        """Valid JSON missing wire fields re-executes the cell, like a torn tail."""
+        path = tmp_path / "sweep.jsonl"
+        uninterrupted = run_sweep(GRID[:2], workers=1)
+        sink = JsonlSink(str(path))
+        sink.write(uninterrupted.records[0])
+        sink._handle.write('{"scenario": "chandra-toueg"}\n')
+        sink.close()
+
+        assert [r.cell_key for r in load_jsonl_records(str(path))] == [GRID[0].cell_key]
+        resumed = run_sweep(GRID[:2], workers=1, resume_from=str(path))
+        assert resumed.resumed == 1
+        assert json.dumps(resumed.aggregate(), sort_keys=True) == json.dumps(
+            uninterrupted.aggregate(), sort_keys=True
+        )
+
     def test_resume_retries_errored_cells(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
         good = run_sweep(GRID[:1], workers=1).records[0]

@@ -77,38 +77,41 @@ class TestSuperSweep:
         assert used.startswith("super:cell-fallback (")
         assert "per-cell batch path" in used
 
-    def test_scenario_without_builder_falls_through(self):
-        """Cells with a batch runner but no CellPlan builder still execute
-        (per-cell), so a mixed grid completes end to end."""
-        names = set(REGISTRY.batchable_scenario_names())
-        no_builder = sorted(
-            name for name in names if REGISTRY.batch_builder(name) is None
-        )
-        if not no_builder:
-            pytest.skip("every batchable scenario has a builder")
+    def test_mixed_grid_labels_each_cell_with_what_ran_it(self):
+        """Step scenarios alias ``super`` onto ``step-batch``: their cells take
+        the per-cell path (a StepEnvironment is no oracle to vectorise) while
+        the classic cells of the same grid super-batch."""
         specs = build_grid(
-            scenarios=[no_builder[0], "ho-classic-otr"],
-            fault_models=["fault-free"],
+            scenarios=["ho-step-down-otr", "ho-classic-otr"],
+            fault_models=["fault-free", "lossy"],
             seeds=[0],
             ns=[4],
         )
-        result = run_sweep(specs, replicas=2, backend="super")
-        assert all(record.error is None for record in result.records)
+        sup = run_sweep(specs, replicas=2, backend="super")
+        ref = run_sweep(specs, replicas=2, backend="scalar")
+        assert all(record.error is None for record in sup.records)
+        assert sup.aggregate() == ref.aggregate()
+        labels = {
+            (r.scenario, r.fault_model): r.replicas["backend"] for r in sup.records
+        }
+        if have_numpy():
+            assert labels[("ho-step-down-otr", "fault-free")] == "step-batch"
+            assert labels[("ho-classic-otr", "fault-free")] == "super"
+            assert labels[("ho-classic-otr", "lossy")] == "super"
+        else:
+            assert labels[("ho-step-down-otr", "fault-free")].startswith(
+                "step-batch:scalar-fallback ("
+            )
+            assert labels[("ho-classic-otr", "fault-free")].startswith(
+                "super:cell-fallback ("
+            )
+        assert labels[("ho-step-down-otr", "lossy")].startswith(
+            "step-batch:scalar-fallback ("
+        )
 
 
 class TestBuilderRegistry:
-    @pytest.mark.parametrize(
-        "scenario",
-        [
-            "ho-classic-otr",
-            "ho-classic-uv",
-            "ho-classic-lv",
-            "ho-round-mobile-omission",
-            "ho-round-rotating-partition",
-            "ho-round-bursty-loss",
-            "ho-round-eventually-stable-coordinator",
-        ],
-    )
+    @pytest.mark.parametrize("scenario", REGISTRY.batchable_scenario_names())
     def test_builder_registered_and_returns_cellplan(self, scenario):
         builder = REGISTRY.batch_builder(scenario)
         assert builder is not None

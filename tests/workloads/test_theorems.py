@@ -1,9 +1,10 @@
-"""The theorem scenario family: scalar/batched wire parity and sweep wiring.
+"""The theorem scenario family: scenario semantics and sweep wiring.
 
-The ``ho-step-*`` and ``ho-theorem8-translation`` scenarios promise that a
-sweep cell produces identical per-replica wire records whichever execution
-backend runs it, and that the sweep's generic ``--backend`` choices
-resolve through the registered step-path aliases.
+The ``ho-step-*`` and ``ho-theorem8-translation`` scenarios promise that the
+sweep's generic ``--backend`` choices resolve through the registered
+step-path aliases and that a cell's record names the backend that ran it.
+Scalar/batched wire parity of every batchable scenario is pinned by
+``test_builder_parity.py``.
 """
 
 from __future__ import annotations
@@ -13,20 +14,17 @@ import pickle
 import pytest
 
 from repro._optional import have_numpy
+from repro.rounds.backend import get_backend
 from repro.runner.registry import REGISTRY
 from repro.runner.sweep import RunSpec, run_sweep
 from repro.workloads.theorems import (
     STEP_BACKEND_ALIASES,
     build_step_batch,
     run_step,
-    run_step_batch,
     run_translation,
-    run_translation_batch,
 )
 
 needs_numpy = pytest.mark.skipif(not have_numpy(), reason="numpy not available")
-
-FAULT_MODELS = ("fault-free", "crash-stop", "crash-recovery", "lossy")
 
 
 class TestRegistration:
@@ -34,7 +32,7 @@ class TestRegistration:
         names = REGISTRY.scenario_names()
         for name in ("ho-step-down-otr", "ho-step-arbitrary-otr", "ho-theorem8-translation"):
             assert name in names
-            assert REGISTRY.batch_runner(name) is not None
+            assert REGISTRY.batch_builder(name) is not None
             assert REGISTRY.scenario_is_monitorable(name)
 
     def test_step_scenarios_alias_the_generic_backends(self):
@@ -46,30 +44,13 @@ class TestRegistration:
         # Unregistered scenarios pass every name through.
         assert REGISTRY.resolve_backend("ho-classic-otr", "batch") == "batch"
 
-    def test_translation_cell_is_super_batch_food(self):
-        assert REGISTRY.batch_builder("ho-theorem8-translation") is not None
 
-
-class TestStepScenarioParity:
-    @pytest.mark.parametrize("fault_model", FAULT_MODELS)
-    def test_step_backends_agree_per_seed(self, fault_model):
-        seeds = [0, 1]
-        batched = run_step_batch(fault_model, n=4, seeds=seeds, backend="auto")
-        scalar = run_step_batch(fault_model, n=4, seeds=seeds, backend="scalar")
-        assert batched == scalar
-        assert all(record["solved"] for record in batched)
-
-    @pytest.mark.parametrize("kind", ["down-good", "arbitrary-good"])
-    def test_scalar_scenario_matches_the_wire_record(self, kind):
-        result = run_step("fault-free", n=4, seed=2, kind=kind)
-        (record,) = run_step_batch("fault-free", n=4, seeds=(2,), kind=kind)
-        assert result.solved == record["solved"]
-        assert result.verdict.termination == record["terminated"]
-        assert result.metrics.decided_processes == record["decided_processes"]
-        assert result.metrics.scope_size == record["scope_size"]
-        assert result.metrics.first_decision_time == record["first_decision_time"]
-        assert result.metrics.last_decision_time == record["last_decision_time"]
-        assert result.metrics.messages_sent == record["messages_sent"]
+class TestStepScenario:
+    @pytest.mark.parametrize(
+        "fault_model", ["fault-free", "crash-stop", "crash-recovery", "lossy"]
+    )
+    def test_down_good_cells_solve_under_every_fault_model(self, fault_model):
+        assert all(run_step(fault_model, n=4, seed=seed).solved for seed in (0, 1))
 
     def test_arbitrary_kind_solves_with_translation(self):
         result = run_step("fault-free", n=4, seed=0, kind="arbitrary-good")
@@ -86,8 +67,8 @@ class TestStepScenarioParity:
     def test_slim_records_pickle(self):
         """Sweep records cross worker pools: no trace may ride along."""
         plan = build_step_batch("fault-free", n=4, seeds=(0, 1))
-        records = run_step_batch("fault-free", n=4, seeds=(0, 1))
-        assert plan.batch.tasks[0].oracle is not None
+        records = plan.finalize(get_backend("step-scalar").run(plan.batch))
+        assert len(records) == 2
         pickle.dumps(records)
 
     def test_monitored_step_run_reports_predicates(self):
@@ -97,21 +78,7 @@ class TestStepScenarioParity:
         assert result.extra["predicate_reports"]["p_su"]["rounds_observed"] > 0
 
 
-class TestTranslationScenarioParity:
-    @pytest.mark.parametrize("fault_model", FAULT_MODELS)
-    def test_backends_agree_per_seed(self, fault_model):
-        seeds = [0, 1, 2]
-        batched = run_translation_batch(fault_model, n=4, seeds=seeds, backend="auto")
-        scalar = run_translation_batch(fault_model, n=4, seeds=seeds, backend="scalar")
-        assert batched == scalar
-
-    def test_scalar_scenario_matches_the_wire_record(self):
-        result = run_translation("fault-free", n=4, seed=1)
-        (record,) = run_translation_batch("fault-free", n=4, seeds=(1,))
-        assert result.solved == record["solved"]
-        assert result.metrics.last_decision_round == int(record["last_decision_time"])
-        assert result.metrics.messages_sent == record["messages_sent"]
-
+class TestTranslationScenario:
     def test_decides_at_the_macro_round_cadence(self):
         result = run_translation("fault-free", n=7, seed=0)
         assert result.solved
