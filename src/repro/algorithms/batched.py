@@ -20,9 +20,9 @@ falls back to the scalar loop.
 
 The scalar tie-breaks faithfully reproduced here:
 
-* OneThirdRule adopts, among the values tied for the highest multiplicity,
-  the one whose *first occurrence* (in ascending heard-sender order) comes
-  first -- the ``Counter.most_common`` insertion-order tie-break;
+* OneThirdRule needs none: a value it adopts or decides is the *unique*
+  most frequent one (see :meth:`BatchOneThirdRule.step`), so the scalar
+  ``Counter.most_common`` insertion-order tie-break is never observable;
 * UniformVoting's ``votes[0]`` is the vote of the lowest-id heard sender
   carrying one;
 * LastVoting's coordinator picks, among highest-timestamp estimates, the
@@ -288,16 +288,6 @@ class BatchKernel(abc.ABC):
         """(R, n) -- min estimate code among heard senders (garbage when none)."""
         return self._heard_codes(heard, self.n + 1).min(axis=2)
 
-    def _first_heard_code(self, eligible: Any) -> Any:
-        """(R, n) -- code of the lowest-id sender with ``eligible[r, p, q]``.
-
-        Garbage where no sender is eligible; callers mask with the
-        eligibility count.
-        """
-        np = self.np
-        qstar = eligible.argmax(axis=2)
-        return np.take_along_axis(self.x, qstar, axis=1)
-
 
 class BatchOneThirdRule(BatchKernel):
     """The ``(R, n)`` dual of :class:`~repro.algorithms.OneThirdRule`."""
@@ -321,23 +311,19 @@ class BatchOneThirdRule(BatchKernel):
         np.copyto(heard_f, heard)
         counts = self._scratch("otr_counts", shape, np.float32)
         np.matmul(heard_f, onehot, out=counts)                      # (R, n, n)
-        top = counts.max(axis=2)                                    # (R, n) float
-        top_i = top.astype(np.int32)
-
-        # Counter.most_common tie-break: the winning value is the one carried
-        # by the first heard sender whose value attains the top count.  A
-        # second matmul against the transposed one-hot gathers each sender's
-        # count, counts[r, p, x_q] (one nonzero term per sum, so exact); it
-        # lands in heard_f, which the first matmul is done with.
-        counts_by_sender = heard_f
-        np.matmul(counts, onehot.transpose(0, 2, 1), out=counts_by_sender)
-        flags = self._scratch("otr_flags", shape, bool)
-        np.equal(counts_by_sender, top[:, :, None], out=flags)
-        flags &= heard
-        winner = self._first_heard_code(flags)
+        # The top code is unique wherever it is read: adopting needs
+        # hc - top <= n//3 and the gate gives 3*hc > 2n, deciding needs
+        # 3*top > 2n with hc <= n; either way top > hc - top, so no second
+        # code reaches top and argmax's first-maximum rule never chooses
+        # (the scalar Counter.most_common tie-break is equally unobservable).
+        winner = counts.argmax(axis=2)                              # (R, n)
+        top_i = np.take_along_axis(counts, winner[:, :, None], axis=2)[:, :, 0]
+        top_i = top_i.astype(np.int32)
+        winner = winner.astype(np.int32)
 
         # Codes sort like values, so the smallest heard value is the first
         # code with a nonzero count (garbage when nothing was heard).
+        flags = self._scratch("otr_flags", shape, bool)
         np.greater(counts, 0, out=flags)
         min_heard = flags.argmax(axis=2).astype(np.int32)
 

@@ -205,17 +205,15 @@ def _otr_chunk(
                             counts[c] += 1
                             if c < minheard:
                                 minheard = c
+                    # The first code attaining the top count, as the numpy
+                    # kernel's argmax: a tie is never adopted nor decided
+                    # (both need top > hc - top), so no tie-break is owed.
                     top = 0
+                    winner = 0
                     for v in range(n):
                         if counts[v] > top:
                             top = counts[v]
-                    # Counter.most_common tie-break: the first heard sender
-                    # whose value attains the top count carries the winner.
-                    winner = 0
-                    for q in range(n):
-                        if heard[p, q] and counts[x[r, q]] == top:
-                            winner = x[r, q]
-                            break
+                            winner = v
                     if hc - top <= n // 3:
                         newx[p] = winner
                     else:
@@ -531,14 +529,11 @@ def _translation_chunk(
                                 if c < minheard:
                                     minheard = c
                         top = 0
+                        winner = 0
                         for v in range(n):
                             if counts[v] > top:
                                 top = counts[v]
-                        winner = 0
-                        for q in range(n):
-                            if new_ho[p, q] and counts[x[r, q]] == top:
-                                winner = x[r, q]
-                                break
+                                winner = v
                         if hc - top <= n // 3:
                             newx[p] = winner
                         else:

@@ -11,11 +11,11 @@ run-length statistics (good rounds, streaks, first-hold rounds) update as
 that stop early simply freeze, just like a finished scalar run.
 
 ``P_restr_otr`` is the one monitor whose verdict state (the open-candidate
-table) is inherently per-replica and sparse; its per-round *good condition*
-(a candidate round) is fully vectorised, while the candidate bookkeeping
-falls back to a per-replica loop that only touches replicas with candidate
-activity -- the same shape as the oracle fallback loop of
-:mod:`repro.adversaries.batch`.
+table) is per-replica and sparse; it too lives in arrays -- a
+``(R, C, W)`` candidate table, a ``(R, C, n)`` pending table and a ``(R,)``
+count -- so a round is one masked superset pass over the rows that have
+open candidates plus one append for the rows that open a new one, with no
+Python loop over replicas (see :class:`BatchPRestrOtrMonitor`).
 
 Equivalence with the scalar monitors (and therefore, transitively, with the
 whole-collection checkers) is pinned by tests: for every predicate, every
@@ -29,11 +29,11 @@ constructs a bank on the pure-Python fallback path.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from .._optional import require_numpy
 from ..batch.arrays import pack_bools
-from ..rounds.bitmask import iter_bits, mask_to_words, word_count, words_to_mask
+from ..rounds.bitmask import iter_bits, mask_to_words, word_count
 from .monitors import MONITOR_NAMES, canonical_predicate_name
 from .reports import PredicateReport
 from .static import otr_threshold
@@ -244,23 +244,33 @@ class BatchP11OtrMonitor(BatchP2OtrMonitor):
 
 
 class BatchPRestrOtrMonitor(BatchPredicateMonitor):
-    """Vectorised good condition of ``P_restr_otr``; sparse candidate bookkeeping.
+    """Vectorised :class:`~repro.predicates.monitors.PRestrOtrMonitor`.
 
     The candidate scan (is there a > 2n/3 set whose members all heard
     exactly each other?) runs as array comparisons for all replicas at
-    once; the open-candidate table -- at most a handful of masks per
-    replica, usually empty -- mirrors the scalar monitor's dict and is only
-    touched for replicas with candidate activity.
+    once, and so does the open-candidate table, the scalar monitor's
+    ``{Pi0 mask: pending mask}`` dict laid out as arrays: row r's first
+    ``_count[r]`` slots of ``_cand[r]`` hold its candidates' words in the
+    order they opened, ``_pending[r, c]`` the members still lacking a later
+    round with ``HO >= Pi0``; unused slots are all-zero.  The slot axis
+    doubles when a row fills it and -- like the scalar dict -- never evicts:
+    a candidate dropped today could have completed tomorrow, which would
+    change the verdict.
     """
 
     name = "p_restr_otr"
+
+    #: initial width of the slot axis (at most one candidate opens per round).
+    INITIAL_SLOTS = 4
 
     def __init__(self, n: int, replicas: int) -> None:
         super().__init__(n, replicas)
         np = self.np
         self.threshold = otr_threshold(n)
         self._satisfied = np.zeros(replicas, dtype=bool)
-        self._candidates: List[Dict[int, int]] = [{} for _ in range(replicas)]
+        self._cand = np.zeros((replicas, self.INITIAL_SLOTS, self.words), dtype=np.uint64)
+        self._pending = np.zeros((replicas, self.INITIAL_SLOTS, n), dtype=bool)
+        self._count = np.zeros(replicas, dtype=np.intp)
         self._diag = np.arange(n)
 
     def _round_good(self, words: Any, heard: Any, popc: Any) -> Any:
@@ -272,38 +282,37 @@ class BatchPRestrOtrMonitor(BatchPredicateMonitor):
         return self._ok_p.any(axis=1)
 
     def _advance(self, round, words, heard, popc, good, active) -> None:
-        ok_p = self._ok_p
-        for r in range(self.replicas):
-            if not active[r] or self._satisfied[r]:
-                continue
-            open_candidates = self._candidates[r]
-            if not open_candidates and not good[r]:
-                continue
-            masks: Optional[List[int]] = None
-            if open_candidates:
-                masks = [words_to_mask(int(w) for w in row) for row in words[r]]
-                for candidate, pending in list(open_candidates.items()):
-                    remaining = pending
-                    for p in iter_bits(pending):
-                        if masks[p] & candidate == candidate:
-                            remaining &= ~(1 << p)
-                    if remaining == 0:
-                        self._satisfied[r] = True
-                    else:
-                        open_candidates[candidate] = remaining
-            if self._satisfied[r]:
-                open_candidates.clear()
-                continue
-            if good[r]:
-                p_star = int(ok_p[r].argmax())
-                if masks is not None:
-                    candidate = masks[p_star]
-                else:
-                    candidate = words_to_mask(int(w) for w in words[r, p_star])
-                if candidate and candidate not in open_candidates:
-                    # The second clause needs strictly later rounds, so this
-                    # round does not clear its own candidate.
-                    open_candidates[candidate] = candidate
+        np = self.np
+        # Clear first: a pending member p of candidate c is done once
+        # HO(p) >= c.  Satisfied and inactive rows are frozen.
+        rows = np.flatnonzero(active & ~self._satisfied & (self._count > 0))
+        if rows.size:
+            used = int(self._count[rows].max())
+            cand = self._cand[rows, :used, None, :]                  # (k, C, 1, W)
+            covers = ((words[rows, None, :, :] & cand) == cand).all(axis=3)
+            pending = self._pending[rows, :used] & ~covers           # (k, C, n)
+            self._pending[rows, :used] = pending
+            is_open = np.arange(used) < self._count[rows, None]
+            self._satisfied[rows] = (is_open & ~pending.any(axis=2)).any(axis=1)
+        # Then open: the round's candidate is the HO set of the first process
+        # passing the scan, pending = its members.  The second clause needs
+        # strictly later rounds, so this round does not clear its own
+        # candidate.  No "already in the table" test is owed: a recurring
+        # candidate has every member hear all of it, so the clear pass above
+        # just completed it and the row is no longer open.
+        rows = np.flatnonzero(active & ~self._satisfied & good)
+        if not rows.size:
+            return
+        p_star = self._ok_p[rows].argmax(axis=1)
+        slot = self._count[rows]
+        if int(slot.max()) == self._cand.shape[1]:
+            self._cand = np.concatenate([self._cand, np.zeros_like(self._cand)], axis=1)
+            self._pending = np.concatenate(
+                [self._pending, np.zeros_like(self._pending)], axis=1
+            )
+        self._cand[rows, slot] = words[rows, p_star]
+        self._pending[rows, slot] = heard[rows, p_star]
+        self._count[rows] = slot + 1
 
     def _verdict(self) -> Any:
         return self._satisfied

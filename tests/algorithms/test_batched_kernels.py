@@ -1,14 +1,16 @@
 """The numpy transition kernels, step by step against the scalar algorithms.
 
-Two properties of :mod:`repro.algorithms.batched` that the grid-level parity
+Properties of :mod:`repro.algorithms.batched` that the grid-level parity
 suites only reach by accident:
 
 * ``BatchOneThirdRule`` on generated heard-matrices that force its two
-  ``argmax`` paths -- several values tied for the top count (the winner is
-  read off the first heard sender carrying one of them) and empty or
-  sub-threshold HO sets (winner and minimum heard code are garbage and
-  must be masked by the update gate) -- with mixed-``row_n`` padding,
-  compared to the scalar ``OneThirdRule`` after every round;
+  ``argmax`` paths -- several values tied for the top count (``argmax``
+  and ``Counter.most_common`` then name different winners, and neither may
+  be adopted or decided) and empty or sub-threshold HO sets (winner and
+  minimum heard code are garbage and must be masked by the update gate) --
+  with mixed-``row_n`` padding, compared to the scalar ``OneThirdRule``
+  after every round; the arithmetic that makes the tie unobservable is
+  checked exhaustively for small n, and directed tie rounds pin it;
 * the steady-state ``step`` of each kernel allocates no ``(R, n, n)``
   temporary: every full-shape intermediate lives in the kernel's scratch.
 """
@@ -65,33 +67,41 @@ def scalar_round(algorithm, round, states, ho_sets):
     ]
 
 
-@hypothesis.settings(max_examples=150, deadline=None)
-@hypothesis.given(replicas=padded_replicas())
-def test_one_third_rule_matches_scalar_on_ties_and_empty_ho_sets(replicas):
+def assert_matches_scalar_every_round(replicas, width=N_MAX, rounds=ROUNDS):
+    """Step ``(size, values, schedule)`` replicas through both duals.
+
+    The super-batch layout: every row padded to *width* columns with its
+    own first value, padded receivers and senders never heard.  After every
+    round the estimates, the decisions and the rounds they were taken in
+    must equal the scalar run's.
+    """
     import numpy as np
 
-    # The super-batch layout: every row padded to N_MAX columns with its own
-    # first value, padded receivers and senders never heard.
+    sizes = [size for size, _, _ in replicas]
     kernel = BatchOneThirdRule(
-        N_MAX,
-        [values + values[:1] * (N_MAX - size) for size, values, _ in replicas],
-        row_n=[size for size, _, _ in replicas],
+        width,
+        [values + values[:1] * (width - size) for size, values, _ in replicas],
+        row_n=None if all(size == width for size in sizes) else sizes,
     )
-    algorithms = [OneThirdRule(size) for size, _, _ in replicas]
+    algorithms = [OneThirdRule(size) for size in sizes]
     states = [
         [algorithm.initial_state(p, values[p]) for p in range(size)]
         for algorithm, (size, values, _) in zip(algorithms, replicas)
     ]
+    scalar_rounds = [{} for _ in replicas]
     active = np.ones(len(replicas), dtype=bool)
-    for round in range(1, ROUNDS + 1):
-        heard = np.zeros((len(replicas), N_MAX, N_MAX), dtype=bool)
+    for round in range(1, rounds + 1):
+        heard = np.zeros((len(replicas), width, width), dtype=bool)
         for r, (size, _, schedule) in enumerate(replicas):
             for p, ho in enumerate(schedule[round - 1]):
                 heard[r, p, sorted(ho)] = True
             states[r] = scalar_round(algorithms[r], round, states[r], schedule[round - 1])
+            for p, state in enumerate(states[r]):
+                if state.decision is not None:
+                    scalar_rounds[r].setdefault(p, round)
         kernel.step(round, heard, active)
         assert kernel.x.dtype == np.int32
-        for r, (size, _, _) in enumerate(replicas):
+        for r, size in enumerate(sizes):
             estimates = [kernel.decode(r, int(code)) for code in kernel.x[r, :size]]
             assert estimates == [state.x for state in states[r]], (round, r)
             decisions, decision_rounds = kernel.decisions_of(r)
@@ -100,7 +110,72 @@ def test_one_third_rule_matches_scalar_on_ties_and_empty_ho_sets(replicas):
                 for p, state in enumerate(states[r])
                 if state.decision is not None
             }, (round, r)
-            assert all(p < size for p in decision_rounds)
+            assert decision_rounds == scalar_rounds[r], (round, r)
+    return kernel
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(replicas=padded_replicas())
+def test_one_third_rule_matches_scalar_on_ties_and_empty_ho_sets(replicas):
+    assert_matches_scalar_every_round(replicas)
+
+
+def test_adopted_or_decided_top_count_is_never_tied():
+    """Every ``(n, hc, top)`` with n <= 12: past the update gate, adopting
+    the top value or deciding it leaves fewer than ``top`` other senders,
+    so no second value can reach ``top`` -- the one fact that lets the
+    kernels read the winner off ``argmax`` with no tie-break."""
+    reads = 0
+    for n in range(1, 13):
+        for hc in range(n + 1):
+            if not 3 * hc > 2 * n:
+                continue
+            for top in range(1, hc + 1):
+                if hc - top <= n // 3 or 3 * top > 2 * n:
+                    reads += 1
+                    assert hc - top < top, (n, hc, top)
+    assert reads > 0
+
+
+def _everyone(size):
+    return [frozenset(range(size))] * size
+
+
+TIE_REPLICAS = {
+    # Three against three under full HO sets: most_common names the value
+    # seen first (5), argmax the smaller code (3); nobody may adopt either
+    # as "the top" -- all take the minimum, then decide it next round.
+    "full-ho": [(6, [5, 5, 5, 3, 3, 3], [_everyone(6)] * 3)],
+    "three-way": [(6, [8, 8, 5, 5, 3, 3], [_everyone(6)] * 3)],
+    # n = 7 hearing only the first six: a tie at |HO| = 6 > 14/3; the
+    # seventh process hears everyone and sees an untied 3-3-1 split.
+    "partial-ho": [
+        (
+            7,
+            [5, 5, 5, 3, 3, 3, 8],
+            [[frozenset(range(6))] * 6 + [frozenset(range(7))]] + [_everyone(7)] * 2,
+        )
+    ],
+    # Three against three, but round 1 hears only the first five: 5 5 5 3 3
+    # is untied and adoptable (hc - top = 2 <= n//3), so 5 wins, not the min.
+    "untied-by-ho": [
+        (6, [5, 5, 5, 3, 3, 3], [[frozenset(range(5))] * 6, _everyone(6), _everyone(6)])
+    ],
+}
+TIE_REPLICAS["mixed-row-n"] = [
+    replica for name in ("full-ho", "partial-ho", "three-way") for replica in TIE_REPLICAS[name]
+] + [(3, [8, 3, 8], [_everyone(3)] * 3)]
+
+
+@pytest.mark.parametrize("case", sorted(TIE_REPLICAS))
+def test_directed_tie_rounds_match_scalar(case):
+    replicas = TIE_REPLICAS[case]
+    width = max(size for size, _, _ in replicas)
+    kernel = assert_matches_scalar_every_round(replicas, width=width)
+    # every directed replica ends decided on one value (ties only delay it)
+    for r, (size, _, _) in enumerate(replicas):
+        decisions, _ = kernel.decisions_of(r)
+        assert len(decisions) == size and len(set(decisions.values())) == 1, (case, r)
 
 
 @pytest.mark.parametrize(

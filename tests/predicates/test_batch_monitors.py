@@ -7,12 +7,14 @@ batched kernels to Table 1 / Section 4.2.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from repro._optional import have_numpy
 from repro.predicates import MONITOR_NAMES, MonitorBank, build_monitor
+from repro.rounds.bitmask import mask_of
 
 pytestmark = pytest.mark.skipif(not have_numpy(), reason="numpy not available")
 
@@ -44,12 +46,20 @@ def scalar_reports(n, streams, pi0):
     return reports
 
 
-def batched_reports(n, streams, pi0):
+def round_arrays(n, streams, round):
+    """One lockstep round of *streams* as the bank's ``(words, heard, popc)``."""
     import numpy as np
 
     from repro.batch.arrays import popcount_words, unpack_words, words_array_from_masks
+
+    words = np.stack([words_array_from_masks(stream[round - 1], n) for stream in streams])
+    return words, unpack_words(words, n), popcount_words(words)
+
+
+def batched_reports(n, streams, pi0):
+    import numpy as np
+
     from repro.predicates.batch import BatchMonitorBank
-    from repro.rounds.bitmask import mask_of
 
     replicas = len(streams)
     bank = BatchMonitorBank(
@@ -58,11 +68,7 @@ def batched_reports(n, streams, pi0):
     rounds = len(streams[0])
     active = np.ones(replicas, dtype=bool)
     for round in range(1, rounds + 1):
-        words = np.stack(
-            [words_array_from_masks(stream[round - 1], n) for stream in streams]
-        )
-        heard = unpack_words(words, n)
-        bank.observe_round(round, words, heard, popcount_words(words), active)
+        bank.observe_round(round, *round_arrays(n, streams, round), active)
     return [bank.reports_json_of(r) for r in range(replicas)]
 
 
@@ -98,7 +104,6 @@ class TestBatchedMonitorEquivalence:
     def test_inactive_replicas_freeze(self):
         import numpy as np
 
-        from repro.batch.arrays import popcount_words, unpack_words, words_array_from_masks
         from repro.predicates.batch import BatchMonitorBank
 
         n = 4
@@ -107,12 +112,7 @@ class TestBatchedMonitorEquivalence:
         for round in range(1, 11):
             # replica 1 stops after round 4
             active = np.array([True, round <= 4, True])
-            words = np.stack(
-                [words_array_from_masks(stream[round - 1], n) for stream in streams]
-            )
-            bank.observe_round(
-                round, words, unpack_words(words, n), popcount_words(words), active
-            )
+            bank.observe_round(round, *round_arrays(n, streams, round), active)
         # replica 1 must equal a scalar bank fed only the first 4 rounds
         expected = scalar_reports(n, [streams[1][:4]], frozenset(range(n)))[0]
         assert bank.reports_json_of(1) == expected
@@ -122,7 +122,6 @@ class TestBatchedMonitorEquivalence:
     def test_stop_after_held_matches_scalar_policy(self):
         import numpy as np
 
-        from repro.batch.arrays import popcount_words, unpack_words, words_array_from_masks
         from repro.predicates.batch import BatchMonitorBank
         from repro.predicates import StopAfterHeld, build_monitor_bank
 
@@ -136,12 +135,7 @@ class TestBatchedMonitorEquivalence:
         active = np.ones(5, dtype=bool)
         stops = [None] * 5
         for round in range(1, 16):
-            words = np.stack(
-                [words_array_from_masks(stream[round - 1], n) for stream in streams]
-            )
-            batch_bank.observe_round(
-                round, words, unpack_words(words, n), popcount_words(words), active
-            )
+            batch_bank.observe_round(round, *round_arrays(n, streams, round), active)
             for r, bank in enumerate(scalar_banks):
                 if stops[r] is None:
                     bank.observe_round(round, streams[r][round - 1])
@@ -155,3 +149,132 @@ class TestBatchedMonitorEquivalence:
             for r in range(5)
         ]
         assert batch_stops == stops
+
+
+# --------------------------------------------------------------------------- #
+# P_restr_otr: the array-form candidate table against the scalar dict
+# --------------------------------------------------------------------------- #
+
+
+def candidate_round(n, members):
+    """*members* hear exactly each other; everybody else only themselves."""
+    mask = mask_of(members)
+    return [mask if p in members else 1 << p for p in range(n)]
+
+
+def hearing_round(n, hearers):
+    """*hearers* hear everybody; everybody else only themselves."""
+    full = (1 << n) - 1
+    return [full if p in hearers else 1 << p for p in range(n)]
+
+
+def quiet_round(n):
+    return hearing_round(n, ())
+
+
+def restr_otr_round_by_round(n, streams, active_rounds=None):
+    """Feed *streams* to both duals; reports must agree after every round.
+
+    Replica r is active for its first ``active_rounds[r]`` rounds (default:
+    all); its scalar monitor simply stops being fed, which is what a
+    finished scalar run looks like.  Returns the batched monitor.
+    """
+    import numpy as np
+
+    from repro.predicates.batch import BatchMonitorBank
+
+    replicas = len(streams)
+    rounds = len(streams[0])
+    active_rounds = active_rounds or [rounds] * replicas
+    bank = BatchMonitorBank(n, replicas, ("p_restr_otr",))
+    scalars = [build_monitor("p_restr_otr", n) for _ in streams]
+    for round in range(1, rounds + 1):
+        active = np.array([round <= limit for limit in active_rounds])
+        bank.observe_round(round, *round_arrays(n, streams, round), active)
+        for r, scalar in enumerate(scalars):
+            if active[r]:
+                scalar.observe(round, streams[r][round - 1])
+            assert bank.reports_of(r)["p_restr_otr"] == scalar.report(), (round, r)
+    return bank.monitors[0]
+
+
+class TestRestrOtrCandidateTable:
+    N = 7                       # threshold 5: the 21 five-subsets are candidates
+    FIVES = [frozenset(c) for c in itertools.combinations(range(7), 5)]
+
+    def test_several_open_candidates_one_replica_completes(self):
+        n = self.N
+        opening = [candidate_round(n, members) for members in self.FIVES[:3]]
+        target = sorted(self.FIVES[1])
+        # the second candidate's members hear everybody over two rounds;
+        # the other two each keep a member that never does
+        completing = [hearing_round(n, target[:2]), hearing_round(n, target[2:])]
+        streams = [
+            opening + completing + [quiet_round(n)],
+            opening + [quiet_round(n)] * 3,
+        ]
+        monitor = restr_otr_round_by_round(n, streams)
+        assert monitor._count.tolist() == [3, 3]
+        assert monitor._verdict().tolist() == [True, False]
+        assert monitor.report_of(0).first_hold_round == 5
+
+    def test_table_grows_twice_and_never_evicts(self):
+        from repro.predicates.batch import BatchPRestrOtrMonitor
+
+        n = self.N
+        fresh = [candidate_round(n, members) for members in self.FIVES[:12]]
+        streams = [
+            fresh + [hearing_round(n, range(n))],
+            fresh[::-1] + [hearing_round(n, range(n))],
+            [quiet_round(n)] * 13,                      # a row that never opens one
+        ]
+        monitor = restr_otr_round_by_round(n, streams)
+        assert monitor._count.tolist() == [12, 12, 0]
+        assert monitor._cand.shape[1] == 4 * BatchPRestrOtrMonitor.INITIAL_SLOTS
+        assert monitor._pending.shape[1] == monitor._cand.shape[1]
+        # the last round completes even the first-opened candidate
+        assert monitor._verdict().tolist() == [True, True, False]
+
+    def test_recurring_candidate_completes_itself(self):
+        # The same Pi0 twice: the second occurrence is a round in which every
+        # member hears all of Pi0, so it is a witness, not a second entry.
+        n = self.N
+        again = candidate_round(n, self.FIVES[0])
+        other = candidate_round(n, self.FIVES[1])
+        streams = [[again, other, again, other], [again, quiet_round(n), other, again]]
+        monitor = restr_otr_round_by_round(n, streams)
+        assert [monitor.report_of(r).first_hold_round for r in range(2)] == [3, 4]
+        assert monitor._count.tolist() == [2, 2]
+
+    def test_inactive_replica_is_frozen_with_an_open_candidate(self):
+        n = self.N
+        opening = candidate_round(n, self.FIVES[0])
+        everyone = hearing_round(n, range(n))
+        streams = [[quiet_round(n), opening, everyone, everyone]] * 2
+        monitor = restr_otr_round_by_round(n, streams, active_rounds=[4, 2])
+        assert monitor._verdict().tolist() == [True, False]
+        assert monitor._pending[1, 0].tolist() == [p in self.FIVES[0] for p in range(n)]
+
+    def test_two_word_candidates(self):
+        n = 65                                          # W = 2, threshold 44
+        straddling = frozenset(range(20, 65))
+        low_heavy = frozenset(range(44)) | {64}
+        streams = [
+            [
+                candidate_round(n, straddling),
+                hearing_round(n, range(20, 40)),
+                candidate_round(n, low_heavy),
+                hearing_round(n, range(40, 65)),
+            ],
+            [
+                candidate_round(n, low_heavy),
+                candidate_round(n, straddling),
+                # covers the low word of `straddling` only: clears nothing
+                candidate_round(n, straddling - {64}),
+                hearing_round(n, {64}),
+            ],
+        ]
+        monitor = restr_otr_round_by_round(n, streams)
+        assert monitor.words == 2
+        assert monitor._verdict().tolist() == [True, False]
+        assert monitor._count.tolist() == [2, 3]
