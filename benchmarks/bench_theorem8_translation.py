@@ -23,7 +23,7 @@ re-checks the theorem's claims on the outcomes: every pi0 process decides
 agreement inside every replica.
 
 Emits ``BENCH_step.json`` (schema ``repro-bench-step/1``) next to
-BENCH_batch/BENCH_rounds/BENCH_sweep so CI can track the trajectory::
+BENCH_rounds/BENCH_sweep so CI can track the trajectory::
 
     python benchmarks/bench_theorem8_translation.py --sizes 16 64 --replica-counts 64 256
 """

@@ -1,24 +1,22 @@
-"""The ``batch`` execution backend: vectorise when possible, fall back when not.
+"""The ``batch`` execution backend, and the admission every array tier shares.
 
-:class:`BatchBackend` is the decision layer in front of the
-:class:`~repro.batch.engine.BatchEngine`.  For every
-:class:`~repro.rounds.backend.ReplicaBatch` it checks whether vectorisation
-can engage:
+A :class:`~repro.rounds.backend.ReplicaBatch` reaches an array round loop
+through two functions defined here once: :func:`admit` (numpy available,
+algorithms sized for the batch, one algorithm class, a batched kernel
+registered for it) and :func:`build_cell` (the kernel built from the batch
+-- initial values that do not encode are only detectable by trying -- and
+the replicas' oracles vectorised).
 
-1. numpy is available (the ``fast`` extra; honours ``REPRO_DISABLE_NUMPY``);
-2. every replica runs the same algorithm class and a batched kernel is
-   registered for it (:func:`repro.algorithms.batched.batch_kernel_for`);
-3. every replica's initial values are encodable (totally ordered, hashable).
-
-When any check fails the batch runs on the scalar reference backend
-instead -- same outcomes, replica by replica, just without the array hot
-path.  ``last_fallback_reason`` records why, for tests and for the
-benchmark harness to report.
+:class:`BatchBackend` is exactly those two in front of the
+:class:`~repro.batch.engine.BatchEngine`; the ``super`` and ``compiled``
+tiers call the same functions and add only their own rungs.  A declined
+batch runs on the scalar reference backend instead -- same outcomes,
+replica by replica -- and ``last_fallback_reason`` records why.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Tuple
 
 from .._optional import have_numpy
 from ..rounds.backend import (
@@ -31,70 +29,77 @@ from ..rounds.fallback import FallbackReason
 from .engine import BatchEngine
 
 
+def admit(batch: ReplicaBatch) -> Tuple[Optional[str], Any]:
+    """The admission rungs of every array tier, in their one order.
+
+    Returns ``(reason, None)`` for a declined batch and ``(None,
+    kernel_class)`` for an admitted one.
+    """
+    if not have_numpy():
+        return FallbackReason.NO_NUMPY.render(), None
+    from ..algorithms.batched import batch_kernel_for
+
+    if any(task.algorithm.n != batch.n for task in batch.tasks):
+        # The scalar loop raises for mis-sized algorithms; route the batch
+        # there so every tier rejects the same input identically.
+        return FallbackReason.SIZE_MISMATCH.render(), None
+    algorithm_classes = {type(task.algorithm) for task in batch.tasks}
+    if len(algorithm_classes) != 1:
+        return (
+            FallbackReason.MIXED_ALGORITHMS.render(
+                classes=sorted(c.__name__ for c in algorithm_classes)
+            ),
+            None,
+        )
+    kernel_class = batch_kernel_for(batch.tasks[0].algorithm)
+    if kernel_class is None:
+        return (
+            FallbackReason.NO_BATCH_KERNEL.render(
+                algorithm=batch.tasks[0].algorithm.__class__.__name__
+            ),
+            None,
+        )
+    return None, kernel_class
+
+
+def build_cell(
+    kernel_class: Any, batch: ReplicaBatch
+) -> Tuple[Optional[str], Optional[Tuple[Any, Any]]]:
+    """An admitted batch's ``(kernel, oracle)`` pair, or the reason it has none."""
+    # Imported per call: bench/trace.py times vectorize_oracles by wrapping
+    # the attribute on repro.adversaries.batch.
+    from ..adversaries.batch import vectorize_oracles
+    from ..algorithms.batched import BatchUnsupported
+
+    try:
+        kernel = kernel_class.from_batch(batch)
+    except BatchUnsupported as exc:
+        # Unencodable values are only detectable by trying; degrade.
+        return str(exc), None
+    oracle = vectorize_oracles([task.oracle for task in batch.tasks], batch.replicas)
+    return None, (kernel, oracle)
+
+
 class BatchBackend:
     """Vectorised lockstep execution of replica batches, with a scalar safety net."""
 
     name = "batch"
 
-    def __init__(self, force_fallback: bool = False) -> None:
-        self.force_fallback = force_fallback
+    def __init__(self) -> None:
         self._scalar = ScalarBackend()
         #: why the last ``run`` fell back to the scalar loop (None = it
         #: vectorised).  Diagnostic only; outcomes are identical either way.
         self.last_fallback_reason: Optional[str] = None
 
     def run(self, batch: ReplicaBatch) -> List[ReplicaOutcome]:
-        reason = self._fallback_reason(batch)
-        engine: Optional[BatchEngine] = None
+        reason, kernel_class = admit(batch)
+        cell = None
         if reason is None:
-            engine, reason = self._try_build_engine(batch)
+            reason, cell = build_cell(kernel_class, batch)
         self.last_fallback_reason = reason
-        if engine is None:
+        if cell is None:
             return self._scalar.run(batch)
-        return engine.run()
-
-    # ------------------------------------------------------------------ #
-    # the vectorisation decision
-    # ------------------------------------------------------------------ #
-
-    def _fallback_reason(self, batch: ReplicaBatch) -> Optional[str]:
-        if self.force_fallback:
-            return FallbackReason.FORCED.render()
-        if not have_numpy():
-            return FallbackReason.NO_NUMPY.render()
-        from ..algorithms.batched import batch_kernel_for
-
-        if any(task.algorithm.n != batch.n for task in batch.tasks):
-            # The scalar loop raises for mis-sized algorithms; route the
-            # batch there so both backends reject the same input identically.
-            return FallbackReason.SIZE_MISMATCH.render()
-        algorithm_classes = {type(task.algorithm) for task in batch.tasks}
-        if len(algorithm_classes) != 1:
-            return FallbackReason.MIXED_ALGORITHMS.render(
-                classes=sorted(c.__name__ for c in algorithm_classes)
-            )
-        if batch_kernel_for(batch.tasks[0].algorithm) is None:
-            return FallbackReason.NO_BATCH_KERNEL.render(
-                algorithm=batch.tasks[0].algorithm.__class__.__name__
-            )
-        return None
-
-    def _try_build_engine(
-        self, batch: ReplicaBatch
-    ) -> "tuple[Optional[BatchEngine], Optional[str]]":
-        from ..adversaries.batch import vectorize_oracles
-        from ..algorithms.batched import BatchUnsupported, batch_kernel_for
-
-        kernel_class = batch_kernel_for(batch.tasks[0].algorithm)
-        assert kernel_class is not None
-        try:
-            kernel = kernel_class.from_batch(batch)
-        except BatchUnsupported as exc:
-            # Unencodable values are only detectable by trying; degrade.
-            return None, str(exc)
-        oracle = vectorize_oracles(
-            [task.oracle for task in batch.tasks], batch.replicas
-        )
+        kernel, oracle = cell
         monitors: Optional[Any] = None
         if batch.monitor_spec is not None:
             from ..predicates.batch import BatchMonitorBank
@@ -107,10 +112,10 @@ class BatchBackend:
                 pi0_mask=spec.pi0_mask,
                 stop_after_held=spec.stop_after_held,
             )
-        return BatchEngine(batch, kernel, oracle, monitors), None
+        return BatchEngine(batch, kernel, oracle, monitors).run()
 
 
 register_backend(BatchBackend())
 
 
-__all__ = ["BatchBackend"]
+__all__ = ["BatchBackend", "admit", "build_cell"]

@@ -19,7 +19,7 @@ it (or to fall back to the scalar reference loop) belongs to
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .._optional import require_numpy
 from ..algorithms.batched import BatchKernel
@@ -27,6 +27,7 @@ from ..rounds.backend import (
     ReplicaBatch,
     ReplicaFingerprint,
     ReplicaOutcome,
+    ReplicaTask,
     finish_fingerprint,
 )
 from ..rounds.bitmask import iter_bits
@@ -119,33 +120,54 @@ class BatchEngine:
                         kernel.newly_decided(r, decided_before),
                     )
 
-        outcomes: List[ReplicaOutcome] = []
-        for r, task in enumerate(batch.tasks):
-            decisions, decision_rounds = kernel.decisions_of(r)
-            reports = monitors.reports_json_of(r) if monitors is not None else None
-            stopped = bool(monitors.stop_array[r]) if monitors is not None else False
-            fingerprint = fingerprints[r] if fingerprints is not None else None
-            outcomes.append(
-                ReplicaOutcome(
-                    seed=task.seed,
-                    decisions=decisions,
-                    decision_rounds=decision_rounds,
-                    rounds_executed=int(rounds_executed[r]),
-                    messages_sent=int(messages_sent[r]),
-                    messages_delivered=int(messages_delivered[r]),
-                    stopped_early=stopped,
-                    predicate_reports=reports,
-                    fingerprint=finish_fingerprint(
-                        fingerprint,
-                        decisions,
-                        decision_rounds,
-                        int(rounds_executed[r]),
-                        int(messages_sent[r]),
-                        int(messages_delivered[r]),
-                    ),
-                )
+        return assemble_outcomes(
+            batch.tasks, kernel.decisions_of,
+            rounds_executed, messages_sent, messages_delivered,
+            monitors, fingerprints,
+        )
+
+
+def assemble_outcomes(
+    tasks: Sequence[ReplicaTask],
+    decisions_of: Callable[[int], Tuple[Dict[int, Any], Dict[int, int]]],
+    rounds_executed: Any,
+    messages_sent: Any,
+    messages_delivered: Any,
+    monitors: Optional[Any] = None,
+    fingerprints: Optional[List[ReplicaFingerprint]] = None,
+) -> List[ReplicaOutcome]:
+    """What every array round loop ends in: one outcome per task, in task order.
+
+    *decisions_of* maps a replica index to its ``(decisions,
+    decision_rounds)`` tables, and the three accounting arrays are indexed
+    the same way.  *monitors* (a ``BatchMonitorBank``) and *fingerprints*
+    are the per-cell observers only :class:`BatchEngine` carries.
+    """
+    outcomes: List[ReplicaOutcome] = []
+    for r, task in enumerate(tasks):
+        decisions, decision_rounds = decisions_of(r)
+        executed = int(rounds_executed[r])
+        sent = int(messages_sent[r])
+        delivered = int(messages_delivered[r])
+        outcomes.append(
+            ReplicaOutcome(
+                seed=task.seed,
+                decisions=decisions,
+                decision_rounds=decision_rounds,
+                rounds_executed=executed,
+                messages_sent=sent,
+                messages_delivered=delivered,
+                stopped_early=bool(monitors.stop_array[r]) if monitors is not None else False,
+                predicate_reports=(
+                    monitors.reports_json_of(r) if monitors is not None else None
+                ),
+                fingerprint=finish_fingerprint(
+                    fingerprints[r] if fingerprints is not None else None,
+                    decisions, decision_rounds, executed, sent, delivered,
+                ),
             )
-        return outcomes
+        )
+    return outcomes
 
 
-__all__ = ["BatchEngine"]
+__all__ = ["BatchEngine", "assemble_outcomes"]

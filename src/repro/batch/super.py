@@ -19,10 +19,11 @@ single padded row space instead:
 Heterogeneous horizons, scopes and fault models coexist because every
 per-row quantity -- n, horizon, scope mask, full-horizon flag -- is a row
 vector, and the counter-based oracle duals (:mod:`repro.adversaries.
-counter_batch`) need no per-replica query loop.  Cells the super engine
-cannot take whole-grid (monitored or fingerprinted runs, unencodable
-values, no kernel) fall back to the per-cell batch backend -- the same
-outcomes, cell by cell; ``last_fallback_reasons`` records which and why.
+counter_batch`) need no per-replica query loop.  Cells the shared admission
+(:func:`repro.batch.backends.admit`) or this tier's own rungs decline
+(kernels built from the full task context, monitored or fingerprinted
+runs, unencodable values) fall back to the per-cell batch backend -- the
+same outcomes, cell by cell; ``last_fallback_reasons`` records which and why.
 
 The contract is unchanged: per seed, outcomes are bit-identical to the
 scalar reference backend (and hence to the per-cell batch backend).
@@ -32,16 +33,13 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .._optional import have_numpy, require_numpy
-from ..rounds.backend import (
-    ReplicaBatch,
-    ReplicaOutcome,
-    register_backend,
-)
+from .._optional import require_numpy
+from ..rounds.backend import ReplicaBatch, ReplicaOutcome, register_backend
 from ..rounds.bitmask import iter_bits, word_count
 from ..rounds.fallback import FallbackReason
 from .arrays import popcount_words, unpack_words
-from .backends import BatchBackend
+from .backends import BatchBackend, admit
+from .engine import assemble_outcomes
 
 #: Compact the kernel when live rows drop below this fraction of its rows.
 COMPACT_THRESHOLD = 0.5
@@ -54,8 +52,7 @@ class SuperBatchBackend:
 
     name = "super"
 
-    def __init__(self, force_fallback: bool = False) -> None:
-        self.force_fallback = force_fallback
+    def __init__(self) -> None:
         self._cell_backend = BatchBackend()
         #: why the last single-batch ``run`` left the super path (None = it
         #: super-batched).  Mirrors ``BatchBackend.last_fallback_reason``.
@@ -103,34 +100,9 @@ class SuperBatchBackend:
     # ------------------------------------------------------------------ #
 
     def _eligibility(self, batch: ReplicaBatch) -> Tuple[Optional[str], Any]:
-        if self.force_fallback:
-            return FallbackReason.FORCED.render(), None
-        if not have_numpy():
-            return FallbackReason.NO_NUMPY.render(), None
-        from ..algorithms.batched import (
-            BatchUnsupported,
-            batch_kernel_for,
-            encode_values,
-        )
-
-        if any(task.algorithm.n != batch.n for task in batch.tasks):
-            return FallbackReason.SIZE_MISMATCH.render(), None
-        algorithm_classes = {type(task.algorithm) for task in batch.tasks}
-        if len(algorithm_classes) != 1:
-            return (
-                FallbackReason.MIXED_ALGORITHMS.render(
-                    classes=sorted(c.__name__ for c in algorithm_classes)
-                ),
-                None,
-            )
-        kernel_class = batch_kernel_for(batch.tasks[0].algorithm)
-        if kernel_class is None:
-            return (
-                FallbackReason.NO_BATCH_KERNEL.render(
-                    algorithm=batch.tasks[0].algorithm.__class__.__name__
-                ),
-                None,
-            )
+        reason, kernel_class = admit(batch)
+        if reason is not None:
+            return reason, None
         if not kernel_class.super_batchable:
             # Kernels built from the full task context (e.g. the translation
             # kernel's embedded inner kernel) cannot be packed into a padded
@@ -145,6 +117,8 @@ class SuperBatchBackend:
             return FallbackReason.MONITORED_PER_CELL.render(), None
         if batch.fingerprints:
             return FallbackReason.FINGERPRINTED_PER_CELL.render(), None
+        from ..algorithms.batched import BatchUnsupported, encode_values
+
         try:
             for task in batch.tasks:
                 encode_values(list(task.initial_values))
@@ -279,32 +253,15 @@ class _SuperBatchEngine:
         outcomes: List[List[ReplicaOutcome]] = []
         row = 0
         for batch in self.batches:
-            cell: List[ReplicaOutcome] = []
-            for task in batch.tasks:
-                decided = self._decisions[row]
-                assert decided is not None
-                decisions, decision_rounds = decided
-                # Padded processes never decide, but clamp to the cell's own
-                # process range for safety.
-                decisions = {p: v for p, v in decisions.items() if p < batch.n}
-                decision_rounds = {
-                    p: r for p, r in decision_rounds.items() if p < batch.n
-                }
-                cell.append(
-                    ReplicaOutcome(
-                        seed=task.seed,
-                        decisions=decisions,
-                        decision_rounds=decision_rounds,
-                        rounds_executed=int(self.rounds_executed[row]),
-                        messages_sent=int(self.messages_sent[row]),
-                        messages_delivered=int(self.messages_delivered[row]),
-                        stopped_early=False,
-                        predicate_reports=None,
-                        fingerprint=None,
-                    )
+            rows = slice(row, row + batch.replicas)
+            outcomes.append(
+                assemble_outcomes(
+                    batch.tasks, self._decisions[rows].__getitem__,
+                    self.rounds_executed[rows], self.messages_sent[rows],
+                    self.messages_delivered[rows],
                 )
-                row += 1
-            outcomes.append(cell)
+            )
+            row += batch.replicas
         return outcomes
 
 

@@ -1,15 +1,16 @@
 """The ``compiled`` execution backend: JIT when possible, degrade when not.
 
 :class:`CompiledBackend` is the decision layer in front of the
-:class:`~repro.compiled.engine.CompiledEngine`, mirroring
-:class:`repro.batch.backends.BatchBackend` one tier up.  For every
-:class:`~repro.rounds.backend.ReplicaBatch` it checks whether the fused
-compiled loop can engage:
+:class:`~repro.compiled.engine.CompiledEngine`, one tier above
+:class:`repro.batch.backends.BatchBackend`.  A
+:class:`~repro.rounds.backend.ReplicaBatch` passes the array tiers' shared
+admission and cell build (:func:`repro.batch.backends.admit`,
+:func:`~repro.batch.backends.build_cell`) plus the rungs only the fused
+loop has:
 
-1. numpy and numba are available (the ``fast``/``compiled`` extras;
-   honours ``REPRO_DISABLE_NUMPY`` / ``REPRO_DISABLE_NUMBA``);
-2. every replica runs the same algorithm class, a batched kernel is
-   registered for it, *and* that kernel has a compiled dual
+1. numba is available (the ``compiled`` extra; honours
+   ``REPRO_DISABLE_NUMBA``);
+2. the admitted kernel has a compiled dual
    (:func:`repro.compiled.kernels.compiled_kernel_for`);
 3. the cell is neither monitored nor fingerprinted (both need per-round
    Python observation, which is exactly the dispatch the fused loop
@@ -36,7 +37,7 @@ from __future__ import annotations
 from typing import Any, List, Optional, Tuple
 
 from .._optional import have_numba, have_numpy
-from ..batch.backends import BatchBackend
+from ..batch.backends import BatchBackend, admit, build_cell
 from ..rounds.backend import ReplicaBatch, ReplicaOutcome, register_backend
 from ..rounds.fallback import FallbackReason
 from .engine import CompiledEngine
@@ -62,10 +63,7 @@ class CompiledBackend:
 
     name = "compiled"
 
-    def __init__(
-        self, force_fallback: bool = False, interpreted: bool = False
-    ) -> None:
-        self.force_fallback = force_fallback
+    def __init__(self, interpreted: bool = False) -> None:
         #: run the cores under CPython even without numba (test mode).
         self.interpreted = interpreted
         self._batch = BatchBackend()
@@ -74,10 +72,7 @@ class CompiledBackend:
         self.last_fallback_reason: Optional[str] = None
 
     def run(self, batch: ReplicaBatch) -> List[ReplicaOutcome]:
-        reason = self._fallback_reason(batch)
-        engine: Optional[CompiledEngine] = None
-        if reason is None:
-            engine, reason = self._try_build_engine(batch)
+        reason, engine = self._eligibility(batch)
         self.last_fallback_reason = reason
         if engine is None:
             return self._batch.run(batch)
@@ -87,59 +82,34 @@ class CompiledBackend:
     # the compilation decision
     # ------------------------------------------------------------------ #
 
-    def _fallback_reason(self, batch: ReplicaBatch) -> Optional[str]:
-        if self.force_fallback:
-            return FallbackReason.FORCED.render()
-        if not have_numpy():
-            return FallbackReason.NO_NUMPY.render()
-        if not self.interpreted and not have_numba():
-            return FallbackReason.NO_NUMBA.render()
-        from ..algorithms.batched import batch_kernel_for
-
-        if any(task.algorithm.n != batch.n for task in batch.tasks):
-            return FallbackReason.SIZE_MISMATCH.render()
-        algorithm_classes = {type(task.algorithm) for task in batch.tasks}
-        if len(algorithm_classes) != 1:
-            return FallbackReason.MIXED_ALGORITHMS.render(
-                classes=sorted(c.__name__ for c in algorithm_classes)
-            )
-        kernel_class = batch_kernel_for(batch.tasks[0].algorithm)
-        if kernel_class is None:
-            return FallbackReason.NO_BATCH_KERNEL.render(
-                algorithm=batch.tasks[0].algorithm.__class__.__name__
-            )
-        if compiled_kernel_for(kernel_class) is None:
-            return FallbackReason.NO_COMPILED_KERNEL.render(
-                kernel=kernel_class.__name__
+    def _eligibility(
+        self, batch: ReplicaBatch
+    ) -> Tuple[Optional[str], Optional[CompiledEngine]]:
+        """Why the fused loop cannot take *batch*, or the engine that will."""
+        if have_numpy() and not self.interpreted and not have_numba():
+            # Ahead of the shared shape rungs, behind the shared numpy one.
+            return FallbackReason.NO_NUMBA.render(), None
+        reason, kernel_class = admit(batch)
+        if reason is not None:
+            return reason, None
+        spec = compiled_kernel_for(kernel_class)
+        if spec is None:
+            return (
+                FallbackReason.NO_COMPILED_KERNEL.render(kernel=kernel_class.__name__),
+                None,
             )
         if batch.monitor_spec is not None:
-            return FallbackReason.MONITORED_COMPILED_CELL.render()
+            return FallbackReason.MONITORED_COMPILED_CELL.render(), None
         if batch.fingerprints:
-            return FallbackReason.FINGERPRINTED_COMPILED_CELL.render()
-        return None
-
-    def _try_build_engine(
-        self, batch: ReplicaBatch
-    ) -> Tuple[Optional[CompiledEngine], Optional[str]]:
-        from ..adversaries.batch import vectorize_oracles
-        from ..algorithms.batched import BatchUnsupported, batch_kernel_for
-
-        kernel_class = batch_kernel_for(batch.tasks[0].algorithm)
-        assert kernel_class is not None
-        spec = compiled_kernel_for(kernel_class)
-        assert spec is not None
-        try:
-            kernel = kernel_class.from_batch(batch)
-        except BatchUnsupported as exc:
-            # Unencodable values are only detectable by trying; degrade.
-            return None, str(exc)
-        oracle = vectorize_oracles(
-            [task.oracle for task in batch.tasks], batch.replicas
-        )
+            return FallbackReason.FINGERPRINTED_COMPILED_CELL.render(), None
+        reason, cell = build_cell(kernel_class, batch)
+        if cell is None:
+            return reason, None
+        kernel, oracle = cell
         if _needs_replica_loop(oracle):
-            return None, FallbackReason.OPAQUE_COMPILED_ORACLE.render()
+            return FallbackReason.OPAQUE_COMPILED_ORACLE.render(), None
         compiled = have_numba() and not self.interpreted
-        return CompiledEngine(batch, kernel, oracle, spec, compiled), None
+        return None, CompiledEngine(batch, kernel, oracle, spec, compiled)
 
 
 register_backend(CompiledBackend())

@@ -33,6 +33,7 @@ from typing import Any, List
 
 from .._optional import require_numpy
 from ..algorithms.batched import BatchKernel
+from ..batch.engine import assemble_outcomes
 from ..rounds.backend import ReplicaBatch, ReplicaOutcome
 from ..rounds.bitmask import WORD_BITS, iter_bits, word_count
 from .kernels import CompiledKernel
@@ -128,23 +129,10 @@ class CompiledEngine:
             )
             round += filled
 
-        outcomes: List[ReplicaOutcome] = []
-        for r, task in enumerate(batch.tasks):
-            decisions, decision_rounds = kernel.decisions_of(r)
-            outcomes.append(
-                ReplicaOutcome(
-                    seed=task.seed,
-                    decisions=decisions,
-                    decision_rounds=decision_rounds,
-                    rounds_executed=int(rounds_executed[r]),
-                    messages_sent=int(messages_sent[r]),
-                    messages_delivered=int(messages_delivered[r]),
-                    stopped_early=False,
-                    predicate_reports=None,
-                    fingerprint=None,
-                )
-            )
-        return outcomes
+        return assemble_outcomes(
+            batch.tasks, kernel.decisions_of,
+            rounds_executed, messages_sent, messages_delivered,
+        )
 
 
 __all__ = ["CHUNK_ROUNDS", "FIRST_CHUNK_ROUNDS", "CompiledEngine"]

@@ -17,7 +17,7 @@ suites:
 
 Run it with ``python -m repro.lint [paths]``; see
 :mod:`repro.lint.cli` for the flags (``--list-rules``, ``--format json``,
-``--baseline``, ``--select``) and :mod:`repro.lint.suppressions` for the
+``--select``) and :mod:`repro.lint.suppressions` for the
 ``# repro: noqa[REP0xx] -- reason`` per-line suppression form.
 
 The package is a *leaf*: nothing in ``repro`` imports it (enforced by its
@@ -25,7 +25,6 @@ own REP006), so shipping the linter can never perturb the hot paths it
 audits.
 """
 
-from .baseline import Baseline, BaselineEntry
 from .engine import LintResult, lint_paths, module_name_of
 from .findings import Finding
 from .rules import (
@@ -41,8 +40,6 @@ from .rules import (
 
 __all__ = [
     "AuditRule",
-    "Baseline",
-    "BaselineEntry",
     "FileContext",
     "Finding",
     "LintResult",

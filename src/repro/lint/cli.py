@@ -8,7 +8,6 @@ Typical invocations::
     python -m repro.lint --list-rules           # what the REP0xx codes mean
     python -m repro.lint src --format json      # machine-readable report
     python -m repro.lint src --select REP001    # one rule only
-    python -m repro.lint src --update-baseline  # grandfather current findings
 """
 
 from __future__ import annotations
@@ -18,14 +17,8 @@ import json
 from pathlib import Path
 from typing import List, Optional
 
-from .baseline import Baseline
 from .engine import lint_paths
 from .report import render_json, render_rule_list, render_text
-
-#: picked up automatically when present in the working directory, so the
-#: acceptance invocation ``python -m repro.lint src tests`` honours the
-#: checked-in baseline without extra flags.
-DEFAULT_BASELINE = "lint-baseline.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,17 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format (default: text)",
     )
     parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help=(
-            "baseline file of grandfathered findings "
-            f"(default: {DEFAULT_BASELINE} if it exists)"
-        ),
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="write the current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
         "--select", nargs="+", default=None, metavar="CODE",
         help="run only these rule codes (e.g. REP001 REP104)",
     )
@@ -79,21 +61,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(render_rule_list())
         return 0
 
-    baseline_path = args.baseline
-    if baseline_path is None and Path(DEFAULT_BASELINE).is_file():
-        baseline_path = DEFAULT_BASELINE
-    baseline = None
-    if baseline_path is not None and not args.update_baseline:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (OSError, ValueError, KeyError) as exc:
-            parser.error(f"cannot load baseline {baseline_path!r}: {exc}")
-
     try:
         result = lint_paths(
             args.paths,
             select=args.select,
-            baseline=baseline,
             audit=not args.no_audit,
             root=Path.cwd(),
         )
@@ -102,15 +73,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except KeyError as exc:  # unknown --select code
         parser.error(str(exc))
 
-    if args.update_baseline:
-        target = baseline_path or DEFAULT_BASELINE
-        Baseline.from_findings(result.findings).write(target)
-        print(
-            f"wrote {len(result.findings)} finding"
-            f"{'s' if len(result.findings) != 1 else ''} to {target}"
-        )
-        return 0
-
     if args.format == "json":
         print(json.dumps(render_json(result), indent=2, sort_keys=True))
     else:
@@ -118,4 +80,4 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 0 if result.clean else 1
 
 
-__all__ = ["main", "build_parser", "DEFAULT_BASELINE"]
+__all__ = ["main", "build_parser"]

@@ -1,21 +1,20 @@
-"""The lint engine: collect files, run rules, apply suppressions + baseline.
+"""The lint engine: collect files, run rules, apply suppressions.
 
 One :func:`lint_paths` call is one lint invocation: every ``*.py`` file
 under the given paths is parsed once and handed to each applicable
 :class:`~repro.lint.rules.SourceRule`; the
 :class:`~repro.lint.rules.AuditRule` passes run once against the live
 registries.  Findings are then filtered through per-line suppressions
-(unused suppressions become REP007 findings) and the baseline; what
-remains is actionable and fails the run.
+(unused suppressions become REP007 findings); what remains is actionable
+and fails the run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from .baseline import Baseline, BaselineEntry
 from .findings import Finding, sort_findings
 from .rules import FileContext, audit_rules, rule_codes, source_rules
 from .suppressions import HYGIENE_CODE, parse_suppressions
@@ -27,8 +26,6 @@ class LintResult:
 
     findings: List[Finding] = field(default_factory=list)
     suppressed: int = 0
-    baselined: int = 0
-    stale_baseline: List[BaselineEntry] = field(default_factory=list)
     files: int = 0
 
     @property
@@ -77,7 +74,7 @@ def iter_python_files(paths: Sequence[str]) -> List[Path]:
 
 
 def display_path(path: Path, root: Optional[Path]) -> str:
-    """The path findings/baselines are keyed by: root-relative, posix."""
+    """The path findings are keyed by: root-relative, posix."""
     if root is not None:
         try:
             return path.resolve().relative_to(root.resolve()).as_posix()
@@ -89,7 +86,6 @@ def display_path(path: Path, root: Optional[Path]) -> str:
 def lint_paths(
     paths: Sequence[str],
     select: Optional[Sequence[str]] = None,
-    baseline: Optional[Baseline] = None,
     audit: bool = True,
     root: Optional[Path] = None,
     project=None,
@@ -150,42 +146,10 @@ def lint_paths(
 
             project = ProjectContext(root=root)
         for rule in audit_rules(select):
-            kept.extend(_with_line_text(rule.audit(project), root))
-
-    if baseline is not None:
-        remaining = []
-        for finding in kept:
-            if baseline.absorbs(finding):
-                result.baselined += 1
-            else:
-                remaining.append(finding)
-        kept = remaining
-        result.stale_baseline = baseline.stale()
+            kept.extend(rule.audit(project))
 
     result.findings = sort_findings(kept)
     return result
-
-
-def _with_line_text(findings: Iterable[Finding], root: Optional[Path]) -> List[Finding]:
-    """Fill in line text for audit findings (their rules only know paths)."""
-    out = []
-    cache = {}
-    for finding in findings:
-        if finding.line_text:
-            out.append(finding)
-            continue
-        if finding.path not in cache:
-            candidate = Path(finding.path)
-            if root is not None and not candidate.is_absolute():
-                candidate = root / candidate
-            try:
-                cache[finding.path] = candidate.read_text(encoding="utf-8").splitlines()
-            except OSError:
-                cache[finding.path] = []
-        lines = cache[finding.path]
-        text = lines[finding.line - 1] if 0 < finding.line <= len(lines) else ""
-        out.append(finding.with_line_text(text))
-    return out
 
 
 __all__ = ["LintResult", "iter_python_files", "lint_paths", "module_name_of"]

@@ -1,16 +1,11 @@
 """The finding record every lint rule emits.
 
-A finding is one violation of one rule at one source location.  Its
-identity for baseline matching is deliberately *not* the line number --
-unrelated edits shift lines constantly -- but the triple ``(code, path,
-stripped source line text)``, which survives drift as long as the offending
-line itself is untouched.
+A finding is one violation of one rule at one source location.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Tuple
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -22,17 +17,9 @@ class Finding:
     line: int
     col: int
     message: str
-    #: the stripped text of the offending source line; filled in by the
-    #: engine (rules may leave it empty) and used for baseline matching.
+    #: the stripped text of the offending source line, carried in the JSON
+    #: report (audit rules, which only know paths, leave it empty).
     line_text: str = field(default="", compare=False)
-
-    @property
-    def baseline_key(self) -> Tuple[str, str, str]:
-        """The drift-tolerant identity used by baseline files."""
-        return (self.code, self.path, self.line_text)
-
-    def with_line_text(self, text: str) -> "Finding":
-        return replace(self, line_text=text.strip())
 
     def render(self) -> str:
         """The one-line human form, ``path:line:col CODE message``."""

@@ -245,7 +245,7 @@ class ScenarioBackendResolutionRule(AuditRule):
 
 
 #: the functions whose string returns REP104 polices.
-FALLBACK_DECISION_FUNCTIONS = ("_fallback_reason", "_eligibility")
+FALLBACK_DECISION_FUNCTIONS = ("admit", "_fallback_reason", "_eligibility")
 
 
 class FallbackReasonLiteralRule(SourceRule):

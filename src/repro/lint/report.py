@@ -15,17 +15,9 @@ def render_text(result: LintResult) -> str:
     lines = [finding.render() for finding in result.findings]
     summary = (
         f"{len(result.findings)} finding{'s' if len(result.findings) != 1 else ''} "
-        f"({result.suppressed} suppressed, {result.baselined} baselined) "
+        f"({result.suppressed} suppressed) "
         f"across {result.files} file{'s' if result.files != 1 else ''}"
     )
-    if result.stale_baseline:
-        lines.append(
-            f"note: {len(result.stale_baseline)} stale baseline "
-            f"entr{'ies' if len(result.stale_baseline) != 1 else 'y'} "
-            "(fixed findings still grandfathered; shrink the baseline):"
-        )
-        for entry in result.stale_baseline:
-            lines.append(f"  {entry.code} {entry.path}: {entry.line_text!r}")
     lines.append(summary)
     return "\n".join(lines)
 
@@ -48,8 +40,6 @@ def render_json(result: LintResult) -> Dict[str, Any]:
         "summary": {
             "findings": len(result.findings),
             "suppressed": result.suppressed,
-            "baselined": result.baselined,
-            "stale_baseline": len(result.stale_baseline),
             "files": result.files,
             "clean": result.clean,
         },

@@ -17,7 +17,7 @@ Two rule shapes exist:
   (counter-dual signatures, kernel registrations, backend aliases).
 
 Rules are singletons registered by stable code (``REP001`` ...); the code
-is the suppression/baseline currency, so codes are never reused.
+is the suppression currency, so codes are never reused.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def dotted_name(node: ast.expr) -> Optional[str]:
 class Rule(abc.ABC):
     """A registered check with a stable ``REP0xx`` code."""
 
-    #: stable code, the suppression/baseline currency (never reuse one).
+    #: stable code, the suppression currency (never reuse one).
     code: str = ""
     #: short kebab-case name for listings.
     name: str = ""

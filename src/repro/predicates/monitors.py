@@ -502,9 +502,14 @@ class RoundCollator:
                 break
         return out
 
-    def drain(self) -> List[Tuple[Round, List[int]]]:
-        """Complete every pending round (end of run), in order."""
-        return [self._emit(round) for round in range(self._next, self._max_seen + 1)]
+    def drain(self, last_round: Optional[Round] = None) -> List[Tuple[Round, List[int]]]:
+        """Complete every pending round (end of run), in order.
+
+        Pending rounds past *last_round* are left behind: a run cut short
+        mid-round has reports for rounds it never completed.
+        """
+        stop = self._max_seen if last_round is None else min(last_round, self._max_seen)
+        return [self._emit(round) for round in range(self._next, stop + 1)]
 
 
 # --------------------------------------------------------------------------- #
@@ -614,17 +619,19 @@ class MonitorBank:
         """Records that arrived for rounds already flushed past the window."""
         return self._collator.late_records
 
-    def finalize(self) -> None:
+    def finalize(self, last_round: Optional[Round] = None) -> None:
         """Flush rounds still pending in the collator (end of run); idempotent.
 
         Drained rounds bypass the stop policies: the run is already over,
         and a policy firing on the drained tail would misreport a
-        full-horizon run as stopped early.
+        full-horizon run as stopped early.  *last_round* is the last round
+        the run executed, when its owner stopped it mid-round: pending
+        rounds past it were never run and are not reported.
         """
         if self._finalized:
             return
         self._finalized = True
-        for round, masks in self._collator.drain():
+        for round, masks in self._collator.drain(last_round):
             self.observe_round(round, masks, evaluate_policies=False)
 
     def reports(self) -> Dict[str, PredicateReport]:

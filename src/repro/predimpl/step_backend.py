@@ -21,10 +21,10 @@ knowing *what* a replica is:
   every round's heard-of set is the whole of Pi -- are *lowered* to a
   round-level :class:`ReplicaBatch` over the same upper algorithm and a
   :class:`~repro.adversaries.FaultFreeOracle`, executed by the vectorised
-  ``batch`` backend.  Everything else (arbitrary-timing event
-  interleavings of faulty cells, the Algorithm 3 init/round wire protocol,
-  monitored runs) degrades per cell to the scalar step path, with the
-  reason recorded in ``last_fallback_reason`` -- exactly the
+  ``batch`` backend, monitors and fingerprints included.  Everything else
+  (arbitrary-timing event interleavings of faulty cells, the Algorithm 3
+  init/round wire protocol) degrades per cell to the scalar step path,
+  with the reason recorded in ``last_fallback_reason`` -- exactly the
   :class:`~repro.batch.super.SuperBatchBackend` degradation discipline.
 
 A replica's "oracle" on the step path is a :class:`StepEnvironment`: the
@@ -50,14 +50,17 @@ and step worlds because the step trace is projected to round granularity:
 * fingerprints digest the executed rounds' records in process order --
   the scalar round backend's natural record order -- so the lowered
   fault-free cell is pinned bit-identical to ``step-scalar`` round by
-  round, not just on final decisions.
+  round, not just on final decisions;
+* ``predicate_reports`` cover rounds ``1..rounds_executed``: the simulator
+  stops mid-round, and a round some process had already begun reporting
+  when it stopped is not a round the run executed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..rounds.backend import (
     ReplicaBatch,
@@ -152,9 +155,10 @@ def _fault_plan(
 ) -> Tuple[PeriodSchedule, FaultSchedule, bool]:
     """The period schedule, fault schedule and bad-period lossiness of a cell.
 
-    These are exactly the fault models of the ``ho-stack`` scenario
-    (:func:`repro.workloads.run_ho_stack`), so the step backends reproduce
-    the same runs that scenario has always produced per seed.
+    The one spelling of the fault-model axis at step level: the step
+    backends and the ``ho-stack`` scenario
+    (:func:`repro.workloads.run_ho_stack`) both read it through
+    :func:`build_step_simulator`.
     """
     if env.fault_model == "fault-free":
         return PeriodSchedule.always_good(n, GoodPeriodKind.PI_GOOD), FaultSchedule.none(), False
@@ -183,6 +187,33 @@ def _fault_plan(
         kind=GoodPeriodKind.PI0_DOWN,
     )
     return schedule, FaultSchedule.none(), True
+
+
+def build_step_simulator(
+    env: StepEnvironment, programs: Sequence[Any], trace: Any, seed: int
+) -> SystemSimulator:
+    """The :class:`SystemSimulator` of one step-level run under *env*.
+
+    The one place the fault plan meets the bad-period network and process
+    constants.  The step backends and the ``ho-stack`` scenario both build
+    here and keep their own ``until``/``stop_when``, so one seed replays
+    the same run on either.
+    """
+    schedule, faults, lossy = _fault_plan(env, len(programs))
+    return SystemSimulator(
+        programs,
+        env.params(),
+        schedule,
+        fault_schedule=faults,
+        bad_network=BadPeriodNetwork(
+            loss_probability=0.5 if lossy else 0.0, min_delay=1.0, max_delay=30.0
+        ),
+        bad_process_behavior=BadPeriodProcessBehavior(
+            min_step_gap=1.0, max_step_gap=5.0, stall_probability=0.2
+        ),
+        seed=seed,
+        trace=trace,
+    )
 
 
 class ScalarStepBackend:
@@ -235,22 +266,8 @@ class ScalarStepBackend:
                 algorithm, env.f, list(task.initial_values), params,
                 use_translation=env.use_translation, observers=observers,
             )
-        schedule, faults, lossy = _fault_plan(env, n)
         trace = stack.trace
-        simulator = SystemSimulator(
-            stack.programs,
-            params,
-            schedule,
-            fault_schedule=faults,
-            bad_network=BadPeriodNetwork(
-                loss_probability=0.5 if lossy else 0.0, min_delay=1.0, max_delay=30.0
-            ),
-            bad_process_behavior=BadPeriodProcessBehavior(
-                min_step_gap=1.0, max_step_gap=5.0, stall_probability=0.2
-            ),
-            seed=task.seed,
-            trace=trace,
-        )
+        simulator = build_step_simulator(env, stack.programs, trace, task.seed)
         until = self._horizon_time(env, batch, n)
         stop_when = self._stop_predicate(env, batch, trace, monitor, scope)
         simulator.run(until=until, stop_when=stop_when)
@@ -364,7 +381,13 @@ class ScalarStepBackend:
                 messages_sent, messages_delivered,
             )
         stopped_early = bool(getattr(monitor, "stop_requested", False))
-        reports = monitor.reports_json() if monitor is not None else None
+        reports = None
+        if monitor is not None:
+            # The simulator stops mid-round (a fault-free run only once one
+            # process is past the horizon); like everything above, the
+            # reports cover the executed rounds and nothing after them.
+            monitor.finalize(last_round=rounds_executed)
+            reports = monitor.reports_json()
         return ReplicaOutcome(
             seed=task.seed,
             decisions=decisions,
@@ -456,20 +479,19 @@ class BatchStepBackend:
     timeout, so every process executes round r's transition with
     ``HO = Pi`` in lockstep.  Such a cell *is* the upper algorithm under a
     :class:`FaultFreeOracle`, round for round, and runs as one
-    ``(R, n, ceil(n/64))`` batched unit.  Every other cell -- faulty
-    schedules (down processes take no steps; bad-period timing is
-    event-granular), the ``arbitrary-good`` stack (its INIT/round wire
-    protocol and the translation's message timing are not round-shaped
-    until the good period stabilises) and monitored runs (monitors attach
-    to the step engine's observer hook) -- degrades per cell to
+    ``(R, n, ceil(n/64))`` batched unit, its monitors the batch monitors
+    of the same :class:`~repro.rounds.backend.MonitorSpec`.  Every other
+    cell -- faulty schedules (down processes take no steps; bad-period
+    timing is event-granular) and the ``arbitrary-good`` stack (its
+    INIT/round wire protocol and the translation's message timing are not
+    round-shaped until the good period stabilises) -- degrades per cell to
     :class:`ScalarStepBackend`, with the reason in
     ``last_fallback_reason``.
     """
 
     name = "step-batch"
 
-    def __init__(self, force_fallback: bool = False) -> None:
-        self.force_fallback = force_fallback
+    def __init__(self) -> None:
         self._scalar = ScalarStepBackend()
         #: why the last ``run`` degraded to the scalar step path (None =
         #: it lowered to the vectorised round engine).
@@ -489,8 +511,6 @@ class BatchStepBackend:
     def _fallback_reason(self, batch: ReplicaBatch) -> Optional[str]:
         from .._optional import have_numpy
 
-        if self.force_fallback:
-            return FallbackReason.FORCED.render()
         if not have_numpy():
             return FallbackReason.NO_NUMPY.render()
         environments = {_environment_of(task) for task in batch.tasks}
@@ -501,8 +521,6 @@ class BatchStepBackend:
             return FallbackReason.ARBITRARY_GOOD_STACK.render()
         if env.fault_model != "fault-free":
             return FallbackReason.FAULTED_STEP_CELL.render(fault_model=env.fault_model)
-        if batch.monitor_spec is not None:
-            return FallbackReason.MONITORED_STEP_PATH.render()
         return None
 
     # ------------------------------------------------------------------ #
@@ -513,21 +531,11 @@ class BatchStepBackend:
     def _run_lowered(batch: ReplicaBatch) -> List[ReplicaOutcome]:
         from ..adversaries import FaultFreeOracle
 
-        lowered = ReplicaBatch(
-            n=batch.n,
-            tasks=[
-                ReplicaTask(
-                    seed=task.seed,
-                    algorithm=task.algorithm,
-                    oracle=FaultFreeOracle(batch.n),
-                    initial_values=task.initial_values,
-                )
-                for task in batch.tasks
-            ],
-            max_rounds=batch.max_rounds,
-            scope_mask=batch.scope_mask,
-            run_full_horizon=batch.run_full_horizon,
-            fingerprints=batch.fingerprints,
+        # The same cell -- scope, horizon, monitors, fingerprints -- with the
+        # step environment swapped for the oracle it is equivalent to.
+        lowered = replace(
+            batch,
+            tasks=[replace(task, oracle=FaultFreeOracle(batch.n)) for task in batch.tasks],
         )
         return get_backend("batch").run(lowered)
 
@@ -556,5 +564,6 @@ __all__ = [
     "StepEnvironment",
     "ScalarStepBackend",
     "BatchStepBackend",
+    "build_step_simulator",
     "step_horizon_rounds",
 ]

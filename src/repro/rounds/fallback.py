@@ -32,10 +32,9 @@ class FallbackReason(Enum):
     """
 
     # -- shared by every decision layer ------------------------------- #
-    FORCED = "forced"
     NO_NUMPY = "numpy unavailable (install the 'fast' extra)"
 
-    # -- the per-cell batch backend (repro.batch.backends) ------------- #
+    # -- the round-level tiers' one admission (repro.batch.backends) --- #
     SIZE_MISMATCH = "algorithm size does not match the batch"
     MIXED_ALGORITHMS = "mixed algorithm classes: {classes}"
     NO_BATCH_KERNEL = "no batched kernel for {algorithm}"
@@ -72,7 +71,6 @@ class FallbackReason(Enum):
         "fault model {fault_model!r} breaks lockstep "
         "(down processes and bad-period timing are event-granular)"
     )
-    MONITORED_STEP_PATH = "monitored step runs take the scalar step path"
 
     def render(self, **context: object) -> str:
         """The recorded reason string: the member's template, formatted."""

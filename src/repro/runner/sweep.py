@@ -396,6 +396,21 @@ def _cell_aggregates(outcomes: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
     return aggregates
 
 
+def _fallback_label(name: str, reason: Optional[str]) -> str:
+    """A record's backend label: *name*, or which hop it took and why.
+
+    The super backend degrades to the per-cell *batch* path (which may
+    still vectorise); the compiled backend degrades to the numpy batch
+    path; the batch and step-batch backends degrade to their scalar loop.
+    """
+    if reason is None:
+        return name
+    kind = {"super": "cell-fallback", "compiled": "batch-fallback"}.get(
+        name, "scalar-fallback"
+    )
+    return f"{name}:{kind} ({reason})"
+
+
 def _effective_backend(backend: ExecutionBackend) -> str:
     """What actually executed a batched cell, for the record's diagnostics.
 
@@ -406,16 +421,7 @@ def _effective_backend(backend: ExecutionBackend) -> str:
     outcomes are backend-independent by contract, so the field is
     deliberately outside the cell identity.
     """
-    reason = getattr(backend, "last_fallback_reason", None)
-    if reason is None:
-        return backend.name
-    # The super backend degrades to the per-cell *batch* path (which may
-    # still vectorise); the compiled backend degrades to the numpy batch
-    # path; the batch and step-batch backends degrade to their scalar loop.
-    kind = {"super": "cell-fallback", "compiled": "batch-fallback"}.get(
-        backend.name, "scalar-fallback"
-    )
-    return f"{backend.name}:{kind} ({reason})"
+    return _fallback_label(backend.name, getattr(backend, "last_fallback_reason", None))
 
 
 def _error_text(exc: Exception) -> str:
@@ -1042,8 +1048,7 @@ def _execute_super_grid(
     per_cell_wall = (time.perf_counter() - started) / len(plans)
     reasons = backend.last_fallback_reasons
     for slot, (index, spec, plan) in enumerate(plans):
-        reason = reasons.get(slot)
-        used = "super" if reason is None else f"super:cell-fallback ({reason})"
+        used = _fallback_label("super", reasons.get(slot))
         outcomes, error = _finalize(plan, results[slot])
         record = _cell_record(spec, outcomes, used, per_cell_wall, error)
         emit(record)

@@ -39,7 +39,7 @@ against every backend per seed.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..adversaries import (
     FaultFreeOracle,
@@ -49,11 +49,11 @@ from ..adversaries import (
     StaticCrashOracle,
 )
 from ..algorithms import LastVoting, OneThirdRule, UniformVoting
-from ..analysis.consensus_check import check_consensus
-from ..analysis.metrics import metrics_from_trace
+from ..analysis.consensus_check import ConsensusVerdict, check_consensus
+from ..analysis.metrics import RunMetrics, metrics_from_trace
 from ..core.machine import HOMachine
 from ..engine.rng import SeededRng
-from ..rounds.backend import CellPlan, MonitorSpec, ReplicaBatch, ReplicaTask
+from ..rounds.backend import CellPlan, MonitorSpec, ReplicaBatch, ReplicaOutcome, ReplicaTask
 from ..rounds.bitmask import iter_bits, mask_of
 from ..runner.registry import REGISTRY
 from .scenarios import FAULT_MODELS, ScenarioResult, _initial_values, _scope_for
@@ -124,30 +124,49 @@ class _DecisionsView:
         return dict(self._decisions)
 
 
-def _replica_outcome_dict(
-    outcome: Any, values: Sequence[Any], scope: Sequence[int]
-) -> Dict[str, Any]:
-    """Flatten one backend ReplicaOutcome into the sweep's wire shape.
+def project_outcome(
+    outcome: ReplicaOutcome, values: Sequence[Any], scope: Sequence[int]
+) -> Tuple[ConsensusVerdict, RunMetrics]:
+    """One backend outcome as a consensus verdict and round-level metrics.
 
-    The verdict comes from the very same :func:`check_consensus` the scalar
-    scenario path uses (over the outcome's trace-free decision table), so
-    the consensus semantics cannot drift between the two paths; the metric
-    fields mirror ``metrics_from_trace`` scoped to the surviving processes,
-    with round-level times equal to round numbers.
+    The one projection behind both record shapes (a batched cell's
+    per-replica wire dict, a one-seed run's :class:`ScenarioResult`).  The
+    verdict is the scalar scenario path's own :func:`check_consensus` over
+    the trace-free decision table; the metrics mirror ``metrics_from_trace``
+    scoped to the surviving processes, with times equal to round numbers.
     """
     verdict = check_consensus(_DecisionsView(outcome.decisions), values, scope=scope)
     scope_set = frozenset(scope)
-    scoped_rounds = [r for p, r in outcome.decision_rounds.items() if p in scope_set]
+    decided = {p: v for p, v in outcome.decisions.items() if p in scope_set}
+    rounds = [outcome.decision_rounds[p] for p in decided]
+    metrics = RunMetrics(
+        decided_processes=len(decided),
+        scope_size=len(scope_set),
+        unanimous=len(set(decided.values())) <= 1,
+        first_decision_time=float(min(rounds)) if rounds else None,
+        last_decision_time=float(max(rounds)) if rounds else None,
+        first_decision_round=min(rounds) if rounds else None,
+        last_decision_round=max(rounds) if rounds else None,
+        messages_sent=outcome.messages_sent,
+    )
+    return verdict, metrics
+
+
+def _replica_outcome_dict(
+    outcome: ReplicaOutcome, values: Sequence[Any], scope: Sequence[int]
+) -> Dict[str, Any]:
+    """Flatten one backend ReplicaOutcome into the sweep's wire shape."""
+    verdict, metrics = project_outcome(outcome, values, scope)
     return {
         "seed": outcome.seed,
         "solved": verdict.solved,
         "safe": verdict.safe,
         "terminated": verdict.termination,
-        "decided_processes": sum(1 for p in outcome.decisions if p in scope_set),
-        "scope_size": len(scope_set),
-        "first_decision_time": float(min(scoped_rounds)) if scoped_rounds else None,
-        "last_decision_time": float(max(scoped_rounds)) if scoped_rounds else None,
-        "messages_sent": outcome.messages_sent,
+        "decided_processes": metrics.decided_processes,
+        "scope_size": metrics.scope_size,
+        "first_decision_time": metrics.first_decision_time,
+        "last_decision_time": metrics.last_decision_time,
+        "messages_sent": metrics.messages_sent,
         "error": None,
         "predicates": outcome.predicate_reports,
     }
@@ -317,6 +336,7 @@ __all__ = [
     "CLASSIC_ALGORITHMS",
     "fault_overlay",
     "cell_plan",
+    "project_outcome",
     "run_single_seed",
     "build_classic_batch",
     "run_classic",

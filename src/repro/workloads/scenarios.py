@@ -31,15 +31,7 @@ from ..failure_detectors import (
 )
 from ..predicates import MonitorBank, build_monitor_bank
 from ..predimpl import build_down_stack
-from ..sysmodel import (
-    BadPeriodNetwork,
-    BadPeriodProcessBehavior,
-    FaultSchedule,
-    GoodPeriodKind,
-    PeriodSchedule,
-    SynchronyParams,
-    SystemSimulator,
-)
+from ..predimpl.step_backend import StepEnvironment, build_step_simulator
 
 #: Fault-model identifiers shared by every runner in this module.
 FAULT_MODELS = ("fault-free", "crash-stop", "crash-recovery", "lossy")
@@ -126,9 +118,11 @@ def run_ho_stack(
     the *unscoped* predicates (``p_otr``, ``p_restr_otr``) are anytime
     approximations rather than exact whole-collection verdicts.
     """
-    if fault_model not in FAULT_MODELS:
-        raise ValueError(f"unknown fault model {fault_model!r}; expected one of {FAULT_MODELS}")
-    params = SynchronyParams(phi=phi, delta=delta)
+    # The environment validates the fault model.
+    env = StepEnvironment(
+        fault_model=fault_model, phi=phi, delta=delta,
+        bad_period_length=bad_period_length, good_period_length=good_period_length,
+    )
     values = _initial_values(n)
     scope = _scope_for(fault_model, n)
     bank: Optional[MonitorBank] = None
@@ -145,60 +139,18 @@ def run_ho_stack(
         observers = (bank,)
     elif stop_after_held is not None:
         raise ValueError("stop_after_held requires at least one monitored predicate")
-    stack = build_down_stack(OneThirdRule(n), values, params, observers=observers)
-
-    faults = FaultSchedule.none()
-    lossy = False
-    if fault_model == "fault-free":
-        schedule = PeriodSchedule.always_good(n, GoodPeriodKind.PI_GOOD)
-    elif fault_model == "crash-stop":
-        # The last process crashes for good during the bad period; the good
-        # period is pi0-down for the surviving processes.
-        pi0 = frozenset(range(n - 1))
-        faults = FaultSchedule.crash_stop([(n - 1, bad_period_length / 4)])
-        schedule = PeriodSchedule.single_good_period(
-            n, start=bad_period_length, length=good_period_length,
-            kind=GoodPeriodKind.PI0_DOWN, pi0=pi0,
-        )
-        lossy = True
-    elif fault_model == "crash-recovery":
-        # Every process crashes and recovers at least once during the bad period.
-        incidents = [
-            (p, bad_period_length * (0.1 + 0.15 * p), bad_period_length * (0.3 + 0.15 * p))
-            for p in range(n)
-        ]
-        faults = FaultSchedule.crash_recovery(incidents)
-        schedule = PeriodSchedule.single_good_period(
-            n, start=bad_period_length, length=good_period_length,
-            kind=GoodPeriodKind.PI0_DOWN,
-        )
-        lossy = True
-    else:  # "lossy": no crashes, only message loss before the good period
-        schedule = PeriodSchedule.single_good_period(
-            n, start=bad_period_length, length=good_period_length,
-            kind=GoodPeriodKind.PI0_DOWN,
-        )
-        lossy = True
-
-    simulator = SystemSimulator(
-        stack.programs,
-        params,
-        schedule,
-        seed=seed,
-        trace=stack.trace,
-        fault_schedule=faults,
-        bad_network=BadPeriodNetwork(loss_probability=0.5 if lossy else 0.0,
-                                     min_delay=1.0, max_delay=30.0),
-        bad_process_behavior=BadPeriodProcessBehavior(
-            min_step_gap=1.0, max_step_gap=5.0, stall_probability=0.2
-        ),
-    )
+    stack = build_down_stack(OneThirdRule(n), values, env.params(), observers=observers)
+    simulator = build_step_simulator(env, stack.programs, stack.trace, seed)
     stop_when = None
     if bank is not None and stop_after_held is not None:
         stop_when = lambda: bank.stop_requested  # noqa: E731
     trace = simulator.run(until=bad_period_length + good_period_length, stop_when=stop_when)
     verdict = check_consensus(trace, values, scope=scope)
-    configuration = FaultConfiguration(n=n, schedule=faults, lossy_links=lossy)
+    configuration = FaultConfiguration(
+        n=n,
+        schedule=simulator.fault_schedule,
+        lossy_links=simulator.network.bad_behavior.loss_probability > 0.0,
+    )
     extra: Dict[str, Any] = {"fault_class": classify(configuration).value}
     if bank is not None:
         extra["predicate_reports"] = bank.reports_json()

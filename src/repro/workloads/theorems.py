@@ -37,8 +37,6 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..adversaries import CounterKernelOracle, HOOracleBase, IntersectOracle
 from ..algorithms import OneThirdRule
-from ..analysis.consensus_check import check_consensus
-from ..analysis.metrics import RunMetrics
 from ..engine.rng import SeededRng
 from ..predimpl.step_backend import (
     ARBITRARY_GOOD,
@@ -48,10 +46,10 @@ from ..predimpl.step_backend import (
     step_horizon_rounds,
 )
 from ..predimpl.translation import KernelToUniformTranslation
-from ..rounds.backend import CellPlan, ReplicaOutcome, ReplicaTask
+from ..rounds.backend import CellPlan, ReplicaTask
 from ..rounds.bitmask import iter_bits
 from ..runner.registry import REGISTRY
-from .batched import _classic_values, _DecisionsView, cell_plan, fault_overlay, run_single_seed
+from .batched import _classic_values, cell_plan, fault_overlay, project_outcome, run_single_seed
 from .scenarios import ScenarioResult, _scope_for
 
 #: How the sweep's generic backend choices resolve for step-path scenarios
@@ -63,28 +61,6 @@ STEP_BACKEND_ALIASES = {
     "super": "step-batch",
     "scalar": "step-scalar",
 }
-
-
-def _metrics_from_outcome(outcome: ReplicaOutcome, scope: Sequence[int]) -> RunMetrics:
-    """Round-level RunMetrics from a backend outcome (times = round numbers).
-
-    Field for field the shape :func:`_replica_outcome_dict` exposes on the
-    wire, so a scalar sweep loop over :func:`run_step` and a batched cell
-    produce identical records.
-    """
-    scope_set = frozenset(scope)
-    decided = {p: v for p, v in outcome.decisions.items() if p in scope_set}
-    rounds = [outcome.decision_rounds[p] for p in decided]
-    return RunMetrics(
-        decided_processes=len(decided),
-        scope_size=len(scope_set),
-        unanimous=len(set(decided.values())) <= 1,
-        first_decision_time=float(min(rounds)) if rounds else None,
-        last_decision_time=float(max(rounds)) if rounds else None,
-        first_decision_round=min(rounds) if rounds else None,
-        last_decision_round=max(rounds) if rounds else None,
-        messages_sent=outcome.messages_sent,
-    )
 
 
 # --------------------------------------------------------------------------- #
@@ -173,7 +149,7 @@ def run_step(
     backend = ScalarStepBackend(keep_traces=keep_trace)
     (outcome,) = backend.run(batch)
     scope = sorted(iter_bits(batch.effective_scope_mask))
-    verdict = check_consensus(_DecisionsView(outcome.decisions), task.initial_values, scope=scope)
+    verdict, metrics = project_outcome(outcome, task.initial_values, scope)
     extra: Dict[str, Any] = {
         "kind": kind,
         "rounds": batch.max_rounds,
@@ -192,7 +168,7 @@ def run_step(
         n=n,
         seed=seed,
         verdict=verdict,
-        metrics=_metrics_from_outcome(outcome, scope),
+        metrics=metrics,
         extra=extra,
     )
 

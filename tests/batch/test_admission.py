@@ -1,0 +1,265 @@
+"""The tier ladder's admission, as one table.
+
+Every array tier (``batch``, ``super``, ``compiled``) admits a
+:class:`~repro.rounds.backend.ReplicaBatch` through the same shared rungs
+(:func:`repro.batch.backends.admit` / ``build_cell``) and then its own.
+Each row below is one declining input on one tier: the rendered reason is
+pinned, rows where two rungs apply pin the precedence, and the outcomes
+must equal the reference backend's -- a declined batch takes a lower tier,
+never a different answer.
+
+Nothing here forces a hop: every row declines for a reason a real input
+can produce.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Optional
+
+import pytest
+
+from repro._optional import have_numpy
+from repro.adversaries import FaultFreeOracle, RandomOmissionOracle
+from repro.algorithms import LastVoting, OneThirdRule, UniformVoting
+from repro.batch import BatchBackend, SuperBatchBackend
+
+# Imported here, not inside a row: repro.compiled.kernels binds numpy when it
+# is first imported, which must not happen under a row that patches numpy away.
+from repro.compiled import CompiledBackend
+from repro.engine.rng import SeededRng
+from repro.predimpl.step_backend import BatchStepBackend, StepEnvironment
+from repro.predimpl.translation import KernelToUniformTranslation
+from repro.rounds.backend import MonitorSpec, ReplicaBatch, ReplicaTask, get_backend
+from repro.rounds.bitmask import mask_of
+from repro.rounds.fallback import FallbackReason
+
+from .test_backend_equivalence import make_batch
+from .test_super_batch import FAMILIES, make_cell
+
+pytestmark = pytest.mark.skipif(not have_numpy(), reason="numpy not available")
+
+
+TIERS = {
+    "batch": BatchBackend,
+    "super": SuperBatchBackend,
+    # The cores run under CPython, so the tier engages without numba.
+    "compiled": lambda: CompiledBackend(interpreted=True),
+    # The production configuration: JIT or nothing.
+    "compiled-jit": lambda: CompiledBackend(interpreted=False),
+    "step-batch": BatchStepBackend,
+}
+
+
+class Custom(OneThirdRule):
+    """An algorithm no batched kernel is registered for."""
+
+    def transition(self, round, process, state, received):
+        return state
+
+
+def cell(
+    algorithms=(OneThirdRule, OneThirdRule),
+    n=3,
+    values=(10, 20, 30),
+    oracle=lambda n, seed: FaultFreeOracle(n),
+    **kwargs,
+) -> ReplicaBatch:
+    """A small batch, one task per entry of *algorithms*."""
+    tasks = [
+        ReplicaTask(
+            seed=seed,
+            algorithm=algorithm(n),
+            oracle=oracle(n, seed),
+            initial_values=list(values),
+        )
+        for seed, algorithm in enumerate(algorithms)
+    ]
+    return ReplicaBatch(n=n, tasks=tasks, max_rounds=8, **kwargs)
+
+
+def mis_sized(**kwargs) -> ReplicaBatch:
+    return cell(algorithms=(lambda n: OneThirdRule(8),), **kwargs)
+
+
+def mixed(**kwargs) -> ReplicaBatch:
+    return cell(algorithms=(OneThirdRule, UniformVoting), **kwargs)
+
+
+def translated(**kwargs) -> ReplicaBatch:
+    return cell(
+        algorithms=(lambda n: KernelToUniformTranslation(OneThirdRule(n), 1),) * 2,
+        n=4, values=(10, 20, 30, 40), **kwargs,
+    )
+
+
+def lossy(**kwargs) -> ReplicaBatch:
+    """Seeded omission: its vectorised form keeps the per-replica query loop."""
+    return cell(
+        oracle=lambda n, seed: RandomOmissionOracle(n, 0.25, rng=SeededRng(seed)), **kwargs
+    )
+
+
+def step_cell() -> ReplicaBatch:
+    """A fault-free down-good step cell: the one shape ``step-batch`` lowers."""
+    return cell(oracle=lambda n, seed: StepEnvironment(), fingerprints=True)
+
+
+MONITORED = MonitorSpec(predicates=("p_su",))
+COMPLEX = (1 + 1j, 2 + 2j, 1 + 1j)  # not totally ordered
+COLLIDING = (1.0, 1, 2)  # 1.0 == 1, repr differs
+
+NO_NUMPY = FallbackReason.NO_NUMPY.render()
+SIZE_MISMATCH = FallbackReason.SIZE_MISMATCH.render()
+MIXED = FallbackReason.MIXED_ALGORITHMS.render(classes=["OneThirdRule", "UniformVoting"])
+NO_KERNEL = FallbackReason.NO_BATCH_KERNEL.render(algorithm="Custom")
+UNENCODABLE = FallbackReason.UNENCODABLE_VALUES.render(
+    error="'<' not supported between instances of 'complex' and 'complex'"
+)
+COLLISION = FallbackReason.VALUE_REPR_COLLISION.render(kept=1.0, value=1)
+NOT_SUPER = FallbackReason.NOT_SUPER_BATCHABLE.render(kernel="BatchTranslationKernel")
+
+
+@dataclass(frozen=True)
+class Row:
+    tier: str
+    what: str
+    make: Callable[[], ReplicaBatch]
+    reason: str
+    #: pretend this optional dependency is not installed.
+    without: Optional[str] = None
+    #: the reference rejects the batch too: every tier must raise the same.
+    raises: Optional[str] = None
+    reference: str = "scalar"
+
+    @property
+    def id(self) -> str:
+        return f"{self.tier}-{self.what}"
+
+
+def shared_rows(tier: str):
+    """The rungs of the one admission, identical on every array tier."""
+    return [
+        Row(tier, "numpy-disabled", cell, NO_NUMPY, without="NUMPY"),
+        Row(tier, "mis-sized", mis_sized, SIZE_MISMATCH, raises="sized for n=8"),
+        Row(tier, "mixed-classes", mixed, MIXED),
+        Row(tier, "unregistered", lambda: cell(algorithms=(Custom, Custom)), NO_KERNEL),
+        Row(tier, "unencodable", lambda: cell(values=COMPLEX), UNENCODABLE),
+        Row(tier, "repr-collision", lambda: cell(values=COLLIDING), COLLISION),
+        # precedence inside the shared rungs
+        Row(tier, "numpy-disabled+mis-sized", mis_sized, NO_NUMPY,
+            without="NUMPY", raises="sized for n=8"),
+        Row(tier, "mis-sized+mixed",
+            lambda: cell(algorithms=(lambda n: OneThirdRule(8), UniformVoting)),
+            SIZE_MISMATCH, raises="sized for n=8"),
+        Row(tier, "mixed+unregistered",
+            lambda: cell(algorithms=(Custom, UniformVoting)),
+            FallbackReason.MIXED_ALGORITHMS.render(classes=["Custom", "UniformVoting"])),
+        Row(tier, "unregistered+unencodable",
+            lambda: cell(algorithms=(Custom, Custom), values=COMPLEX), NO_KERNEL),
+    ]
+
+
+def own_rows(tier: str, monitored: str, fingerprinted: str):
+    """The monitored/fingerprinted rungs ``super`` and ``compiled`` each add."""
+    return [
+        Row(tier, "monitored", lambda: cell(monitor_spec=MONITORED), monitored),
+        Row(tier, "fingerprinted", lambda: cell(fingerprints=True), fingerprinted),
+        # shared rungs come first, value encoding last
+        Row(tier, "mixed+monitored", lambda: mixed(monitor_spec=MONITORED), MIXED),
+        Row(tier, "unregistered+fingerprinted",
+            lambda: cell(algorithms=(Custom, Custom), fingerprints=True), NO_KERNEL),
+        Row(tier, "monitored+fingerprinted",
+            lambda: cell(monitor_spec=MONITORED, fingerprints=True), monitored),
+        Row(tier, "fingerprinted+unencodable",
+            lambda: cell(values=COMPLEX, fingerprints=True), fingerprinted),
+    ]
+
+
+ROWS = [
+    *shared_rows("batch"),
+    *shared_rows("super"),
+    *shared_rows("compiled"),
+    *own_rows(
+        "super",
+        FallbackReason.MONITORED_PER_CELL.render(),
+        FallbackReason.FINGERPRINTED_PER_CELL.render(),
+    ),
+    *own_rows(
+        "compiled",
+        FallbackReason.MONITORED_COMPILED_CELL.render(),
+        FallbackReason.FINGERPRINTED_COMPILED_CELL.render(),
+    ),
+    Row("super", "translation-kernel", translated, NOT_SUPER),
+    Row("super", "translation-kernel+monitored",
+        lambda: translated(monitor_spec=MONITORED), NOT_SUPER),
+    Row("compiled", "per-replica-oracle", lossy,
+        FallbackReason.OPAQUE_COMPILED_ORACLE.render()),
+    Row("compiled", "unencodable+per-replica-oracle",
+        lambda: lossy(values=COMPLEX), UNENCODABLE),
+    Row("compiled-jit", "numba-disabled", cell,
+        FallbackReason.NO_NUMBA.render(), without="NUMBA"),
+    Row("compiled-jit", "numba-disabled+mis-sized", mis_sized,
+        FallbackReason.NO_NUMBA.render(), without="NUMBA", raises="sized for n=8"),
+    Row("compiled-jit", "numpy-disabled", cell, NO_NUMPY, without="NUMPY"),
+    # Each hop on a cell the tier would otherwise take: batch -> scalar on a
+    # stateful-oracle cell and on a monitored one, super -> per-cell batch,
+    # compiled -> numpy batch, step-batch -> step-scalar on a lowerable cell.
+    Row("batch", "lossy-cell-without-numpy",
+        lambda: make_batch(LastVoting, "lossy", 5, 3, 4), NO_NUMPY, without="NUMPY"),
+    Row("batch", "monitored-cell-without-numpy",
+        lambda: make_batch(
+            OneThirdRule, "partition-heal", 5, 7, 6, run_full_horizon=True,
+            monitor_spec=MonitorSpec(
+                predicates=("p_su", "p_k"), pi0_mask=mask_of(range(5)), stop_after_held=3
+            ),
+        ),
+        NO_NUMPY, without="NUMPY"),
+    Row("super", "fingerprinted-mobile-cell",
+        lambda: make_cell(OneThirdRule, 5, 3, 3, FAMILIES["mobile"], fingerprints=True),
+        FallbackReason.FINGERPRINTED_PER_CELL.render()),
+    Row("compiled", "fingerprinted-lossy-cell",
+        lambda: make_batch(LastVoting, "crash+lossy", 5, 3, 4),
+        FallbackReason.FINGERPRINTED_COMPILED_CELL.render()),
+    Row("step-batch", "lowerable-cell-without-numpy", step_cell, NO_NUMPY,
+        without="NUMPY", reference="step-scalar"),
+]
+
+
+def recorded_reason(backend) -> Optional[str]:
+    """The reason of the batch just run (the super backend keeps one per cell)."""
+    per_cell = getattr(backend, "last_fallback_reasons", None)
+    return per_cell.get(0) if per_cell is not None else backend.last_fallback_reason
+
+
+@pytest.mark.parametrize("row", ROWS, ids=[row.id for row in ROWS])
+def test_declined_batch_records_its_reason_and_matches_the_reference(row, monkeypatch):
+    if row.without is not None:
+        monkeypatch.setattr(f"repro._optional.{row.without}", None)
+    backend = TIERS[row.tier]()
+    reference = get_backend(row.reference)
+    if row.raises is not None:
+        with pytest.raises(ValueError, match=row.raises):
+            reference.run(row.make())
+        with pytest.raises(ValueError, match=row.raises):
+            backend.run(row.make())
+        assert recorded_reason(backend) == row.reason
+        return
+    outcomes = backend.run(row.make())
+    assert recorded_reason(backend) == row.reason
+    assert outcomes == reference.run(row.make())
+
+
+def test_monitors_and_stop_policies_survive_the_hop(monkeypatch):
+    """A monitored batch monitors on *every* path.
+
+    The scalar loop builds its MonitorBank from the same spec, so reports
+    and early-stop timing are identical whether or not vectorisation engaged.
+    """
+    (row,) = [row for row in ROWS if row.what == "monitored-cell-without-numpy"]
+    free = BatchBackend().run(row.make())
+    monkeypatch.setattr("repro._optional.NUMPY", None)
+    declined = BatchBackend().run(row.make())
+    assert declined == free
+    assert all(o.predicate_reports for o in declined)
+    assert all(o.stopped_early for o in declined)

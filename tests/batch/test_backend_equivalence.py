@@ -1,8 +1,8 @@
 """The backend contract: batch execution is bit-identical to the scalar path.
 
 Golden scenarios (all three algorithms x the classic fault-model axis) are
-executed three ways -- the scalar reference backend, the vectorised batch
-backend, and the batch backend with vectorisation forcibly disabled -- and
+executed on the scalar reference backend and on the vectorised batch
+backend (``test_admission.py`` covers the batch backend declining), and
 every replica must agree on decisions, decision rounds, message accounting,
 predicate reports and the per-round fingerprints.
 """
@@ -120,16 +120,6 @@ class TestBitIdenticalReplicas:
         )
         assert batched == scalar
 
-    @needs_numpy
-    def test_forced_fallback_is_also_identical(self):
-        forced = BatchBackend(force_fallback=True)
-        free = BatchBackend()
-        a = forced.run(make_batch(LastVoting, "lossy", 5, 3, 4))
-        b = free.run(make_batch(LastVoting, "lossy", 5, 3, 4))
-        assert forced.last_fallback_reason == "forced"
-        assert free.last_fallback_reason is None
-        assert a == b
-
     def test_fallback_on_unencodable_values(self):
         backend = BatchBackend()
         tasks = [
@@ -222,21 +212,6 @@ class TestMonitoredBatches:
         scalar = get_backend("scalar").run(self._make(fault_model, stop, horizon))
         batched = get_backend("batch").run(self._make(fault_model, stop, horizon))
         assert batched == scalar
-
-    def test_monitoring_survives_the_fallback(self):
-        """A monitored batch must monitor on *every* path.
-
-        The scalar loop builds its MonitorBank from the same spec, so
-        reports and early-stop timing are identical whether or not
-        vectorisation engaged.
-        """
-        forced = BatchBackend(force_fallback=True).run(
-            self._make("partition-heal", stop=3, horizon=True)
-        )
-        free = BatchBackend().run(self._make("partition-heal", stop=3, horizon=True))
-        assert forced == free
-        assert all(o.predicate_reports for o in forced)
-        assert all(o.stopped_early for o in forced)
 
 
 class TestRngReplicate:

@@ -178,13 +178,6 @@ class TestPerCellFallbacks:
         )
         assert outcomes == get_backend("scalar").run(cell)
 
-    def test_forced_fallback_is_identical(self):
-        cell = make_cell(OneThirdRule, 5, 3, 3, FAMILIES["mobile"])
-        forced = SuperBatchBackend(force_fallback=True)
-        outcomes = forced.run(cell)
-        assert forced.last_fallback_reason == "forced"
-        assert outcomes == get_backend("scalar").run(cell)
-
     def test_mixed_grid_fallback_and_super_coexist(self):
         """Eligible cells super-batch; the monitored one drops per-cell."""
         eligible = make_cell(OneThirdRule, 4, 0, 2, FAMILIES["coordinator"])
@@ -209,9 +202,7 @@ def test_super_backend_registered():
 
 def test_scalar_fallback_without_numpy_matches(monkeypatch):
     """Numpy-free environments still get correct (per-cell scalar) results."""
-    import repro.batch.super as super_mod
-
-    monkeypatch.setattr(super_mod, "have_numpy", lambda: False)
+    monkeypatch.setattr("repro._optional.NUMPY", None)
     backend = SuperBatchBackend()
     cell = make_cell(OneThirdRule, 4, 0, 2, FAMILIES["mobile"])
     outcomes = backend.run(cell)

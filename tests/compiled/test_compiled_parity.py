@@ -198,18 +198,6 @@ def test_empty_scope_runs_zero_rounds():
 # --------------------------------------------------------------------- #
 
 
-def test_forced_fallback_matches_free_run():
-    from repro.compiled import CompiledBackend
-
-    forced = CompiledBackend(force_fallback=True, interpreted=True)
-    free = compiled_backend()
-    a = forced.run(make_batch(LastVoting, "bursty", 5, 3, 4))
-    b = free.run(make_batch(LastVoting, "bursty", 5, 3, 4))
-    assert forced.last_fallback_reason == FallbackReason.FORCED.render()
-    assert free.last_fallback_reason is None
-    assert a == b
-
-
 def test_without_numba_the_batch_path_runs(monkeypatch):
     """A non-interpreted backend degrades with NO_NUMBA when numba is absent."""
     from repro.compiled import CompiledBackend

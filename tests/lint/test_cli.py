@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint.cli import DEFAULT_BASELINE, main
+from repro.lint.cli import main
 from repro.lint.report import JSON_SCHEMA
 from repro.lint.rules import rule_codes
 
@@ -69,38 +69,6 @@ def test_unknown_select_code_is_a_usage_error(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as excinfo:
         main(["repro", "--no-audit", "--select", "REP999"])
-    assert excinfo.value.code == 2
-
-
-def test_update_baseline_round_trip(tmp_path, monkeypatch, capsys):
-    write_tree(tmp_path, BAD_TREE)
-    monkeypatch.chdir(tmp_path)
-    assert main(["repro", "--no-audit", "--update-baseline"]) == 0
-    assert "wrote 2 findings" in capsys.readouterr().out
-    assert (tmp_path / DEFAULT_BASELINE).is_file()
-    # the default baseline in cwd is picked up without a flag
-    assert main(["repro", "--no-audit"]) == 0
-    assert "2 baselined" in capsys.readouterr().out
-
-
-def test_stale_baseline_is_reported_not_fatal(tmp_path, monkeypatch, capsys):
-    write_tree(tmp_path, BAD_TREE)
-    monkeypatch.chdir(tmp_path)
-    assert main(["repro", "--no-audit", "--update-baseline"]) == 0
-    capsys.readouterr()
-    # pay down one of the two grandfathered findings
-    write_tree(tmp_path, {"repro/mod.py": "import random\n"})
-    assert main(["repro", "--no-audit"]) == 0
-    out = capsys.readouterr().out
-    assert "stale baseline" in out
-
-
-def test_unloadable_baseline_is_a_usage_error(tmp_path, monkeypatch):
-    write_tree(tmp_path, CLEAN_TREE)
-    (tmp_path / "bogus.json").write_text("{}")
-    monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as excinfo:
-        main(["repro", "--no-audit", "--baseline", "bogus.json"])
     assert excinfo.value.code == 2
 
 

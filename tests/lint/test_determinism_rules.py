@@ -1,15 +1,12 @@
 """Fixture tests for the determinism rules (REP001-REP006, REP104).
 
-Each rule gets the trio the linter's contract promises: the violation
-*fires*, an inline ``# repro: noqa[...] -- reason`` *suppresses* it, and a
-baseline built from the findings *grandfathers* it.
+Each rule gets the pair the linter's contract promises: the violation
+*fires*, and an inline ``# repro: noqa[...] -- reason`` *suppresses* it.
 """
 
 from __future__ import annotations
 
 import pytest
-
-from repro.lint.baseline import Baseline
 
 from .conftest import check_rule, codes_of, run_lint
 
@@ -37,6 +34,8 @@ VIOLATIONS = [
     ("REP006", "repro/engine/fake.py", "from repro.runner import sweep\n", 1),
     ("REP104", "repro/batch/fake.py",
      "def _fallback_reason(cell):\n    return 'numpy went missing'\n", 2),
+    ("REP104", "repro/batch/fake.py",
+     "def admit(batch):\n    return 'numpy went missing', None\n", 2),
 ]
 
 IDS = [f"{code}-{i}" for i, (code, _, _, _) in enumerate(VIOLATIONS)]
@@ -57,16 +56,6 @@ def test_violation_suppressed(tmp_path, code, rel, source, line):
     result = run_lint(tmp_path, {rel: "\n".join(lines) + "\n"})
     assert result.clean, [f.render() for f in result.findings]
     assert result.suppressed == 1
-
-
-@pytest.mark.parametrize("code, rel, source, line", VIOLATIONS, ids=IDS)
-def test_violation_baselined(tmp_path, code, rel, source, line):
-    first = run_lint(tmp_path, {rel: source}, select=[code])
-    baseline = Baseline.from_findings(first.findings)
-    again = run_lint(tmp_path, {rel: source}, select=[code], baseline=baseline)
-    assert again.clean
-    assert again.baselined == 1
-    assert again.stale_baseline == []
 
 
 # --- per-rule negatives: the sanctioned patterns stay silent ------------- #
@@ -168,7 +157,7 @@ def test_rep104_rendered_enum_values_are_fine():
 
         def _fallback_reason(cell):
             if cell is None:
-                return FallbackReason.FORCED.render()
+                return FallbackReason.NO_NUMPY.render()
             return None
     """
     assert check_rule("REP104", source, module="repro.batch.fake") == []

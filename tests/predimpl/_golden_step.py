@@ -30,16 +30,12 @@ from repro.predimpl.step_backend import (
     STEP_FAULT_MODELS,
     ScalarStepBackend,
     StepEnvironment,
-    _fault_plan,
+    build_step_simulator,
     step_horizon_rounds,
 )
 from repro.rounds.backend import ReplicaBatch, ReplicaTask
 from repro.rounds.bitmask import mask_of
-from repro.sysmodel import (
-    BadPeriodNetwork,
-    BadPeriodProcessBehavior,
-    SystemSimulator,
-)
+from repro.sysmodel import SystemSimulator
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "..", "data", "golden_step_fingerprints.json"
@@ -120,23 +116,8 @@ def compute_outcomes() -> Dict[str, List[Dict[str, Any]]]:
 def run_traced(fault_model: str, n: int, seed: int) -> SystemSimulator:
     """One full-horizon down-good run, built exactly as the backend builds it."""
     env = StepEnvironment(fault_model=fault_model)
-    params = env.params()
-    stack = build_down_stack(OneThirdRule(n), shuffled_values(n, seed), params)
-    schedule, faults, lossy = _fault_plan(env, n)
-    simulator = SystemSimulator(
-        stack.programs,
-        params,
-        schedule,
-        fault_schedule=faults,
-        bad_network=BadPeriodNetwork(
-            loss_probability=0.5 if lossy else 0.0, min_delay=1.0, max_delay=30.0
-        ),
-        bad_process_behavior=BadPeriodProcessBehavior(
-            min_step_gap=1.0, max_step_gap=5.0, stall_probability=0.2
-        ),
-        seed=seed,
-        trace=stack.trace,
-    )
+    stack = build_down_stack(OneThirdRule(n), shuffled_values(n, seed), env.params())
+    simulator = build_step_simulator(env, stack.programs, stack.trace, seed)
     simulator.run(until=env.bad_period_length + env.good_period_length)
     return simulator
 

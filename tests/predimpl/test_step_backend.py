@@ -11,7 +11,9 @@ from __future__ import annotations
 import pytest
 
 from repro._optional import have_numpy
+from repro.adversaries import FaultFreeOracle
 from repro.algorithms import OneThirdRule
+from repro.predicates import MONITOR_NAMES
 from repro.predimpl.step_backend import (
     ARBITRARY_GOOD,
     DOWN_GOOD,
@@ -178,6 +180,76 @@ class TestLoweringBitIdentity:
             assert all(outcome.decisions for outcome in scalar)
 
 
+#: every predicate alone, and the six together in one bank.
+MONITOR_SETS = [(name,) for name in MONITOR_NAMES] + [tuple(MONITOR_NAMES)]
+
+
+def monitored_batch(oracle_of, n, predicates, stop_after_held, run_full_horizon):
+    """A monitored 12-round cell over ``oracle_of(n)``, three seeds."""
+    tasks = [
+        ReplicaTask(
+            seed=seed,
+            algorithm=OneThirdRule(n),
+            oracle=oracle_of(n),
+            initial_values=shuffled_values(n, seed),
+        )
+        for seed in range(3)
+    ]
+    return ReplicaBatch(
+        n=n,
+        tasks=tasks,
+        max_rounds=12,
+        run_full_horizon=run_full_horizon,
+        fingerprints=True,
+        monitor_spec=MonitorSpec(
+            predicates=predicates,
+            pi0_mask=mask_of(range(n)),
+            stop_after_held=stop_after_held,
+            completion_scope=True,
+        ),
+    )
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 10])
+@pytest.mark.parametrize("stop_after_held", [None, 1, 3])
+@pytest.mark.parametrize("run_full_horizon", [False, True])
+class TestMonitoredFaultFreeCells:
+    """A fault-free step cell's reports cover exactly the rounds it executed.
+
+    The simulator stops a full-horizon run only after one process has
+    recorded round ``max_rounds + 1``; that half-reported round used to be
+    drained as a bad one (``rounds_observed`` 13 of 12, ``holds`` False for
+    an always-good run).
+    """
+
+    def test_step_scalar_reports_equal_the_round_level_monitors(
+        self, n, stop_after_held, run_full_horizon
+    ):
+        for predicates in MONITOR_SETS:
+            shape = (predicates, stop_after_held, run_full_horizon)
+            stepped = ScalarStepBackend().run(
+                monitored_batch(lambda n: StepEnvironment(), n, *shape)
+            )
+            rounds = get_backend("scalar").run(monitored_batch(FaultFreeOracle, n, *shape))
+            assert stepped == rounds, predicates
+            for outcome in stepped:
+                for report in outcome.predicate_reports.values():
+                    assert report["rounds_observed"] == outcome.rounds_executed
+
+    @needs_numpy
+    def test_monitored_cell_lowers_bit_identically(
+        self, n, stop_after_held, run_full_horizon
+    ):
+        backend = BatchStepBackend()
+        for predicates in MONITOR_SETS:
+            shape = (predicates, stop_after_held, run_full_horizon)
+            lowered = backend.run(monitored_batch(lambda n: StepEnvironment(), n, *shape))
+            assert backend.last_fallback_reason is None
+            assert lowered == ScalarStepBackend().run(
+                monitored_batch(lambda n: StepEnvironment(), n, *shape)
+            ), predicates
+
+
 class TestDegradation:
     def degrade(self, batch):
         backend = BatchStepBackend()
@@ -206,21 +278,6 @@ class TestDegradation:
         assert "arbitrary-good" in reason if have_numpy() else "numpy" in reason
         assert outcomes[0].decisions
 
-    def test_monitored_cells_degrade_with_reason(self):
-        if not have_numpy():
-            pytest.skip("without numpy every cell degrades for numpy first")
-        env = StepEnvironment()
-        n = 4
-        batch = make_batch(
-            env, n, [0],
-            monitor_spec=MonitorSpec(
-                predicates=("p_su",), pi0_mask=mask_of(range(n)), stop_after_held=None
-            ),
-        )
-        reason, outcomes = self.degrade(batch)
-        assert "monitored" in reason
-        assert outcomes[0].predicate_reports is not None
-
     def test_mixed_environments_degrade(self):
         if not have_numpy():
             pytest.skip("without numpy every cell degrades for numpy first")
@@ -237,13 +294,6 @@ class TestDegradation:
         backend = BatchStepBackend()
         backend.run(ReplicaBatch(n=n, tasks=tasks, max_rounds=8))
         assert "disagree" in backend.last_fallback_reason
-
-    def test_forced_fallback_still_matches_scalar(self):
-        env = StepEnvironment()
-        forced = BatchStepBackend(force_fallback=True)
-        outcomes = forced.run(make_batch(env, 4, [0, 1]))
-        assert forced.last_fallback_reason == "forced"
-        assert outcomes == ScalarStepBackend().run(make_batch(env, 4, [0, 1]))
 
     def test_numpy_free_process_degrades_every_cell(self):
         """The CI numpy-free leg: step-batch must still equal step-scalar
