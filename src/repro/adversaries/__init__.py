@@ -32,6 +32,7 @@ from .batch import (
     BroadcastBatchOracle,
     IntersectBatchOracle,
     PerReplicaBatchOracle,
+    RandomOmissionBatchOracle,
     vectorize_oracles,
 )
 from .base import (
@@ -111,6 +112,7 @@ __all__ = [
     "BatchOracle",
     "BroadcastBatchOracle",
     "PerReplicaBatchOracle",
+    "RandomOmissionBatchOracle",
     "IntersectBatchOracle",
     "vectorize_oracles",
 ]

@@ -17,7 +17,11 @@ strategies cover the whole oracle zoo:
   the corresponding single run would use, queried replica by replica; the
   transition kernels above stay vectorised, and bit-identity with the
   scalar path is preserved because the very same oracle objects draw from
-  the very same :class:`~repro.engine.rng.SeededRng` streams.
+  the very same :class:`~repro.engine.rng.SeededRng` streams.  A batch of
+  plain :class:`~repro.adversaries.classic.RandomOmissionOracle` objects
+  (the ``lossy`` fault model) keeps the per-replica iteration -- the stream is
+  sequential -- but draws each replica's whole round in one go
+  (:class:`RandomOmissionBatchOracle`).
 
 :func:`vectorize_oracles` picks the strategy.  Broadcasting additionally
 assumes the per-replica oracles were *constructed identically* (a
@@ -28,11 +32,13 @@ constructing deterministic oracles independently of the replica seed.
 
 from __future__ import annotations
 
-from typing import Any, Protocol, Sequence, runtime_checkable
+from typing import Any, List, Protocol, Sequence, runtime_checkable
 
 from .._optional import require_numpy
+from ..batch.arrays import pack_bools
 from ..rounds.bitmask import full_mask, mask_to_words, word_count
 from .base import HOOracleBase
+from .classic import RandomOmissionOracle
 
 
 @runtime_checkable
@@ -62,22 +68,26 @@ class BroadcastBatchOracle:
                 f"{type(oracle).__name__} is not replica-invariant; "
                 "use PerReplicaBatchOracle"
             )
-        self.np = np
         self.oracle = oracle
         self.n = oracle.n
         self.replicas = replicas
-        self._words = word_count(self.n)
         self._full = full_mask(self.n)
-        self._row = np.empty((self.n, self._words), dtype=np.uint64)
+        # The row changes only at a phase boundary (a crash round, a
+        # SequenceOracle switch): it is re-spilled when the masks differ
+        # from last round's, and every round returns the same view of it.
+        self._masks: List[int] = []
+        self._row = np.empty((self.n, word_count(self.n)), dtype=np.uint64)
+        self._view = np.broadcast_to(self._row, (replicas, *self._row.shape))
 
     def round_masks(self, round: int, active: Any) -> Any:
-        np = self.np
-        oracle = self.oracle
+        mask_fn = self.oracle.ho_mask
         full = self._full
-        row = self._row
-        for p in range(self.n):
-            row[p] = mask_to_words(oracle.ho_mask(round, p) & full, self.n)
-        return np.broadcast_to(row, (self.replicas, self.n, self._words))
+        masks = [mask_fn(round, p) & full for p in range(self.n)]
+        if masks != self._masks:
+            self._masks = masks
+            for row, mask in zip(self._row, masks):
+                row[:] = mask_to_words(mask, self.n)
+        return self._view
 
 
 class PerReplicaBatchOracle:
@@ -87,6 +97,9 @@ class PerReplicaBatchOracle:
     round, replicas independent), so seeded oracles draw exactly the
     streams their single-run twins draw.  Inactive replicas are skipped --
     their oracles stop being queried the moment their run would have ended.
+
+    :meth:`round_masks` is the one entry point; a subclass that knows its
+    oracles' family overrides :meth:`_fill` only.
     """
 
     def __init__(self, oracles: Sequence[HOOracleBase]) -> None:
@@ -106,16 +119,55 @@ class PerReplicaBatchOracle:
         self._buffer = np.zeros((self.replicas, n, self._words), dtype=np.uint64)
 
     def round_masks(self, round: int, active: Any) -> Any:
+        self._fill(round, self.np.flatnonzero(active))
+        return self._buffer
+
+    def _fill(self, round: int, rows: Any) -> None:
+        """Write *round*'s words of the replicas *rows* (ascending) into the buffer."""
         buffer = self._buffer
         full = self._full
         n = self.n
-        for r, oracle in enumerate(self.oracles):
-            if not active[r]:
-                continue
-            mask_fn = oracle.ho_mask
+        for r in rows.tolist():
+            mask_fn = self.oracles[r].ho_mask
             for p in range(n):
                 buffer[r, p] = mask_to_words(mask_fn(round, p) & full, n)
-        return buffer
+
+
+class RandomOmissionBatchOracle(PerReplicaBatchOracle):
+    """The loop over plain ``RandomOmissionOracle`` objects, a replica-round per draw.
+
+    Still one Python iteration per active replica -- each replica's
+    ``oracle.loss`` stream is sequential, so this *is* the opaque loop to
+    every ``isinstance`` check -- but the iteration is one comprehension of
+    the round's ``stream.random()`` calls in the scalar order (receiver
+    ascending, sender ascending, self skipped under ``always_hear_self``),
+    and all active rows are then compared, scattered and packed together.
+    ``ho_mask`` is never called, so the oracles' memos stay empty; what a
+    run leaves behind is each stream exactly where the scalar oracle's is.
+    """
+
+    def __init__(self, oracles: Sequence[RandomOmissionOracle]) -> None:
+        super().__init__(oracles)
+        n = self.n
+        self._loss = oracles[0].loss_probability
+        self._randoms = [oracle._stream.random for oracle in oracles]
+        self._heard = self.np.ones((self.replicas, n, n), dtype=bool)
+        # The drawn entries as a view in draw order: everything, or -- the
+        # diagonal staying True -- the off-diagonal as (R, n-1, n).
+        self._drawn = self._heard
+        if oracles[0].always_hear_self:
+            self._drawn = self._heard.reshape(self.replicas, n * n)[:, 1:].reshape(
+                self.replicas, n - 1, n + 1
+            )[:, :, :n]
+        self._draws = range(self._drawn[0].size)
+
+    def _fill(self, round: int, rows: Any) -> None:
+        draws = self._draws
+        randoms = self._randoms
+        units = [[randoms[r]() for _ in draws] for r in rows.tolist()]
+        kept = self.np.array(units, dtype=float) >= self._loss
+        self._drawn[rows] = kept.reshape(len(rows), *self._drawn.shape[1:])
+        self._buffer[rows] = pack_bools(self._heard[rows], self.n)
 
 
 class IntersectBatchOracle:
@@ -166,6 +218,24 @@ def _structurally_equal(a: Any, b: Any) -> bool:
         return False
 
 
+def _bulk_drawable(oracles: Sequence[HOOracleBase]) -> bool:
+    """Whether the loop over *oracles* may draw whole rounds off their streams.
+
+    Exactly ``RandomOmissionOracle`` (a subclass may override ``ho_mask``),
+    one ``(loss_probability, always_hear_self)`` for the batch, and no
+    memoised choice yet -- a memo entry is a round the scalar oracle would
+    answer without drawing.
+    """
+    first = oracles[0]
+    return all(
+        type(oracle) is RandomOmissionOracle
+        and not oracle._memo
+        and oracle.loss_probability == first.loss_probability
+        and oracle.always_hear_self == first.always_hear_self
+        for oracle in oracles
+    )
+
+
 def vectorize_oracles(oracles: Sequence[HOOracleBase], replicas: int) -> Any:
     """The batch oracle for one oracle per replica, broadcast when sound.
 
@@ -191,7 +261,8 @@ def vectorize_oracles(oracles: Sequence[HOOracleBase], replicas: int) -> Any:
     (their draws carry no cursor) but would change the draw interleaving of
     two *sequential* stateful components sharing a stream -- so the guard
     that remains is: at most one component may resolve to the opaque
-    :class:`PerReplicaBatchOracle` loop.
+    :class:`PerReplicaBatchOracle` loop (of which the bulk-drawing
+    :class:`RandomOmissionBatchOracle` is one: its draws are sequential too).
     """
     from .combinators import IntersectOracle
     from .counter_batch import counter_batch_dual
@@ -220,6 +291,8 @@ def vectorize_oracles(oracles: Sequence[HOOracleBase], replicas: int) -> Any:
             )
             if sequential <= 1:
                 return IntersectBatchOracle(*components)
+    if _bulk_drawable(oracles):
+        return RandomOmissionBatchOracle(oracles)
     return PerReplicaBatchOracle(oracles)
 
 
@@ -227,6 +300,7 @@ __all__ = [
     "BatchOracle",
     "BroadcastBatchOracle",
     "PerReplicaBatchOracle",
+    "RandomOmissionBatchOracle",
     "IntersectBatchOracle",
     "vectorize_oracles",
 ]

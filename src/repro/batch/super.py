@@ -196,6 +196,7 @@ class _SuperBatchEngine:
         buffer = np.zeros((self.rows, n_max, self.w_max), dtype=np.uint64)
         # Round-loop scratch, reallocated with the buffer on compaction.
         heard_buffer = np.empty((self.rows, n_max, n_max), dtype=bool)
+        layout = self._layout(orig_of)
 
         round = 0
         while True:
@@ -220,19 +221,18 @@ class _SuperBatchEngine:
                 buffer = np.zeros((live, n_max, self.w_max), dtype=np.uint64)
                 heard_buffer = np.empty((live, n_max, n_max), dtype=bool)
                 alive = np.ones(live, dtype=bool)
+                layout = self._layout(orig_of)
 
             round += 1
-            cell_of_live = self.row_cell[orig_of]
-            for ci, batch in enumerate(self.batches):
-                positions = np.nonzero(cell_of_live == ci)[0]
-                if positions.size == 0:
+            for n, oracle, rows, replica_idx, cell_active in layout:
+                cell_alive = alive[rows]
+                if not cell_alive.any():
+                    # A finished cell is not asked: its rows keep stale
+                    # words, which nothing below reads (alive gates both).
                     continue
-                replica_idx = self.row_replica[orig_of[positions]]
-                cell_active = np.zeros(batch.replicas, dtype=bool)
-                cell_active[replica_idx] = alive[positions]
-                words = self.oracles[ci].round_masks(round, cell_active)
-                w_c = words.shape[-1]
-                buffer[positions, : batch.n, :w_c] = words[replica_idx]
+                cell_active[replica_idx] = cell_alive
+                words = oracle.round_masks(round, cell_active)
+                buffer[rows, :n, : words.shape[-1]] = words[replica_idx]
 
             heard = unpack_words(buffer, n_max, out=heard_buffer)
             kernel.step(round, heard, alive)
@@ -243,6 +243,34 @@ class _SuperBatchEngine:
             self.messages_delivered[updated] += delivered[alive]
 
         return self._collect()
+
+    def _layout(self, orig_of: Any) -> List[Tuple[int, Any, slice, Any, Any]]:
+        """Where each cell still present sits in the kernel's current rows.
+
+        Rows are cell-major and compaction preserves their order, so a
+        cell's rows are one contiguous slice: one ``searchsorted`` per
+        compaction instead of one scan per cell per round.  Per cell: its
+        n, its oracle, that slice, the replica index of each row in it, and
+        the cell's ``(R_b,)`` active vector (replicas compacted away stay
+        False in it for good).
+        """
+        np = self.np
+        bounds = np.searchsorted(
+            self.row_cell[orig_of], np.arange(len(self.batches) + 1)
+        ).tolist()
+        return [
+            (
+                batch.n,
+                oracle,
+                slice(start, stop),
+                self.row_replica[orig_of[start:stop]],
+                np.zeros(batch.replicas, dtype=bool),
+            )
+            for batch, oracle, start, stop in zip(
+                self.batches, self.oracles, bounds, bounds[1:]
+            )
+            if stop > start
+        ]
 
     def _retire(self, kernel: Any, orig_of: Any, done: Any) -> None:
         """Read the decisions of rows leaving the kernel (pre-compaction)."""

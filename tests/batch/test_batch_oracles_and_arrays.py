@@ -20,7 +20,12 @@ from repro.adversaries import (
     WindowSwitchOracle,
     vectorize_oracles,
 )
-from repro.adversaries.batch import BroadcastBatchOracle, IntersectBatchOracle, PerReplicaBatchOracle
+from repro.adversaries.batch import (
+    BroadcastBatchOracle,
+    IntersectBatchOracle,
+    PerReplicaBatchOracle,
+    RandomOmissionBatchOracle,
+)
 from repro.engine.rng import SeededRng
 
 pytestmark = pytest.mark.skipif(not have_numpy(), reason="numpy not available")
@@ -154,8 +159,9 @@ class TestVectorizeOracles:
 
         batch = vectorize_oracles([build(i) for i in range(replicas)], replicas)
         assert isinstance(batch, IntersectBatchOracle)
-        kinds = {type(c) for c in batch.components}
-        assert kinds == {BroadcastBatchOracle, PerReplicaBatchOracle}
+        broadcast, loop = batch.components
+        assert isinstance(broadcast, BroadcastBatchOracle)
+        assert isinstance(loop, PerReplicaBatchOracle)
         reference = [build(i) for i in range(replicas)]
         active = np.ones(replicas, dtype=bool)
         for round in (1, 2, 3):
@@ -191,6 +197,188 @@ class TestVectorizeOracles:
         )
         rows = self._masks_as_ints(both.round_masks(2, np.ones(replicas, dtype=bool)))
         assert rows[0] == [scalar.ho_mask(2, p) for p in range(n)]
+
+
+class TestBroadcastRowReuse:
+    """An unchanged broadcast row is not re-spilled; the oracle is still asked."""
+
+    def test_row_follows_phase_boundaries_and_queries_repeat(self):
+        import numpy as np
+
+        from repro.batch.arrays import int_masks_from_words
+
+        n, replicas = 5, 3
+
+        class Counting(StaticCrashOracle):
+            queries = 0
+
+            def ho_mask(self, round, process):
+                self.queries += 1
+                return super().ho_mask(round, process)
+
+        def build(crash):
+            return SequenceOracle(n, [(crash, 3), (FaultFreeOracle(n), None)])
+
+        counting = Counting(n, {4: 2})
+        batch = vectorize_oracles([build(counting)] * replicas, replicas)
+        assert isinstance(batch, BroadcastBatchOracle)
+        reference = build(StaticCrashOracle(n, {4: 2}))
+        active = np.ones(replicas, dtype=bool)
+        views = []
+        for round in range(1, 7):
+            words = batch.round_masks(round, active)
+            views.append(words)
+            expected = [reference.ho_mask(round, p) for p in range(n)]
+            assert [int_masks_from_words(row) for row in words] == [expected] * replicas
+        # One view for the whole run, and n scalar queries in each of the
+        # three rounds the counting phase covers.
+        assert all(view is views[0] for view in views)
+        assert counting.queries == 3 * n
+
+
+def check_bulk_draw_parity(n, loss, always_hear_self, stops, shared=False):
+    """The bulk draw against fresh scalar oracles, round by round.
+
+    ``stops[r]`` is the last round replica r is active (0 = never); a
+    stopped replica never resumes.  With *shared*, replicas 0 and 1 are
+    built on one ``SeededRng`` object: one stream, interleaved draws.
+    """
+    import numpy as np
+
+    from repro.batch.arrays import int_masks_from_words
+
+    replicas = len(stops)
+
+    def fresh():
+        rngs = [SeededRng(40 + r) for r in range(replicas)]
+        if shared:
+            rngs[-1] = rngs[0]
+        return [
+            RandomOmissionOracle(n, loss, always_hear_self=always_hear_self, rng=rng)
+            for rng in rngs
+        ]
+
+    batch = vectorize_oracles(fresh(), replicas)
+    assert type(batch) is RandomOmissionBatchOracle
+    reference = fresh()
+    for round in range(1, max(stops) + 2):
+        active = np.array([round <= stop for stop in stops])
+        words = batch.round_masks(round, active)
+        for r in np.flatnonzero(active):
+            assert int_masks_from_words(words[r]) == [
+                reference[r].ho_mask(round, p) for p in range(n)
+            ], (round, r)
+    # Inactive replicas drew nothing: every stream is where its scalar twin
+    # stopped (a stopped replica's, where it was when it stopped).
+    for mine, scalar in zip(batch.oracles, reference):
+        assert mine._stream.getstate() == scalar._stream.getstate()
+        assert not mine._memo
+
+
+BULK_SIZES = [1, 2, 3, 63, 64, 65]
+
+
+class TestBulkDrawParity:
+    @pytest.mark.parametrize("stops", [(3,), (3, 1, 4, 2, 4)], ids=["R1", "R5"])
+    @pytest.mark.parametrize("always_hear_self", [True, False])
+    @pytest.mark.parametrize("loss", [0.0, 0.2, 1.0])
+    @pytest.mark.parametrize("n", BULK_SIZES)
+    def test_fixed_table(self, n, loss, always_hear_self, stops):
+        check_bulk_draw_parity(n, loss, always_hear_self, stops)
+
+    @pytest.mark.parametrize("always_hear_self", [True, False])
+    @pytest.mark.parametrize("n", [1, 3, 64])
+    def test_two_replicas_on_one_rng_object(self, n, always_hear_self):
+        check_bulk_draw_parity(n, 0.3, always_hear_self, (3, 2, 3), shared=True)
+
+    def test_generated(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(
+            n=st.sampled_from(BULK_SIZES),
+            loss=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+            always_hear_self=st.booleans(),
+            stops=st.lists(st.integers(0, 4), min_size=1, max_size=5),
+            shared=st.booleans(),
+        )
+        def check(n, loss, always_hear_self, stops, shared):
+            check_bulk_draw_parity(n, loss, always_hear_self, stops, shared)
+
+        check()
+
+    def test_the_drawn_entries_are_a_view(self):
+        """The scatter writes through: a copy there would silently drop draws."""
+        import numpy as np
+
+        batch = RandomOmissionBatchOracle([RandomOmissionOracle(5, 0.5, seed=s) for s in (1, 2)])
+        assert np.shares_memory(batch._drawn, batch._heard)
+        assert batch._drawn.shape == (2, 4, 5)
+        batch._drawn[:] = False
+        assert (batch._heard == np.eye(5, dtype=bool)).all()
+
+
+class TestWhoGetsTheBulkDraw:
+    """``vectorize_oracles`` bulk-draws exactly a uniform batch of untouched plain oracles."""
+
+    n, replicas = 4, 3
+
+    def _lossy(self, i, cls=RandomOmissionOracle, loss=0.2, always_hear_self=True):
+        return cls(self.n, loss, always_hear_self=always_hear_self, rng=SeededRng(60 + i))
+
+    def _kind(self, oracles):
+        return type(vectorize_oracles(oracles, self.replicas))
+
+    def test_uniform_plain_batch_is_bulk_drawn(self):
+        batch = vectorize_oracles([self._lossy(i) for i in range(self.replicas)], self.replicas)
+        assert type(batch) is RandomOmissionBatchOracle
+        # ... and is still the sequential loop to every isinstance check.
+        assert isinstance(batch, PerReplicaBatchOracle)
+
+    def test_subclass_keeps_the_generic_loop(self):
+        class Tweaked(RandomOmissionOracle):
+            pass
+
+        oracles = [self._lossy(i, cls=Tweaked if i == 1 else RandomOmissionOracle)
+                   for i in range(self.replicas)]
+        assert self._kind(oracles) is PerReplicaBatchOracle
+
+    def test_differing_loss_probability_keeps_the_generic_loop(self):
+        oracles = [self._lossy(i, loss=0.2 + 0.1 * (i == 2)) for i in range(self.replicas)]
+        assert self._kind(oracles) is PerReplicaBatchOracle
+
+    def test_differing_always_hear_self_keeps_the_generic_loop(self):
+        oracles = [self._lossy(i, always_hear_self=i != 0) for i in range(self.replicas)]
+        assert self._kind(oracles) is PerReplicaBatchOracle
+
+    def test_an_already_queried_oracle_keeps_the_generic_loop(self):
+        import numpy as np
+
+        from repro.batch.arrays import int_masks_from_words
+
+        def fresh():
+            oracles = [self._lossy(i) for i in range(self.replicas)]
+            oracles[1].ho_mask(1, 2)  # memoised before vectorisation
+            return oracles
+
+        batch = vectorize_oracles(fresh(), self.replicas)
+        assert type(batch) is PerReplicaBatchOracle
+        reference = fresh()
+        words = batch.round_masks(1, np.ones(self.replicas, dtype=bool))
+        for r in range(self.replicas):
+            assert int_masks_from_words(words[r]) == [
+                reference[r].ho_mask(1, p) for p in range(self.n)
+            ]
+
+    def test_lossy_overlay_component_is_bulk_drawn(self):
+        def build(i):
+            return IntersectOracle(self.n, StaticCrashOracle(self.n, {3: 2}), self._lossy(i))
+
+        batch = vectorize_oracles([build(i) for i in range(self.replicas)], self.replicas)
+        assert [type(c) for c in batch.components] == [
+            BroadcastBatchOracle, RandomOmissionBatchOracle,
+        ]
 
 
 class TestArrayBoundary:

@@ -19,11 +19,14 @@ from repro.adversaries import (
     EventuallyStableCoordinatorOracle,
     FaultFreeOracle,
     MobileOmissionOracle,
+    RandomOmissionOracle,
     RotatingPartitionOracle,
     StaticCrashOracle,
 )
+from repro.adversaries.batch import PerReplicaBatchOracle
 from repro.algorithms import LastVoting, OneThirdRule, UniformVoting
 from repro.batch import SuperBatchBackend
+from repro.batch.super import COMPACT_MIN_DROP, _SuperBatchEngine
 from repro.rounds.backend import MonitorSpec, ReplicaBatch, ReplicaTask, get_backend
 from repro.rounds.bitmask import mask_of
 
@@ -150,6 +153,113 @@ class TestCrossCellBitIdentity:
         scalar = get_backend("scalar")
         for cell, outcomes in zip([crashed, wide], results):
             assert outcomes == scalar.run(cell)
+
+
+class CountingOracle(FaultFreeOracle):
+    """Fault-free, but opaque to the vectoriser: it gets the per-replica loop."""
+
+    replica_invariant = False
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.queries = 0
+
+    def ho_mask(self, round, process):
+        self.queries += 1
+        return super().ho_mask(round, process)
+
+
+@needs_numpy
+class TestFinishedCellsAreNotAsked:
+    """A cell whose rows have all stopped costs no ``round_masks`` call."""
+
+    HORIZON = 12
+
+    def _quick(self, n, base_seed):
+        """Decides in round 2 (fault-free OneThirdRule), 4 replicas."""
+        return make_cell(OneThirdRule, n, base_seed, 4, lambda n, seed: CountingOracle(n))
+
+    def _lossy(self, n, base_seed, loss=0.45, **kwargs):
+        return make_cell(
+            OneThirdRule, n, base_seed, 4,
+            lambda n, seed: RandomOmissionOracle(n, loss, seed=seed),
+            max_rounds=self.HORIZON, **kwargs,
+        )
+
+    def _run(self, monkeypatch, grid):
+        """Run *grid()* on super; returns (cells, round_masks log, layouts built).
+
+        The lossy oracles are sequential streams, so every backend gets a
+        freshly built grid; outcomes must agree cell for cell.
+        """
+        asked = []
+        round_masks = PerReplicaBatchOracle.round_masks
+
+        def logging_round_masks(oracle, round, active):
+            asked.append((oracle.oracles[0], round, bool(active.any())))
+            return round_masks(oracle, round, active)
+
+        layouts = []
+        layout = _SuperBatchEngine._layout
+
+        def counting_layout(engine, orig_of):
+            layouts.append(len(orig_of))
+            return layout(engine, orig_of)
+
+        cells = grid()
+        backend = SuperBatchBackend()
+        with monkeypatch.context() as patch:
+            patch.setattr(PerReplicaBatchOracle, "round_masks", logging_round_masks)
+            patch.setattr(_SuperBatchEngine, "_layout", counting_layout)
+            results = backend.run_batches(cells)
+        assert backend.last_fallback_reasons == {}
+        for name in ("batch", "scalar"):
+            reference = get_backend(name)
+            for outcomes, cell in zip(results, grid()):
+                assert outcomes == reference.run(cell)
+        return cells, asked, layouts
+
+    def _rounds_asked(self, asked, cell):
+        first = cell.tasks[0].oracle
+        return [round for oracle, round, _ in asked if oracle is first]
+
+    def test_skip_without_compaction(self, monkeypatch):
+        def grid():
+            return [self._quick(4, 0), self._lossy(7, 100, run_full_horizon=True)]
+
+        (quick, lossy), asked, layouts = self._run(monkeypatch, grid)
+        assert quick.replicas < COMPACT_MIN_DROP
+        assert layouts == [8]  # never compacted: the skip does the work
+        assert self._rounds_asked(asked, quick) == [1, 2]
+        assert self._rounds_asked(asked, lossy) == list(range(1, self.HORIZON + 1))
+        assert all(any_active for _, _, any_active in asked)
+        assert [task.oracle.queries for task in quick.tasks] == [2 * 4] * 4
+
+    def test_skip_across_a_compaction(self, monkeypatch):
+        sizes = [4, 7, 65]
+
+        def grid():
+            quick = [self._quick(sizes[i % 3], 10 * i) for i in range(12)]
+            # One lossy cell mid-grid whose replicas decide in rounds 2, 4, 4
+            # and 5, one at the end that runs out its horizon: the compaction
+            # before round 3 moves both to new offsets, the first one with a
+            # replica already gone.
+            return [
+                *quick[:6], self._lossy(7, 500, loss=0.2),
+                *quick[6:], self._lossy(65, 600, run_full_horizon=True),
+            ]
+
+        cells, asked, layouts = self._run(monkeypatch, grid)
+        assert layouts == [56, 3 + 4]
+        for cell in cells:
+            rounds = self._rounds_asked(asked, cell)
+            if isinstance(cell.tasks[0].oracle, CountingOracle):
+                assert rounds == [1, 2]
+                assert [task.oracle.queries for task in cell.tasks] == [2 * cell.n] * 4
+            else:
+                assert rounds == list(range(1, len(rounds) + 1)) and len(rounds) > 2
+        assert self._rounds_asked(asked, cells[-1]) == list(range(1, self.HORIZON + 1))
+        assert all(any_active for _, _, any_active in asked)
 
 
 @needs_numpy
