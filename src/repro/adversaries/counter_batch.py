@@ -22,6 +22,14 @@ and the Gilbert-Elliott link states advance round by round.  Both advance
 monotonically (engines query rounds in nondecreasing order) and, mirroring
 the scalar memos, raise :class:`LookupError` on a query behind the frontier
 rather than silently replaying history.
+
+The three families that draw ``(R, n, n)`` link coins (bursty loss, the
+coordinator's background, the kernel oracle) compare the ``uint64`` hash
+against an integer :func:`~repro.engine.counter.coin_threshold` -- no
+uniform is materialised -- and draw only the rows of *active* replicas: a
+finished replica's oracle is not queried, exactly like a finished scalar
+run.  The ``(R, n)`` draws of the other two are too small for that to pay
+and stay whole.
 """
 
 from __future__ import annotations
@@ -30,7 +38,14 @@ from typing import Any, Optional, Sequence, Tuple
 
 from .._optional import require_numpy
 from ..batch.arrays import pack_bools
-from ..engine.counter import DrawScratch, counter_hash_array, units_of_counters
+from ..engine.counter import (
+    DrawScratch,
+    coin_threshold,
+    coins_below,
+    coins_not_below,
+    counter_hash_array,
+    units_of_counters,
+)
 from ..rounds.bitmask import WORD_BITS, word_count
 from .classic import CounterKernelOracle
 from .dynamic import (
@@ -45,10 +60,10 @@ class _CounterDualBase:
     """Shared scaffolding: per-row keys, full/self word constants, draw scratch.
 
     The ``(R, n, n)`` link-coin draws of a round all run in one lazily built
-    scratch set -- a :class:`~repro.engine.counter.DrawScratch` for the hash
-    and the uniforms, one bool matrix for the comparison that follows --
+    scratch set -- a :class:`~repro.engine.counter.DrawScratch` for the
+    hash, one bool matrix for the threshold comparison that follows --
     which never leaves the dual: whatever ``round_masks`` returns or
-    memoises is a fresh :func:`pack_bools` result or a constant.
+    memoises is a fresh array or a constant.
     """
 
     def __init__(self, oracles: Sequence[Any]) -> None:
@@ -84,6 +99,33 @@ class _CounterDualBase:
                 self.np.empty(shape, dtype=bool),
             )
         return self._scratch
+
+    def _live(self, active: Any) -> Tuple[Optional[Any], Any, DrawScratch, Any]:
+        """``(rows, keys, draw, coins)`` of the replicas to draw this round.
+
+        All active: *rows* is None and the rest is the whole batch.
+        Otherwise *rows* are the active replica indices, *keys* theirs, and
+        *draw* / *coins* the leading ``len(rows)`` rows of the link scratch.
+        """
+        draw, coins = self._link_scratch()
+        if active.all():
+            return None, self.keys, draw, coins
+        rows = self.np.flatnonzero(active)
+        return rows, self.keys[rows], draw.leading(len(rows)), coins[: len(rows)]
+
+    def _spread(self, rows: Optional[Any], words: Any) -> Any:
+        """The ``(R, n, W)`` result of a round drawn for *rows* (see :meth:`_live`).
+
+        *words* itself when every replica was drawn; otherwise a fresh array
+        with *words* in the drawn rows and zeros (ignored) in the others.
+        """
+        if rows is None:
+            return words
+        spread = self.np.zeros(
+            (self.replicas, self.n, self._words), dtype=self.np.uint64
+        )
+        spread[rows] = words
+        return spread
 
     def _full_rows(self) -> Any:
         """The all-heard ``(R, n, W)`` array (stabilised / healed rounds)."""
@@ -206,49 +248,59 @@ class BurstyLossBatchDual(_CounterDualBase):
     probability is zero; the dual always computes it, which is equivalent
     because a uniform in ``[0, 1)`` is never below zero and counter draws
     have no cursor to shift.
+
+    Only active replicas advance, so a replica's link states freeze at the
+    round it goes inactive; one that is marked active again later is an
+    error (:class:`LookupError`), not a draw from stale state.
     """
 
     def __init__(self, oracles: Sequence[BurstyLossOracle]) -> None:
         super().__init__(oracles)
         np = self.np
         first = oracles[0]
-        self.p_burst = first.p_burst
-        self.p_recover = first.p_recover
-        self.loss_burst = first.loss_burst
-        self.loss_good = first.loss_good
         self.stable_from = first.stable_from
+        self._burst = coin_threshold(first.p_burst)
+        self._recover = coin_threshold(first.p_recover)
+        self._loss_burst = coin_threshold(first.loss_burst)
+        self._loss_good = coin_threshold(first.loss_good)
         self._bursty = np.zeros((self.replicas, self.n, self.n), dtype=bool)
         # The second comparison of each two-threshold select (see _select).
         self._alt_coins = np.empty_like(self._bursty)
+        # Per replica, the first round it was seen inactive (0: never).
+        self._retired_at = np.zeros(self.replicas, dtype=np.int64)
         self._computed_round = 0
         self._round_words: Optional[Any] = None
         eye = np.eye(self.n, dtype=bool)
         self._eye = eye[None, :, :]
 
-    def _advance_to(self, round: int) -> None:
+    def _advance_to(self, round: int, active: Any) -> None:
         np = self.np
         p_axis = self._arange[:, None]
         q_axis = self._arange[None, :]
-        keys = self.keys[:, None, None]
-        draw, coins = self._link_scratch()
-        bursty, alt = self._bursty, self._alt_coins
+        rows, keys, draw, coins = self._live(active)
+        keys = keys[:, None, None]
+        alt = self._alt_coins[: len(coins)]
+        bursty = self._bursty if rows is None else self._bursty[rows]
         while self._computed_round < round:
             self._computed_round += 1
             r = np.uint64(self._computed_round)
-            u_state = units_of_counters(
+            state = counter_hash_array(
                 np, keys, [np.uint64(0), r, p_axis, q_axis], out=draw
             )
-            np.greater_equal(u_state, self.p_recover, out=coins)
-            np.less(u_state, self.p_burst, out=alt)
+            coins_not_below(np, state, self._recover, out=coins)
+            coins_below(np, state, self._burst, out=alt)
             _select(np, bursty, coins, alt, out=bursty)
-            u_loss = units_of_counters(
+            loss = counter_hash_array(
                 np, keys, [np.uint64(1), r, p_axis, q_axis], out=draw
             )
-            np.greater_equal(u_loss, self.loss_burst, out=coins)
-            np.greater_equal(u_loss, self.loss_good, out=alt)
+            coins_not_below(np, loss, self._loss_burst, out=coins)
+            coins_not_below(np, loss, self._loss_good, out=alt)
             _select(np, bursty, coins, alt, out=coins)
-            coins |= self._eye
-            self._round_words = pack_bools(coins, self.n)
+        coins |= self._eye
+        if rows is not None:
+            self._bursty[rows] = bursty
+            self._retired_at[~active & (self._retired_at == 0)] = round
+        self._round_words = self._spread(rows, pack_bools(coins, self.n))
 
     def round_masks(self, round: int, active: Any) -> Any:
         if self.stable_from is not None and round >= self.stable_from:
@@ -258,7 +310,16 @@ class BurstyLossBatchDual(_CounterDualBase):
                 f"bursty-loss round {round} is behind the batch frontier "
                 f"({self._computed_round}); link states only advance forward"
             )
-        self._advance_to(round)
+        resumed = active & (self._retired_at > 0)
+        if resumed.any():
+            replica = int(resumed.argmax())
+            raise LookupError(
+                f"bursty-loss replica {replica} is active in round {round} but "
+                f"retired in round {int(self._retired_at[replica])}; its link "
+                "states stopped advancing there"
+            )
+        if round > self._computed_round:
+            self._advance_to(round, active)
         return self._round_words
 
 
@@ -279,7 +340,7 @@ class EventuallyStableCoordinatorBatchDual(_CounterDualBase):
         first = oracles[0]
         self.stable_from = first.stable_from
         self.flaky_probability = first.flaky_probability
-        self.background_probability = first.background_probability
+        self._background = coin_threshold(first.background_probability)
 
     def round_masks(self, round: int, active: Any) -> Any:
         np = self.np
@@ -287,28 +348,30 @@ class EventuallyStableCoordinatorBatchDual(_CounterDualBase):
             return self._full_rows()
         r = np.uint64(round)
         n = self.n
-        pretender = counter_hash_array(np, self.keys, [np.uint64(0), r]) % np.uint64(n)
-        draw, heard = self._link_scratch()
-        background = units_of_counters(
+        rows, keys, draw, heard = self._live(active)
+        pretender = counter_hash_array(np, keys, [np.uint64(0), r]) % np.uint64(n)
+        background = counter_hash_array(
             np,
-            self.keys[:, None, None],
+            keys[:, None, None],
             [np.uint64(2), r, self._arange[:, None], self._arange[None, :]],
             out=draw,
         )
-        np.less(background, self.background_probability, out=heard)
+        coins_below(np, background, self._background, out=heard)
         flaky_ok = (
-            units_of_counters(
-                np, self.keys[:, None], [np.uint64(1), r, self._arange]
-            )
+            units_of_counters(np, keys[:, None], [np.uint64(1), r, self._arange])
             >= self.flaky_probability
         )
         idx = np.broadcast_to(
-            pretender.astype(np.int64)[:, None, None], (self.replicas, n, 1)
+            pretender.astype(np.int64)[:, None, None], (len(keys), n, 1)
         )
         np.put_along_axis(heard, idx, flaky_ok[:, :, None], axis=2)
         diag = np.arange(n)
         heard[:, diag, diag] = True
-        return pack_bools(heard, n)
+        return self._spread(rows, pack_bools(heard, n))
+
+
+#: the kernel oracle's extras / outsider coins are ``below(0.5, ...)``.
+_FAIR_COIN = coin_threshold(0.5)
 
 
 class CounterKernelBatchDual(_CounterDualBase):
@@ -335,21 +398,22 @@ class CounterKernelBatchDual(_CounterDualBase):
     def round_masks(self, round: int, active: Any) -> Any:
         np = self.np
         r = np.uint64(round)
-        keys = self.keys[:, None, None]
+        rows, keys, draw, coins = self._live(active)
+        keys = keys[:, None, None]
         p_axis = self._arange[:, None]
         q_axis = self._arange[None, :]
-        draw, coins = self._link_scratch()
-        extras = units_of_counters(np, keys, [np.uint64(0), r, p_axis, q_axis], out=draw)
-        np.less(extras, 0.5, out=coins)
+        extras = counter_hash_array(np, keys, [np.uint64(0), r, p_axis, q_axis], out=draw)
+        coins_below(np, extras, _FAIR_COIN, out=coins)
         coins &= self._outsider[None, None, :]
         member_words = pack_bools(coins, self.n)
         member_words |= self._pi0_words[None, None, :]
-        outsider = units_of_counters(np, keys, [np.uint64(1), r, p_axis, q_axis], out=draw)
-        np.less(outsider, 0.5, out=coins)
+        outsider = counter_hash_array(np, keys, [np.uint64(1), r, p_axis, q_axis], out=draw)
+        coins_below(np, outsider, _FAIR_COIN, out=coins)
         outsider_words = pack_bools(coins, self.n)
         outsider_words |= self._self_bits[None, :, :]
-        return np.where(
-            self._member[None, :, None], member_words, outsider_words
+        return self._spread(
+            rows,
+            np.where(self._member[None, :, None], member_words, outsider_words),
         )
 
 

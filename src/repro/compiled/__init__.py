@@ -15,7 +15,7 @@ from .engine import CompiledEngine
 from .kernels import (
     CompiledKernel,
     compiled_kernel_for,
-    counter_units,
+    counter_hash_rows,
     register_compiled_kernel,
 )
 
@@ -24,6 +24,6 @@ __all__ = [
     "CompiledEngine",
     "CompiledKernel",
     "compiled_kernel_for",
-    "counter_units",
+    "counter_hash_rows",
     "register_compiled_kernel",
 ]

@@ -47,14 +47,7 @@ from ..algorithms.uniform_voting import UniformVoting
 
 # The splitmix64 constants -- shared with the scalar/array implementations
 # in repro.engine.counter (friend access; one definition per constant).
-from ..engine.counter import (
-    _MIX1,
-    _MIX2,
-    _PHI,
-    _UNIT_SCALE,
-    DrawScratch,
-    counter_hash_array,
-)
+from ..engine.counter import _MIX1, _MIX2, _PHI
 from ..predimpl.batched_translation import BatchTranslationKernel
 from ..predimpl.translation import KernelToUniformTranslation
 
@@ -70,75 +63,55 @@ if np is not None:
     _U_30 = np.uint64(30)
     _U_27 = np.uint64(27)
     _U_31 = np.uint64(31)
-    _U_11 = np.uint64(11)
 
 
 # --------------------------------------------------------------------------- #
-# the fused splitmix64 counter-units core
+# the fused splitmix64 counter-hash core
 # --------------------------------------------------------------------------- #
 
 
-def _counter_units_core(prefix: Any, last: Any, out: Any) -> None:
-    """The last stage of ``counter_hash`` fused with ``unit_of``, flat arrays.
+def _counter_hash_core(prefix: Any, last: Any, out: Any) -> None:
+    """The last stage of ``counter_hash`` over an ``(M, L)`` block, one pass.
 
-    ``prefix`` is the ``(N,)`` uint64 hash of every counter but the last,
-    ``last`` the ``(N,)`` uint64 last counter, ``out`` is ``(N,)`` float64.
-    One pass -- the top 53 bits scale to a float64 exactly, so the result
-    is bit-identical to the two-step numpy path.
+    ``prefix`` is the ``(M,)`` uint64 hash of every counter but the last,
+    ``last`` the ``(L,)`` uint64 values of the last counter, and
+    ``out[i, j]`` receives ``mix64((prefix[i] + PHI) ^ last[j])`` -- no
+    broadcast copy of either input, no shift temporary.
     """
     for i in range(prefix.shape[0]):
-        z = prefix[i] + _U_PHI
-        z = z ^ last[i]
-        z = z ^ (z >> _U_30)
-        z = z * _U_MIX1
-        z = z ^ (z >> _U_27)
-        z = z * _U_MIX2
-        z = z ^ (z >> _U_31)
-        out[i] = np.float64(z >> _U_11) * _UNIT_SCALE
+        bumped = prefix[i] + _U_PHI
+        for j in range(last.shape[0]):
+            z = bumped ^ last[j]
+            z = z ^ (z >> _U_30)
+            z = z * _U_MIX1
+            z = z ^ (z >> _U_27)
+            z = z * _U_MIX2
+            out[i, j] = z ^ (z >> _U_31)
 
 
-def counter_units(
-    np_mod: Any,
-    keys: Any,
-    counters: Any,
-    compiled: Optional[bool] = None,
-    out: Optional[DrawScratch] = None,
-) -> Any:
-    """The fused form of ``units_of_array(counter_hash_array(keys, counters))``.
+def counter_hash_rows(
+    prefix: Any, last: Any, out: Any, compiled: Optional[bool] = None
+) -> None:
+    """The fused last stage of :func:`repro.engine.counter.counter_hash_array`.
 
-    Broadcasts like :func:`repro.engine.counter.counter_hash_array`.  The
-    counters before the last are absorbed by that function at their own
-    (for the duals' link draws: small) broadcast shape; the last stage,
-    the one that reaches full shape, and the unit scaling are one nopython
-    pass over the three buffers of *out* -- prefix hashes, last counter,
-    uniforms -- so nothing of the full shape is allocated per draw.
-    Without *out* a fresh scratch is used.  Returns ``out.units``.
+    Every ``(R, n, n)`` link draw ends in a stage whose running hash is
+    constant along the last axis and whose counter varies only along it;
+    that function hands the stage here -- flat ``(M,)`` prefix, ``(L,)``
+    last counter, ``(M, L)`` view of the caller's hash buffer -- when numba
+    is available, in place of its nine tiled numpy passes.
 
     *compiled* selects the jitted (True) or interpreted (False) core; None
     means "jitted when numba is available".  Values are bit-identical
     either way.
     """
     if compiled is None:
-        compiled = _counter_units_jit is not None
-    prefix = counter_hash_array(np_mod, keys, counters[:-1])
-    last = np_mod.asarray(counters[-1], dtype=np_mod.uint64)
-    shape = np_mod.broadcast_shapes(prefix.shape, last.shape)
-    if out is None:
-        out = DrawScratch(np_mod, shape)
-    elif out.units.shape != shape:
-        raise ValueError(
-            f"scratch of shape {out.units.shape} does not fit a draw of shape {shape}"
-        )
-    np_mod.copyto(out.hashes, prefix)
-    np_mod.copyto(out.shifted, last)
-    args = (out.hashes.reshape(-1), out.shifted.reshape(-1), out.units.reshape(-1))
-    if compiled and _counter_units_jit is not None:
-        _counter_units_jit(*args)
+        compiled = _counter_hash_jit is not None
+    if compiled and _counter_hash_jit is not None:
+        _counter_hash_jit(prefix, last, out)
     else:
         # uint64 wraparound is the point; numpy warns about it on scalars.
-        with np_mod.errstate(over="ignore"):
-            _counter_units_core(*args)
-    return out.units
+        with np.errstate(over="ignore"):
+            _counter_hash_core(prefix, last, out)
 
 
 # --------------------------------------------------------------------------- #
@@ -559,13 +532,13 @@ def _translation_chunk(
 # --------------------------------------------------------------------------- #
 
 if NUMBA is not None:
-    _counter_units_jit = NUMBA.njit(cache=True)(_counter_units_core)
+    _counter_hash_jit = NUMBA.njit(cache=True)(_counter_hash_core)
     _otr_chunk_jit = NUMBA.njit(cache=True)(_otr_chunk)
     _uv_chunk_jit = NUMBA.njit(cache=True)(_uv_chunk)
     _lv_chunk_jit = NUMBA.njit(cache=True)(_lv_chunk)
     _translation_chunk_jit = NUMBA.njit(cache=True)(_translation_chunk)
 else:
-    _counter_units_jit = None
+    _counter_hash_jit = None
     _otr_chunk_jit = None
     _uv_chunk_jit = None
     _lv_chunk_jit = None
@@ -689,6 +662,6 @@ register_compiled_kernel(CompiledKernel(
 __all__ = [
     "CompiledKernel",
     "compiled_kernel_for",
-    "counter_units",
+    "counter_hash_rows",
     "register_compiled_kernel",
 ]

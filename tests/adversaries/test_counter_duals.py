@@ -138,21 +138,25 @@ class TestScratchNeverEscapes:
         )
         active = np.ones(replicas, dtype=bool)
         results = [dual.round_masks(round, active) for round in (1, 2, 3)]
-        draw, coins = dual._link_scratch()
         for words in results:
-            for buffer in (draw.hashes, draw.shifted, draw.units, coins):
+            for buffer in _scratch_buffers(dual):
                 assert not np.shares_memory(words, buffer)
 
     # The partition dual draws per epoch, not per round: its one fresh
     # (R, n, n) comparison at an epoch change is outside the per-round claim.
+    @pytest.mark.parametrize("share", ["all-active", "half-active"])
     @pytest.mark.parametrize("family", sorted(set(FAMILY_FACTORIES) - {"partition"}))
-    def test_steady_state_rounds_allocate_no_link_matrix(self, family):
+    def test_steady_state_rounds_allocate_no_link_matrix(self, family, share):
         """After two warm-up rounds at R = n = 64, three further rounds grow
         the traced peak by less than one ``R*n*n``-byte matrix -- the
-        smallest full-shape temporary there is (a bool one)."""
+        smallest full-shape temporary there is (a bool one).  With half the
+        replicas retired that budget includes the bursty dual's gather of
+        its live link-state rows and the fresh ``(R, n, W)`` result."""
         np = __import__("numpy")
         replicas = n = 64
         active = np.ones(replicas, dtype=bool)
+        if share == "half-active":
+            active[::2] = False
 
         def build():
             dual = counter_batch_dual(
@@ -162,6 +166,172 @@ class TestScratchNeverEscapes:
 
         growth = steady_state_peak_growth(build)
         assert growth < replicas * n * n, (family, growth)
+
+
+#: the three families whose duals draw ``(R, n, n)`` link coins and honour
+#: ``active``; the other two draw ``(R, n)`` and stay whole.
+LINK_COIN_FAMILIES = ("bursty", "coordinator", "kernel")
+
+
+def _scratch_buffers(dual):
+    """Every persistent full-shape buffer a dual draws in."""
+    draw, coins = dual._link_scratch()
+    buffers = [draw.hashes, draw.shifted, coins]
+    for name in ("_bursty", "_alt_coins"):
+        if hasattr(dual, name):
+            buffers.append(getattr(dual, name))
+    return buffers
+
+
+class _NeverQueried:
+    """Stands in for the scalar twin of a retired replica."""
+
+    def ho_mask(self, round, process):
+        raise AssertionError(f"retired replica queried at round {round}")
+
+
+@needs_numpy
+class TestPartiallyActiveDraws:
+    """A finished replica is not drawn: the link-coin duals compute only the
+    active rows, which stay bit-identical to scalar oracles that are never
+    asked about a round after their replica stopped."""
+
+    #: per replica, the last round it is active (5 replicas, 9 rounds).
+    RETIREMENTS = {
+        "staggered": (9, 4, 0, 6, 2),  # replica 2 never runs at all
+        "all-but-one": (0, 0, 9, 0, 0),
+        "one-early": (9, 9, 9, 1, 9),
+    }
+
+    @pytest.mark.parametrize("schedule", sorted(RETIREMENTS))
+    @pytest.mark.parametrize("family", LINK_COIN_FAMILIES)
+    @pytest.mark.parametrize("n", [3, 8, 65])
+    def test_active_rows_equal_fresh_scalar_oracles(self, family, n, schedule):
+        np = __import__("numpy")
+        last_round = self.RETIREMENTS[schedule]
+        replicas = len(last_round)
+        dual = counter_batch_dual(
+            [FAMILY_FACTORIES[family](n, 70 + i) for i in range(replicas)], replicas
+        )
+        shadows = [FAMILY_FACTORIES[family](n, 70 + i) for i in range(replicas)]
+        kept = kept_copy = None
+        for round in range(1, 10):
+            active = np.array([round <= last for last in last_round])
+            for i in np.flatnonzero(~active):
+                shadows[i] = _NeverQueried()
+            words = dual.round_masks(round, active)
+            assert words.shape == (replicas, n, (n + 63) // 64)
+            assert words.dtype == np.uint64
+            for i in np.flatnonzero(active):
+                assert words_as_masks(words[i : i + 1], 1, n)[0] == [
+                    shadows[i].ho_mask(round, p) for p in range(n)
+                ], f"{family} replica {i} diverges at round {round}"
+            # Last round's words survived this draw and are nobody's scratch.
+            if kept is not None:
+                assert np.array_equal(kept, kept_copy)
+            for buffer in _scratch_buffers(dual):
+                assert not np.shares_memory(words, buffer)
+            kept, kept_copy = words, words.copy()
+
+    @pytest.mark.parametrize("family", LINK_COIN_FAMILIES)
+    def test_an_all_active_round_is_the_whole_batch_path(self, family):
+        """Same words whether a batch is drawn whole or as two half-active
+        batches -- and a whole draw after partial ones is unaffected by them
+        (the stateless families; the bursty dual refuses a resume)."""
+        np = __import__("numpy")
+        replicas, n = 6, 8
+        build = lambda: counter_batch_dual(
+            [FAMILY_FACTORIES[family](n, 90 + i) for i in range(replicas)], replicas
+        )
+        whole, evens, odds = build(), build(), build()
+        everyone = np.ones(replicas, dtype=bool)
+        even = np.arange(replicas) % 2 == 0
+        for round in range(1, 6):
+            want = whole.round_masks(round, everyone)
+            assert np.array_equal(evens.round_masks(round, even)[even], want[even])
+            assert np.array_equal(odds.round_masks(round, ~even)[~even], want[~even])
+        if family != "bursty":
+            assert np.array_equal(
+                evens.round_masks(6, everyone), whole.round_masks(6, everyone)
+            )
+
+    def test_no_active_replica_draws_nothing(self):
+        np = __import__("numpy")
+        for family in LINK_COIN_FAMILIES:
+            dual = counter_batch_dual(
+                [FAMILY_FACTORIES[family](8, 5 + i) for i in range(3)], 3
+            )
+            words = dual.round_masks(1, np.zeros(3, dtype=bool))
+            assert words.shape == (3, 8, 1) and not words.any()
+
+
+@needs_numpy
+class TestRetiredReplicaStaysRetired:
+    """The bursty dual's link states stop advancing when a replica goes
+    inactive, so marking it active again is an error, never stale state."""
+
+    def make(self, replicas=4, n=6, **kwargs):
+        return counter_batch_dual(
+            [
+                BurstyLossOracle(n, p_burst=0.3, p_recover=0.3, seed=i, **kwargs)
+                for i in range(replicas)
+            ],
+            replicas,
+        )
+
+    def test_a_resumed_replica_is_a_lookup_error(self):
+        np = __import__("numpy")
+        dual = self.make()
+        everyone = np.ones(4, dtype=bool)
+        dual.round_masks(1, everyone)
+        dual.round_masks(2, np.array([True, False, True, True]))
+        dual.round_masks(3, np.array([True, False, True, False]))
+        with pytest.raises(LookupError, match=r"replica 3 .* round 4 .* retired in round 3"):
+            dual.round_masks(4, np.array([True, False, True, True]))
+        with pytest.raises(LookupError, match=r"replica 1 .* round 4 .* retired in round 2"):
+            dual.round_masks(4, everyone)
+        # The refusal changed nothing: the survivors carry on, bit-identical.
+        shadows = [BurstyLossOracle(6, p_burst=0.3, p_recover=0.3, seed=i) for i in (0, 2)]
+        for round in range(1, 4):
+            for shadow in shadows:
+                shadow.ho_mask(round, 0)
+        words = dual.round_masks(4, np.array([True, False, True, False]))
+        for row, shadow in zip((0, 2), shadows):
+            assert words_as_masks(words[row : row + 1], 1, 6)[0] == [
+                shadow.ho_mask(4, p) for p in range(6)
+            ]
+
+    def test_the_same_round_may_be_asked_again_with_fewer_replicas(self):
+        """A re-query of the frontier round returns the memoised words and
+        retires nobody: the link states did advance through that round."""
+        np = __import__("numpy")
+        dual = self.make()
+        everyone = np.ones(4, dtype=bool)
+        first = dual.round_masks(1, everyone)
+        again = dual.round_masks(1, np.array([True, True, False, True]))
+        assert np.array_equal(first, again)
+        dual.round_masks(2, everyone)
+
+    def test_stable_rounds_are_exempt(self):
+        """Past ``stable_from`` no link state is read, so nothing is stale."""
+        np = __import__("numpy")
+        dual = self.make(stable_from=3)
+        dual.round_masks(1, np.ones(4, dtype=bool))
+        dual.round_masks(2, np.array([True, False, False, True]))
+        words = dual.round_masks(3, np.ones(4, dtype=bool))
+        assert words_as_masks(words, 4, 6) == [[(1 << 6) - 1] * 6] * 4
+
+    @pytest.mark.parametrize("family", ["coordinator", "kernel"])
+    def test_the_stateless_duals_need_no_guard(self, family):
+        np = __import__("numpy")
+        replicas, n = 3, 5
+        dual = counter_batch_dual(
+            [FAMILY_FACTORIES[family](n, 30 + i) for i in range(replicas)], replicas
+        )
+        shadows = [FAMILY_FACTORIES[family](n, 30 + i) for i in range(replicas)]
+        dual.round_masks(1, np.array([True, False, True]))
+        words = dual.round_masks(2, np.ones(replicas, dtype=bool))
+        assert words_as_masks(words, replicas, n) == scalar_masks(shadows, 2)
 
 
 class TestDualEligibility:

@@ -291,54 +291,82 @@ def test_disable_env_forces_numba_off(monkeypatch):
 # --------------------------------------------------------------------- #
 
 
-def test_counter_units_fused_matches_two_step():
+def _forced_fused(monkeypatch, compiled=None):
+    """Make ``counter_hash_array`` take the numba tier's branch (the core
+    runs interpreted when numba is absent, or when *compiled* is False)."""
+    import functools
+
+    from repro.compiled.kernels import counter_hash_rows
+    from repro.engine import counter
+
+    monkeypatch.setattr(
+        counter, "_FUSED_HASH", functools.partial(counter_hash_rows, compiled=compiled)
+    )
+
+
+def test_counter_hash_rows_matches_the_numpy_stage():
+    """``out[i, j] = mix64((prefix[i] + PHI) ^ last[j])``: the fused core
+    is the last stage of ``counter_hash_array`` over an ``(M, L)`` block."""
     from repro._optional import require_numpy
-    from repro.compiled.kernels import counter_units
-    from repro.engine.counter import counter_hash_array, units_of_array
+    from repro.compiled.kernels import counter_hash_rows
+    from repro.engine.counter import counter_hash, counter_hash_array
 
     np = require_numpy()
     keys = np.arange(193, dtype=np.uint64) * np.uint64(0x9E3779B9)
     rounds = np.arange(193, dtype=np.uint64)[::-1].copy()
-    fused = counter_units(np, keys, [np.uint64(3), rounds, np.uint64(7)])
-    two_step = units_of_array(
-        np, counter_hash_array(np, keys, [np.uint64(3), rounds, np.uint64(7)])
-    )
-    assert fused.dtype == two_step.dtype
-    assert (fused == two_step).all()
-    assert ((fused >= 0.0) & (fused < 1.0)).all()
+    last = np.array([0, 1, 7, 2**63, 2**64 - 1], dtype=np.uint64)
+    prefix = counter_hash_array(np, keys, [np.uint64(3), rounds])
+    kept = prefix.copy(), last.copy()
+    want = counter_hash_array(np, keys[:, None], [np.uint64(3), rounds[:, None], last])
+    for compiled in (None, False):
+        got = np.zeros((193, 5), dtype=np.uint64)
+        counter_hash_rows(prefix, last, got, compiled=compiled)
+        assert (got == want).all()
+    assert (prefix == kept[0]).all() and (last == kept[1]).all()
+    assert int(got[4, 3]) == counter_hash(int(keys[4]), 3, int(rounds[4]), 2**63)
 
 
-def test_counter_units_broadcasts_like_the_two_step_path():
+def test_counter_hash_rows_writes_through_a_view_of_the_hash_buffer():
+    """The dispatcher hands the core ``out.hashes.reshape(-1, L)`` -- of a
+    whole scratch and of its leading rows -- and both land in the buffer."""
     from repro._optional import require_numpy
-    from repro.compiled.kernels import counter_units
-    from repro.engine.counter import counter_hash_array, units_of_array
+    from repro.compiled.kernels import counter_hash_rows
+    from repro.engine.counter import DrawScratch, counter_hash_array
 
     np = require_numpy()
-    grid = np.arange(12, dtype=np.uint64).reshape(3, 4)
-    fused = counter_units(np, np.uint64(42), [grid, np.uint64(1)])
-    two_step = units_of_array(
-        np, counter_hash_array(np, np.uint64(42), [grid, np.uint64(1)])
-    )
-    assert fused.shape == (3, 4)
-    assert (fused == two_step).all()
+    keys, counters = _link_draw(np, 4, 5)
+    want = counter_hash_array(np, keys, counters)
+    prefix = counter_hash_array(np, keys, counters[:-1])
+    scratch = DrawScratch(np, (4, 5, 5))
+    for rows in (4, 3):
+        draw = scratch.leading(rows)
+        draw.hashes.fill(0)
+        counter_hash_rows(
+            prefix[:rows].reshape(-1), counters[-1].reshape(-1), draw.hashes.reshape(-1, 5)
+        )
+        assert (scratch.hashes[:rows] == want[:rows]).all()
 
 
-def test_units_of_counters_dispatcher_is_bit_identical():
-    """The lazy dispatcher returns the same values whichever path resolved."""
+def test_counter_hash_array_dispatcher_is_bit_identical(monkeypatch):
+    """``counter_hash_array(out=)`` returns the same values whichever path
+    its full-shape stage resolved to -- and ``units_of_counters`` on top."""
     from repro._optional import require_numpy
     from repro.engine.counter import (
+        DrawScratch,
         counter_hash_array,
         units_of_array,
         units_of_counters,
     )
 
     np = require_numpy()
-    keys = np.arange(50, dtype=np.uint64) + np.uint64(11)
-    got = units_of_counters(np, keys, [np.uint64(2), np.uint64(9)])
-    want = units_of_array(
-        np, counter_hash_array(np, keys, [np.uint64(2), np.uint64(9)])
-    )
-    assert (got == want).all()
+    keys, counters = _link_draw(np, 6, 7)
+    want = counter_hash_array(np, keys, counters)
+    resolved = counter_hash_array(np, keys, counters, out=DrawScratch(np, (6, 7, 7)))
+    assert (resolved == want).all()
+    _forced_fused(monkeypatch)
+    forced = counter_hash_array(np, keys, counters, out=DrawScratch(np, (6, 7, 7)))
+    assert (forced == want).all()
+    assert (units_of_counters(np, keys, counters) == units_of_array(np, want)).all()
 
 
 def _link_draw(np, replicas, n):
@@ -348,51 +376,72 @@ def _link_draw(np, replicas, n):
     return keys[:, None, None], [np.uint64(1), np.uint64(9), procs[:, None], procs[None, :]]
 
 
-def test_counter_units_draws_into_the_callers_scratch():
-    """With ``out=`` the fused kernel returns ``out.units``, bit-identical
-    to the fresh result, draw after draw over the same scratch."""
+def test_fused_stage_draws_into_the_callers_scratch(monkeypatch):
+    """On the numba tier's branch a link draw still returns ``out.hashes``,
+    bit-identical to the fresh result, draw after draw over the same
+    scratch; a stage that is not link-shaped takes the numpy passes."""
     from repro._optional import require_numpy
-    from repro.compiled.kernels import counter_units
-    from repro.engine.counter import DrawScratch, counter_hash_array, units_of_array
+    from repro.engine import counter
+    from repro.engine.counter import DrawScratch, counter_hash_array
 
     np = require_numpy()
     keys, counters = _link_draw(np, 3, 5)
-    want = units_of_array(np, counter_hash_array(np, keys, counters))
+    want = counter_hash_array(np, keys, counters)
     scratch = DrawScratch(np, (3, 5, 5))
     for compiled in (None, False):
+        _forced_fused(monkeypatch, compiled)
+        calls = []
+        fused = counter._FUSED_HASH
+
+        def counted(*args):
+            calls.append(args)
+            fused(*args)
+
+        monkeypatch.setattr(counter, "_FUSED_HASH", counted)
         for _ in range(2):
-            got = counter_units(np, keys, counters, compiled=compiled, out=scratch)
-            assert got is scratch.units
+            got = counter_hash_array(np, keys, counters, out=scratch)
+            assert got is scratch.hashes
             assert (got == want).all()
-    assert (counter_units(np, keys, counters) == want).all()
-    # 0-d: every input a scalar.
-    scalar = counter_units(np, np.uint64(7), [np.uint64(2)], out=DrawScratch(np, ()))
-    assert float(scalar) == float(units_of_array(np, counter_hash_array(np, 7, [2])))
-    with pytest.raises(ValueError, match="does not fit"):
-        counter_units(np, keys[:, :, 0], counters[:2] + [counters[3][0]], out=scratch)
+        assert len(calls) == 2
+        # n = 1: the keys already have the (R, 1, 1) scratch shape, so the
+        # link stage finds the scratch filled and runs the numpy passes in place.
+        one_keys, one_counters = _link_draw(np, 4, 1)
+        one = counter_hash_array(np, one_keys, one_counters, out=DrawScratch(np, (4, 1, 1)))
+        assert (one == counter_hash_array(np, one_keys, one_counters)).all()
+        # Not link-shaped: a counter that varies along the first axis too.
+        grid = np.arange(15, dtype=np.uint64).reshape(3, 1, 5)
+        square = counter_hash_array(np, keys, counters[:3] + [grid], out=scratch)
+        assert (square == counter_hash_array(np, keys, counters[:3] + [grid])).all()
+        # 0-d: every input a scalar.
+        scalar = counter_hash_array(np, np.uint64(7), [np.uint64(2)], out=DrawScratch(np, ()))
+        assert int(scalar) == counter.counter_hash(7, 2)
+        assert len(calls) == 2
+        with pytest.raises(ValueError, match="does not fit"):
+            counter_hash_array(
+                np, keys[:, :, 0], counters[:2] + [counters[3][0]], out=scratch
+            )
 
 
 def test_fused_dispatch_allocates_nothing_of_the_draw_shape(monkeypatch):
-    """The numba tier's branch of ``units_of_counters`` (forced here; the
-    core runs interpreted when numba is absent) hands the scratch to the
-    fused kernel, so a link draw allocates only its small prefix stages."""
+    """The numba tier's branch of ``counter_hash_array`` (forced here; the
+    core runs interpreted when numba is absent) hands views of the scratch
+    to the fused core, so a link draw allocates only its small prefix stages."""
     from repro._optional import require_numpy
-    from repro.compiled.kernels import counter_units
     from repro.engine import counter
     from tests.conftest import steady_state_peak_growth
 
     np = require_numpy()
-    monkeypatch.setattr(counter, "_FUSED_UNITS", counter_units)
+    _forced_fused(monkeypatch)
     replicas, n = 8, 48
     keys, counters = _link_draw(np, replicas, n)
-    want = counter.units_of_array(np, counter.counter_hash_array(np, keys, counters))
+    want = counter.counter_hash_array(np, keys, counters)
 
     def build():
         scratch = counter.DrawScratch(np, (replicas, n, n))
 
         def draw(round):
-            units = counter.units_of_counters(np, keys, counters, out=scratch)
-            assert units is scratch.units
+            hashes = counter.counter_hash_array(np, keys, counters, out=scratch)
+            assert hashes is scratch.hashes
             return None
 
         return draw
@@ -400,4 +449,4 @@ def test_fused_dispatch_allocates_nothing_of_the_draw_shape(monkeypatch):
     growth = steady_state_peak_growth(build)
     assert growth < replicas * n * n, growth
     scratch = counter.DrawScratch(np, (replicas, n, n))
-    assert (counter.units_of_counters(np, keys, counters, out=scratch) == want).all()
+    assert (counter.counter_hash_array(np, keys, counters, out=scratch) == want).all()
