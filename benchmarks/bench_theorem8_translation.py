@@ -22,8 +22,8 @@ re-checks the theorem's claims on the outcomes: every pi0 process decides
 (the default f keeps ``3(n - f) > 2n``), at the macro-round cadence, with
 agreement inside every replica.
 
-Emits ``BENCH_step.json`` (schema ``repro-bench-step/1``) next to
-BENCH_rounds/BENCH_sweep so CI can track the trajectory::
+Emits ``BENCH_step.json`` (schema ``repro-bench-step/1``) so CI can track
+the trajectory::
 
     python benchmarks/bench_theorem8_translation.py --sizes 16 64 --replica-counts 64 256
 """

@@ -96,11 +96,11 @@ class BatchKernel(abc.ABC):
     #: the scalar algorithm class this kernel is the dual of.
     algorithm_class: Type[Any]
 
-    #: whether the super-batch engine may pack this kernel's rows into a
+    #: whether the super backend may pack this kernel's rows into a
     #: mixed-cell row space (it constructs kernels directly with ``row_n``
     #: padding); kernels whose construction needs the full task context --
     #: e.g. the translation kernel, which embeds an inner kernel -- opt out
-    #: and keep the per-cell batch path.
+    #: and keep a row space of their own.
     super_batchable = True
 
     @classmethod
@@ -203,7 +203,7 @@ class BatchKernel(abc.ABC):
         return self.row_n[:, None]
 
     # ------------------------------------------------------------------ #
-    # row compaction (the super-batch engine retires decided rows)
+    # row compaction (the round loop retires finished rows)
     # ------------------------------------------------------------------ #
 
     def _state_array_names(self) -> List[str]:
@@ -213,10 +213,9 @@ class BatchKernel(abc.ABC):
     def compact(self, keep: Any) -> None:
         """Keep only the rows indexed by *keep* (ascending), in that order.
 
-        The super-batch engine retires rows as their replicas decide;
-        compaction gathers every per-row state array so the lockstep step
-        touches only live rows.  Callers own the old-index -> new-index
-        mapping.
+        The round loop retires rows as their replicas finish; compaction
+        gathers every per-row state array so the lockstep step touches only
+        the rows kept.  Callers own the old-index -> new-index mapping.
         """
         keep = self.np.asarray(keep, dtype=self.np.int64)
         for name in self._state_array_names():
@@ -234,11 +233,13 @@ class BatchKernel(abc.ABC):
         """(R, n) bool -- which processes have decided."""
         return self.decision_code >= 0
 
-    def scope_all_decided(self, scope_processes: Sequence[int]) -> Any:
-        """(R,) bool -- replicas in which every scope process decided."""
-        if not scope_processes:
-            return self.np.ones(self.replicas, dtype=bool)
-        return (self.decision_code[:, list(scope_processes)] >= 0).all(axis=1)
+    def scope_all_decided(self, scope: Any) -> Any:
+        """(R,) bool -- rows in which every process of the row's scope decided.
+
+        *scope* is ``(R, n)`` bool, one decide scope per row (the rows of a
+        shared row space need not agree); an empty scope is decided.
+        """
+        return (self.decided() | ~scope).all(axis=1)
 
     def decode(self, replica: int, code: int) -> Any:
         return self.tables[replica][code]

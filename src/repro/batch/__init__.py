@@ -17,10 +17,12 @@ monitors) -- the :class:`~repro.batch.backends.BatchBackend` transparently
 runs the scalar reference loop instead, so the import graph and the
 behaviour stay identical either way.
 
-The cross-cell :class:`~repro.batch.super.SuperBatchBackend` goes one axis
-further: it packs B heterogeneous sweep cells -- different n, horizons,
-fault models -- into one padded row space and steps the whole grid in a
-single lockstep loop, retiring and compacting rows as replicas decide.
+Both backends run the one round loop of :mod:`repro.batch.engine`.  The
+cross-cell :class:`~repro.batch.super.SuperBatchBackend` goes one axis
+further than the per-cell one: it packs B heterogeneous sweep cells --
+different n, horizons, fault models, monitored or not -- into one padded
+row space and steps the whole grid in a single run of that loop, retiring
+and compacting rows as replicas decide.
 
 Importing this package registers the ``batch`` and ``super`` backends with
 :mod:`repro.rounds.backend`; :func:`repro.rounds.backend.get_backend` does

@@ -7,11 +7,13 @@ registered for it) and :func:`build_cell` (the kernel built from the batch
 -- initial values that do not encode are only detectable by trying -- and
 the replicas' oracles vectorised).
 
-:class:`BatchBackend` is exactly those two in front of the
-:class:`~repro.batch.engine.BatchEngine`; the ``super`` and ``compiled``
-tiers call the same functions and add only their own rungs.  A declined
-batch runs on the scalar reference backend instead -- same outcomes,
-replica by replica -- and ``last_fallback_reason`` records why.
+:class:`BatchBackend` is exactly those two in front of the one numpy round
+loop (:class:`~repro.batch.engine.BatchEngine`), run with a single cell: a
+row space of the batch's own R rows, nothing padded, observers and row
+compaction included.  The ``super`` and ``compiled`` tiers call the same
+two functions and add only their own rungs.  A declined batch runs on the
+scalar reference backend instead -- same outcomes, replica by replica --
+and ``last_fallback_reason`` records why.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from ..rounds.backend import (
     register_backend,
 )
 from ..rounds.fallback import FallbackReason
-from .engine import BatchEngine
+from .engine import BatchEngine, Cell
 
 
 def admit(batch: ReplicaBatch) -> Tuple[Optional[str], Any]:
@@ -100,19 +102,7 @@ class BatchBackend:
         if cell is None:
             return self._scalar.run(batch)
         kernel, oracle = cell
-        monitors: Optional[Any] = None
-        if batch.monitor_spec is not None:
-            from ..predicates.batch import BatchMonitorBank
-
-            spec = batch.monitor_spec
-            monitors = BatchMonitorBank(
-                batch.n,
-                batch.replicas,
-                spec.predicates,
-                pi0_mask=spec.pi0_mask,
-                stop_after_held=spec.stop_after_held,
-            )
-        return BatchEngine(batch, kernel, oracle, monitors).run()
+        return BatchEngine(kernel, [Cell(batch, oracle)]).run()[0]
 
 
 register_backend(BatchBackend())

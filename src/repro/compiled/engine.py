@@ -86,6 +86,8 @@ class CompiledEngine:
         words_per_row = word_count(n)
         scope_list = list(iter_bits(batch.effective_scope_mask))
         scope = np.array(scope_list, dtype=np.int64)
+        scope_rows = np.zeros((replicas, n), dtype=bool)
+        scope_rows[:, scope_list] = True
         # Heard-bit lookup per sender: its word index and its bit's mask.
         # Precomputing both keeps runtime shifts (whose mixed-width
         # semantics vary) out of the cores entirely.
@@ -103,7 +105,7 @@ class CompiledEngine:
         chunk = FIRST_CHUNK_ROUNDS
         while round < batch.max_rounds:
             if not full_horizon:
-                active &= ~kernel.scope_all_decided(scope_list)
+                active &= ~kernel.scope_all_decided(scope_rows)
             if not active.any():
                 break
             k_max = min(chunk, batch.max_rounds - round)

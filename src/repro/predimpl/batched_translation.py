@@ -39,9 +39,11 @@ exceeds ``2n/3``, hence is unique), so the kernel is bit-identical to the
 scalar reference per seed -- pinned by the fingerprint-prefix tests.
 
 The kernel opts out of super-batching (``super_batchable = False``): the
-super engine constructs kernels directly with a padded mixed-n row space,
+super backend constructs kernels directly with a padded mixed-n row space,
 bypassing :meth:`from_batch`, and the translation parameters live on the
-task algorithms.  Translation cells keep the per-cell batch path.
+task algorithms.  That is a fact about *construction* only: a translation
+cell runs the one round loop as a row space of its own (the ``batch``
+backend's one-cell configuration), row compaction included.
 """
 
 from __future__ import annotations
@@ -168,8 +170,8 @@ class BatchTranslationKernel(BatchKernel):
     def decided(self) -> Any:
         return self._inner.decided()
 
-    def scope_all_decided(self, scope_processes: Sequence[int]) -> Any:
-        return self._inner.scope_all_decided(scope_processes)
+    def scope_all_decided(self, scope: Any) -> Any:
+        return self._inner.scope_all_decided(scope)
 
     def decisions_of(self, replica: int):
         return self._inner.decisions_of(replica)
@@ -181,9 +183,12 @@ class BatchTranslationKernel(BatchKernel):
         return self._inner.newly_decided(replica, decided_before)
 
     def compact(self, keep: Any) -> None:
-        raise NotImplementedError(
-            "the translation kernel does not super-batch; no row compaction"
-        )
+        self.listen = self.listen[keep]
+        self.known = self.known[keep]
+        self._inner.compact(keep)
+        self.replicas = self._inner.replicas
+        self.tables = self._inner.tables
+        self.last_new_ho = None
 
 
 register_batch_kernel(KernelToUniformTranslation, BatchTranslationKernel)

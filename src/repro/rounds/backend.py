@@ -7,7 +7,10 @@ heard-of-oracle scenario, executed under R seeds, then aggregated.  An
 :class:`ReplicaBatch` of R seeded replicas of one lockstep scenario -- and
 returns one :class:`ReplicaOutcome` per replica.
 
-Three backends ship:
+Six backends register (``scalar``, ``batch``, ``super``, ``compiled`` and
+the step-path pair ``step-scalar`` / ``step-batch`` of
+:mod:`repro.predimpl.step_backend`); the round-level numpy ones and their
+reference:
 
 * ``scalar`` -- :class:`ScalarBackend`, defined here: the reference
   implementation, looping the replicas one by one through the ordinary
@@ -21,10 +24,11 @@ Three backends ship:
   engage (no numpy, no batched kernel for the algorithm, unencodable
   values).
 * ``super`` -- :class:`repro.batch.super.SuperBatchBackend`: packs *many*
-  heterogeneous batches (different n, horizons, fault models) into one
-  padded row space and steps the whole grid in a single lockstep loop,
-  retiring rows as replicas decide; ineligible cells (monitored,
-  fingerprinted, unencodable) take the per-cell batch path instead.
+  heterogeneous batches (different n, horizons, fault models, monitored or
+  not) into one padded row space and steps the whole grid in a single run
+  of the same lockstep loop, retiring rows as replicas decide; ineligible
+  cells (a kernel that cannot be built padded, unencodable values) take
+  the per-cell batch path instead.
 
 The *contract* between backends is replica determinism: for every seed in
 the batch, a backend must produce exactly the decisions, decision rounds,

@@ -48,8 +48,6 @@ class FallbackReason(Enum):
 
     # -- the super-batch backend (repro.batch.super) ------------------- #
     NOT_SUPER_BATCHABLE = "{kernel} does not super-batch (per-cell row space only)"
-    MONITORED_PER_CELL = "monitored runs take the per-cell batch path"
-    FINGERPRINTED_PER_CELL = "fingerprinted runs take the per-cell batch path"
 
     # -- the compiled backend (repro.compiled.backend) ------------------ #
     NO_NUMBA = "numba unavailable (install the 'compiled' extra)"

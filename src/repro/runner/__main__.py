@@ -16,7 +16,8 @@ consumed by CI, a CSV of the per-run records, and a streamed JSONL file
 
 Both grid axes are validated against the registry up front -- a typo in a
 scenario *or fault-model* name exits with code 2 and the known list,
-instead of silently turning every cell into an errored run.
+instead of silently turning every cell into an errored run; so does a
+system size below 1.
 """
 
 from __future__ import annotations
@@ -121,8 +122,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "per-cell batch fallback), 'batch' = the vectorized lockstep-replica "
         "engine (numpy when available, with an automatic per-cell scalar "
         "fallback), 'auto' = compiled when numba is importable else batch, "
-        "'super' = pack the whole grid into one cross-cell lockstep run "
-        "(single process), 'scalar' = the reference loop (default: auto; "
+        "'super' = pack the whole grid, monitored cells included, into one "
+        "cross-cell lockstep run (single process), 'scalar' = the reference "
+        "loop (default: auto; "
         "only meaningful with --replicas)",
     )
     parser.add_argument(
@@ -246,7 +248,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             params["stop_after_held"] = args.stop_after_held
 
     sizes = args.ns if args.ns else [args.n]
-    specs = build_grid(scenarios, args.fault_models, args.seeds, ns=sizes, **params)
+    try:
+        specs = build_grid(scenarios, args.fault_models, args.seeds, ns=sizes, **params)
+    except ValueError as exc:  # a malformed grid: a system size below 1
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     workers = _resolve_workers(args.workers, len(specs))
     batched = (
         f" x {args.replicas} replica(s) [{args.backend} backend]"

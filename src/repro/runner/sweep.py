@@ -664,7 +664,8 @@ def load_jsonl_records(path: str) -> List[RunRecord]:
 
     Tolerates the torn final line a killed process can leave behind, blank
     lines, and lines that parse as JSON but lack a required wire field (a
-    tear can land on a closing brace): such cells simply re-execute.  Later
+    tear can land on a closing brace) or carry an identity field of the
+    wrong type: such cells simply re-execute.  Later
     lines win when a cell appears twice, so appended resume runs supersede
     nothing and plain re-runs supersede everything.
     """
@@ -682,9 +683,10 @@ def load_jsonl_records(path: str) -> List[RunRecord]:
                 continue
             try:
                 record = RunRecord.from_json_dict(payload)
-            except KeyError:
-                continue  # valid JSON, but not a whole record
-            records[record.cell_key] = record
+                key = record.cell_key
+            except (KeyError, AttributeError, TypeError, ValueError):
+                continue  # valid JSON, but not a whole, well-typed record
+            records[key] = record
     return list(records.values())
 
 
@@ -978,6 +980,11 @@ def build_grid(
     sizes = list(ns) if ns is not None else [n]
     if not sizes:
         raise ValueError("at least one system size is required")
+    too_small = [size for size in sizes if size < 1]
+    if too_small:
+        raise ValueError(
+            f"system sizes must be at least 1, got {', '.join(map(str, too_small))}"
+        )
     overlays = [{}] if param_sets is None else [dict(entry) for entry in param_sets]
     if not overlays:
         raise ValueError("param_sets, when given, must not be empty")
@@ -1085,11 +1092,13 @@ def run_sweep(
 
     ``backend="super"`` goes one step further: every such cell is packed,
     together with all the others, into ONE cross-cell lockstep engine run
-    -- the whole grid becomes the schedulable unit.  Super-batching is
-    single-process by design, so combining it with ``workers > 1`` raises
-    ``ValueError``; cells the grid path cannot take (no builder, monitored
-    or fingerprinted runs, numpy unavailable) fall back to the per-cell
-    batch machinery and are labelled ``super:cell-fallback (reason)``.
+    -- the whole grid becomes the schedulable unit, monitored and
+    fingerprinted cells included.  Super-batching is single-process by
+    design, so combining it with ``workers > 1`` raises ``ValueError``;
+    cells the grid path cannot take (no builder, a kernel that cannot be
+    built padded, unencodable values, numpy unavailable) fall back to the
+    per-cell batch machinery and are labelled
+    ``super:cell-fallback (reason)``.
 
     *on_record* is invoked and every sink in *sinks* written as each run's
     record streams back (in completion order); sinks are closed when the

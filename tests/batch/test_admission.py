@@ -3,13 +3,14 @@
 Every array tier (``batch``, ``super``, ``compiled``) admits a
 :class:`~repro.rounds.backend.ReplicaBatch` through the same shared rungs
 (:func:`repro.batch.backends.admit` / ``build_cell``) and then its own.
-Each row below is one declining input on one tier: the rendered reason is
-pinned, rows where two rungs apply pin the precedence, and the outcomes
-must equal the reference backend's -- a declined batch takes a lower tier,
-never a different answer.
+Each row below is one input on one tier: the rendered reason is pinned
+(``None`` for the rows a tier admits -- observed cells on ``super``, which
+no rung turns away), rows where two rungs apply pin the precedence, and the
+outcomes must equal the reference backend's -- a declined batch takes a
+lower tier, never a different answer.
 
-Nothing here forces a hop: every row declines for a reason a real input
-can produce.
+Nothing here forces a hop: every declining row declines for a reason a real
+input can produce.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ class Row:
     tier: str
     what: str
     make: Callable[[], ReplicaBatch]
-    reason: str
+    reason: Optional[str]
     #: pretend this optional dependency is not installed.
     without: Optional[str] = None
     #: the reference rejects the batch too: every tier must raise the same.
@@ -160,8 +161,13 @@ def shared_rows(tier: str):
     ]
 
 
-def own_rows(tier: str, monitored: str, fingerprinted: str):
-    """The monitored/fingerprinted rungs ``super`` and ``compiled`` each add."""
+def observed_rows(
+    tier: str,
+    monitored: Optional[str],
+    fingerprinted: Optional[str],
+    fingerprinted_unencodable: str,
+):
+    """Observed cells: ``compiled`` has a rung for each, ``super`` admits them."""
     return [
         Row(tier, "monitored", lambda: cell(monitor_spec=MONITORED), monitored),
         Row(tier, "fingerprinted", lambda: cell(fingerprints=True), fingerprinted),
@@ -172,7 +178,7 @@ def own_rows(tier: str, monitored: str, fingerprinted: str):
         Row(tier, "monitored+fingerprinted",
             lambda: cell(monitor_spec=MONITORED, fingerprints=True), monitored),
         Row(tier, "fingerprinted+unencodable",
-            lambda: cell(values=COMPLEX, fingerprints=True), fingerprinted),
+            lambda: cell(values=COMPLEX, fingerprints=True), fingerprinted_unencodable),
     ]
 
 
@@ -180,14 +186,11 @@ ROWS = [
     *shared_rows("batch"),
     *shared_rows("super"),
     *shared_rows("compiled"),
-    *own_rows(
-        "super",
-        FallbackReason.MONITORED_PER_CELL.render(),
-        FallbackReason.FINGERPRINTED_PER_CELL.render(),
-    ),
-    *own_rows(
+    *observed_rows("super", None, None, UNENCODABLE),
+    *observed_rows(
         "compiled",
         FallbackReason.MONITORED_COMPILED_CELL.render(),
+        FallbackReason.FINGERPRINTED_COMPILED_CELL.render(),
         FallbackReason.FINGERPRINTED_COMPILED_CELL.render(),
     ),
     Row("super", "translation-kernel", translated, NOT_SUPER),
@@ -203,8 +206,9 @@ ROWS = [
         FallbackReason.NO_NUMBA.render(), without="NUMBA", raises="sized for n=8"),
     Row("compiled-jit", "numpy-disabled", cell, NO_NUMPY, without="NUMPY"),
     # Each hop on a cell the tier would otherwise take: batch -> scalar on a
-    # stateful-oracle cell and on a monitored one, super -> per-cell batch,
-    # compiled -> numpy batch, step-batch -> step-scalar on a lowerable cell.
+    # stateful-oracle cell and on a monitored one, compiled -> numpy batch,
+    # step-batch -> step-scalar on a lowerable cell; super hops nowhere on a
+    # fingerprinted cell with a counter-dual oracle.
     Row("batch", "lossy-cell-without-numpy",
         lambda: make_batch(LastVoting, "lossy", 5, 3, 4), NO_NUMPY, without="NUMPY"),
     Row("batch", "monitored-cell-without-numpy",
@@ -217,7 +221,7 @@ ROWS = [
         NO_NUMPY, without="NUMPY"),
     Row("super", "fingerprinted-mobile-cell",
         lambda: make_cell(OneThirdRule, 5, 3, 3, FAMILIES["mobile"], fingerprints=True),
-        FallbackReason.FINGERPRINTED_PER_CELL.render()),
+        None),
     Row("compiled", "fingerprinted-lossy-cell",
         lambda: make_batch(LastVoting, "crash+lossy", 5, 3, 4),
         FallbackReason.FINGERPRINTED_COMPILED_CELL.render()),

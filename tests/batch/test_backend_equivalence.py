@@ -32,6 +32,7 @@ from repro.rounds.backend import (
     get_backend,
 )
 from repro.rounds.bitmask import mask_of
+from tests.conftest import count_compactions
 
 needs_numpy = pytest.mark.skipif(not have_numpy(), reason="numpy not available")
 
@@ -119,6 +120,22 @@ class TestBitIdenticalReplicas:
             make_batch(OneThirdRule, "partition-heal", n, 9, 3)
         )
         assert batched == scalar
+
+    @needs_numpy
+    @pytest.mark.parametrize("algo_cls", [OneThirdRule, UniformVoting, LastVoting])
+    def test_wide_cell_retires_and_compacts(self, algo_cls, monkeypatch):
+        """R = 96 lossy replicas decide a few per round: the one-cell row
+        space compacts under them, and every outcome stays scalar's."""
+        from repro.algorithms.batched import BatchKernel
+
+        compactions = count_compactions(monkeypatch, BatchKernel)
+        backend = get_backend("batch")
+        batched = backend.run(make_batch(algo_cls, "lossy", 5, 0, 96, fingerprints=False))
+        assert backend.last_fallback_reason is None
+        assert compactions and compactions[0][0] == 96
+        assert batched == get_backend("scalar").run(
+            make_batch(algo_cls, "lossy", 5, 0, 96, fingerprints=False)
+        )
 
     def test_fallback_on_unencodable_values(self):
         backend = BatchBackend()

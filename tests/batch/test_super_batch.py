@@ -5,8 +5,8 @@ eligible cell of a grid into a single padded row space.  These tests pin
 its outcomes bit-identical to the scalar reference backend -- across mixed
 system sizes spanning the 64-bit word boundary, across all four dynamic
 adversary families (whose counter-based duals make cross-cell packing
-possible), through the retire-and-compact path, and on every documented
-per-cell fallback.
+possible), through the retire-and-compact path, and with monitored and
+fingerprinted cells packed beside unobserved ones.
 """
 
 from __future__ import annotations
@@ -25,10 +25,12 @@ from repro.adversaries import (
 )
 from repro.adversaries.batch import PerReplicaBatchOracle
 from repro.algorithms import LastVoting, OneThirdRule, UniformVoting
+from repro.algorithms.batched import BatchKernel, BatchOneThirdRule
 from repro.batch import SuperBatchBackend
-from repro.batch.super import COMPACT_MIN_DROP, _SuperBatchEngine
+from repro.batch.engine import COMPACT_MIN_DROP, BatchEngine, Cell
 from repro.rounds.backend import MonitorSpec, ReplicaBatch, ReplicaTask, get_backend
 from repro.rounds.bitmask import mask_of
+from tests.conftest import count_compactions
 
 needs_numpy = pytest.mark.skipif(not have_numpy(), reason="numpy not available")
 
@@ -200,7 +202,7 @@ class TestFinishedCellsAreNotAsked:
             return round_masks(oracle, round, active)
 
         layouts = []
-        layout = _SuperBatchEngine._layout
+        layout = BatchEngine._layout
 
         def counting_layout(engine, orig_of):
             layouts.append(len(orig_of))
@@ -210,7 +212,7 @@ class TestFinishedCellsAreNotAsked:
         backend = SuperBatchBackend()
         with monkeypatch.context() as patch:
             patch.setattr(PerReplicaBatchOracle, "round_masks", logging_round_masks)
-            patch.setattr(_SuperBatchEngine, "_layout", counting_layout)
+            patch.setattr(BatchEngine, "_layout", counting_layout)
             results = backend.run_batches(cells)
         assert backend.last_fallback_reasons == {}
         for name in ("batch", "scalar"):
@@ -262,9 +264,44 @@ class TestFinishedCellsAreNotAsked:
         assert all(any_active for _, _, any_active in asked)
 
 
+ALL_SIX = ("p_otr", "p_restr_otr", "p_su", "p_k", "p_2otr", "p_1/1otr")
+
+
+def observed_group(algo_cls, family, replicas=5):
+    """Eight cells for ONE row space: every observer shape, both word edges.
+
+    Monitored, fingerprinted, both, neither; early stop, full horizon, a
+    Pi0 scope; n on either side of the 64-bit word boundary, so every
+    observed cell but the widest sees a strict corner of the padded round.
+    """
+    oracle = FAMILIES[family]
+    return [
+        make_cell(algo_cls, 1, 0, replicas,
+                  monitor_spec=MonitorSpec(predicates=ALL_SIX), fingerprints=True),
+        make_cell(algo_cls, 4, 10, replicas, oracle, max_rounds=40, run_full_horizon=True,
+                  monitor_spec=MonitorSpec(predicates=ALL_SIX, stop_after_held=3)),
+        make_cell(algo_cls, 5, 20, replicas, oracle, max_rounds=40),
+        make_cell(algo_cls, 7, 30, replicas, oracle, max_rounds=40, fingerprints=True),
+        make_cell(algo_cls, 9, 40, replicas, oracle, max_rounds=25, run_full_horizon=True,
+                  monitor_spec=MonitorSpec(
+                      predicates=("p_su", "p_k", "p_2otr"), pi0_mask=mask_of(range(6))
+                  ),
+                  fingerprints=True),
+        # The wide cells keep the scalar reference affordable: short
+        # horizons, and a fault-free unobserved neighbour.
+        make_cell(algo_cls, 63, 50, replicas, oracle, max_rounds=10,
+                  monitor_spec=MonitorSpec(predicates=ALL_SIX), fingerprints=True),
+        make_cell(algo_cls, 64, 60, replicas),
+        make_cell(algo_cls, 65, 70, replicas, oracle, max_rounds=10, run_full_horizon=True,
+                  monitor_spec=MonitorSpec(predicates=ALL_SIX, stop_after_held=3)),
+    ]
+
+
 @needs_numpy
-class TestPerCellFallbacks:
-    def test_monitored_cell_falls_back_per_cell(self):
+class TestObservedCellsShareTheRowSpace:
+    """Monitors and fingerprints are a slot of the loop, not a way out of it."""
+
+    def test_monitored_cell_super_batches(self):
         cell = make_cell(
             OneThirdRule,
             4,
@@ -274,22 +311,20 @@ class TestPerCellFallbacks:
         )
         backend = SuperBatchBackend()
         outcomes = backend.run(cell)
-        assert backend.last_fallback_reason == (
-            "monitored runs take the per-cell batch path"
-        )
+        assert backend.last_fallback_reason is None
+        assert all(outcome.predicate_reports for outcome in outcomes)
         assert outcomes == get_backend("scalar").run(cell)
 
-    def test_fingerprinted_cell_falls_back_per_cell(self):
+    def test_fingerprinted_cell_super_batches(self):
         cell = make_cell(OneThirdRule, 4, 0, 2, fingerprints=True)
         backend = SuperBatchBackend()
         outcomes = backend.run(cell)
-        assert backend.last_fallback_reason == (
-            "fingerprinted runs take the per-cell batch path"
-        )
+        assert backend.last_fallback_reason is None
+        assert all(outcome.fingerprint for outcome in outcomes)
         assert outcomes == get_backend("scalar").run(cell)
 
-    def test_mixed_grid_fallback_and_super_coexist(self):
-        """Eligible cells super-batch; the monitored one drops per-cell."""
+    def test_mixed_grid_observed_and_unobserved_coexist(self):
+        """The monitored cell packs beside the unobserved one."""
         eligible = make_cell(OneThirdRule, 4, 0, 2, FAMILIES["coordinator"])
         monitored = make_cell(
             OneThirdRule,
@@ -300,10 +335,71 @@ class TestPerCellFallbacks:
         )
         backend = SuperBatchBackend()
         results = backend.run_batches([eligible, monitored])
-        assert set(backend.last_fallback_reasons) == {1}
+        assert backend.last_fallback_reasons == {}
         scalar = get_backend("scalar")
         assert results[0] == scalar.run(eligible)
         assert results[1] == scalar.run(monitored)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("algo_cls", [OneThirdRule, LastVoting])
+    def test_observed_group_matches_scalar(self, algo_cls, family):
+        """Reports, stop flags and fingerprints included, outcome for outcome."""
+        backend = SuperBatchBackend()
+        results = backend.run_batches(observed_group(algo_cls, family))
+        assert backend.last_fallback_reasons == {}
+        scalar = get_backend("scalar")
+        for cell, outcomes in zip(observed_group(algo_cls, family), results):
+            assert outcomes == scalar.run(cell)
+        assert all(o.stopped_early and o.rounds_executed < 40 for o in results[1])
+
+    def test_compaction_goes_around_pinned_rows(self, monkeypatch):
+        """A big finished neighbour is compacted away; observed rows never are."""
+
+        def grid():
+            # 70 unobserved rows decide in round 2, which alone clears both
+            # compaction thresholds; the observed cells on either side of
+            # them run on (the first two finished, pinned, the third live).
+            return [
+                make_cell(OneThirdRule, 4, 0, 3, fingerprints=True),
+                make_cell(OneThirdRule, 5, 10, 70),
+                make_cell(OneThirdRule, 4, 100, 3,
+                          monitor_spec=MonitorSpec(predicates=ALL_SIX, stop_after_held=2)),
+                make_cell(OneThirdRule, 7, 200, 4, FAMILIES["bursty"], max_rounds=40,
+                          monitor_spec=MonitorSpec(predicates=ALL_SIX), fingerprints=True,
+                          run_full_horizon=True),
+            ]
+
+        backend = SuperBatchBackend()
+        with monkeypatch.context() as patch:
+            taken = count_compactions(patch, BatchKernel)
+            results = backend.run_batches(grid())
+        assert backend.last_fallback_reasons == {}
+        scalar = get_backend("scalar")
+        for cell, outcomes in zip(grid(), results):
+            assert outcomes == scalar.run(cell)
+        observed = {*range(0, 3), *range(73, 80)}
+        present = list(range(80))
+        assert taken
+        for rows_before, keep in taken:
+            assert rows_before == len(present)
+            present = [present[i] for i in keep]
+            assert observed <= set(present)
+        assert present == sorted(observed)
+
+
+@needs_numpy
+def test_engine_rejects_cells_that_do_not_fit_the_kernel():
+    from repro.batch.backends import build_cell
+
+    narrow, wide = make_cell(OneThirdRule, 4, 0, 2), make_cell(OneThirdRule, 5, 0, 2)
+    _, (kernel, oracle) = build_cell(BatchOneThirdRule, narrow)
+    _, (_, wide_oracle) = build_cell(BatchOneThirdRule, wide)
+    with pytest.raises(ValueError, match="oracle shape does not match"):
+        Cell(wide, oracle)
+    with pytest.raises(ValueError, match="kernel shape does not match"):
+        BatchEngine(kernel, [Cell(narrow, oracle)] * 2)  # 4 rows, 2 in the kernel
+    with pytest.raises(ValueError, match="kernel shape does not match"):
+        BatchEngine(kernel, [Cell(wide, wide_oracle)])  # wider than the kernel
 
 
 def test_super_backend_registered():

@@ -52,6 +52,19 @@ def steady_state_peak_growth(
     return peak - settled
 
 
+def count_compactions(patch: pytest.MonkeyPatch, kernel_class: type) -> list:
+    """Record ``(rows before, keep)`` of every ``kernel_class.compact`` under *patch*."""
+    taken = []
+    compact = kernel_class.compact
+
+    def counting_compact(kernel, keep):
+        taken.append((kernel.replicas, [int(i) for i in keep]))
+        return compact(kernel, keep)
+
+    patch.setattr(kernel_class, "compact", counting_compact)
+    return taken
+
+
 def uniform_round(n: int, ho: Iterable[int]) -> Dict[int, Iterable[int]]:
     """A per-round mapping where every process has the same HO set."""
     ho_list = list(ho)

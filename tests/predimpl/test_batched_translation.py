@@ -19,6 +19,7 @@ from repro.core.machine import HOMachine
 from repro.engine.rng import SeededRng
 from repro.predimpl.translation import KernelToUniformTranslation
 from repro.rounds.backend import ReplicaBatch, ReplicaTask, get_backend
+from tests.conftest import count_compactions
 
 needs_numpy = pytest.mark.skipif(not have_numpy(), reason="numpy not available")
 
@@ -181,6 +182,61 @@ class TestBackendFingerprints:
         batched = get_backend("batch").run(make_batch(n, seeds, f, rounds))
         assert scalar == batched
         assert all(outcome.decisions for outcome in scalar)
+
+
+@needs_numpy
+class TestRowCompaction:
+    """A translation cell is a row space of its own, and that one compacts."""
+
+    def test_compact_keeps_listen_known_and_inner_rows_aligned(self):
+        """Compacted mid-run, the kernel equals one built from the kept
+        replicas only and stepped with the same heard rows throughout."""
+        import numpy as np
+
+        from repro.predimpl.batched_translation import BatchTranslationKernel
+
+        n, f, seeds, keep = 7, 2, [3, 4, 5, 6, 7, 8], [1, 3, 4]
+        values = [shuffled_values(n, seed) for seed in seeds]
+        whole = BatchTranslationKernel(n, values, f=f)
+        kept = BatchTranslationKernel(n, [values[r] for r in keep], f=f)
+        rng = np.random.default_rng(0)
+        # Rounds 4-6 are the second macro-round: compacting before round 5
+        # gathers shrunken listen sets and grown known sets, and stopping in
+        # round 11 compares them mid-macro-round again.
+        for round in range(1, 12):
+            heard = rng.random((len(seeds), n, n)) < 0.9
+            kept.step(round, heard[keep], np.ones(len(keep), dtype=bool))
+            if round == 5:
+                assert not whole.listen.all() and whole.known.sum() > whole.known.shape[0] * n
+                whole.compact(np.array(keep))
+                assert whole.replicas == len(keep) and whole.last_new_ho is None
+            if round >= 5:
+                heard = heard[keep]
+            whole.step(round, heard, np.ones(len(heard), dtype=bool))
+        assert not whole.listen.all() and whole._inner.decided().any()
+        assert whole.tables == kept.tables
+        for name in ("listen", "known", "last_new_ho"):
+            assert np.array_equal(getattr(whole, name), getattr(kept, name)), name
+        for name in ("x", "decision_code", "decision_round"):
+            assert np.array_equal(getattr(whole._inner, name), getattr(kept._inner, name)), name
+        assert [whole.decisions_of(r) for r in range(3)] == [
+            kept.decisions_of(r) for r in range(3)
+        ]
+
+    def test_wide_cell_compacts_on_the_batch_backend(self, monkeypatch):
+        """R = 96 replicas deciding macro-round by macro-round: the one-cell
+        loop retires and compacts them, and the outcomes stay scalar's."""
+        from repro.predimpl.batched_translation import BatchTranslationKernel
+
+        compactions = count_compactions(monkeypatch, BatchTranslationKernel)
+        n, f, seeds = 4, 1, list(range(96))
+        backend = get_backend("batch")
+        batched = backend.run(make_batch(n, seeds, f, 60, fingerprints=False))
+        assert backend.last_fallback_reason is None
+        assert compactions and compactions[0][0] == 96
+        assert batched == get_backend("scalar").run(
+            make_batch(n, seeds, f, 60, fingerprints=False)
+        )
 
 
 @needs_numpy

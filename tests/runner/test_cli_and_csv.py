@@ -5,9 +5,11 @@ from __future__ import annotations
 import csv
 import json
 
+import pytest
+
 from repro.runner.__main__ import main
 from repro.runner.registry import REGISTRY
-from repro.runner.sweep import RunSpec, SweepResult, execute_run
+from repro.runner.sweep import RunSpec, SweepResult, build_grid, execute_run
 
 
 def run_small_sweep():
@@ -125,6 +127,25 @@ class TestCli:
             "chandra-toueg/fault-free/n=3",
             "chandra-toueg/fault-free/n=4",
         }
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--n", "0"], "0"), (["--ns", "4", "-3"], "-3")],
+        ids=["n", "ns"],
+    )
+    def test_non_positive_size_exits_2_naming_the_values(self, capsys, flags, named):
+        """A size below 1 must not become a grid of errored runs either."""
+        code = main(
+            ["--scenarios", "ho-classic-otr", "--fault-models", "fault-free", "--quiet", *flags]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"system sizes must be at least 1, got {named}" in captured.err
+        assert "sweep:" not in captured.out
+
+    def test_build_grid_rejects_a_non_positive_size(self):
+        with pytest.raises(ValueError, match=r"at least 1, got 0, -2$"):
+            build_grid(["ho-classic-otr"], ["fault-free"], [0], ns=[4, 0, -2])
 
     def test_malformed_param_exits_2(self, capsys):
         assert main(["--param", "no-equals-sign", "--quiet"]) == 2

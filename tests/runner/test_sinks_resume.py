@@ -195,6 +195,37 @@ class TestResume:
             uninterrupted.aggregate(), sort_keys=True
         )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("params", [1, 2]),
+            ("seed", "zero"),
+            ("n", None),
+            ("replicas", [1]),
+            ("replicas", {"count": "x"}),
+        ],
+        ids=["params-list", "seed-str", "n-null", "replicas-list", "replicas-count-str"],
+    )
+    def test_resume_skips_a_line_with_a_wrong_typed_field(self, tmp_path, field, value):
+        """A whole record whose identity does not type-check re-executes too."""
+        path = tmp_path / "sweep.jsonl"
+        uninterrupted = run_sweep(GRID[:2], workers=1)
+        sink = JsonlSink(str(path))
+        sink.write(uninterrupted.records[0])
+        bad = {**uninterrupted.records[1].to_json_dict(), field: value}
+        sink._handle.write(json.dumps(bad) + "\n")
+        sink.close()
+
+        assert [r.cell_key for r in load_jsonl_records(str(path))] == [GRID[0].cell_key]
+        executed = []
+        resumed = run_sweep(GRID[:2], workers=1, on_record=executed.append,
+                            resume_from=str(path))
+        assert resumed.resumed == 1
+        assert [r.cell_key for r in executed] == [GRID[1].cell_key]
+        assert json.dumps(resumed.aggregate(), sort_keys=True) == json.dumps(
+            uninterrupted.aggregate(), sort_keys=True
+        )
+
     def test_resume_retries_errored_cells(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
         good = run_sweep(GRID[:1], workers=1).records[0]

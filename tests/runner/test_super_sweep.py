@@ -59,23 +59,36 @@ class TestSuperSweep:
         assert run_sweep(specs, replicas=2, backend="super", workers=1).records
         assert run_sweep(specs, replicas=2, backend="super", workers=None).records
 
-    @needs_numpy
-    def test_monitored_cell_gets_fallback_label(self):
-        """A cell with predicates is super-ineligible: it runs per-cell and
-        its record says so."""
+    def test_monitored_grid_gets_no_fallback_label(self):
+        """Cells with predicates pack like any other: every record says
+        ``super`` and the predicate aggregates equal the scalar sweep's."""
         specs = build_grid(
-            scenarios=["ho-classic-otr"],
+            ns=[4], predicates=("p_su", "p_k", "p_2otr"), stop_after_held=8, **GRID
+        )
+        sup = run_sweep(specs, replicas=4, backend="super")
+        ref = run_sweep(specs, replicas=4, backend="scalar")
+        assert all(record.error is None for record in sup.records)
+        assert sup.aggregate() == ref.aggregate()
+        assert all(group["predicates"] for group in sup.aggregate().values())
+        if have_numpy():
+            assert {r.replicas["backend"] for r in sup.records} == {"super"}
+
+    @needs_numpy
+    def test_translation_cell_gets_fallback_label(self):
+        """A kernel that cannot be built padded runs per-cell and its record
+        says so."""
+        specs = build_grid(
+            scenarios=["ho-theorem8-translation"],
             fault_models=["fault-free"],
             seeds=[0],
             ns=[4],
-            predicates=("p_otr",),
         )
         result = run_sweep(specs, replicas=2, backend="super")
         (record,) = result.records
         assert record.error is None
         used = record.replicas["backend"]
         assert used.startswith("super:cell-fallback (")
-        assert "per-cell batch path" in used
+        assert "does not super-batch" in used
 
     def test_mixed_grid_labels_each_cell_with_what_ran_it(self):
         """Step scenarios alias ``super`` onto ``step-batch``: their cells take
