@@ -128,10 +128,12 @@ def main() -> None:
     # half the grid; the resumed call skips those cells and completes the rest.
     print("--- resumable JSONL sweep (with streamed predicate reports) ---")
     grid = build_grid(
-        ["ho-round-mobile-omission-monitored"],
+        ["ho-round-mobile-omission"],
         ["fault-free", "crash-stop"],
         seeds=[0, 1],
         n=4,
+        predicates=("p_su", "p_k", "p_2otr", "p_restr_otr"),
+        run_full_horizon=True,
     )
     jsonl = Path(tempfile.mkdtemp(prefix="repro-quickstart-")) / "sweep.jsonl"
     run_sweep(grid[: len(grid) // 2], sinks=[JsonlSink(str(jsonl))])  # "killed" here

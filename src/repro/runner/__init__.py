@@ -2,9 +2,8 @@
 
 The runner turns single simulation runs into experiments:
 
-* :mod:`repro.runner.registry` -- scenarios and measurements registered
-  under picklable string names (populated by importing
-  :mod:`repro.workloads`);
+* :mod:`repro.runner.registry` -- scenarios registered under picklable
+  string names (populated by importing :mod:`repro.workloads`);
 * :mod:`repro.runner.sweep` -- grid expansion, the (optionally
   ``multiprocessing``-parallel) sweep executor, deterministic aggregation
   and the machine-readable JSON summary;
@@ -15,16 +14,13 @@ The runner turns single simulation runs into experiments:
 from .registry import REGISTRY, TaskRegistry
 from .sweep import (
     SCHEMA,
-    CsvSink,
     JsonlSink,
-    JsonSummarySink,
     RecordSink,
     RunRecord,
     RunSpec,
     SweepResult,
     build_grid,
     load_jsonl_records,
-    run_measurement_sweep,
     run_one,
     run_sweep,
 )
@@ -38,11 +34,8 @@ __all__ = [
     "SweepResult",
     "RecordSink",
     "JsonlSink",
-    "CsvSink",
-    "JsonSummarySink",
     "load_jsonl_records",
     "build_grid",
     "run_sweep",
     "run_one",
-    "run_measurement_sweep",
 ]

@@ -152,7 +152,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--list",
         action="store_true",
-        help="list registered scenarios, fault models and measurements, then exit",
+        help="list registered scenarios, fault models and predicates, then exit",
     )
     parser.add_argument(
         "--quiet", action="store_true", help="suppress the per-run progress lines"
@@ -173,9 +173,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"  {name}")
         print("predicates (for --predicates, on [monitorable] scenarios):")
         for name in MONITOR_NAMES:
-            print(f"  {name}")
-        print("measurements:")
-        for name in REGISTRY.measurement_names():
             print(f"  {name}")
         return 0
 
@@ -249,8 +246,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     sizes = args.ns if args.ns else [args.n]
     try:
-        specs = build_grid(scenarios, args.fault_models, args.seeds, ns=sizes, **params)
-    except ValueError as exc:  # a malformed grid: a system size below 1
+        # As an overlay, not **params: a --param key must reach build_grid's
+        # reserved-key check instead of binding to one of its own parameters.
+        specs = build_grid(
+            scenarios, args.fault_models, args.seeds, ns=sizes, param_sets=[params]
+        )
+    except ValueError as exc:  # a malformed grid: a size below 1, a reserved --param key
         print(f"error: {exc}", file=sys.stderr)
         return 2
     workers = _resolve_workers(args.workers, len(specs))

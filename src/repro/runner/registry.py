@@ -1,17 +1,12 @@
-"""The scenario / measurement registry of the experiment runner.
+"""The scenario registry of the experiment runner.
 
-Experiments are registered under string names so that the sweep executor
-can address them from worker processes (a name pickles trivially; a
-closure does not).  Two namespaces exist:
+Scenarios -- end-to-end consensus runs, ``fn(fault_model, n=..., seed=...,
+**params) -> ScenarioResult`` -- are registered under string names so that
+the sweep executor can address them from worker processes (a name pickles
+trivially; a closure does not); the scenario modules of
+:mod:`repro.workloads` register themselves here on import.
 
-* *scenarios* -- end-to-end consensus runs, ``fn(fault_model, n=..., seed=...,
-  **params) -> ScenarioResult`` (the three stacks of
-  :mod:`repro.workloads.scenarios` register themselves here);
-* *measurements* -- bound-vs-measured experiments, ``fn(**params) ->
-  Measurement`` or a sequence thereof (the ``measure_*`` functions of
-  :mod:`repro.workloads.measure` register themselves here).
-
-A third, flat namespace lists the known *fault models* (the shared axis
+A second, flat namespace lists the known *fault models* (the shared axis
 every scenario accepts), so the CLI can validate a grid before spending
 hours executing it.
 
@@ -26,11 +21,10 @@ from typing import Callable, Dict, List, Mapping, Optional
 
 
 class TaskRegistry:
-    """Name -> callable registries for scenarios and measurements."""
+    """Name -> callable registry of scenarios, plus the fault-model axis."""
 
     def __init__(self) -> None:
         self._scenarios: Dict[str, Callable] = {}
-        self._measurements: Dict[str, Callable] = {}
         self._fault_models: Dict[str, None] = {}
         self._monitorable: Dict[str, bool] = {}
         self._batch_builders: Dict[str, Callable] = {}
@@ -82,11 +76,6 @@ class TaskRegistry:
             self._backend_aliases[name] = dict(backend_aliases)
         return fn
 
-    def register_measurement(self, name: str, fn: Callable) -> Callable:
-        """Register measurement *name*; returns *fn* so it can be used as a decorator."""
-        self._measurements[name] = fn
-        return fn
-
     def register_fault_model(self, name: str) -> None:
         """Declare *name* a known fault model (the shared scenario axis)."""
         self._fault_models[name] = None
@@ -103,23 +92,9 @@ class TaskRegistry:
                 f"unknown scenario {name!r}; known: {self.scenario_names()}"
             ) from None
 
-    def measurement(self, name: str) -> Callable:
-        """The measurement function registered under *name*."""
-        self._ensure_populated()
-        try:
-            return self._measurements[name]
-        except KeyError:
-            raise KeyError(
-                f"unknown measurement {name!r}; known: {self.measurement_names()}"
-            ) from None
-
     def scenario_names(self) -> List[str]:
         self._ensure_populated()
         return sorted(self._scenarios)
-
-    def measurement_names(self) -> List[str]:
-        self._ensure_populated()
-        return sorted(self._measurements)
 
     def fault_model_names(self) -> List[str]:
         self._ensure_populated()
@@ -166,7 +141,7 @@ class TaskRegistry:
         """
         if not self._populated:
             self._populated = True
-            import repro.workloads  # noqa: F401  (registers scenarios + measurements)
+            import repro.workloads  # noqa: F401  (registers the scenarios)
 
 
 #: The process-wide registry the sweep executor resolves names against.

@@ -613,50 +613,25 @@ def _csv_row(record: RunRecord) -> Dict[str, Any]:
     return row
 
 
-class CsvSink:
-    """One CSV row per finished run (header first, rows flushed as written)."""
+def _require_replica_outcomes(record: RunRecord) -> None:
+    """Raise unless a completed batched record carries every replica, well typed.
 
-    def __init__(self, path: str) -> None:
-        _ensure_parent(path)
-        self.path = path
-        self._handle = open(path, "w", encoding="utf-8", newline="")
-        self._writer = csv.DictWriter(self._handle, fieldnames=SweepResult.CSV_FIELDS)
-        self._writer.writeheader()
-        self._handle.flush()
-
-    def write(self, record: RunRecord) -> None:
-        self._writer.writerow(_csv_row(record))
-        self._handle.flush()
-
-    def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.close()
-
-
-class JsonSummarySink:
-    """Buffer records and write the full JSON summary on close.
-
-    A summary holds aggregates over the whole grid, so it cannot be flushed
-    per record; records are sorted into a canonical order on close, making
-    the output independent of worker completion order.  When the sweep was
-    resumed, the sink only sees the freshly executed cells -- prefer
-    :meth:`SweepResult.write_json` for a summary of the merged grid.
+    A record that lost its ``outcomes`` would otherwise resume as *completed*
+    and aggregate as ``count`` errored replicas, a mistyped one kill the report.
     """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._records: List[RunRecord] = []
-        self._closed = False
-
-    def write(self, record: RunRecord) -> None:
-        self._records.append(record)
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        records = sorted(self._records, key=lambda r: (r.scenario, r.fault_model, r.cell_key))
-        SweepResult(records=records, workers=0).write_json(self.path)
+    if record.error is not None or not record.replicas:
+        return
+    outcomes = record.replicas["outcomes"]
+    if not isinstance(outcomes, list) or len(outcomes) != record.replicas["count"]:
+        raise ValueError("outcomes do not cover the replica count")
+    for outcome in outcomes:
+        if not all(key in outcome for key in REPLICA_OUTCOME_FIELDS):
+            raise ValueError("replica outcome lacks a wire field")
+        if not all(
+            isinstance(outcome[key], int)
+            for key in ("messages_sent", "decided_processes", "scope_size")
+        ):
+            raise ValueError("replica outcome counter is not an integer")
 
 
 def load_jsonl_records(path: str) -> List[RunRecord]:
@@ -664,8 +639,9 @@ def load_jsonl_records(path: str) -> List[RunRecord]:
 
     Tolerates the torn final line a killed process can leave behind, blank
     lines, and lines that parse as JSON but lack a required wire field (a
-    tear can land on a closing brace) or carry an identity field of the
-    wrong type: such cells simply re-execute.  Later
+    tear can land on a closing brace), carry an identity field of the
+    wrong type, or are batched records without their well-typed replica
+    outcomes: such cells simply re-execute.  Later
     lines win when a cell appears twice, so appended resume runs supersede
     nothing and plain re-runs supersede everything.
     """
@@ -684,6 +660,7 @@ def load_jsonl_records(path: str) -> List[RunRecord]:
             try:
                 record = RunRecord.from_json_dict(payload)
                 key = record.cell_key
+                _require_replica_outcomes(record)
             except (KeyError, AttributeError, TypeError, ValueError):
                 continue  # valid JSON, but not a whole, well-typed record
             records[key] = record
@@ -959,6 +936,23 @@ class SweepResult:
         return lines
 
 
+#: Keys no scenario parameter may take: each names a grid axis or an
+#: execution choice, mapped to the flag / argument that owns it.
+_RESERVED_PARAMS = {
+    "scenario": "--scenarios",
+    "scenarios": "--scenarios",
+    "fault_model": "--fault-models",
+    "fault_models": "--fault-models",
+    "seed": "--seeds",
+    "seeds": "--seeds",
+    "n": "--n",
+    "ns": "--ns",
+    "param_sets": "build_grid(param_sets=...)",
+    "replicas": "--replicas",
+    "backend": "--backend",
+}
+
+
 def build_grid(
     scenarios: Sequence[str],
     fault_models: Sequence[str],
@@ -975,7 +969,9 @@ def build_grid(
     becomes one slice of the grid -- so bound-tightness experiments can
     cross sizes and knob settings in one grid.  With neither given, the
     classic single-axis (scenario × fault-model × seed) grid comes back
-    unchanged.
+    unchanged.  A parameter key that names a grid axis (``n``, ``seed``,
+    ``backend``, ...) is rejected: it would be swallowed by the axis,
+    collide with it, or turn every cell into an errored run.
     """
     sizes = list(ns) if ns is not None else [n]
     if not sizes:
@@ -988,6 +984,14 @@ def build_grid(
     overlays = [{}] if param_sets is None else [dict(entry) for entry in param_sets]
     if not overlays:
         raise ValueError("param_sets, when given, must not be empty")
+    reserved = [
+        key for mapping in (params, *overlays) for key in mapping if key in _RESERVED_PARAMS
+    ]
+    if reserved:
+        raise ValueError(
+            f"{reserved[0]!r} is a grid axis, not a scenario parameter; "
+            f"set it with {_RESERVED_PARAMS[reserved[0]]}"
+        )
     return [
         RunSpec.make(scenario, fault_model, seed, n=size, **{**params, **overlay})
         for scenario in scenarios
@@ -1207,35 +1211,6 @@ def run_one(
     return REGISTRY.scenario(scenario)(fault_model, n=n, seed=seed, **params)
 
 
-# --------------------------------------------------------------------------- #
-# measurement sweeps (bound-vs-measured experiments)
-# --------------------------------------------------------------------------- #
-
-
-def execute_measurement(job: Tuple[str, Tuple[Tuple[str, Any], ...]]) -> Any:
-    """Run one measurement job (top-level: picklable for workers)."""
-    name, params = job
-    return REGISTRY.measurement(name)(**dict(params))
-
-
-def run_measurement_sweep(
-    name: str,
-    param_sets: Iterable[Mapping[str, Any]],
-    workers: Optional[int] = None,
-) -> List[Any]:
-    """Run measurement *name* over *param_sets*; results come back in input order.
-
-    Entries whose measurement returns a sequence (e.g. ``measure_corollary4``)
-    are kept as returned; callers flatten if needed.
-    """
-    jobs = [(name, tuple(sorted(params.items()))) for params in param_sets]
-    worker_count = _resolve_workers(workers, len(jobs))
-    if worker_count == 1:
-        return [execute_measurement(job) for job in jobs]
-    with multiprocessing.Pool(processes=worker_count) as pool:
-        return pool.map(execute_measurement, jobs, chunksize=1)
-
-
 __all__ = [
     "SCHEMA",
     "BACKEND_CHOICES",
@@ -1245,14 +1220,10 @@ __all__ = [
     "SweepResult",
     "RecordSink",
     "JsonlSink",
-    "CsvSink",
-    "JsonSummarySink",
     "load_jsonl_records",
     "spec_key",
     "build_grid",
     "run_sweep",
     "run_one",
     "execute_run",
-    "run_measurement_sweep",
-    "execute_measurement",
 ]

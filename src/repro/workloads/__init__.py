@@ -1,11 +1,9 @@
-"""Workloads: scenario generators and the measurement harness behind the benchmarks."""
+"""Workloads: scenario generators and the bound-vs-measured harness behind ``tests/claims``."""
 
 from .adversarial import (
-    DEFAULT_MONITORED_PREDICATES,
     ROUND_FAMILIES,
     build_round_adversary_batch,
     run_round_adversary,
-    run_round_adversary_monitored,
 )
 from .batched import (
     CLASSIC_ALGORITHMS,
@@ -60,10 +58,8 @@ __all__ = [
     "run_aguilera",
     "compare_stacks",
     "ROUND_FAMILIES",
-    "DEFAULT_MONITORED_PREDICATES",
     "build_round_adversary_batch",
     "run_round_adversary",
-    "run_round_adversary_monitored",
     "CLASSIC_ALGORITHMS",
     "build_classic_batch",
     "run_classic",

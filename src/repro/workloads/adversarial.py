@@ -40,7 +40,6 @@ from ..adversaries import (
 )
 from ..algorithms import OneThirdRule
 from ..engine.rng import SeededRng
-from ..predimpl.bounds import arbitrary_p2otr_rounds
 from ..rounds.backend import CellPlan, ReplicaTask
 from ..runner.registry import REGISTRY
 from .batched import cell_plan, fault_overlay, run_single_seed
@@ -189,66 +188,6 @@ def run_round_adversary(
     return run_single_seed(plan, f"ho-round/{family}", fault_model, extra, keep_trace)
 
 
-#: Predicates monitored by default in the ``ho-round-*-monitored`` family.
-DEFAULT_MONITORED_PREDICATES = ("p_su", "p_k", "p_2otr", "p_restr_otr")
-
-
-def run_round_adversary_monitored(
-    fault_model: str,
-    n: int = 4,
-    seed: int = 0,
-    family: str = "mobile-omission",
-    rounds: int = 80,
-    stabilize_round: Optional[int] = None,
-    predicates: Sequence[str] = DEFAULT_MONITORED_PREDICATES,
-    stop_after_held: Optional[int] = None,
-    keep_trace: bool = False,
-    **params: Any,
-) -> ScenarioResult:
-    """The monitored twin of :func:`run_round_adversary`: measure *when* predicates hold.
-
-    Runs the same environment with streaming monitors always on and
-    cross-checks the theoretical round bound of
-    :func:`repro.predimpl.bounds.arbitrary_p2otr_rounds` against the
-    *monitored* first-hold round of ``P_2otr``: once the adversary family
-    stabilises at ``stabilize_round``, a ``P_2otr``-satisfying pattern is
-    due within ``2f+3`` rounds (``f`` = processes outside the surviving
-    scope) -- unless the fault-model overlay keeps losing messages, which
-    the recorded ``within_round_bound`` then makes visible.  Results land
-    in ``extra["bound_check"]`` next to the predicate reports; nothing of
-    this requires shipping a trace out of the run.
-    """
-    result = run_round_adversary(
-        fault_model,
-        n=n,
-        seed=seed,
-        family=family,
-        rounds=rounds,
-        stabilize_round=stabilize_round,
-        keep_trace=keep_trace,
-        predicates=tuple(predicates),
-        stop_after_held=stop_after_held,
-        run_full_horizon=True,
-        **params,
-    )
-    scope = _scope_for(fault_model, n)
-    f = n - len(scope)
-    stabilize_round = result.extra["stabilize_round"]
-    round_bound = stabilize_round + arbitrary_p2otr_rounds(f)
-    reports = result.extra.get("predicate_reports") or {}
-    report = reports.get("p_2otr")
-    first_hold = report.get("first_hold_round") if report else None
-    result.extra["bound_check"] = {
-        "predicate": "p_2otr",
-        "f": f,
-        "stabilize_round": stabilize_round,
-        "round_bound": round_bound,
-        "first_hold_round": first_hold,
-        "within_round_bound": None if first_hold is None else first_hold <= round_bound,
-    }
-    return result
-
-
 for _family in ROUND_FAMILIES:
     REGISTRY.register_scenario(
         f"ho-round-{_family}",
@@ -256,17 +195,10 @@ for _family in ROUND_FAMILIES:
         monitorable=True,
         batch_builder=partial(build_round_adversary_batch, family=_family),
     )
-    REGISTRY.register_scenario(
-        f"ho-round-{_family}-monitored",
-        partial(run_round_adversary_monitored, family=_family),
-        monitorable=True,
-    )
 
 
 __all__ = [
     "ROUND_FAMILIES",
-    "DEFAULT_MONITORED_PREDICATES",
     "build_round_adversary_batch",
     "run_round_adversary",
-    "run_round_adversary_monitored",
 ]

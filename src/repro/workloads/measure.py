@@ -4,11 +4,8 @@ Each ``measure_*`` function sets up a step-level simulation matching one of
 the paper's analytical scenarios (Theorems 3, 5, 6, 7, Corollary 4 and the
 Section 4.2.2(c) composition), measures the time at which the target
 predicate was achieved, and returns it together with the corresponding
-closed-form bound.  Every ``measure_*`` function is registered with the
-:mod:`repro.runner` registry, and the benchmark harness in ``benchmarks/``
-sweeps them over parameters through the runner's (optionally parallel)
-measurement executor, printing the paper-vs-measured tables recorded in
-``EXPERIMENTS.md``.
+closed-form bound.  ``tests/claims/`` sweeps them over the paper's
+parameter grids and asserts measured <= bound at every point.
 """
 
 from __future__ import annotations
@@ -16,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence
 
-from ..runner.registry import REGISTRY
 from ..algorithms import OneThirdRule
 from ..predimpl import (
     arbitrary_p2otr_length,
@@ -67,7 +63,7 @@ class Measurement:
         return self.measured / self.bound
 
     def row(self) -> str:
-        """A fixed-width text row for benchmark reports."""
+        """A fixed-width text row for paper-vs-measured reports."""
         measured = "unreached" if self.measured is None else f"{self.measured:9.2f}"
         ratio = "  -  " if self.ratio is None else f"{self.ratio:5.2f}"
         return (
@@ -325,17 +321,6 @@ def measure_arbitrary_p2otr(
         f=f,
         extra={"decisions": dict(trace.decision_values())},
     )
-
-
-REGISTRY.register_measurement("theorem3", measure_theorem3)
-REGISTRY.register_measurement("theorem5", measure_theorem5)
-REGISTRY.register_measurement("theorem6", measure_theorem6)
-REGISTRY.register_measurement("theorem7", measure_theorem7)
-REGISTRY.register_measurement("corollary4", measure_corollary4)
-REGISTRY.register_measurement("arbitrary_p2otr", measure_arbitrary_p2otr)
-REGISTRY.register_measurement(
-    "ratio_noninitial_vs_initial", measure_ratio_noninitial_vs_initial
-)
 
 
 __all__ = [

@@ -305,18 +305,12 @@ for _fault_model in FAULT_MODELS:
 
 
 def compare_stacks(
-    fault_models: Sequence[str] = FAULT_MODELS,
-    n: int = 4,
-    seed: int = 0,
-    workers: Optional[int] = None,
+    fault_models: Sequence[str] = FAULT_MODELS, n: int = 4, seed: int = 0
 ) -> List[ScenarioResult]:
     """Run every stack under every fault model (the E8 comparison matrix).
 
-    The grid goes through the :mod:`repro.runner` sweep executor; pass
-    *workers* > 1 to fan the matrix out over parallel worker processes.
-    This consumer needs the full in-process ``ScenarioResult`` of every
-    cell, so it opts into ``keep_results`` (parallel workers return only
-    the slim wire record by default).
+    The grid goes through the :mod:`repro.runner` sweep executor inline,
+    which keeps the full in-process ``ScenarioResult`` of every cell attached.
     """
     from ..runner.sweep import RunSpec, run_sweep
 
@@ -325,9 +319,8 @@ def compare_stacks(
         for fault_model in fault_models
         for stack in STACKS
     ]
-    sweep = run_sweep(specs, workers=workers, keep_results=True)
     results: List[ScenarioResult] = []
-    for record in sweep.records:
+    for record in run_sweep(specs).records:
         if record.result is None:
             raise RuntimeError(
                 f"{record.scenario} under {record.fault_model} failed: {record.error}"

@@ -72,7 +72,7 @@ class TestTheorem8:
     def test_kernel_rounds_translate_to_macro_ho_sets_containing_pi0(self):
         """Theorem 8 under adversarial extras: every macro NewHO contains pi0.
 
-        Note (reproduction finding, see EXPERIMENTS.md E6): with adversarial
+        Note (reproduction finding): with adversarial
         kernel-only collections the pi0 members can disagree about processes
         *outside* pi0, so full equality of the NewHO sets is not asserted
         here -- only the guaranteed part: pi0 is always contained and the

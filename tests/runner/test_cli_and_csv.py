@@ -34,19 +34,18 @@ class TestCsvExport:
             assert int(row["seed"]) == expected["seed"]
             assert row["solved"] == str(expected["solved"])
             assert row["error"] == ""
+            assert row["params"] == "{}"
         assert list(rows[0]) == list(SweepResult.CSV_FIELDS)
 
 
 class TestCli:
-    def test_list_prints_scenarios_and_measurements(self, capsys):
+    def test_list_prints_scenarios(self, capsys):
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
         assert "scenarios:" in out
-        assert "measurements:" in out
+        assert "measurements:" not in out
         listed = {line.strip().split("  ")[0] for line in out.splitlines() if line.startswith("  ")}
         for name in REGISTRY.scenario_names():
-            assert name in listed
-        for name in REGISTRY.measurement_names():
             assert name in listed
         # monitorable/batchable scenarios are marked so --predicates and
         # --replicas targets are obvious
@@ -146,6 +145,38 @@ class TestCli:
     def test_build_grid_rejects_a_non_positive_size(self):
         with pytest.raises(ValueError, match=r"at least 1, got 0, -2$"):
             build_grid(["ho-classic-otr"], ["fault-free"], [0], ns=[4, 0, -2])
+
+    @pytest.mark.parametrize(
+        "entry, flag",
+        [
+            ("n=9", "--n"),
+            ("ns=[9]", "--ns"),
+            ("seed=3", "--seeds"),
+            ("seeds=[1]", "--seeds"),
+            ("scenario=x", "--scenarios"),
+            ("fault_model=lossy", "--fault-models"),
+            ("replicas=2", "--replicas"),
+            ("backend=super", "--backend"),
+        ],
+    )
+    def test_param_naming_a_grid_axis_exits_2_naming_its_flag(self, capsys, entry, flag):
+        """Not an ignored size, a TypeError traceback or a grid of errored cells."""
+        code = main(
+            ["--scenarios", "ho-classic-otr", "--fault-models", "fault-free", "--quiet",
+             "--n", "4", "--param", entry]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        key = entry.partition("=")[0]
+        assert f"{key!r} is a grid axis, not a scenario parameter; set it with {flag}" in captured.err
+        assert "sweep:" not in captured.out
+
+    def test_build_grid_rejects_a_grid_axis_in_an_overlay(self):
+        with pytest.raises(ValueError, match="'seed' is a grid axis"):
+            build_grid(["ho-classic-otr"], ["fault-free"], [0],
+                       param_sets=[{"rounds": 10}, {"rounds": 20, "seed": 3}])
+        with pytest.raises(ValueError, match="'backend' is a grid axis"):
+            build_grid(["ho-classic-otr"], ["fault-free"], [0], backend="super")
 
     def test_malformed_param_exits_2(self, capsys):
         assert main(["--param", "no-equals-sign", "--quiet"]) == 2

@@ -10,7 +10,6 @@ from repro.runner.__main__ import main
 from repro.runner.registry import REGISTRY
 from repro.runner.sweep import (
     SCHEMA,
-    CsvSink,
     JsonlSink,
     RunRecord,
     RunSpec,
@@ -68,7 +67,7 @@ class TestSinks:
 
     def test_csv_has_a_predicates_column(self, tmp_path):
         path = tmp_path / "sweep.csv"
-        run_sweep([monitored_spec()], sinks=[CsvSink(str(path))])
+        run_sweep([monitored_spec()]).write_csv(str(path))
         with open(path, newline="") as handle:
             rows = list(csv.DictReader(handle))
         assert "predicates" in rows[0]

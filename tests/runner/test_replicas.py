@@ -93,16 +93,15 @@ class TestBatchedCells:
             assert 0.0 <= dispersion["solve_rate"]["min"] <= dispersion["solve_rate"]["max"] <= 1.0
 
     def test_non_batchable_scenarios_fall_back_to_the_scalar_loop(self):
-        # The -monitored round-adversary variants deliberately register no
-        # cell builder (full horizon + bound checks stay scalar); the plain
-        # dynamic families are batchable since the counter-based streams.
-        scenario = "ho-round-mobile-omission-monitored"
-        specs = [RunSpec.make(scenario, "fault-free", 0, n=4, rounds=30)]
+        # The step-level ho-stack scenario registers no cell builder (its
+        # simulator is event-driven, not lockstep rounds).
+        scenario = "ho-stack"
+        specs = [RunSpec.make(scenario, "fault-free", 0, n=4)]
         result = run_sweep(specs, replicas=3, backend="auto")
         record = result.records[0]
         assert record.replicas["backend"] == "scalar-loop"
         singles = [
-            execute_run(RunSpec.make(scenario, "fault-free", s, n=4, rounds=30))
+            execute_run(RunSpec.make(scenario, "fault-free", s, n=4))
             for s in range(3)
         ]
         assert [o["solved"] for o in record.replicas["outcomes"]] == [

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import multiprocessing
 
@@ -10,9 +9,7 @@ import pytest
 
 from repro.runner.registry import REGISTRY
 from repro.runner.sweep import (
-    CsvSink,
     JsonlSink,
-    JsonSummarySink,
     RunRecord,
     RunSpec,
     SweepResult,
@@ -112,24 +109,6 @@ class TestSinks:
             loaded = reloaded[record.cell_key]
             assert loaded.to_json_dict() == record.to_json_dict()
 
-    def test_csv_sink_streams_rows(self, tmp_path):
-        path = tmp_path / "sweep.csv"
-        run_sweep(GRID[:3], workers=1, sinks=[CsvSink(str(path))])
-        with open(path, newline="") as handle:
-            rows = list(csv.DictReader(handle))
-        assert len(rows) == 3
-        assert list(rows[0]) == list(SweepResult.CSV_FIELDS)
-        assert rows[0]["params"] == "{}"
-
-    def test_json_summary_sink_writes_deterministic_summary(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        run_sweep(GRID, workers=2, sinks=[JsonSummarySink(str(a))])
-        run_sweep(GRID, workers=1, sinks=[JsonSummarySink(str(b))])
-        payload_a, payload_b = json.loads(a.read_text()), json.loads(b.read_text())
-        assert payload_a["aggregates"] == payload_b["aggregates"]
-        order = [(r["scenario"], r["fault_model"], r["n"], r["seed"]) for r in payload_a["runs"]]
-        assert order == [(r["scenario"], r["fault_model"], r["n"], r["seed"]) for r in payload_b["runs"]]
-
     def test_sinks_closed_even_when_a_run_callback_raises(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
         sink = JsonlSink(str(path))
@@ -222,6 +201,37 @@ class TestResume:
                             resume_from=str(path))
         assert resumed.resumed == 1
         assert [r.cell_key for r in executed] == [GRID[1].cell_key]
+        assert json.dumps(resumed.aggregate(), sort_keys=True) == json.dumps(
+            uninterrupted.aggregate(), sort_keys=True
+        )
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda replicas: replicas.update(outcomds=replicas.pop("outcomes")),
+            lambda replicas: replicas.update(outcomes=[1, 2]),
+            lambda replicas: replicas["outcomes"][0].update(messages_sent=None),
+        ],
+        ids=["outcomes-key-flipped", "outcomes-not-mappings", "messages-sent-null"],
+    )
+    def test_resume_skips_a_batched_line_without_its_replicas(self, tmp_path, damage):
+        """A batched record that lost its outcomes re-executes: it must neither
+        resume as completed-but-errored replicas nor kill the aggregation."""
+        path = tmp_path / "sweep.jsonl"
+        grid = build_grid(["ho-classic-otr"], ["fault-free", "lossy"], [0], n=4)
+        uninterrupted = run_sweep(grid, replicas=2)
+        sink = JsonlSink(str(path))
+        sink.write(uninterrupted.records[0])
+        bad = json.loads(json.dumps(uninterrupted.records[1].to_json_dict()))
+        damage(bad["replicas"])
+        sink._handle.write(json.dumps(bad) + "\n")
+        sink.close()
+
+        assert [r.cell_key for r in load_jsonl_records(str(path))] == [
+            uninterrupted.records[0].cell_key
+        ]
+        resumed = run_sweep(grid, replicas=2, resume_from=str(path))
+        assert resumed.resumed == 1
         assert json.dumps(resumed.aggregate(), sort_keys=True) == json.dumps(
             uninterrupted.aggregate(), sort_keys=True
         )

@@ -10,7 +10,6 @@ from repro.runner import (
     REGISTRY,
     RunSpec,
     build_grid,
-    run_measurement_sweep,
     run_one,
     run_sweep,
 )
@@ -22,11 +21,6 @@ from repro.workloads.scenarios import STACKS
 class TestRegistry:
     def test_scenarios_registered_by_workloads(self):
         assert set(STACKS) <= set(REGISTRY.scenario_names())
-
-    def test_measurements_registered_by_workloads(self):
-        assert {"theorem3", "theorem5", "theorem6", "theorem7", "corollary4"} <= set(
-            REGISTRY.measurement_names()
-        )
 
     def test_unknown_name_lists_known(self):
         with pytest.raises(KeyError, match="unknown scenario"):
@@ -193,20 +187,3 @@ class TestSweepExecutor:
         for run in payload["runs"]:
             assert run["error"] is None
             assert run["solved"] is True
-
-
-class TestMeasurementSweep:
-    PARAMS = [dict(n=3, x=1, seed=0), dict(n=4, x=1, seed=0)]
-
-    def test_results_in_input_order(self):
-        measurements = run_measurement_sweep("theorem5", self.PARAMS, workers=1)
-        assert [m.n for m in measurements] == [3, 4]
-        for measurement in measurements:
-            assert measurement.within_bound
-
-    def test_parallel_matches_inline(self):
-        inline = run_measurement_sweep("theorem5", self.PARAMS, workers=1)
-        parallel = run_measurement_sweep("theorem5", self.PARAMS, workers=2)
-        assert [(m.n, m.measured, m.bound) for m in inline] == [
-            (m.n, m.measured, m.bound) for m in parallel
-        ]

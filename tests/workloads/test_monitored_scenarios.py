@@ -4,14 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.predimpl.bounds import arbitrary_p2otr_rounds
-from repro.runner.registry import REGISTRY
-from repro.workloads.adversarial import (
-    DEFAULT_MONITORED_PREDICATES,
-    ROUND_FAMILIES,
-    run_round_adversary,
-    run_round_adversary_monitored,
-)
+from repro.workloads.adversarial import run_round_adversary
 from repro.workloads.scenarios import run_ho_stack
 
 
@@ -61,41 +54,6 @@ class TestRoundScenarioMonitoring:
         )
         report = result.extra["predicate_reports"]["p_su"]
         assert report["longest_good_run"] >= 60 - 20
-
-
-class TestMonitoredFamily:
-    def test_monitored_twins_are_registered_and_monitorable(self):
-        names = REGISTRY.scenario_names()
-        for family in ROUND_FAMILIES:
-            name = f"ho-round-{family}-monitored"
-            assert name in names
-            assert REGISTRY.scenario_is_monitorable(name)
-
-    def test_default_predicates_and_bound_check(self):
-        result = run_round_adversary_monitored("fault-free", n=4, seed=1)
-        reports = result.extra["predicate_reports"]
-        assert set(reports) == set(DEFAULT_MONITORED_PREDICATES)
-        check = result.extra["bound_check"]
-        assert check["predicate"] == "p_2otr"
-        assert check["round_bound"] == check["stabilize_round"] + arbitrary_p2otr_rounds(
-            check["f"]
-        )
-
-    @pytest.mark.parametrize("fault_model", ["fault-free", "crash-stop", "crash-recovery"])
-    def test_first_hold_respects_the_translation_round_bound(self, fault_model):
-        """Once the family stabilises, P_2otr must first-hold within 2f+3
-        rounds -- the Section 4.2.2(c) bound read at round granularity.
-        (The lossy model keeps dropping messages after stabilisation, so it
-        is deliberately excluded: there the check records, not asserts.)"""
-        for seed in (0, 1, 2):
-            result = run_round_adversary_monitored(fault_model, n=4, seed=seed)
-            check = result.extra["bound_check"]
-            assert check["within_round_bound"] is True, (fault_model, seed, check)
-
-    def test_monitored_runs_cover_the_full_horizon(self):
-        result = run_round_adversary_monitored("fault-free", n=4, seed=0, rounds=50)
-        report = result.extra["predicate_reports"]["p_su"]
-        assert report["rounds_observed"] == 50
 
 
 class TestHoStackMonitoring:

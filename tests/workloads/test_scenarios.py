@@ -1,23 +1,15 @@
-"""Integration tests of the end-to-end comparison scenarios (E7 / E8 / E9)."""
+"""Tests of the end-to-end comparison scenarios' reporting.
+
+What the scenarios *show* -- who solves consensus under which fault model --
+is asserted in ``tests/claims/test_fd_gap.py``.
+"""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.workloads import run_aguilera, run_chandra_toueg, run_ho_stack
+from repro.workloads import run_chandra_toueg, run_ho_stack
 
 
 class TestHOStackScenarios:
-    """The same HO stack, unchanged, under every fault model (Section 3.3)."""
-
-    @pytest.mark.parametrize(
-        "fault_model", ["fault-free", "crash-stop", "crash-recovery", "lossy"]
-    )
-    def test_ho_stack_solves_consensus_under_every_fault_model(self, fault_model):
-        result = run_ho_stack(fault_model, n=4, seed=1)
-        assert result.safe
-        assert result.verdict.termination, result.verdict.violations
-
     def test_fault_classes_are_reported(self):
         assert run_ho_stack("fault-free", n=4, seed=0).extra["fault_class"] == "fault-free"
         assert run_ho_stack("crash-recovery", n=4, seed=0).extra["fault_class"] in (
@@ -27,28 +19,6 @@ class TestHOStackScenarios:
 
 
 class TestFailureDetectorScenarios:
-    def test_chandra_toueg_solves_crash_stop(self):
-        result = run_chandra_toueg("crash-stop", n=4, seed=1)
-        assert result.solved
-
-    def test_chandra_toueg_fails_to_terminate_under_crash_recovery(self):
-        result = run_chandra_toueg("crash-recovery", n=4, seed=1)
-        assert result.safe
-        assert not result.verdict.termination
-
-    def test_chandra_toueg_fails_to_terminate_under_loss(self):
-        result = run_chandra_toueg("lossy", n=4, seed=1)
-        assert result.safe
-        assert not result.verdict.termination
-
-    def test_aguilera_solves_crash_recovery(self):
-        result = run_aguilera("crash-recovery", n=4, seed=1)
-        assert result.solved
-
-    def test_aguilera_solves_lossy(self):
-        result = run_aguilera("lossy", n=4, seed=1)
-        assert result.solved
-
     def test_rows_are_printable(self):
         result = run_chandra_toueg("fault-free", n=3, seed=0)
         assert "chandra-toueg" in result.row()
