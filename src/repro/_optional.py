@@ -82,22 +82,10 @@ def have_numba() -> bool:
     return NUMBA is not None
 
 
-def require_numba() -> Any:
-    """Return numba or raise a pointed error naming the ``compiled`` extra."""
-    if NUMBA is None:
-        raise RuntimeError(
-            "this code path needs numba; install the 'compiled' extra "
-            "(pip install 'repro-hutle-schiper-2007[compiled]') or use the "
-            "numpy batch / pure-Python scalar backends"
-        )
-    return NUMBA
-
-
 __all__ = [
     "NUMBA",
     "NUMPY",
     "have_numba",
     "have_numpy",
-    "require_numba",
     "require_numpy",
 ]

@@ -9,8 +9,6 @@ from .metrics import (
     algorithm_complexity_summary,
     good_period_stats,
     metrics_from_des,
-    metrics_from_ho_trace,
-    metrics_from_system_trace,
     metrics_from_trace,
 )
 from .taxonomy import (
@@ -29,8 +27,6 @@ __all__ = [
     "RunMetrics",
     "UnifiedTrace",
     "metrics_from_trace",
-    "metrics_from_ho_trace",
-    "metrics_from_system_trace",
     "metrics_from_des",
     "GoodPeriodStats",
     "good_period_stats",

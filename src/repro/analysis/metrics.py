@@ -83,11 +83,6 @@ def metrics_from_trace(
     )
 
 
-#: Backwards-compatible names: both layers now share one extractor.
-metrics_from_ho_trace = metrics_from_trace
-metrics_from_system_trace = metrics_from_trace
-
-
 def metrics_from_des(
     simulator: EventSimulator, scope: Optional[Iterable[ProcessId]] = None
 ) -> RunMetrics:
@@ -240,8 +235,6 @@ __all__ = [
     "RunMetrics",
     "UnifiedTrace",
     "metrics_from_trace",
-    "metrics_from_ho_trace",
-    "metrics_from_system_trace",
     "metrics_from_des",
     "GoodPeriodStats",
     "good_period_stats",

@@ -26,7 +26,7 @@ lockstep semantics of :class:`repro.batch.engine.BatchEngine`.
 The registry at the bottom (:class:`CompiledKernel`,
 :func:`register_compiled_kernel`, :func:`compiled_kernel_for`) maps each
 batch kernel class to its compiled dual plus the parity test that pins it
--- audited by the ``repro.lint`` rule REP106.
+-- held to that by ``tests/compiled/test_compiled_parity.py``.
 """
 
 from __future__ import annotations
@@ -600,9 +600,9 @@ class CompiledKernel:
     """One compiled dual: which batch kernel it shadows, and how to run it.
 
     *parity_test* names the pytest node that pins this dual's bit-identity
-    against the numpy and scalar paths -- audited (file must exist, node
-    named) by the ``repro.lint`` rule REP106, so a compiled kernel cannot
-    be registered without its parity evidence.
+    against the numpy and scalar paths -- a tier-1 test requires the file
+    and the node to exist, so a compiled kernel cannot be registered
+    without its parity evidence.
     """
 
     algorithm_class: Type[Any]

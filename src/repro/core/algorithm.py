@@ -77,10 +77,6 @@ class HOAlgorithm(abc.ABC, Generic[State, Message]):
     def decision(self, state: State) -> Optional[Any]:
         """The decision recorded in *state*, or ``None`` if none was made yet."""
 
-    def has_decided(self, state: State) -> bool:
-        """Convenience wrapper around :meth:`decision`."""
-        return self.decision(state) is not None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"{type(self).__name__}(n={self._n})"
 

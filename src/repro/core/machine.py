@@ -57,10 +57,6 @@ class HOMachine:
     initial_values:
         The initial value of each process, either a sequence indexed by
         process id or a mapping.
-    view:
-        The received-mapping representation handed to transition functions:
-        ``"dict"`` (default) materialises a plain dict, ``"mask"`` hands out
-        a zero-copy bitmask-backed view (faster for large ``n``).
     observers:
         :class:`~repro.rounds.engine.RoundObserver` hooks fed every round
         record as it is produced (e.g. a streaming predicate
@@ -74,7 +70,6 @@ class HOMachine:
         algorithm: HOAlgorithm,
         oracle: HOOracle,
         initial_values: Sequence[Any] | Mapping[ProcessId, Any],
-        view: str = "dict",
         observers: Sequence[Any] = (),
     ) -> None:
         self._algorithm = algorithm
@@ -88,7 +83,7 @@ class HOMachine:
         self._trace.initial_values = dict(self._values)
         self._engine = RoundEngine(
             algorithm,
-            OracleTransport(oracle, self._n, view=view),
+            OracleTransport(oracle, self._n),
             self._trace,
             observers=observers,
         )

@@ -324,10 +324,6 @@ class RunTrace:
         """The number of rounds recorded in the trace."""
         return self.ho_collection.max_round
 
-    def records_for_round(self, round: Round) -> List[RoundRecord]:
-        """All per-process records for a given round."""
-        return [record for record in self.records if record.round == round]
-
     def records_for_process(self, process: ProcessId) -> List[RoundRecord]:
         """All per-round records for a given process, in round order."""
         return sorted(

@@ -48,16 +48,9 @@ class AguileraProcess(DESProcess):
     #: period between failure-detector polls of the skip_round task
     FD_POLL_PERIOD = 1.0
 
-    def __init__(
-        self,
-        process_id: ProcessId,
-        n: int,
-        initial_value: Any,
-        detector_name: str = "default",
-    ) -> None:
+    def __init__(self, process_id: ProcessId, n: int, initial_value: Any) -> None:
         super().__init__(process_id, n)
         self.initial_value = initial_value
-        self.detector_name = detector_name
         # Volatile state; rebuilt from stable storage on recovery.
         self.round = 1
         self.estimate = initial_value
@@ -142,7 +135,7 @@ class AguileraProcess(DESProcess):
         if self.decided is not None:
             return
         self._store(ctx, round=self.round)
-        self._round_start_fd = ctx.query_failure_detector(self.detector_name)
+        self._round_start_fd = ctx.query_failure_detector()
         coordinator = self.coordinator(self.round)
         if self.process_id == coordinator:
             if self.timestamp != self.round:
@@ -194,7 +187,7 @@ class AguileraProcess(DESProcess):
         """The skip_round task: abort the round when the coordinator is no longer viable."""
         if self.decided is not None:
             return
-        detector: TrustListOutput = ctx.query_failure_detector(self.detector_name)
+        detector: TrustListOutput = ctx.query_failure_detector()
         coordinator = self.coordinator(self.round)
         started = self._round_start_fd
         coordinator_failed = not detector.trusts(coordinator)
@@ -294,13 +287,11 @@ class AguileraProcess(DESProcess):
             ctx.decide(value)
 
 
-def build_aguilera_processes(
-    n: int, initial_values: List[Any], detector_name: str = "default"
-) -> List[AguileraProcess]:
+def build_aguilera_processes(n: int, initial_values: List[Any]) -> List[AguileraProcess]:
     """One :class:`AguileraProcess` per process."""
     if len(initial_values) != n:
         raise ValueError(f"expected {n} initial values, got {len(initial_values)}")
-    return [AguileraProcess(p, n, initial_values[p], detector_name) for p in range(n)]
+    return [AguileraProcess(p, n, initial_values[p]) for p in range(n)]
 
 
 __all__ = ["ACTMessage", "AguileraProcess", "build_aguilera_processes"]

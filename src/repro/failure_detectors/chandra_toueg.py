@@ -44,16 +44,9 @@ class ChandraTouegProcess(DESProcess):
     #: period (simulated time) between failure-detector polls in phase 3
     FD_POLL_PERIOD = 1.0
 
-    def __init__(
-        self,
-        process_id: ProcessId,
-        n: int,
-        initial_value: Any,
-        detector_name: str = "default",
-    ) -> None:
+    def __init__(self, process_id: ProcessId, n: int, initial_value: Any) -> None:
         super().__init__(process_id, n)
         self.initial_value = initial_value
-        self.detector_name = detector_name
         # Volatile algorithm state (crash-stop: nothing survives a crash).
         self.estimate = initial_value
         self.timestamp = 0
@@ -114,7 +107,7 @@ class ChandraTouegProcess(DESProcess):
         if name != "fd-poll" or self.decided is not None:
             return
         if self.waiting_phase == 3:
-            suspects = ctx.query_failure_detector(self.detector_name)
+            suspects = ctx.query_failure_detector()
             coordinator = self.coordinator(self.round)
             if coordinator in suspects and self.round not in self._newestimates:
                 # Suspect the coordinator: NACK and move on to the next round.
@@ -199,15 +192,11 @@ class ChandraTouegProcess(DESProcess):
             ctx.decide(value)
 
 
-def build_chandra_toueg_processes(
-    n: int, initial_values: List[Any], detector_name: str = "default"
-) -> List[ChandraTouegProcess]:
+def build_chandra_toueg_processes(n: int, initial_values: List[Any]) -> List[ChandraTouegProcess]:
     """One :class:`ChandraTouegProcess` per process."""
     if len(initial_values) != n:
         raise ValueError(f"expected {n} initial values, got {len(initial_values)}")
-    return [
-        ChandraTouegProcess(p, n, initial_values[p], detector_name) for p in range(n)
-    ]
+    return [ChandraTouegProcess(p, n, initial_values[p]) for p in range(n)]
 
 
 __all__ = ["CTMessage", "ChandraTouegProcess", "build_chandra_toueg_processes"]

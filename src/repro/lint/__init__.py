@@ -5,19 +5,17 @@ The whole reproduction rests on one promise: every execution backend
 only under rules no test can conveniently state -- all randomness flows
 through :class:`~repro.engine.rng.SeededRng` named sub-streams or counter
 streams, numpy enters exactly once via :mod:`repro._optional`, low layers
-never import high layers, scalar/batch dual registrations stay coherent,
-fallback reasons stay a closed vocabulary.  ``repro.lint`` enforces those
-rules mechanically, before a nondeterminism bug ever reaches the parity
-suites:
-
-* determinism rules ``REP001``-``REP007`` -- per-file AST passes
-  (:mod:`repro.lint.determinism`);
-* parity-audit rules ``REP101``-``REP105`` -- hybrid static +
-  live-registry introspection (:mod:`repro.lint.parity`).
+never import high layers, fallback reasons stay a closed vocabulary.
+``repro.lint`` enforces those rules mechanically, before a nondeterminism
+bug ever reaches the parity suites: ``REP001``-``REP007`` and ``REP104``,
+per-file AST passes over the source text alone
+(:mod:`repro.lint.determinism`).  What needs the *live* registries --
+scalar/batch dual registrations staying coherent -- is a tier-1 test
+beside its subject, not a rule.
 
 Run it with ``python -m repro.lint [paths]``; see
-:mod:`repro.lint.cli` for the flags (``--list-rules``, ``--format json``,
-``--select``) and :mod:`repro.lint.suppressions` for the
+:mod:`repro.lint.cli` for the flags (``--list-rules``, ``--select``) and
+:mod:`repro.lint.suppressions` for the
 ``# repro: noqa[REP0xx] -- reason`` per-line suppression form.
 
 The package is a *leaf*: nothing in ``repro`` imports it (enforced by its
@@ -28,9 +26,7 @@ audits.
 from .engine import LintResult, lint_paths, module_name_of
 from .findings import Finding
 from .rules import (
-    AuditRule,
     FileContext,
-    Rule,
     SourceRule,
     all_rules,
     get_rule,
@@ -39,11 +35,9 @@ from .rules import (
 )
 
 __all__ = [
-    "AuditRule",
     "FileContext",
     "Finding",
     "LintResult",
-    "Rule",
     "SourceRule",
     "all_rules",
     "get_rule",

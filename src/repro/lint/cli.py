@@ -1,4 +1,4 @@
-"""``python -m repro.lint`` -- the determinism & backend-parity linter.
+"""``python -m repro.lint`` -- the determinism linter.
 
 Exit codes: 0 clean, 1 findings, 2 usage error (argparse convention).
 
@@ -6,28 +6,25 @@ Typical invocations::
 
     python -m repro.lint src tests              # lint the repo (CI gate)
     python -m repro.lint --list-rules           # what the REP0xx codes mean
-    python -m repro.lint src --format json      # machine-readable report
     python -m repro.lint src --select REP001    # one rule only
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 from pathlib import Path
 from typing import List, Optional
 
 from .engine import lint_paths
-from .report import render_json, render_rule_list, render_text
+from .report import render_rule_list, render_text
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description=(
-            "Static analysis for the reproduction's determinism and "
-            "backend-parity contracts (REP0xx determinism rules, REP1xx "
-            "registry parity audits)."
+            "Static analysis for the reproduction's determinism contracts "
+            "(the REP0xx rules and REP104)."
         ),
     )
     parser.add_argument(
@@ -39,16 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="list every registered rule with its code and rationale, then exit",
     )
     parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
         "--select", nargs="+", default=None, metavar="CODE",
         help="run only these rule codes (e.g. REP001 REP104)",
-    )
-    parser.add_argument(
-        "--no-audit", action="store_true",
-        help="skip the registry-introspection audit rules (REP1xx)",
     )
     return parser
 
@@ -62,21 +51,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     try:
-        result = lint_paths(
-            args.paths,
-            select=args.select,
-            audit=not args.no_audit,
-            root=Path.cwd(),
-        )
+        result = lint_paths(args.paths, select=args.select, root=Path.cwd())
     except FileNotFoundError as exc:
         parser.error(str(exc))
     except KeyError as exc:  # unknown --select code
         parser.error(str(exc))
 
-    if args.format == "json":
-        print(json.dumps(render_json(result), indent=2, sort_keys=True))
-    else:
-        print(render_text(result))
+    print(render_text(result))
     return 0 if result.clean else 1
 
 

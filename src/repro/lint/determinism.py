@@ -1,4 +1,4 @@
-"""Determinism rules (REP001-REP007): the bit-reproducibility contracts.
+"""Determinism rules (REP001-REP007, REP104): the bit-reproducibility contracts.
 
 Every execution backend promises per-seed bit-identical outcomes, which
 holds only if *all* randomness flows through seeded, named streams and no
@@ -29,6 +29,10 @@ into lint findings:
 * REP007 -- suppression hygiene (unknown codes, missing justifications,
   unused suppressions); emitted by the suppression parser and the engine,
   registered here so it lists and selects like any other rule.
+* REP104 -- fallback reasons in the backends' decision functions are
+  rendered from the shared :class:`~repro.rounds.fallback.FallbackReason`
+  enum, never inline literals: a mis-labelled degradation does not crash,
+  it silently reports the wrong tier, so the vocabulary stays closed.
 """
 
 from __future__ import annotations
@@ -380,6 +384,55 @@ class SuppressionHygieneRule(SourceRule):
     def check(self, ctx: FileContext) -> List[Finding]:
         return []  # the engine owns the logic; see repro.lint.engine
 
+#: the functions whose string returns REP104 polices.
+FALLBACK_DECISION_FUNCTIONS = ("admit", "_fallback_reason", "_eligibility")
+
+
+class FallbackReasonLiteralRule(SourceRule):
+    code = "REP104"
+    name = "fallback-reason-enum"
+    summary = (
+        "fallback decisions return FallbackReason.render() values, never "
+        "inline string literals (the vocabulary must stay closed)"
+    )
+
+    def check(self, ctx: FileContext) -> List[Finding]:
+        findings: List[Finding] = []
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name not in FALLBACK_DECISION_FUNCTIONS:
+                continue
+            for stmt in ast.walk(node):
+                if not isinstance(stmt, ast.Return) or stmt.value is None:
+                    continue
+                for literal in _string_literals(stmt.value):
+                    findings.append(ctx.finding(
+                        self.code, literal,
+                        f"inline fallback reason in {node.name}(): render it "
+                        "from repro.rounds.fallback.FallbackReason so the "
+                        "vocabulary stays closed and auditable",
+                    ))
+        return findings
+
+
+def _string_literals(node: ast.expr) -> List[ast.expr]:
+    """String literals in *node*; an f-string counts once, not per part."""
+    found: List[ast.expr] = []
+
+    def visit(n: ast.AST) -> None:
+        if isinstance(n, ast.JoinedStr):
+            found.append(n)
+            return  # don't also report the Constant parts inside it
+        if isinstance(n, ast.Constant) and isinstance(n.value, str):
+            found.append(n)
+            return
+        for child in ast.iter_child_nodes(n):
+            visit(child)
+
+    visit(node)
+    return found
+
 
 for _rule in (
     BareRandomRule(),
@@ -389,6 +442,7 @@ for _rule in (
     SetIterationRule(),
     ImportLayeringRule(),
     SuppressionHygieneRule(),
+    FallbackReasonLiteralRule(),
 ):
     register_rule(_rule)
 
@@ -401,5 +455,7 @@ __all__ = [
     "SetIterationRule",
     "ImportLayeringRule",
     "SuppressionHygieneRule",
+    "FallbackReasonLiteralRule",
     "FORBIDDEN_EDGES",
+    "FALLBACK_DECISION_FUNCTIONS",
 ]

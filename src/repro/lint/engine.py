@@ -2,11 +2,9 @@
 
 One :func:`lint_paths` call is one lint invocation: every ``*.py`` file
 under the given paths is parsed once and handed to each applicable
-:class:`~repro.lint.rules.SourceRule`; the
-:class:`~repro.lint.rules.AuditRule` passes run once against the live
-registries.  Findings are then filtered through per-line suppressions
-(unused suppressions become REP007 findings); what remains is actionable
-and fails the run.
+:class:`~repro.lint.rules.SourceRule`.  Findings are then filtered through
+per-line suppressions (unused suppressions become REP007 findings); what
+remains is actionable and fails the run.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from .findings import Finding, sort_findings
-from .rules import FileContext, audit_rules, rule_codes, source_rules
+from .rules import FileContext, rule_codes, source_rules
 from .suppressions import HYGIENE_CODE, parse_suppressions
 
 
@@ -86,17 +84,13 @@ def display_path(path: Path, root: Optional[Path]) -> str:
 def lint_paths(
     paths: Sequence[str],
     select: Optional[Sequence[str]] = None,
-    audit: bool = True,
     root: Optional[Path] = None,
-    project=None,
 ) -> LintResult:
     """Lint every python file under *paths*; returns the full result.
 
     *select* restricts to specific rule codes (unused-suppression hygiene
     is then skipped: a suppression for an unselected rule is not unused).
-    *audit* gates the registry introspection pass (REP1xx audit rules);
-    *project* injects a :class:`~repro.lint.parity.ProjectContext` (tests
-    use this to audit deliberately broken registries).
+    Findings are keyed by *root*-relative paths when *root* is given.
     """
     result = LintResult()
     known = set(rule_codes())
@@ -139,14 +133,6 @@ def lint_paths(
                     message=f"unused suppression of {code} (nothing to suppress here)",
                     line_text=text,
                 ))
-
-    if audit:
-        if project is None:
-            from .parity import ProjectContext
-
-            project = ProjectContext(root=root)
-        for rule in audit_rules(select):
-            kept.extend(rule.audit(project))
 
     result.findings = sort_findings(kept)
     return result

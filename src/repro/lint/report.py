@@ -1,13 +1,9 @@
-"""Reporters: the human text form and the machine JSON form."""
+"""The reporters: the terminal report and the ``--list-rules`` table."""
 
 from __future__ import annotations
 
-from typing import Any, Dict
-
 from .engine import LintResult
 from .rules import all_rules
-
-JSON_SCHEMA = "repro-lint/1"
 
 
 def render_text(result: LintResult) -> str:
@@ -22,39 +18,11 @@ def render_text(result: LintResult) -> str:
     return "\n".join(lines)
 
 
-def render_json(result: LintResult) -> Dict[str, Any]:
-    """The machine report (stable schema, consumed by CI and tests)."""
-    return {
-        "schema": JSON_SCHEMA,
-        "findings": [
-            {
-                "code": f.code,
-                "path": f.path,
-                "line": f.line,
-                "col": f.col,
-                "message": f.message,
-                "line_text": f.line_text,
-            }
-            for f in result.findings
-        ],
-        "summary": {
-            "findings": len(result.findings),
-            "suppressed": result.suppressed,
-            "files": result.files,
-            "clean": result.clean,
-        },
-    }
-
-
 def render_rule_list() -> str:
     """The ``--list-rules`` table."""
     rules = all_rules()
     width = max(len(r.name) for r in rules)
-    lines = []
-    for rule in rules:
-        kind = "audit" if not hasattr(rule, "check") else "source"
-        lines.append(f"{rule.code}  {rule.name:<{width}}  [{kind}]  {rule.summary}")
-    return "\n".join(lines)
+    return "\n".join(f"{rule.code}  {rule.name:<{width}}  {rule.summary}" for rule in rules)
 
 
-__all__ = ["JSON_SCHEMA", "render_json", "render_rule_list", "render_text"]
+__all__ = ["render_rule_list", "render_text"]

@@ -1,23 +1,19 @@
-"""The rule framework: base classes, the ``REP0xx`` registry, file context.
+"""The rule framework: the rule base class, the ``REP0xx`` registry, file context.
 
-Two rule shapes exist:
+A rule is a :class:`SourceRule` -- a per-file AST pass.  The engine parses
+each scanned file once into a :class:`FileContext` and hands it to every
+rule whose :meth:`SourceRule.applies_to` accepts the file's *module name*
+(``repro.batch.backends`` for ``src/repro/batch/backends.py``; ``None``
+for files outside the package, e.g. tests).  Determinism rules scope
+themselves to ``repro.*`` -- the hot paths whose bit-reproducibility the
+backends promise -- so test code may keep its ad-hoc randomness.
 
-* :class:`SourceRule` -- a per-file AST pass.  The engine parses each
-  scanned file once into a :class:`FileContext` and hands it to every
-  source rule whose :meth:`SourceRule.applies_to` accepts the file's
-  *module name* (``repro.batch.backends`` for
-  ``src/repro/batch/backends.py``; ``None`` for files outside the
-  package, e.g. tests).  Determinism rules scope themselves to
-  ``repro.*`` -- the hot paths whose bit-reproducibility the backends
-  promise -- so test code may keep its ad-hoc randomness.
-
-* :class:`AuditRule` -- a once-per-invocation introspection pass over the
-  *live* registries (:class:`~repro.lint.parity.ProjectContext`): it
-  imports the real code and cross-checks registrations the AST cannot see
-  (counter-dual signatures, kernel registrations, backend aliases).
+A contract that needs ``import repro`` -- a registration the AST cannot
+see -- is not a rule: it is a tier-1 test beside its subject.
 
 Rules are singletons registered by stable code (``REP001`` ...); the code
-is the suppression currency, so codes are never reused.
+is the suppression currency, so codes are never reused (``REP101``-
+``REP103``, ``REP105`` and ``REP106`` are retired).
 """
 
 from __future__ import annotations
@@ -98,8 +94,8 @@ def dotted_name(node: ast.expr) -> Optional[str]:
     return None
 
 
-class Rule(abc.ABC):
-    """A registered check with a stable ``REP0xx`` code."""
+class SourceRule(abc.ABC):
+    """A registered per-file AST pass with a stable ``REP0xx`` code."""
 
     #: stable code, the suppression currency (never reuse one).
     code: str = ""
@@ -107,10 +103,6 @@ class Rule(abc.ABC):
     name: str = ""
     #: one-line rationale shown by ``--list-rules``.
     summary: str = ""
-
-
-class SourceRule(Rule):
-    """A per-file AST pass."""
 
     def applies_to(self, module: Optional[str]) -> bool:
         """Default scope: the ``repro`` package (the deterministic hot paths)."""
@@ -121,18 +113,10 @@ class SourceRule(Rule):
         """The findings of this rule for one parsed file."""
 
 
-class AuditRule(Rule):
-    """A once-per-invocation introspection pass over the live registries."""
-
-    @abc.abstractmethod
-    def audit(self, project) -> List[Finding]:
-        """The findings of this rule for the project's registries."""
+_RULES: Dict[str, SourceRule] = {}
 
 
-_RULES: Dict[str, Rule] = {}
-
-
-def register_rule(rule: Rule) -> Rule:
+def register_rule(rule: SourceRule) -> SourceRule:
     """Register *rule* under its code; codes are unique forever."""
     if not rule.code:
         raise ValueError(f"rule {type(rule).__name__} has no code")
@@ -142,7 +126,7 @@ def register_rule(rule: Rule) -> Rule:
     return rule
 
 
-def all_rules() -> List[Rule]:
+def all_rules() -> List[SourceRule]:
     """Every registered rule, in code order."""
     _ensure_populated()
     return [_RULES[code] for code in sorted(_RULES)]
@@ -153,7 +137,7 @@ def rule_codes() -> List[str]:
     return sorted(_RULES)
 
 
-def get_rule(code: str) -> Rule:
+def get_rule(code: str) -> SourceRule:
     _ensure_populated()
     try:
         return _RULES[code]
@@ -162,14 +146,7 @@ def get_rule(code: str) -> Rule:
 
 
 def source_rules(select: Optional[Sequence[str]] = None) -> List[SourceRule]:
-    return [r for r in _selected(select) if isinstance(r, SourceRule)]
-
-
-def audit_rules(select: Optional[Sequence[str]] = None) -> List[AuditRule]:
-    return [r for r in _selected(select) if isinstance(r, AuditRule)]
-
-
-def _selected(select: Optional[Sequence[str]]) -> List[Rule]:
+    """The rules one invocation runs: all of them, or the *select*-ed codes."""
     rules = all_rules()
     if select is None:
         return rules
@@ -182,16 +159,13 @@ def _selected(select: Optional[Sequence[str]]) -> List[Rule]:
 
 def _ensure_populated() -> None:
     """Import the rule modules whose import side-effect registers rules."""
-    from . import determinism, parity  # noqa: F401
+    from . import determinism  # noqa: F401
 
 
 __all__ = [
-    "AuditRule",
     "FileContext",
-    "Rule",
     "SourceRule",
     "all_rules",
-    "audit_rules",
     "dotted_name",
     "get_rule",
     "register_rule",

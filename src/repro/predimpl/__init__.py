@@ -20,8 +20,6 @@ from .arbitrary_good_period import ArbitraryGoodPeriodProgram, build_arbitrary_p
 from .batched_translation import BatchTranslationKernel
 from .bounds import (
     BoundSummary,
-    algorithm2_round_length,
-    algorithm3_round_length,
     algorithm3_timeout,
     arbitrary_p2otr_length,
     arbitrary_p2otr_rounds,
@@ -57,8 +55,6 @@ __all__ = [
     "build_down_stack",
     "build_arbitrary_stack",
     "BoundSummary",
-    "algorithm2_round_length",
-    "algorithm3_round_length",
     "algorithm3_timeout",
     "theorem3_good_period_length",
     "theorem5_initial_good_period_length",

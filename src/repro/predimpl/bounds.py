@@ -47,16 +47,6 @@ def _check(n: int, phi: float, delta: float) -> None:
 # --------------------------------------------------------------------------- #
 
 
-def algorithm2_round_length(n: int, phi: float, delta: float) -> float:
-    """Length of one full round of Algorithm 2 in a good period.
-
-    One send step plus ``2*delta + (n+2)*phi`` receive steps, each taking at
-    most ``phi`` time: ``(2*delta + (n+2)*phi + 1) * phi``.
-    """
-    _check(n, phi, delta)
-    return (2 * delta + (n + 2) * phi + 1) * phi
-
-
 def theorem3_good_period_length(x: int, n: int, phi: float, delta: float) -> float:
     """Theorem 3: minimal "pi0-down" good period for ``P_su(pi0, rho0, rho0+x-1)``.
 
@@ -123,16 +113,6 @@ def algorithm3_timeout(n: int, phi: float, delta: float) -> float:
     """The timeout ``tau_0 = 2*delta + (2n+1)*phi`` of Algorithm 3 (in receive steps)."""
     _check(n, phi, delta)
     return 2 * delta + (2 * n + 1) * phi
-
-
-def algorithm3_round_length(n: int, phi: float, delta: float) -> float:
-    """Length of one full round of Algorithm 3 in a good period.
-
-    ``tau_0*phi + delta + n*phi + 2*phi``: the receive-step budget, plus the
-    INIT send, its transmission, and its reception (Theorem 6's proof).
-    """
-    tau0 = algorithm3_timeout(n, phi, delta)
-    return tau0 * phi + delta + n * phi + 2 * phi
 
 
 def theorem6_good_period_length(x: int, n: int, phi: float, delta: float) -> float:
@@ -226,14 +206,12 @@ def summarize_arbitrary_bounds(x: int, n: int, f: int, phi: float, delta: float)
 
 
 __all__ = [
-    "algorithm2_round_length",
     "theorem3_good_period_length",
     "corollary4_p2otr_length",
     "corollary4_p11otr_length",
     "theorem5_initial_good_period_length",
     "noninitial_to_initial_ratio",
     "algorithm3_timeout",
-    "algorithm3_round_length",
     "theorem6_good_period_length",
     "theorem7_initial_good_period_length",
     "arbitrary_p2otr_rounds",

@@ -26,7 +26,6 @@ from .backend import (
 from .fallback import FallbackReason
 from .bitmask import (
     WORD_BITS,
-    MaskMapping,
     bit_count,
     full_mask,
     iter_bits,
@@ -62,7 +61,6 @@ __all__ = [
     "word_count",
     "mask_to_words",
     "words_to_mask",
-    "MaskMapping",
     # execution backends
     "AUTO_BACKEND",
     "ExecutionBackend",

@@ -11,8 +11,7 @@ these helpers convert between the two.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from typing import Any, FrozenSet, Iterable, Iterator, Sequence, Tuple
+from typing import FrozenSet, Iterable, Iterator, Tuple
 
 try:  # Python >= 3.10
     _POPCOUNT = int.bit_count
@@ -110,44 +109,6 @@ def words_to_mask(words: Iterable[int]) -> int:
     return mask
 
 
-class MaskMapping(Mapping):
-    """A read-only ``{process: payload}`` view selected by a bitmask.
-
-    Wraps the dense per-round payload sequence (indexed by process id) and a
-    heard-of mask; ``len`` is a popcount and construction is O(1), so the
-    round engine can hand transition functions their received-message view
-    without materialising a dict per (process, round).  Iteration order is
-    ascending process id, matching the dict the engine would otherwise build.
-    """
-
-    __slots__ = ("_payloads", "_mask")
-
-    def __init__(self, payloads: Sequence[Any], mask: int) -> None:
-        self._payloads = payloads
-        self._mask = mask
-
-    @property
-    def mask(self) -> int:
-        return self._mask
-
-    def __getitem__(self, process: int) -> Any:
-        if not isinstance(process, int) or process < 0 or not mask_contains(self._mask, process):
-            raise KeyError(process)
-        return self._payloads[process]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter_bits(self._mask)
-
-    def __len__(self) -> int:
-        return bit_count(self._mask)
-
-    def __contains__(self, process: object) -> bool:
-        return isinstance(process, int) and process >= 0 and mask_contains(self._mask, process)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"MaskMapping({dict(self)!r})"
-
-
 __all__ = [
     "bit_count",
     "full_mask",
@@ -160,5 +121,4 @@ __all__ = [
     "word_count",
     "mask_to_words",
     "words_to_mask",
-    "MaskMapping",
 ]

@@ -48,7 +48,7 @@ from typing import (
     runtime_checkable,
 )
 
-from .bitmask import MaskMapping, full_mask, iter_bits, mask_of
+from .bitmask import full_mask, iter_bits, mask_of
 from .record import ProcessId, Round, RoundRecord
 
 #: Cap on distinct masks whose member tuples OracleTransport memoises.
@@ -125,20 +125,13 @@ class OracleTransport:
     oracles that implement the mask-native ``ho_mask(round, process)`` fast
     path (every oracle in :mod:`repro.adversaries`) skip set construction
     entirely.  Returned sets/masks are clamped to ``Pi``, so oracles may be
-    sloppy about bounds.
-
-    *view* selects the received-mapping representation handed to transition
-    functions: ``"dict"`` materialises a plain dict (ascending process id),
-    ``"mask"`` hands out a zero-copy :class:`~repro.rounds.bitmask.MaskMapping`
-    view.  Both iterate identically; ``"mask"`` is faster for transition
-    functions that only need cardinality or membership.
+    sloppy about bounds.  Transition functions receive a plain dict in
+    ascending process id.
     """
 
-    __slots__ = ("oracle", "n", "_full", "_mask_fn", "_lazy_views", "_bits_cache")
+    __slots__ = ("oracle", "n", "_full", "_mask_fn", "_bits_cache")
 
-    def __init__(self, oracle: Any, n: int, view: str = "dict") -> None:
-        if view not in ("dict", "mask"):
-            raise ValueError(f"view must be 'dict' or 'mask', got {view!r}")
+    def __init__(self, oracle: Any, n: int) -> None:
         self.oracle = oracle
         self.n = n
         self._full = full_mask(n)
@@ -146,7 +139,6 @@ class OracleTransport:
         self._mask_fn: Callable[[Round, ProcessId], int] = (
             mask_fn if callable(mask_fn) else self._mask_from_sets
         )
-        self._lazy_views = view == "mask"
         #: mask -> tuple of member ids; environments reuse the same heard-of
         #: sets over and over (blocks, the full set, crash complements), so
         #: materialised views iterate a cached tuple at C speed instead of
@@ -167,8 +159,6 @@ class OracleTransport:
                 "OracleTransport requires the lockstep payload sequence; "
                 "per-process finish_rounds is a step-transport operation"
             )
-        if self._lazy_views:
-            return mask, MaskMapping(payloads, mask)
         bits = self._bits_cache.get(mask)
         if bits is None:
             bits = tuple(iter_bits(mask))

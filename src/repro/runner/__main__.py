@@ -17,7 +17,8 @@ consumed by CI, a CSV of the per-run records, and a streamed JSONL file
 Both grid axes are validated against the registry up front -- a typo in a
 scenario *or fault-model* name exits with code 2 and the known list,
 instead of silently turning every cell into an errored run; so does a
-system size below 1.
+system size below 1, and a grid whose cells cover a seed twice (a repeated
+axis entry, or ``--seeds`` closer together than ``--replicas``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,14 @@ from typing import Dict, Optional, Sequence
 
 from ..predicates import MONITOR_NAMES, canonical_predicate_name
 from .registry import REGISTRY
-from .sweep import BACKEND_CHOICES, JsonlSink, _resolve_workers, build_grid, run_sweep
+from .sweep import (
+    BACKEND_CHOICES,
+    JsonlSink,
+    _reject_overlapping_seeds,
+    _resolve_workers,
+    build_grid,
+    run_sweep,
+)
 
 
 def _parse_params(entries: Optional[Sequence[str]]) -> Dict[str, object]:
@@ -251,7 +259,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         specs = build_grid(
             scenarios, args.fault_models, args.seeds, ns=sizes, param_sets=[params]
         )
-    except ValueError as exc:  # a malformed grid: a size below 1, a reserved --param key
+        # Here, not only inside run_sweep: a rejected grid must not have
+        # truncated an existing --jsonl file on its way to the error.
+        _reject_overlapping_seeds(specs, args.replicas)
+    except ValueError as exc:  # a size below 1, a reserved --param key, a seed covered twice
         print(f"error: {exc}", file=sys.stderr)
         return 2
     workers = _resolve_workers(args.workers, len(specs))

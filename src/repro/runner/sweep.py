@@ -1011,6 +1011,35 @@ def _resolve_workers(workers: Optional[int], jobs: int) -> int:
     return max(1, min(workers, jobs))
 
 
+def _reject_overlapping_seeds(specs: Sequence[RunSpec], replicas: Optional[int] = None) -> None:
+    """Raise ``ValueError`` when two cells of one group cover a seed twice.
+
+    A cell covers ``[seed, seed + R)`` with R its own ``replicas``, else the
+    sweep-wide *replicas*, else 1.  Two cells equal in (scenario, fault
+    model, n, params) whose ranges intersect would count the shared seeds
+    twice in every aggregate -- and, at equal base seeds, share one
+    ``cell_key``, so a resume would match one JSONL line to both.
+    """
+    groups: Dict[str, List[Tuple[int, int, RunSpec]]] = {}
+    for spec in specs:
+        count = spec.replicas if spec.replicas is not None else (replicas or 1)
+        group = spec_key(spec.scenario, spec.fault_model, spec.n, 0, spec.params)
+        groups.setdefault(group, []).append((spec.seed, spec.seed + count, spec))
+    for cells in groups.values():
+        cells.sort(key=lambda cell: cell[0])
+        # sorted by base seed: if any two ranges intersect, two neighbours do
+        for (first, first_end, spec), (second, second_end, _) in zip(cells, cells[1:]):
+            if second < first_end:
+                last = min(first_end, second_end) - 1
+                shared = f"seed {second}" if last == second else f"seeds {second}..{last}"
+                raise ValueError(
+                    f"{spec.scenario}/{spec.fault_model}/n={spec.n}: the cells at base "
+                    f"seeds {first} and {second} both cover {shared} (a cell covers "
+                    f"{first_end - first} consecutive seed(s) from its base seed); "
+                    f"space base seeds at least {first_end - first} apart"
+                )
+
+
 #: Execution-backend names a sweep accepts for batched cells.
 BACKEND_CHOICES = ("auto", "batch", "compiled", "scalar", "super")
 
@@ -1093,6 +1122,9 @@ def run_sweep(
     with its automatic scalar fallback; ``scalar`` = R reference runs), and
     every cell's record carries the per-replica outcomes next to the cell
     aggregates.  Specs that already carry ``replicas`` are left untouched.
+    Two cells of one (scenario, fault model, n, params) group whose seed
+    ranges intersect raise ``ValueError`` before anything executes: the
+    shared seeds would be counted twice.
 
     ``backend="super"`` goes one step further: every such cell is packed,
     together with all the others, into ONE cross-cell lockstep engine run
@@ -1132,6 +1164,7 @@ def run_sweep(
             else replace(spec, replicas=replicas, backend=backend)
             for spec in specs
         ]
+    _reject_overlapping_seeds(specs)
     started = time.perf_counter()
 
     slots: List[Optional[RunRecord]] = [None] * len(specs)

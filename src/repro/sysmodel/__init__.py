@@ -10,7 +10,7 @@ behaviour: crash/recovery, omissions, loss, asynchrony).
 
 from .faults import BadPeriodProcessBehavior, FaultEvent, FaultKind, FaultSchedule
 from .network import BadPeriodNetwork, Envelope, Network
-from .params import DEFAULT_PARAMS, SynchronyParams
+from .params import SynchronyParams
 from .periods import GoodPeriod, GoodPeriodKind, PeriodSchedule
 from .process import (
     ProcessRuntime,
@@ -27,7 +27,6 @@ from .trace import DecisionRecord, SystemRunTrace
 
 __all__ = [
     "SynchronyParams",
-    "DEFAULT_PARAMS",
     "GoodPeriodKind",
     "GoodPeriod",
     "PeriodSchedule",

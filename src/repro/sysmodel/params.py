@@ -47,6 +47,4 @@ class SynchronyParams:
         return math.ceil(2 * self.delta + (2 * n + 1) * self.phi)
 
 
-DEFAULT_PARAMS = SynchronyParams(phi=1.0, delta=2.0)
-
-__all__ = ["SynchronyParams", "DEFAULT_PARAMS"]
+__all__ = ["SynchronyParams"]

@@ -22,7 +22,6 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..predicates.static import pk_holds, psu_holds
 from ..core.types import HOCollection, ProcessId, Round, validate_process_subset
-from ..rounds.bitmask import mask_of
 from ..rounds.record import DecisionRecord, RoundRecord
 
 
@@ -70,14 +69,6 @@ class SystemRunTrace:
         if key not in self.round_send_times:
             self.round_send_times[key] = time
 
-    def record_round(
-        self, process: ProcessId, round: Round, ho_set: Iterable[ProcessId], time: float
-    ) -> None:
-        """Record the heard-of set and transition time of one executed round."""
-        self.record_round_result(
-            RoundRecord(process=process, round=round, ho_mask=mask_of(ho_set), time=time)
-        )
-
     def record_round_result(self, record: RoundRecord) -> None:
         """Record one executed round under the unified record schema."""
         self.records.append(record)
@@ -114,10 +105,6 @@ class SystemRunTrace:
     def max_round(self) -> Round:
         """The largest round executed by any process."""
         return self.ho_collection.max_round
-
-    def rounds_executed_by(self, process: ProcessId) -> List[Round]:
-        """Rounds for which *process* executed its transition, in order."""
-        return sorted(r for (p, r) in self.transition_times if p == process)
 
     def decision_values(self) -> Dict[ProcessId, Any]:
         """Map process -> decided value."""

@@ -69,7 +69,7 @@ CLASSIC_ALGORITHMS = {
 CRASH_ROUND = 3
 
 
-def _classic_values(n: int, rng: SeededRng, shuffle_values: bool) -> List[int]:
+def _classic_values(n: int, rng: SeededRng) -> List[int]:
     """The run's initial values: the standard ladder, seed-shuffled.
 
     The shuffle draws from the ``values`` sub-stream, so it never perturbs
@@ -77,8 +77,7 @@ def _classic_values(n: int, rng: SeededRng, shuffle_values: bool) -> List[int]:
     single run with seed ``seed + i`` (see :meth:`SeededRng.replicate`).
     """
     values = _initial_values(n)
-    if shuffle_values:
-        rng.stream("values").shuffle(values)
+    rng.stream("values").shuffle(values)
     return values
 
 
@@ -269,7 +268,6 @@ def build_classic_batch(
     algorithm: str = "otr",
     rounds: int = 60,
     loss_probability: float = 0.2,
-    shuffle_values: bool = True,
     predicates: Optional[Sequence[str]] = None,
     stop_after_held: Optional[int] = None,
     run_full_horizon: bool = False,
@@ -293,7 +291,7 @@ def build_classic_batch(
     tasks: List[ReplicaTask] = []
     for seed in seeds:
         rng = SeededRng(seed)
-        values = _classic_values(n, rng, shuffle_values)
+        values = _classic_values(n, rng)
         # crash-recovery: the down window sits in the first half of the horizon.
         overlay = fault_overlay(fault_model, n, rounds // 6, loss_probability, rng)
         oracle = FaultFreeOracle(n) if overlay is None else overlay

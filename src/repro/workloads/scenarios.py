@@ -20,7 +20,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from ..runner.registry import REGISTRY
 from ..algorithms import OneThirdRule
 from ..analysis.consensus_check import ConsensusVerdict, check_consensus
-from ..analysis.metrics import RunMetrics, metrics_from_des, metrics_from_system_trace
+from ..analysis.metrics import RunMetrics, metrics_from_des, metrics_from_trace
 from ..analysis.taxonomy import FaultConfiguration, classify
 from ..des import ChannelConfig, EventSimulator
 from ..failure_detectors import (
@@ -166,7 +166,7 @@ def run_ho_stack(
         n=n,
         seed=seed,
         verdict=verdict,
-        metrics=metrics_from_system_trace(trace, scope=scope),
+        metrics=metrics_from_trace(trace, scope=scope),
         extra=extra,
     )
 

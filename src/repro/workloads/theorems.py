@@ -80,7 +80,6 @@ def build_step_batch(
     bad_period_length: float = 80.0,
     good_period_length: float = 400.0,
     rounds: Optional[int] = None,
-    shuffle_values: bool = True,
     predicates: Optional[Sequence[str]] = None,
     stop_after_held: Optional[int] = None,
     run_full_horizon: bool = False,
@@ -111,7 +110,7 @@ def build_step_batch(
             seed=seed,
             algorithm=OneThirdRule(n),
             oracle=env,
-            initial_values=_classic_values(n, SeededRng(seed), shuffle_values),
+            initial_values=_classic_values(n, SeededRng(seed)),
         )
         for seed in seeds
     ]
@@ -185,7 +184,6 @@ def build_translation_batch(
     f: Optional[int] = None,
     rounds: Optional[int] = None,
     loss_probability: float = 0.2,
-    shuffle_values: bool = True,
     predicates: Optional[Sequence[str]] = None,
     stop_after_held: Optional[int] = None,
     run_full_horizon: bool = False,
@@ -216,7 +214,7 @@ def build_translation_batch(
     tasks: List[ReplicaTask] = []
     for seed in seeds:
         rng = SeededRng(seed)
-        values = _classic_values(n, rng, shuffle_values)
+        values = _classic_values(n, rng)
         oracle: HOOracleBase = CounterKernelOracle(n, pi0, rng=rng)
         overlay = fault_overlay(
             fault_model, n, rounds // 6, loss_probability, rng.spawn("overlay")

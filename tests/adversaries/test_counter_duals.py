@@ -11,6 +11,8 @@ or counter-based components, at most one opaque sequential one.
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro._optional import have_numpy
@@ -30,7 +32,7 @@ from repro.adversaries.batch import (
     PerReplicaBatchOracle,
     vectorize_oracles,
 )
-from repro.adversaries.counter_batch import counter_batch_dual
+from repro.adversaries.counter_batch import _DUALS, counter_batch_dual
 from repro.engine.rng import SeededRng
 from tests.conftest import steady_state_peak_growth
 
@@ -335,6 +337,13 @@ class TestRetiredReplicaStaysRetired:
 
 
 class TestDualEligibility:
+    def test_every_registered_family_offers_the_eligibility_handshake(self):
+        # no numpy needed: a mis-registration must fail on every CI leg
+        assert _DUALS
+        for family, dual in _DUALS.items():
+            assert callable(getattr(family, "counter_batch_signature", None)), family
+            assert inspect.isclass(dual), (family, dual)
+
     @needs_numpy
     def test_mixed_signature_gets_no_dual(self):
         oracles = [

@@ -12,7 +12,10 @@ suites only reach by accident:
   after every round; the arithmetic that makes the tie unobservable is
   checked exhaustively for small n, and directed tie rounds pin it;
 * the steady-state ``step`` of each kernel allocates no ``(R, n, n)``
-  temporary: every full-shape intermediate lives in the kernel's scratch.
+  temporary: every full-shape intermediate lives in the kernel's scratch;
+* every kernel registration is coherent with the scalar algorithm it is
+  the dual of (checked without numpy: a mis-registration does not crash,
+  it silently drops cells to the scalar loop or runs the wrong dual).
 """
 
 from __future__ import annotations
@@ -21,10 +24,16 @@ import pytest
 
 from repro._optional import have_numpy
 from repro.algorithms import OneThirdRule
-from repro.algorithms.batched import BatchLastVoting, BatchOneThirdRule, BatchUniformVoting
+from repro.algorithms.batched import (
+    _KERNELS,
+    BatchKernel,
+    BatchLastVoting,
+    BatchOneThirdRule,
+    BatchUniformVoting,
+)
 from tests.conftest import steady_state_peak_growth
 
-pytestmark = pytest.mark.skipif(not have_numpy(), reason="numpy not available")
+needs_numpy = pytest.mark.skipif(not have_numpy(), reason="numpy not available")
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -114,12 +123,14 @@ def assert_matches_scalar_every_round(replicas, width=N_MAX, rounds=ROUNDS):
     return kernel
 
 
+@needs_numpy
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(replicas=padded_replicas())
 def test_one_third_rule_matches_scalar_on_ties_and_empty_ho_sets(replicas):
     assert_matches_scalar_every_round(replicas)
 
 
+@needs_numpy
 def test_adopted_or_decided_top_count_is_never_tied():
     """Every ``(n, hc, top)`` with n <= 12: past the update gate, adopting
     the top value or deciding it leaves fewer than ``top`` other senders,
@@ -167,6 +178,7 @@ TIE_REPLICAS["mixed-row-n"] = [
 ] + [(3, [8, 3, 8], [_everyone(3)] * 3)]
 
 
+@needs_numpy
 @pytest.mark.parametrize("case", sorted(TIE_REPLICAS))
 def test_directed_tie_rounds_match_scalar(case):
     replicas = TIE_REPLICAS[case]
@@ -178,6 +190,7 @@ def test_directed_tie_rounds_match_scalar(case):
         assert len(decisions) == size and len(set(decisions.values())) == 1, (case, r)
 
 
+@needs_numpy
 @pytest.mark.parametrize(
     "kernel_class", [BatchOneThirdRule, BatchUniformVoting, BatchLastVoting]
 )
@@ -201,3 +214,15 @@ def test_steady_state_step_allocates_no_heard_matrix(kernel_class):
 
     growth = steady_state_peak_growth(build)
     assert growth < replicas * n * n, (kernel_class.__name__, growth)
+
+
+def test_every_kernel_is_registered_under_the_algorithm_it_duals():
+    # registration is an import side-effect: pull in the module that
+    # registers beyond repro.algorithms.batched, or this depends on test order
+    import repro.predimpl.batched_translation  # noqa: F401
+
+    assert _KERNELS
+    for algorithm_class, kernel_class in _KERNELS.items():
+        assert issubclass(kernel_class, BatchKernel), (algorithm_class, kernel_class)
+        assert kernel_class.algorithm_class is algorithm_class, kernel_class
+        assert isinstance(kernel_class.super_batchable, bool), kernel_class

@@ -9,8 +9,7 @@ from repro.analysis import (
     algorithm_complexity_summary,
     check_consensus,
     metrics_from_des,
-    metrics_from_ho_trace,
-    metrics_from_system_trace,
+    metrics_from_trace,
 )
 from repro.adversaries import FaultFreeOracle, ScriptedOracle
 from repro.core.machine import HOMachine
@@ -70,7 +69,7 @@ class TestMetrics:
     def test_metrics_from_ho_trace(self):
         machine = HOMachine(OneThirdRule(3), FaultFreeOracle(3), [7, 7, 7])
         trace = machine.run_until_decision(max_rounds=10)
-        metrics = metrics_from_ho_trace(trace)
+        metrics = metrics_from_trace(trace)
         assert metrics.all_decided
         assert metrics.unanimous
         assert metrics.first_decision_round == 1
@@ -81,7 +80,7 @@ class TestMetrics:
         trace.record_decision(0, 5, round=3, time=12.0)
         trace.record_decision(1, 5, round=4, time=15.0)
         trace.messages_sent = 42
-        metrics = metrics_from_system_trace(trace)
+        metrics = metrics_from_trace(trace)
         assert metrics.all_decided
         assert metrics.unanimous
         assert metrics.first_decision_time == 12.0
@@ -92,7 +91,7 @@ class TestMetrics:
     def test_metrics_with_scope(self):
         trace = SystemRunTrace(n=3)
         trace.record_decision(0, 5, round=1, time=1.0)
-        metrics = metrics_from_system_trace(trace, scope=[0, 1])
+        metrics = metrics_from_trace(trace, scope=[0, 1])
         assert metrics.decided_processes == 1
         assert metrics.scope_size == 2
         assert not metrics.all_decided

@@ -9,10 +9,15 @@ switches how the chunk cores execute, never what they compute.
 
 ``test_classic_grid_parity`` and ``test_translation_parity`` are the
 parity-evidence markers named by the registered compiled kernels
-(:data:`repro.compiled.kernels._COMPILED`), audited by lint rule REP106.
+(:data:`repro.compiled.kernels._COMPILED`);
+``test_every_compiled_kernel_names_its_kernel_and_its_parity_evidence``
+holds every registration to them, numpy or not.
 """
 
 from __future__ import annotations
+
+import ast
+from pathlib import Path
 
 import pytest
 
@@ -31,13 +36,17 @@ from repro.adversaries.dynamic import (
     RotatingPartitionOracle,
 )
 from repro.algorithms import LastVoting, OneThirdRule, UniformVoting
+from repro.algorithms.batched import _KERNELS
+from repro.compiled.kernels import _COMPILED
 from repro.engine.rng import SeededRng
 from repro.predimpl.translation import KernelToUniformTranslation
 from repro.rounds.backend import ReplicaBatch, ReplicaTask, get_backend
 from repro.rounds.bitmask import mask_of
 from repro.rounds.fallback import FallbackReason
 
-pytestmark = pytest.mark.skipif(not have_numpy(), reason="numpy not available")
+needs_numpy = pytest.mark.skipif(not have_numpy(), reason="numpy not available")
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: classic (pure, broadcastable) and dynamic (counter-stream) adversaries;
 #: all of them vectorise without the per-replica query loop, so the fused
@@ -108,10 +117,28 @@ def assert_compiled_engaged_and_identical(make, reference_backend="scalar"):
 
 
 # --------------------------------------------------------------------- #
-# the registered parity markers (REP106 evidence)
+# the registered parity markers, and the registrations that name them
 # --------------------------------------------------------------------- #
 
 
+def test_every_compiled_kernel_names_its_kernel_and_its_parity_evidence():
+    """A compiled dual cannot be registered without its bit-identity evidence:
+    it is keyed by a registered batch kernel, declares that kernel's
+    algorithm as its own, and its ``parity_test`` names an existing node."""
+    assert _COMPILED
+    for kernel_class, spec in _COMPILED.items():
+        assert _KERNELS.get(kernel_class.algorithm_class) is kernel_class, kernel_class
+        assert spec.batch_kernel_class is kernel_class, spec
+        assert spec.algorithm_class is kernel_class.algorithm_class, spec
+        assert callable(spec.runner), spec
+        file, _, node = spec.parity_test.partition("::")
+        tree = ast.parse((REPO_ROOT / file).read_text(encoding="utf-8"))
+        assert node in {
+            stmt.name for stmt in tree.body if isinstance(stmt, ast.FunctionDef)
+        }, spec.parity_test
+
+
+@needs_numpy
 @pytest.mark.parametrize("algo_cls", ALGORITHMS)
 @pytest.mark.parametrize("oracle_name", sorted(ORACLE_FACTORIES))
 def test_classic_grid_parity(algo_cls, oracle_name):
@@ -137,6 +164,7 @@ def test_classic_grid_parity(algo_cls, oracle_name):
         assert compiled == batched
 
 
+@needs_numpy
 @pytest.mark.parametrize("oracle_name", ["fault-free", "crash-stop", "mobile", "bursty"])
 @pytest.mark.parametrize("n,f", [(4, 1), (5, 1), (7, 2)])
 def test_translation_parity(oracle_name, n, f):
@@ -156,6 +184,7 @@ def test_translation_parity(oracle_name, n, f):
 # --------------------------------------------------------------------- #
 
 
+@needs_numpy
 @pytest.mark.parametrize("n", [1, 63, 64, 65])
 @pytest.mark.parametrize("algo_cls", [OneThirdRule, UniformVoting])
 def test_word_spill_parity(n, algo_cls):
@@ -166,6 +195,7 @@ def test_word_spill_parity(n, algo_cls):
         )
 
 
+@needs_numpy
 def test_full_horizon_runs_every_round():
     """run_full_horizon disables the early-decide poll inside the fused loop."""
 
@@ -180,6 +210,7 @@ def test_full_horizon_runs_every_round():
     assert all(o.rounds_executed == 12 for o in outcomes)
 
 
+@needs_numpy
 def test_empty_scope_runs_zero_rounds():
     """An already-satisfied scope never queries the oracle (same as scalar)."""
 
@@ -198,6 +229,7 @@ def test_empty_scope_runs_zero_rounds():
 # --------------------------------------------------------------------- #
 
 
+@needs_numpy
 def test_without_numba_the_batch_path_runs(monkeypatch):
     """A non-interpreted backend degrades with NO_NUMBA when numba is absent."""
     from repro.compiled import CompiledBackend
@@ -211,6 +243,7 @@ def test_without_numba_the_batch_path_runs(monkeypatch):
     )
 
 
+@needs_numpy
 def test_monitored_cells_take_the_batch_path():
     from repro.rounds.backend import MonitorSpec
 
@@ -230,6 +263,7 @@ def test_monitored_cells_take_the_batch_path():
     assert all(o.predicate_reports for o in outcomes)
 
 
+@needs_numpy
 def test_fingerprinted_cells_take_the_batch_path():
     backend = compiled_backend()
     outcomes = backend.run(
@@ -243,6 +277,7 @@ def test_fingerprinted_cells_take_the_batch_path():
     assert outcomes == reference
 
 
+@needs_numpy
 def test_stateful_oracles_are_opaque_to_the_fused_loop():
     """rng-backed oracles need the per-replica query loop -> batch path."""
 
@@ -268,6 +303,7 @@ def test_stateful_oracles_are_opaque_to_the_fused_loop():
     assert outcomes == get_backend("scalar").run(make())
 
 
+@needs_numpy
 def test_mixed_algorithms_fall_back():
     tasks = [
         ReplicaTask(0, OneThirdRule(3), FaultFreeOracle(3), [1, 2, 3]),
@@ -278,6 +314,7 @@ def test_mixed_algorithms_fall_back():
     assert "mixed" in backend.last_fallback_reason
 
 
+@needs_numpy
 def test_disable_env_forces_numba_off(monkeypatch):
     """REPRO_DISABLE_NUMBA=1 makes the loader refuse numba entirely."""
     from repro import _optional
@@ -304,6 +341,7 @@ def _forced_fused(monkeypatch, compiled=None):
     )
 
 
+@needs_numpy
 def test_counter_hash_rows_matches_the_numpy_stage():
     """``out[i, j] = mix64((prefix[i] + PHI) ^ last[j])``: the fused core
     is the last stage of ``counter_hash_array`` over an ``(M, L)`` block."""
@@ -326,6 +364,7 @@ def test_counter_hash_rows_matches_the_numpy_stage():
     assert int(got[4, 3]) == counter_hash(int(keys[4]), 3, int(rounds[4]), 2**63)
 
 
+@needs_numpy
 def test_counter_hash_rows_writes_through_a_view_of_the_hash_buffer():
     """The dispatcher hands the core ``out.hashes.reshape(-1, L)`` -- of a
     whole scratch and of its leading rows -- and both land in the buffer."""
@@ -347,6 +386,7 @@ def test_counter_hash_rows_writes_through_a_view_of_the_hash_buffer():
         assert (scratch.hashes[:rows] == want[:rows]).all()
 
 
+@needs_numpy
 def test_counter_hash_array_dispatcher_is_bit_identical(monkeypatch):
     """``counter_hash_array(out=)`` returns the same values whichever path
     its full-shape stage resolved to -- and ``units_of_counters`` on top."""
@@ -376,6 +416,7 @@ def _link_draw(np, replicas, n):
     return keys[:, None, None], [np.uint64(1), np.uint64(9), procs[:, None], procs[None, :]]
 
 
+@needs_numpy
 def test_fused_stage_draws_into_the_callers_scratch(monkeypatch):
     """On the numba tier's branch a link draw still returns ``out.hashes``,
     bit-identical to the fresh result, draw after draw over the same
@@ -422,6 +463,7 @@ def test_fused_stage_draws_into_the_callers_scratch(monkeypatch):
             )
 
 
+@needs_numpy
 def test_fused_dispatch_allocates_nothing_of_the_draw_shape(monkeypatch):
     """The numba tier's branch of ``counter_hash_array`` (forced here; the
     core runs interpreted when numba is absent) hands views of the scratch

@@ -3,7 +3,7 @@
 Rule-level tests parse snippets straight into a
 :class:`~repro.lint.rules.FileContext`; engine-level tests write little
 file trees under ``tmp_path`` and run :func:`~repro.lint.engine.lint_paths`
-over them (audit rules off by default, so fixtures stay hermetic).
+over them.
 """
 
 from __future__ import annotations
@@ -38,9 +38,8 @@ def write_tree(root: Path, files: Dict[str, str]) -> Path:
 
 
 def run_lint(root: Path, files: Dict[str, str], **kwargs) -> LintResult:
-    """Write *files* under *root* and lint the tree (no audit by default)."""
+    """Write *files* under *root* and lint the tree."""
     write_tree(root, files)
-    kwargs.setdefault("audit", False)
     kwargs.setdefault("root", root)
     return lint_paths([str(root)], **kwargs)
 

@@ -42,8 +42,7 @@ def test_unknown_select_code_raises(tmp_path):
 def test_explicit_file_paths_and_dedup(tmp_path):
     write_tree(tmp_path, {"repro/mod.py": "import random\n"})
     target = tmp_path / "repro" / "mod.py"
-    result = lint_paths([str(target), str(tmp_path)], audit=False,
-                        root=tmp_path)
+    result = lint_paths([str(target), str(tmp_path)], root=tmp_path)
     assert result.files == 1  # the file is linted once, not twice
     assert codes_of(result) == ["REP001"]
 

@@ -6,7 +6,6 @@ import pytest
 
 from repro.rounds.bitmask import (
     WORD_BITS,
-    MaskMapping,
     bit_count,
     full_mask,
     iter_bits,
@@ -114,25 +113,3 @@ class TestWordBoundaries:
         assert mask_to_words(full_mask(63), 63) == ((1 << 63) - 1,)
         assert mask_to_words(full_mask(64), 64) == ((1 << 64) - 1,)
         assert mask_to_words(full_mask(128), 128) == ((1 << 64) - 1, (1 << 64) - 1)
-
-
-class TestMaskMapping:
-    def test_behaves_like_the_materialised_dict(self):
-        payloads = [f"m{p}" for p in range(6)]
-        mask = mask_of({0, 3, 5})
-        view = MaskMapping(payloads, mask)
-        materialised = {q: payloads[q] for q in iter_bits(mask)}
-        assert dict(view) == materialised
-        assert len(view) == 3
-        assert list(view) == list(materialised)
-        assert list(view.values()) == list(materialised.values())
-        assert view[3] == "m3"
-        assert view.get(1) is None
-        assert 5 in view and 1 not in view
-
-    def test_missing_key_raises(self):
-        view = MaskMapping(["a", "b"], mask_of({0}))
-        with pytest.raises(KeyError):
-            view[1]
-        with pytest.raises(KeyError):
-            view[-1]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.adversaries import FaultFreeOracle, ScriptedOracle
+from repro.adversaries import FaultFreeOracle
 from repro.algorithms import OneThirdRule
 from repro.core.machine import HOMachine
 from repro.core.types import HOCollection, RunTrace
@@ -18,34 +18,21 @@ from repro.rounds import (
 from repro.sysmodel.trace import SystemRunTrace
 
 
-def make_lockstep(n=4, oracle=None, view="dict"):
+def make_lockstep(n=4, oracle=None):
     algorithm = OneThirdRule(n)
     oracle = oracle if oracle is not None else FaultFreeOracle(n)
     trace = RunTrace(n=n, ho_collection=HOCollection(n))
-    engine = RoundEngine(algorithm, OracleTransport(oracle, n, view=view), trace)
+    engine = RoundEngine(algorithm, OracleTransport(oracle, n), trace)
     states = {p: algorithm.initial_state(p, 10 * (p + 1)) for p in range(n)}
     return engine, states, trace
 
 
 class TestOracleTransport:
-    def test_rejects_unknown_view(self):
-        with pytest.raises(ValueError, match="view"):
-            OracleTransport(FaultFreeOracle(3), 3, view="set")
-
     def test_clamps_sloppy_oracles(self):
         transport = OracleTransport(lambda r, p: [0, 1, 7, 9], 3)
         mask, received = transport.round_view(1, 0, ["a", "b", "c"])
         assert mask == mask_of({0, 1})
         assert dict(received) == {0: "a", 1: "b"}
-
-    def test_mask_view_equals_dict_view(self):
-        oracle = ScriptedOracle(4, {(1, 0): [1, 3]}, default=[0, 1, 2, 3])
-        payloads = ["m0", "m1", "m2", "m3"]
-        for view in ("dict", "mask"):
-            transport = OracleTransport(oracle, 4, view=view)
-            mask, received = transport.round_view(1, 0, payloads)
-            assert mask == mask_of({1, 3})
-            assert dict(received) == {1: "m1", 3: "m3"}
 
 
 class TestLockstepExecution:
@@ -60,19 +47,6 @@ class TestLockstepExecution:
         assert record.time == 1.0
         assert trace.messages_sent == 9
         assert trace.messages_delivered == 9
-
-    def test_mask_and_dict_views_yield_identical_traces(self):
-        def run(view):
-            engine, states, trace = make_lockstep(n=5, view=view)
-            for round_number in range(1, 8):
-                engine.execute_round(round_number, states)
-            return states, trace
-
-        states_dict, trace_dict = run("dict")
-        states_mask, trace_mask = run("mask")
-        assert states_dict == states_mask
-        assert trace_dict.records == trace_mask.records
-        assert trace_dict.ho_collection == trace_mask.ho_collection
 
     def test_machine_and_engine_agree(self):
         n = 4

@@ -178,6 +178,43 @@ class TestCli:
         with pytest.raises(ValueError, match="'backend' is a grid axis"):
             build_grid(["ho-classic-otr"], ["fault-free"], [0], backend="super")
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--seeds", "0", "1", "--replicas", "8"],
+             "base seeds 0 and 1 both cover seeds 1..7"),
+            (["--seeds", "0", "0"], "base seeds 0 and 0 both cover seed 0"),
+            (["--scenarios", "ho-classic-otr", "ho-classic-otr"], "both cover seed 0"),
+            (["--fault-models", "lossy", "lossy"], "both cover seed 0"),
+            (["--ns", "4", "4"], "both cover seed 0"),
+        ],
+        ids=["overlapping-ranges", "seed", "scenario", "fault-model", "size"],
+    )
+    def test_a_seed_covered_twice_exits_2_and_leaves_the_jsonl_alone(
+        self, tmp_path, capsys, flags, named
+    ):
+        """Not a silently inflated sample (``replicas: 16`` with 7 duplicates)."""
+        jsonl = tmp_path / "sweep.jsonl"
+        jsonl.write_text("a previous grid's records\n")
+        base = ["--scenarios", "ho-classic-otr", "--fault-models", "lossy", "--quiet",
+                "--jsonl", str(jsonl)]
+        assert main(base + flags) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert "space base seeds at least" in captured.err
+        assert "sweep:" not in captured.out
+        assert jsonl.read_text() == "a previous grid's records\n"
+
+    def test_adjacent_seed_ranges_run(self, tmp_path, capsys):
+        json_path = tmp_path / "sweep.json"
+        code = main(
+            ["--scenarios", "ho-classic-otr", "--fault-models", "lossy", "--quiet",
+             "--seeds", "0", "8", "--replicas", "8", "--json", str(json_path)]
+        )
+        assert code == 0
+        aggregate = json.loads(json_path.read_text())["aggregates"]["ho-classic-otr/lossy"]
+        assert aggregate["replicas"] == 16
+
     def test_malformed_param_exits_2(self, capsys):
         assert main(["--param", "no-equals-sign", "--quiet"]) == 2
         assert "key=value" in capsys.readouterr().err

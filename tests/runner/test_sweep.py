@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import pickle
+from dataclasses import fields
 
 import pytest
 
@@ -13,7 +15,7 @@ from repro.runner import (
     run_one,
     run_sweep,
 )
-from repro.runner.sweep import execute_run
+from repro.runner.sweep import RunRecord, execute_run
 from repro.workloads import FAULT_MODELS, ScenarioResult
 from repro.workloads.scenarios import STACKS
 
@@ -75,6 +77,25 @@ class TestGridAndRecords:
         record = execute_run(RunSpec.make("chandra-toueg", "no-such-model", seed=0))
         assert record.error is not None and "ValueError" in record.error
         assert not record.solved
+
+
+    def test_run_record_stays_a_slim_picklable_wire_record(self):
+        """Every field but the in-process ``result`` is JSON-able, ``result``
+        neither compares nor defaults to anything, and a record pickles small
+        (the old full-result records were ~1500x larger)."""
+        # RunRecord is written under `from __future__ import annotations`,
+        # so field types are the annotation strings.
+        wire = {
+            "str", "int", "bool", "float",
+            "Optional[str]", "Optional[float]", "Optional[Dict[str, Any]]",
+            "Tuple[Tuple[str, Any], ...]",
+        }
+        by_name = {f.name: f for f in fields(RunRecord)}
+        result = by_name.pop("result")
+        assert not result.compare and result.default is None
+        assert {f.name: f.type for f in by_name.values() if f.type not in wire} == {}
+        record = execute_run(RunSpec.make("chandra-toueg", "no-such-model", seed=0))
+        assert len(pickle.dumps(record)) < 4096
 
 
 class TestSweepExecutor:
@@ -159,6 +180,14 @@ class TestSweepExecutor:
         assert latencies == [record.last_decision_time for record in inline.records]
         # Two genuinely different runs, not one record duplicated.
         assert latencies[0] != latencies[1]
+
+    def test_run_sweep_rejects_cells_covering_a_seed_twice(self):
+        seen = []
+        specs = build_grid(["ho-classic-otr"], ["lossy"], [0, 5])
+        with pytest.raises(ValueError, match=r"base seeds 0 and 5 both cover seeds 5\.\.7"):
+            run_sweep(specs, replicas=8, on_record=seen.append)
+        assert seen == []  # rejected before anything executed
+        assert len(run_sweep(specs, replicas=5).records) == 2
 
     def test_record_for_rejects_ambiguous_lookup(self):
         specs = [

@@ -3,16 +3,23 @@
 For every batchable scenario the registry knows, the single-seed scalar
 runner (the builder at ``seeds=(seed,)`` on the full-trace reference loop),
 the builder's plan on the scenario's scalar backend and the same plan on
-its ``auto`` backend must produce identical per-replica wire outcomes.
+its ``auto`` backend must produce identical per-replica wire outcomes --
+and every backend choice a sweep accepts must resolve, for every such
+scenario, to a registered execution backend.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.rounds.backend import get_backend
+from repro.rounds.backend import backend_names, get_backend
 from repro.runner.registry import REGISTRY
-from repro.runner.sweep import RunSpec, _replica_outcome_from_record, execute_run
+from repro.runner.sweep import (
+    BACKEND_CHOICES,
+    RunSpec,
+    _replica_outcome_from_record,
+    execute_run,
+)
 
 SEEDS = (0, 1, 2)
 
@@ -21,6 +28,12 @@ def on_backend(scenario, choice, fault_model, n):
     plan = REGISTRY.batch_builder(scenario)(fault_model, n=n, seeds=SEEDS)
     backend = get_backend(REGISTRY.resolve_backend(scenario, choice))
     return plan.finalize(backend.run(plan.batch))
+
+
+@pytest.mark.parametrize("choice", BACKEND_CHOICES)
+@pytest.mark.parametrize("scenario", REGISTRY.batchable_scenario_names())
+def test_every_sweep_backend_choice_resolves_to_a_registered_backend(scenario, choice):
+    assert REGISTRY.resolve_backend(scenario, choice) in backend_names()
 
 
 @pytest.mark.parametrize("n", [4, 7])
