@@ -579,9 +579,9 @@ def _run_last_voting(kernel, compiled, words, word_of, bitmask, base_round,
          rounds_executed, messages_sent, messages_delivered)
 
 
-def _run_translation(kernel, compiled, words, word_of, bitmask, base_round,
-                     full_horizon, scope, active, rounds_executed,
-                     messages_sent, messages_delivered):
+def _run_kernel_to_uniform(kernel, compiled, words, word_of, bitmask, base_round,
+                           full_horizon, scope, active, rounds_executed,
+                           messages_sent, messages_delivered):
     core = _translation_chunk_jit if compiled else _translation_chunk
     inner = kernel._inner
     core(words, word_of, bitmask, base_round, full_horizon, scope, active,
@@ -655,7 +655,7 @@ register_compiled_kernel(CompiledKernel(
     algorithm_class=KernelToUniformTranslation,
     batch_kernel_class=BatchTranslationKernel,
     parity_test=_PARITY_TESTS + "::test_translation_parity",
-    runner=_run_translation,
+    runner=_run_kernel_to_uniform,
 ))
 
 

@@ -229,16 +229,7 @@ class ScalarStepBackend:
 
     name = "step-scalar"
 
-    def __init__(self, keep_traces: bool = False) -> None:
-        #: retain each replica's full :class:`SystemRunTrace` in
-        #: ``last_traces``.  Off by default: sweep records must stay slim
-        #: and picklable, and the round-level outcome already carries
-        #: everything the aggregates need.
-        self.keep_traces = keep_traces
-        self.last_traces: List[Optional[Any]] = []
-
     def run(self, batch: ReplicaBatch) -> List[ReplicaOutcome]:
-        self.last_traces = []
         return [self._run_replica(batch, task) for task in batch.tasks]
 
     def _run_replica(self, batch: ReplicaBatch, task: ReplicaTask) -> ReplicaOutcome:
@@ -251,8 +242,6 @@ class ScalarStepBackend:
         if not scope and not batch.run_full_horizon:
             # The scalar round loop runs zero rounds for an empty scope;
             # mirror it without spinning up a simulator.
-            if self.keep_traces:
-                self.last_traces.append(None)
             return self._empty_outcome(batch, task)
         monitor = batch.monitor_spec.scalar_bank(n) if batch.monitor_spec is not None else None
         observers: Tuple[Any, ...] = (monitor,) if monitor is not None else ()
@@ -271,8 +260,6 @@ class ScalarStepBackend:
         until = self._horizon_time(env, batch, n)
         stop_when = self._stop_predicate(env, batch, trace, monitor, scope)
         simulator.run(until=until, stop_when=stop_when)
-        if self.keep_traces:
-            self.last_traces.append(trace)
         return self._derive_outcome(batch, task, trace, monitor, scope)
 
     # ------------------------------------------------------------------ #

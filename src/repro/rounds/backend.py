@@ -287,11 +287,13 @@ class _TallySink:
 class ScalarBackend:
     """The reference backend: replicas loop one by one through the RoundEngine.
 
-    This is exactly the lockstep path every scalar scenario takes
-    (:class:`~repro.core.machine.HOMachine` is the same engine with a full
-    trace sink), re-expressed over :class:`ReplicaBatch`: run rounds until
-    every process in scope decided (or the horizon / an observer stop), with
-    each replica's oracle and rng untouched by its siblings.
+    The one scalar reference of the round-level scenarios: a single-seed run
+    (:func:`repro.workloads.batched.run_seed`) and a ``--backend scalar``
+    cell both execute their builder's plan here.  Per replica it runs rounds
+    until every process in scope decided (or the horizon / an observer
+    stop), with each replica's oracle and rng untouched by its siblings --
+    the engine :class:`~repro.core.machine.HOMachine` drives too, with a
+    tally sink instead of a full trace.
     """
 
     name = "scalar"

@@ -18,7 +18,10 @@ Both grid axes are validated against the registry up front -- a typo in a
 scenario *or fault-model* name exits with code 2 and the known list,
 instead of silently turning every cell into an errored run; so does a
 system size below 1, and a grid whose cells cover a seed twice (a repeated
-axis entry, or ``--seeds`` closer together than ``--replicas``).
+axis entry, or ``--seeds`` closer together than ``--replicas``).  A sink
+that cannot be written (a full disk, a read-only path) also exits 2, with
+the path in a one-line message; JSONL lines flushed before the failure stay
+resumable.
 """
 
 from __future__ import annotations
@@ -132,8 +135,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "fallback), 'auto' = compiled when numba is importable else batch, "
         "'super' = pack the whole grid, monitored cells included, into one "
         "cross-cell lockstep run (single process), 'scalar' = the reference "
-        "loop (default: auto; "
-        "only meaningful with --replicas)",
+        "backend (scalar, or step-scalar for step cells) over the same cell "
+        "plan (default: auto; only meaningful with --replicas)",
     )
     parser.add_argument(
         "--workers",
@@ -281,42 +284,54 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not args.quiet:
         on_record = lambda record: print(f"  done {record.row()}")  # noqa: E731
 
-    sinks = []
-    if args.jsonl:
-        # realpath, not abspath: opening the resume file in "w" mode through
-        # a symlink/alias would truncate it before the resume records load.
-        append = args.resume_from is not None and os.path.realpath(
-            args.resume_from
-        ) == os.path.realpath(args.jsonl)
-        sinks.append(JsonlSink(args.jsonl, append=append))
+    # The sink an OSError below is about: the JSONL stream while the sweep
+    # runs, then each summary file as it is written.
+    writing = args.jsonl
+    try:
+        sinks = []
+        if args.jsonl:
+            # realpath, not abspath: opening the resume file in "w" mode
+            # through a symlink/alias would truncate it before the resume
+            # records load.
+            append = args.resume_from is not None and os.path.realpath(
+                args.resume_from
+            ) == os.path.realpath(args.jsonl)
+            sinks.append(JsonlSink(args.jsonl, append=append))
 
-    result = run_sweep(
-        specs,
-        workers=workers,
-        on_record=on_record,
-        sinks=sinks,
-        resume_from=args.resume_from,
-        replicas=args.replicas,
-        backend=args.backend,
-    )
+        result = run_sweep(
+            specs,
+            workers=workers,
+            on_record=on_record,
+            sinks=sinks,
+            resume_from=args.resume_from,
+            replicas=args.replicas,
+            backend=args.backend,
+        )
 
-    print()
-    for line in result.report_lines():
-        print(line)
-    resumed = f", {result.resumed} cell(s) resumed" if result.resumed else ""
-    print(
-        f"\nwall time: {result.wall_seconds:.2f}s with {result.workers} "
-        f"worker(s){resumed}"
-    )
+        print()
+        for line in result.report_lines():
+            print(line)
+        resumed = f", {result.resumed} cell(s) resumed" if result.resumed else ""
+        print(
+            f"\nwall time: {result.wall_seconds:.2f}s with {result.workers} "
+            f"worker(s){resumed}"
+        )
 
-    if args.json:
-        result.write_json(args.json)
-        print(f"JSON summary written to {args.json}")
-    if args.jsonl:
-        print(f"JSONL records streamed to {args.jsonl}")
-    if args.csv:
-        result.write_csv(args.csv)
-        print(f"CSV records written to {args.csv}")
+        if args.json:
+            writing = args.json
+            result.write_json(args.json)
+            print(f"JSON summary written to {args.json}")
+        if args.jsonl:
+            print(f"JSONL records streamed to {args.jsonl}")
+        if args.csv:
+            writing = args.csv
+            result.write_csv(args.csv)
+            print(f"CSV records written to {args.csv}")
+    except OSError as exc:
+        if writing is None:
+            raise
+        print(f"error: cannot write {writing}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
 
     errors = sum(1 for record in result.records if record.error)
     return 1 if errors else 0

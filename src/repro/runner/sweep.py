@@ -19,11 +19,9 @@ per-run metrics deterministically:
   (``schema: repro-sweep/4``) for benchmark trajectories in CI.
 
 Wire discipline: parallel workers return a slim, picklable
-:class:`RunRecord` -- the full ``ScenarioResult`` (which may carry an
-entire round trace) stays in the worker unless the caller opts in with
-``keep_results=True``.  Inline execution (``workers <= 1``) always keeps
-the in-process result attached, so consumers such as
-:func:`repro.workloads.compare_stacks` work unchanged.
+:class:`RunRecord` -- the full ``ScenarioResult`` stays in the worker.
+Inline execution (``workers <= 1``) keeps the in-process result attached,
+so consumers such as :func:`repro.workloads.compare_stacks` read it.
 
 Determinism: every run is fully determined by its spec (the simulators are
 deterministic per seed), records are re-ordered into grid order regardless
@@ -104,8 +102,8 @@ class RunSpec:
     With *replicas* set, the cell covers the R consecutive seeds
     ``seed .. seed + replicas - 1`` and is executed as one replica batch
     (the scenario's registered builder's plan on the requested execution
-    *backend*, or R scalar runs when none is registered or
-    ``backend="scalar"``); the record then carries per-replica outcomes.
+    *backend*, or R scalar runs when none is registered); the record then
+    carries per-replica outcomes.
     """
 
     scenario: str
@@ -190,8 +188,7 @@ class RunRecord:
     replicas: Optional[Dict[str, Any]] = None
     #: the full ScenarioResult (verdict + metrics); carried for in-process
     #: consumers such as ``compare_stacks``, excluded from the JSON summary
-    #: and stripped before a parallel worker returns unless the sweep was
-    #: started with ``keep_results=True``.
+    #: and stripped before a parallel worker returns.
     result: Any = field(default=None, compare=False, repr=False)
 
     @property
@@ -278,8 +275,8 @@ def execute_run(spec: RunSpec) -> RunRecord:
     """Run one spec and flatten its outcome (top-level: picklable for workers).
 
     Batched specs (``spec.replicas``) execute the whole cell -- all R seeds
-    -- in one call, from the scenario's builder when one is registered and
-    the backend allows it, else as R scalar runs.
+    -- in one call, from the scenario's builder when one is registered,
+    else as R scalar runs.
     """
     if spec.replicas is not None:
         return _execute_batch_cell(spec)
@@ -453,14 +450,16 @@ def _execute_batch_cell(spec: RunSpec) -> RunRecord:
 
     A batchable scenario's cell is built once by its registered builder and
     handed to the execution backend the scenario resolves ``spec.backend``
-    to (step-path scenarios alias the generic choices onto ``step-batch``).
-    With ``backend="scalar"``, or no builder, the cell is R scalar
-    ``execute_run`` calls -- the reference every backend is pinned against.
-    Either way the cell yields a single wire record whose ``replicas``
-    payload carries the per-replica outcomes and the per-cell aggregates.
+    to (step-path scenarios alias the generic choices onto ``step-batch``,
+    and ``scalar`` onto ``step-scalar``) -- ``scalar`` included, so the
+    reference every backend is pinned against runs the whole plan in one
+    call too.  Only a scenario without a builder is R scalar ``execute_run``
+    calls (``scalar-loop``).  Either way the cell yields a single wire record
+    whose ``replicas`` payload carries the per-replica outcomes and the
+    per-cell aggregates.
     """
     started = time.perf_counter()
-    builder = REGISTRY.batch_builder(spec.scenario) if spec.backend != "scalar" else None
+    builder = REGISTRY.batch_builder(spec.scenario)
     if builder is None:
         outcomes = [
             _replica_outcome_from_record(execute_run(replace(spec, seed=seed, replicas=None)))
@@ -525,18 +524,14 @@ def _cell_record(
     )
 
 
-def _execute_indexed(job: Tuple[int, RunSpec, bool]) -> Tuple[int, "RunRecord"]:
+def _execute_indexed(job: Tuple[int, RunSpec]) -> Tuple[int, "RunRecord"]:
     """Run one grid cell, tagged with its grid position (picklable for workers).
 
-    Unless the sweep opted into ``keep_results``, the in-process result is
-    stripped *inside the worker*, so only the slim wire record is pickled
-    back through the pool.
+    The in-process result is stripped *inside the worker*, so only the slim
+    wire record is pickled back through the pool.
     """
-    index, spec, keep_results = job
-    record = execute_run(spec)
-    if not keep_results and record.result is not None:
-        record = replace(record, result=None)
-    return index, record
+    index, spec = job
+    return index, replace(execute_run(spec), result=None)
 
 
 # --------------------------------------------------------------------------- #
@@ -1100,7 +1095,6 @@ def run_sweep(
     specs: Sequence[RunSpec],
     workers: Optional[int] = None,
     on_record: Optional[Callable[[RunRecord], None]] = None,
-    keep_results: bool = False,
     sinks: Sequence[RecordSink] = (),
     resume_from: Optional[str] = None,
     replicas: Optional[int] = None,
@@ -1111,15 +1105,15 @@ def run_sweep(
     ``workers`` <= 1 (or ``None``) runs inline; larger values fan the grid
     out over a ``multiprocessing`` pool.  In the parallel path only the slim
     wire record is pickled back -- the full ``ScenarioResult`` stays in the
-    worker unless ``keep_results=True`` (inline runs always keep it, so
-    in-process consumers are unaffected by the wire discipline).
+    worker (inline runs keep it, so in-process consumers read it).
 
     ``replicas=R`` turns every spec into a *batched cell* covering the R
     consecutive seeds ``spec.seed .. spec.seed + R - 1``, scheduled as one
     unit of work instead of R independent runs: scenarios with a registered
     :class:`~repro.rounds.backend.CellPlan` builder execute the whole cell
-    on the requested execution *backend* (``auto``/``batch`` = the vectorised lockstep-replica engine
-    with its automatic scalar fallback; ``scalar`` = R reference runs), and
+    on the requested execution *backend* (``auto``/``batch`` = the
+    vectorised lockstep-replica engine with its automatic scalar fallback;
+    ``scalar`` = the reference loop over the same plan), and
     every cell's record carries the per-replica outcomes next to the cell
     aggregates.  Specs that already carry ``replicas`` are left untouched.
     Two cells of one (scenario, fault model, n, params) group whose seed
@@ -1216,10 +1210,9 @@ def run_sweep(
         else:
             # Index by grid position, not by spec fields: the position is
             # unambiguous even for specs differing only in extra params.
-            jobs = [(index, spec, keep_results) for index, spec in pending]
             with multiprocessing.Pool(processes=worker_count) as pool:
                 for index, record in pool.imap_unordered(
-                    _execute_indexed, jobs, chunksize=1
+                    _execute_indexed, pending, chunksize=1
                 ):
                     emit(record)
                     slots[index] = record

@@ -3,12 +3,10 @@
 from .adversarial import (
     ROUND_FAMILIES,
     build_round_adversary_batch,
-    run_round_adversary,
 )
 from .batched import (
     CLASSIC_ALGORITHMS,
     build_classic_batch,
-    run_classic,
 )
 from .measure import (
     DEFAULT_BAD_BEHAVIOR,
@@ -35,8 +33,6 @@ from .theorems import (
     STEP_BACKEND_ALIASES,
     build_step_batch,
     build_translation_batch,
-    run_step,
-    run_translation,
 )
 
 __all__ = [
@@ -59,13 +55,9 @@ __all__ = [
     "compare_stacks",
     "ROUND_FAMILIES",
     "build_round_adversary_batch",
-    "run_round_adversary",
     "CLASSIC_ALGORITHMS",
     "build_classic_batch",
-    "run_classic",
     "STEP_BACKEND_ALIASES",
     "build_step_batch",
-    "run_step",
     "build_translation_batch",
-    "run_translation",
 ]

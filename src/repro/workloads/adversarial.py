@@ -1,11 +1,11 @@
 """Round-level adversarial scenarios: the dynamic-fault sweep matrix.
 
-Each scenario runs OneThirdRule on the lockstep
-:class:`~repro.core.machine.HOMachine` (i.e. through the shared
-:class:`~repro.rounds.RoundEngine`) under one of the dynamic adversary
-families of :mod:`repro.adversaries.dynamic`, crossed with the standard
-fault-model axis.  The fault-model overlays are themselves built with the
-oracle combinators -- composition by :class:`IntersectOracle`, transient
+Each scenario runs OneThirdRule in lockstep rounds (the shared
+:class:`~repro.rounds.RoundEngine` on the scalar reference, or any batched
+backend) under one of the dynamic adversary families of
+:mod:`repro.adversaries.dynamic`, crossed with the standard fault-model
+axis.  The fault-model overlays are themselves built with the oracle
+combinators -- composition by :class:`IntersectOracle`, transient
 crashes by a :class:`SequenceOracle` of crash and fault-free phases -- so
 the sweep exercises the whole adversary algebra:
 
@@ -18,8 +18,10 @@ Every family stabilises at ``stabilize_round`` (its churn stops and
 communication becomes fault free for the surviving processes), so these runs
 terminate for the processes in scope -- the round-level analogue of a good
 period after a bad one.  Scenarios are registered with
-:mod:`repro.runner.registry` under ``ho-round-<family>``, so
-``python -m repro.runner`` sweeps cover the dynamic-fault matrix.
+:mod:`repro.runner.registry` under ``ho-round-<family>`` -- the cell builder
+:func:`build_round_adversary_batch`, whose single-seed run is
+:func:`~repro.workloads.batched.run_seed` -- so ``python -m repro.runner``
+sweeps cover the dynamic-fault matrix.
 
 One master :class:`~repro.engine.rng.SeededRng` per run feeds every oracle
 through named sub-streams, so a single seed controls the whole environment.
@@ -42,8 +44,8 @@ from ..algorithms import OneThirdRule
 from ..engine.rng import SeededRng
 from ..rounds.backend import CellPlan, ReplicaTask
 from ..runner.registry import REGISTRY
-from .batched import cell_plan, fault_overlay, run_single_seed
-from .scenarios import ScenarioResult, _initial_values, _scope_for
+from .batched import cell_plan, fault_overlay, run_seed
+from .scenarios import _initial_values, _scope_for
 
 #: The dynamic adversary families swept by the ``ho-round-*`` scenarios.
 ROUND_FAMILIES = (
@@ -74,7 +76,7 @@ _FAMILY_CLASSES = {
     "eventually-stable-coordinator": EventuallyStableCoordinatorOracle,
 }
 
-#: the constructor keyword (and attribute) each family keeps its stabilisation round under.
+#: the constructor keyword each family takes its stabilisation round under.
 _STABILITY_KEYS = {
     "mobile-omission": "stable_from",
     "rotating-partition": "heal_from",
@@ -104,14 +106,6 @@ def _family_oracle(
     return _FAMILY_CLASSES[family](n, rng=rng.spawn("family"), **kwargs)
 
 
-def _stabilize_round(plan: CellPlan, family: str) -> int:
-    """The stabilisation round a built cell runs under, read back from its family oracle."""
-    oracle = plan.batch.tasks[0].oracle
-    if isinstance(oracle, IntersectOracle):
-        oracle = oracle.oracles[0]
-    return getattr(oracle, _STABILITY_KEYS[family])
-
-
 def build_round_adversary_batch(
     fault_model: str,
     n: int = 4,
@@ -139,7 +133,9 @@ def build_round_adversary_batch(
     executing rounds after every in-scope process decided (monitored runs
     measuring first-hold rounds want the whole horizon, not the decision
     prefix); early-stop policies still apply.  *stabilize_round* defaults to
-    the middle of the horizon.
+    the middle of the horizon.  Under the lossy overlay the
+    post-stabilisation rounds still lose messages, so a decision is likely
+    but not certain within the horizon.
     """
     if stabilize_round is None:
         stabilize_round = max(2, rounds // 2)
@@ -165,33 +161,10 @@ def build_round_adversary_batch(
     )
 
 
-def run_round_adversary(
-    fault_model: str,
-    n: int = 4,
-    seed: int = 0,
-    family: str = "mobile-omission",
-    keep_trace: bool = False,
-    **cell: Any,
-) -> ScenarioResult:
-    """Run one seed of a dynamic-adversary cell on the scalar reference.
-
-    *cell* takes the keywords of :func:`build_round_adversary_batch`.
-    *keep_trace* attaches the full :class:`~repro.core.types.RunTrace` as
-    ``extra["trace"]`` for in-process consumers (predicate checks on the
-    heard-of collection); such results are deliberately heavy, which is why
-    the sweep executor ships only slim wire records across worker pools.
-    Under the lossy overlay the post-stabilisation rounds still lose
-    messages, so a decision is likely but not certain within the horizon.
-    """
-    plan = build_round_adversary_batch(fault_model, n=n, seeds=(seed,), family=family, **cell)
-    extra = {"family": family, "stabilize_round": _stabilize_round(plan, family)}
-    return run_single_seed(plan, f"ho-round/{family}", fault_model, extra, keep_trace)
-
-
 for _family in ROUND_FAMILIES:
     REGISTRY.register_scenario(
         f"ho-round-{_family}",
-        partial(run_round_adversary, family=_family),
+        partial(run_seed, f"ho-round-{_family}"),
         monitorable=True,
         batch_builder=partial(build_round_adversary_batch, family=_family),
     )
@@ -200,5 +173,4 @@ for _family in ROUND_FAMILIES:
 __all__ = [
     "ROUND_FAMILIES",
     "build_round_adversary_batch",
-    "run_round_adversary",
 ]

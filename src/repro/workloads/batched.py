@@ -30,10 +30,11 @@ seed shuffles the initial-value assignment through the run's
 ``values`` :class:`~repro.engine.rng.SeededRng` sub-stream -- the
 round-level analogue of drawing a workload per seed.
 
-``build_classic_batch`` is the one definition of a cell; ``run_classic`` is
-that builder at a single seed, executed on the scalar reference (an ordinary
-:class:`~repro.core.machine.HOMachine` run).  The equivalence tests pin it
-against every backend per seed.
+``build_classic_batch`` is the one definition of a cell.  A single-seed run
+of this or any other batchable scenario is :func:`run_seed`: the registered
+builder at ``seeds=(seed,)`` on the scenario's scalar backend, projected by
+:func:`project_outcome` exactly like every batched replica.  The
+equivalence tests pin that reference against every backend per seed.
 """
 
 from __future__ import annotations
@@ -50,10 +51,16 @@ from ..adversaries import (
 )
 from ..algorithms import LastVoting, OneThirdRule, UniformVoting
 from ..analysis.consensus_check import ConsensusVerdict, check_consensus
-from ..analysis.metrics import RunMetrics, metrics_from_trace
-from ..core.machine import HOMachine
+from ..analysis.metrics import RunMetrics
 from ..engine.rng import SeededRng
-from ..rounds.backend import CellPlan, MonitorSpec, ReplicaBatch, ReplicaOutcome, ReplicaTask
+from ..rounds.backend import (
+    CellPlan,
+    MonitorSpec,
+    ReplicaBatch,
+    ReplicaOutcome,
+    ReplicaTask,
+    get_backend,
+)
 from ..rounds.bitmask import iter_bits, mask_of
 from ..runner.registry import REGISTRY
 from .scenarios import FAULT_MODELS, ScenarioResult, _initial_values, _scope_for
@@ -215,48 +222,38 @@ def cell_plan(
     return CellPlan(batch=batch, finalize=finalize)
 
 
-def run_single_seed(
-    plan: CellPlan,
-    stack: str,
-    fault_model: str,
-    extra: Dict[str, Any],
-    keep_trace: bool,
+def run_seed(
+    scenario: str, fault_model: str, n: int = 4, seed: int = 0, **params: Any
 ) -> ScenarioResult:
-    """Execute a one-seed round-level *plan* on the scalar reference, with a full trace.
+    """Run one seed of batchable *scenario* on its scalar reference backend.
 
-    The single-seed runners are their family's builder at ``seeds=(seed,)``
-    handed to this loop: an ordinary :class:`~repro.core.machine.HOMachine`
-    run of the plan's task (the same round engine the ``scalar`` backend
-    drives, with a trace-keeping sink), so *keep_trace* works and the
-    equivalence tests pin HOMachine against every backend per seed.
+    The single-seed runner registered for every batchable scenario: the
+    scenario's builder at ``seeds=(seed,)``, executed by the backend the
+    scenario resolves ``scalar`` to (``scalar``, or ``step-scalar`` for step
+    cells) and projected by :func:`project_outcome` -- the one reference and
+    the one projection every batched replica goes through.  *params* are the
+    builder's keywords.
     """
+    plan = REGISTRY.batch_builder(scenario)(fault_model, n=n, seeds=(seed,), **params)
     batch = plan.batch
     (task,) = batch.tasks
-    scope = frozenset(iter_bits(batch.effective_scope_mask))
-    bank = batch.monitor_spec.scalar_bank(batch.n) if batch.monitor_spec is not None else None
-    machine = HOMachine(
-        task.algorithm, task.oracle, task.initial_values,
-        observers=() if bank is None else (bank,),
-    )
-    if batch.run_full_horizon:
-        while machine.current_round < batch.max_rounds and not machine.engine.stop_requested:
-            machine.run_round()
-        trace = machine.trace
-    else:
-        trace = machine.run_until_decision(max_rounds=batch.max_rounds, scope=scope)
-    extra = dict(extra, rounds=batch.max_rounds)
-    if bank is not None:
-        extra["predicate_reports"] = bank.reports_json()
-        extra["stopped_early"] = bank.stop_requested
-    if keep_trace:
-        extra["trace"] = trace
+    (outcome,) = get_backend(REGISTRY.resolve_backend(scenario, "scalar")).run(batch)
+    scope = list(iter_bits(batch.effective_scope_mask))
+    verdict, metrics = project_outcome(outcome, task.initial_values, scope)
+    extra: Dict[str, Any] = {
+        "rounds": batch.max_rounds,
+        "rounds_executed": outcome.rounds_executed,
+    }
+    if batch.monitor_spec is not None:
+        extra["predicate_reports"] = outcome.predicate_reports
+        extra["stopped_early"] = outcome.stopped_early
     return ScenarioResult(
-        stack=stack,
+        stack=scenario,
         fault_model=fault_model,
-        n=batch.n,
-        seed=task.seed,
-        verdict=check_consensus(trace, task.initial_values, scope=scope),
-        metrics=metrics_from_trace(trace, scope=scope),
+        n=n,
+        seed=seed,
+        verdict=verdict,
+        metrics=metrics,
         extra=extra,
     )
 
@@ -279,7 +276,7 @@ def build_classic_batch(
     to the sweep's per-replica wire dicts.  *predicates* attaches streaming
     monitors scoped to the surviving processes, *stop_after_held* adds the
     early-stop policy, and *run_full_horizon* keeps executing after the
-    scope decided.  Execution is the caller's choice: :func:`run_classic`
+    scope decided.  Execution is the caller's choice: :func:`run_seed`
     runs one seed on the scalar reference, the sweep hands the batch to one
     backend, the super-batch path packs many plans into one engine run.
     """
@@ -303,28 +300,10 @@ def build_classic_batch(
     )
 
 
-def run_classic(
-    fault_model: str,
-    n: int = 4,
-    seed: int = 0,
-    algorithm: str = "otr",
-    keep_trace: bool = False,
-    **cell: Any,
-) -> ScenarioResult:
-    """Run one seed of a classic-oracle cell on the scalar reference.
-
-    *cell* takes the keywords of :func:`build_classic_batch`.
-    """
-    plan = build_classic_batch(fault_model, n=n, seeds=(seed,), algorithm=algorithm, **cell)
-    return run_single_seed(
-        plan, f"ho-classic/{algorithm}", fault_model, {"algorithm": algorithm}, keep_trace
-    )
-
-
 for _key in CLASSIC_ALGORITHMS:
     REGISTRY.register_scenario(
         f"ho-classic-{_key}",
-        partial(run_classic, algorithm=_key),
+        partial(run_seed, f"ho-classic-{_key}"),
         monitorable=True,
         batch_builder=partial(build_classic_batch, algorithm=_key),
     )
@@ -335,7 +314,6 @@ __all__ = [
     "fault_overlay",
     "cell_plan",
     "project_outcome",
-    "run_single_seed",
+    "run_seed",
     "build_classic_batch",
-    "run_classic",
 ]

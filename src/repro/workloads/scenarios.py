@@ -220,7 +220,7 @@ def run_chandra_toueg(
     )
     scope = _scope_for(fault_model, n)
     simulator.run_until_all_decided(until=horizon, scope=scope)
-    verdict = check_consensus_des(simulator, values, scope)
+    verdict = check_consensus(simulator, values, scope=scope)
     return ScenarioResult(
         stack="chandra-toueg",
         fault_model=fault_model,
@@ -260,7 +260,7 @@ def run_aguilera(
     )
     scope = _scope_for(fault_model, n)
     simulator.run_until_all_decided(until=horizon, scope=scope)
-    verdict = check_consensus_des(simulator, values, scope)
+    verdict = check_consensus(simulator, values, scope=scope)
     return ScenarioResult(
         stack="aguilera",
         fault_model=fault_model,
@@ -268,29 +268,6 @@ def run_aguilera(
         seed=seed,
         verdict=verdict,
         metrics=metrics_from_des(simulator, scope=scope),
-    )
-
-
-def check_consensus_des(simulator: EventSimulator, values: Sequence[Any], scope) -> ConsensusVerdict:
-    """Consensus check adapted to the DES decision records."""
-    decisions = simulator.decision_values()
-    violations = []
-    integrity = all(value in set(values) for value in decisions.values())
-    if not integrity:
-        violations.append("a decision value is not an initial value")
-    agreement = len(set(decisions.values())) <= 1
-    if not agreement:
-        violations.append("processes decided differently")
-    missing = set(scope) - set(decisions)
-    termination = not missing
-    if missing:
-        violations.append(f"processes {sorted(missing)} never decided")
-    return ConsensusVerdict(
-        integrity=integrity,
-        agreement=agreement,
-        termination=termination,
-        decisions=decisions,
-        violations=tuple(violations),
     )
 
 
@@ -337,5 +314,4 @@ __all__ = [
     "run_chandra_toueg",
     "run_aguilera",
     "compare_stacks",
-    "check_consensus_des",
 ]

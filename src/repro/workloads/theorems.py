@@ -22,18 +22,17 @@ axis (``--replicas``/``--backend``):
 
 The step scenarios register :data:`STEP_BACKEND_ALIASES`, so the sweep's
 generic ``--backend`` choices resolve to the step-path backends without
-the executor knowing what a step replica is.  Scalar-vs-batched
-bit-identity per seed is the contract everywhere, pinned by the
-equivalence tests.
-
-Sweep records stay slim by default: no scenario here retains a trace
-unless the in-process caller opts in with ``keep_trace=True``.
+the executor knowing what a step replica is -- and a single-seed run
+(:func:`~repro.workloads.batched.run_seed`) lands on ``step-scalar``.
+Scalar-vs-batched bit-identity per seed is the contract everywhere, pinned
+by the equivalence tests.  No scenario here retains a trace: records are
+the trace-free round-level projection of each replica.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..adversaries import CounterKernelOracle, HOOracleBase, IntersectOracle
 from ..algorithms import OneThirdRule
@@ -41,16 +40,14 @@ from ..engine.rng import SeededRng
 from ..predimpl.step_backend import (
     ARBITRARY_GOOD,
     DOWN_GOOD,
-    ScalarStepBackend,
     StepEnvironment,
     step_horizon_rounds,
 )
 from ..predimpl.translation import KernelToUniformTranslation
 from ..rounds.backend import CellPlan, ReplicaTask
-from ..rounds.bitmask import iter_bits
 from ..runner.registry import REGISTRY
-from .batched import _classic_values, cell_plan, fault_overlay, project_outcome, run_single_seed
-from .scenarios import ScenarioResult, _scope_for
+from .batched import _classic_values, cell_plan, fault_overlay, run_seed
+from .scenarios import _scope_for
 
 #: How the sweep's generic backend choices resolve for step-path scenarios
 #: (registered as the scenarios' ``backend_aliases``).
@@ -89,7 +86,9 @@ def build_step_batch(
     One :class:`~repro.rounds.backend.ReplicaTask` per seed, carrying the
     :class:`~repro.predimpl.step_backend.StepEnvironment` as its oracle and
     the seed-shuffled initial values; the flattener produces the sweep's
-    per-replica wire dicts over the backends' round-level projection.
+    per-replica wire dicts over the backends' round-level projection
+    (latency in rounds, an all-to-all message count per round), so scalar
+    and batched sweeps of the same cell are comparable record for record.
     """
     if f is None:
         f = (n - 1) // 3 if kind == ARBITRARY_GOOD else 0
@@ -117,58 +116,6 @@ def build_step_batch(
     return cell_plan(
         n, tasks, rounds, _scope_for(fault_model, n),
         predicates, stop_after_held, run_full_horizon, completion_scope=True,
-    )
-
-
-def run_step(
-    fault_model: str,
-    n: int = 4,
-    seed: int = 0,
-    kind: str = DOWN_GOOD,
-    keep_trace: bool = False,
-    **cell: Any,
-) -> ScenarioResult:
-    """Run one step-path scenario (one seed) on the scalar step backend.
-
-    The per-seed reference of the ``ho-step-*`` family: the one-seed cell of
-    :func:`build_step_batch` (whose keywords *cell* takes) executed by
-    :class:`~repro.predimpl.step_backend.ScalarStepBackend`
-    and reported at round granularity (latency in rounds, an all-to-all
-    message count per round), so scalar and batched sweeps of the same cell
-    are comparable record for record.  *keep_trace* attaches the full
-    step-level :class:`~repro.sysmodel.trace.SystemRunTrace` as
-    ``extra["trace"]`` for in-process consumers; sweeps leave it off so
-    records stay slim and picklable.
-    """
-    plan = build_step_batch(fault_model, n=n, seeds=(seed,), kind=kind, **cell)
-    batch = plan.batch
-    (task,) = batch.tasks
-    # A private backend instance: the registered singleton must not have
-    # its trace retention toggled behind the sweeps' back.
-    backend = ScalarStepBackend(keep_traces=keep_trace)
-    (outcome,) = backend.run(batch)
-    scope = sorted(iter_bits(batch.effective_scope_mask))
-    verdict, metrics = project_outcome(outcome, task.initial_values, scope)
-    extra: Dict[str, Any] = {
-        "kind": kind,
-        "rounds": batch.max_rounds,
-        "f": task.oracle.f,
-        "use_translation": task.oracle.use_translation,
-        "rounds_executed": outcome.rounds_executed,
-    }
-    if batch.monitor_spec is not None:
-        extra["predicate_reports"] = outcome.predicate_reports
-        extra["stopped_early"] = outcome.stopped_early
-    if keep_trace:
-        extra["trace"] = backend.last_traces[0]
-    return ScenarioResult(
-        stack=f"ho-step/{kind}",
-        fault_model=fault_model,
-        n=n,
-        seed=seed,
-        verdict=verdict,
-        metrics=metrics,
-        extra=extra,
     )
 
 
@@ -235,30 +182,17 @@ def build_translation_batch(
     )
 
 
-def run_translation(
-    fault_model: str, n: int = 4, seed: int = 0, keep_trace: bool = False, **cell: Any
-) -> ScenarioResult:
-    """Run one seed of the Theorem 8 translation cell on the scalar reference.
-
-    *cell* takes the keywords of :func:`build_translation_batch`.
-    """
-    plan = build_translation_batch(fault_model, n=n, seeds=(seed,), **cell)
-    algorithm = plan.batch.tasks[0].algorithm
-    extra = {"f": algorithm.f, "rounds_per_macro": algorithm.rounds_per_macro}
-    return run_single_seed(plan, "ho-theorem8/translation", fault_model, extra, keep_trace)
-
-
 for _name, _kind in (("ho-step-down-otr", DOWN_GOOD), ("ho-step-arbitrary-otr", ARBITRARY_GOOD)):
     REGISTRY.register_scenario(
         _name,
-        partial(run_step, kind=_kind),
+        partial(run_seed, _name),
         monitorable=True,
         batch_builder=partial(build_step_batch, kind=_kind),
         backend_aliases=STEP_BACKEND_ALIASES,
     )
 REGISTRY.register_scenario(
     "ho-theorem8-translation",
-    run_translation,
+    partial(run_seed, "ho-theorem8-translation"),
     monitorable=True,
     batch_builder=build_translation_batch,
 )
@@ -267,7 +201,5 @@ REGISTRY.register_scenario(
 __all__ = [
     "STEP_BACKEND_ALIASES",
     "build_step_batch",
-    "run_step",
     "build_translation_batch",
-    "run_translation",
 ]

@@ -145,18 +145,6 @@ class TestScalarStepBackend:
         (outcome,) = ScalarStepBackend().run(make_batch(env, 4, [0]))
         assert set(outcome.decisions) == set(range(4))
 
-    def test_keep_traces_retains_the_step_trace(self):
-        env = StepEnvironment()
-        backend = ScalarStepBackend(keep_traces=True)
-        backend.run(make_batch(env, 3, [0, 1]))
-        assert len(backend.last_traces) == 2
-        assert all(trace is not None for trace in backend.last_traces)
-        assert backend.last_traces[0].decisions
-        # The default keeps nothing: sweep records must stay slim.
-        slim = ScalarStepBackend()
-        slim.run(make_batch(env, 3, [0]))
-        assert slim.last_traces == []
-
 
 @needs_numpy
 class TestLoweringBitIdentity:

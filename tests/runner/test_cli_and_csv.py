@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 
 import pytest
 
@@ -235,3 +236,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert "1 cell(s) resumed" in out
         assert len(jsonl.read_text().splitlines()) == 2
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("sink", ["--jsonl", "--json", "--csv"])
+    def test_a_sink_that_cannot_be_written_exits_2_naming_it(self, capsys, sink):
+        """A full disk is a one-line usage error, not a traceback or a cell error."""
+        code = main(["--scenarios", "ho-classic-otr", "--fault-models", "fault-free",
+                     "--seeds", "0", "1", "--quiet", sink, "/dev/full"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write /dev/full: ")
+        assert len(err.strip().splitlines()) == 1

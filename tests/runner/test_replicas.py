@@ -50,7 +50,7 @@ class TestBatchedCells:
         assert a == b
         # and the per-replica outcomes are exactly the individual runs:
         for record in reference.records:
-            assert record.replicas["backend"] == "scalar-loop"
+            assert record.replicas["backend"] == "scalar"
             for i, outcome in enumerate(record.replicas["outcomes"]):
                 single = execute_run(
                     RunSpec.make(record.scenario, record.fault_model, 3 + i, n=5)
@@ -111,7 +111,7 @@ class TestBatchedCells:
 
     def test_errored_cells_aggregate_identically_across_backends(self):
         """A failing batched cell must be as visible as R failed scalar runs."""
-        # stop_after_held without predicates raises inside the runner.
+        # stop_after_held without predicates raises inside the builder.
         specs = [
             RunSpec.make("ho-classic-otr", "fault-free", 0, n=4, stop_after_held=3)
         ]
@@ -218,6 +218,25 @@ class TestCliFlags:
         with pytest.raises(SystemExit) as excinfo:
             main(["--backend", "gpu"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("backend", ["auto", "super"])
+    def test_one_parameter_surface_on_every_backend(self, tmp_path, backend):
+        """A param no builder takes errors on the reference exactly as elsewhere."""
+
+        def sweep(choice):
+            path = tmp_path / f"{choice}.json"
+            code = main([
+                "--scenarios", "ho-classic-otr", "ho-step-down-otr",
+                "--fault-models", "lossy", "--seeds", "0", "--replicas", "2",
+                "--param", "trace=true", "--backend", choice,
+                "--quiet", "--json", str(path),
+            ])
+            return code, strip_backend(strip_wall(json.loads(path.read_text())))
+
+        code, reference = sweep("scalar")
+        assert code == 1
+        assert all("unexpected keyword argument" in run["error"] for run in reference["runs"])
+        assert sweep(backend) == (code, reference)
 
 
 class TestVectorisedBackendEngages:

@@ -45,30 +45,21 @@ class TestLightweightRecords:
         assert all(record.result is None for record in sweep.records)
         assert all(record.error is None for record in sweep.records)
 
-    def test_keep_results_ships_results_through_the_pool(self):
-        sweep = run_sweep(GRID[:2], workers=2, keep_results=True)
-        assert all(isinstance(r.result, ScenarioResult) for r in sweep.records)
-
     def test_inline_behaviour_unchanged(self):
-        """workers=1 keeps the in-process result attached, opt-in or not."""
-        for keep_results in (False, True):
-            sweep = run_sweep(GRID[:2], workers=1, keep_results=keep_results)
-            assert all(isinstance(r.result, ScenarioResult) for r in sweep.records)
+        """workers=1 keeps the in-process result attached."""
+        sweep = run_sweep(GRID[:2], workers=1)
+        assert all(isinstance(r.result, ScenarioResult) for r in sweep.records)
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
         reason="locally registered scenarios need fork-inherited registries",
     )
     def test_no_result_crosses_the_pool_by_default(self):
-        """The full result never touches pickle unless the caller opts in."""
+        """The full result never touches pickle: the worker strips it first."""
         _register_unpicklable_scenario()
         specs = [RunSpec.make("unpicklable-result", "fault-free", s, n=3) for s in (0, 1)]
-        # default: the worker strips the result before returning -- works.
         sweep = run_sweep(specs, workers=2)
         assert all(r.error is None and r.result is None for r in sweep.records)
-        # opting in ships the (here: unpicklable) result across the pool.
-        with pytest.raises(Exception):
-            run_sweep(specs, workers=2, keep_results=True)
 
     def test_parallel_matches_inline_with_slim_records(self):
         inline = run_sweep(GRID, workers=1)

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.workloads.adversarial import run_round_adversary
+from repro.runner.sweep import run_one
 from repro.workloads.scenarios import run_ho_stack
+
+
+def run_round(fault_model, **params):
+    return run_one("ho-round-mobile-omission", fault_model, **params)
 
 
 class TestRoundScenarioMonitoring:
     def test_predicates_param_attaches_reports(self):
-        result = run_round_adversary(
+        result = run_round(
             "fault-free", n=4, seed=0, predicates=("p_su", "p_k", "p_2otr")
         )
         reports = result.extra["predicate_reports"]
@@ -19,19 +23,19 @@ class TestRoundScenarioMonitoring:
             assert report["rounds_observed"] > 0
 
     def test_no_predicates_means_no_reports(self):
-        result = run_round_adversary("fault-free", n=4, seed=0)
+        result = run_round("fault-free", n=4, seed=0)
         assert "predicate_reports" not in result.extra
 
     def test_stop_after_held_requires_predicates(self):
         with pytest.raises(ValueError, match="stop_after_held"):
-            run_round_adversary("fault-free", n=4, seed=0, stop_after_held=3)
+            run_round("fault-free", n=4, seed=0, stop_after_held=3)
 
     def test_stop_after_held_cuts_the_full_horizon(self):
-        slow = run_round_adversary(
+        slow = run_round(
             "fault-free", n=4, seed=0, rounds=60, stabilize_round=20,
             predicates=("p_su",), run_full_horizon=True,
         )
-        fast = run_round_adversary(
+        fast = run_round(
             "fault-free", n=4, seed=0, rounds=60, stabilize_round=20,
             predicates=("p_su",), stop_after_held=4, run_full_horizon=True,
         )
@@ -48,7 +52,7 @@ class TestRoundScenarioMonitoring:
         """Under crash-stop the monitors quantify over the surviving scope,
         so the good period after stabilisation is visible despite the dead
         process never appearing in any heard-of set."""
-        result = run_round_adversary(
+        result = run_round(
             "crash-stop", n=4, seed=0, rounds=60, stabilize_round=20,
             predicates=("p_su",), run_full_horizon=True,
         )

@@ -16,12 +16,11 @@ import pytest
 from repro._optional import have_numpy
 from repro.rounds.backend import get_backend
 from repro.runner.registry import REGISTRY
-from repro.runner.sweep import RunSpec, run_sweep
+from repro.runner.sweep import RunSpec, run_one, run_sweep
 from repro.workloads.theorems import (
     STEP_BACKEND_ALIASES,
     build_step_batch,
-    run_step,
-    run_translation,
+    build_translation_batch,
 )
 
 needs_numpy = pytest.mark.skipif(not have_numpy(), reason="numpy not available")
@@ -50,19 +49,16 @@ class TestStepScenario:
         "fault_model", ["fault-free", "crash-stop", "crash-recovery", "lossy"]
     )
     def test_down_good_cells_solve_under_every_fault_model(self, fault_model):
-        assert all(run_step(fault_model, n=4, seed=seed).solved for seed in (0, 1))
+        assert all(
+            run_one("ho-step-down-otr", fault_model, seed=seed).solved for seed in (0, 1)
+        )
 
     def test_arbitrary_kind_solves_with_translation(self):
-        result = run_step("fault-free", n=4, seed=0, kind="arbitrary-good")
-        assert result.solved
-        assert result.extra["f"] == 1
-        assert result.extra["use_translation"] is True
-
-    def test_keep_trace_attaches_the_step_trace(self):
-        result = run_step("fault-free", n=4, seed=0, keep_trace=True)
-        assert result.extra["trace"].decisions
-        slim = run_step("fault-free", n=4, seed=0)
-        assert "trace" not in slim.extra
+        assert run_one("ho-step-arbitrary-otr", "fault-free").solved
+        plan = build_step_batch("fault-free", n=4, kind="arbitrary-good")
+        env = plan.batch.tasks[0].oracle
+        assert env.f == 1
+        assert env.use_translation is True
 
     def test_slim_records_pickle(self):
         """Sweep records cross worker pools: no trace may ride along."""
@@ -72,22 +68,23 @@ class TestStepScenario:
         pickle.dumps(records)
 
     def test_monitored_step_run_reports_predicates(self):
-        result = run_step(
-            "fault-free", n=4, seed=0, predicates=("p_su",), run_full_horizon=False
+        result = run_one(
+            "ho-step-down-otr", "fault-free", predicates=("p_su",), run_full_horizon=False
         )
         assert result.extra["predicate_reports"]["p_su"]["rounds_observed"] > 0
 
 
 class TestTranslationScenario:
     def test_decides_at_the_macro_round_cadence(self):
-        result = run_translation("fault-free", n=7, seed=0)
+        result = run_one("ho-theorem8-translation", "fault-free", n=7)
         assert result.solved
-        per_macro = result.extra["rounds_per_macro"]
-        assert per_macro == result.extra["f"] + 1
+        algorithm = build_translation_batch("fault-free", n=7).batch.tasks[0].algorithm
+        per_macro = algorithm.rounds_per_macro
+        assert per_macro == algorithm.f + 1 == 3
         assert result.metrics.last_decision_round % per_macro == 0
 
     def test_scope_is_the_kernel_intersected_with_survivors(self):
-        result = run_translation("crash-stop", n=4, seed=0)
+        result = run_one("ho-theorem8-translation", "crash-stop")
         # f = 1: pi0 = {0, 1, 2}; the crash victim n-1 = 3 is an outsider.
         assert result.metrics.scope_size == 3
         assert result.solved
@@ -121,6 +118,14 @@ class TestSweepIntegration:
         assert record.replicas["backend"] == "step-batch"
         fallback = self.sweep("ho-step-down-otr", "batch", fault_model="lossy")
         assert fallback.replicas["backend"].startswith("step-batch:scalar-fallback")
+
+    @pytest.mark.parametrize(
+        "scenario,label",
+        [("ho-step-down-otr", "step-scalar"), ("ho-step-arbitrary-otr", "step-scalar"),
+         ("ho-theorem8-translation", "scalar")],
+    )
+    def test_scalar_choice_runs_the_plan_on_the_scenario_reference(self, scenario, label):
+        assert self.sweep(scenario, "scalar").replicas["backend"] == label
 
     def test_translation_cells_report_the_round_backend(self):
         record = self.sweep("ho-theorem8-translation", "batch")
