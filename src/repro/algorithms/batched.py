@@ -18,6 +18,11 @@ are not totally ordered (or not hashable) cannot be encoded --
 :func:`encode_values` raises :class:`BatchUnsupported` and the backend
 falls back to the scalar loop.
 
+Every array tier builds a kernel the same way, :meth:`BatchKernel.from_cells`:
+one row space for the replicas of one or many cells, each task's values
+encoded exactly once, a cell that cannot be represented set aside with its
+rendered reason while the others are still built.
+
 The scalar tie-breaks faithfully reproduced here:
 
 * OneThirdRule needs none: a value it adopts or decides is the *unique*
@@ -96,64 +101,82 @@ class BatchKernel(abc.ABC):
     #: the scalar algorithm class this kernel is the dual of.
     algorithm_class: Type[Any]
 
-    #: whether the super backend may pack this kernel's rows into a
-    #: mixed-cell row space (it constructs kernels directly with ``row_n``
-    #: padding); kernels whose construction needs the full task context --
-    #: e.g. the translation kernel, which embeds an inner kernel -- opt out
-    #: and keep a row space of their own.
-    super_batchable = True
+    @classmethod
+    def from_cells(
+        cls, batches: Sequence[Any]
+    ) -> Tuple[Optional["BatchKernel"], Dict[int, str]]:
+        """One row space for every replica of *batches*, and the cells left out.
+
+        Returns ``(kernel, declined)``: *declined* maps the index of every
+        batch the kernel cannot represent to its rendered reason, and
+        *kernel* holds the other batches' replicas (None when none is left).
+        Rows are cell-major, ``n_max`` wide; a row of a narrower cell is
+        padded (the mixed-``row_n`` mode), and ``row_n`` is None when every
+        cell is ``n_max`` wide, so a one-cell row space is unpadded.  Each
+        task's values are encoded once, here.
+        """
+        declined: Dict[int, str] = {}
+        cells = []
+        for index, batch in enumerate(batches):
+            try:
+                params = cls._cell_parameters(batch)
+                encoded = [encode_values(task.initial_values) for task in batch.tasks]
+            except BatchUnsupported as exc:
+                declined[index] = str(exc)
+            else:
+                cells.append((batch.n, encoded, params))
+        if not cells:
+            return None, declined
+        n_max = max(n for n, _, _ in cells)
+        rows: List[Tuple[List[Any], List[int]]] = []
+        row_n: List[int] = []
+        row_params: Dict[str, List[Any]] = {}
+        for n, encoded, params in cells:
+            # Padding duplicates the first value: the code table is a set,
+            # so the extra columns change nothing, and padded receivers
+            # never hear anyone so they never act on it.
+            rows.extend((table, codes + codes[:1] * (n_max - n)) for table, codes in encoded)
+            row_n.extend([n] * len(encoded))
+            for name, values in params.items():
+                row_params.setdefault(name, []).extend(values)
+        uniform = all(n == n_max for n in row_n)
+        return cls(n_max, rows, None if uniform else row_n, **row_params), declined
 
     @classmethod
-    def from_batch(cls, batch: Any) -> "BatchKernel":
-        """Construct the kernel for a :class:`~repro.rounds.backend.ReplicaBatch`.
+    def _cell_parameters(cls, batch: Any) -> Dict[str, List[Any]]:
+        """Per-row constructor arguments the rows of *batch* contribute.
 
-        The default reads only ``(n, initial_values)``; kernels that depend
-        on the tasks' algorithm instances (translation parameters, inner
-        algorithms) override this and raise :class:`BatchUnsupported` for
-        task shapes they cannot represent.
+        The default reads nothing beyond ``(n, initial_values)``; a kernel
+        whose rows carry task parameters (the translation's ``f``) overrides
+        this and raises :class:`BatchUnsupported` for a cell it cannot
+        represent.
         """
-        return cls(batch.n, [list(task.initial_values) for task in batch.tasks])
+        return {}
 
     def __init__(
         self,
         n: int,
-        initial_values: Sequence[Sequence[Any]],
+        encoded: Sequence[Tuple[List[Any], Sequence[int]]],
         row_n: Optional[Sequence[int]] = None,
     ) -> None:
+        """*encoded* holds one :func:`encode_values` ``(table, codes)`` pair
+        per row; :meth:`from_cells` derives it and *row_n* from validated
+        batches, and is how the backends build every kernel."""
         np = require_numpy()
-        if n <= 0:
-            raise ValueError(f"number of processes must be positive, got {n}")
         self.np = np
         self.n = n
-        self.replicas = len(initial_values)
-        if self.replicas == 0:
-            raise ValueError("at least one replica is required")
-        if row_n is None:
-            self.row_n = None
-        else:
-            # Mixed-n super-batches: row r simulates row_n[r] <= n real
-            # processes; columns above row_n[r] are padding.  Padded
-            # receivers must be fed empty heard-rows (they then never pass
-            # an update gate), and n-relative thresholds use the row's n.
-            if len(row_n) != self.replicas:
-                raise ValueError(
-                    f"expected {self.replicas} row sizes, got {len(row_n)}"
-                )
-            for size in row_n:
-                if not 1 <= size <= n:
-                    raise ValueError(f"row size {size} outside 1..{n}")
-            self.row_n = np.array(row_n, dtype=np.int32)
-        tables: List[List[Any]] = []
-        codes: List[List[int]] = []
-        for values in initial_values:
-            if len(values) != n:
-                raise ValueError(f"expected {n} initial values, got {len(values)}")
-            table, row = encode_values(values)
-            tables.append(table)
-            codes.append(row)
-        self.tables = tables
+        self.replicas = len(encoded)
+        # Mixed-n row spaces: row r simulates row_n[r] <= n real processes;
+        # columns above row_n[r] are padding.  Padded receivers must be fed
+        # empty heard-rows (they then never pass an update gate), and
+        # n-relative thresholds use the row's n.
+        self.row_n = None if row_n is None else np.array(row_n, dtype=np.int32)
+        for _, codes in encoded:
+            if len(codes) != n:
+                raise ValueError(f"expected {n} initial values, got {len(codes)}")
+        self.tables = [table for table, _ in encoded]
         #: (R, n) int32 -- the current estimate of every process, as a code.
-        self.x = np.array(codes, dtype=np.int32)
+        self.x = np.array([codes for _, codes in encoded], dtype=np.int32)
         #: (R, n) int32 -- decision codes, -1 while undecided.
         self.decision_code = np.full((self.replicas, n), -1, dtype=np.int32)
         #: (R, n) int32 -- round of first decision, 0 while undecided.
@@ -344,10 +367,10 @@ class BatchUniformVoting(BatchKernel):
     def __init__(
         self,
         n: int,
-        initial_values: Sequence[Sequence[Any]],
+        encoded: Sequence[Tuple[List[Any], Sequence[int]]],
         row_n: Optional[Sequence[int]] = None,
     ) -> None:
-        super().__init__(n, initial_values, row_n)
+        super().__init__(n, encoded, row_n)
         #: (R, n) int32 -- current-phase vote codes, -1 for None.
         self.vote = self.np.full((self.replicas, n), -1, dtype=self.np.int32)
 
@@ -393,10 +416,10 @@ class BatchLastVoting(BatchKernel):
     def __init__(
         self,
         n: int,
-        initial_values: Sequence[Sequence[Any]],
+        encoded: Sequence[Tuple[List[Any], Sequence[int]]],
         row_n: Optional[Sequence[int]] = None,
     ) -> None:
-        super().__init__(n, initial_values, row_n)
+        super().__init__(n, encoded, row_n)
         np = self.np
         shape = (self.replicas, n)
         self.timestamp = np.zeros(shape, dtype=np.int32)

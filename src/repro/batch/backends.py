@@ -1,19 +1,22 @@
 """The ``batch`` execution backend, and the admission every array tier shares.
 
 A :class:`~repro.rounds.backend.ReplicaBatch` reaches an array round loop
-through two functions defined here once: :func:`admit` (numpy available,
-algorithms sized for the batch, one algorithm class, a batched kernel
-registered for it) and :func:`build_cell` (the kernel built from the batch
--- initial values that do not encode are only detectable by trying -- and
-the replicas' oracles vectorised).
+through :func:`admit` (numpy available, algorithms sized for the batch, one
+algorithm class, a batched kernel registered for it), defined here once,
+and then the kernel's one constructor,
+:meth:`~repro.algorithms.batched.BatchKernel.from_cells` (values that do
+not encode, or task parameters the kernel cannot represent, are only
+detectable there).  :func:`build_cell` is that constructor on one batch,
+plus the replicas' oracles vectorised.
 
 :class:`BatchBackend` is exactly those two in front of the one numpy round
 loop (:class:`~repro.batch.engine.BatchEngine`), run with a single cell: a
 row space of the batch's own R rows, nothing padded, observers and row
-compaction included.  The ``super`` and ``compiled`` tiers call the same
-two functions and add only their own rungs.  A declined batch runs on the
-scalar reference backend instead -- same outcomes, replica by replica --
-and ``last_fallback_reason`` records why.
+compaction included.  The ``super`` tier calls ``admit`` and
+``from_cells`` on many batches at once and adds no rung of its own; the
+``compiled`` tier calls the same two functions and adds its own rungs.  A
+declined batch runs on the scalar reference backend instead -- same
+outcomes, replica by replica -- and ``last_fallback_reason`` records why.
 """
 
 from __future__ import annotations
@@ -71,13 +74,10 @@ def build_cell(
     # Imported per call: bench/trace.py times vectorize_oracles by wrapping
     # the attribute on repro.adversaries.batch.
     from ..adversaries.batch import vectorize_oracles
-    from ..algorithms.batched import BatchUnsupported
 
-    try:
-        kernel = kernel_class.from_batch(batch)
-    except BatchUnsupported as exc:
-        # Unencodable values are only detectable by trying; degrade.
-        return str(exc), None
+    kernel, declined = kernel_class.from_cells([batch])
+    if kernel is None:
+        return declined[0], None
     oracle = vectorize_oracles([task.oracle for task in batch.tasks], batch.replicas)
     return None, (kernel, oracle)
 

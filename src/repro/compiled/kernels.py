@@ -415,8 +415,8 @@ def _translation_chunk(
     active: Any,
     listen: Any,
     known: Any,
-    f: int,
-    rounds_per_macro: int,
+    f: Any,
+    rounds_per_macro: Any,
     x: Any,
     decision_code: Any,
     decision_round: Any,
@@ -428,7 +428,8 @@ def _translation_chunk(
 
     ``x``/``decision_code``/``decision_round`` are the *inner*
     BatchOneThirdRule arrays; the macro-round boundary feeds the NewHO
-    matrix straight into the inlined OneThirdRule transition.
+    matrix straight into the inlined OneThirdRule transition.  ``f`` and
+    ``rounds_per_macro`` are the kernel's ``(R,)`` row vectors.
     """
     K = words.shape[0]
     R = words.shape[1]
@@ -461,7 +462,7 @@ def _translation_chunk(
                         delivered += 1
                     # listen' = listen & heard, the round's gossip sources
                     listen[r, p, q] = listen[r, p, q] and h
-            if rnd % rounds_per_macro != 0:
+            if rnd % rounds_per_macro[r] != 0:
                 # Gossip merge over the start-of-round known (messages
                 # carry pre-transition state): scratch, then commit.
                 for p in range(n):
@@ -485,7 +486,7 @@ def _translation_chunk(
                         for q in range(n):
                             if listen[r, p, q] and known[r, q, kk]:
                                 cnt += 1
-                        new_ho[p, kk] = cnt >= n - f
+                        new_ho[p, kk] = cnt >= n - f[r]
                 for p in range(n):
                     hc = 0
                     for q in range(n):

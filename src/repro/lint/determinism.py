@@ -392,13 +392,26 @@ class FallbackReasonLiteralRule(SourceRule):
     code = "REP104"
     name = "fallback-reason-enum"
     summary = (
-        "fallback decisions return FallbackReason.render() values, never "
-        "inline string literals (the vocabulary must stay closed)"
+        "fallback decisions return, and BatchUnsupported carries, "
+        "FallbackReason.render() values, never inline string literals "
+        "(the vocabulary must stay closed)"
     )
 
     def check(self, ctx: FileContext) -> List[Finding]:
         findings: List[Finding] = []
         for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Call) and \
+                    (dotted_name(node.func) or "").split(".")[-1] == "BatchUnsupported":
+                # Its message becomes the recorded reason verbatim.
+                for arg in [*node.args, *(kw.value for kw in node.keywords)]:
+                    for literal in _string_literals(arg):
+                        findings.append(ctx.finding(
+                            self.code, literal,
+                            "inline reason in BatchUnsupported(): render it from "
+                            "repro.rounds.fallback.FallbackReason so the "
+                            "vocabulary stays closed and auditable",
+                        ))
+                continue
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             if node.name not in FALLBACK_DECISION_FUNCTIONS:

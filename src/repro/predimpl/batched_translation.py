@@ -25,30 +25,34 @@ per-process gossip state vectorises exactly:
   heard-matrix: a member's unique payload is its inner estimate, which the
   inner kernel already holds in its own ``x`` array.
 
-The inner kernel is stepped with the *outer* round number: scalar
-``decision_rounds`` are the outer rounds at which the backend first
-observes a non-``None`` decision (macro-round boundaries), and
-``BatchOneThirdRule`` uses its round argument only to record decisions.
-Only an exact :class:`~repro.algorithms.OneThirdRule` inner is accepted --
-its transition ignores the round number, whereas the phase-structured
+The translation parameters are row vectors, like ``row_n``: ``f``, the
+``NewHO`` threshold ``n_row - f_row`` and ``rounds_per_macro`` are ``(R,)``
+arrays, so rows of different cells -- different n, different f -- share
+one row space, and a row is at its macro-round boundary when
+``round % rounds_per_macro[row] == 0``.  Padding is invisible: a padded
+sender is never heard, so its ``known`` bit never reaches a real row, and a
+padded receiver hears nobody, so it counts 0 reports, below any threshold
+(``n_row > 2 f_row`` makes every threshold at least 1).
+
+The inner kernel runs in the same ``row_n`` mode and is stepped with the
+*outer* round number, only on rounds where some row is at its boundary,
+with those rows active: scalar ``decision_rounds`` are the outer rounds at
+which the backend first observes a non-``None`` decision (macro-round
+boundaries), and ``BatchOneThirdRule`` uses its round argument only to
+record decisions.  Only an exact :class:`~repro.algorithms.OneThirdRule`
+inner is accepted (``INNER_NOT_ROUND_OBLIVIOUS`` otherwise) -- its
+transition ignores the round number, whereas the phase-structured
 algorithms (UniformVoting, LastVoting) would be stepped with the wrong
 phase.  OneThirdRule's tie-breaks provably cannot observe the scalar
 boundary's frozenset iteration order (an adopted-with-tie top count would
 need ``top > n/3`` and ``top <= n//3`` at once; a decided value's count
 exceeds ``2n/3``, hence is unique), so the kernel is bit-identical to the
 scalar reference per seed -- pinned by the fingerprint-prefix tests.
-
-The kernel opts out of super-batching (``super_batchable = False``): the
-super backend constructs kernels directly with a padded mixed-n row space,
-bypassing :meth:`from_batch`, and the translation parameters live on the
-task algorithms.  That is a fact about *construction* only: a translation
-cell runs the one round loop as a row space of its own (the ``batch``
-backend's one-cell configuration), row compaction included.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .._optional import require_numpy
 from ..algorithms.batched import (
@@ -58,6 +62,7 @@ from ..algorithms.batched import (
     register_batch_kernel,
 )
 from ..algorithms.one_third_rule import OneThirdRule
+from ..rounds.fallback import FallbackReason
 from .translation import KernelToUniformTranslation
 
 
@@ -66,68 +71,47 @@ class BatchTranslationKernel(BatchKernel):
 
     algorithm_class = KernelToUniformTranslation
 
-    super_batchable = False
-
     @classmethod
-    def from_batch(cls, batch: Any) -> "BatchTranslationKernel":
-        first = batch.tasks[0].algorithm
-        if type(first) is not KernelToUniformTranslation:
-            raise BatchUnsupported(
-                f"{type(first).__name__} is not the translation algorithm"
-            )
+    def _cell_parameters(cls, batch: Any) -> Dict[str, List[Any]]:
         for task in batch.tasks:
-            algorithm = task.algorithm
-            if (
-                type(algorithm) is not KernelToUniformTranslation
-                or algorithm.f != first.f
-                or algorithm.n != first.n
-            ):
+            inner = task.algorithm.inner
+            if type(inner) is not OneThirdRule:
                 raise BatchUnsupported(
-                    "translation replicas must share one (n, f) configuration"
+                    FallbackReason.INNER_NOT_ROUND_OBLIVIOUS.render(inner=type(inner).__name__)
                 )
-            if type(algorithm.inner) is not OneThirdRule:
-                raise BatchUnsupported(
-                    f"inner {type(algorithm.inner).__name__} does not vectorise: "
-                    "the translation steps the inner kernel with the outer round "
-                    "number, which only a round-oblivious transition tolerates"
-                )
-        return cls(
-            batch.n,
-            [list(task.initial_values) for task in batch.tasks],
-            f=first.f,
-        )
+        return {"f": [task.algorithm.f for task in batch.tasks]}
 
     def __init__(
         self,
         n: int,
-        initial_values: Sequence[Sequence[Any]],
-        f: int = 0,
+        encoded: Sequence[Tuple[List[Any], Sequence[int]]],
         row_n: Optional[Sequence[int]] = None,
+        *,
+        f: Sequence[int],
     ) -> None:
-        if row_n is not None:
-            raise BatchUnsupported(
-                "the translation kernel has no mixed-n row mode"
-            )
+        """*f* holds each row's translation parameter (``n_row > 2 f``)."""
         np = require_numpy()
-        if n <= 2 * f:
-            raise ValueError(f"the translation requires n > 2f, got n={n}, f={f}")
         self.np = np
         self.n = n
-        self.f = f
-        self.rounds_per_macro = f + 1
-        self.row_n = None
         #: the embedded upper layer: owns values, estimates and decisions.
-        self._inner = BatchOneThirdRule(n, initial_values)
+        self._inner = BatchOneThirdRule(n, encoded, row_n)
         self.replicas = self._inner.replicas
         self.tables = self._inner.tables
+        self.row_n = self._inner.row_n
+        #: (R,) int32 -- each row's f and macro-round length.
+        self.f = np.array(f, dtype=np.int32)
+        self.rounds_per_macro = self.f + 1
+        #: (R,) float32 -- each row's NewHO threshold n_row - f, in the
+        #: dtype of the report counts it is compared with.
+        self.threshold = ((n if row_n is None else self.row_n) - self.f).astype(np.float32)
         #: (R, n, n) bool -- listen[r, p, q]: p still listens to q.
         self.listen = np.ones((self.replicas, n, n), dtype=bool)
         #: (R, n, n) bool -- known[r, p, k]: p knows k's macro-round message.
         eye = np.eye(n, dtype=bool)
         self._eye = eye[None, :, :]
         self.known = np.broadcast_to(eye, (self.replicas, n, n)).copy()
-        #: the (R, n, n) NewHO matrix of the last boundary round stepped
-        #: (rows of replicas inactive at that boundary hold garbage).
+        #: the (R, n, n) NewHO matrix of the last round some row was at its
+        #: boundary (rows not at it, or inactive then, hold garbage).
         self.last_new_ho: Optional[Any] = None
 
     # ------------------------------------------------------------------ #
@@ -136,7 +120,6 @@ class BatchTranslationKernel(BatchKernel):
 
     def step(self, round: int, heard: Any, active: Any) -> None:
         np = self.np
-        act3 = active[:, None, None]
         shape = (self.replicas, self.n, self.n)
         listen_new = np.logical_and(
             self.listen, heard, out=self._scratch("tr_listen_new", shape, bool)
@@ -151,15 +134,20 @@ class BatchTranslationKernel(BatchKernel):
         counts = np.matmul(
             listen_f, known_f, out=self._scratch("tr_counts", shape, np.float32)
         )
-        if round % self.rounds_per_macro != 0:
-            self.known = np.where(act3, self.known | (counts > 0.5), self.known)
-            self.listen = np.where(act3, listen_new, self.listen)
+        boundary = round % self.rounds_per_macro == 0
+        if not boundary.all():
+            gossip = (active & ~boundary)[:, None, None]
+            self.known = np.where(gossip, self.known | (counts > 0.5), self.known)
+            self.listen = np.where(gossip, listen_new, self.listen)
+        if not boundary.any():
             return
-        new_ho = counts >= np.float32(self.n - self.f)
-        self._inner.step(round, new_ho, active)
+        at_boundary = active & boundary
+        new_ho = counts >= self.threshold[:, None, None]
+        self._inner.step(round, new_ho, at_boundary)
         self.last_new_ho = new_ho
-        self.listen = np.where(act3, True, self.listen)
-        self.known = np.where(act3, self._eye, self.known)
+        reset = at_boundary[:, None, None]
+        self.listen = np.where(reset, True, self.listen)
+        self.known = np.where(reset, self._eye, self.known)
 
     # ------------------------------------------------------------------ #
     # engine-facing queries: decisions live in the inner kernel; the
@@ -183,11 +171,12 @@ class BatchTranslationKernel(BatchKernel):
         return self._inner.newly_decided(replica, decided_before)
 
     def compact(self, keep: Any) -> None:
-        self.listen = self.listen[keep]
-        self.known = self.known[keep]
+        for name in ("listen", "known", "f", "rounds_per_macro", "threshold"):
+            setattr(self, name, getattr(self, name)[keep])
         self._inner.compact(keep)
         self.replicas = self._inner.replicas
         self.tables = self._inner.tables
+        self.row_n = self._inner.row_n
         self.last_new_ho = None
 
 

@@ -8,13 +8,14 @@ pin it, and the benchmark harness reports it.  Scattering the strings over
 the backends made the vocabulary drift-prone and impossible to audit, so
 they live here as one :class:`FallbackReason` enum: each member's value is
 the message template, :meth:`FallbackReason.render` formats it, and the
-``repro.lint`` parity rule REP104 statically rejects raw string literals in
-the backends' fallback decisions.
+``repro.lint`` rule REP104 statically rejects raw string literals in the
+backends' fallback decisions and in every ``BatchUnsupported(...)``.
 
 This module sits in :mod:`repro.rounds` (below every backend) and depends
 only on the standard library, so the batch, super and step backends -- and
-:mod:`repro.algorithms.batched`, whose :class:`BatchUnsupported` messages
-become fallback reasons verbatim -- can all share it without cycles.
+the kernels, whose :class:`~repro.algorithms.batched.BatchUnsupported`
+messages become fallback reasons verbatim -- can all share it without
+cycles.
 """
 
 from __future__ import annotations
@@ -46,8 +47,12 @@ class FallbackReason(Enum):
         "in repr; the code table cannot represent both"
     )
 
-    # -- the super-batch backend (repro.batch.super) ------------------- #
-    NOT_SUPER_BATCHABLE = "{kernel} does not super-batch (per-cell row space only)"
+    # -- the translation kernel (repro.predimpl.batched_translation) --- #
+    INNER_NOT_ROUND_OBLIVIOUS = (
+        "inner {inner} does not vectorise: the translation steps the inner "
+        "kernel with the outer round number, which only a round-oblivious "
+        "transition tolerates"
+    )
 
     # -- the compiled backend (repro.compiled.backend) ------------------ #
     NO_NUMBA = "numba unavailable (install the 'compiled' extra)"

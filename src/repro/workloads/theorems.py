@@ -155,6 +155,8 @@ def build_translation_batch(
     """
     if f is None:
         f = (n - 1) // 3
+    # The algorithm validates f before pi0 = {0..n-f-1} and its oracle exist.
+    algorithm = KernelToUniformTranslation(OneThirdRule(n), f)
     if rounds is None:
         rounds = max(60, 12 * (f + 1))
     pi0 = list(range(n - f))
@@ -169,12 +171,7 @@ def build_translation_batch(
         if overlay is not None:
             oracle = IntersectOracle(n, oracle, overlay)
         tasks.append(
-            ReplicaTask(
-                seed=seed,
-                algorithm=KernelToUniformTranslation(OneThirdRule(n), f),
-                oracle=oracle,
-                initial_values=values,
-            )
+            ReplicaTask(seed=seed, algorithm=algorithm, oracle=oracle, initial_values=values)
         )
     return cell_plan(
         n, tasks, rounds, frozenset(pi0) & _scope_for(fault_model, n),

@@ -30,6 +30,7 @@ from repro.algorithms.batched import (
     BatchLastVoting,
     BatchOneThirdRule,
     BatchUniformVoting,
+    encode_values,
 )
 from tests.conftest import steady_state_peak_growth
 
@@ -89,7 +90,7 @@ def assert_matches_scalar_every_round(replicas, width=N_MAX, rounds=ROUNDS):
     sizes = [size for size, _, _ in replicas]
     kernel = BatchOneThirdRule(
         width,
-        [values + values[:1] * (width - size) for size, values, _ in replicas],
+        [encode_values(values + values[:1] * (width - size)) for size, values, _ in replicas],
         row_n=None if all(size == width for size in sizes) else sizes,
     )
     algorithms = [OneThirdRule(size) for size in sizes]
@@ -206,10 +207,10 @@ def test_steady_state_step_allocates_no_heard_matrix(kernel_class):
     heard = (cells * 2654435761 >> 9) % 5 != 0
     heard |= np.eye(n, dtype=bool)
     active = np.ones(replicas, dtype=bool)
-    values = [[10 * (p + 1) for p in range(n)] for _ in range(replicas)]
+    encoded = [encode_values([10 * (p + 1) for p in range(n)])] * replicas
 
     def build():
-        kernel = kernel_class(n, values)
+        kernel = kernel_class(n, encoded)
         return lambda round: kernel.step(round, heard, active)
 
     growth = steady_state_peak_growth(build)
@@ -225,4 +226,3 @@ def test_every_kernel_is_registered_under_the_algorithm_it_duals():
     for algorithm_class, kernel_class in _KERNELS.items():
         assert issubclass(kernel_class, BatchKernel), (algorithm_class, kernel_class)
         assert kernel_class.algorithm_class is algorithm_class, kernel_class
-        assert isinstance(kernel_class.super_batchable, bool), kernel_class

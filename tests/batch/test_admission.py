@@ -2,12 +2,13 @@
 
 Every array tier (``batch``, ``super``, ``compiled``) admits a
 :class:`~repro.rounds.backend.ReplicaBatch` through the same shared rungs
-(:func:`repro.batch.backends.admit` / ``build_cell``) and then its own.
-Each row below is one input on one tier: the rendered reason is pinned
-(``None`` for the rows a tier admits -- observed cells on ``super``, which
-no rung turns away), rows where two rungs apply pin the precedence, and the
-outcomes must equal the reference backend's -- a declined batch takes a
-lower tier, never a different answer.
+(:func:`repro.batch.backends.admit` / ``BatchKernel.from_cells``) and then
+its own, if it has any.  Each row below is one input on one tier: the
+rendered reason is pinned (``None`` for the rows a tier admits -- observed
+and translation cells on ``super``, which no rung turns away, and
+translation cells that mix f), rows where two rungs apply pin the
+precedence, and the outcomes must equal the reference backend's -- a
+declined batch takes a lower tier, never a different answer.
 
 Nothing here forces a hop: every declining row declines for a reason a real
 input can produce.
@@ -87,10 +88,13 @@ def mixed(**kwargs) -> ReplicaBatch:
     return cell(algorithms=(OneThirdRule, UniformVoting), **kwargs)
 
 
-def translated(**kwargs) -> ReplicaBatch:
+def translated(inner=OneThirdRule, fs=(1, 1), n=4, **kwargs) -> ReplicaBatch:
+    """Theorem 8 translation cells, one task per entry of *fs*."""
     return cell(
-        algorithms=(lambda n: KernelToUniformTranslation(OneThirdRule(n), 1),) * 2,
-        n=4, values=(10, 20, 30, 40), **kwargs,
+        algorithms=tuple(
+            lambda n, f=f: KernelToUniformTranslation(inner(n), f) for f in fs
+        ),
+        n=n, values=tuple(10 * (p + 1) for p in range(n)), **kwargs,
     )
 
 
@@ -118,7 +122,7 @@ UNENCODABLE = FallbackReason.UNENCODABLE_VALUES.render(
     error="'<' not supported between instances of 'complex' and 'complex'"
 )
 COLLISION = FallbackReason.VALUE_REPR_COLLISION.render(kept=1.0, value=1)
-NOT_SUPER = FallbackReason.NOT_SUPER_BATCHABLE.render(kernel="BatchTranslationKernel")
+INNER = FallbackReason.INNER_NOT_ROUND_OBLIVIOUS.render(inner="UniformVoting")
 
 
 @dataclass(frozen=True)
@@ -193,9 +197,13 @@ ROWS = [
         FallbackReason.FINGERPRINTED_COMPILED_CELL.render(),
         FallbackReason.FINGERPRINTED_COMPILED_CELL.render(),
     ),
-    Row("super", "translation-kernel", translated, NOT_SUPER),
+    Row("super", "translation-kernel", translated, None),
     Row("super", "translation-kernel+monitored",
-        lambda: translated(monitor_spec=MONITORED), NOT_SUPER),
+        lambda: translated(monitor_spec=MONITORED), None),
+    *(Row(tier, "uniform-voting-inner", lambda: translated(inner=UniformVoting), INNER)
+      for tier in ("batch", "super", "compiled")),
+    *(Row(tier, "mixed-f-translation", lambda: translated(fs=(1, 2, 1), n=7), None)
+      for tier in ("batch", "compiled")),
     Row("compiled", "per-replica-oracle", lossy,
         FallbackReason.OPAQUE_COMPILED_ORACLE.render()),
     Row("compiled", "unencodable+per-replica-oracle",

@@ -5,11 +5,15 @@ eligible cell of a grid into a single padded row space.  These tests pin
 its outcomes bit-identical to the scalar reference backend -- across mixed
 system sizes spanning the 64-bit word boundary, across all four dynamic
 adversary families (whose counter-based duals make cross-cell packing
-possible), through the retire-and-compact path, and with monitored and
-fingerprinted cells packed beside unobserved ones.
+possible), through the retire-and-compact path, with monitored and
+fingerprinted cells packed beside unobserved ones, and with Theorem 8
+translation cells of mixed n and f beside classic ones -- and every task's
+values encoded exactly once on the way.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -30,6 +34,7 @@ from repro.batch import SuperBatchBackend
 from repro.batch.engine import COMPACT_MIN_DROP, BatchEngine, Cell
 from repro.rounds.backend import MonitorSpec, ReplicaBatch, ReplicaTask, get_backend
 from repro.rounds.bitmask import mask_of
+from repro.runner.registry import REGISTRY
 from tests.conftest import count_compactions
 
 needs_numpy = pytest.mark.skipif(not have_numpy(), reason="numpy not available")
@@ -385,6 +390,90 @@ class TestObservedCellsShareTheRowSpace:
             present = [present[i] for i in keep]
             assert observed <= set(present)
         assert present == sorted(observed)
+
+
+SIZES = (1, 4, 7, 63, 64, 65)
+FAULT_MODELS = ("fault-free", "crash-stop", "lossy")
+
+
+def theorem8_grid():
+    """``ho-theorem8-translation`` beside ``ho-classic-otr`` cells, one grid.
+
+    Every size under every fault model, so the translation's default
+    f = (n - 1) // 3 mixes 0, 1, 2, 20 and 21 in one row space, and the
+    observer shape cycles over the cells: plain, monitored
+    (``p_su, p_k, p_2otr``), fingerprinted.  The scalar reference of a wide
+    translation cell costs ~20 ms a round, so those run one replica for 22
+    rounds: one macro-round boundary each, at round 21 (f = 20) or 22
+    (f = 21).
+    """
+    cells = []
+    for scenario in ("ho-theorem8-translation", "ho-classic-otr"):
+        build = REGISTRY.batch_builder(scenario)
+        for i, fault_model in enumerate(FAULT_MODELS):
+            for j, n in enumerate(SIZES):
+                wide = n > 7
+                kwargs = {}
+                if wide and scenario == "ho-theorem8-translation":
+                    kwargs["rounds"] = 22
+                if (i + j) % 3 == 1:
+                    kwargs["predicates"] = ("p_su", "p_k", "p_2otr")
+                batch = build(fault_model, n=n, seeds=range(1 if wide else 3), **kwargs).batch
+                cells.append(dataclasses.replace(batch, fingerprints=(i + j) % 3 == 2))
+    return cells
+
+
+@needs_numpy
+def test_translation_cells_super_batch_beside_classic_cells():
+    backend = SuperBatchBackend()
+    results = backend.run_batches(theorem8_grid())
+    assert backend.last_fallback_reasons == {}
+    scalar = get_backend("scalar")
+    for cell, outcomes in zip(theorem8_grid(), results):
+        assert outcomes == scalar.run(cell), (cell.tasks[0].algorithm, cell.n)
+    observed = [o for o in sum(results, []) if o.predicate_reports or o.fingerprint]
+    assert any(o.predicate_reports for o in observed) and any(o.fingerprint for o in observed)
+
+
+@needs_numpy
+class TestValuesEncodeOnce:
+    """Admission and construction share one pass over the initial values."""
+
+    @pytest.fixture
+    def encoded(self, monkeypatch):
+        import repro.algorithms.batched as batched
+
+        calls = []
+        encode = batched.encode_values
+
+        def counting(values):
+            calls.append(values)
+            return encode(values)
+
+        monkeypatch.setattr(batched, "encode_values", counting)
+        return calls
+
+    def test_batch_backend(self, encoded):
+        cell = make_cell(LastVoting, 5, 0, 4, FAMILIES["mobile"])
+        get_backend("batch").run(cell)
+        assert len(encoded) == cell.replicas
+
+    def test_super_grid_with_an_unencodable_cell(self, encoded):
+        """The cell whose last task does not encode takes the scalar path
+        with its reason, and nothing is encoded a second time."""
+        colliding = make_cell(OneThirdRule, 3, 30, 3)
+        colliding.tasks[-1] = dataclasses.replace(colliding.tasks[-1], initial_values=[1.0, 1, 2])
+        grid = [
+            make_cell(OneThirdRule, 4, 0, 3, FAMILIES["mobile"]),
+            make_cell(UniformVoting, 5, 10, 2),
+            colliding,
+            make_cell(OneThirdRule, 7, 20, 2, fingerprints=True),
+        ]
+        backend = SuperBatchBackend()
+        backend.run_batches(grid)
+        assert list(backend.last_fallback_reasons) == [2]
+        assert "differ in repr" in backend.last_fallback_reasons[2]
+        assert len(encoded) == sum(cell.replicas for cell in grid)
 
 
 @needs_numpy

@@ -36,6 +36,10 @@ VIOLATIONS = [
      "def _fallback_reason(cell):\n    return 'numpy went missing'\n", 2),
     ("REP104", "repro/batch/fake.py",
      "def admit(batch):\n    return 'numpy went missing', None\n", 2),
+    ("REP104", "repro/predimpl/fake.py",
+     "def _cell_parameters(batch):\n    raise BatchUnsupported('x')\n", 2),
+    ("REP104", "repro/algorithms/fake.py",
+     "def encode(values):\n    raise batched.BatchUnsupported(f'bad {values}')\n", 2),
 ]
 
 IDS = [f"{code}-{i}" for i, (code, _, _, _) in enumerate(VIOLATIONS)]
@@ -170,6 +174,17 @@ def test_rep104_fstring_counts_once():
     """
     findings = check_rule("REP104", source, module="repro.batch.fake")
     assert len(findings) == 1
+
+
+def test_rep104_batch_unsupported_may_carry_a_rendered_reason():
+    source = """\
+        from repro.rounds.fallback import FallbackReason
+
+
+        def _cell_parameters(batch):
+            raise BatchUnsupported(FallbackReason.UNENCODABLE_VALUES.render(error=batch))
+    """
+    assert check_rule("REP104", source, module="repro.predimpl.fake") == []
 
 
 def test_rep104_other_functions_may_build_strings():

@@ -4,7 +4,8 @@ Pins :class:`repro.predimpl.batched_translation.BatchTranslationKernel`
 against the scalar :class:`KernelToUniformTranslation` at the uint64
 word-spill sizes (n = 1, 63, 64, 65): the Theorem 8 ``NewHO`` threshold,
 the listen-set shrinkage inside a macro-round, the decisions, and the
-scalar-vs-batched fingerprint equality on every round prefix.
+scalar-vs-batched fingerprint equality on every round prefix; and a padded
+row space of mixed n and mixed f against the per-cell kernels, row by row.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ import pytest
 from repro._optional import have_numpy
 from repro.adversaries import CounterKernelOracle
 from repro.algorithms import OneThirdRule, UniformVoting
-from repro.algorithms.batched import BatchUnsupported
 from repro.core.machine import HOMachine
 from repro.engine.rng import SeededRng
 from repro.predimpl.translation import KernelToUniformTranslation
 from repro.rounds.backend import ReplicaBatch, ReplicaTask, get_backend
+from repro.rounds.fallback import FallbackReason
 from tests.conftest import count_compactions
 
 needs_numpy = pytest.mark.skipif(not have_numpy(), reason="numpy not available")
@@ -42,18 +43,29 @@ def translation_f(n):
     return min(1, (n - 1) // 3)
 
 
-def make_batch(n, seeds, f, max_rounds, **kwargs):
+def make_batch(n, seeds, f, max_rounds, inner=OneThirdRule, **kwargs):
+    """One translation cell; *f* is one value or one per seed."""
+    fs = f if isinstance(f, list) else [f] * len(seeds)
     tasks = [
         ReplicaTask(
             seed=seed,
-            algorithm=KernelToUniformTranslation(OneThirdRule(n), f),
+            algorithm=KernelToUniformTranslation(inner(n), f),
             oracle=kernel_oracle(n, seed, f),
             initial_values=shuffled_values(n, seed),
         )
-        for seed in seeds
+        for seed, f in zip(seeds, fs)
     ]
     kwargs.setdefault("fingerprints", True)
     return ReplicaBatch(n=n, tasks=tasks, max_rounds=max_rounds, **kwargs)
+
+
+def translation_kernel(*batches):
+    """The one row space of *batches*, every cell of which must be admitted."""
+    from repro.predimpl.batched_translation import BatchTranslationKernel
+
+    kernel, declined = BatchTranslationKernel.from_cells(batches)
+    assert declined == {}
+    return kernel
 
 
 def scalar_machines(n, seeds, f):
@@ -74,18 +86,14 @@ class TestKernelLockstep:
     def drive(self, n, rounds=None):
         import numpy as np
 
-        from repro.predimpl.batched_translation import BatchTranslationKernel
-
         f = translation_f(n)
         seeds = [7, 8, 9]
         machines = scalar_machines(n, seeds, f)
         shadows = [kernel_oracle(n, seed, f) for seed in seeds]
-        kernel = BatchTranslationKernel(
-            n, [shuffled_values(n, seed) for seed in seeds], f=f
-        )
-        active = np.ones(len(seeds), dtype=bool)
         if rounds is None:
             rounds = 3 * (f + 1)
+        kernel = translation_kernel(make_batch(n, seeds, f, rounds))
+        active = np.ones(len(seeds), dtype=bool)
         for round in range(1, rounds + 1):
             heard = np.zeros((len(seeds), n, n), dtype=bool)
             for r, shadow in enumerate(shadows):
@@ -193,12 +201,9 @@ class TestRowCompaction:
         replicas only and stepped with the same heard rows throughout."""
         import numpy as np
 
-        from repro.predimpl.batched_translation import BatchTranslationKernel
-
         n, f, seeds, keep = 7, 2, [3, 4, 5, 6, 7, 8], [1, 3, 4]
-        values = [shuffled_values(n, seed) for seed in seeds]
-        whole = BatchTranslationKernel(n, values, f=f)
-        kept = BatchTranslationKernel(n, [values[r] for r in keep], f=f)
+        whole = translation_kernel(make_batch(n, seeds, f, 12))
+        kept = translation_kernel(make_batch(n, [seeds[r] for r in keep], f, 12))
         rng = np.random.default_rng(0)
         # Rounds 4-6 are the second macro-round: compacting before round 5
         # gathers shrunken listen sets and grown known sets, and stopping in
@@ -223,6 +228,57 @@ class TestRowCompaction:
             kept.decisions_of(r) for r in range(3)
         ]
 
+    def test_mixed_n_and_f_row_space_equals_the_per_cell_kernels(self):
+        """Cells differing in n and f -- one of them mixing f itself -- in
+        one padded row space, stepped with random heard rows and random
+        activity and compacted when every row with f > 0 is mid-macro-round,
+        equal each cell's own kernel row by row.  Padded processes stay
+        invisible: no real row learns a padded one's message, and neither
+        a padded sender nor a padded receiver is ever in a NewHO."""
+        import numpy as np
+
+        cells = [
+            make_batch(1, [0, 1], 0, 12),
+            make_batch(4, [2, 3, 4], 1, 12),
+            make_batch(7, [5, 6, 7, 8], [2, 1, 2, 1], 12),
+            make_batch(65, [9, 10], 3, 12),
+        ]
+        whole = translation_kernel(*cells)
+        parts = [translation_kernel(cell) for cell in cells]
+        rows = [(part, r, cell.n) for part, cell in zip(parts, cells) for r in range(cell.replicas)]
+        assert whole.n == 65 and whole.f.tolist() == [0, 0, 1, 1, 1, 2, 1, 2, 1, 3, 3]
+        orig = np.arange(len(rows))
+        rng = np.random.default_rng(1)
+        for round in range(1, 13):
+            heard = np.zeros((len(rows), 65, 65), dtype=bool)
+            active = rng.random(len(rows)) < 0.85
+            start = 0
+            for part, cell in zip(parts, cells):
+                span, n = slice(start, start + cell.replicas), cell.n
+                heard[span, :n, :n] = rng.random((cell.replicas, n, n)) < 0.9
+                part.step(round, heard[span, :n, :n], active[span])
+                start = span.stop
+            if round == 6:
+                # Rounds per macro are 1, 2, 3 and 4: after round 5 every
+                # row but the f = 0 ones is inside a macro-round.
+                keep = np.flatnonzero(orig % 3 != 1)
+                whole.compact(keep)
+                orig = orig[keep]
+            whole.step(round, heard[orig], active[orig])
+            for i, o in enumerate(orig.tolist()):
+                part, r, n = rows[o]
+                assert whole.f[i] == part.f[r] and whole.threshold[i] == part.threshold[r]
+                assert np.array_equal(whole.listen[i, :n, :n], part.listen[r]), (round, o)
+                assert np.array_equal(whole.known[i, :n, :n], part.known[r]), (round, o)
+                assert not whole.known[i, :n, n:].any(), (round, o)
+                assert np.array_equal(whole._inner.x[i, :n], part._inner.x[r]), (round, o)
+                assert whole.decisions_of(i) == part.decisions_of(r), (round, o)
+                if round % int(whole.rounds_per_macro[i]) == 0 and active[o]:
+                    new_ho = whole.last_new_ho[i]
+                    assert np.array_equal(new_ho[:n, :n], part.last_new_ho[r]), (round, o)
+                    assert not new_ho[n:].any() and not new_ho[:, n:].any(), (round, o)
+        assert whole._inner.decided().any()
+
     def test_wide_cell_compacts_on_the_batch_backend(self, monkeypatch):
         """R = 96 replicas deciding macro-round by macro-round: the one-cell
         loop retires and compacts them, and the outcomes stay scalar's."""
@@ -242,67 +298,25 @@ class TestRowCompaction:
 @needs_numpy
 class TestEligibility:
     def test_non_one_third_rule_inner_is_rejected(self):
+        """``from_cells`` sets the cell aside with its reason and still
+        builds the others."""
         from repro.predimpl.batched_translation import BatchTranslationKernel
 
-        n = 4
-        batch = ReplicaBatch(
-            n=n,
-            tasks=[
-                ReplicaTask(
-                    seed=0,
-                    algorithm=KernelToUniformTranslation(UniformVoting(n), 1),
-                    oracle=kernel_oracle(n, 0, 1),
-                    initial_values=shuffled_values(n, 0),
-                )
-            ],
-            max_rounds=8,
+        uniform_voting = make_batch(4, [0], 1, 8, inner=UniformVoting)
+        kernel, declined = BatchTranslationKernel.from_cells(
+            [uniform_voting, make_batch(7, [1, 2], 2, 8)]
         )
-        with pytest.raises(BatchUnsupported):
-            BatchTranslationKernel.from_batch(batch)
-
-    def test_mixed_f_is_rejected(self):
-        from repro.predimpl.batched_translation import BatchTranslationKernel
-
-        n = 7
-        batch = ReplicaBatch(
-            n=n,
-            tasks=[
-                ReplicaTask(
-                    seed=seed,
-                    algorithm=KernelToUniformTranslation(OneThirdRule(n), f),
-                    oracle=kernel_oracle(n, seed, f),
-                    initial_values=shuffled_values(n, seed),
-                )
-                for seed, f in ((0, 1), (1, 2))
-            ],
-            max_rounds=8,
-        )
-        with pytest.raises(BatchUnsupported):
-            BatchTranslationKernel.from_batch(batch)
+        assert declined == {
+            0: FallbackReason.INNER_NOT_ROUND_OBLIVIOUS.render(inner="UniformVoting")
+        }
+        assert kernel.replicas == 2 and kernel.row_n is None
+        assert kernel.f.tolist() == [2, 2]
 
     def test_batch_backend_degrades_gracefully_for_uv_inner(self):
         """An ineligible inner must not poison the batch backend -- it
         falls back to per-replica scalar execution with equal outcomes."""
-        n = 4
+
         def batch():
-            return ReplicaBatch(
-                n=n,
-                tasks=[
-                    ReplicaTask(
-                        seed=seed,
-                        algorithm=KernelToUniformTranslation(UniformVoting(n), 1),
-                        oracle=kernel_oracle(n, seed, 1),
-                        initial_values=shuffled_values(n, seed),
-                    )
-                    for seed in (3, 4)
-                ],
-                max_rounds=12,
-                fingerprints=True,
-            )
+            return make_batch(4, [3, 4], 1, 12, inner=UniformVoting)
 
         assert get_backend("batch").run(batch()) == get_backend("scalar").run(batch())
-
-    def test_translation_kernel_opts_out_of_super_batching(self):
-        from repro.predimpl.batched_translation import BatchTranslationKernel
-
-        assert BatchTranslationKernel.super_batchable is False

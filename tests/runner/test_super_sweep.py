@@ -74,21 +74,23 @@ class TestSuperSweep:
             assert {r.replicas["backend"] for r in sup.records} == {"super"}
 
     @needs_numpy
-    def test_translation_cell_gets_fallback_label(self):
-        """A kernel that cannot be built padded runs per-cell and its record
-        says so."""
+    def test_translation_cells_super_batch(self):
+        """Theorem 8 cells of different n, hence different f, share the row
+        space with classic cells: every record says ``super`` and equals the
+        scalar sweep's."""
         specs = build_grid(
-            scenarios=["ho-theorem8-translation"],
-            fault_models=["fault-free"],
+            scenarios=["ho-theorem8-translation", "ho-classic-otr"],
+            fault_models=["fault-free", "lossy"],
             seeds=[0],
-            ns=[4],
+            ns=[4, 7],
         )
-        result = run_sweep(specs, replicas=2, backend="super")
-        (record,) = result.records
-        assert record.error is None
-        used = record.replicas["backend"]
-        assert used.startswith("super:cell-fallback (")
-        assert "does not super-batch" in used
+        sup = run_sweep(specs, replicas=4, backend="super")
+        ref = run_sweep(specs, replicas=4, backend="scalar")
+        assert {r.replicas["backend"] for r in sup.records} == {"super"}
+        for a, b in zip(sup.records, ref.records):
+            assert a.error is None
+            assert a.replicas["outcomes"] == b.replicas["outcomes"]
+        assert sup.aggregate() == ref.aggregate()
 
     def test_mixed_grid_labels_each_cell_with_what_ran_it(self):
         """Step scenarios alias ``super`` onto ``step-batch``: their cells take

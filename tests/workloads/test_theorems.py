@@ -83,6 +83,12 @@ class TestTranslationScenario:
         assert per_macro == algorithm.f + 1 == 3
         assert result.metrics.last_decision_round % per_macro == 0
 
+    def test_negative_f_is_rejected_by_the_algorithm(self):
+        """f is validated before pi0 = {0..n-f-1} and its oracle are built."""
+        spec = RunSpec.make("ho-theorem8-translation", "fault-free", 0, n=4, f=-1)
+        (record,) = run_sweep([spec], workers=1).records
+        assert record.error == "ValueError: f must be non-negative, got -1"
+
     def test_scope_is_the_kernel_intersected_with_survivors(self):
         result = run_one("ho-theorem8-translation", "crash-stop")
         # f = 1: pi0 = {0, 1, 2}; the crash victim n-1 = 3 is an outsider.
