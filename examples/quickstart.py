@@ -34,7 +34,7 @@ from repro.adversaries import (
 from repro.algorithms import OneThirdRule
 from repro.analysis import check_consensus
 from repro.core import HOMachine
-from repro.predicates import MonitorBank, POtr, PRestrOtr, StopAfterHeld, build_monitor
+from repro.predicates import MonitorBank, POtr, PRestrOtr, build_monitor
 from repro.runner import JsonlSink, build_grid, run_sweep
 
 
@@ -96,9 +96,10 @@ def main() -> None:
     run("composed adversary (partition churn -> transient crash -> calm, +10% loss)",
         composed, initial_values)
 
-    # An early-stopping monitored run: the bank's StopAfterHeld policy ends
-    # the run once P_su held for 5 consecutive rounds -- no need to guess a
-    # horizon, and the compact report says when the good period started.
+    # An early-stopping monitored run: the bank's stop rule ends the run
+    # once a monitored predicate held for 5 consecutive rounds -- no need to
+    # guess a horizon, and the compact report says when the good period
+    # started.
     print("--- early-stopping monitored run ---")
     oracle = SequenceOracle(
         n,
@@ -110,7 +111,7 @@ def main() -> None:
     bank = MonitorBank(
         n,
         [build_monitor("p_su", n), build_monitor("p_2otr", n)],
-        stop_policies=[StopAfterHeld(5, predicate="p_su")],
+        stop_after_held=5,
     )
     machine = HOMachine(OneThirdRule(n), oracle, initial_values, observers=[bank])
     while machine.current_round < 200 and not machine.engine.stop_requested:

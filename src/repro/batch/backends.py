@@ -1,8 +1,8 @@
 """The ``batch`` execution backend, and the admission every array tier shares.
 
 A :class:`~repro.rounds.backend.ReplicaBatch` reaches an array round loop
-through :func:`admit` (numpy available, algorithms sized for the batch, one
-algorithm class, a batched kernel registered for it), defined here once,
+through :func:`admit` (numpy available, one algorithm class, a batched
+kernel registered for it), defined here once,
 and then the kernel's one constructor,
 :meth:`~repro.algorithms.batched.BatchKernel.from_cells` (values that do
 not encode, or task parameters the kernel cannot represent, are only
@@ -44,10 +44,6 @@ def admit(batch: ReplicaBatch) -> Tuple[Optional[str], Any]:
         return FallbackReason.NO_NUMPY.render(), None
     from ..algorithms.batched import batch_kernel_for
 
-    if any(task.algorithm.n != batch.n for task in batch.tasks):
-        # The scalar loop raises for mis-sized algorithms; route the batch
-        # there so every tier rejects the same input identically.
-        return FallbackReason.SIZE_MISMATCH.render(), None
     algorithm_classes = {type(task.algorithm) for task in batch.tasks}
     if len(algorithm_classes) != 1:
         return (

@@ -18,9 +18,7 @@ from .types import (
     HOCollection,
     HOSet,
     ProcessId,
-    ProcessRoundRecord,
     Round,
-    RoundMessage,
     RoundRecord,
     RunTrace,
     all_processes,
@@ -32,9 +30,7 @@ __all__ = [
     "ProcessId",
     "Round",
     "HOSet",
-    "RoundMessage",
     "HOCollection",
-    "ProcessRoundRecord",
     "RoundRecord",
     "DecisionRecord",
     "RunTrace",

@@ -44,11 +44,6 @@ Round = int
 #: A heard-of set: the set of processes a given process heard of in a round.
 HOSet = FrozenSet[ProcessId]
 
-#: Backwards-compatible name: the unified per-round record schema of
-#: :mod:`repro.rounds.record` replaced the old round-level-only record class.
-ProcessRoundRecord = RoundRecord
-
-
 def all_processes(n: int) -> FrozenSet[ProcessId]:
     """Return the full process set ``Pi = {0, ..., n-1}``."""
     if n <= 0:
@@ -66,23 +61,6 @@ def validate_process_subset(subset: Iterable[ProcessId], n: int) -> FrozenSet[Pr
         bad = sorted(result - all_processes(n))
         raise ValueError(f"process ids {bad} are outside 0..{n - 1}")
     return result
-
-
-@dataclass(frozen=True)
-class RoundMessage:
-    """A message tagged with the round it belongs to.
-
-    The HO machine itself only needs the payload; the round tag is used by
-    the predicate-implementation layer (Algorithms 2 and 3), whose messages
-    on the wire carry explicit round numbers.
-    """
-
-    round: Round
-    sender: ProcessId
-    payload: Any
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"RoundMessage(r={self.round}, from={self.sender}, {self.payload!r})"
 
 
 class HOCollection:
@@ -336,9 +314,7 @@ __all__ = [
     "ProcessId",
     "Round",
     "HOSet",
-    "RoundMessage",
     "HOCollection",
-    "ProcessRoundRecord",
     "RoundRecord",
     "DecisionRecord",
     "RunTrace",

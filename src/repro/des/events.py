@@ -23,15 +23,12 @@ from ..core.types import ProcessId
 class EventKind(enum.Enum):
     """Kinds of simulator events.
 
-    ``CRASH`` and ``RECOVER`` are kept for API compatibility, but fault
-    events now flow through the shared engine layer as
-    :class:`repro.engine.faults.FaultEvent` entries rather than DES events.
+    Crashes and recoveries are not DES events: they flow through the shared
+    engine layer as :class:`repro.engine.faults.FaultEvent` entries.
     """
 
     DELIVER = "deliver"
     TIMER = "timer"
-    CRASH = "crash"
-    RECOVER = "recover"
     START = "start"
 
 

@@ -20,7 +20,7 @@ stable across processes and Python versions (no reliance on ``hash()``).
 from __future__ import annotations
 
 import hashlib
-import random  # repro: noqa[REP001] -- SeededRng IS the sanctioned wrapper around the random module
+import random
 from typing import Dict, Iterator, Tuple
 
 from .counter import CounterStream

@@ -29,8 +29,9 @@ from __future__ import annotations
 # (e.g. that stabilization_time 10 vs 60 yields different decision times at
 # seed 0), so re-routing through SeededRng's hashed sub-seeds would silently
 # re-roll every detector experiment.  The draws are still seeded, isolated
-# per detector instance, and never shared with any other concern.
-import random  # repro: noqa[REP001] -- pinned-seed detector noise; see note above
+# per detector instance, and never shared with any other concern.  REP001's
+# scope leaves this module out (repro.lint.determinism.RANDOM_OWNERS).
+import random
 
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Mapping

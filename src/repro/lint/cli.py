@@ -6,7 +6,6 @@ Typical invocations::
 
     python -m repro.lint src tests              # lint the repo (CI gate)
     python -m repro.lint --list-rules           # what the REP0xx codes mean
-    python -m repro.lint src --select REP001    # one rule only
 """
 
 from __future__ import annotations
@@ -33,11 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--list-rules", action="store_true",
-        help="list every registered rule with its code and rationale, then exit",
-    )
-    parser.add_argument(
-        "--select", nargs="+", default=None, metavar="CODE",
-        help="run only these rule codes (e.g. REP001 REP104)",
+        help="list every rule with its code and rationale, then exit",
     )
     return parser
 
@@ -51,10 +46,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     try:
-        result = lint_paths(args.paths, select=args.select, root=Path.cwd())
+        result = lint_paths(args.paths, root=Path.cwd())
     except FileNotFoundError as exc:
-        parser.error(str(exc))
-    except KeyError as exc:  # unknown --select code
         parser.error(str(exc))
 
     print(render_text(result))

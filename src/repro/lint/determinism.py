@@ -1,4 +1,4 @@
-"""Determinism rules (REP001-REP007, REP104): the bit-reproducibility contracts.
+"""Determinism rules (REP001-REP006, REP104): the bit-reproducibility contracts.
 
 Every execution backend promises per-seed bit-identical outcomes, which
 holds only if *all* randomness flows through seeded, named streams and no
@@ -8,7 +8,8 @@ into lint findings:
 
 * REP001 -- no bare ``random`` module; draw through
   :class:`~repro.engine.rng.SeededRng` named sub-streams or
-  :class:`~repro.engine.counter.CounterStream`.
+  :class:`~repro.engine.counter.CounterStream`.  The two modules that own
+  a ``random.Random`` by design are outside its scope.
 * REP002 -- numpy and numba are imported exactly once, in
   :mod:`repro._optional`; everywhere else uses ``NUMPY`` / ``NUMBA`` and
   the ``have_*`` / ``require_*`` guards so the dependency-free fallbacks
@@ -26,13 +27,12 @@ into lint findings:
   ``repro.runner`` / ``repro.workloads`` at module level (function-local
   lazy imports are the sanctioned pattern); nothing outside
   :mod:`repro.lint` imports the linter.
-* REP007 -- suppression hygiene (unknown codes, missing justifications,
-  unused suppressions); emitted by the suppression parser and the engine,
-  registered here so it lists and selects like any other rule.
 * REP104 -- fallback reasons in the backends' decision functions are
   rendered from the shared :class:`~repro.rounds.fallback.FallbackReason`
   enum, never inline literals: a mis-labelled degradation does not crash,
   it silently reports the wrong tier, so the vocabulary stays closed.
+
+:data:`RULES` is the rule set: the engine runs it, ``--list-rules`` lists it.
 """
 
 from __future__ import annotations
@@ -41,7 +41,17 @@ import ast
 from typing import List, Optional
 
 from .findings import Finding
-from .rules import FileContext, SourceRule, dotted_name, register_rule
+from .rules import FileContext, SourceRule, dotted_name
+
+#: the modules that own a ``random.Random`` by design, and why.
+RANDOM_OWNERS = {
+    "repro.engine.rng": "SeededRng IS the sanctioned wrapper around the random module",
+    "repro.failure_detectors.detectors": (
+        "pinned-seed detector noise: behavioural tests pin outcomes of the "
+        "detectors' exact draw sequence, so re-routing it through SeededRng's "
+        "hashed sub-seeds would silently re-roll every detector experiment"
+    ),
+}
 
 
 class BareRandomRule(SourceRule):
@@ -51,6 +61,9 @@ class BareRandomRule(SourceRule):
         "no bare 'random' module in package code; randomness flows through "
         "SeededRng named sub-streams or CounterStream (repro.engine.rng)"
     )
+
+    def applies_to(self, module: Optional[str]) -> bool:
+        return super().applies_to(module) and module not in RANDOM_OWNERS
 
     def check(self, ctx: FileContext) -> List[Finding]:
         findings: List[Finding] = []
@@ -366,24 +379,6 @@ def node_lineno(node: ast.AST) -> int:
     return getattr(node, "lineno", -1)
 
 
-class SuppressionHygieneRule(SourceRule):
-    """REP007 findings are emitted by the suppression parser and the engine
-    (unknown codes, missing reasons, unused suppressions); this class only
-    gives the code a listing entry and a selection handle."""
-
-    code = "REP007"
-    name = "suppression-hygiene"
-    summary = (
-        "suppressions must name a known rule and carry a justification, and "
-        "must actually suppress something"
-    )
-
-    def applies_to(self, module: Optional[str]) -> bool:
-        return True  # hygiene holds everywhere, tests included
-
-    def check(self, ctx: FileContext) -> List[Finding]:
-        return []  # the engine owns the logic; see repro.lint.engine
-
 #: the functions whose string returns REP104 polices.
 FALLBACK_DECISION_FUNCTIONS = ("admit", "_fallback_reason", "_eligibility")
 
@@ -447,17 +442,16 @@ def _string_literals(node: ast.expr) -> List[ast.expr]:
     return found
 
 
-for _rule in (
+#: every rule, in code order.
+RULES = (
     BareRandomRule(),
     NumpyOutsideOptionalRule(),
     WallClockEntropyRule(),
     IdOrderingRule(),
     SetIterationRule(),
     ImportLayeringRule(),
-    SuppressionHygieneRule(),
     FallbackReasonLiteralRule(),
-):
-    register_rule(_rule)
+)
 
 
 __all__ = [
@@ -467,8 +461,9 @@ __all__ = [
     "IdOrderingRule",
     "SetIterationRule",
     "ImportLayeringRule",
-    "SuppressionHygieneRule",
     "FallbackReasonLiteralRule",
     "FORBIDDEN_EDGES",
     "FALLBACK_DECISION_FUNCTIONS",
+    "RANDOM_OWNERS",
+    "RULES",
 ]

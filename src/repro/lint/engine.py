@@ -1,10 +1,9 @@
-"""The lint engine: collect files, run rules, apply suppressions.
+"""The lint engine: collect files, run rules.
 
 One :func:`lint_paths` call is one lint invocation: every ``*.py`` file
-under the given paths is parsed once and handed to each applicable
-:class:`~repro.lint.rules.SourceRule`.  Findings are then filtered through
-per-line suppressions (unused suppressions become REP007 findings); what
-remains is actionable and fails the run.
+under the given paths is parsed once and handed to each rule of
+:data:`~repro.lint.determinism.RULES` whose scope covers it.  Every
+finding is actionable and fails the run.
 """
 
 from __future__ import annotations
@@ -13,9 +12,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence
 
+from .determinism import RULES
 from .findings import Finding, sort_findings
-from .rules import FileContext, rule_codes, source_rules
-from .suppressions import HYGIENE_CODE, parse_suppressions
+from .rules import FileContext
 
 
 @dataclass
@@ -23,7 +22,6 @@ class LintResult:
     """Everything one lint invocation produced."""
 
     findings: List[Finding] = field(default_factory=list)
-    suppressed: int = 0
     files: int = 0
 
     @property
@@ -81,22 +79,12 @@ def display_path(path: Path, root: Optional[Path]) -> str:
     return path.as_posix()
 
 
-def lint_paths(
-    paths: Sequence[str],
-    select: Optional[Sequence[str]] = None,
-    root: Optional[Path] = None,
-) -> LintResult:
+def lint_paths(paths: Sequence[str], root: Optional[Path] = None) -> LintResult:
     """Lint every python file under *paths*; returns the full result.
 
-    *select* restricts to specific rule codes (unused-suppression hygiene
-    is then skipped: a suppression for an unselected rule is not unused).
     Findings are keyed by *root*-relative paths when *root* is given.
     """
     result = LintResult()
-    known = set(rule_codes())
-    active_source = source_rules(select)
-    check_unused = select is None
-
     kept: List[Finding] = []
     for file_path in iter_python_files(paths):
         result.files += 1
@@ -113,26 +101,9 @@ def lint_paths(
                 col=1, message=f"file does not parse: {exc}",
             ))
             continue
-        suppressions, hygiene = parse_suppressions(shown, ctx.lines, known)
-        file_findings: List[Finding] = []
-        for rule in active_source:
+        for rule in RULES:
             if rule.applies_to(module):
-                file_findings.extend(rule.check(ctx))
-        for finding in file_findings:
-            if suppressions.covers(finding.line, finding.code):
-                result.suppressed += 1
-            else:
-                kept.append(finding)
-        if select is None or HYGIENE_CODE in select:
-            kept.extend(hygiene)
-        if check_unused:
-            for line, code in suppressions.unused():
-                text = ctx.lines[line - 1].strip() if 0 < line <= len(ctx.lines) else ""
-                kept.append(Finding(
-                    code=HYGIENE_CODE, path=shown, line=line, col=1,
-                    message=f"unused suppression of {code} (nothing to suppress here)",
-                    line_text=text,
-                ))
+                kept.extend(rule.check(ctx))
 
     result.findings = sort_findings(kept)
     return result

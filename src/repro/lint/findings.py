@@ -5,7 +5,7 @@ A finding is one violation of one rule at one source location.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -17,9 +17,6 @@ class Finding:
     line: int
     col: int
     message: str
-    #: the stripped text of the offending source line, carried in the JSON
-    #: report (audit rules, which only know paths, leave it empty).
-    line_text: str = field(default="", compare=False)
 
     def render(self) -> str:
         """The one-line human form, ``path:line:col CODE message``."""

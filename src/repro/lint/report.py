@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+from .determinism import RULES
 from .engine import LintResult
-from .rules import all_rules
 
 
 def render_text(result: LintResult) -> str:
@@ -11,7 +11,6 @@ def render_text(result: LintResult) -> str:
     lines = [finding.render() for finding in result.findings]
     summary = (
         f"{len(result.findings)} finding{'s' if len(result.findings) != 1 else ''} "
-        f"({result.suppressed} suppressed) "
         f"across {result.files} file{'s' if result.files != 1 else ''}"
     )
     lines.append(summary)
@@ -20,9 +19,8 @@ def render_text(result: LintResult) -> str:
 
 def render_rule_list() -> str:
     """The ``--list-rules`` table."""
-    rules = all_rules()
-    width = max(len(r.name) for r in rules)
-    return "\n".join(f"{rule.code}  {rule.name:<{width}}  {rule.summary}" for rule in rules)
+    width = max(len(r.name) for r in RULES)
+    return "\n".join(f"{rule.code}  {rule.name:<{width}}  {rule.summary}" for rule in RULES)
 
 
 __all__ = ["render_rule_list", "render_text"]

@@ -1,4 +1,4 @@
-"""The rule framework: the rule base class, the ``REP0xx`` registry, file context.
+"""The rule framework: the rule base class and the per-file context.
 
 A rule is a :class:`SourceRule` -- a per-file AST pass.  The engine parses
 each scanned file once into a :class:`FileContext` and hands it to every
@@ -8,20 +8,23 @@ for files outside the package, e.g. tests).  Determinism rules scope
 themselves to ``repro.*`` -- the hot paths whose bit-reproducibility the
 backends promise -- so test code may keep its ad-hoc randomness.
 
+A rule's scope is the only way code is exempt from it: a module that
+breaks a contract by design is left out by the rule's ``applies_to``,
+with the reason next to it, never by a comment at the offending line.
+
 A contract that needs ``import repro`` -- a registration the AST cannot
 see -- is not a rule: it is a tier-1 test beside its subject.
 
-Rules are singletons registered by stable code (``REP001`` ...); the code
-is the suppression currency, so codes are never reused (``REP101``-
-``REP103``, ``REP105`` and ``REP106`` are retired).
+Every rule has a stable code (``REP001`` ...); codes are never reused
+(``REP007``, ``REP101``-``REP103``, ``REP105`` and ``REP106`` are retired).
 """
 
 from __future__ import annotations
 
 import abc
 import ast
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from dataclasses import dataclass
+from typing import List, Optional, Set
 
 from .findings import Finding
 
@@ -34,7 +37,6 @@ class FileContext:
     module: Optional[str]
     source: str
     tree: ast.Module
-    lines: List[str] = field(default_factory=list)
     #: whether this file is a package ``__init__`` (relative imports then
     #: resolve against the module itself, not its parent).
     is_package: bool = False
@@ -45,14 +47,12 @@ class FileContext:
     ) -> "FileContext":
         tree = ast.parse(source, filename=path)
         return cls(path=path, module=module, source=source, tree=tree,
-                   lines=source.splitlines(), is_package=is_package)
+                   is_package=is_package)
 
     def finding(self, code: str, node: ast.AST, message: str) -> Finding:
         line = getattr(node, "lineno", 1)
         col = getattr(node, "col_offset", 0) + 1
-        text = self.lines[line - 1].strip() if 0 < line <= len(self.lines) else ""
-        return Finding(code=code, path=self.path, line=line, col=col,
-                       message=message, line_text=text)
+        return Finding(code=code, path=self.path, line=line, col=col, message=message)
 
     def type_checking_lines(self) -> Set[int]:
         """The line numbers inside ``if TYPE_CHECKING:`` blocks.
@@ -95,9 +95,9 @@ def dotted_name(node: ast.expr) -> Optional[str]:
 
 
 class SourceRule(abc.ABC):
-    """A registered per-file AST pass with a stable ``REP0xx`` code."""
+    """A per-file AST pass with a stable ``REP0xx`` code."""
 
-    #: stable code, the suppression currency (never reuse one).
+    #: stable code (never reuse one).
     code: str = ""
     #: short kebab-case name for listings.
     name: str = ""
@@ -113,62 +113,4 @@ class SourceRule(abc.ABC):
         """The findings of this rule for one parsed file."""
 
 
-_RULES: Dict[str, SourceRule] = {}
-
-
-def register_rule(rule: SourceRule) -> SourceRule:
-    """Register *rule* under its code; codes are unique forever."""
-    if not rule.code:
-        raise ValueError(f"rule {type(rule).__name__} has no code")
-    if rule.code in _RULES:
-        raise ValueError(f"duplicate rule code {rule.code}")
-    _RULES[rule.code] = rule
-    return rule
-
-
-def all_rules() -> List[SourceRule]:
-    """Every registered rule, in code order."""
-    _ensure_populated()
-    return [_RULES[code] for code in sorted(_RULES)]
-
-
-def rule_codes() -> List[str]:
-    _ensure_populated()
-    return sorted(_RULES)
-
-
-def get_rule(code: str) -> SourceRule:
-    _ensure_populated()
-    try:
-        return _RULES[code]
-    except KeyError:
-        raise KeyError(f"unknown rule {code!r}; known: {sorted(_RULES)}") from None
-
-
-def source_rules(select: Optional[Sequence[str]] = None) -> List[SourceRule]:
-    """The rules one invocation runs: all of them, or the *select*-ed codes."""
-    rules = all_rules()
-    if select is None:
-        return rules
-    wanted = set(select)
-    unknown = wanted - set(_RULES)
-    if unknown:
-        raise KeyError(f"unknown rule codes {sorted(unknown)}; known: {sorted(_RULES)}")
-    return [r for r in rules if r.code in wanted]
-
-
-def _ensure_populated() -> None:
-    """Import the rule modules whose import side-effect registers rules."""
-    from . import determinism  # noqa: F401
-
-
-__all__ = [
-    "FileContext",
-    "SourceRule",
-    "all_rules",
-    "dotted_name",
-    "get_rule",
-    "register_rule",
-    "rule_codes",
-    "source_rules",
-]
+__all__ = ["FileContext", "SourceRule", "dotted_name"]

@@ -10,7 +10,7 @@ pair (Section 3.1, Table 1) -- lives here in two dual forms:
   round of bitmask heard-of sets at a time in O(window * n) memory, reach
   the same verdicts online, accumulate hold/violation run-lengths into
   compact :class:`~repro.predicates.reports.PredicateReport` objects, and
-  drive early-stop policies through the round engine's observer hook;
+  drive the early-stop rule through the round engine's observer hook;
 * :mod:`repro.predicates.batch` -- the replica-vectorised duals of the
   streaming monitors, consuming ``(R, n, ceil(n/64))`` uint64 mask arrays
   for all R replicas of a batch at once (numpy-only; imported lazily by the
@@ -29,9 +29,6 @@ from .monitors import (
     PSuMonitor,
     PredicateMonitor,
     RoundCollator,
-    StopAfterHeld,
-    StopOnViolationAfterDecision,
-    StopPolicy,
     build_monitor,
     build_monitor_bank,
     canonical_predicate_name,
@@ -101,9 +98,6 @@ __all__ = [
     "P11OtrMonitor",
     "RoundCollator",
     "MonitorBank",
-    "StopPolicy",
-    "StopAfterHeld",
-    "StopOnViolationAfterDecision",
     "monitor_collection",
     "canonical_predicate_name",
     "build_monitor",

@@ -328,10 +328,10 @@ class BatchMonitorBank:
 
     The batched twin of :class:`repro.predicates.MonitorBank` for the
     lockstep oracle path (rounds arrive complete and in order, so no
-    collator is needed).  ``stop_after_held`` mirrors
-    :class:`~repro.predicates.monitors.StopAfterHeld`: a replica requests a
-    stop once any of its monitors' good condition held for that many
-    consecutive rounds; requests are sticky and per replica.
+    collator is needed).  ``stop_after_held`` is the scalar bank's stop
+    rule: a replica requests a stop once any of its monitors' good
+    condition held for that many consecutive rounds; requests are sticky
+    and per replica.
     """
 
     def __init__(
@@ -368,7 +368,7 @@ class BatchMonitorBank:
 
     @property
     def stop_array(self) -> Any:
-        """(R,) bool -- replicas whose stop policy fired (sticky)."""
+        """(R,) bool -- replicas whose stop rule fired (sticky)."""
         return self._stop
 
     def reports_of(self, replica: int) -> Dict[str, PredicateReport]:

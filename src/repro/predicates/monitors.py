@@ -27,9 +27,9 @@ Three pieces cooperate:
   recorded collection would report for them;
 * :class:`MonitorBank` -- the engine-facing observer: it implements the
   :class:`~repro.rounds.engine.RoundObserver` hook, feeds the collator,
-  drives the monitors and evaluates :class:`StopPolicy` early-stop rules
-  ("stop once a predicate held for k consecutive rounds", "stop at the
-  first violation after a decision").
+  drives the monitors and evaluates the early-stop rule ("stop once a
+  predicate held for k consecutive rounds", the rule
+  :class:`~repro.predicates.batch.BatchMonitorBank` applies too).
 
 The duality is property-tested: for every monitor, replaying a recorded
 collection through :func:`monitor_collection` yields the same verdict as
@@ -92,7 +92,6 @@ class PredicateMonitor(abc.ABC):
         self._current_good_run = 0
         self._current_bad_run = 0
         self._first_hold_round: Optional[Round] = None
-        self._last_round_good = False
 
     # ------------------------------------------------------------------ #
     # streaming entry point
@@ -119,7 +118,6 @@ class PredicateMonitor(abc.ABC):
             self._current_bad_run += 1
             self._current_good_run = 0
             self._longest_bad_run = max(self._longest_bad_run, self._current_bad_run)
-        self._last_round_good = good
         if self._first_hold_round is None and self.verdict:
             self._first_hold_round = round
 
@@ -151,11 +149,6 @@ class PredicateMonitor(abc.ABC):
     def current_good_run(self) -> int:
         """Length of the good-round run ending at the last observed round."""
         return self._current_good_run
-
-    @property
-    def last_round_good(self) -> bool:
-        """Whether the last observed round satisfied the good condition."""
-        return self._last_round_good
 
     def report(self) -> PredicateReport:
         """The compact summary of everything observed so far."""
@@ -513,49 +506,6 @@ class RoundCollator:
 
 
 # --------------------------------------------------------------------------- #
-# early-stop policies
-# --------------------------------------------------------------------------- #
-
-
-class StopPolicy(abc.ABC):
-    """A rule deciding, after each completed round, whether the run may stop."""
-
-    @abc.abstractmethod
-    def update(self, bank: "MonitorBank", round: Round) -> bool:
-        """Return True to request a stop (the request is sticky in the bank)."""
-
-
-class StopAfterHeld(StopPolicy):
-    """Stop once a monitor's good condition held for *rounds* consecutive rounds.
-
-    *predicate* restricts the policy to the monitor with that name;
-    by default any monitor's streak triggers it.
-    """
-
-    def __init__(self, rounds: int, predicate: Optional[str] = None) -> None:
-        if rounds < 1:
-            raise ValueError(f"rounds must be at least 1, got {rounds}")
-        self.rounds = rounds
-        self.predicate = predicate
-
-    def update(self, bank: "MonitorBank", round: Round) -> bool:
-        return any(
-            monitor.current_good_run >= self.rounds
-            for monitor in bank.monitors
-            if self.predicate is None or monitor.name == self.predicate
-        )
-
-
-class StopOnViolationAfterDecision(StopPolicy):
-    """Stop at the first good-condition violation after any decision was observed."""
-
-    def update(self, bank: "MonitorBank", round: Round) -> bool:
-        if not bank.decided:
-            return False
-        return any(not monitor.last_round_good for monitor in bank.monitors)
-
-
-# --------------------------------------------------------------------------- #
 # the engine-facing observer
 # --------------------------------------------------------------------------- #
 
@@ -567,33 +517,33 @@ class MonitorBank:
     it to a :class:`~repro.rounds.engine.RoundEngine` (or an
     :class:`~repro.core.machine.HOMachine` / predimpl stack builder) via
     ``observers=[bank]`` and read :meth:`reports` when the run is over.
-    ``stop_requested`` turns true (and stays true) once any stop policy
-    fires; the engine's owners poll it between rounds.
+    With *stop_after_held* set, ``stop_requested`` turns true (and stays
+    true) once any monitor's good condition held for that many consecutive
+    rounds; the engine's owners poll it between rounds.
     """
 
     def __init__(
         self,
         n: int,
         monitors: Sequence[PredicateMonitor],
-        stop_policies: Sequence[StopPolicy] = (),
+        stop_after_held: Optional[int] = None,
         window: int = DEFAULT_WINDOW,
         completion_scope: Optional[Iterable[ProcessId]] = None,
     ) -> None:
+        if stop_after_held is not None and stop_after_held < 1:
+            raise ValueError(f"stop_after_held must be at least 1, got {stop_after_held}")
         self.n = n
         self.monitors = list(monitors)
-        self.stop_policies = list(stop_policies)
+        self.stop_after_held = stop_after_held
         completion_mask = None if completion_scope is None else _pi0_mask(completion_scope, n)
         self._collator = RoundCollator(n, window=window, completion_mask=completion_mask)
         self._stop = False
-        self.decided = False
         self._finalized = False
 
     # -- RoundObserver protocol ---------------------------------------- #
 
     def on_record(self, record) -> None:
         """Consume one engine :class:`~repro.rounds.record.RoundRecord`."""
-        if record.decision is not None:
-            self.decided = True
         for round, masks in self._collator.add(record.process, record.round, record.ho_mask):
             self.observe_round(round, masks)
 
@@ -603,16 +553,13 @@ class MonitorBank:
 
     # -- direct feeding / results -------------------------------------- #
 
-    def observe_round(
-        self, round: Round, masks: Sequence[int], evaluate_policies: bool = True
-    ) -> None:
-        """Feed one completed round to every monitor (and, live, the stop policies)."""
+    def observe_round(self, round: Round, masks: Sequence[int], live: bool = True) -> None:
+        """Feed one completed round to every monitor (and, *live*, the stop rule)."""
         for monitor in self.monitors:
             monitor.observe(round, masks)
-        if evaluate_policies:
-            for policy in self.stop_policies:
-                if policy.update(self, round):
-                    self._stop = True
+        if live and self.stop_after_held is not None:
+            if any(m.current_good_run >= self.stop_after_held for m in self.monitors):
+                self._stop = True
 
     @property
     def late_records(self) -> int:
@@ -622,8 +569,8 @@ class MonitorBank:
     def finalize(self, last_round: Optional[Round] = None) -> None:
         """Flush rounds still pending in the collator (end of run); idempotent.
 
-        Drained rounds bypass the stop policies: the run is already over,
-        and a policy firing on the drained tail would misreport a
+        Drained rounds bypass the stop rule: the run is already over,
+        and the rule firing on the drained tail would misreport a
         full-horizon run as stopped early.  *last_round* is the last round
         the run executed, when its owner stopped it mid-round: pending
         rounds past it were never run and are not reported.
@@ -632,7 +579,7 @@ class MonitorBank:
             return
         self._finalized = True
         for round, masks in self._collator.drain(last_round):
-            self.observe_round(round, masks, evaluate_policies=False)
+            self.observe_round(round, masks, live=False)
 
     def reports(self) -> Dict[str, PredicateReport]:
         """Finalize and return one report per monitor, keyed by predicate name."""
@@ -694,20 +641,17 @@ def build_monitor_bank(
     """One bank with a monitor per name in *predicates* -- the scenario-runner helper.
 
     *pi0* scopes the Pi0-parameterised predicates (typically the fault
-    model's surviving processes); *stop_after_held* attaches a
-    :class:`StopAfterHeld` policy (must be >= 1 when given).
+    model's surviving processes); *stop_after_held* is the bank's stop
+    rule (must be >= 1 when given).
     *completion_scope* narrows the collator's round-completion quorum for
     step-level runs whose out-of-scope processes stop reporting forever.
     """
     if not predicates:
         raise ValueError("at least one predicate name is required")
-    stop_policies: List[StopPolicy] = []
-    if stop_after_held is not None:
-        stop_policies.append(StopAfterHeld(stop_after_held))
     return MonitorBank(
         n,
         [build_monitor(name, n, pi0=pi0) for name in predicates],
-        stop_policies=stop_policies,
+        stop_after_held=stop_after_held,
         window=window,
         completion_scope=completion_scope,
     )
@@ -751,9 +695,6 @@ __all__ = [
     "P2OtrMonitor",
     "P11OtrMonitor",
     "RoundCollator",
-    "StopPolicy",
-    "StopAfterHeld",
-    "StopOnViolationAfterDecision",
     "MonitorBank",
     "monitor_collection",
     "canonical_predicate_name",

@@ -61,7 +61,6 @@ class ArbitraryGoodPeriodProgram(StepProgram):
         initial_value: Any,
         params: SynchronyParams,
         trace: SystemRunTrace,
-        resend_init: bool = True,
         engine: Optional[RoundEngine] = None,
     ) -> None:
         super().__init__(process_id, n)
@@ -75,13 +74,6 @@ class ArbitraryGoodPeriodProgram(StepProgram):
             engine = RoundEngine(algorithm, StepTransport(n), trace)
         self.engine = engine
         self.transport: StepTransport = engine.transport
-        #: whether the INIT message is re-sent every ``tau_0`` receive steps
-        #: while the process is stuck in the same round.  Re-sending is needed
-        #: for liveness when an INIT sent during a bad period was lost (the
-        #: case analysed by Lemma B.8); sending it exactly once per timeout
-        #: window keeps the per-round step count of Theorem 6's proof (one
-        #: INIT send step followed by at most n receive steps).
-        self.resend_init = resend_init
         #: receive-step budget per round: ceil(tau_0) = ceil(2*delta + (2n+1)*phi)
         self.timeout = params.algorithm3_timeout(n)
         #: global receive-step counter driving the round-robin reception policy
@@ -136,7 +128,6 @@ class ArbitraryGoodPeriodProgram(StepProgram):
             self.trace.record_round_start(self.process_id, round_number, result.time)
 
             receive_steps = 0
-            init_sent = False
             last_time = result.time
             while next_round == round_number:
                 result = yield ReceiveStep()
@@ -161,8 +152,13 @@ class ArbitraryGoodPeriodProgram(StepProgram):
                         next_round = max(round_number + 1, next_round)
 
                 receive_steps += 1
-                if receive_steps >= self.timeout and (self.resend_init or not init_sent):
-                    init_sent = True
+                # The INIT is re-sent every tau_0 receive steps while the
+                # process is stuck in the same round: re-sending is needed for
+                # liveness when an INIT sent during a bad period was lost (the
+                # case analysed by Lemma B.8), and sending it exactly once per
+                # timeout window keeps the per-round step count of Theorem 6's
+                # proof (one INIT send step followed by at most n receive steps).
+                if receive_steps >= self.timeout:
                     receive_steps = 0
                     result = yield SendStep(
                         payload=init_message(round_number + 1, payload)
@@ -188,7 +184,6 @@ def build_arbitrary_period_programs(
     initial_values: Sequence[Any],
     params: SynchronyParams,
     trace: SystemRunTrace,
-    resend_init: bool = True,
     observers: Sequence[Any] = (),
 ) -> list[ArbitraryGoodPeriodProgram]:
     """One :class:`ArbitraryGoodPeriodProgram` per process, sharing *trace*.
@@ -211,7 +206,6 @@ def build_arbitrary_period_programs(
             initial_value=initial_values[p],
             params=params,
             trace=trace,
-            resend_init=resend_init,
             engine=engine,
         )
         for p in range(n)

@@ -82,7 +82,6 @@ def build_arbitrary_stack(
     params: SynchronyParams,
     trace: Optional[SystemRunTrace] = None,
     use_translation: bool = True,
-    resend_init: bool = True,
     observers: Sequence[Any] = (),
 ) -> PredicateStack:
     """An HO algorithm over (optionally Algorithm 4 over) Algorithm 3.
@@ -106,7 +105,6 @@ def build_arbitrary_stack(
         initial_values=initial_values,
         params=params,
         trace=shared_trace,
-        resend_init=resend_init,
         observers=observers,
     )
     return PredicateStack(

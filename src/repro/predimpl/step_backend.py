@@ -236,8 +236,6 @@ class ScalarStepBackend:
         env = _environment_of(task)
         n = batch.n
         algorithm = task.algorithm
-        if algorithm.n != n:
-            raise ValueError(f"algorithm is sized for n={algorithm.n}, batch has n={n}")
         scope = tuple(iter_bits(batch.effective_scope_mask))
         if not scope and not batch.run_full_horizon:
             # The scalar round loop runs zero rounds for an empty scope;
@@ -527,16 +525,17 @@ class BatchStepBackend:
         return get_backend("batch").run(lowered)
 
 
-def step_horizon_rounds(env: StepEnvironment, n: int, margin: int = 4) -> int:
+def step_horizon_rounds(env: StepEnvironment, n: int) -> int:
     """A round horizon safely covering a cell's time budget.
 
     Faulted cells are bounded by simulated time, not rounds; scenario code
     still needs a ``max_rounds`` for the outcome projection.  One round
     costs at least one send step plus the receive-step timeout at unit
-    step gaps, so this bound can never truncate a run's executed rounds.
+    step gaps, so this bound (plus a margin of four rounds) can never
+    truncate a run's executed rounds.
     """
     budget = env.bad_period_length + env.good_period_length
-    return margin + math.ceil(budget / (env.round_timeout(n) + 1))
+    return 4 + math.ceil(budget / (env.round_timeout(n) + 1))
 
 
 register_backend(ScalarStepBackend())

@@ -26,9 +26,9 @@ reference:
 * ``super`` -- :class:`repro.batch.super.SuperBatchBackend`: packs *many*
   heterogeneous batches (different n, horizons, fault models, monitored or
   not) into one padded row space and steps the whole grid in a single run
-  of the same lockstep loop, retiring rows as replicas decide; ineligible
-  cells (a kernel that cannot be built padded, unencodable values) take
-  the per-cell batch path instead.
+  of the same lockstep loop, retiring rows as replicas decide; a cell the
+  shared admission or the kernel constructor declines (unencodable values,
+  no batched kernel) runs on the scalar reference instead, as on ``batch``.
 
 The *contract* between backends is replica determinism: for every seed in
 the batch, a backend must produce exactly the decisions, decision rounds,
@@ -92,7 +92,7 @@ class MonitorSpec:
 
     Data only (predicate names as accepted by
     :func:`repro.predicates.build_monitor`, the Pi0 scope as a bitmask, and
-    the optional stop-after-held policy), so every backend builds its own
+    the optional stop-after-held rule), so every backend builds its own
     form from it: the vectorised ones a
     :class:`~repro.predicates.batch.BatchMonitorBank`, the scalar reference
     loops the observer :meth:`scalar_bank` returns.  *completion_scope*
@@ -145,6 +145,11 @@ class ReplicaBatch:
             raise ValueError(f"max_rounds must be positive, got {self.max_rounds}")
         if not self.tasks:
             raise ValueError("a replica batch needs at least one task")
+        for task in self.tasks:
+            if task.algorithm.n != self.n:
+                raise ValueError(
+                    f"algorithm is sized for n={task.algorithm.n}, batch has n={self.n}"
+                )
 
     @property
     def replicas(self) -> int:
@@ -304,8 +309,6 @@ class ScalarBackend:
     def _run_replica(self, batch: ReplicaBatch, task: ReplicaTask) -> ReplicaOutcome:
         n = batch.n
         algorithm = task.algorithm
-        if algorithm.n != n:
-            raise ValueError(f"algorithm is sized for n={algorithm.n}, batch has n={n}")
         scope = tuple(iter_bits(batch.effective_scope_mask))
         sink = _TallySink()
         monitor = batch.monitor_spec.scalar_bank(n) if batch.monitor_spec is not None else None

@@ -3,7 +3,7 @@
 Every execution backend that can decline to vectorise a cell records *why*
 in ``last_fallback_reason`` (and the super backend per cell in
 ``last_fallback_reasons``); the sweep executor stamps the reason into the
-wire record's backend label (``"super:cell-fallback (<reason>)"``), tests
+wire record's backend label (``"super:scalar-fallback (<reason>)"``), tests
 pin it, and the benchmark harness reports it.  Scattering the strings over
 the backends made the vocabulary drift-prone and impossible to audit, so
 they live here as one :class:`FallbackReason` enum: each member's value is
@@ -36,7 +36,6 @@ class FallbackReason(Enum):
     NO_NUMPY = "numpy unavailable (install the 'fast' extra)"
 
     # -- the round-level tiers' one admission (repro.batch.backends) --- #
-    SIZE_MISMATCH = "algorithm size does not match the batch"
     MIXED_ALGORITHMS = "mixed algorithm classes: {classes}"
     NO_BATCH_KERNEL = "no batched kernel for {algorithm}"
 

@@ -9,16 +9,17 @@ trace classes (:class:`repro.core.types.RunTrace` and
 instances, so the analysis layer (:mod:`repro.analysis`) consumes one schema
 regardless of which layer produced the trace.
 
-The heard-of set is stored as an integer bitmask (:mod:`.bitmask`); the
-``ho_set`` property converts to ``frozenset`` at the API boundary.
+The heard-of set is stored as an integer bitmask (:mod:`.bitmask`), the
+record's one heard-of field; the ``ho_set`` property converts it to a
+``frozenset`` at the API boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, FrozenSet, Iterable, Optional
+from typing import Any, FrozenSet, Optional
 
-from .bitmask import mask_of, mask_to_frozenset
+from .bitmask import mask_to_frozenset
 
 #: A process identifier (processes are numbered ``0 .. n-1``).
 ProcessId = int
@@ -32,9 +33,7 @@ class RoundRecord:
 
     *time* is the (normalised) time at which the transition ran: simulated
     time for step-level runs, the round number for lockstep round-level runs.
-    The heard-of set may be given either as an iterable of process ids
-    (*ho_set*, the API-boundary form) or directly as a bitmask (*ho_mask*,
-    the hot-path form).
+    *ho_mask* is the heard-of set as a bitmask.
     """
 
     __slots__ = (
@@ -51,16 +50,12 @@ class RoundRecord:
         self,
         process: ProcessId,
         round: Round,
-        ho_set: Optional[Iterable[ProcessId]] = None,
+        ho_mask: int = 0,
         state_after: Any = None,
         decision: Optional[Any] = None,
         sent_payload: Any = None,
         time: Optional[float] = None,
-        *,
-        ho_mask: Optional[int] = None,
     ) -> None:
-        if ho_mask is None:
-            ho_mask = 0 if ho_set is None else mask_of(ho_set)
         self.process = process
         self.round = round
         self.ho_mask = ho_mask

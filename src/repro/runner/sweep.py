@@ -396,15 +396,13 @@ def _cell_aggregates(outcomes: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
 def _fallback_label(name: str, reason: Optional[str]) -> str:
     """A record's backend label: *name*, or which hop it took and why.
 
-    The super backend degrades to the per-cell *batch* path (which may
-    still vectorise); the compiled backend degrades to the numpy batch
-    path; the batch and step-batch backends degrade to their scalar loop.
+    The compiled backend degrades to the numpy batch path; every other
+    tier (batch, super, step-batch) degrades straight to its scalar
+    reference.
     """
     if reason is None:
         return name
-    kind = {"super": "cell-fallback", "compiled": "batch-fallback"}.get(
-        name, "scalar-fallback"
-    )
+    kind = "batch-fallback" if name == "compiled" else "scalar-fallback"
     return f"{name}:{kind} ({reason})"
 
 
@@ -1124,11 +1122,11 @@ def run_sweep(
     together with all the others, into ONE cross-cell lockstep engine run
     -- the whole grid becomes the schedulable unit, monitored and
     fingerprinted cells included.  Super-batching is single-process by
-    design, so combining it with ``workers > 1`` raises ``ValueError``;
-    cells the grid path cannot take (no builder, a kernel that cannot be
-    built padded, unencodable values, numpy unavailable) fall back to the
-    per-cell batch machinery and are labelled
-    ``super:cell-fallback (reason)``.
+    design, so combining it with ``workers > 1`` raises ``ValueError``.
+    Cells without a builder take the per-cell path; cells the shared
+    admission or the kernel constructor declines (unencodable values,
+    numpy unavailable, ...) run on the scalar reference and are labelled
+    ``super:scalar-fallback (reason)``.
 
     *on_record* is invoked and every sink in *sinks* written as each run's
     record streams back (in completion order); sinks are closed when the

@@ -125,10 +125,6 @@ class StepProgram(abc.ABC):
         returned envelope must be an element of *buffered*.
         """
 
-    def describe(self) -> str:
-        """One-line description used in logs and benchmark reports."""
-        return f"{type(self).__name__}(p{self.process_id})"
-
 
 @dataclass
 class ProcessStats:

@@ -94,7 +94,6 @@ def _run_down(
     schedule: PeriodSchedule,
     until: float,
     seed: int,
-    good_step_gap: Optional[float] = None,
 ):
     params = SynchronyParams(phi=phi, delta=delta)
     stack = build_down_stack(OneThirdRule(n), _initial_values(n), params)
@@ -106,7 +105,6 @@ def _run_down(
         trace=stack.trace,
         bad_network=DEFAULT_BAD_NETWORK,
         bad_process_behavior=DEFAULT_BAD_BEHAVIOR,
-        good_step_gap=good_step_gap,
     )
     simulator.run(until=until)
     return stack.trace

@@ -180,19 +180,22 @@ class TestBitIdenticalReplicas:
         assert outcomes == reference
 
     def test_mis_sized_algorithm_rejected_identically(self):
-        """Both backends must reject an algorithm sized for a different n."""
-        def bad_batch():
-            return ReplicaBatch(
-                n=5,
-                tasks=[ReplicaTask(0, OneThirdRule(8), FaultFreeOracle(5),
-                                   [1, 2, 3, 4, 5])],
-                max_rounds=5,
-            )
+        """No tier sees an algorithm sized for a different n: the batch
+        cannot be built, whatever algorithm mix or environment it carries."""
+        from repro.predimpl.step_backend import StepEnvironment
 
-        with pytest.raises(ValueError, match="sized for n=8"):
-            get_backend("scalar").run(bad_batch())
-        with pytest.raises(ValueError, match="sized for n=8"):
-            get_backend("batch").run(bad_batch())
+        def task(seed, algorithm, oracle=FaultFreeOracle(5)):
+            return ReplicaTask(seed, algorithm, oracle, [1, 2, 3, 4, 5])
+
+        shapes = [
+            [task(0, OneThirdRule(8))],
+            [task(0, OneThirdRule(5)), task(1, OneThirdRule(8))],
+            [task(0, OneThirdRule(8)), task(1, UniformVoting(5))],
+            [task(0, OneThirdRule(8), StepEnvironment())],
+        ]
+        for tasks in shapes:
+            with pytest.raises(ValueError, match="algorithm is sized for n=8, batch has n=5"):
+                ReplicaBatch(n=5, tasks=tasks, max_rounds=5)
 
     def test_fallback_on_unknown_algorithm(self):
         class Custom(OneThirdRule):

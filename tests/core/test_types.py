@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.types import (
     HOCollection,
+    RoundRecord,
     RunTrace,
     all_processes,
     validate_process_subset,
@@ -126,30 +127,24 @@ class TestHOCollection:
 
 class TestRunTrace:
     def test_decisions_and_rounds(self):
-        from repro.core.types import ProcessRoundRecord
-
         trace = RunTrace(n=2, ho_collection=HOCollection(2))
-        trace.records.append(ProcessRoundRecord(0, 1, frozenset({0, 1}), "s", None))
-        trace.records.append(ProcessRoundRecord(0, 2, frozenset({0, 1}), "s", 42))
-        trace.records.append(ProcessRoundRecord(1, 2, frozenset({0, 1}), "s", 42))
+        trace.records.append(RoundRecord(0, 1, 0b11, "s", None))
+        trace.records.append(RoundRecord(0, 2, 0b11, "s", 42))
+        trace.records.append(RoundRecord(1, 2, 0b11, "s", 42))
         assert trace.decisions() == {0: 42, 1: 42}
         assert trace.decision_rounds() == {0: 2, 1: 2}
         assert trace.all_decided()
         assert trace.all_decided(scope=[0])
 
     def test_all_decided_false_when_someone_missing(self):
-        from repro.core.types import ProcessRoundRecord
-
         trace = RunTrace(n=2, ho_collection=HOCollection(2))
-        trace.records.append(ProcessRoundRecord(0, 1, frozenset(), "s", 1))
+        trace.records.append(RoundRecord(0, 1, 0, "s", 1))
         assert not trace.all_decided()
         assert trace.all_decided(scope=[0])
 
     def test_records_for_process_sorted_by_round(self):
-        from repro.core.types import ProcessRoundRecord
-
         trace = RunTrace(n=1, ho_collection=HOCollection(1))
-        trace.records.append(ProcessRoundRecord(0, 2, frozenset(), "b", None))
-        trace.records.append(ProcessRoundRecord(0, 1, frozenset(), "a", None))
+        trace.records.append(RoundRecord(0, 2, 0, "b", None))
+        trace.records.append(RoundRecord(0, 1, 0, "a", None))
         rounds = [record.round for record in trace.records_for_process(0)]
         assert rounds == [1, 2]

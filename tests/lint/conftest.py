@@ -12,9 +12,16 @@ import textwrap
 from pathlib import Path
 from typing import Dict, List
 
+from repro.lint.determinism import RULES
 from repro.lint.engine import LintResult, lint_paths
 from repro.lint.findings import Finding
-from repro.lint.rules import FileContext, get_rule
+from repro.lint.rules import FileContext, SourceRule
+
+
+def rule(code: str) -> SourceRule:
+    """The rule with *code*."""
+    (found,) = [r for r in RULES if r.code == code]
+    return found
 
 
 def check_rule(code: str, source: str, module: str = "repro.fake",
@@ -25,7 +32,7 @@ def check_rule(code: str, source: str, module: str = "repro.fake",
         path = "src/" + module.replace(".", "/") + tail
     ctx = FileContext.parse(path, module, textwrap.dedent(source),
                             is_package=is_package)
-    return get_rule(code).check(ctx)
+    return rule(code).check(ctx)
 
 
 def write_tree(root: Path, files: Dict[str, str]) -> Path:

@@ -1,14 +1,14 @@
 """Fixture tests for the determinism rules (REP001-REP006, REP104).
 
-Each rule gets the pair the linter's contract promises: the violation
-*fires*, and an inline ``# repro: noqa[...] -- reason`` *suppresses* it.
+Each violation *fires* alone and lands on its line; each rule's sanctioned
+patterns, and the modules its scope leaves out, stay silent.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from .conftest import check_rule, codes_of, run_lint
+from .conftest import check_rule, codes_of, rule, run_lint
 
 #: (code, fixture path, source, 1-based line the finding lands on).
 VIOLATIONS = [
@@ -47,19 +47,38 @@ IDS = [f"{code}-{i}" for i, (code, _, _, _) in enumerate(VIOLATIONS)]
 
 @pytest.mark.parametrize("code, rel, source, line", VIOLATIONS, ids=IDS)
 def test_violation_fires(tmp_path, code, rel, source, line):
-    result = run_lint(tmp_path, {rel: source}, select=[code])
+    result = run_lint(tmp_path, {rel: source})
     assert codes_of(result) == [code]
     assert result.findings[0].line == line
     assert result.findings[0].path == rel
 
 
+#: Inline comments that once exempted a line (both spellings, in the compact
+#: form the old parser also took); a rule's scope is the only exemption now,
+#: so neither may silence a finding.
+COMMENTS = {
+    "house": "#repro:noqa[{code}] -- fixture demo",
+    "ruff": "#noqa:{code}",
+}
+
+
+@pytest.mark.parametrize("form", sorted(COMMENTS))
 @pytest.mark.parametrize("code, rel, source, line", VIOLATIONS, ids=IDS)
-def test_violation_suppressed(tmp_path, code, rel, source, line):
+def test_violation_fires_through_a_comment(tmp_path, code, rel, source, line, form):
     lines = source.splitlines()
-    lines[line - 1] += f"  # repro: noqa[{code}] -- fixture demo"
+    lines[line - 1] += "  " + COMMENTS[form].format(code=code)
     result = run_lint(tmp_path, {rel: "\n".join(lines) + "\n"})
+    assert codes_of(result) == [code]
+    assert result.findings[0].line == line
+
+
+def test_comment_on_a_clean_line_is_no_finding(tmp_path):
+    # No hygiene pass: a stale or bogus exemption comment is just a comment.
+    result = run_lint(tmp_path, {
+        "repro/a.py": "x = 1  #repro:noqa[REP001] -- nothing here\n",
+        "helpers/b.py": "y = 2  #repro:noqa[REP999]\n",
+    })
     assert result.clean, [f.render() for f in result.findings]
-    assert result.suppressed == 1
 
 
 # --- per-rule negatives: the sanctioned patterns stay silent ------------- #
@@ -77,18 +96,22 @@ def test_rep001_type_checking_guard_is_sanctioned():
 def test_rep001_ignores_non_repro_modules():
     ctx_findings = check_rule("REP001", "import random\n", module="repro.fake")
     assert ctx_findings  # sanity: same snippet fires inside the package
-    from repro.lint.rules import get_rule
+    assert not rule("REP001").applies_to(None)
+    assert not rule("REP001").applies_to("tests.something")
 
-    assert not get_rule("REP001").applies_to(None)
-    assert not get_rule("REP001").applies_to("tests.something")
+
+def test_rep001_random_owning_modules_are_exempt():
+    rep001 = rule("REP001")
+    assert not rep001.applies_to("repro.engine.rng")
+    assert not rep001.applies_to("repro.failure_detectors.detectors")
+    assert rep001.applies_to("repro.engine.counter")
+    assert rep001.applies_to("repro.failure_detectors.chandra_toueg")
 
 
 def test_rep002_optional_module_is_exempt():
-    from repro.lint.rules import get_rule
-
-    rule = get_rule("REP002")
-    assert not rule.applies_to("repro._optional")
-    assert rule.applies_to("repro.batch.backends")
+    rep002 = rule("REP002")
+    assert not rep002.applies_to("repro._optional")
+    assert rep002.applies_to("repro.batch.backends")
 
 
 def test_rep003_perf_counter_is_allowed():

@@ -34,9 +34,13 @@ def test_missing_path_raises(tmp_path):
         lint_paths([str(tmp_path / "no-such-dir")])
 
 
-def test_unknown_select_code_raises(tmp_path):
-    with pytest.raises(KeyError, match="REP999"):
-        lint_paths([str(tmp_path)], select=["REP999"])
+def test_no_comment_exempts_a_line(tmp_path):
+    # A rule's scope is the only exemption: comments carry no meaning.
+    result = run_lint(tmp_path, {
+        "repro/a.py": "import random  # noqa\n",
+        "repro/b.py": "import random  # REP001 is wrong here, and that is fine\n",
+    })
+    assert codes_of(result) == ["REP001", "REP001"]
 
 
 def test_explicit_file_paths_and_dedup(tmp_path):

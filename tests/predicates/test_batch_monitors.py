@@ -123,7 +123,7 @@ class TestBatchedMonitorEquivalence:
         import numpy as np
 
         from repro.predicates.batch import BatchMonitorBank
-        from repro.predicates import StopAfterHeld, build_monitor_bank
+        from repro.predicates import build_monitor_bank
 
         n = 4
         streams = [random_mask_rounds(n, 15, 70 + seed, 0.5) for seed in range(5)]
@@ -131,7 +131,7 @@ class TestBatchedMonitorEquivalence:
         scalar_banks = [
             build_monitor_bank(n, ("p_k",), stop_after_held=3) for _ in streams
         ]
-        assert isinstance(scalar_banks[0].stop_policies[0], StopAfterHeld)
+        assert scalar_banks[0].stop_after_held == 3
         active = np.ones(5, dtype=bool)
         stops = [None] * 5
         for round in range(1, 16):

@@ -1,4 +1,4 @@
-"""Unit tests for the streaming predicate monitors, collator, bank and policies."""
+"""Unit tests for the streaming predicate monitors, collator, bank and stop rule."""
 
 from __future__ import annotations
 
@@ -18,8 +18,6 @@ from repro.predicates import (
     PRestrOtrMonitor,
     PSuMonitor,
     RoundCollator,
-    StopAfterHeld,
-    StopOnViolationAfterDecision,
     build_monitor,
     canonical_predicate_name,
     monitor_collection,
@@ -180,30 +178,16 @@ class TestRoundCollator:
 class TestStopPolicies:
     def test_stop_after_held(self):
         n = 2
-        bank = MonitorBank(
-            n, [PSuMonitor(n, {0, 1})], stop_policies=[StopAfterHeld(3, predicate="p_su")]
-        )
+        bank = MonitorBank(n, [PSuMonitor(n, {0, 1})], stop_after_held=3)
         for round in (1, 2):
             bank.observe_round(round, [full(n)] * n)
             assert not bank.stop_requested
         bank.observe_round(3, [full(n)] * n)
         assert bank.stop_requested
 
-    def test_stop_on_violation_after_decision(self):
-        n = 2
-        bank = MonitorBank(
-            n, [PSuMonitor(n, {0, 1})], stop_policies=[StopOnViolationAfterDecision()]
-        )
-        bank.on_record(RoundRecord(process=0, round=1, ho_mask=full(n)))
-        bank.on_record(RoundRecord(process=1, round=1, ho_mask=full(n)))
-        assert not bank.stop_requested  # no decision yet
-        bank.on_record(RoundRecord(process=0, round=2, ho_mask=0, decision=7))
-        bank.on_record(RoundRecord(process=1, round=2, ho_mask=0))
-        assert bank.stop_requested  # decided, then a violated round
-
     def test_stop_after_held_validates_rounds(self):
-        with pytest.raises(ValueError):
-            StopAfterHeld(0)
+        with pytest.raises(ValueError, match="at least 1"):
+            MonitorBank(2, [PSuMonitor(2)], stop_after_held=0)
 
 
 class TestBank:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.algorithms import OneThirdRule
 from repro.core.machine import HOMachine
 from repro.core.types import HOCollection, RunTrace
-from repro.predicates import MonitorBank, PSuMonitor, StopAfterHeld, build_monitor
+from repro.predicates import MonitorBank, PSuMonitor, build_monitor
 from repro.rounds.engine import OracleTransport, RoundEngine, RoundObserver, StepTransport
 
 
@@ -70,12 +70,10 @@ class TestLockstepObservers:
 
     def test_run_until_decision_honours_stop_policies(self):
         n = 4
-        bank = MonitorBank(
-            n, [PSuMonitor(n)], stop_policies=[StopAfterHeld(1, predicate="p_su")]
-        )
+        bank = MonitorBank(n, [PSuMonitor(n)], stop_after_held=1)
         # With distinct initial values OneThirdRule needs two fault-free
         # rounds to decide; the fault-free oracle is space uniform from
-        # round 1, so the held-for-1 policy stops the machine first.
+        # round 1, so the held-for-1 rule stops the machine first.
         machine = HOMachine(OneThirdRule(n), full_oracle, [1, 2, 3, 4], observers=[bank])
         machine.run_until_decision(max_rounds=50)
         assert bank.stop_requested

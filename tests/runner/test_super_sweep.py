@@ -3,7 +3,7 @@
 ``run_sweep(backend="super")`` builds a CellPlan per cell through the
 registry and hands every batch to the super backend in one call.  These
 tests pin the records equal to the scalar reference, the backend labels
-(``super`` / ``super:cell-fallback (reason)``), the single-process
+(``super`` / ``super:scalar-fallback (reason)``), the single-process
 constraint (library ValueError and CLI exit 2), and the CellPlan builder
 registry itself.
 """
@@ -118,10 +118,24 @@ class TestSuperSweep:
                 "step-batch:scalar-fallback ("
             )
             assert labels[("ho-classic-otr", "fault-free")].startswith(
-                "super:cell-fallback ("
+                "super:scalar-fallback ("
             )
         assert labels[("ho-step-down-otr", "lossy")].startswith(
             "step-batch:scalar-fallback ("
+        )
+
+    def test_declined_cell_is_labelled_with_the_hop_batch_takes(self, monkeypatch):
+        """A cell ``super`` declines runs on the scalar reference, exactly
+        where ``batch`` sends it, so the two labels differ only in the tier."""
+        monkeypatch.setattr("repro._optional.NUMPY", None)
+        specs = build_grid(
+            scenarios=["ho-classic-otr"], fault_models=["fault-free"], seeds=[0], ns=[4]
+        )
+        sup = run_sweep(specs, replicas=2, backend="super").records[0]
+        per_cell = run_sweep(specs, replicas=2, backend="batch").records[0]
+        assert sup.replicas["backend"].startswith("super:scalar-fallback (numpy unavailable")
+        assert sup.replicas["backend"].split(":", 1)[1] == (
+            per_cell.replicas["backend"].split(":", 1)[1]
         )
 
 

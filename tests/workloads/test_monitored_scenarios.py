@@ -103,14 +103,14 @@ class TestHoStackMonitoring:
 
     def test_full_horizon_run_never_claims_early_stop(self):
         """Regression: finalize() drains pending rounds without evaluating
-        stop policies, so a run that went the distance must report
+        the stop rule, so a run that went the distance must report
         stopped_early=False even though the drained tail would have
-        satisfied the attached policy."""
-        from repro.predicates import MonitorBank, PSuMonitor, StopAfterHeld
+        satisfied it."""
+        from repro.predicates import MonitorBank, PSuMonitor
         from repro.rounds.record import RoundRecord
 
         n = 2
-        bank = MonitorBank(n, [PSuMonitor(n, pi0={0})], stop_policies=[StopAfterHeld(2)])
+        bank = MonitorBank(n, [PSuMonitor(n, pi0={0})], stop_after_held=2)
         # only process 0 ever reports: no round completes live, but every
         # drained round is space uniform for pi0={0}
         for round in (1, 2, 3):
