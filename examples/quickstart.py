@@ -202,9 +202,9 @@ def main() -> None:
 
     # The compiled tier: backend="compiled" fuses each cell's WHOLE round
     # loop into one nopython call per word chunk -- numba JIT-compiles the
-    # chunk cores when it is importable (the "compiled" extra; "fast"
-    # pulls it in), and without numba every cell degrades to the numpy
-    # batch path with the reason recorded on the cell record.  Outcomes
+    # chunk cores when it is importable (the "compiled" extra), and
+    # without numba every cell degrades to the numpy batch path with the
+    # reason recorded on the cell record.  Outcomes
     # are bit-identical on every tier, so which one executed is purely a
     # performance fact, not a scientific one.
     print("--- the compiled tier: JIT'd round loops (or a recorded fallback) ---")

@@ -1,24 +1,14 @@
-"""Optional third-party dependencies, resolved once per process.
+"""The one optional third-party dependency, resolved once per process.
 
-Two optional dependencies exist today, both shipped via extras:
+**numba** (the ``compiled`` extra): the compiled kernel tier
+(:mod:`repro.compiled`) JITs the batched transition kernels and the
+splitmix64 counter path; without it every compiled cell degrades to the
+numpy batch path (and further to scalar) with identical results.  All users
+go through :data:`NUMBA` / :func:`have_numba`, so there is exactly one
+import guard for it in the code base.
 
-* **numpy** (the ``fast`` extra): the batch execution backend
-  (:mod:`repro.batch`) vectorises replica batches with it, and every
-  consumer degrades to a pure-Python path when it is absent.
-* **numba** (the ``compiled`` extra, also pulled in by ``fast``): the
-  compiled kernel tier (:mod:`repro.compiled`) JITs the batched transition
-  kernels and the splitmix64 counter path; without it every compiled cell
-  degrades to the numpy batch path (and further to scalar) with identical
-  results.
-
-All users go through :data:`NUMPY` / :func:`have_numpy` and
-:data:`NUMBA` / :func:`have_numba` so there is exactly one import-guard
-per dependency in the code base.
-
-Set ``REPRO_DISABLE_NUMPY=1`` or ``REPRO_DISABLE_NUMBA=1`` in the
-environment to pretend the dependency is not installed -- CI uses these
-(and genuinely dependency-free matrix legs) to keep the fallback paths
-honest.
+Set ``REPRO_DISABLE_NUMBA=1`` in the environment to pretend numba is not
+installed -- CI uses it to keep the fallback path honest.
 """
 
 from __future__ import annotations
@@ -26,27 +16,14 @@ from __future__ import annotations
 import os
 from typing import Any, Optional
 
+import numpy
 
-def _load_numpy() -> Optional[Any]:
-    if os.environ.get("REPRO_DISABLE_NUMPY"):
-        return None
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy
-
-
-#: The numpy module, or None when unavailable (not installed, or disabled
-#: via ``REPRO_DISABLE_NUMPY``).  Resolved at import time: flipping the
-#: environment variable mid-process does not re-resolve it.
-NUMPY = _load_numpy()
+#: numpy, a declared dependency: kept here only because bench/ reports its version.
+NUMPY = numpy
 
 
 def _load_numba() -> Optional[Any]:
-    # The compiled tier operates on numpy arrays; numba without numpy is
-    # not a configuration the kernels can run under.
-    if os.environ.get("REPRO_DISABLE_NUMBA") or NUMPY is None:
+    if os.environ.get("REPRO_DISABLE_NUMBA"):
         return None
     try:
         import numba
@@ -55,26 +32,10 @@ def _load_numba() -> Optional[Any]:
     return numba
 
 
-#: The numba module, or None when unavailable (not installed, disabled via
-#: ``REPRO_DISABLE_NUMBA``, or numpy itself is unavailable).  Resolved at
-#: import time, like :data:`NUMPY`.
+#: The numba module, or None when unavailable (not installed, or disabled via
+#: ``REPRO_DISABLE_NUMBA``).  Resolved at import time: flipping the
+#: environment variable mid-process does not re-resolve it.
 NUMBA = _load_numba()
-
-
-def have_numpy() -> bool:
-    """Whether the vectorised (numpy) paths are available in this process."""
-    return NUMPY is not None
-
-
-def require_numpy() -> Any:
-    """Return numpy or raise a pointed error naming the ``fast`` extra."""
-    if NUMPY is None:
-        raise RuntimeError(
-            "this code path needs numpy; install the 'fast' extra "
-            "(pip install 'repro-hutle-schiper-2007[fast]') or use the "
-            "pure-Python scalar backend"
-        )
-    return NUMPY
 
 
 def have_numba() -> bool:
@@ -86,6 +47,4 @@ __all__ = [
     "NUMBA",
     "NUMPY",
     "have_numba",
-    "have_numpy",
-    "require_numpy",
 ]

@@ -34,7 +34,8 @@ from __future__ import annotations
 
 from typing import Any, List, Protocol, Sequence, runtime_checkable
 
-from .._optional import require_numpy
+import numpy as np
+
 from ..batch.arrays import pack_bools
 from ..rounds.bitmask import full_mask, mask_to_words, word_count
 from .base import HOOracleBase
@@ -62,7 +63,6 @@ class BroadcastBatchOracle:
     """One replica-invariant scalar oracle, broadcast across the replica axis."""
 
     def __init__(self, oracle: HOOracleBase, replicas: int) -> None:
-        np = require_numpy()
         if not getattr(oracle, "replica_invariant", False):
             raise ValueError(
                 f"{type(oracle).__name__} is not replica-invariant; "
@@ -103,14 +103,12 @@ class PerReplicaBatchOracle:
     """
 
     def __init__(self, oracles: Sequence[HOOracleBase]) -> None:
-        np = require_numpy()
         if not oracles:
             raise ValueError("at least one per-replica oracle is required")
         n = oracles[0].n
         for oracle in oracles:
             if oracle.n != n:
                 raise ValueError("per-replica oracles must share one system size")
-        self.np = np
         self.oracles = list(oracles)
         self.n = n
         self.replicas = len(self.oracles)
@@ -119,7 +117,7 @@ class PerReplicaBatchOracle:
         self._buffer = np.zeros((self.replicas, n, self._words), dtype=np.uint64)
 
     def round_masks(self, round: int, active: Any) -> Any:
-        self._fill(round, self.np.flatnonzero(active))
+        self._fill(round, np.flatnonzero(active))
         return self._buffer
 
     def _fill(self, round: int, rows: Any) -> None:
@@ -151,7 +149,7 @@ class RandomOmissionBatchOracle(PerReplicaBatchOracle):
         n = self.n
         self._loss = oracles[0].loss_probability
         self._randoms = [oracle._stream.random for oracle in oracles]
-        self._heard = self.np.ones((self.replicas, n, n), dtype=bool)
+        self._heard = np.ones((self.replicas, n, n), dtype=bool)
         # The drawn entries as a view in draw order: everything, or -- the
         # diagonal staying True -- the off-diagonal as (R, n-1, n).
         self._drawn = self._heard
@@ -165,7 +163,7 @@ class RandomOmissionBatchOracle(PerReplicaBatchOracle):
         draws = self._draws
         randoms = self._randoms
         units = [[randoms[r]() for _ in draws] for r in rows.tolist()]
-        kept = self.np.array(units, dtype=float) >= self._loss
+        kept = np.array(units, dtype=float) >= self._loss
         self._drawn[rows] = kept.reshape(len(rows), *self._drawn.shape[1:])
         self._buffer[rows] = pack_bools(self._heard[rows], self.n)
 

@@ -36,7 +36,8 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence, Tuple
 
-from .._optional import require_numpy
+import numpy as np
+
 from ..batch.arrays import pack_bools
 from ..engine.counter import (
     DrawScratch,
@@ -67,9 +68,7 @@ class _CounterDualBase:
     """
 
     def __init__(self, oracles: Sequence[Any]) -> None:
-        np = require_numpy()
         first = oracles[0]
-        self.np = np
         self.n = first.n
         self.replicas = len(oracles)
         # The per-replica stream keys -- the same derive_seed(seed_i, name)
@@ -95,8 +94,8 @@ class _CounterDualBase:
         if self._scratch is None:
             shape = (self.replicas, self.n, self.n)
             self._scratch = (
-                DrawScratch(self.np, shape),
-                self.np.empty(shape, dtype=bool),
+                DrawScratch(shape),
+                np.empty(shape, dtype=bool),
             )
         return self._scratch
 
@@ -110,7 +109,7 @@ class _CounterDualBase:
         draw, coins = self._link_scratch()
         if active.all():
             return None, self.keys, draw, coins
-        rows = self.np.flatnonzero(active)
+        rows = np.flatnonzero(active)
         return rows, self.keys[rows], draw.leading(len(rows)), coins[: len(rows)]
 
     def _spread(self, rows: Optional[Any], words: Any) -> Any:
@@ -121,21 +120,16 @@ class _CounterDualBase:
         """
         if rows is None:
             return words
-        spread = self.np.zeros(
-            (self.replicas, self.n, self._words), dtype=self.np.uint64
-        )
+        spread = np.zeros((self.replicas, self.n, self._words), dtype=np.uint64)
         spread[rows] = words
         return spread
 
     def _full_rows(self) -> Any:
         """The all-heard ``(R, n, W)`` array (stabilised / healed rounds)."""
-        np = self.np
-        return np.broadcast_to(
-            self._full_words, (self.replicas, self.n, self._words)
-        )
+        return np.broadcast_to(self._full_words, (self.replicas, self.n, self._words))
 
 
-def _select(np: Any, mask: Any, if_true: Any, if_false: Any, out: Any) -> None:
+def _select(mask: Any, if_true: Any, if_false: Any, out: Any) -> None:
     """``out = where(mask, if_true, if_false)`` on bool arrays, no temporary.
 
     Branch-free (``f ^ (mask & (t ^ f))``) and destructive: *if_true* is
@@ -162,14 +156,11 @@ class MobileOmissionBatchDual(_CounterDualBase):
         self.stable_from = first.stable_from
 
     def round_masks(self, round: int, active: Any) -> Any:
-        np = self.np
         if (
             self.stable_from is not None and round >= self.stable_from
         ) or self.faults == 0:
             return self._full_rows()
-        hashes = counter_hash_array(
-            np, self.keys[:, None], [np.uint64(round), self._arange]
-        )
+        hashes = counter_hash_array(self.keys[:, None], [np.uint64(round), self._arange])
         order = np.argsort(hashes, axis=1, kind="stable")
         silenced = np.zeros((self.replicas, self.n), dtype=bool)
         np.put_along_axis(silenced, order[:, : self.faults], True, axis=1)
@@ -198,11 +189,9 @@ class RotatingPartitionBatchDual(_CounterDualBase):
         self._epoch_words: Optional[Any] = None
 
     def _advance_to(self, epoch: int) -> None:
-        np = self.np
         while self._next_epoch <= epoch:
             e = self._next_epoch
             block_draw = counter_hash_array(
-                np,
                 self.keys[:, None],
                 [np.uint64(1), np.uint64(e), self._arange],
             ) % np.uint64(self.blocks)
@@ -210,7 +199,6 @@ class RotatingPartitionBatchDual(_CounterDualBase):
                 assignment = block_draw
             else:
                 churn_u = units_of_counters(
-                    np,
                     self.keys[:, None],
                     [np.uint64(0), np.uint64(e), self._arange],
                 )
@@ -256,7 +244,6 @@ class BurstyLossBatchDual(_CounterDualBase):
 
     def __init__(self, oracles: Sequence[BurstyLossOracle]) -> None:
         super().__init__(oracles)
-        np = self.np
         first = oracles[0]
         self.stable_from = first.stable_from
         self._burst = coin_threshold(first.p_burst)
@@ -274,7 +261,6 @@ class BurstyLossBatchDual(_CounterDualBase):
         self._eye = eye[None, :, :]
 
     def _advance_to(self, round: int, active: Any) -> None:
-        np = self.np
         p_axis = self._arange[:, None]
         q_axis = self._arange[None, :]
         rows, keys, draw, coins = self._live(active)
@@ -284,18 +270,14 @@ class BurstyLossBatchDual(_CounterDualBase):
         while self._computed_round < round:
             self._computed_round += 1
             r = np.uint64(self._computed_round)
-            state = counter_hash_array(
-                np, keys, [np.uint64(0), r, p_axis, q_axis], out=draw
-            )
-            coins_not_below(np, state, self._recover, out=coins)
-            coins_below(np, state, self._burst, out=alt)
-            _select(np, bursty, coins, alt, out=bursty)
-            loss = counter_hash_array(
-                np, keys, [np.uint64(1), r, p_axis, q_axis], out=draw
-            )
-            coins_not_below(np, loss, self._loss_burst, out=coins)
-            coins_not_below(np, loss, self._loss_good, out=alt)
-            _select(np, bursty, coins, alt, out=coins)
+            state = counter_hash_array(keys, [np.uint64(0), r, p_axis, q_axis], out=draw)
+            coins_not_below(state, self._recover, out=coins)
+            coins_below(state, self._burst, out=alt)
+            _select(bursty, coins, alt, out=bursty)
+            loss = counter_hash_array(keys, [np.uint64(1), r, p_axis, q_axis], out=draw)
+            coins_not_below(loss, self._loss_burst, out=coins)
+            coins_not_below(loss, self._loss_good, out=alt)
+            _select(bursty, coins, alt, out=coins)
         coins |= self._eye
         if rows is not None:
             self._bursty[rows] = bursty
@@ -343,22 +325,20 @@ class EventuallyStableCoordinatorBatchDual(_CounterDualBase):
         self._background = coin_threshold(first.background_probability)
 
     def round_masks(self, round: int, active: Any) -> Any:
-        np = self.np
         if round >= self.stable_from:
             return self._full_rows()
         r = np.uint64(round)
         n = self.n
         rows, keys, draw, heard = self._live(active)
-        pretender = counter_hash_array(np, keys, [np.uint64(0), r]) % np.uint64(n)
+        pretender = counter_hash_array(keys, [np.uint64(0), r]) % np.uint64(n)
         background = counter_hash_array(
-            np,
             keys[:, None, None],
             [np.uint64(2), r, self._arange[:, None], self._arange[None, :]],
             out=draw,
         )
-        coins_below(np, background, self._background, out=heard)
+        coins_below(background, self._background, out=heard)
         flaky_ok = (
-            units_of_counters(np, keys[:, None], [np.uint64(1), r, self._arange])
+            units_of_counters(keys[:, None], [np.uint64(1), r, self._arange])
             >= self.flaky_probability
         )
         idx = np.broadcast_to(
@@ -385,7 +365,6 @@ class CounterKernelBatchDual(_CounterDualBase):
 
     def __init__(self, oracles: Sequence[CounterKernelOracle]) -> None:
         super().__init__(oracles)
-        np = self.np
         first = oracles[0]
         self.pi0 = first.pi0
         member = np.zeros(self.n, dtype=bool)
@@ -396,19 +375,18 @@ class CounterKernelBatchDual(_CounterDualBase):
         self._pi0_words = pack_bools(member[None, :], self.n)[0]
 
     def round_masks(self, round: int, active: Any) -> Any:
-        np = self.np
         r = np.uint64(round)
         rows, keys, draw, coins = self._live(active)
         keys = keys[:, None, None]
         p_axis = self._arange[:, None]
         q_axis = self._arange[None, :]
-        extras = counter_hash_array(np, keys, [np.uint64(0), r, p_axis, q_axis], out=draw)
-        coins_below(np, extras, _FAIR_COIN, out=coins)
+        extras = counter_hash_array(keys, [np.uint64(0), r, p_axis, q_axis], out=draw)
+        coins_below(extras, _FAIR_COIN, out=coins)
         coins &= self._outsider[None, None, :]
         member_words = pack_bools(coins, self.n)
         member_words |= self._pi0_words[None, None, :]
-        outsider = counter_hash_array(np, keys, [np.uint64(1), r, p_axis, q_axis], out=draw)
-        coins_below(np, outsider, _FAIR_COIN, out=coins)
+        outsider = counter_hash_array(keys, [np.uint64(1), r, p_axis, q_axis], out=draw)
+        coins_below(outsider, _FAIR_COIN, out=coins)
         outsider_words = pack_bools(coins, self.n)
         outsider_words |= self._self_bits[None, :, :]
         return self._spread(

@@ -9,7 +9,7 @@
 
 :mod:`repro.algorithms.batched` holds the replica-vectorised batch kernels
 of all three (the ``(R, n)``-array duals behind the batch execution
-backend); importable without numpy, runnable only with it.
+backend).
 """
 
 from .batched import (

@@ -33,9 +33,6 @@ The scalar tie-breaks faithfully reproduced here:
 * LastVoting's coordinator picks, among highest-timestamp estimates, the
   value that is smallest *by* ``repr`` (the scalar ``sorted(..., key=repr)``),
   which the kernel precomputes as a per-replica repr-rank permutation.
-
-This module imports numpy lazily through :mod:`repro._optional`; it is
-importable without numpy, and only constructing a kernel requires it.
 """
 
 from __future__ import annotations
@@ -43,7 +40,8 @@ from __future__ import annotations
 import abc
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
-from .._optional import require_numpy
+import numpy as np
+
 from ..rounds.fallback import FallbackReason
 from .last_voting import LastVoting
 from .one_third_rule import OneThirdRule
@@ -162,8 +160,6 @@ class BatchKernel(abc.ABC):
         """*encoded* holds one :func:`encode_values` ``(table, codes)`` pair
         per row; :meth:`from_cells` derives it and *row_n* from validated
         batches, and is how the backends build every kernel."""
-        np = require_numpy()
-        self.np = np
         self.n = n
         self.replicas = len(encoded)
         # Mixed-n row spaces: row r simulates row_n[r] <= n real processes;
@@ -208,13 +204,12 @@ class BatchKernel(abc.ABC):
         buffers = self.__dict__.setdefault("_scratch_buffers", {})
         buffer = buffers.get(name)
         if buffer is None or buffer.shape != shape or buffer.dtype != dtype:
-            buffer = self.np.empty(shape, dtype=dtype)
+            buffer = np.empty(shape, dtype=dtype)
             buffers[name] = buffer
         return buffer
 
     def _record_decisions(self, round: int, fire: Any, value_codes: Any) -> None:
         """Latch first decisions: where *fire*, decide *value_codes* at *round*."""
-        np = self.np
         fresh = fire & (self.decision_code < 0)
         self.decision_code = np.where(fresh, value_codes, self.decision_code)
         self.decision_round = np.where(fresh, round, self.decision_round)
@@ -222,7 +217,7 @@ class BatchKernel(abc.ABC):
     def _row_sizes(self) -> Any:
         """Per-row process count as an ``(R, 1)`` column (scalar when uniform)."""
         if self.row_n is None:
-            return self.np.int32(self.n)
+            return np.int32(self.n)
         return self.row_n[:, None]
 
     # ------------------------------------------------------------------ #
@@ -240,7 +235,7 @@ class BatchKernel(abc.ABC):
         gathers every per-row state array so the lockstep step touches only
         the rows kept.  Callers own the old-index -> new-index mapping.
         """
-        keep = self.np.asarray(keep, dtype=self.np.int64)
+        keep = np.asarray(keep, dtype=np.int64)
         for name in self._state_array_names():
             setattr(self, name, getattr(self, name)[keep])
         self.tables = [self.tables[int(i)] for i in keep]
@@ -301,7 +296,6 @@ class BatchKernel(abc.ABC):
         Arithmetic rather than ``where``: ``heard * (x - fill) + fill`` is
         branch-free and writes straight into the reused buffer.
         """
-        np = self.np
         fill = np.int32(fill)
         codes = self._scratch("heard_codes", heard.shape, np.int32)
         np.multiply(heard, (self.x - fill)[:, None, :], out=codes)
@@ -319,7 +313,6 @@ class BatchOneThirdRule(BatchKernel):
     algorithm_class = OneThirdRule
 
     def step(self, round: int, heard: Any, active: Any) -> None:
-        np = self.np
         n = self.n
         x = self.x
         n_col = self._row_sizes()                                   # row's n
@@ -372,13 +365,12 @@ class BatchUniformVoting(BatchKernel):
     ) -> None:
         super().__init__(n, encoded, row_n)
         #: (R, n) int32 -- current-phase vote codes, -1 for None.
-        self.vote = self.np.full((self.replicas, n), -1, dtype=self.np.int32)
+        self.vote = np.full((self.replicas, n), -1, dtype=np.int32)
 
     def _state_array_names(self) -> List[str]:
         return super()._state_array_names() + ["vote"]
 
     def step(self, round: int, heard: Any, active: Any) -> None:
-        np = self.np
         n = self.n
         hc = heard.sum(axis=2, dtype=np.int32)
         act = np.broadcast_to(active[:, None], (self.replicas, n))
@@ -420,7 +412,6 @@ class BatchLastVoting(BatchKernel):
         row_n: Optional[Sequence[int]] = None,
     ) -> None:
         super().__init__(n, encoded, row_n)
-        np = self.np
         shape = (self.replicas, n)
         self.timestamp = np.zeros(shape, dtype=np.int32)
         self.vote = np.full(shape, -1, dtype=np.int32)
@@ -451,14 +442,13 @@ class BatchLastVoting(BatchKernel):
 
     def _gather(self, array: Any, coord: Any) -> Any:
         """``array[r, coord[r]]`` as an ``(R,)`` vector."""
-        return self.np.take_along_axis(array, coord[:, None], axis=1)[:, 0]
+        return np.take_along_axis(array, coord[:, None], axis=1)[:, 0]
 
     def _scatter(self, array: Any, coord: Any, values: Any) -> None:
         """``array[r, coord[r]] = values[r]`` in place."""
-        self.np.put_along_axis(array, coord[:, None], values[:, None], axis=1)
+        np.put_along_axis(array, coord[:, None], values[:, None], axis=1)
 
     def step(self, round: int, heard: Any, active: Any) -> None:
-        np = self.np
         n = self.n
         phase = (round - 1) // self.ROUNDS_PER_PHASE + 1
         step = (round - 1) % self.ROUNDS_PER_PHASE + 1

@@ -11,11 +11,10 @@ through :mod:`repro.predicates.batch` -- all replica-vectorised, all
 bit-identical per seed to the scalar :class:`~repro.rounds.engine.RoundEngine`
 path.
 
-numpy is optional (the ``fast`` extra): without it -- or whenever a batch
-is not vectorisable (unknown algorithm, unencodable values, opaque
-monitors) -- the :class:`~repro.batch.backends.BatchBackend` transparently
-runs the scalar reference loop instead, so the import graph and the
-behaviour stay identical either way.
+Whenever a batch is not vectorisable (unknown algorithm, unencodable
+values) the :class:`~repro.batch.backends.BatchBackend` transparently runs
+the scalar reference loop instead, so the behaviour stays identical either
+way.
 
 Both backends run the one round loop of :mod:`repro.batch.engine`.  The
 cross-cell :class:`~repro.batch.super.SuperBatchBackend` goes one axis

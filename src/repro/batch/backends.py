@@ -1,8 +1,8 @@
 """The ``batch`` execution backend, and the admission every array tier shares.
 
 A :class:`~repro.rounds.backend.ReplicaBatch` reaches an array round loop
-through :func:`admit` (numpy available, one algorithm class, a batched
-kernel registered for it), defined here once,
+through :func:`admit` (one algorithm class, a batched kernel registered
+for it), defined here once,
 and then the kernel's one constructor,
 :meth:`~repro.algorithms.batched.BatchKernel.from_cells` (values that do
 not encode, or task parameters the kernel cannot represent, are only
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Tuple
 
-from .._optional import have_numpy
+from ..algorithms.batched import batch_kernel_for
 from ..rounds.backend import (
     ReplicaBatch,
     ReplicaOutcome,
@@ -40,10 +40,6 @@ def admit(batch: ReplicaBatch) -> Tuple[Optional[str], Any]:
     Returns ``(reason, None)`` for a declined batch and ``(None,
     kernel_class)`` for an admitted one.
     """
-    if not have_numpy():
-        return FallbackReason.NO_NUMPY.render(), None
-    from ..algorithms.batched import batch_kernel_for
-
     algorithm_classes = {type(task.algorithm) for task in batch.tasks}
     if len(algorithm_classes) != 1:
         return (

@@ -25,15 +25,16 @@ kernel (:mod:`repro.algorithms.batched`) that is ``n_max`` wide.
 
 The ``batch`` backend runs this loop with one cell (``n_max = n``, nothing
 padded), the ``super`` backend with a whole grid; the loop cannot tell them
-apart.  It is numpy-only by construction; whether a batch gets here at all
-is decided by :func:`repro.batch.backends.admit`.
+apart.  Whether a batch gets here at all is decided by
+:func:`repro.batch.backends.admit`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .._optional import require_numpy
+import numpy as np
+
 from ..algorithms.batched import BatchKernel
 from ..rounds.backend import (
     ReplicaBatch,
@@ -93,8 +94,6 @@ class BatchEngine:
     """
 
     def __init__(self, kernel: BatchKernel, cells: Sequence[Cell]) -> None:
-        np = require_numpy()
-        self.np = np
         self.kernel = kernel
         self.cells = list(cells)
         batches = [cell.batch for cell in self.cells]
@@ -124,7 +123,6 @@ class BatchEngine:
         ] * self.rows
 
     def run(self) -> List[List[ReplicaOutcome]]:
-        np = self.np
         kernel = self.kernel
         n_max = kernel.n
         w_max = word_count(n_max)
@@ -212,7 +210,6 @@ class BatchEngine:
         cell's ``(R_b,)`` active vector (replicas compacted away stay
         False in it for good).
         """
-        np = self.np
         bounds = np.searchsorted(
             self.row_cell[orig_of], np.arange(len(self.cells) + 1)
         ).tolist()
@@ -244,7 +241,7 @@ class BatchEngine:
             )
         if cell.fingerprints is not None:
             kernel = self.kernel
-            for r in self.np.flatnonzero(active).tolist():
+            for r in np.flatnonzero(active).tolist():
                 pos = rows.start + r
                 cell.fingerprints[r].observe_round(
                     round,
@@ -256,7 +253,7 @@ class BatchEngine:
 
     def _retire(self, orig_of: Any, done: Any) -> None:
         """Read the decisions of rows leaving the kernel (pre-compaction)."""
-        for pos in self.np.flatnonzero(done).tolist():
+        for pos in np.flatnonzero(done).tolist():
             self._decisions[int(orig_of[pos])] = self.kernel.decisions_of(pos)
 
 

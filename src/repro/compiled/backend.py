@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Tuple
 
-from .._optional import have_numba, have_numpy
+from .._optional import have_numba
 from ..batch.backends import BatchBackend, admit, build_cell
 from ..rounds.backend import ReplicaBatch, ReplicaOutcome, register_backend
 from ..rounds.fallback import FallbackReason
@@ -86,8 +86,8 @@ class CompiledBackend:
         self, batch: ReplicaBatch
     ) -> Tuple[Optional[str], Optional[CompiledEngine]]:
         """Why the fused loop cannot take *batch*, or the engine that will."""
-        if have_numpy() and not self.interpreted and not have_numba():
-            # Ahead of the shared shape rungs, behind the shared numpy one.
+        if not self.interpreted and not have_numba():
+            # Ahead of the shared shape rungs.
             return FallbackReason.NO_NUMBA.render(), None
         reason, kernel_class = admit(batch)
         if reason is not None:

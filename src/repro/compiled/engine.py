@@ -31,7 +31,8 @@ from __future__ import annotations
 
 from typing import Any, List
 
-from .._optional import require_numpy
+import numpy as np
+
 from ..algorithms.batched import BatchKernel
 from ..batch.engine import assemble_outcomes
 from ..rounds.backend import ReplicaBatch, ReplicaOutcome
@@ -63,8 +64,6 @@ class CompiledEngine:
         spec: CompiledKernel,
         compiled: bool,
     ) -> None:
-        np = require_numpy()
-        self.np = np
         self.batch = batch
         self.kernel = kernel
         self.oracle = oracle
@@ -78,7 +77,6 @@ class CompiledEngine:
             raise ValueError("oracle shape does not match the batch")
 
     def run(self) -> List[ReplicaOutcome]:
-        np = self.np
         batch = self.batch
         kernel = self.kernel
         n = self.n

@@ -34,7 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Type
 
-from .._optional import NUMBA, NUMPY
+import numpy as np
+
+from .._optional import NUMBA
 from ..algorithms.batched import (
     BatchKernel,
     BatchLastVoting,
@@ -51,18 +53,15 @@ from ..engine.counter import _MIX1, _MIX2, _PHI
 from ..predimpl.batched_translation import BatchTranslationKernel
 from ..predimpl.translation import KernelToUniformTranslation
 
-np = NUMPY
-
-if np is not None:
-    # uint64-typed constants: inside the cores every uint64 operand must
-    # already be uint64 -- mixed-width arithmetic promotes to float64 under
-    # numpy and mis-types under numba.
-    _U_PHI = np.uint64(_PHI)
-    _U_MIX1 = np.uint64(_MIX1)
-    _U_MIX2 = np.uint64(_MIX2)
-    _U_30 = np.uint64(30)
-    _U_27 = np.uint64(27)
-    _U_31 = np.uint64(31)
+# uint64-typed constants: inside the cores every uint64 operand must already
+# be uint64 -- mixed-width arithmetic promotes to float64 under numpy and
+# mis-types under numba.
+_U_PHI = np.uint64(_PHI)
+_U_MIX1 = np.uint64(_MIX1)
+_U_MIX2 = np.uint64(_MIX2)
+_U_30 = np.uint64(30)
+_U_27 = np.uint64(27)
+_U_31 = np.uint64(31)
 
 
 # --------------------------------------------------------------------------- #

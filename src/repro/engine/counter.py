@@ -20,9 +20,8 @@ the draw-order-invariance tests:
 
 * the pure-Python scalar path (:func:`counter_hash`, :class:`CounterStream`),
 * the numpy array path (:func:`counter_hash_array`, :func:`units_of_array`),
-  written entirely in ``uint64`` arithmetic (constants are ``np.uint64``:
-  numpy 1.x silently promotes ``uint64 op python-int`` to float64, which
-  would destroy the wraparound semantics).
+  written entirely in ``uint64`` arithmetic (constants are ``np.uint64``,
+  so no operand ever promotes to float64 and loses the wraparound).
 
 Uniform doubles are ``(h >> 11) * 2^-53`` -- the top 53 bits of the hash,
 exactly representable in a float64, so the scalar and array paths agree bit
@@ -35,6 +34,8 @@ from __future__ import annotations
 
 import math
 from typing import Any, Optional, Sequence, Tuple
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
@@ -172,7 +173,7 @@ class DrawScratch:
 
     __slots__ = ("hashes", "shifted")
 
-    def __init__(self, np: Any, shape: Tuple[int, ...]) -> None:
+    def __init__(self, shape: Tuple[int, ...]) -> None:
         self.hashes = np.empty(shape, dtype=np.uint64)
         block = shape
         if shape:
@@ -188,7 +189,7 @@ class DrawScratch:
         return view
 
 
-def _mix64_array(np: Any, z: Any) -> Any:
+def _mix64_array(z: Any) -> Any:
     z = z ^ (z >> np.uint64(30))
     z = z * np.uint64(_MIX1)
     z = z ^ (z >> np.uint64(27))
@@ -196,7 +197,7 @@ def _mix64_array(np: Any, z: Any) -> Any:
     return z ^ (z >> np.uint64(31))
 
 
-def _mix64_inplace(np: Any, z: Any, shifted: Any) -> None:
+def _mix64_inplace(z: Any, shifted: Any) -> None:
     """:func:`_mix64_array` on *z* in place; *shifted* holds each ``z >> k``."""
     np.right_shift(z, np.uint64(30), out=shifted)
     np.bitwise_xor(z, shifted, out=z)
@@ -233,7 +234,7 @@ def _fused_hash() -> Any:
     return _FUSED_HASH
 
 
-def _absorb_full_shape(np: Any, z: Any, counter: Any, out: DrawScratch) -> None:
+def _absorb_full_shape(z: Any, counter: Any, out: DrawScratch) -> None:
     """One stage at the scratch's shape: ``out.hashes = mix64((z + PHI) ^ counter)``.
 
     Runs block by block along axis 0 -- the xor into one block of
@@ -263,7 +264,7 @@ def _absorb_full_shape(np: Any, z: Any, counter: Any, out: DrawScratch) -> None:
     z = np.add(z, np.uint64(_PHI), out=z if z is hashes else None)
     if not full or shifted.shape[0] >= full[0]:
         np.bitwise_xor(z, counter, out=hashes)
-        _mix64_inplace(np, hashes, shifted)
+        _mix64_inplace(hashes, shifted)
         return
     # Copy, then xor in place: a ufunc over two broadcast operands stages
     # each through an iterator buffer; the copy does not.
@@ -275,11 +276,11 @@ def _absorb_full_shape(np: Any, z: Any, counter: Any, out: DrawScratch) -> None:
         if prefix is not None:
             np.copyto(block, prefix[lo : lo + step])
         np.bitwise_xor(block, counter[lo : lo + step], out=block)
-        _mix64_inplace(np, block, shifted[: len(block)])
+        _mix64_inplace(block, shifted[: len(block)])
 
 
 def counter_hash_array(
-    np: Any, keys: Any, counters: Sequence[Any], out: Optional[DrawScratch] = None
+    keys: Any, counters: Sequence[Any], out: Optional[DrawScratch] = None
 ) -> Any:
     """The array form of :func:`counter_hash`, broadcasting over all inputs.
 
@@ -303,9 +304,9 @@ def counter_hash_array(
         for counter in counters:
             counter = np.asarray(counter, dtype=np.uint64)
             if full is None or np.broadcast_shapes(z.shape, counter.shape) != full:
-                z = _mix64_array(np, (z + np.uint64(_PHI)) ^ counter)
+                z = _mix64_array((z + np.uint64(_PHI)) ^ counter)
             else:
-                _absorb_full_shape(np, z, counter, out)
+                _absorb_full_shape(z, counter, out)
                 z = out.hashes
     if out is not None and z is not out.hashes:
         raise ValueError(
@@ -316,7 +317,7 @@ def counter_hash_array(
     return z
 
 
-def coins_below(np: Any, hashes: Any, threshold: int, out: Optional[Any] = None) -> Any:
+def coins_below(hashes: Any, threshold: int, out: Optional[Any] = None) -> Any:
     """The array coin ``hashes < threshold`` for a :func:`coin_threshold`.
 
     Equal element-wise to ``units_of_array(hashes) < p`` with
@@ -329,21 +330,19 @@ def coins_below(np: Any, hashes: Any, threshold: int, out: Optional[Any] = None)
     return np.less(hashes, np.uint64(threshold), out=out)
 
 
-def coins_not_below(
-    np: Any, hashes: Any, threshold: int, out: Optional[Any] = None
-) -> Any:
+def coins_not_below(hashes: Any, threshold: int, out: Optional[Any] = None) -> Any:
     """The complement of :func:`coins_below`: ``units_of_array(hashes) >= p``."""
     if threshold > _MASK64:
         return np.greater(hashes, np.uint64(_MASK64), out=out)
     return np.greater_equal(hashes, np.uint64(threshold), out=out)
 
 
-def units_of_array(np: Any, hashes: Any) -> Any:
+def units_of_array(hashes: Any) -> Any:
     """The array form of :func:`unit_of`: uniform float64 in ``[0, 1)``."""
     return (hashes >> np.uint64(11)) * _UNIT_SCALE
 
 
-def units_of_counters(np: Any, keys: Any, counters: Sequence[Any]) -> Any:
+def units_of_counters(keys: Any, counters: Sequence[Any]) -> Any:
     """``units_of_array(counter_hash_array(keys, counters))``.
 
     The uniform draw of the consumers that need the double itself or draw
@@ -351,7 +350,7 @@ def units_of_counters(np: Any, keys: Any, counters: Sequence[Any]) -> Any:
     flakiness coins); the ``(R, n, n)`` link coins compare the hash against
     a :func:`coin_threshold` instead.
     """
-    return units_of_array(np, counter_hash_array(np, keys, counters))
+    return units_of_array(counter_hash_array(keys, counters))
 
 
 __all__ = [

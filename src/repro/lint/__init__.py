@@ -4,7 +4,7 @@ The whole reproduction rests on one promise: every execution backend
 (scalar, batch, super, step-batch) is per-seed bit-identical.  That holds
 only under rules no test can conveniently state -- all randomness flows
 through :class:`~repro.engine.rng.SeededRng` named sub-streams or counter
-streams, numpy enters exactly once via :mod:`repro._optional`, low layers
+streams, numba enters exactly once via :mod:`repro._optional`, low layers
 never import high layers, fallback reasons stay a closed vocabulary.
 ``repro.lint`` enforces those rules mechanically, before a nondeterminism
 bug ever reaches the parity suites: ``REP001``-``REP006`` and ``REP104``,

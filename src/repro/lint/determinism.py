@@ -10,10 +10,9 @@ into lint findings:
   :class:`~repro.engine.rng.SeededRng` named sub-streams or
   :class:`~repro.engine.counter.CounterStream`.  The two modules that own
   a ``random.Random`` by design are outside its scope.
-* REP002 -- numpy and numba are imported exactly once, in
-  :mod:`repro._optional`; everywhere else uses ``NUMPY`` / ``NUMBA`` and
-  the ``have_*`` / ``require_*`` guards so the dependency-free fallbacks
-  stay honest.
+* REP002 -- numba is imported only in :mod:`repro._optional`; everywhere
+  else uses ``NUMBA`` / ``have_numba()`` so the numba-free fallback stays
+  honest.  numpy is a declared dependency, imported the ordinary way.
 * REP003 -- no wall-clock or entropy reads (``time.time``, ``uuid4``,
   ``os.urandom``, ...) in package code; monotonic *duration* timers
   (``perf_counter``) are allowed for diagnostics.
@@ -89,17 +88,16 @@ class BareRandomRule(SourceRule):
         return findings
 
 
-#: accelerator packages whose import is confined to repro._optional.
-_OPTIONAL_PACKAGES = ("numpy", "numba")
+def _is_numba(module: str) -> bool:
+    return module == "numba" or module.startswith("numba.")
 
 
-class NumpyOutsideOptionalRule(SourceRule):
+class NumbaOutsideOptionalRule(SourceRule):
     code = "REP002"
-    name = "numpy-via-optional"
+    name = "numba-via-optional"
     summary = (
-        "numpy and numba are imported exactly once, in repro._optional; use "
-        "NUMPY/NUMBA and the have_*/require_* guards so the dependency-free "
-        "fallbacks stay honest"
+        "numba is imported only in repro._optional; use NUMBA and have_numba() "
+        "so the numba-free fallback stays honest"
     )
 
     def applies_to(self, module: Optional[str]) -> bool:
@@ -113,23 +111,16 @@ class NumpyOutsideOptionalRule(SourceRule):
                 continue
             offender = None
             if isinstance(node, ast.Import):
-                for package in _OPTIONAL_PACKAGES:
-                    if any(alias.name == package
-                           or alias.name.startswith(package + ".")
-                           for alias in node.names):
-                        offender = f"'import {package}'"
+                if any(_is_numba(alias.name) for alias in node.names):
+                    offender = "'import numba'"
             elif isinstance(node, ast.ImportFrom):
-                if node.level == 0 and node.module is not None:
-                    for package in _OPTIONAL_PACKAGES:
-                        if node.module == package or \
-                                node.module.startswith(package + "."):
-                            offender = f"'from {package} import ...'"
+                if node.level == 0 and _is_numba(node.module or ""):
+                    offender = "'from numba import ...'"
             if offender is not None:
                 findings.append(ctx.finding(
                     self.code, node,
                     f"direct {offender} outside repro._optional: use "
-                    "repro._optional.NUMPY/NUMBA and the have_*/require_* "
-                    "guards",
+                    "repro._optional.NUMBA and have_numba()",
                 ))
         return findings
 
@@ -445,7 +436,7 @@ def _string_literals(node: ast.expr) -> List[ast.expr]:
 #: every rule, in code order.
 RULES = (
     BareRandomRule(),
-    NumpyOutsideOptionalRule(),
+    NumbaOutsideOptionalRule(),
     WallClockEntropyRule(),
     IdOrderingRule(),
     SetIterationRule(),
@@ -456,7 +447,7 @@ RULES = (
 
 __all__ = [
     "BareRandomRule",
-    "NumpyOutsideOptionalRule",
+    "NumbaOutsideOptionalRule",
     "WallClockEntropyRule",
     "IdOrderingRule",
     "SetIterationRule",

@@ -13,8 +13,8 @@ pair (Section 3.1, Table 1) -- lives here in two dual forms:
   drive the early-stop rule through the round engine's observer hook;
 * :mod:`repro.predicates.batch` -- the replica-vectorised duals of the
   streaming monitors, consuming ``(R, n, ceil(n/64))`` uint64 mask arrays
-  for all R replicas of a batch at once (numpy-only; imported lazily by the
-  batch execution backend, hence not re-exported here).
+  for all R replicas of a batch at once (imported lazily by the batch
+  execution backend, hence not re-exported here).
 """
 
 from .monitors import (

@@ -22,16 +22,14 @@ whole-collection checkers) is pinned by tests: for every predicate, every
 replica's :class:`~repro.predicates.reports.PredicateReport` must be equal
 to the report of a scalar :class:`~repro.predicates.MonitorBank` fed the
 same rounds.
-
-This module requires numpy (the ``fast`` extra); the batch backend never
-constructs a bank on the pure-Python fallback path.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional, Sequence
 
-from .._optional import require_numpy
+import numpy as np
+
 from ..batch.arrays import pack_bools
 from ..rounds.bitmask import iter_bits, mask_to_words, word_count
 from .monitors import MONITOR_NAMES, canonical_predicate_name
@@ -52,8 +50,6 @@ class BatchPredicateMonitor:
     name = "predicate"
 
     def __init__(self, n: int, replicas: int) -> None:
-        np = require_numpy()
-        self.np = np
         self.n = n
         self.replicas = replicas
         self.words = word_count(n)
@@ -73,7 +69,6 @@ class BatchPredicateMonitor:
     # ------------------------------------------------------------------ #
 
     def observe(self, round: int, words: Any, heard: Any, popc: Any, active: Any) -> None:
-        np = self.np
         good = self._round_good(words, heard, popc)
         self._advance(round, words, heard, popc, good, active)
         g = good & active
@@ -121,7 +116,7 @@ class BatchPredicateMonitor:
         )
 
 
-def _pi0_state(np: Any, n: int, pi0_mask: Optional[int]) -> Any:
+def _pi0_state(n: int, pi0_mask: Optional[int]) -> Any:
     mask = ((1 << n) - 1) if pi0_mask is None else pi0_mask
     indices = list(iter_bits(mask))
     words = np.array(mask_to_words(mask, n), dtype=np.uint64)
@@ -135,12 +130,12 @@ class BatchPSuMonitor(BatchPredicateMonitor):
 
     def __init__(self, n: int, replicas: int, pi0_mask: Optional[int] = None) -> None:
         super().__init__(n, replicas)
-        self.pi0_mask, self._pi0_idx, self._pi0_words = _pi0_state(self.np, n, pi0_mask)
-        self._ok = self.np.ones(replicas, dtype=bool)
+        self.pi0_mask, self._pi0_idx, self._pi0_words = _pi0_state(n, pi0_mask)
+        self._ok = np.ones(replicas, dtype=bool)
 
     def _round_good(self, words: Any, heard: Any, popc: Any) -> Any:
         if not self._pi0_idx:
-            return self.np.ones(self.replicas, dtype=bool)
+            return np.ones(self.replicas, dtype=bool)
         return (words[:, self._pi0_idx, :] == self._pi0_words).all(axis=(1, 2))
 
     def _advance(self, round, words, heard, popc, good, active) -> None:
@@ -160,7 +155,7 @@ class BatchPKernelMonitor(BatchPSuMonitor):
 
     def _round_good(self, words: Any, heard: Any, popc: Any) -> Any:
         if not self._pi0_idx:
-            return self.np.ones(self.replicas, dtype=bool)
+            return np.ones(self.replicas, dtype=bool)
         rows = words[:, self._pi0_idx, :]
         return ((rows & self._pi0_words) == self._pi0_words).all(axis=(1, 2))
 
@@ -172,7 +167,6 @@ class BatchPOtrMonitor(BatchPredicateMonitor):
 
     def __init__(self, n: int, replicas: int) -> None:
         super().__init__(n, replicas)
-        np = self.np
         self.threshold = otr_threshold(n)
         self._u_min = np.zeros(replicas, dtype=np.int32)  # 0 = unset
         self._later = np.zeros((replicas, self.words), dtype=np.uint64)
@@ -183,7 +177,6 @@ class BatchPOtrMonitor(BatchPredicateMonitor):
         return uniform & (popc[:, 0] >= self.threshold)
 
     def _advance(self, round, words, heard, popc, good, active) -> None:
-        np = self.np
         done = (self._later == self._full_words).all(axis=1)
         witnessed = self._u_min > 0
         grow = active & witnessed & ~done
@@ -205,23 +198,22 @@ class BatchP2OtrMonitor(BatchPredicateMonitor):
 
     def __init__(self, n: int, replicas: int, pi0_mask: Optional[int] = None) -> None:
         super().__init__(n, replicas)
-        self.pi0_mask, self._pi0_idx, self._pi0_words = _pi0_state(self.np, n, pi0_mask)
-        self._prev_su = self.np.zeros(replicas, dtype=bool)
-        self._satisfied = self.np.zeros(replicas, dtype=bool)
+        self.pi0_mask, self._pi0_idx, self._pi0_words = _pi0_state(n, pi0_mask)
+        self._prev_su = np.zeros(replicas, dtype=bool)
+        self._satisfied = np.zeros(replicas, dtype=bool)
 
     def _space_uniform(self, words: Any) -> Any:
         if not self._pi0_idx:
-            return self.np.ones(self.replicas, dtype=bool)
+            return np.ones(self.replicas, dtype=bool)
         return (words[:, self._pi0_idx, :] == self._pi0_words).all(axis=(1, 2))
 
     def _round_good(self, words: Any, heard: Any, popc: Any) -> Any:
         if not self._pi0_idx:
-            return self.np.ones(self.replicas, dtype=bool)
+            return np.ones(self.replicas, dtype=bool)
         rows = words[:, self._pi0_idx, :]
         return ((rows & self._pi0_words) == self._pi0_words).all(axis=(1, 2))
 
     def _advance(self, round, words, heard, popc, good, active) -> None:
-        np = self.np
         self._satisfied |= active & self._prev_su & good
         self._prev_su = np.where(active, self._space_uniform(words), self._prev_su)
 
@@ -236,7 +228,7 @@ class BatchP11OtrMonitor(BatchP2OtrMonitor):
 
     def __init__(self, n: int, replicas: int, pi0_mask: Optional[int] = None) -> None:
         super().__init__(n, replicas, pi0_mask)
-        self._su_seen = self.np.zeros(replicas, dtype=bool)
+        self._su_seen = np.zeros(replicas, dtype=bool)
 
     def _advance(self, round, words, heard, popc, good, active) -> None:
         self._satisfied |= active & self._su_seen & good
@@ -265,7 +257,6 @@ class BatchPRestrOtrMonitor(BatchPredicateMonitor):
 
     def __init__(self, n: int, replicas: int) -> None:
         super().__init__(n, replicas)
-        np = self.np
         self.threshold = otr_threshold(n)
         self._satisfied = np.zeros(replicas, dtype=bool)
         self._cand = np.zeros((replicas, self.INITIAL_SLOTS, self.words), dtype=np.uint64)
@@ -274,7 +265,6 @@ class BatchPRestrOtrMonitor(BatchPredicateMonitor):
         self._diag = np.arange(n)
 
     def _round_good(self, words: Any, heard: Any, popc: Any) -> Any:
-        np = self.np
         rows_equal = (words[:, :, None, :] == words[:, None, :, :]).all(axis=3)
         members_equal = (~heard | rows_equal).all(axis=2)
         hears_self = heard[:, self._diag, self._diag]
@@ -282,7 +272,6 @@ class BatchPRestrOtrMonitor(BatchPredicateMonitor):
         return self._ok_p.any(axis=1)
 
     def _advance(self, round, words, heard, popc, good, active) -> None:
-        np = self.np
         # Clear first: a pending member p of candidate c is done once
         # HO(p) >= c.  Satisfied and inactive rows are frozen.
         rows = np.flatnonzero(active & ~self._satisfied & (self._count > 0))
@@ -342,12 +331,10 @@ class BatchMonitorBank:
         pi0_mask: Optional[int] = None,
         stop_after_held: Optional[int] = None,
     ) -> None:
-        np = require_numpy()
         if not predicates:
             raise ValueError("at least one predicate name is required")
         if stop_after_held is not None and stop_after_held < 1:
             raise ValueError(f"stop_after_held must be at least 1, got {stop_after_held}")
-        self.np = np
         self.n = n
         self.replicas = replicas
         self.stop_after_held = stop_after_held
@@ -361,7 +348,7 @@ class BatchMonitorBank:
         for monitor in self.monitors:
             monitor.observe(round, words, heard, popc, active)
         if self.stop_after_held is not None:
-            held = self.np.zeros(self.replicas, dtype=bool)
+            held = np.zeros(self.replicas, dtype=bool)
             for monitor in self.monitors:
                 held |= monitor.current_good >= self.stop_after_held
             self._stop |= active & held

@@ -54,7 +54,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .._optional import require_numpy
+import numpy as np
+
 from ..algorithms.batched import (
     BatchKernel,
     BatchOneThirdRule,
@@ -90,8 +91,6 @@ class BatchTranslationKernel(BatchKernel):
         f: Sequence[int],
     ) -> None:
         """*f* holds each row's translation parameter (``n_row > 2 f``)."""
-        np = require_numpy()
-        self.np = np
         self.n = n
         #: the embedded upper layer: owns values, estimates and decisions.
         self._inner = BatchOneThirdRule(n, encoded, row_n)
@@ -119,7 +118,6 @@ class BatchTranslationKernel(BatchKernel):
     # ------------------------------------------------------------------ #
 
     def step(self, round: int, heard: Any, active: Any) -> None:
-        np = self.np
         shape = (self.replicas, self.n, self.n)
         listen_new = np.logical_and(
             self.listen, heard, out=self._scratch("tr_listen_new", shape, bool)

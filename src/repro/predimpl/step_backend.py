@@ -90,10 +90,9 @@ DOWN_GOOD = "down-good"
 ARBITRARY_GOOD = "arbitrary-good"
 STEP_KINDS = (DOWN_GOOD, ARBITRARY_GOOD)
 
-#: The fault-model axis of the step scenarios (mirrors
-#: ``repro.workloads.FAULT_MODELS``; duplicated here because the backend
-#: layer sits below the workloads).
-STEP_FAULT_MODELS = ("fault-free", "crash-stop", "crash-recovery", "lossy")
+#: The fault-model axis of every scenario: the step environments here and
+#: the workloads' grids above (``repro.workloads.FAULT_MODELS``).
+FAULT_MODELS = ("fault-free", "crash-stop", "crash-recovery", "lossy")
 
 
 @dataclass(frozen=True)
@@ -122,9 +121,9 @@ class StepEnvironment:
     def __post_init__(self) -> None:
         if self.kind not in STEP_KINDS:
             raise ValueError(f"unknown step stack kind {self.kind!r}; expected one of {STEP_KINDS}")
-        if self.fault_model not in STEP_FAULT_MODELS:
+        if self.fault_model not in FAULT_MODELS:
             raise ValueError(
-                f"unknown fault model {self.fault_model!r}; expected one of {STEP_FAULT_MODELS}"
+                f"unknown fault model {self.fault_model!r}; expected one of {FAULT_MODELS}"
             )
         if self.f < 0:
             raise ValueError(f"f must be non-negative, got {self.f}")
@@ -494,10 +493,6 @@ class BatchStepBackend:
     # ------------------------------------------------------------------ #
 
     def _fallback_reason(self, batch: ReplicaBatch) -> Optional[str]:
-        from .._optional import have_numpy
-
-        if not have_numpy():
-            return FallbackReason.NO_NUMPY.render()
         environments = {_environment_of(task) for task in batch.tasks}
         if len(environments) != 1:
             return FallbackReason.MIXED_STEP_ENVIRONMENTS.render()
@@ -545,7 +540,7 @@ register_backend(BatchStepBackend())
 __all__ = [
     "ARBITRARY_GOOD",
     "DOWN_GOOD",
-    "STEP_FAULT_MODELS",
+    "FAULT_MODELS",
     "STEP_KINDS",
     "StepEnvironment",
     "ScalarStepBackend",

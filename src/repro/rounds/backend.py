@@ -21,8 +21,7 @@ reference:
   replicas in lockstep with per-process estimates as ``(R, n)`` numpy
   arrays and heard-of sets as ``(R, ceil(n/64))`` uint64 mask arrays,
   falling back to the scalar loop per cell whenever vectorisation cannot
-  engage (no numpy, no batched kernel for the algorithm, unencodable
-  values).
+  engage (no batched kernel for the algorithm, unencodable values).
 * ``super`` -- :class:`repro.batch.super.SuperBatchBackend`: packs *many*
   heterogeneous batches (different n, horizons, fault models, monitored or
   not) into one padded row space and steps the whole grid in a single run

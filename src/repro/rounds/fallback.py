@@ -32,9 +32,6 @@ class FallbackReason(Enum):
     labels, pinned tests), so change it deliberately.
     """
 
-    # -- shared by every decision layer ------------------------------- #
-    NO_NUMPY = "numpy unavailable (install the 'fast' extra)"
-
     # -- the round-level tiers' one admission (repro.batch.backends) --- #
     MIXED_ALGORITHMS = "mixed algorithm classes: {classes}"
     NO_BATCH_KERNEL = "no batched kernel for {algorithm}"

@@ -131,8 +131,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="execution backend for batched cells: 'compiled' = the fused "
         "multi-round JIT loop (numba when available, with an automatic "
         "per-cell batch fallback), 'batch' = the vectorized lockstep-replica "
-        "engine (numpy when available, with an automatic per-cell scalar "
-        "fallback), 'auto' = compiled when numba is importable else batch, "
+        "engine (with an automatic per-cell scalar fallback), 'auto' = compiled when numba is importable else batch, "
         "'super' = pack the whole grid, monitored cells included, into one "
         "cross-cell lockstep run (single process), 'scalar' = the reference "
         "backend (scalar, or step-scalar for step cells) over the same cell "

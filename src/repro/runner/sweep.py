@@ -412,7 +412,7 @@ def _effective_backend(backend: ExecutionBackend) -> str:
     Backends that can decline their fast path record per ``run`` why they
     did (``last_fallback_reason``); reading it right after the run turns the
     backend's name into the effective one, e.g. ``"batch"`` or
-    ``"batch:scalar-fallback (numpy unavailable ...)"``.  Diagnostic only --
+    ``"batch:scalar-fallback (no batched kernel for ...)"``.  Diagnostic only --
     outcomes are backend-independent by contract, so the field is
     deliberately outside the cell identity.
     """
@@ -1124,8 +1124,8 @@ def run_sweep(
     fingerprinted cells included.  Super-batching is single-process by
     design, so combining it with ``workers > 1`` raises ``ValueError``.
     Cells without a builder take the per-cell path; cells the shared
-    admission or the kernel constructor declines (unencodable values,
-    numpy unavailable, ...) run on the scalar reference and are labelled
+    admission or the kernel constructor declines (unencodable values, no
+    batched kernel, ...) run on the scalar reference and are labelled
     ``super:scalar-fallback (reason)``.
 
     *on_record* is invoked and every sink in *sinks* written as each run's

@@ -31,10 +31,7 @@ from ..failure_detectors import (
 )
 from ..predicates import MonitorBank, build_monitor_bank
 from ..predimpl import build_down_stack
-from ..predimpl.step_backend import StepEnvironment, build_step_simulator
-
-#: Fault-model identifiers shared by every runner in this module.
-FAULT_MODELS = ("fault-free", "crash-stop", "crash-recovery", "lossy")
+from ..predimpl.step_backend import FAULT_MODELS, StepEnvironment, build_step_simulator
 
 
 @dataclass(frozen=True)

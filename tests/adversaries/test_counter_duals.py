@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import inspect
 
+import numpy as np
 import pytest
 
-from repro._optional import have_numpy
 from repro.adversaries import (
     BurstyLossOracle,
     CounterKernelOracle,
@@ -36,7 +36,6 @@ from repro.adversaries.counter_batch import _DUALS, counter_batch_dual
 from repro.engine.rng import SeededRng
 from tests.conftest import steady_state_peak_growth
 
-needs_numpy = pytest.mark.skipif(not have_numpy(), reason="numpy not available")
 
 FAMILY_FACTORIES = {
     "mobile": lambda n, seed: MobileOmissionOracle(n, faults=2, seed=seed),
@@ -67,12 +66,10 @@ def words_as_masks(words, replicas, n):
 
 
 def dual_masks(dual, round, replicas, n):
-    np = __import__("numpy")
     words = dual.round_masks(round, np.ones(replicas, dtype=bool))
     return words_as_masks(words, replicas, n)
 
 
-@needs_numpy
 class TestScalarDualEquality:
     @pytest.mark.parametrize("family", sorted(FAMILY_FACTORIES))
     @pytest.mark.parametrize("n", [3, 8, 65])
@@ -107,7 +104,6 @@ class TestScalarDualEquality:
         assert forward == shuffled
 
 
-@needs_numpy
 class TestScratchNeverEscapes:
     """The duals draw every round into one reused scratch set; nothing they
     return or memoise may be backed by it."""
@@ -117,7 +113,6 @@ class TestScratchNeverEscapes:
     def test_round_words_survive_the_next_draw(self, family, n):
         """Keep round r's words, draw r+1: r's words are unchanged and
         still equal the scalar oracle's."""
-        np = __import__("numpy")
         replicas = 3
         oracles = [FAMILY_FACTORIES[family](n, 40 + i) for i in range(replicas)]
         shadows = [FAMILY_FACTORIES[family](n, 40 + i) for i in range(replicas)]
@@ -133,7 +128,6 @@ class TestScratchNeverEscapes:
 
     @pytest.mark.parametrize("family", sorted(FAMILY_FACTORIES))
     def test_results_share_no_memory_with_the_scratch(self, family):
-        np = __import__("numpy")
         replicas, n = 3, 8
         dual = counter_batch_dual(
             [FAMILY_FACTORIES[family](n, 60 + i) for i in range(replicas)], replicas
@@ -154,7 +148,6 @@ class TestScratchNeverEscapes:
         smallest full-shape temporary there is (a bool one).  With half the
         replicas retired that budget includes the bursty dual's gather of
         its live link-state rows and the fresh ``(R, n, W)`` result."""
-        np = __import__("numpy")
         replicas = n = 64
         active = np.ones(replicas, dtype=bool)
         if share == "half-active":
@@ -192,7 +185,6 @@ class _NeverQueried:
         raise AssertionError(f"retired replica queried at round {round}")
 
 
-@needs_numpy
 class TestPartiallyActiveDraws:
     """A finished replica is not drawn: the link-coin duals compute only the
     active rows, which stay bit-identical to scalar oracles that are never
@@ -209,7 +201,6 @@ class TestPartiallyActiveDraws:
     @pytest.mark.parametrize("family", LINK_COIN_FAMILIES)
     @pytest.mark.parametrize("n", [3, 8, 65])
     def test_active_rows_equal_fresh_scalar_oracles(self, family, n, schedule):
-        np = __import__("numpy")
         last_round = self.RETIREMENTS[schedule]
         replicas = len(last_round)
         dual = counter_batch_dual(
@@ -240,7 +231,6 @@ class TestPartiallyActiveDraws:
         """Same words whether a batch is drawn whole or as two half-active
         batches -- and a whole draw after partial ones is unaffected by them
         (the stateless families; the bursty dual refuses a resume)."""
-        np = __import__("numpy")
         replicas, n = 6, 8
         build = lambda: counter_batch_dual(
             [FAMILY_FACTORIES[family](n, 90 + i) for i in range(replicas)], replicas
@@ -258,7 +248,6 @@ class TestPartiallyActiveDraws:
             )
 
     def test_no_active_replica_draws_nothing(self):
-        np = __import__("numpy")
         for family in LINK_COIN_FAMILIES:
             dual = counter_batch_dual(
                 [FAMILY_FACTORIES[family](8, 5 + i) for i in range(3)], 3
@@ -267,7 +256,6 @@ class TestPartiallyActiveDraws:
             assert words.shape == (3, 8, 1) and not words.any()
 
 
-@needs_numpy
 class TestRetiredReplicaStaysRetired:
     """The bursty dual's link states stop advancing when a replica goes
     inactive, so marking it active again is an error, never stale state."""
@@ -282,7 +270,6 @@ class TestRetiredReplicaStaysRetired:
         )
 
     def test_a_resumed_replica_is_a_lookup_error(self):
-        np = __import__("numpy")
         dual = self.make()
         everyone = np.ones(4, dtype=bool)
         dual.round_masks(1, everyone)
@@ -306,7 +293,6 @@ class TestRetiredReplicaStaysRetired:
     def test_the_same_round_may_be_asked_again_with_fewer_replicas(self):
         """A re-query of the frontier round returns the memoised words and
         retires nobody: the link states did advance through that round."""
-        np = __import__("numpy")
         dual = self.make()
         everyone = np.ones(4, dtype=bool)
         first = dual.round_masks(1, everyone)
@@ -316,7 +302,6 @@ class TestRetiredReplicaStaysRetired:
 
     def test_stable_rounds_are_exempt(self):
         """Past ``stable_from`` no link state is read, so nothing is stale."""
-        np = __import__("numpy")
         dual = self.make(stable_from=3)
         dual.round_masks(1, np.ones(4, dtype=bool))
         dual.round_masks(2, np.array([True, False, False, True]))
@@ -325,7 +310,6 @@ class TestRetiredReplicaStaysRetired:
 
     @pytest.mark.parametrize("family", ["coordinator", "kernel"])
     def test_the_stateless_duals_need_no_guard(self, family):
-        np = __import__("numpy")
         replicas, n = 3, 5
         dual = counter_batch_dual(
             [FAMILY_FACTORIES[family](n, 30 + i) for i in range(replicas)], replicas
@@ -338,13 +322,11 @@ class TestRetiredReplicaStaysRetired:
 
 class TestDualEligibility:
     def test_every_registered_family_offers_the_eligibility_handshake(self):
-        # no numpy needed: a mis-registration must fail on every CI leg
         assert _DUALS
         for family, dual in _DUALS.items():
             assert callable(getattr(family, "counter_batch_signature", None)), family
             assert inspect.isclass(dual), (family, dual)
 
-    @needs_numpy
     def test_mixed_signature_gets_no_dual(self):
         oracles = [
             MobileOmissionOracle(5, faults=1, seed=0),
@@ -352,7 +334,6 @@ class TestDualEligibility:
         ]
         assert counter_batch_dual(oracles, 2) is None
 
-    @needs_numpy
     def test_mixed_family_gets_no_dual(self):
         oracles = [
             MobileOmissionOracle(5, faults=1, seed=0),
@@ -360,14 +341,12 @@ class TestDualEligibility:
         ]
         assert counter_batch_dual(oracles, 2) is None
 
-    @needs_numpy
     def test_vectorize_prefers_dual_over_per_replica(self):
         oracles = [MobileOmissionOracle(6, faults=2, seed=i) for i in range(3)]
         batch_oracle = vectorize_oracles(oracles, 3)
         assert not isinstance(batch_oracle, PerReplicaBatchOracle)
 
 
-@needs_numpy
 class TestIntersectDecomposition:
     def make(self, components_for_seed, replicas=3, n=5):
         return vectorize_oracles(
@@ -413,7 +392,6 @@ class TestIntersectDecomposition:
     def test_decomposed_intersect_matches_scalar(self):
         from repro.batch.arrays import mask_from_words_row
 
-        np = __import__("numpy")
         n, replicas = 6, 3
 
         def build(seed):

@@ -14,15 +14,14 @@ suites only reach by accident:
 * the steady-state ``step`` of each kernel allocates no ``(R, n, n)``
   temporary: every full-shape intermediate lives in the kernel's scratch;
 * every kernel registration is coherent with the scalar algorithm it is
-  the dual of (checked without numpy: a mis-registration does not crash,
-  it silently drops cells to the scalar loop or runs the wrong dual).
+  the dual of (a mis-registration does not crash, it silently drops cells
+  to the scalar loop or runs the wrong dual).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro._optional import have_numpy
 from repro.algorithms import OneThirdRule
 from repro.algorithms.batched import (
     _KERNELS,
@@ -33,8 +32,6 @@ from repro.algorithms.batched import (
     encode_values,
 )
 from tests.conftest import steady_state_peak_growth
-
-needs_numpy = pytest.mark.skipif(not have_numpy(), reason="numpy not available")
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -124,14 +121,12 @@ def assert_matches_scalar_every_round(replicas, width=N_MAX, rounds=ROUNDS):
     return kernel
 
 
-@needs_numpy
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(replicas=padded_replicas())
 def test_one_third_rule_matches_scalar_on_ties_and_empty_ho_sets(replicas):
     assert_matches_scalar_every_round(replicas)
 
 
-@needs_numpy
 def test_adopted_or_decided_top_count_is_never_tied():
     """Every ``(n, hc, top)`` with n <= 12: past the update gate, adopting
     the top value or deciding it leaves fewer than ``top`` other senders,
@@ -179,7 +174,6 @@ TIE_REPLICAS["mixed-row-n"] = [
 ] + [(3, [8, 3, 8], [_everyone(3)] * 3)]
 
 
-@needs_numpy
 @pytest.mark.parametrize("case", sorted(TIE_REPLICAS))
 def test_directed_tie_rounds_match_scalar(case):
     replicas = TIE_REPLICAS[case]
@@ -191,7 +185,6 @@ def test_directed_tie_rounds_match_scalar(case):
         assert len(decisions) == size and len(set(decisions.values())) == 1, (case, r)
 
 
-@needs_numpy
 @pytest.mark.parametrize(
     "kernel_class", [BatchOneThirdRule, BatchUniformVoting, BatchLastVoting]
 )

@@ -16,18 +16,14 @@ input can produce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import pytest
 
-from repro._optional import have_numpy
 from repro.adversaries import FaultFreeOracle, RandomOmissionOracle
 from repro.algorithms import LastVoting, OneThirdRule, UniformVoting
 from repro.batch import BatchBackend, SuperBatchBackend
-
-# Imported here, not inside a row: repro.compiled.kernels binds numpy when it
-# is first imported, which must not happen under a row that patches numpy away.
 from repro.compiled import CompiledBackend
 from repro.engine.rng import SeededRng
 from repro.predimpl.step_backend import BatchStepBackend, StepEnvironment
@@ -38,8 +34,6 @@ from repro.rounds.fallback import FallbackReason
 
 from .test_backend_equivalence import make_batch
 from .test_super_batch import FAMILIES, make_cell
-
-pytestmark = pytest.mark.skipif(not have_numpy(), reason="numpy not available")
 
 
 TIERS = {
@@ -101,16 +95,32 @@ def lossy(**kwargs) -> ReplicaBatch:
     )
 
 
-def step_cell() -> ReplicaBatch:
-    """A fault-free down-good step cell: the one shape ``step-batch`` lowers."""
-    return cell(oracle=lambda n, seed: StepEnvironment(), fingerprints=True)
+def mixed_step_cell() -> ReplicaBatch:
+    """Fault-free down-good step replicas, each with its own delta."""
+    return cell(oracle=lambda n, seed: StepEnvironment(delta=2.0 + seed), fingerprints=True)
+
+
+def monitored_cell() -> ReplicaBatch:
+    return make_batch(
+        OneThirdRule, "partition-heal", 5, 7, 6, run_full_horizon=True,
+        monitor_spec=MonitorSpec(
+            predicates=("p_su", "p_k"), pi0_mask=mask_of(range(5)), stop_after_held=3
+        ),
+    )
+
+
+def with_values(batch: ReplicaBatch, values) -> ReplicaBatch:
+    """*batch* with every replica's initial values replaced by *values*."""
+    return replace(
+        batch, tasks=[replace(task, initial_values=list(values)) for task in batch.tasks]
+    )
 
 
 MONITORED = MonitorSpec(predicates=("p_su",))
 COMPLEX = (1 + 1j, 2 + 2j, 1 + 1j)  # not totally ordered
 COLLIDING = (1.0, 1, 2)  # 1.0 == 1, repr differs
+COLLIDING_5 = COLLIDING + (3, 4)  # the same collision, for the n = 5 cells
 
-NO_NUMPY = FallbackReason.NO_NUMPY.render()
 MIXED = FallbackReason.MIXED_ALGORITHMS.render(classes=["OneThirdRule", "UniformVoting"])
 NO_KERNEL = FallbackReason.NO_BATCH_KERNEL.render(algorithm="Custom")
 UNENCODABLE = FallbackReason.UNENCODABLE_VALUES.render(
@@ -138,7 +148,6 @@ class Row:
 def shared_rows(tier: str):
     """The rungs of the one admission, identical on every array tier."""
     return [
-        Row(tier, "numpy-disabled", cell, NO_NUMPY, without="NUMPY"),
         Row(tier, "mixed-classes", mixed, MIXED),
         Row(tier, "unregistered", lambda: cell(algorithms=(Custom, Custom)), NO_KERNEL),
         Row(tier, "unencodable", lambda: cell(values=COMPLEX), UNENCODABLE),
@@ -197,29 +206,27 @@ ROWS = [
         lambda: lossy(values=COMPLEX), UNENCODABLE),
     Row("compiled-jit", "numba-disabled", cell,
         FallbackReason.NO_NUMBA.render(), without="NUMBA"),
-    Row("compiled-jit", "numpy-disabled", cell, NO_NUMPY, without="NUMPY"),
     # Each hop on a cell the tier would otherwise take: batch -> scalar on a
-    # stateful-oracle cell and on a monitored one, compiled -> numpy batch,
-    # step-batch -> step-scalar on a lowerable cell; super hops nowhere on a
-    # fingerprinted cell with a counter-dual oracle.
-    Row("batch", "lossy-cell-without-numpy",
-        lambda: make_batch(LastVoting, "lossy", 5, 3, 4), NO_NUMPY, without="NUMPY"),
-    Row("batch", "monitored-cell-without-numpy",
-        lambda: make_batch(
-            OneThirdRule, "partition-heal", 5, 7, 6, run_full_horizon=True,
-            monitor_spec=MonitorSpec(
-                predicates=("p_su", "p_k"), pi0_mask=mask_of(range(5)), stop_after_held=3
-            ),
+    # stateful-oracle cell and on a monitored one (OneThirdRule's scalar
+    # ``min`` needs ordered values, so that one collides instead), compiled
+    # -> numpy batch, step-batch -> step-scalar on fault-free down-good
+    # replicas; super hops nowhere on a fingerprinted cell with a
+    # counter-dual oracle.
+    Row("batch", "lossy-cell-unencodable",
+        lambda: with_values(
+            make_batch(LastVoting, "lossy", 5, 3, 4), [complex(v, v) for v in range(5)]
         ),
-        NO_NUMPY, without="NUMPY"),
+        UNENCODABLE),
+    Row("batch", "monitored-cell-repr-collision",
+        lambda: with_values(monitored_cell(), COLLIDING_5), COLLISION),
     Row("super", "fingerprinted-mobile-cell",
         lambda: make_cell(OneThirdRule, 5, 3, 3, FAMILIES["mobile"], fingerprints=True),
         None),
     Row("compiled", "fingerprinted-lossy-cell",
         lambda: make_batch(LastVoting, "crash+lossy", 5, 3, 4),
         FallbackReason.FINGERPRINTED_COMPILED_CELL.render()),
-    Row("step-batch", "lowerable-cell-without-numpy", step_cell, NO_NUMPY,
-        without="NUMPY", reference="step-scalar"),
+    Row("step-batch", "mixed-environment-cell", mixed_step_cell,
+        FallbackReason.MIXED_STEP_ENVIRONMENTS.render(), reference="step-scalar"),
 ]
 
 
@@ -239,16 +246,19 @@ def test_declined_batch_records_its_reason_and_matches_the_reference(row, monkey
     assert outcomes == get_backend(row.reference).run(row.make())
 
 
-def test_monitors_and_stop_policies_survive_the_hop(monkeypatch):
+def test_monitors_and_stop_policies_survive_the_hop():
     """A monitored batch monitors on *every* path.
 
     The scalar loop builds its MonitorBank from the same spec, so reports
-    and early-stop timing are identical whether or not vectorisation engaged.
+    and early-stop timing -- functions of the heard-of sets, not of the
+    values -- are identical whether or not vectorisation engaged.
     """
-    (row,) = [row for row in ROWS if row.what == "monitored-cell-without-numpy"]
-    free = BatchBackend().run(row.make())
-    monkeypatch.setattr("repro._optional.NUMPY", None)
-    declined = BatchBackend().run(row.make())
-    assert declined == free
+    free_backend, declined_backend = BatchBackend(), BatchBackend()
+    free = free_backend.run(monitored_cell())
+    declined = declined_backend.run(with_values(monitored_cell(), COLLIDING_5))
+    assert free_backend.last_fallback_reason is None
+    assert declined_backend.last_fallback_reason == COLLISION
+    for field in ("predicate_reports", "stopped_early", "rounds_executed"):
+        assert [getattr(o, field) for o in declined] == [getattr(o, field) for o in free]
     assert all(o.predicate_reports for o in declined)
     assert all(o.stopped_early for o in declined)

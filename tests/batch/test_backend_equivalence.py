@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro._optional import have_numpy
 from repro.adversaries import (
     FaultFreeOracle,
     IntersectOracle,
@@ -34,7 +33,6 @@ from repro.rounds.backend import (
 from repro.rounds.bitmask import mask_of
 from tests.conftest import count_compactions
 
-needs_numpy = pytest.mark.skipif(not have_numpy(), reason="numpy not available")
 
 ORACLE_FACTORIES = {
     "fault-free": lambda n, rng: FaultFreeOracle(n),
@@ -105,11 +103,9 @@ class TestBitIdenticalReplicas:
         scalar = get_backend("scalar").run(make_batch(algo_cls, fault_model, 5, 40, 5))
         batch_backend = get_backend("batch")
         batched = batch_backend.run(make_batch(algo_cls, fault_model, 5, 40, 5))
-        if have_numpy():
-            assert batch_backend.last_fallback_reason is None
+        assert batch_backend.last_fallback_reason is None
         assert batched == scalar
 
-    @needs_numpy
     @pytest.mark.parametrize("n", [7, 63, 64, 65])
     def test_word_boundary_sizes(self, n):
         """The (R, ceil(n/64)) word spill is exact across the 64-bit edge."""
@@ -121,7 +117,6 @@ class TestBitIdenticalReplicas:
         )
         assert batched == scalar
 
-    @needs_numpy
     @pytest.mark.parametrize("algo_cls", [OneThirdRule, UniformVoting, LastVoting])
     def test_wide_cell_retires_and_compacts(self, algo_cls, monkeypatch):
         """R = 96 lossy replicas decide a few per round: the one-cell row
@@ -150,8 +145,7 @@ class TestBitIdenticalReplicas:
             for s in range(2)
         ]
         outcomes = backend.run(ReplicaBatch(n=3, tasks=tasks, max_rounds=5))
-        if have_numpy():
-            assert "not encodable" in backend.last_fallback_reason
+        assert "not encodable" in backend.last_fallback_reason
         # OneThirdRule still decides on the unanimous-majority value.
         assert all(o.decisions for o in outcomes)
 
@@ -164,8 +158,7 @@ class TestBitIdenticalReplicas:
         ]
         batch = ReplicaBatch(n=3, tasks=tasks, max_rounds=5, fingerprints=True)
         outcomes = backend.run(batch)
-        if have_numpy():
-            assert "differ in repr" in backend.last_fallback_reason
+        assert "differ in repr" in backend.last_fallback_reason
         reference = get_backend("scalar").run(
             ReplicaBatch(
                 n=3,
@@ -207,8 +200,7 @@ class TestBitIdenticalReplicas:
             ReplicaTask(s, Custom(3), FaultFreeOracle(3), [1, 2, 3]) for s in range(2)
         ]
         outcomes = backend.run(ReplicaBatch(n=3, tasks=tasks, max_rounds=5))
-        if have_numpy():
-            assert "no batched kernel" in backend.last_fallback_reason
+        assert "no batched kernel" in backend.last_fallback_reason
         assert all(not o.decisions for o in outcomes)
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro._optional import have_numpy
 from repro.adversaries import (
     BurstyLossOracle,
     FaultFreeOracle,
@@ -27,8 +26,6 @@ from repro.adversaries.batch import (
     RandomOmissionBatchOracle,
 )
 from repro.engine.rng import SeededRng
-
-pytestmark = pytest.mark.skipif(not have_numpy(), reason="numpy not available")
 
 
 class TestReplicaInvariance:

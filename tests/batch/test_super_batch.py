@@ -17,7 +17,6 @@ import dataclasses
 
 import pytest
 
-from repro._optional import have_numpy
 from repro.adversaries import (
     BurstyLossOracle,
     EventuallyStableCoordinatorOracle,
@@ -37,7 +36,6 @@ from repro.rounds.bitmask import mask_of
 from repro.runner.registry import REGISTRY
 from tests.conftest import count_compactions
 
-needs_numpy = pytest.mark.skipif(not have_numpy(), reason="numpy not available")
 
 FAMILIES = {
     "mobile": lambda n, seed: MobileOmissionOracle(n, faults=max(1, n // 4), seed=seed),
@@ -76,7 +74,6 @@ def make_cell(
     return ReplicaBatch(n=n, tasks=tasks, max_rounds=max_rounds, **kwargs)
 
 
-@needs_numpy
 class TestCrossCellBitIdentity:
     def test_heterogeneous_grid_matches_scalar(self):
         """Mixed (algorithm, family, n) cells in ONE run equal the scalar runs."""
@@ -176,7 +173,6 @@ class CountingOracle(FaultFreeOracle):
         return super().ho_mask(round, process)
 
 
-@needs_numpy
 class TestFinishedCellsAreNotAsked:
     """A cell whose rows have all stopped costs no ``round_masks`` call."""
 
@@ -302,7 +298,6 @@ def observed_group(algo_cls, family, replicas=5):
     ]
 
 
-@needs_numpy
 class TestObservedCellsShareTheRowSpace:
     """Monitors and fingerprints are a slot of the loop, not a way out of it."""
 
@@ -423,7 +418,6 @@ def theorem8_grid():
     return cells
 
 
-@needs_numpy
 def test_translation_cells_super_batch_beside_classic_cells():
     backend = SuperBatchBackend()
     results = backend.run_batches(theorem8_grid())
@@ -435,7 +429,6 @@ def test_translation_cells_super_batch_beside_classic_cells():
     assert any(o.predicate_reports for o in observed) and any(o.fingerprint for o in observed)
 
 
-@needs_numpy
 class TestValuesEncodeOnce:
     """Admission and construction share one pass over the initial values."""
 
@@ -476,7 +469,6 @@ class TestValuesEncodeOnce:
         assert len(encoded) == sum(cell.replicas for cell in grid)
 
 
-@needs_numpy
 def test_engine_rejects_cells_that_do_not_fit_the_kernel():
     from repro.batch.backends import build_cell
 
@@ -495,12 +487,14 @@ def test_super_backend_registered():
     assert get_backend("super").name == "super"
 
 
-def test_scalar_fallback_without_numpy_matches(monkeypatch):
-    """Numpy-free environments still get correct (per-cell scalar) results."""
-    monkeypatch.setattr("repro._optional.NUMPY", None)
+def test_scalar_fallback_on_unencodable_values_matches():
+    """A cell no value table encodes still gets correct (per-cell scalar) results."""
+    cell = make_cell(LastVoting, 4, 0, 2, FAMILIES["mobile"])
+    cell = dataclasses.replace(cell, tasks=[
+        dataclasses.replace(task, initial_values=[complex(v, v) for v in task.initial_values])
+        for task in cell.tasks
+    ])
     backend = SuperBatchBackend()
-    cell = make_cell(OneThirdRule, 4, 0, 2, FAMILIES["mobile"])
     outcomes = backend.run(cell)
-    assert backend.last_fallback_reason is not None
-    assert "numpy" in backend.last_fallback_reason
+    assert backend.last_fallback_reason.startswith("initial values are not encodable")
     assert outcomes == get_backend("scalar").run(cell)

@@ -21,7 +21,6 @@ import tracemalloc
 
 import pytest
 
-from repro._optional import have_numpy
 from repro.adversaries import (
     FaultFreeOracle,
     GoodPeriodOracle,
@@ -105,8 +104,7 @@ def test_table1_matrix_crosses_the_packed_row_space():
     ]
     backend = get_backend("super")
     results = backend.run_batches(batches)
-    if have_numpy():
-        assert backend.last_fallback_reasons == {}
+    assert backend.last_fallback_reasons == {}
     for (name, build), (outcome,) in zip(ENVIRONMENTS.items(), results):
         trace, _ = run_machine(OneThirdRule(N), build())
         assert outcome.decisions == trace.decisions(), name

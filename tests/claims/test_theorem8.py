@@ -20,7 +20,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro._optional import have_numpy
 from repro.predimpl.bounds import arbitrary_p2otr_rounds
 from repro.rounds.backend import get_backend
 from repro.rounds.bitmask import bit_count
@@ -92,7 +91,7 @@ def test_p2otr_first_holds_within_the_translation_round_bound(backend_name, fami
     )
     backend = get_backend(backend_name)
     outcomes = backend.run(plan.batch)
-    if backend_name == "batch" and have_numpy():
+    if backend_name == "batch":
         assert backend.last_fallback_reason is None
     f = 4 - bit_count(plan.batch.effective_scope_mask)
     round_bound = stabilize_round + arbitrary_p2otr_rounds(f)

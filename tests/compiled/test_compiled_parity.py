@@ -11,7 +11,7 @@ switches how the chunk cores execute, never what they compute.
 parity-evidence markers named by the registered compiled kernels
 (:data:`repro.compiled.kernels._COMPILED`);
 ``test_every_compiled_kernel_names_its_kernel_and_its_parity_evidence``
-holds every registration to them, numpy or not.
+holds every registration to them.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro._optional import have_numpy
 from repro.adversaries import (
     FaultFreeOracle,
     PartitionOracle,
@@ -44,7 +44,6 @@ from repro.rounds.backend import ReplicaBatch, ReplicaTask, get_backend
 from repro.rounds.bitmask import mask_of
 from repro.rounds.fallback import FallbackReason
 
-needs_numpy = pytest.mark.skipif(not have_numpy(), reason="numpy not available")
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -138,7 +137,6 @@ def test_every_compiled_kernel_names_its_kernel_and_its_parity_evidence():
         }, spec.parity_test
 
 
-@needs_numpy
 @pytest.mark.parametrize("algo_cls", ALGORITHMS)
 @pytest.mark.parametrize("oracle_name", sorted(ORACLE_FACTORIES))
 def test_classic_grid_parity(algo_cls, oracle_name):
@@ -164,7 +162,6 @@ def test_classic_grid_parity(algo_cls, oracle_name):
         assert compiled == batched
 
 
-@needs_numpy
 @pytest.mark.parametrize("oracle_name", ["fault-free", "crash-stop", "mobile", "bursty"])
 @pytest.mark.parametrize("n,f", [(4, 1), (5, 1), (7, 2)])
 def test_translation_parity(oracle_name, n, f):
@@ -184,7 +181,6 @@ def test_translation_parity(oracle_name, n, f):
 # --------------------------------------------------------------------- #
 
 
-@needs_numpy
 @pytest.mark.parametrize("n", [1, 63, 64, 65])
 @pytest.mark.parametrize("algo_cls", [OneThirdRule, UniformVoting])
 def test_word_spill_parity(n, algo_cls):
@@ -195,7 +191,6 @@ def test_word_spill_parity(n, algo_cls):
         )
 
 
-@needs_numpy
 def test_full_horizon_runs_every_round():
     """run_full_horizon disables the early-decide poll inside the fused loop."""
 
@@ -210,7 +205,6 @@ def test_full_horizon_runs_every_round():
     assert all(o.rounds_executed == 12 for o in outcomes)
 
 
-@needs_numpy
 def test_empty_scope_runs_zero_rounds():
     """An already-satisfied scope never queries the oracle (same as scalar)."""
 
@@ -229,7 +223,6 @@ def test_empty_scope_runs_zero_rounds():
 # --------------------------------------------------------------------- #
 
 
-@needs_numpy
 def test_without_numba_the_batch_path_runs(monkeypatch):
     """A non-interpreted backend degrades with NO_NUMBA when numba is absent."""
     from repro.compiled import CompiledBackend
@@ -243,7 +236,6 @@ def test_without_numba_the_batch_path_runs(monkeypatch):
     )
 
 
-@needs_numpy
 def test_monitored_cells_take_the_batch_path():
     from repro.rounds.backend import MonitorSpec
 
@@ -263,7 +255,6 @@ def test_monitored_cells_take_the_batch_path():
     assert all(o.predicate_reports for o in outcomes)
 
 
-@needs_numpy
 def test_fingerprinted_cells_take_the_batch_path():
     backend = compiled_backend()
     outcomes = backend.run(
@@ -277,7 +268,6 @@ def test_fingerprinted_cells_take_the_batch_path():
     assert outcomes == reference
 
 
-@needs_numpy
 def test_stateful_oracles_are_opaque_to_the_fused_loop():
     """rng-backed oracles need the per-replica query loop -> batch path."""
 
@@ -303,7 +293,6 @@ def test_stateful_oracles_are_opaque_to_the_fused_loop():
     assert outcomes == get_backend("scalar").run(make())
 
 
-@needs_numpy
 def test_mixed_algorithms_fall_back():
     tasks = [
         ReplicaTask(0, OneThirdRule(3), FaultFreeOracle(3), [1, 2, 3]),
@@ -314,7 +303,6 @@ def test_mixed_algorithms_fall_back():
     assert "mixed" in backend.last_fallback_reason
 
 
-@needs_numpy
 def test_disable_env_forces_numba_off(monkeypatch):
     """REPRO_DISABLE_NUMBA=1 makes the loader refuse numba entirely."""
     from repro import _optional
@@ -341,21 +329,18 @@ def _forced_fused(monkeypatch, compiled=None):
     )
 
 
-@needs_numpy
 def test_counter_hash_rows_matches_the_numpy_stage():
     """``out[i, j] = mix64((prefix[i] + PHI) ^ last[j])``: the fused core
     is the last stage of ``counter_hash_array`` over an ``(M, L)`` block."""
-    from repro._optional import require_numpy
     from repro.compiled.kernels import counter_hash_rows
     from repro.engine.counter import counter_hash, counter_hash_array
 
-    np = require_numpy()
     keys = np.arange(193, dtype=np.uint64) * np.uint64(0x9E3779B9)
     rounds = np.arange(193, dtype=np.uint64)[::-1].copy()
     last = np.array([0, 1, 7, 2**63, 2**64 - 1], dtype=np.uint64)
-    prefix = counter_hash_array(np, keys, [np.uint64(3), rounds])
+    prefix = counter_hash_array(keys, [np.uint64(3), rounds])
     kept = prefix.copy(), last.copy()
-    want = counter_hash_array(np, keys[:, None], [np.uint64(3), rounds[:, None], last])
+    want = counter_hash_array(keys[:, None], [np.uint64(3), rounds[:, None], last])
     for compiled in (None, False):
         got = np.zeros((193, 5), dtype=np.uint64)
         counter_hash_rows(prefix, last, got, compiled=compiled)
@@ -364,19 +349,16 @@ def test_counter_hash_rows_matches_the_numpy_stage():
     assert int(got[4, 3]) == counter_hash(int(keys[4]), 3, int(rounds[4]), 2**63)
 
 
-@needs_numpy
 def test_counter_hash_rows_writes_through_a_view_of_the_hash_buffer():
     """The dispatcher hands the core ``out.hashes.reshape(-1, L)`` -- of a
     whole scratch and of its leading rows -- and both land in the buffer."""
-    from repro._optional import require_numpy
     from repro.compiled.kernels import counter_hash_rows
     from repro.engine.counter import DrawScratch, counter_hash_array
 
-    np = require_numpy()
-    keys, counters = _link_draw(np, 4, 5)
-    want = counter_hash_array(np, keys, counters)
-    prefix = counter_hash_array(np, keys, counters[:-1])
-    scratch = DrawScratch(np, (4, 5, 5))
+    keys, counters = _link_draw(4, 5)
+    want = counter_hash_array(keys, counters)
+    prefix = counter_hash_array(keys, counters[:-1])
+    scratch = DrawScratch((4, 5, 5))
     for rows in (4, 3):
         draw = scratch.leading(rows)
         draw.hashes.fill(0)
@@ -386,11 +368,9 @@ def test_counter_hash_rows_writes_through_a_view_of_the_hash_buffer():
         assert (scratch.hashes[:rows] == want[:rows]).all()
 
 
-@needs_numpy
 def test_counter_hash_array_dispatcher_is_bit_identical(monkeypatch):
     """``counter_hash_array(out=)`` returns the same values whichever path
     its full-shape stage resolved to -- and ``units_of_counters`` on top."""
-    from repro._optional import require_numpy
     from repro.engine.counter import (
         DrawScratch,
         counter_hash_array,
@@ -398,37 +378,33 @@ def test_counter_hash_array_dispatcher_is_bit_identical(monkeypatch):
         units_of_counters,
     )
 
-    np = require_numpy()
-    keys, counters = _link_draw(np, 6, 7)
-    want = counter_hash_array(np, keys, counters)
-    resolved = counter_hash_array(np, keys, counters, out=DrawScratch(np, (6, 7, 7)))
+    keys, counters = _link_draw(6, 7)
+    want = counter_hash_array(keys, counters)
+    resolved = counter_hash_array(keys, counters, out=DrawScratch((6, 7, 7)))
     assert (resolved == want).all()
     _forced_fused(monkeypatch)
-    forced = counter_hash_array(np, keys, counters, out=DrawScratch(np, (6, 7, 7)))
+    forced = counter_hash_array(keys, counters, out=DrawScratch((6, 7, 7)))
     assert (forced == want).all()
-    assert (units_of_counters(np, keys, counters) == units_of_array(np, want)).all()
+    assert (units_of_counters(keys, counters) == units_of_array(want)).all()
 
 
-def _link_draw(np, replicas, n):
+def _link_draw(replicas, n):
     """The duals' ``(R, n, n)`` link-coin draw: keys and counters."""
     keys = (np.arange(replicas, dtype=np.uint64) + np.uint64(5)) * np.uint64(2**61 - 1)
     procs = np.arange(n, dtype=np.uint64)
     return keys[:, None, None], [np.uint64(1), np.uint64(9), procs[:, None], procs[None, :]]
 
 
-@needs_numpy
 def test_fused_stage_draws_into_the_callers_scratch(monkeypatch):
     """On the numba tier's branch a link draw still returns ``out.hashes``,
     bit-identical to the fresh result, draw after draw over the same
     scratch; a stage that is not link-shaped takes the numpy passes."""
-    from repro._optional import require_numpy
     from repro.engine import counter
     from repro.engine.counter import DrawScratch, counter_hash_array
 
-    np = require_numpy()
-    keys, counters = _link_draw(np, 3, 5)
-    want = counter_hash_array(np, keys, counters)
-    scratch = DrawScratch(np, (3, 5, 5))
+    keys, counters = _link_draw(3, 5)
+    want = counter_hash_array(keys, counters)
+    scratch = DrawScratch((3, 5, 5))
     for compiled in (None, False):
         _forced_fused(monkeypatch, compiled)
         calls = []
@@ -440,49 +416,46 @@ def test_fused_stage_draws_into_the_callers_scratch(monkeypatch):
 
         monkeypatch.setattr(counter, "_FUSED_HASH", counted)
         for _ in range(2):
-            got = counter_hash_array(np, keys, counters, out=scratch)
+            got = counter_hash_array(keys, counters, out=scratch)
             assert got is scratch.hashes
             assert (got == want).all()
         assert len(calls) == 2
         # n = 1: the keys already have the (R, 1, 1) scratch shape, so the
         # link stage finds the scratch filled and runs the numpy passes in place.
-        one_keys, one_counters = _link_draw(np, 4, 1)
-        one = counter_hash_array(np, one_keys, one_counters, out=DrawScratch(np, (4, 1, 1)))
-        assert (one == counter_hash_array(np, one_keys, one_counters)).all()
+        one_keys, one_counters = _link_draw(4, 1)
+        one = counter_hash_array(one_keys, one_counters, out=DrawScratch((4, 1, 1)))
+        assert (one == counter_hash_array(one_keys, one_counters)).all()
         # Not link-shaped: a counter that varies along the first axis too.
         grid = np.arange(15, dtype=np.uint64).reshape(3, 1, 5)
-        square = counter_hash_array(np, keys, counters[:3] + [grid], out=scratch)
-        assert (square == counter_hash_array(np, keys, counters[:3] + [grid])).all()
+        square = counter_hash_array(keys, counters[:3] + [grid], out=scratch)
+        assert (square == counter_hash_array(keys, counters[:3] + [grid])).all()
         # 0-d: every input a scalar.
-        scalar = counter_hash_array(np, np.uint64(7), [np.uint64(2)], out=DrawScratch(np, ()))
+        scalar = counter_hash_array(np.uint64(7), [np.uint64(2)], out=DrawScratch(()))
         assert int(scalar) == counter.counter_hash(7, 2)
         assert len(calls) == 2
         with pytest.raises(ValueError, match="does not fit"):
             counter_hash_array(
-                np, keys[:, :, 0], counters[:2] + [counters[3][0]], out=scratch
+                keys[:, :, 0], counters[:2] + [counters[3][0]], out=scratch
             )
 
 
-@needs_numpy
 def test_fused_dispatch_allocates_nothing_of_the_draw_shape(monkeypatch):
     """The numba tier's branch of ``counter_hash_array`` (forced here; the
     core runs interpreted when numba is absent) hands views of the scratch
     to the fused core, so a link draw allocates only its small prefix stages."""
-    from repro._optional import require_numpy
     from repro.engine import counter
     from tests.conftest import steady_state_peak_growth
 
-    np = require_numpy()
     _forced_fused(monkeypatch)
     replicas, n = 8, 48
-    keys, counters = _link_draw(np, replicas, n)
-    want = counter.counter_hash_array(np, keys, counters)
+    keys, counters = _link_draw(replicas, n)
+    want = counter.counter_hash_array(keys, counters)
 
     def build():
-        scratch = counter.DrawScratch(np, (replicas, n, n))
+        scratch = counter.DrawScratch((replicas, n, n))
 
         def draw(round):
-            hashes = counter.counter_hash_array(np, keys, counters, out=scratch)
+            hashes = counter.counter_hash_array(keys, counters, out=scratch)
             assert hashes is scratch.hashes
             return None
 
@@ -490,5 +463,5 @@ def test_fused_dispatch_allocates_nothing_of_the_draw_shape(monkeypatch):
 
     growth = steady_state_peak_growth(build)
     assert growth < replicas * n * n, growth
-    scratch = counter.DrawScratch(np, (replicas, n, n))
-    assert (counter.counter_hash_array(np, keys, counters, out=scratch) == want).all()
+    scratch = counter.DrawScratch((replicas, n, n))
+    assert (counter.counter_hash_array(keys, counters, out=scratch) == want).all()

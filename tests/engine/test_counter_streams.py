@@ -10,9 +10,9 @@ leading-tag decorrelation convention, the ``SeededRng`` named-stream and
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro._optional import have_numpy, require_numpy
 from repro.engine import counter
 from repro.engine.counter import (
     CounterStream,
@@ -28,8 +28,6 @@ from repro.engine.counter import (
     units_of_counters,
 )
 from repro.engine.rng import SeededRng, derive_seed
-
-needs_numpy = pytest.mark.skipif(not have_numpy(), reason="numpy not available")
 
 
 class TestScalarStream:
@@ -98,56 +96,50 @@ class TestSeededRngContract:
             assert replica_key == direct_key
 
 
-@needs_numpy
 class TestArrayDual:
     def test_bit_identity_on_every_prefix(self):
         """The numpy path equals the scalar path element for element --
         single counters, multi-counter tuples, and every prefix length."""
-        np = require_numpy()
         key = derive_seed(3, "oracle.dual")
         stream = CounterStream(key)
         for arity in (1, 2, 3, 4):
             counters = [np.arange(64, dtype=np.uint64) + np.uint64(t) for t in range(arity)]
-            hashes = counter_hash_array(np, np.uint64(key), counters)
+            hashes = counter_hash_array(np.uint64(key), counters)
             scalars = [
                 stream.hash(*(int(c[i]) for c in counters)) for i in range(64)
             ]
             assert [int(h) for h in hashes] == scalars
 
     def test_units_bit_identical(self):
-        np = require_numpy()
         key = derive_seed(9, "oracle.dual")
         stream = CounterStream(key)
         hashes = counter_hash_array(
-            np, np.uint64(key), [np.uint64(0), np.arange(128, dtype=np.uint64)]
+            np.uint64(key), [np.uint64(0), np.arange(128, dtype=np.uint64)]
         )
-        units = units_of_array(np, hashes)
+        units = units_of_array(hashes)
         assert [float(u) for u in units] == [stream.unit(0, q) for q in range(128)]
 
     def test_broadcast_shapes(self):
-        np = require_numpy()
         keys = np.array([1, 2, 3], dtype=np.uint64)[:, None]
         counters = [np.uint64(5), np.arange(4, dtype=np.uint64)[None, :]]
-        hashes = counter_hash_array(np, keys, counters)
+        hashes = counter_hash_array(keys, counters)
         assert hashes.shape == (3, 4)
         for i in range(3):
             for j in range(4):
                 assert int(hashes[i, j]) == counter_hash(i + 1, 5, j)
 
     def test_uint64_wraparound_not_promoted(self):
-        """numpy 1.x promotes uint64 + python-int to float64; the array
-        implementation must stay in uint64 (otherwise the wraparound --
-        and hence bit-identity -- is destroyed)."""
-        np = require_numpy()
+        """The array implementation stays in uint64: a float64 promotion
+        would destroy the wraparound, and hence bit-identity."""
         big = 2**64 - 1
         hashes = counter_hash_array(
-            np, np.uint64(big), [np.array([big], dtype=np.uint64)]
+            np.uint64(big), [np.array([big], dtype=np.uint64)]
         )
         assert hashes.dtype == np.uint64
         assert int(hashes[0]) == counter_hash(big, big)
 
 
-def _dual_draw_shapes(np):
+def _dual_draw_shapes():
     """``(name, keys, counters)`` of every counter arity the batch duals draw.
 
     The shapes of :mod:`repro.adversaries.counter_batch` at R=3, n=5, plus
@@ -169,36 +161,33 @@ def _dual_draw_shapes(np):
     ]
 
 
-@needs_numpy
 class TestDrawScratch:
     """``out=`` only moves where the stages are written, never what they hold."""
 
     @pytest.mark.parametrize("index", range(5))
     def test_out_is_bit_identical_to_fresh(self, index):
-        np = require_numpy()
-        name, keys, counters = _dual_draw_shapes(np)[index]
-        want_hash = counter_hash_array(np, keys, counters)
-        want_units = units_of_array(np, want_hash)
+        name, keys, counters = _dual_draw_shapes()[index]
+        want_hash = counter_hash_array(keys, counters)
+        want_units = units_of_array(want_hash)
         assert want_hash.dtype == np.uint64 and want_units.dtype == np.float64
 
         # Twice over the same scratch: the second draw must not be
         # contaminated by what the first left behind.
-        scratch = DrawScratch(np, want_hash.shape)
+        scratch = DrawScratch(want_hash.shape)
         for _ in range(2):
-            got_hash = counter_hash_array(np, keys, counters, out=scratch)
+            got_hash = counter_hash_array(keys, counters, out=scratch)
             assert got_hash is scratch.hashes, name
             assert np.array_equal(got_hash, want_hash), name
-            assert np.array_equal(units_of_array(np, got_hash), want_units), name
-        assert np.array_equal(units_of_counters(np, keys, counters), want_units), name
+            assert np.array_equal(units_of_array(got_hash), want_units), name
+        assert np.array_equal(units_of_counters(keys, counters), want_units), name
 
     def test_scalar_oracle_agrees_with_the_out_path(self):
         """Hash, uniform and coin of the scratch draw are the scalar stream's."""
-        np = require_numpy()
-        _, keys, counters = _dual_draw_shapes(np)[4]
-        scratch = DrawScratch(np, (3, 5, 5))
-        hashes = counter_hash_array(np, keys, counters, out=scratch)
-        units = units_of_array(np, hashes)
-        coins = coins_below(np, hashes, coin_threshold(0.3))
+        _, keys, counters = _dual_draw_shapes()[4]
+        scratch = DrawScratch((3, 5, 5))
+        hashes = counter_hash_array(keys, counters, out=scratch)
+        units = units_of_array(hashes)
+        coins = coins_below(hashes, coin_threshold(0.3))
         for i in range(3):
             stream = CounterStream(int(keys[i, 0, 0]))
             for p in range(5):
@@ -209,36 +198,33 @@ class TestDrawScratch:
 
     def test_mismatched_scratch_is_an_error(self):
         """A scratch of another shape is a caller bug, not a silent fallback."""
-        np = require_numpy()
-        _, keys, counters = _dual_draw_shapes(np)[3]
+        _, keys, counters = _dual_draw_shapes()[3]
         for shape in ((3, 5, 5), (3,), (5, 3), ()):
             with pytest.raises(ValueError, match="does not fit"):
-                counter_hash_array(np, keys, counters, out=DrawScratch(np, shape))
+                counter_hash_array(keys, counters, out=DrawScratch(shape))
 
     def test_inputs_are_never_written(self):
-        np = require_numpy()
         keys = np.arange(12, dtype=np.uint64).reshape(3, 4)
         counter = np.arange(12, dtype=np.uint64).reshape(3, 4) + np.uint64(100)
         kept = keys.copy(), counter.copy()
-        scratch = DrawScratch(np, (3, 4))
-        counter_hash_array(np, keys, [counter, counter], out=scratch)
+        scratch = DrawScratch((3, 4))
+        counter_hash_array(keys, [counter, counter], out=scratch)
         assert np.array_equal(keys, kept[0]) and np.array_equal(counter, kept[1])
 
     def test_the_shift_buffer_is_one_block(self):
         """Hash buffer full shape, shift buffer the leading rows that hold
         one block of elements -- all of them when the draw is smaller."""
-        np = require_numpy()
         per_row = 64 * 64
         rows = counter._BLOCK_ELEMS // per_row
         assert rows >= 1
-        big = DrawScratch(np, (4 * rows, 64, 64))
+        big = DrawScratch((4 * rows, 64, 64))
         assert big.hashes.shape == (4 * rows, 64, 64)
         assert big.shifted.shape == (rows, 64, 64)
-        small = DrawScratch(np, (3, 5, 5))
+        small = DrawScratch((3, 5, 5))
         assert small.shifted.shape == small.hashes.shape == (3, 5, 5)
-        assert DrawScratch(np, ()).shifted.shape == ()
+        assert DrawScratch(()).shifted.shape == ()
         # A row larger than a block still gets one whole row.
-        wide = DrawScratch(np, (2, 2 * counter._BLOCK_ELEMS))
+        wide = DrawScratch((2, 2 * counter._BLOCK_ELEMS))
         assert wide.shifted.shape == (1, 2 * counter._BLOCK_ELEMS)
         lead = big.leading(rows + 1)
         assert lead.hashes.shape == (rows + 1, 64, 64)
@@ -246,7 +232,6 @@ class TestDrawScratch:
         assert np.shares_memory(lead.shifted, big.shifted)
 
 
-@needs_numpy
 class TestTiledStage:
     """A full-shape stage runs block by block along axis 0; the values are
     those of the expression path and of the scalar hash, whatever the split."""
@@ -256,18 +241,17 @@ class TestTiledStage:
     @pytest.mark.parametrize("n", [1, 63, 64, 65])
     @pytest.mark.parametrize("rows", [1, TILE - 1, TILE, TILE + 1, 3 * TILE + 2])
     def test_tiled_draw_equals_the_expression_path(self, monkeypatch, rows, n):
-        np = require_numpy()
         monkeypatch.setattr(counter, "_BLOCK_ELEMS", self.TILE * n * n)
         keys = (np.arange(rows, dtype=np.uint64) + np.uint64(3)) * np.uint64(2**61 - 1)
         keys = keys[:, None, None]
         procs = np.arange(n, dtype=np.uint64)
         counters = [np.uint64(2), np.uint64(7), procs[:, None], procs[None, :]]
         kept = keys.copy(), procs.copy()
-        scratch = DrawScratch(np, (rows, n, n))
+        scratch = DrawScratch((rows, n, n))
         assert scratch.shifted.shape[0] == min(rows, self.TILE)
-        want = counter_hash_array(np, keys, counters)
+        want = counter_hash_array(keys, counters)
         for _ in range(2):
-            got = counter_hash_array(np, keys, counters, out=scratch)
+            got = counter_hash_array(keys, counters, out=scratch)
             assert got is scratch.hashes and got.shape == (rows, n, n)
             assert np.array_equal(got, want)
         assert np.array_equal(keys, kept[0]) and np.array_equal(procs, kept[1])
@@ -278,17 +262,16 @@ class TestTiledStage:
     def test_two_full_shape_stages_in_a_row(self, monkeypatch, rows):
         """The second stage finds ``out.hashes`` holding the first's result
         and must bump and absorb it in place, block by block."""
-        np = require_numpy()
         n = 5
         monkeypatch.setattr(counter, "_BLOCK_ELEMS", self.TILE * n)
         keys = np.arange(rows, dtype=np.uint64)[:, None] + np.uint64(2**63)
         first = np.arange(rows * n, dtype=np.uint64).reshape(rows, n)
         second = first[::-1].copy()
         kept = keys.copy(), first.copy(), second.copy()
-        scratch = DrawScratch(np, (rows, n))
-        got = counter_hash_array(np, keys, [np.uint64(1), first, second], out=scratch)
+        scratch = DrawScratch((rows, n))
+        got = counter_hash_array(keys, [np.uint64(1), first, second], out=scratch)
         assert got is scratch.hashes
-        assert np.array_equal(got, counter_hash_array(np, keys, [np.uint64(1), first, second]))
+        assert np.array_equal(got, counter_hash_array(keys, [np.uint64(1), first, second]))
         for i, j in {(0, 0), (rows - 1, n - 1), (rows // 2, 2)}:
             assert int(got[i, j]) == counter_hash(
                 int(keys[i, 0]), 1, int(first[i, j]), int(second[i, j])
@@ -298,33 +281,31 @@ class TestTiledStage:
 
     def test_leading_rows_of_a_scratch_draw_like_their_own_scratch(self, monkeypatch):
         """``DrawScratch.leading(k)`` -- the partially active duals' draw."""
-        np = require_numpy()
         n = 4
         monkeypatch.setattr(counter, "_BLOCK_ELEMS", self.TILE * n * n)
-        scratch = DrawScratch(np, (8, n, n))
+        scratch = DrawScratch((8, n, n))
         keys = (np.arange(8, dtype=np.uint64) + np.uint64(1)) * np.uint64(0x9E3779B9)
         procs = np.arange(n, dtype=np.uint64)
         counters = [np.uint64(0), np.uint64(4), procs[:, None], procs[None, :]]
         for k in (0, 1, self.TILE, self.TILE + 2, 8):
             rows = np.arange(8)[::-1][:k].copy()
             got = counter_hash_array(
-                np, keys[rows][:, None, None], counters, out=scratch.leading(k)
+                keys[rows][:, None, None], counters, out=scratch.leading(k)
             )
             assert got.shape == (k, n, n)
             assert np.shares_memory(got, scratch.hashes) or k == 0
             assert np.array_equal(
-                got, counter_hash_array(np, keys[rows][:, None, None], counters)
+                got, counter_hash_array(keys[rows][:, None, None], counters)
             )
 
     def test_a_misfit_scratch_is_still_an_error_when_tiled(self, monkeypatch):
-        np = require_numpy()
         monkeypatch.setattr(counter, "_BLOCK_ELEMS", 8)
         keys = np.arange(6, dtype=np.uint64)[:, None]
         procs = np.arange(4, dtype=np.uint64)
         with pytest.raises(ValueError, match="does not fit"):
-            counter_hash_array(np, keys, [procs], out=DrawScratch(np, (7, 4)))
+            counter_hash_array(keys, [procs], out=DrawScratch((7, 4)))
         with pytest.raises(ValueError, match="does not fit"):
-            counter_hash_array(np, keys, [procs], out=DrawScratch(np, (6, 4)).leading(5))
+            counter_hash_array(keys, [procs], out=DrawScratch((6, 4)).leading(5))
 
 
 # Below, C = ceil(p * 2**53) and T = coin_threshold(p) = C << 11.
@@ -365,21 +346,19 @@ class TestCoinThreshold:
             assert (h < threshold) == (unit_of(h) < p), (p, h)
             assert (h >= threshold) == (unit_of(h) >= p), (p, h)
 
-    @needs_numpy
     @pytest.mark.parametrize("p", _TABLE_PROBABILITIES)
     def test_array_compare_agrees_with_the_float_comparison(self, p):
-        np = require_numpy()
         threshold = coin_threshold(p)
         values = _hashes_around(threshold)
         hashes = np.array(values, dtype=np.uint64)
         below = [unit_of(h) < p for h in values]
-        assert coins_below(np, hashes, threshold).tolist() == below
-        assert coins_not_below(np, hashes, threshold).tolist() == [not b for b in below]
-        assert (units_of_array(np, hashes) < p).tolist() == below
+        assert coins_below(hashes, threshold).tolist() == below
+        assert coins_not_below(hashes, threshold).tolist() == [not b for b in below]
+        assert (units_of_array(hashes) < p).tolist() == below
         out = np.empty(len(values), dtype=bool)
-        assert coins_below(np, hashes, threshold, out=out) is out
+        assert coins_below(hashes, threshold, out=out) is out
         assert out.tolist() == below
-        assert coins_not_below(np, hashes, threshold, out=out) is out
+        assert coins_not_below(hashes, threshold, out=out) is out
         assert out.tolist() == [not b for b in below]
 
     def test_generated_probabilities_and_hashes(self):

@@ -14,8 +14,8 @@ from .conftest import check_rule, codes_of, rule, run_lint
 VIOLATIONS = [
     ("REP001", "repro/fake.py", "import random\n", 1),
     ("REP001", "repro/fake.py", "from random import Random\n", 1),
-    ("REP002", "repro/fake.py", "import numpy\n", 1),
-    ("REP002", "repro/fake.py", "from numpy import asarray\n", 1),
+    ("REP002", "repro/fake.py", "import numba\n", 1),
+    ("REP002", "repro/fake.py", "from numba import njit\n", 1),
     ("REP003", "repro/fake.py",
      "import time\n\n\ndef stamp():\n    return time.time()\n", 5),
     ("REP003", "repro/fake.py", "from time import time\n", 1),
@@ -40,6 +40,7 @@ VIOLATIONS = [
      "def _cell_parameters(batch):\n    raise BatchUnsupported('x')\n", 2),
     ("REP104", "repro/algorithms/fake.py",
      "def encode(values):\n    raise batched.BatchUnsupported(f'bad {values}')\n", 2),
+    ("REP002", "repro/fake.py", "from numba.core import types\n", 1),
 ]
 
 IDS = [f"{code}-{i}" for i, (code, _, _, _) in enumerate(VIOLATIONS)]
@@ -114,6 +115,14 @@ def test_rep002_optional_module_is_exempt():
     assert rep002.applies_to("repro.batch.backends")
 
 
+def test_rep002_numpy_is_an_ordinary_import():
+    source = """\
+        import numpy as np
+        from numpy import asarray
+    """
+    assert check_rule("REP002", source) == []
+
+
 def test_rep003_perf_counter_is_allowed():
     source = """\
         import time
@@ -184,7 +193,7 @@ def test_rep104_rendered_enum_values_are_fine():
 
         def _fallback_reason(cell):
             if cell is None:
-                return FallbackReason.NO_NUMPY.render()
+                return FallbackReason.NO_BATCH_KERNEL.render(algorithm=cell)
             return None
     """
     assert check_rule("REP104", source, module="repro.batch.fake") == []

@@ -54,7 +54,7 @@ def test_explicit_file_paths_and_dedup(tmp_path):
 def test_findings_are_sorted_by_location(tmp_path):
     result = run_lint(tmp_path, {
         "repro/b.py": "import random\nfrom time import time\n",
-        "repro/a.py": "import numpy\n",
+        "repro/a.py": "import numba\n",
     })
     rendered = [(f.path, f.line) for f in result.findings]
     assert rendered == sorted(rendered)

@@ -12,11 +12,8 @@ import random
 
 import pytest
 
-from repro._optional import have_numpy
 from repro.predicates import MONITOR_NAMES, MonitorBank, build_monitor
 from repro.rounds.bitmask import mask_of
-
-pytestmark = pytest.mark.skipif(not have_numpy(), reason="numpy not available")
 
 
 def random_mask_rounds(n, rounds, seed, shape_bias):

@@ -27,7 +27,7 @@ from repro.predimpl import build_down_stack
 from repro.predimpl.step_backend import (
     ARBITRARY_GOOD,
     DOWN_GOOD,
-    STEP_FAULT_MODELS,
+    FAULT_MODELS,
     ScalarStepBackend,
     StepEnvironment,
     build_step_simulator,
@@ -97,7 +97,7 @@ def compute_outcomes() -> Dict[str, List[Dict[str, Any]]]:
     """Per-seed outcome pins for every (stack, fault model, n) cell."""
     pins: Dict[str, List[Dict[str, Any]]] = {}
     for label, kind, f, use_translation in STACKS:
-        for fault_model in STEP_FAULT_MODELS:
+        for fault_model in FAULT_MODELS:
             for n in SIZES:
                 pins[cell_key(label, fault_model, n)] = [
                     {

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro._optional import have_numpy
 from repro.adversaries import CounterKernelOracle
 from repro.algorithms import OneThirdRule, UniformVoting
 from repro.core.machine import HOMachine
@@ -21,8 +20,6 @@ from repro.predimpl.translation import KernelToUniformTranslation
 from repro.rounds.backend import ReplicaBatch, ReplicaTask, get_backend
 from repro.rounds.fallback import FallbackReason
 from tests.conftest import count_compactions
-
-needs_numpy = pytest.mark.skipif(not have_numpy(), reason="numpy not available")
 
 #: the word-spill sizes: one word exactly, one bit short, one bit over.
 SPILL_SIZES = [1, 63, 64, 65]
@@ -79,7 +76,6 @@ def scalar_machines(n, seeds, f):
     ]
 
 
-@needs_numpy
 class TestKernelLockstep:
     """Drive the batched kernel next to scalar machines, round by round."""
 
@@ -164,7 +160,6 @@ class TestKernelLockstep:
                 assert decisions == scalar, (n, round, r)
 
 
-@needs_numpy
 class TestBackendFingerprints:
     def test_fingerprints_equal_on_every_round_prefix(self):
         """max_rounds = k for every k: the digests chain per executed
@@ -192,7 +187,6 @@ class TestBackendFingerprints:
         assert all(outcome.decisions for outcome in scalar)
 
 
-@needs_numpy
 class TestRowCompaction:
     """A translation cell is a row space of its own, and that one compacts."""
 
@@ -295,7 +289,6 @@ class TestRowCompaction:
         )
 
 
-@needs_numpy
 class TestEligibility:
     def test_non_one_third_rule_inner_is_rejected(self):
         """``from_cells`` sets the cell aside with its reason and still

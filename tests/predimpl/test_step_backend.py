@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro._optional import have_numpy
 from repro.adversaries import FaultFreeOracle
 from repro.algorithms import OneThirdRule
 from repro.predicates import MONITOR_NAMES
 from repro.predimpl.step_backend import (
     ARBITRARY_GOOD,
     DOWN_GOOD,
-    STEP_FAULT_MODELS,
+    FAULT_MODELS,
     BatchStepBackend,
     ScalarStepBackend,
     StepEnvironment,
@@ -42,8 +41,6 @@ from ._golden_step import (
     run_cell,
     shuffled_values,
 )
-
-needs_numpy = pytest.mark.skipif(not have_numpy(), reason="numpy not available")
 
 
 def make_batch(env, n, seeds, max_rounds=None, **kwargs):
@@ -77,6 +74,11 @@ class TestStepEnvironment:
             StepEnvironment(fault_model="byzantine")
         with pytest.raises(ValueError):
             StepEnvironment(f=-1)
+
+    def test_the_fault_model_axis_is_spelled_once(self):
+        from repro import workloads
+
+        assert workloads.FAULT_MODELS is FAULT_MODELS
 
     def test_round_timeout_follows_the_stack(self):
         down = StepEnvironment(kind=DOWN_GOOD)
@@ -146,7 +148,6 @@ class TestScalarStepBackend:
         assert set(outcome.decisions) == set(range(4))
 
 
-@needs_numpy
 class TestLoweringBitIdentity:
     @pytest.mark.parametrize("n", [1, 2, 4, 7])
     @pytest.mark.parametrize("run_full_horizon", [False, True])
@@ -224,7 +225,6 @@ class TestMonitoredFaultFreeCells:
                 for report in outcome.predicate_reports.values():
                     assert report["rounds_observed"] == outcome.rounds_executed
 
-    @needs_numpy
     def test_monitored_cell_lowers_bit_identically(
         self, n, stop_after_held, run_full_horizon
     ):
@@ -252,9 +252,7 @@ class TestDegradation:
         reason, outcomes = self.degrade(
             make_batch(env, 4, [0, 1], scope_mask=mask_of(scope))
         )
-        # Without numpy the availability check fires before the fault-model
-        # eligibility check; either way the cell must degrade with a reason.
-        assert fault_model in reason if have_numpy() else "numpy" in reason
+        assert fault_model in reason
         scalar = ScalarStepBackend().run(
             make_batch(env, 4, [0, 1], scope_mask=mask_of(scope))
         )
@@ -263,12 +261,10 @@ class TestDegradation:
     def test_arbitrary_stack_degrades_with_reason(self):
         env = StepEnvironment(kind=ARBITRARY_GOOD, f=1)
         reason, outcomes = self.degrade(make_batch(env, 4, [0]))
-        assert "arbitrary-good" in reason if have_numpy() else "numpy" in reason
+        assert "arbitrary-good" in reason
         assert outcomes[0].decisions
 
     def test_mixed_environments_degrade(self):
-        if not have_numpy():
-            pytest.skip("without numpy every cell degrades for numpy first")
         n = 3
         tasks = [
             ReplicaTask(
@@ -283,16 +279,12 @@ class TestDegradation:
         backend.run(ReplicaBatch(n=n, tasks=tasks, max_rounds=8))
         assert "disagree" in backend.last_fallback_reason
 
-    def test_numpy_free_process_degrades_every_cell(self):
-        """The CI numpy-free leg: step-batch must still equal step-scalar
-        (the degradation path), with the numpy reason recorded."""
+    def test_lowerable_cell_records_no_reason(self):
+        """The one shape step-batch lowers is not degraded, and equals step-scalar."""
         env = StepEnvironment()
         backend = BatchStepBackend()
         outcomes = backend.run(make_batch(env, 4, [0]))
-        if have_numpy():
-            assert backend.last_fallback_reason is None
-        else:
-            assert "numpy" in backend.last_fallback_reason
+        assert backend.last_fallback_reason is None
         assert outcomes == ScalarStepBackend().run(make_batch(env, 4, [0]))
 
 
@@ -314,13 +306,13 @@ class TestGoldenStepFingerprints:
         expected = {
             cell_key(label, fault_model, n)
             for label, _, _, _ in STACKS
-            for fault_model in STEP_FAULT_MODELS
+            for fault_model in FAULT_MODELS
             for n in SIZES
         }
         assert set(goldens["outcomes"]) == expected
 
     @pytest.mark.parametrize("label,kind,f,use_translation", STACKS)
-    @pytest.mark.parametrize("fault_model", STEP_FAULT_MODELS)
+    @pytest.mark.parametrize("fault_model", FAULT_MODELS)
     @pytest.mark.parametrize("n", SIZES)
     def test_per_seed_outcomes_match_the_golden(
         self, goldens, label, kind, f, use_translation, fault_model, n

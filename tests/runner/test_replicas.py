@@ -6,7 +6,6 @@ import json
 
 import pytest
 
-from repro._optional import have_numpy
 from repro.runner.__main__ import main
 from repro.runner.sweep import (
     JsonlSink,
@@ -128,10 +127,7 @@ class TestBatchedCells:
                            fault_models=["fault-free"])
         (record,) = run_sweep(specs, replicas=2, backend="auto").records
         label = record.replicas["backend"]
-        if have_numpy():
-            assert label == "batch"
-        else:
-            assert label.startswith("batch:scalar-fallback")
+        assert label == "batch"
 
     def test_replicas_validation(self):
         specs = build_grid(seeds=[0], n=4, scenarios=["ho-classic-otr"],
@@ -240,7 +236,6 @@ class TestCliFlags:
 
 
 class TestVectorisedBackendEngages:
-    @pytest.mark.skipif(not have_numpy(), reason="numpy not available")
     def test_classic_cells_vectorise_under_the_batch_backend(self):
         from repro.rounds.backend import get_backend
 

@@ -10,21 +10,52 @@ registry itself.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from functools import partial
+
 import pytest
 
-from repro._optional import have_numpy
 from repro.rounds.backend import CellPlan
+from repro.rounds.bitmask import iter_bits
 from repro.runner.__main__ import main as cli_main
 from repro.runner.registry import REGISTRY
 from repro.runner.sweep import BACKEND_CHOICES, build_grid, run_sweep
+from repro.workloads.batched import build_classic_batch, cell_plan, run_seed
 
-needs_numpy = pytest.mark.skipif(not have_numpy(), reason="numpy not available")
 
 GRID = dict(
     scenarios=["ho-classic-otr", "ho-round-mobile-omission", "ho-round-bursty-loss"],
     fault_models=["fault-free", "crash-stop"],
     seeds=[0],
 )
+
+COMPLEX_VALUED = "test-complex-valued-lv"
+
+
+def build_complex_valued_batch(fault_model, n=4, seeds=(0,), **params):
+    """``ho-classic-lv``'s cell with complex initial values: LastVoting runs
+    them (its tie-break is by ``repr``), but no value table encodes them."""
+    plan = build_classic_batch(fault_model, n=n, seeds=seeds, algorithm="lv", **params)
+    batch = plan.batch
+    tasks = [
+        replace(task, initial_values=[complex(v, v) for v in task.initial_values])
+        for task in batch.tasks
+    ]
+    scope = iter_bits(batch.effective_scope_mask)
+    return cell_plan(n, tasks, batch.max_rounds, scope, None, None, False)
+
+
+@pytest.fixture
+def complex_valued_scenario(monkeypatch):
+    """A batchable scenario every array tier declines, registered for one test."""
+    REGISTRY.scenario_names()  # populate first: the copies below must hold the workloads
+    for table in ("_scenarios", "_monitorable", "_batch_builders"):
+        monkeypatch.setattr(REGISTRY, table, dict(getattr(REGISTRY, table)))
+    REGISTRY.register_scenario(
+        COMPLEX_VALUED, partial(run_seed, COMPLEX_VALUED),
+        batch_builder=build_complex_valued_batch,
+    )
+    return COMPLEX_VALUED
 
 
 class TestSuperSweep:
@@ -42,7 +73,6 @@ class TestSuperSweep:
             assert a.replicas["aggregates"] == b.replicas["aggregates"]
         assert sup.aggregate() == ref.aggregate()
 
-    @needs_numpy
     def test_super_label_on_grid_cells(self):
         specs = build_grid(ns=[4], **GRID)
         result = run_sweep(specs, replicas=2, backend="super")
@@ -70,10 +100,8 @@ class TestSuperSweep:
         assert all(record.error is None for record in sup.records)
         assert sup.aggregate() == ref.aggregate()
         assert all(group["predicates"] for group in sup.aggregate().values())
-        if have_numpy():
-            assert {r.replicas["backend"] for r in sup.records} == {"super"}
+        assert {r.replicas["backend"] for r in sup.records} == {"super"}
 
-    @needs_numpy
     def test_translation_cells_super_batch(self):
         """Theorem 8 cells of different n, hence different f, share the row
         space with classic cells: every record says ``super`` and equals the
@@ -109,34 +137,32 @@ class TestSuperSweep:
         labels = {
             (r.scenario, r.fault_model): r.replicas["backend"] for r in sup.records
         }
-        if have_numpy():
-            assert labels[("ho-step-down-otr", "fault-free")] == "step-batch"
-            assert labels[("ho-classic-otr", "fault-free")] == "super"
-            assert labels[("ho-classic-otr", "lossy")] == "super"
-        else:
-            assert labels[("ho-step-down-otr", "fault-free")].startswith(
-                "step-batch:scalar-fallback ("
-            )
-            assert labels[("ho-classic-otr", "fault-free")].startswith(
-                "super:scalar-fallback ("
-            )
+        assert labels[("ho-step-down-otr", "fault-free")] == "step-batch"
+        assert labels[("ho-classic-otr", "fault-free")] == "super"
+        assert labels[("ho-classic-otr", "lossy")] == "super"
         assert labels[("ho-step-down-otr", "lossy")].startswith(
             "step-batch:scalar-fallback ("
         )
 
-    def test_declined_cell_is_labelled_with_the_hop_batch_takes(self, monkeypatch):
+    def test_declined_cell_is_labelled_with_the_hop_batch_takes(
+        self, complex_valued_scenario
+    ):
         """A cell ``super`` declines runs on the scalar reference, exactly
         where ``batch`` sends it, so the two labels differ only in the tier."""
-        monkeypatch.setattr("repro._optional.NUMPY", None)
         specs = build_grid(
-            scenarios=["ho-classic-otr"], fault_models=["fault-free"], seeds=[0], ns=[4]
+            scenarios=[complex_valued_scenario], fault_models=["fault-free"], seeds=[0], ns=[4]
         )
         sup = run_sweep(specs, replicas=2, backend="super").records[0]
         per_cell = run_sweep(specs, replicas=2, backend="batch").records[0]
-        assert sup.replicas["backend"].startswith("super:scalar-fallback (numpy unavailable")
+        scalar = run_sweep(specs, replicas=2, backend="scalar").records[0]
+        assert sup.replicas["backend"].startswith(
+            "super:scalar-fallback (initial values are not encodable"
+        )
         assert sup.replicas["backend"].split(":", 1)[1] == (
             per_cell.replicas["backend"].split(":", 1)[1]
         )
+        assert sup.replicas["outcomes"] == per_cell.replicas["outcomes"]
+        assert sup.replicas["outcomes"] == scalar.replicas["outcomes"]
 
 
 class TestBuilderRegistry:

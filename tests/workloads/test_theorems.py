@@ -13,7 +13,6 @@ import pickle
 
 import pytest
 
-from repro._optional import have_numpy
 from repro.rounds.backend import get_backend
 from repro.runner.registry import REGISTRY
 from repro.runner.sweep import RunSpec, run_one, run_sweep
@@ -22,8 +21,6 @@ from repro.workloads.theorems import (
     build_step_batch,
     build_translation_batch,
 )
-
-needs_numpy = pytest.mark.skipif(not have_numpy(), reason="numpy not available")
 
 
 class TestRegistration:
@@ -118,7 +115,6 @@ class TestSweepIntegration:
         assert batch.replicas["outcomes"] == scalar.replicas["outcomes"]
         assert batch.replicas["outcomes"] == auto.replicas["outcomes"]
 
-    @needs_numpy
     def test_step_cells_report_the_step_backend(self):
         record = self.sweep("ho-step-down-otr", "batch")
         assert record.replicas["backend"] == "step-batch"
@@ -135,5 +131,4 @@ class TestSweepIntegration:
 
     def test_translation_cells_report_the_round_backend(self):
         record = self.sweep("ho-theorem8-translation", "batch")
-        expected = "batch" if have_numpy() else "batch:scalar-fallback"
-        assert record.replicas["backend"].startswith(expected)
+        assert record.replicas["backend"] == "batch"
