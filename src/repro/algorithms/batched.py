@@ -264,15 +264,15 @@ class BatchKernel(abc.ABC):
 
     def decisions_of(self, replica: int) -> Tuple[Dict[int, Any], Dict[int, int]]:
         """The (decisions, decision_rounds) dicts of one replica, decoded."""
-        decisions: Dict[int, Any] = {}
-        rounds: Dict[int, int] = {}
-        row = self.decision_code[replica]
-        for p in range(self.n):
-            code = int(row[p])
-            if code >= 0:
-                decisions[p] = self.tables[replica][code]
-                rounds[p] = int(self.decision_round[replica, p])
-        return decisions, rounds
+        # One tolist() per row: indexing numpy scalars per process costs
+        # three times the whole decode at n = 64.
+        table = self.tables[replica]
+        rounds = self.decision_round[replica].tolist()
+        decisions = {
+            p: table[code] for p, code in enumerate(self.decision_code[replica].tolist())
+            if code >= 0
+        }
+        return decisions, {p: rounds[p] for p in decisions}
 
     def estimate_reprs(self, replica: int) -> List[str]:
         """``repr`` of every process's current estimate (fingerprint food)."""

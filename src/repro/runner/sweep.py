@@ -428,9 +428,15 @@ def _cell_seeds(spec: RunSpec) -> List[int]:
     return list(range(spec.seed, spec.seed + (spec.replicas or 1)))
 
 
-def _build_plan(builder: Callable[..., CellPlan], spec: RunSpec) -> CellPlan:
-    """Build a batchable cell's :class:`~repro.rounds.backend.CellPlan` (may raise)."""
-    return builder(spec.fault_model, n=spec.n, seeds=_cell_seeds(spec), **spec.kwargs)
+def _build_plan(builder: Callable[..., CellPlan], *specs: RunSpec) -> CellPlan:
+    """Build one :class:`~repro.rounds.backend.CellPlan` over the seeds of *specs*.
+
+    The specs are batchable cells equal in everything but their base seed;
+    the plan covers their seeds in the order given.  May raise.
+    """
+    head = specs[0]
+    seeds = [seed for spec in specs for seed in _cell_seeds(spec)]
+    return builder(head.fault_model, n=head.n, seeds=seeds, **head.kwargs)
 
 
 def _finalize(
@@ -1044,48 +1050,83 @@ def _execute_super_grid(
 ) -> List[Tuple[int, RunSpec]]:
     """Run every cell with a registered builder as ONE cross-cell unit.
 
-    Builds a :class:`~repro.rounds.backend.CellPlan` per eligible cell,
-    hands all their batches to the super backend's ``run_batches`` in a
-    single call -- the whole grid becomes the schedulable unit -- and emits
-    one wire record per cell.  The grid's wall clock is split evenly across
-    its cells (per-cell timing is meaningless inside one lockstep loop).
-    Returns the cells that must take the ordinary per-cell path: no
-    builder, a scenario that aliases ``super`` onto its own backend (a step
-    cell's ``StepEnvironment`` is no heard-of oracle to vectorise), or the
-    cross-cell run failed.
+    The unit of work is a *seed-sibling group*: the eligible cells equal in
+    everything but their base seed (scenario, fault model, n, params,
+    replicas).  Each group is built as one
+    :class:`~repro.rounds.backend.CellPlan` over the concatenation of its
+    members' seeds, in grid order -- every builder builds per seed, so its
+    tasks are exactly the members' tasks, and its oracles vectorise as one
+    dual.  All groups' batches go to the super backend's ``run_batches`` in
+    a single call -- the whole grid becomes the schedulable unit -- and each
+    group's outcomes are sliced back into one wire record per member,
+    emitted in grid order.  A group's fallback reason is each member's:
+    every reason ``admit`` and ``from_cells`` record depends on the
+    algorithm, the value type or the params, never on the seed.  The grid's
+    wall clock is split evenly across its cells (per-cell timing is
+    meaningless inside one lockstep loop).
+
+    If a group's merged build raises, each member is rebuilt alone, so a
+    seed-specific builder error stays on its own cell with the per-cell
+    path's error text.  Returns the cells that must take the ordinary
+    per-cell path: no builder, a scenario that aliases ``super`` onto its
+    own backend (a step cell's ``StepEnvironment`` is no heard-of oracle to
+    vectorise), or the cross-cell run failed.
     """
     leftover: List[Tuple[int, RunSpec]] = []
-    plans: List[Tuple[int, RunSpec, CellPlan]] = []
+    groups: Dict[str, List[Tuple[int, RunSpec]]] = {}
     started = time.perf_counter()
     for index, spec in cells:
         builder = REGISTRY.batch_builder(spec.scenario)
         if builder is None or REGISTRY.resolve_backend(spec.scenario, "super") != "super":
             leftover.append((index, spec))
             continue
-        try:
-            plan = _build_plan(builder, spec)
-        except Exception as exc:  # noqa: BLE001 - a bad cell must not kill the grid
-            record = _cell_record(spec, [], "super", 0.0, _error_text(exc))
-            emit(record)
-            slots[index] = record
-            continue
-        plans.append((index, spec, plan))
-    if not plans:
+        group = spec_key(spec.scenario, spec.fault_model, spec.n, 0, spec.params, spec.replicas)
+        groups.setdefault(group, []).append((index, spec))
+
+    units: List[Tuple[List[Tuple[int, RunSpec]], CellPlan]] = []
+    for members in groups.values():
+        builder = REGISTRY.batch_builder(members[0][1].scenario)
+        if len(members) > 1:
+            try:
+                plan = _build_plan(builder, *(spec for _, spec in members))
+            except Exception:  # noqa: BLE001 - isolated below, member by member
+                pass
+            else:
+                units.append((members, plan))
+                continue
+        for index, spec in members:
+            try:
+                plan = _build_plan(builder, spec)
+            except Exception as exc:  # noqa: BLE001 - a bad cell must not kill the grid
+                record = _cell_record(spec, [], "super", 0.0, _error_text(exc))
+                emit(record)
+                slots[index] = record
+                continue
+            units.append(([(index, spec)], plan))
+    if not units:
         return leftover
 
     backend = get_backend("super")
     try:
-        results = backend.run_batches([plan.batch for _, _, plan in plans])
+        results = backend.run_batches([plan.batch for _, plan in units])
     except Exception:  # noqa: BLE001 - degrade to the per-cell path wholesale
-        return leftover + [(index, spec) for index, spec, _ in plans]
-    per_cell_wall = (time.perf_counter() - started) / len(plans)
+        return leftover + [member for members, _ in units for member in members]
+    per_cell_wall = (time.perf_counter() - started) / sum(len(members) for members, _ in units)
     reasons = backend.last_fallback_reasons
-    for slot, (index, spec, plan) in enumerate(plans):
+    finished: Dict[int, RunRecord] = {}
+    for slot, (members, plan) in enumerate(units):
         used = _fallback_label("super", reasons.get(slot))
         outcomes, error = _finalize(plan, results[slot])
-        record = _cell_record(spec, outcomes, used, per_cell_wall, error)
-        emit(record)
-        slots[index] = record
+        start = 0
+        for index, spec in members:
+            count = spec.replicas or 1
+            finished[index] = _cell_record(
+                spec, outcomes[start:start + count], used, per_cell_wall, error
+            )
+            start += count
+    for index in sorted(finished):
+        emit(finished[index])
+        slots[index] = finished[index]
     return leftover
 
 
@@ -1121,7 +1162,8 @@ def run_sweep(
     ``backend="super"`` goes one step further: every such cell is packed,
     together with all the others, into ONE cross-cell lockstep engine run
     -- the whole grid becomes the schedulable unit, monitored and
-    fingerprinted cells included.  Super-batching is single-process by
+    fingerprinted cells included, and cells differing only in their base
+    seed are one replica batch in it.  Super-batching is single-process by
     design, so combining it with ``workers > 1`` raises ``ValueError``.
     Cells without a builder take the per-cell path; cells the shared
     admission or the kernel constructor declines (unencodable values, no

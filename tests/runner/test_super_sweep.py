@@ -1,25 +1,34 @@
 """The super-batch sweep path: the whole grid as one schedulable unit.
 
-``run_sweep(backend="super")`` builds a CellPlan per cell through the
-registry and hands every batch to the super backend in one call.  These
-tests pin the records equal to the scalar reference, the backend labels
-(``super`` / ``super:scalar-fallback (reason)``), the single-process
-constraint (library ValueError and CLI exit 2), and the CellPlan builder
-registry itself.
+``run_sweep(backend="super")`` builds one CellPlan per seed-sibling group
+(the cells equal in everything but their base seed) through the registry
+and hands every batch to the super backend in one call.  These tests pin
+the records equal to the scalar reference, the backend labels (``super`` /
+``super:scalar-fallback (reason)``), the grouping, its error isolation and
+its resume, the single-process constraint (library ValueError and CLI
+exit 2), and the CellPlan builder registry itself.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 from functools import partial
 
 import pytest
 
+from repro.batch.super import SuperBatchBackend
 from repro.rounds.backend import CellPlan
 from repro.rounds.bitmask import iter_bits
 from repro.runner.__main__ import main as cli_main
 from repro.runner.registry import REGISTRY
-from repro.runner.sweep import BACKEND_CHOICES, build_grid, run_sweep
+from repro.runner.sweep import (
+    BACKEND_CHOICES,
+    JsonlSink,
+    build_grid,
+    execute_run,
+    run_sweep,
+)
 from repro.workloads.batched import build_classic_batch, cell_plan, run_seed
 
 
@@ -29,7 +38,19 @@ GRID = dict(
     seeds=[0],
 )
 
+#: three base seeds per (scenario, fault model, n): every cell has two siblings.
+SIBLING_GRID = dict(
+    scenarios=[
+        "ho-classic-otr", "ho-round-mobile-omission", "ho-round-bursty-loss",
+        "ho-theorem8-translation",
+    ],
+    fault_models=["fault-free", "crash-stop", "lossy"],
+    seeds=[0, 100, 200],
+    ns=[4, 7],
+)
+
 COMPLEX_VALUED = "test-complex-valued-lv"
+CURSED_SEED = "test-raises-at-seed-100"
 
 
 def build_complex_valued_batch(fault_model, n=4, seeds=(0,), **params):
@@ -45,17 +66,57 @@ def build_complex_valued_batch(fault_model, n=4, seeds=(0,), **params):
     return cell_plan(n, tasks, batch.max_rounds, scope, None, None, False)
 
 
-@pytest.fixture
-def complex_valued_scenario(monkeypatch):
-    """A batchable scenario every array tier declines, registered for one test."""
+def build_raising_at_seed_100(fault_model, n=4, seeds=(0,), **params):
+    """``ho-classic-otr``'s cell, except that a cell covering seed 100 raises."""
+    if 100 in seeds:
+        raise ValueError("no plan covers seed 100")
+    return build_classic_batch(fault_model, n=n, seeds=seeds, **params)
+
+
+def _register_for_one_test(monkeypatch, name, builder):
     REGISTRY.scenario_names()  # populate first: the copies below must hold the workloads
     for table in ("_scenarios", "_monitorable", "_batch_builders"):
         monkeypatch.setattr(REGISTRY, table, dict(getattr(REGISTRY, table)))
-    REGISTRY.register_scenario(
-        COMPLEX_VALUED, partial(run_seed, COMPLEX_VALUED),
-        batch_builder=build_complex_valued_batch,
-    )
-    return COMPLEX_VALUED
+    REGISTRY.register_scenario(name, partial(run_seed, name), batch_builder=builder)
+    return name
+
+
+@pytest.fixture
+def complex_valued_scenario(monkeypatch):
+    """A batchable scenario every array tier declines, registered for one test."""
+    return _register_for_one_test(monkeypatch, COMPLEX_VALUED, build_complex_valued_batch)
+
+
+@pytest.fixture
+def cursed_seed_scenario(monkeypatch):
+    """A batchable scenario whose builder fails on seed 100 only."""
+    return _register_for_one_test(monkeypatch, CURSED_SEED, build_raising_at_seed_100)
+
+
+def _spy_run_batches(patch):
+    """Record the replica count of every batch each ``run_batches`` call gets."""
+    calls = []
+    original = SuperBatchBackend.run_batches
+
+    def spy(self, batches):
+        calls.append([batch.replicas for batch in batches])
+        return original(self, batches)
+
+    patch.setattr(SuperBatchBackend, "run_batches", spy)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def sibling_sweeps(tmp_path_factory):
+    """:data:`SIBLING_GRID` at 3 replicas on ``super`` (spied, into a JSONL
+    file) and on ``scalar``."""
+    specs = build_grid(**SIBLING_GRID)
+    path = tmp_path_factory.mktemp("siblings") / "super.jsonl"
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _spy_run_batches(patch)
+        sup = run_sweep(specs, replicas=3, backend="super", sinks=[JsonlSink(str(path))])
+    ref = run_sweep(specs, replicas=3, backend="scalar")
+    return specs, sup, ref, path, calls
 
 
 class TestSuperSweep:
@@ -163,6 +224,88 @@ class TestSuperSweep:
         )
         assert sup.replicas["outcomes"] == per_cell.replicas["outcomes"]
         assert sup.replicas["outcomes"] == scalar.replicas["outcomes"]
+
+
+class TestSeedSiblingGroups:
+    """Cells differing only in their base seed run as one replica batch."""
+
+    def test_records_match_scalar(self, sibling_sweeps):
+        _, sup, ref, _, _ = sibling_sweeps
+        assert len(sup.records) == len(ref.records)
+        for a, b in zip(sup.records, ref.records):
+            assert a.error is None
+            assert a.replicas["outcomes"] == b.replicas["outcomes"]
+            assert a.replicas["aggregates"] == b.replicas["aggregates"]
+        assert sup.aggregate() == ref.aggregate()
+
+    def test_every_label_is_super(self, sibling_sweeps):
+        _, sup, _, _, _ = sibling_sweeps
+        assert {r.replicas["backend"] for r in sup.records} == {"super"}
+
+    def test_jsonl_lines_in_grid_order(self, sibling_sweeps):
+        specs, _, _, path, _ = sibling_sweeps
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [(r["scenario"], r["fault_model"], r["n"], r["seed"]) for r in lines] == [
+            (s.scenario, s.fault_model, s.n, s.seed) for s in specs
+        ]
+
+    def test_each_group_is_one_batch(self, sibling_sweeps):
+        specs, _, _, _, calls = sibling_sweeps
+        assert calls == [[9] * (len(specs) // 3)]
+
+    def test_builder_error_stays_on_its_cell(self, cursed_seed_scenario):
+        """The merged build raises; rebuilt alone, only the seed-100 cell
+        fails, with the per-cell path's error record, and its siblings run."""
+        specs = build_grid(
+            scenarios=[cursed_seed_scenario], fault_models=["fault-free"],
+            seeds=[0, 100, 200], ns=[4],
+        )
+        records = run_sweep(specs, replicas=3, backend="super").records
+        alone = execute_run(replace(specs[1], replicas=3, backend="super"))
+        assert alone.error == "ValueError: no plan covers seed 100"
+        assert records[1].error == alone.error
+        assert records[1].replicas == alone.replicas
+        for record in (records[0], records[2]):
+            assert record.error is None
+            assert record.replicas["backend"] == "super"
+            assert record.solved
+
+    def test_declined_group_keeps_each_cells_label(
+        self, complex_valued_scenario, monkeypatch
+    ):
+        specs = build_grid(
+            scenarios=[complex_valued_scenario], fault_models=["fault-free"],
+            seeds=[0, 100], ns=[4],
+        )
+        alone = [run_sweep([spec], replicas=2, backend="super").records[0] for spec in specs]
+        calls = _spy_run_batches(monkeypatch)
+        merged = run_sweep(specs, replicas=2, backend="super").records
+        assert calls == [[4]]
+        for record, reference in zip(merged, alone):
+            assert record.replicas["backend"].startswith(
+                "super:scalar-fallback (initial values are not encodable"
+            )
+            assert record.replicas["backend"] == reference.replicas["backend"]
+            assert record.replicas["outcomes"] == reference.replicas["outcomes"]
+
+    def test_resume_runs_the_missing_siblings_merged(self, tmp_path, monkeypatch):
+        specs = build_grid(
+            scenarios=["ho-classic-otr", "ho-round-bursty-loss"], fault_models=["lossy"],
+            seeds=[0, 100, 200], ns=[4],
+        )
+        fresh_path = tmp_path / "fresh.jsonl"
+        fresh = run_sweep(specs, replicas=3, backend="super", sinks=[JsonlSink(str(fresh_path))])
+        partial_path = tmp_path / "partial.jsonl"
+        # Only the seed-100 cell of the first group survived the kill.
+        partial_path.write_text(fresh_path.read_text().splitlines()[1] + "\n")
+        calls = _spy_run_batches(monkeypatch)
+        resumed = run_sweep(
+            specs, replicas=3, backend="super", resume_from=str(partial_path),
+            sinks=[JsonlSink(str(partial_path), append=True)],
+        )
+        assert resumed.resumed == 1
+        assert calls == [[6, 9]]
+        assert resumed.aggregate() == fresh.aggregate()
 
 
 class TestBuilderRegistry:
