@@ -247,3 +247,43 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write /dev/full: ")
         assert len(err.strip().splitlines()) == 1
+
+    RESUMABLE = ["--scenarios", "chandra-toueg", "--fault-models", "fault-free", "--quiet"]
+
+    def test_a_hard_linked_jsonl_leaves_the_resume_file_intact(self, tmp_path, capsys):
+        """``--jsonl b --resume-from a`` with b a hard link of a resumes a's cells.
+
+        The two names have different realpaths, so this is no append; a
+        truncating open of b would empty a before its records load.
+        """
+        resume, alias = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        assert main(self.RESUMABLE + ["--seeds", "0", "--jsonl", str(resume)]) == 0
+        before = resume.read_text()
+        os.link(resume, alias)
+        code = main(self.RESUMABLE + ["--seeds", "0", "1", "--jsonl", str(alias),
+                                      "--resume-from", str(resume)])
+        assert code == 0
+        assert "1 cell(s) resumed" in capsys.readouterr().out
+        assert resume.read_text() == before
+        assert len(alias.read_text().splitlines()) == 1
+
+    def test_a_symlinked_jsonl_appends_to_its_resume_target(self, tmp_path, capsys):
+        target, link = tmp_path / "sweep.jsonl", tmp_path / "link.jsonl"
+        assert main(self.RESUMABLE + ["--seeds", "0", "--jsonl", str(target)]) == 0
+        before = target.read_text()
+        link.symlink_to(target)
+        code = main(self.RESUMABLE + ["--seeds", "0", "1", "--jsonl", str(link),
+                                      "--resume-from", str(target)])
+        assert code == 0
+        assert "1 cell(s) resumed" in capsys.readouterr().out
+        assert link.is_symlink()
+        assert target.read_text().startswith(before)
+        assert len(target.read_text().splitlines()) == 2
+
+    def test_a_symlinked_summary_is_written_through_the_link(self, tmp_path):
+        target, link = tmp_path / "real.json", tmp_path / "sweep.json"
+        target.write_text("a previous summary\n")
+        link.symlink_to(target)
+        assert main(self.RESUMABLE + ["--seeds", "0", "--json", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert json.loads(target.read_text())["grid_size"] == 1

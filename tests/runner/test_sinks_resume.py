@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import multiprocessing
+import os
 
 import pytest
 
+from repro.runner.__main__ import main
 from repro.runner.registry import REGISTRY
 from repro.runner.sweep import (
     JsonlSink,
@@ -110,6 +113,108 @@ class TestSinks:
         with pytest.raises(RuntimeError):
             run_sweep(GRID[:2], workers=1, sinks=[sink], on_record=boom)
         assert sink._handle.closed
+
+
+CLI_GRID = ["--scenarios", "chandra-toueg", "--fault-models", "fault-free", "crash-stop",
+            "--seeds", "0", "1", "--n", "3", "--quiet"]
+SINK_FILES = {"--jsonl": "sweep.jsonl", "--json": "sweep.json", "--csv": "sweep.csv"}
+
+
+def _without_wall_seconds(path):
+    """A sink's records (the whole summary for ``.json``), ``wall_seconds`` dropped."""
+    strip = lambda run: {k: v for k, v in run.items() if k != "wall_seconds"}  # noqa: E731
+    with open(path, encoding="utf-8", newline="") as handle:
+        if path.suffix == ".csv":
+            return [strip(row) for row in csv.DictReader(handle)]
+        if path.suffix == ".jsonl":
+            return [strip(json.loads(line)) for line in handle]
+        summary = strip(json.load(handle))
+    summary["runs"] = [strip(run) for run in summary["runs"]]
+    return summary
+
+
+class TestFreshSinkFiles:
+    """A non-appending sink replaces an existing regular file instead of truncating it."""
+
+    def test_a_rerun_writes_new_files_with_the_same_records(self, tmp_path):
+        argv = CLI_GRID + [arg for flag, name in SINK_FILES.items()
+                           for arg in (flag, str(tmp_path / name))]
+        paths = [tmp_path / name for name in SINK_FILES.values()]
+        assert main(argv) == 0
+        first = [_without_wall_seconds(path) for path in paths]
+        # Held open, the first run's files keep their inodes from being reused.
+        handles = [open(path, "rb") for path in paths]
+        try:
+            assert main(argv) == 0
+            for handle, path in zip(handles, paths):
+                old = os.fstat(handle.fileno())
+                assert old.st_ino != path.stat().st_ino
+                assert old.st_nlink == 0
+                assert old.st_size > 0  # replaced, never truncated
+        finally:
+            for handle in handles:
+                handle.close()
+        assert [_without_wall_seconds(path) for path in paths] == first
+
+    @pytest.mark.parametrize("sink", list(SINK_FILES))
+    def test_a_device_sink_is_written_and_never_unlinked(self, tmp_path, monkeypatch, sink):
+        unlink = os.unlink
+        inside = os.path.realpath(tmp_path) + os.sep
+
+        def guarded_unlink(path, *args, **kwargs):
+            if not os.path.realpath(path).startswith(inside):
+                pytest.fail(f"unlinked {path}")
+            unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "unlink", guarded_unlink)
+        assert main(CLI_GRID + [sink, os.devnull]) == 0
+
+    @pytest.mark.parametrize("sink", list(SINK_FILES))
+    def test_a_refused_unlink_falls_back_to_truncating(self, tmp_path, monkeypatch, sink):
+        path = tmp_path / SINK_FILES[sink]
+        path.write_text("a previous run's output\n" * 10_000)
+        inode = path.stat().st_ino
+
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(os, "unlink", refuse)
+        assert main(CLI_GRID + [sink, str(path)]) == 0
+        assert path.stat().st_ino == inode
+        assert "a previous run" not in path.read_text()
+        written = _without_wall_seconds(path)
+        assert len(written["runs"] if sink == "--json" else written) == 4
+
+    @pytest.mark.skipif(hasattr(os, "geteuid") and os.geteuid() == 0,
+                        reason="root may write a read-only file")
+    @pytest.mark.parametrize("sink", list(SINK_FILES))
+    def test_a_read_only_sink_exits_2_and_keeps_its_content(self, tmp_path, capsys, sink):
+        path = tmp_path / SINK_FILES[sink]
+        path.write_text("a protected run\n")
+        path.chmod(0o444)
+        assert main(CLI_GRID + [sink, str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
+        assert path.read_text() == "a protected run\n"
+
+    @pytest.mark.parametrize("sink", list(SINK_FILES))
+    def test_a_file_it_may_not_write_is_never_unlinked(self, tmp_path, monkeypatch, sink):
+        """A file ``os.access`` calls unwritable is opened in place, as before."""
+        path = tmp_path / SINK_FILES[sink]
+        path.write_text("a previous run's output\n")
+        inode = path.stat().st_ino
+        access = os.access
+
+        def no_write_access(target, mode, *args, **kwargs):
+            return False if mode == os.W_OK else access(target, mode, *args, **kwargs)
+
+        def fail_unlink(target, *args, **kwargs):
+            pytest.fail(f"unlinked {target}")
+
+        monkeypatch.setattr(os, "access", no_write_access)
+        monkeypatch.setattr(os, "unlink", fail_unlink)
+        assert main(CLI_GRID + [sink, str(path)]) == 0
+        assert path.stat().st_ino == inode
+        assert "a previous run" not in path.read_text()
 
 
 # --------------------------------------------------------------------------- #
