@@ -48,7 +48,6 @@ from .classic import (
     CounterKernelOracle,
     FaultFreeOracle,
     GoodPeriodOracle,
-    KernelOnlyOracle,
     PartitionOracle,
     RandomOmissionOracle,
     ScriptedOracle,
@@ -91,7 +90,6 @@ __all__ = [
     "SilentRoundsOracle",
     "ScriptedOracle",
     "GoodPeriodOracle",
-    "KernelOnlyOracle",
     "CounterKernelOracle",
     # combinators
     "IntersectOracle",

@@ -271,58 +271,16 @@ class GoodPeriodOracle(MaskOracleBase):
         return mask
 
 
-class KernelOnlyOracle(MaskOracleBase):
+class CounterKernelOracle(MaskOracleBase):
     """Rounds satisfy ``P_k(pi0, ., .)`` but are *not* space uniform.
 
-    Every process in pi0 hears of all of pi0 plus a random, per-process
-    subset of the remaining processes (drawn from the ``oracle.kernel``
-    sub-stream).  This oracle deliberately violates ``P_su`` while
-    satisfying ``P_k``, and is the canonical input of the Algorithm 4
-    translation (Theorem 8 benchmarks and property tests).
-    """
-
-    def __init__(
-        self,
-        n: int,
-        pi0: Iterable[ProcessId],
-        seed: int = 0,
-        rng: Optional[SeededRng] = None,
-    ) -> None:
-        super().__init__(n)
-        self.pi0 = validate_process_subset(pi0, n)
-        self._pi0_mask = mask_of(self.pi0)
-        self._stream = oracle_rng(seed, rng).stream("oracle.kernel")
-        self._memo: Dict[Tuple[Round, ProcessId], int] = {}
-
-    def ho_mask(self, round: Round, process: ProcessId) -> int:
-        key = (round, process)
-        mask = self._memo.get(key)
-        if mask is None:
-            stream = self._stream
-            if (1 << process) & self._pi0_mask:
-                extras = 0
-                outside = self._full & ~self._pi0_mask
-                bit = 1
-                for q in range(self.n):
-                    if outside & bit and stream.random() < 0.5:
-                        extras |= bit
-                    bit <<= 1
-                mask = self._pi0_mask | extras
-            else:
-                # Processes outside pi0 see an arbitrary subset.
-                mask = bernoulli_mask(stream, self.n, 0.5) | (1 << process)
-            self._memo[key] = mask
-        return mask
-
-
-class CounterKernelOracle(MaskOracleBase):
-    """:class:`KernelOnlyOracle` with counter-based draws: the batchable twin.
-
-    Same distribution -- every ``p in pi0`` hears of all of pi0 plus an
-    independent coin-flip subset of the outsiders, everyone else an
-    arbitrary subset plus itself -- but each coin is a pure function of
-    ``(stream key, tag, round, receiver, sender)`` on the ``oracle.kernel``
-    counter stream, so :class:`~repro.adversaries.counter_batch.
+    Every ``p in pi0`` hears of all of pi0 plus an independent coin-flip
+    subset of the outsiders, everyone else an arbitrary subset plus itself.
+    This deliberately violates ``P_su`` while satisfying ``P_k``: the
+    canonical input of the Algorithm 4 translation (Theorem 8).  Each coin
+    is a pure function of ``(stream key, tag, round, receiver, sender)`` on
+    the ``oracle.kernel`` counter stream, so
+    :class:`~repro.adversaries.counter_batch.
     CounterKernelBatchDual` recomputes all of them array-wide with no
     per-replica query loop.  Tag 0 addresses the member extras, tag 1 the
     outsider subsets, keeping the two draw types decorrelated.
@@ -377,6 +335,5 @@ __all__ = [
     "SilentRoundsOracle",
     "ScriptedOracle",
     "GoodPeriodOracle",
-    "KernelOnlyOracle",
     "CounterKernelOracle",
 ]

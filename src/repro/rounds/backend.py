@@ -186,11 +186,11 @@ class CellPlan:
 
     A scenario's batch *builder* returns the fully built
     :class:`ReplicaBatch` plus the ``finalize`` callable that flattens the
-    backend's outcomes into the scenario's wire records.  The per-cell path
-    runs ``finalize(get_backend(name).run(batch))``; the super-batch path
-    collects many plans, hands all their batches to
+    backend's outcomes into the scenario's wire records.  The sweep's group
+    runner runs ``finalize(get_backend(name).run(batch))``; the super-batch
+    path collects many plans, hands all their batches to
     :meth:`repro.batch.super.SuperBatchBackend.run_batches` in one call,
-    and finalizes each cell from the grid-wide result.
+    and finalizes each plan from the grid-wide result.
     """
 
     batch: ReplicaBatch

@@ -17,8 +17,9 @@ consumed by CI, a CSV of the per-run records, and a streamed JSONL file
 Both grid axes are validated against the registry up front -- a typo in a
 scenario *or fault-model* name exits with code 2 and the known list,
 instead of silently turning every cell into an errored run; so does a
-system size below 1, and a grid whose cells cover a seed twice (a repeated
-axis entry, or ``--seeds`` closer together than ``--replicas``).  A sink
+system size below 1, a grid whose cells cover a seed twice (a repeated
+axis entry, or ``--seeds`` closer together than ``--replicas``), and a
+``--backend`` other than ``auto`` without ``--replicas``.  A sink
 that cannot be written (a full disk, a read-only path) also exits 2, with
 the path in a one-line message; JSONL lines flushed before the failure stay
 resumable.
@@ -135,7 +136,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "'super' = pack the whole grid, monitored cells included, into one "
         "cross-cell lockstep run (single process), 'scalar' = the reference "
         "backend (scalar, or step-scalar for step cells) over the same cell "
-        "plan (default: auto; only meaningful with --replicas)",
+        "plan (default: auto; any other choice requires --replicas)",
     )
     parser.add_argument(
         "--workers",
@@ -213,6 +214,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.replicas is not None and args.replicas < 1:
         print(f"error: --replicas must be at least 1, got {args.replicas}", file=sys.stderr)
+        return 2
+
+    if args.backend != "auto" and args.replicas is None:
+        print(
+            f"error: --backend {args.backend} requires --replicas: only batched "
+            "cells have an execution backend to choose",
+            file=sys.stderr,
+        )
         return 2
 
     if args.backend == "super" and args.workers > 1:

@@ -10,7 +10,9 @@ per-run metrics deterministically:
   × seeds) into :class:`RunSpec` entries;
 * :func:`run_sweep` executes the specs (inline, or in a ``multiprocessing``
   pool), streaming one :class:`RunRecord` per finished run into any number
-  of :class:`RecordSink` consumers;
+  of :class:`RecordSink` consumers.  Every batched cell runs through one
+  group runner: alone, or under ``backend="super"`` together with the
+  cells that differ from it only in their base seed;
 * :class:`JsonlSink` persists one JSON line per finished run, flushed as
   records stream back, and ``run_sweep(..., resume_from=path)`` reloads
   such a file to skip the cells a killed grid already completed;
@@ -53,7 +55,7 @@ from typing import (
     runtime_checkable,
 )
 
-from ..rounds.backend import CellPlan, ExecutionBackend, ReplicaOutcome, get_backend
+from ..rounds.backend import CellPlan, ReplicaOutcome, get_backend
 from .registry import REGISTRY
 
 #: JSON schema tag of the sweep summary (v4: batched cells -- a per-run
@@ -149,6 +151,27 @@ class RunSpec:
         )
 
 
+#: The wire record's fields, in the key order of every sink: a JSONL line, a
+#: JSON-summary run entry and a CSV row.
+WIRE_FIELDS = (
+    "scenario", "fault_model", "seed", "n", "params",
+    "solved", "safe", "terminated", "decided_processes", "scope_size",
+    "first_decision_time", "last_decision_time", "messages_sent",
+    "wall_seconds", "error", "predicates", "replicas",
+)
+
+#: The wire fields a reloaded line may lack; any other missing field marks
+#: the line torn.
+_OPTIONAL_FIELDS = ("params", "error", "predicates", "replicas")
+
+#: The flat per-replica outcome keys batched cells carry: the wire fields
+#: minus the cell-level ones.
+REPLICA_OUTCOME_FIELDS = tuple(
+    key for key in WIRE_FIELDS
+    if key not in ("scenario", "fault_model", "n", "params", "wall_seconds", "replicas")
+)
+
+
 @dataclass(frozen=True)
 class RunRecord:
     """The streamed-back outcome of one run (metrics flattened for JSON).
@@ -203,49 +226,23 @@ class RunRecord:
 
     def to_json_dict(self) -> Dict[str, Any]:
         """The per-run entry of the JSON summary (wall time included, result not)."""
-        return {
-            "scenario": self.scenario,
-            "fault_model": self.fault_model,
-            "seed": self.seed,
-            "n": self.n,
-            "params": dict(self.params),
-            "solved": self.solved,
-            "safe": self.safe,
-            "terminated": self.terminated,
-            "decided_processes": self.decided_processes,
-            "scope_size": self.scope_size,
-            "first_decision_time": self.first_decision_time,
-            "last_decision_time": self.last_decision_time,
-            "messages_sent": self.messages_sent,
-            "wall_seconds": round(self.wall_seconds, 6),
-            "error": self.error,
-            "predicates": self.predicates,
-            "replicas": self.replicas,
-        }
+        payload = {key: getattr(self, key) for key in WIRE_FIELDS}
+        payload["params"] = dict(self.params)
+        payload["wall_seconds"] = round(self.wall_seconds, 6)
+        return payload
 
     @classmethod
     def from_json_dict(cls, payload: Mapping[str, Any]) -> "RunRecord":
-        """Rebuild a wire record from one JSONL line / JSON-summary entry."""
-        params = payload.get("params") or {}
-        return cls(
-            scenario=payload["scenario"],
-            fault_model=payload["fault_model"],
-            seed=payload["seed"],
-            n=payload["n"],
-            solved=payload["solved"],
-            safe=payload["safe"],
-            terminated=payload["terminated"],
-            decided_processes=payload["decided_processes"],
-            scope_size=payload["scope_size"],
-            first_decision_time=payload["first_decision_time"],
-            last_decision_time=payload["last_decision_time"],
-            messages_sent=payload["messages_sent"],
-            wall_seconds=payload["wall_seconds"],
-            params=tuple(sorted(params.items())),
-            error=payload.get("error"),
-            predicates=payload.get("predicates"),
-            replicas=payload.get("replicas"),
-        )
+        """Rebuild a wire record from one JSONL line / JSON-summary entry.
+
+        A missing required field raises ``KeyError``.
+        """
+        fields = {
+            key: payload.get(key) if key in _OPTIONAL_FIELDS else payload[key]
+            for key in WIRE_FIELDS
+        }
+        fields["params"] = tuple(sorted((fields["params"] or {}).items()))
+        return cls(**fields)
 
     def row(self) -> str:
         """A fixed-width text row for reports."""
@@ -275,79 +272,68 @@ class RunRecord:
 def execute_run(spec: RunSpec) -> RunRecord:
     """Run one spec and flatten its outcome (top-level: picklable for workers).
 
-    Batched specs (``spec.replicas``) execute the whole cell -- all R seeds
-    -- in one call, from the scenario's builder when one is registered,
-    else as R scalar runs.
+    A batched spec (``spec.replicas``) is a seed-sibling group of one:
+    :func:`_run_group` executes all its R seeds as one unit of work.
     """
     if spec.replicas is not None:
-        return _execute_batch_cell(spec)
+        return _run_group([(0, spec)])[0]
     runner = REGISTRY.scenario(spec.scenario)
     started = time.perf_counter()
     try:
         result = runner(spec.fault_model, n=spec.n, seed=spec.seed, **spec.kwargs)
     except Exception as exc:  # noqa: BLE001 - a failed cell must not kill the sweep
-        return RunRecord(
-            scenario=spec.scenario,
-            fault_model=spec.fault_model,
-            seed=spec.seed,
-            n=spec.n,
-            solved=False,
-            safe=False,
-            terminated=False,
-            decided_processes=0,
-            scope_size=0,
-            first_decision_time=None,
-            last_decision_time=None,
-            messages_sent=0,
-            wall_seconds=time.perf_counter() - started,
-            params=spec.params,
-            error=_error_text(exc),
-        )
-    wall = time.perf_counter() - started
-    metrics = result.metrics
-    extra = getattr(result, "extra", None)
-    predicates = extra.get("predicate_reports") if isinstance(extra, Mapping) else None
-    return RunRecord(
-        scenario=spec.scenario,
-        fault_model=spec.fault_model,
-        seed=spec.seed,
-        n=spec.n,
-        solved=result.solved,
-        safe=result.safe,
-        terminated=result.verdict.termination,
-        decided_processes=metrics.decided_processes,
-        scope_size=metrics.scope_size,
-        first_decision_time=metrics.first_decision_time,
-        last_decision_time=metrics.last_decision_time,
-        messages_sent=metrics.messages_sent,
-        wall_seconds=wall,
-        params=spec.params,
-        predicates=predicates,
-        result=result,
+        result, outcome = None, _errored_outcome(spec.seed, _error_text(exc))
+    else:
+        extra = getattr(result, "extra", None)
+        predicates = extra.get("predicate_reports") if isinstance(extra, Mapping) else None
+        outcome = replica_outcome(spec.seed, result.verdict, result.metrics, predicates)
+    return _spec_record(spec, time.perf_counter() - started, result=result, **outcome)
+
+
+def replica_outcome(
+    seed: int, verdict: Any, metrics: Any, predicates: Optional[Dict[str, Any]] = None
+) -> Dict[str, Any]:
+    """One run's wire outcome (:data:`REPLICA_OUTCOME_FIELDS`).
+
+    Built from its consensus verdict and run metrics, for a plain run here
+    and for every replica a ``CellPlan.finalize`` flattens.
+    """
+    return {
+        "seed": seed,
+        "solved": verdict.solved,
+        "safe": verdict.safe,
+        "terminated": verdict.termination,
+        "decided_processes": metrics.decided_processes,
+        "scope_size": metrics.scope_size,
+        "first_decision_time": metrics.first_decision_time,
+        "last_decision_time": metrics.last_decision_time,
+        "messages_sent": metrics.messages_sent,
+        "error": None,
+        "predicates": predicates,
+    }
+
+
+def _errored_outcome(seed: int, error: str) -> Dict[str, Any]:
+    """The wire outcome of a replica that produced no result: nothing decided or sent."""
+    outcome: Dict[str, Any] = dict.fromkeys(REPLICA_OUTCOME_FIELDS)
+    outcome.update(
+        seed=seed, solved=False, safe=False, terminated=False,
+        decided_processes=0, scope_size=0, messages_sent=0, error=error,
     )
+    return outcome
 
 
-#: The flat per-replica outcome keys batched cells carry (a projection of
-#: the plain wire-record fields, minus the cell-level ones).
-REPLICA_OUTCOME_FIELDS = (
-    "seed",
-    "solved",
-    "safe",
-    "terminated",
-    "decided_processes",
-    "scope_size",
-    "first_decision_time",
-    "last_decision_time",
-    "messages_sent",
-    "error",
-    "predicates",
-)
+def _spec_record(spec: RunSpec, wall: float, **fields: Any) -> RunRecord:
+    """A wire record of *spec*'s cell: its identity, its wall time and *fields*."""
+    return RunRecord(
+        scenario=spec.scenario, fault_model=spec.fault_model, n=spec.n, params=spec.params,
+        wall_seconds=wall, **fields,
+    )
 
 
 def _replica_outcome_from_record(record: RunRecord) -> Dict[str, Any]:
     """Project a plain single-run record onto the per-replica outcome shape."""
-    payload = record.to_json_dict()
-    return {key: payload[key] for key in REPLICA_OUTCOME_FIELDS}
+    return {key: getattr(record, key) for key in REPLICA_OUTCOME_FIELDS}
 
 
 def _mean_std_min_max(values: Sequence[float]) -> Dict[str, Optional[float]]:
@@ -364,10 +350,23 @@ def _mean_std_min_max(values: Sequence[float]) -> Dict[str, Optional[float]]:
     }
 
 
+def _solve_tallies(
+    entries: Sequence[Mapping[str, Any]],
+) -> Tuple[List[Mapping[str, Any]], Dict[str, Any]]:
+    """The non-errored *entries*, and the error and solve tallies (rates over those)."""
+    ok = [entry for entry in entries if not entry.get("error")]
+    solved = sum(1 for entry in ok if entry["solved"])
+    return ok, {
+        "errors": len(entries) - len(ok),
+        "solved": solved,
+        "solve_rate": (solved / len(ok)) if ok else None,
+        "all_safe": all(entry["safe"] for entry in ok) if ok else None,
+    }
+
+
 def _cell_aggregates(outcomes: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
     """Per-cell (across-replica) aggregates of one batched cell."""
-    ok = [outcome for outcome in outcomes if not outcome.get("error")]
-    solved = sum(1 for outcome in ok if outcome["solved"])
+    ok, tallies = _solve_tallies(outcomes)
     latencies = [
         outcome["last_decision_time"]
         for outcome in ok
@@ -375,10 +374,7 @@ def _cell_aggregates(outcomes: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
     ]
     aggregates: Dict[str, Any] = {
         "replicas": len(outcomes),
-        "errors": len(outcomes) - len(ok),
-        "solved": solved,
-        "solve_rate": (solved / len(ok)) if ok else None,
-        "all_safe": all(outcome["safe"] for outcome in ok) if ok else None,
+        **tallies,
         "last_decision_time": _mean_std_min_max(latencies),
     }
     first_holds: Dict[str, List[int]] = {}
@@ -397,27 +393,18 @@ def _cell_aggregates(outcomes: Sequence[Mapping[str, Any]]) -> Dict[str, Any]:
 def _fallback_label(name: str, reason: Optional[str]) -> str:
     """A record's backend label: *name*, or which hop it took and why.
 
-    The compiled backend degrades to the numpy batch path; every other
-    tier (batch, super, step-batch) degrades straight to its scalar
-    reference.
+    Backends that can decline their fast path record why they did
+    (``last_fallback_reason``, per cell ``last_fallback_reasons`` on
+    ``super``), e.g. ``"batch:scalar-fallback (no batched kernel for ...)"``.
+    The compiled backend degrades to the numpy batch path; every other tier
+    (batch, super, step-batch) degrades straight to its scalar reference.
+    Diagnostic only -- outcomes are backend-independent by contract, so the
+    label is deliberately outside the cell identity.
     """
     if reason is None:
         return name
     kind = "batch-fallback" if name == "compiled" else "scalar-fallback"
     return f"{name}:{kind} ({reason})"
-
-
-def _effective_backend(backend: ExecutionBackend) -> str:
-    """What actually executed a batched cell, for the record's diagnostics.
-
-    Backends that can decline their fast path record per ``run`` why they
-    did (``last_fallback_reason``); reading it right after the run turns the
-    backend's name into the effective one, e.g. ``"batch"`` or
-    ``"batch:scalar-fallback (no batched kernel for ...)"``.  Diagnostic only --
-    outcomes are backend-independent by contract, so the field is
-    deliberately outside the cell identity.
-    """
-    return _fallback_label(backend.name, getattr(backend, "last_fallback_reason", None))
 
 
 def _error_text(exc: Exception) -> str:
@@ -427,17 +414,6 @@ def _error_text(exc: Exception) -> str:
 def _cell_seeds(spec: RunSpec) -> List[int]:
     """The consecutive replica seeds a batched cell covers."""
     return list(range(spec.seed, spec.seed + (spec.replicas or 1)))
-
-
-def _build_plan(builder: Callable[..., CellPlan], *specs: RunSpec) -> CellPlan:
-    """Build one :class:`~repro.rounds.backend.CellPlan` over the seeds of *specs*.
-
-    The specs are batchable cells equal in everything but their base seed;
-    the plan covers their seeds in the order given.  May raise.
-    """
-    head = specs[0]
-    seeds = [seed for spec in specs for seed in _cell_seeds(spec)]
-    return builder(head.fault_model, n=head.n, seeds=seeds, **head.kwargs)
 
 
 def _finalize(
@@ -450,41 +426,97 @@ def _finalize(
         return [], _error_text(exc)
 
 
-def _execute_batch_cell(spec: RunSpec) -> RunRecord:
-    """Execute one batched cell: R replica seeds as one unit of work.
+#: A grid cell tagged with its grid position.
+Member = Tuple[int, RunSpec]
 
-    A batchable scenario's cell is built once by its registered builder and
-    handed to the execution backend the scenario resolves ``spec.backend``
-    to (step-path scenarios alias the generic choices onto ``step-batch``,
-    and ``scalar`` onto ``step-scalar``) -- ``scalar`` included, so the
-    reference every backend is pinned against runs the whole plan in one
-    call too.  Only a scenario without a builder is R scalar ``execute_run``
-    calls (``scalar-loop``).  Either way the cell yields a single wire record
-    whose ``replicas`` payload carries the per-replica outcomes and the
-    per-cell aggregates.
+
+def _group_plans(
+    members: List[Member],
+) -> List[Tuple[List[Member], Optional[CellPlan], Optional[str]]]:
+    """A seed-sibling group's ``(members, plan, build error)`` units.
+
+    The members are batchable cells equal in everything but their base
+    seed.  Every builder builds per seed, so one plan over all their seeds,
+    in member order, holds exactly the members' tasks.  If that merged
+    build raises, each member is rebuilt alone, so a seed-specific builder
+    error stays on its own cell (its unit has no plan).
+    """
+    head = members[0][1]
+    builder = REGISTRY.batch_builder(head.scenario)
+
+    def build(unit: List[Member]) -> CellPlan:
+        seeds = [seed for _, spec in unit for seed in _cell_seeds(spec)]
+        return builder(head.fault_model, n=head.n, seeds=seeds, **head.kwargs)
+
+    if len(members) > 1:
+        try:
+            return [(members, build(members), None)]
+        except Exception:  # noqa: BLE001 - isolated below, member by member
+            pass
+    units = []
+    for member in members:
+        try:
+            units.append(([member], build([member]), None))
+        except Exception as exc:  # noqa: BLE001 - a bad cell must not kill the grid
+            units.append(([member], None, _error_text(exc)))
+    return units
+
+
+def _member_records(
+    ran: Iterable[Tuple[List[Member], List[Dict[str, Any]], str, Optional[str]]], wall: float
+) -> Dict[int, RunRecord]:
+    """Slice each ``(members, outcomes, label, error)`` unit into member records.
+
+    The members' replica counts partition a unit's outcomes in member
+    order; *wall* is each cell's even share of the group's wall clock
+    (per-cell timing is meaningless inside one lockstep loop).
+    """
+    records: Dict[int, RunRecord] = {}
+    for members, outcomes, label, error in ran:
+        start = 0
+        for index, spec in members:
+            count = spec.replicas or 1
+            records[index] = _cell_record(spec, outcomes[start:start + count], label, wall, error)
+            start += count
+    return records
+
+
+def _run_group(members: List[Member]) -> Dict[int, RunRecord]:
+    """Execute a seed-sibling group of batched cells: one record per member.
+
+    Each plan of the group (:func:`_group_plans`) goes, in one ``run``, to
+    the execution backend its scenario resolves the requested choice to
+    (step-path scenarios alias the generic choices onto ``step-batch``, and
+    ``scalar`` onto ``step-scalar``) -- ``scalar`` included, so the
+    reference every backend is pinned against runs whole plans too.  Only a
+    scenario without a builder is R scalar :func:`execute_run` calls per
+    cell (``scalar-loop``).
     """
     started = time.perf_counter()
-    builder = REGISTRY.batch_builder(spec.scenario)
-    if builder is None:
-        outcomes = [
-            _replica_outcome_from_record(execute_run(replace(spec, seed=seed, replicas=None)))
-            for seed in _cell_seeds(spec)
-        ]
-        return _cell_record(spec, outcomes, "scalar-loop", time.perf_counter() - started, None)
-    resolved_backend = REGISTRY.resolve_backend(spec.scenario, spec.backend)
-    try:
-        plan = _build_plan(builder, spec)
-        backend = get_backend(resolved_backend)
-        results = backend.run(plan.batch)
-    except Exception as exc:  # noqa: BLE001 - a failed cell must not kill the sweep
-        # Nothing ran to completion, so the label stays the requested name.
-        return _cell_record(
-            spec, [], resolved_backend, time.perf_counter() - started, _error_text(exc)
-        )
-    outcomes, error = _finalize(plan, results)
-    return _cell_record(
-        spec, outcomes, _effective_backend(backend), time.perf_counter() - started, error
-    )
+    head = members[0][1]
+    ran = []
+    if REGISTRY.batch_builder(head.scenario) is None:
+        for index, spec in members:
+            singles = [replace(spec, seed=seed, replicas=None) for seed in _cell_seeds(spec)]
+            outcomes = [_replica_outcome_from_record(execute_run(one)) for one in singles]
+            ran.append(([(index, spec)], outcomes, "scalar-loop", None))
+    else:
+        name = REGISTRY.resolve_backend(head.scenario, head.backend)
+        for unit, plan, error in _group_plans(members):
+            # Until a run completes, the label stays the requested name.
+            outcomes, label = [], name
+            if plan is not None:
+                try:
+                    backend = get_backend(name)
+                    results = backend.run(plan.batch)
+                except Exception as exc:  # noqa: BLE001 - a failed cell must not kill the sweep
+                    error = _error_text(exc)
+                else:
+                    outcomes, error = _finalize(plan, results)
+                    reason = getattr(backend, "last_fallback_reason", None)
+                    label = _fallback_label(backend.name, reason)
+            ran.append((unit, outcomes, label, error))
+    return _member_records(ran, (time.perf_counter() - started) / len(members))
 
 
 def _cell_record(
@@ -495,10 +527,9 @@ def _cell_record(
     error: Optional[str],
 ) -> RunRecord:
     """Assemble a batched cell's wire record from its per-replica outcomes."""
-    count = spec.replicas or 1
     ok = [outcome for outcome in outcomes if not outcome.get("error")]
     replicas_payload = {
-        "count": count,
+        "count": spec.replicas or 1,
         "backend": used_backend,
         "outcomes": outcomes,
         "aggregates": _cell_aggregates(outcomes) if outcomes else {},
@@ -509,11 +540,10 @@ def _cell_record(
         error = "all replicas errored: " + str(outcomes[0].get("error"))
     first_times = [o["first_decision_time"] for o in ok if o["first_decision_time"] is not None]
     last_times = [o["last_decision_time"] for o in ok if o["last_decision_time"] is not None]
-    return RunRecord(
-        scenario=spec.scenario,
-        fault_model=spec.fault_model,
+    return _spec_record(
+        spec,
+        wall,
         seed=spec.seed,
-        n=spec.n,
         solved=bool(ok) and all(o["solved"] for o in ok),
         safe=bool(ok) and all(o["safe"] for o in ok),
         terminated=bool(ok) and all(o["terminated"] for o in ok),
@@ -522,8 +552,6 @@ def _cell_record(
         first_decision_time=min(first_times) if first_times else None,
         last_decision_time=max(last_times) if last_times else None,
         messages_sent=sum(o["messages_sent"] for o in ok),
-        wall_seconds=wall,
-        params=spec.params,
         error=error,
         replicas=replicas_payload,
     )
@@ -706,23 +734,9 @@ def _replica_entries(record: RunRecord) -> List[Mapping[str, Any]]:
         outcomes = list(record.replicas.get("outcomes") or ())
         if outcomes:
             return outcomes
+        error = record.error or "batched cell produced no outcomes"
         count = int(record.replicas.get("count") or 1)
-        return [
-            {
-                "seed": record.seed + i,
-                "solved": False,
-                "safe": False,
-                "terminated": False,
-                "decided_processes": 0,
-                "scope_size": 0,
-                "first_decision_time": None,
-                "last_decision_time": None,
-                "messages_sent": 0,
-                "error": record.error or "batched cell produced no outcomes",
-                "predicates": None,
-            }
-            for i in range(count)
-        ]
+        return [_errored_outcome(record.seed + i, error) for i in range(count)]
     return [_replica_outcome_from_record(record)]
 
 
@@ -845,8 +859,7 @@ class SweepResult:
                 groups[(scenario, fault_model, n)], key=lambda r: (r.seed, r.cell_key)
             )
             entries = [entry for record in group for entry in _replica_entries(record)]
-            ok = [entry for entry in entries if not entry.get("error")]
-            solved = sum(1 for entry in ok if entry["solved"])
+            ok, tallies = _solve_tallies(entries)
             latencies = [
                 entry["last_decision_time"]
                 for entry in entries
@@ -856,10 +869,7 @@ class SweepResult:
             aggregates[name] = {
                 "runs": len(group),
                 "n": n,
-                "errors": len(entries) - len(ok),
-                "solved": solved,
-                "solve_rate": (solved / len(ok)) if ok else None,
-                "all_safe": all(entry["safe"] for entry in ok) if ok else None,
+                **tallies,
                 "mean_last_decision_time": (
                     sum(latencies) / len(latencies) if latencies else None
                 ),
@@ -871,16 +881,8 @@ class SweepResult:
                 # Per-cell solve rates (a plain record is a 0/1 cell), with
                 # their spread: batched groups report dispersion, not just
                 # the pooled mean.
-                cell_rates = []
-                for record in group:
-                    cell_ok = [
-                        entry for entry in _replica_entries(record)
-                        if not entry.get("error")
-                    ]
-                    if cell_ok:
-                        cell_rates.append(
-                            sum(1 for entry in cell_ok if entry["solved"]) / len(cell_ok)
-                        )
+                rates = (_solve_tallies(_replica_entries(r))[1]["solve_rate"] for r in group)
+                cell_rates = [rate for rate in rates if rate is not None]
                 aggregates[name]["replicas"] = len(entries)
                 aggregates[name]["replica_dispersion"] = {
                     "cells": len(group),
@@ -910,25 +912,7 @@ class SweepResult:
             handle.write("\n")
 
     #: column order of the CSV export (the per-run JSON fields).
-    CSV_FIELDS = (
-        "scenario",
-        "fault_model",
-        "seed",
-        "n",
-        "params",
-        "solved",
-        "safe",
-        "terminated",
-        "decided_processes",
-        "scope_size",
-        "first_decision_time",
-        "last_decision_time",
-        "messages_sent",
-        "wall_seconds",
-        "error",
-        "predicates",
-        "replicas",
-    )
+    CSV_FIELDS = WIRE_FIELDS
 
     def write_csv(self, path: str) -> None:
         """Write one CSV row per run to *path* (creating parent directories).
@@ -1069,90 +1053,57 @@ BACKEND_CHOICES = ("auto", "batch", "compiled", "scalar", "super")
 
 
 def _execute_super_grid(
-    cells: Sequence[Tuple[int, RunSpec]],
-    emit: Callable[[RunRecord], None],
-    slots: List[Optional[RunRecord]],
-) -> List[Tuple[int, RunSpec]]:
-    """Run every cell with a registered builder as ONE cross-cell unit.
+    cells: Sequence[Member], finish: Callable[[int, RunRecord], None]
+) -> None:
+    """Run every cell with a registered builder in seed-sibling groups.
 
-    The unit of work is a *seed-sibling group*: the eligible cells equal in
-    everything but their base seed (scenario, fault model, n, params,
-    replicas).  Each group is built as one
-    :class:`~repro.rounds.backend.CellPlan` over the concatenation of its
-    members' seeds, in grid order -- every builder builds per seed, so its
-    tasks are exactly the members' tasks, and its oracles vectorise as one
-    dual.  All groups' batches go to the super backend's ``run_batches`` in
-    a single call -- the whole grid becomes the schedulable unit -- and each
-    group's outcomes are sliced back into one wire record per member,
-    emitted in grid order.  A group's fallback reason is each member's:
-    every reason ``admit`` and ``from_cells`` record depends on the
-    algorithm, the value type or the params, never on the seed.  The grid's
-    wall clock is split evenly across its cells (per-cell timing is
-    meaningless inside one lockstep loop).
-
-    If a group's merged build raises, each member is rebuilt alone, so a
-    seed-specific builder error stays on its own cell with the per-cell
-    path's error text.  Returns the cells that must take the ordinary
-    per-cell path: no builder, a scenario that aliases ``super`` onto its
-    own backend (a step cell's ``StepEnvironment`` is no heard-of oracle to
-    vectorise), or the cross-cell run failed.
+    A *seed-sibling group* is the cells equal in everything but their base
+    seed (:func:`_group_plans`).  The plans of every group whose scenario
+    runs on ``super`` go to the super backend's ``run_batches`` in a single
+    call -- the whole grid becomes the schedulable unit -- and are sliced
+    back into member records, handed to *finish* in grid order.  A group's
+    fallback reason is each member's: every reason ``admit`` and
+    ``from_cells`` record depends on the algorithm, the value type or the
+    params, never on the seed.  If ``run_batches`` raises, and for a scenario that aliases
+    ``super`` onto its own backend (a step cell's ``StepEnvironment`` is no
+    heard-of oracle to vectorise), :func:`_run_group` runs group by group.
+    Cells without a builder are left to the per-cell path.
     """
-    leftover: List[Tuple[int, RunSpec]] = []
-    groups: Dict[str, List[Tuple[int, RunSpec]]] = {}
-    started = time.perf_counter()
+
+    def finish_all(records: Dict[int, RunRecord]) -> None:
+        for index in sorted(records):
+            finish(index, records[index])
+
+    groups: Dict[str, List[Member]] = {}
     for index, spec in cells:
-        builder = REGISTRY.batch_builder(spec.scenario)
-        if builder is None or REGISTRY.resolve_backend(spec.scenario, "super") != "super":
-            leftover.append((index, spec))
-            continue
-        group = spec_key(spec.scenario, spec.fault_model, spec.n, 0, spec.params, spec.replicas)
-        groups.setdefault(group, []).append((index, spec))
-
-    units: List[Tuple[List[Tuple[int, RunSpec]], CellPlan]] = []
+        if REGISTRY.batch_builder(spec.scenario) is not None:
+            group = spec_key(spec.scenario, spec.fault_model, spec.n, 0, spec.params, spec.replicas)
+            groups.setdefault(group, []).append((index, spec))
+    packed: List[List[Member]] = []
     for members in groups.values():
-        builder = REGISTRY.batch_builder(members[0][1].scenario)
-        if len(members) > 1:
-            try:
-                plan = _build_plan(builder, *(spec for _, spec in members))
-            except Exception:  # noqa: BLE001 - isolated below, member by member
-                pass
-            else:
-                units.append((members, plan))
-                continue
-        for index, spec in members:
-            try:
-                plan = _build_plan(builder, spec)
-            except Exception as exc:  # noqa: BLE001 - a bad cell must not kill the grid
-                record = _cell_record(spec, [], "super", 0.0, _error_text(exc))
-                emit(record)
-                slots[index] = record
-                continue
-            units.append(([(index, spec)], plan))
-    if not units:
-        return leftover
-
+        if REGISTRY.resolve_backend(members[0][1].scenario, "super") == "super":
+            packed.append(members)
+        else:
+            finish_all(_run_group(members))
+    if not packed:
+        return
+    started = time.perf_counter()
+    units = [unit for members in packed for unit in _group_plans(members)]
+    built = [(members, plan) for members, plan, _ in units if plan is not None]
+    ran = [(members, [], "super", error) for members, plan, error in units if plan is None]
     backend = get_backend("super")
     try:
-        results = backend.run_batches([plan.batch for _, plan in units])
-    except Exception:  # noqa: BLE001 - degrade to the per-cell path wholesale
-        return leftover + [member for members, _ in units for member in members]
-    per_cell_wall = (time.perf_counter() - started) / sum(len(members) for members, _ in units)
-    reasons = backend.last_fallback_reasons
-    finished: Dict[int, RunRecord] = {}
-    for slot, (members, plan) in enumerate(units):
-        used = _fallback_label("super", reasons.get(slot))
-        outcomes, error = _finalize(plan, results[slot])
-        start = 0
-        for index, spec in members:
-            count = spec.replicas or 1
-            finished[index] = _cell_record(
-                spec, outcomes[start:start + count], used, per_cell_wall, error
-            )
-            start += count
-    for index in sorted(finished):
-        emit(finished[index])
-        slots[index] = finished[index]
-    return leftover
+        results = backend.run_batches([plan.batch for _, plan in built])
+    except Exception:  # noqa: BLE001 - degrade to one run per group
+        for members in packed:
+            finish_all(_run_group(members))
+    else:
+        reasons = backend.last_fallback_reasons
+        for slot, (members, plan) in enumerate(built):
+            outcomes, error = _finalize(plan, results[slot])
+            ran.append((members, outcomes, _fallback_label("super", reasons.get(slot)), error))
+        cells_run = sum(len(members) for members in packed)
+        finish_all(_member_records(ran, (time.perf_counter() - started) / cells_run))
 
 
 def run_sweep(
@@ -1167,33 +1118,21 @@ def run_sweep(
     """Execute *specs*, optionally in parallel worker processes.
 
     ``workers`` <= 1 (or ``None``) runs inline; larger values fan the grid
-    out over a ``multiprocessing`` pool.  In the parallel path only the slim
-    wire record is pickled back -- the full ``ScenarioResult`` stays in the
-    worker (inline runs keep it, so in-process consumers read it).
+    out over a ``multiprocessing`` pool, one cell per job.  In the parallel
+    path only the slim wire record is pickled back -- the full
+    ``ScenarioResult`` stays in the worker (inline runs keep it, so
+    in-process consumers read it).
 
-    ``replicas=R`` turns every spec into a *batched cell* covering the R
-    consecutive seeds ``spec.seed .. spec.seed + R - 1``, scheduled as one
-    unit of work instead of R independent runs: scenarios with a registered
-    :class:`~repro.rounds.backend.CellPlan` builder execute the whole cell
-    on the requested execution *backend* (``auto``/``batch`` = the
-    vectorised lockstep-replica engine with its automatic scalar fallback;
-    ``scalar`` = the reference loop over the same plan), and
-    every cell's record carries the per-replica outcomes next to the cell
-    aggregates.  Specs that already carry ``replicas`` are left untouched.
-    Two cells of one (scenario, fault model, n, params) group whose seed
-    ranges intersect raise ``ValueError`` before anything executes: the
-    shared seeds would be counted twice.
-
-    ``backend="super"`` goes one step further: every such cell is packed,
-    together with all the others, into ONE cross-cell lockstep engine run
-    -- the whole grid becomes the schedulable unit, monitored and
-    fingerprinted cells included, and cells differing only in their base
-    seed are one replica batch in it.  Super-batching is single-process by
-    design, so combining it with ``workers > 1`` raises ``ValueError``.
-    Cells without a builder take the per-cell path; cells the shared
-    admission or the kernel constructor declines (unencodable values, no
-    batched kernel, ...) run on the scalar reference and are labelled
-    ``super:scalar-fallback (reason)``.
+    ``replicas=R`` turns every spec without its own ``replicas`` into a
+    *batched cell* covering the R consecutive seeds ``spec.seed .. spec.seed
+    + R - 1``, executed as one unit of work on the requested execution
+    *backend* (:func:`_run_group`); its record carries the per-replica
+    outcomes next to the cell aggregates.  Two cells of one (scenario, fault
+    model, n, params) group whose seed ranges intersect raise ``ValueError``
+    before anything executes: the shared seeds would be counted twice.
+    ``backend="super"`` packs the whole grid into one cross-cell lockstep
+    run (:func:`_execute_super_grid`); it is single-process by design, so
+    combining it with ``workers > 1`` raises ``ValueError``.
 
     *on_record* is invoked and every sink in *sinks* written as each run's
     record streams back (in completion order); sinks are closed when the
@@ -1243,13 +1182,14 @@ def run_sweep(
     worker_count = _resolve_workers(workers, len(pending))
     sinks = list(sinks)
 
-    def emit(record: RunRecord) -> None:
+    def finish(index: int, record: RunRecord) -> None:
         # Sinks first: a record is persisted before any consumer callback
         # sees it, so a crashing callback never loses completed work.
         for sink in sinks:
             sink.write(record)
         if on_record is not None:
             on_record(record)
+        slots[index] = record
 
     try:
         super_cells = [
@@ -1258,20 +1198,14 @@ def run_sweep(
             if spec.replicas is not None and spec.backend == "super"
         ]
         if super_cells:
-            # Cells the grid path cannot take (no CellPlan builder, or the
-            # cross-cell run itself failed) fall through to the normal
-            # per-cell machinery below, where the super backend still
-            # handles each batch individually.
-            _execute_super_grid(super_cells, emit, slots)
-            pending = [
-                (index, spec) for index, spec in pending if slots[index] is None
-            ]
+            # Cells without a CellPlan builder fall through to the per-cell
+            # path below.
+            _execute_super_grid(super_cells, finish)
+            pending = [(index, spec) for index, spec in pending if slots[index] is None]
             worker_count = _resolve_workers(workers, len(pending))
         if worker_count == 1:
             for index, spec in pending:
-                record = execute_run(spec)
-                emit(record)
-                slots[index] = record
+                finish(index, execute_run(spec))
         else:
             # Index by grid position, not by spec fields: the position is
             # unambiguous even for specs differing only in extra params.
@@ -1279,8 +1213,7 @@ def run_sweep(
                 for index, record in pool.imap_unordered(
                     _execute_indexed, pending, chunksize=1
                 ):
-                    emit(record)
-                    slots[index] = record
+                    finish(index, record)
     finally:
         for sink in sinks:
             sink.close()
@@ -1305,6 +1238,7 @@ def run_one(
 __all__ = [
     "SCHEMA",
     "BACKEND_CHOICES",
+    "WIRE_FIELDS",
     "REPLICA_OUTCOME_FIELDS",
     "RunSpec",
     "RunRecord",
@@ -1317,4 +1251,5 @@ __all__ = [
     "run_sweep",
     "run_one",
     "execute_run",
+    "replica_outcome",
 ]

@@ -63,6 +63,7 @@ from ..rounds.backend import (
 )
 from ..rounds.bitmask import iter_bits, mask_of
 from ..runner.registry import REGISTRY
+from ..runner.sweep import replica_outcome
 from .scenarios import FAULT_MODELS, ScenarioResult, _initial_values, _scope_for
 
 #: algorithm key -> class, as accepted by the scenarios' ``algorithm`` param.
@@ -158,26 +159,6 @@ def project_outcome(
     return verdict, metrics
 
 
-def _replica_outcome_dict(
-    outcome: ReplicaOutcome, values: Sequence[Any], scope: Sequence[int]
-) -> Dict[str, Any]:
-    """Flatten one backend ReplicaOutcome into the sweep's wire shape."""
-    verdict, metrics = project_outcome(outcome, values, scope)
-    return {
-        "seed": outcome.seed,
-        "solved": verdict.solved,
-        "safe": verdict.safe,
-        "terminated": verdict.termination,
-        "decided_processes": metrics.decided_processes,
-        "scope_size": metrics.scope_size,
-        "first_decision_time": metrics.first_decision_time,
-        "last_decision_time": metrics.last_decision_time,
-        "messages_sent": metrics.messages_sent,
-        "error": None,
-        "predicates": outcome.predicate_reports,
-    }
-
-
 def cell_plan(
     n: int,
     tasks: List[ReplicaTask],
@@ -215,7 +196,11 @@ def cell_plan(
 
     def finalize(outcomes: Sequence[Any]) -> List[Dict[str, Any]]:
         return [
-            _replica_outcome_dict(outcome, task.initial_values, scope)
+            replica_outcome(
+                outcome.seed,
+                *project_outcome(outcome, task.initial_values, scope),
+                outcome.predicate_reports,
+            )
             for outcome, task in zip(outcomes, tasks)
         ]
 

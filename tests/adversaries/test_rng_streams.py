@@ -8,8 +8,8 @@ experiments comparable and replay debugging possible.
 from __future__ import annotations
 
 from repro.adversaries import (
+    CounterKernelOracle,
     GoodPeriodOracle,
-    KernelOnlyOracle,
     MobileOmissionOracle,
     RandomOmissionOracle,
 )
@@ -85,9 +85,9 @@ class TestStreamIsolation:
         # Two oracles sharing one master seed but different concerns draw
         # from disjoint streams: instantiating one never changes the other.
         rng = SeededRng(3)
-        kernel = KernelOnlyOracle(5, pi0=[0, 1, 2], rng=rng)
+        kernel = CounterKernelOracle(5, pi0=[0, 1, 2], rng=rng)
         loss = RandomOmissionOracle(5, 0.4, rng=rng)
-        kernel_alone = KernelOnlyOracle(5, pi0=[0, 1, 2], rng=SeededRng(3))
+        kernel_alone = CounterKernelOracle(5, pi0=[0, 1, 2], rng=SeededRng(3))
         loss_alone = RandomOmissionOracle(5, 0.4, rng=SeededRng(3))
         assert snapshot(kernel) == snapshot(kernel_alone)
         assert snapshot(loss) == snapshot(loss_alone)

@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.adversaries import (
+    CounterKernelOracle,
     FaultFreeOracle,
     GoodPeriodOracle,
-    KernelOnlyOracle,
     PartitionOracle,
     RandomOmissionOracle,
     ScriptedOracle,
@@ -123,17 +123,17 @@ class TestGoodPeriodOracle:
             GoodPeriodOracle(4, pi0=[0, 1], good_from=0)
 
 
-class TestKernelOnlyOracle:
+class TestCounterKernelOracle:
     def test_pi0_always_contained_for_pi0_processes(self):
         pi0 = frozenset({0, 1, 2})
-        oracle = KernelOnlyOracle(5, pi0=pi0, seed=11)
+        oracle = CounterKernelOracle(5, pi0=pi0, seed=11)
         for round in range(1, 10):
             for p in pi0:
                 assert pi0.issubset(oracle(round, p))
 
     def test_not_necessarily_space_uniform(self):
         pi0 = frozenset({0, 1, 2})
-        oracle = KernelOnlyOracle(5, pi0=pi0, seed=11)
+        oracle = CounterKernelOracle(5, pi0=pi0, seed=11)
         ho_sets = {
             (round, p): oracle(round, p) for round in range(1, 30) for p in pi0
         }

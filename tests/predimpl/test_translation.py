@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms import OneThirdRule
-from repro.adversaries import FaultFreeOracle, KernelOnlyOracle, ScriptedOracle
+from repro.adversaries import CounterKernelOracle, FaultFreeOracle, ScriptedOracle
 from repro.core.machine import HOMachine
 from repro.predimpl.translation import KernelToUniformTranslation
 
@@ -82,7 +82,7 @@ class TestTheorem8:
         n, f = 5, 2
         pi0 = frozenset(range(n - f))
         translation = KernelToUniformTranslation(OneThirdRule(n), f)
-        machine = HOMachine(translation, KernelOnlyOracle(n, pi0, seed=9), [1, 2, 3, 4, 5])
+        machine = HOMachine(translation, CounterKernelOracle(n, pi0, seed=9), [1, 2, 3, 4, 5])
         machine.run(4 * (f + 1))
         # Inspect the recorded states at each macro-round boundary.
         for record in machine.trace.records:
@@ -117,7 +117,7 @@ class TestTheorem8:
         n, f = 4, 1
         pi0 = frozenset(range(n - f))
         translation = KernelToUniformTranslation(OneThirdRule(n), f)
-        machine = HOMachine(translation, KernelOnlyOracle(n, pi0, seed=5), [10, 20, 30, 40])
+        machine = HOMachine(translation, CounterKernelOracle(n, pi0, seed=5), [10, 20, 30, 40])
         machine.run(8 * (f + 1))
         decisions = {
             p: translation.decision(machine.state(p))

@@ -210,6 +210,18 @@ class TestCliFlags:
         assert main(["--replicas", "0"]) == 2
         assert "--replicas" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("backend", ["batch", "compiled", "scalar", "super"])
+    def test_backend_without_replicas_exits_2(self, capsys, backend):
+        """Only batched cells have a backend to choose: a plain sweep refuses
+        the flag instead of ignoring it (``super`` before its workers check)."""
+        argv = ["--scenarios", "ho-classic-otr", "--fault-models", "fault-free",
+                "--seeds", "0", "--backend", backend, "--quiet"]
+        assert main(argv) == 2
+        assert main(argv + ["--workers", "2"]) == 2
+        err = capsys.readouterr().err
+        assert f"--backend {backend} requires --replicas" in err
+        assert "single-process" not in err
+
     def test_invalid_backend_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--backend", "gpu"])

@@ -6,17 +6,21 @@ import csv
 import json
 import multiprocessing
 import os
+from dataclasses import replace
 
 import pytest
 
 from repro.runner.__main__ import main
 from repro.runner.registry import REGISTRY
 from repro.runner.sweep import (
+    REPLICA_OUTCOME_FIELDS,
+    WIRE_FIELDS,
     JsonlSink,
     RunRecord,
     RunSpec,
     SweepResult,
     build_grid,
+    execute_run,
     load_jsonl_records,
     run_sweep,
 )
@@ -410,3 +414,72 @@ class TestNonJsonParams:
         sweep.write_json(str(tmp_path / "summary.json"))
         sweep.write_csv(str(tmp_path / "records.csv"))
         assert len(jsonl.read_text().splitlines()) == 1
+
+
+# --------------------------------------------------------------------------- #
+# the wire schema: one field list behind every sink
+# --------------------------------------------------------------------------- #
+
+OPTIONAL_FIELDS = ("params", "error", "predicates", "replicas")
+REQUIRED_FIELDS = [key for key in WIRE_FIELDS if key not in OPTIONAL_FIELDS]
+CELL = RunSpec.make("ho-classic-otr", "lossy", 0)
+WIRE_KINDS = {
+    "plain": CELL,
+    "batched": replace(CELL, replicas=3),
+    "errored": RunSpec.make("ho-classic-otr", "lossy", 0, no_such_param=1),
+    "monitored": RunSpec.make("ho-classic-otr", "lossy", 0, predicates=("p_su", "p_k")),
+}
+
+
+def _line_without(record, *keys):
+    payload = record.to_json_dict()
+    for key in keys:
+        del payload[key]
+    return json.dumps(payload)
+
+
+class TestWireSchema:
+    def test_every_sink_follows_the_wire_field_order(self, tmp_path):
+        argv = ["--scenarios", "ho-classic-otr", "chandra-toueg", "--fault-models", "lossy",
+                "--seeds", "0", "--replicas", "2", "--quiet"]
+        argv += [arg for flag, name in SINK_FILES.items() for arg in (flag, str(tmp_path / name))]
+        assert main(argv) == 0
+        lines = [json.loads(line) for line in (tmp_path / "sweep.jsonl").read_text().splitlines()]
+        runs = json.loads((tmp_path / "sweep.json").read_text())["runs"]
+        with open(tmp_path / "sweep.csv", newline="") as handle:
+            header = next(csv.reader(handle))
+        assert header == list(WIRE_FIELDS)
+        for entry in lines + runs:
+            assert list(entry) == list(WIRE_FIELDS)
+            for outcome in entry["replicas"]["outcomes"]:
+                assert list(outcome) == list(REPLICA_OUTCOME_FIELDS)
+        for spec in WIRE_KINDS.values():
+            assert list(execute_run(spec).to_json_dict()) == list(WIRE_FIELDS)
+
+    @pytest.mark.parametrize("kind", list(WIRE_KINDS))
+    def test_a_record_round_trips_through_json(self, kind):
+        record = execute_run(WIRE_KINDS[kind])
+        assert (record.error is not None) == (kind == "errored")
+        assert (record.replicas is not None) == (kind == "batched")
+        assert (record.predicates is not None) == (kind == "monitored")
+        line = json.dumps(record.to_json_dict())
+        loaded = RunRecord.from_json_dict(json.loads(line))
+        # Compared on the wire: a tuple-valued param reloads as a list.
+        assert json.dumps(loaded.to_json_dict()) == line
+        assert loaded.cell_key == record.cell_key
+
+    @pytest.mark.parametrize("key", REQUIRED_FIELDS)
+    def test_a_line_missing_a_required_field_is_skipped(self, tmp_path, key):
+        record = execute_run(CELL)
+        other = execute_run(replace(CELL, seed=1))
+        path = tmp_path / "sweep.jsonl"
+        path.write_text(_line_without(record) + "\n" + _line_without(other, key) + "\n")
+        assert [r.cell_key for r in load_jsonl_records(str(path))] == [record.cell_key]
+
+    @pytest.mark.parametrize("keys", [(key,) for key in OPTIONAL_FIELDS] + [OPTIONAL_FIELDS])
+    def test_a_line_missing_only_optional_fields_loads(self, tmp_path, keys):
+        record = execute_run(CELL)
+        path = tmp_path / "sweep.jsonl"
+        path.write_text(_line_without(record, *keys) + "\n")
+        (loaded,) = load_jsonl_records(str(path))
+        assert loaded.to_json_dict() == record.to_json_dict()

@@ -25,6 +25,7 @@ from repro.runner.registry import REGISTRY
 from repro.runner.sweep import (
     BACKEND_CHOICES,
     JsonlSink,
+    RunRecord,
     build_grid,
     execute_run,
     run_sweep,
@@ -182,9 +183,9 @@ class TestSuperSweep:
         assert sup.aggregate() == ref.aggregate()
 
     def test_mixed_grid_labels_each_cell_with_what_ran_it(self):
-        """Step scenarios alias ``super`` onto ``step-batch``: their cells take
-        the per-cell path (a StepEnvironment is no oracle to vectorise) while
-        the classic cells of the same grid super-batch."""
+        """Step scenarios alias ``super`` onto ``step-batch``: their groups run
+        on it (a StepEnvironment is no oracle to vectorise) while the classic
+        cells of the same grid super-batch."""
         specs = build_grid(
             scenarios=["ho-step-down-otr", "ho-classic-otr"],
             fault_models=["fault-free", "lossy"],
@@ -270,6 +271,33 @@ class TestSeedSiblingGroups:
             assert record.replicas["backend"] == "super"
             assert record.solved
 
+    def test_step_groups_run_once_each_on_step_batch(self, monkeypatch):
+        """A step scenario's seed siblings merge too, on its aliased backend:
+        one ``step-batch`` run per group, records equal to the scalar sweep's."""
+        from repro.predimpl.step_backend import BatchStepBackend
+
+        specs = build_grid(
+            scenarios=["ho-step-down-otr", "ho-classic-otr"],
+            fault_models=["fault-free", "lossy"], seeds=[0, 100], ns=[4],
+        )
+        runs = []
+        original = BatchStepBackend.run
+
+        def spy(self, batch):
+            runs.append(batch.replicas)
+            return original(self, batch)
+
+        monkeypatch.setattr(BatchStepBackend, "run", spy)
+        sup = run_sweep(specs, replicas=2, backend="super")
+        monkeypatch.undo()
+        ref = run_sweep(specs, replicas=2, backend="scalar")
+        assert runs == [4, 4]
+        for a, b in zip(sup.records, ref.records):
+            assert a.replicas["outcomes"] == b.replicas["outcomes"]
+        assert {r.replicas["backend"].split(":")[0] for r in sup.records} == {
+            "step-batch", "super"
+        }
+
     def test_declined_group_keeps_each_cells_label(
         self, complex_valued_scenario, monkeypatch
     ):
@@ -306,6 +334,45 @@ class TestSeedSiblingGroups:
         assert resumed.resumed == 1
         assert calls == [[6, 9]]
         assert resumed.aggregate() == fresh.aggregate()
+
+    def test_a_failed_grid_run_degrades_without_losing_a_cell(self, tmp_path, monkeypatch):
+        """``run_batches`` raising on the grid call leaves the grid to the
+        single-batch runs: every cell still gets exactly one record, equal to
+        the scalar sweep's, and the JSON summary keeps grid order."""
+        specs = build_grid(
+            scenarios=["ho-classic-otr", "ho-round-bursty-loss"],
+            fault_models=["fault-free", "lossy"], seeds=[0, 100], ns=[4],
+        )
+        calls = []
+        original = SuperBatchBackend.run_batches
+
+        def fail_on_the_grid_call(self, batches):
+            calls.append(len(batches))
+            if len(calls) == 1:
+                raise RuntimeError("the grid run failed")
+            return original(self, batches)
+
+        monkeypatch.setattr(SuperBatchBackend, "run_batches", fail_on_the_grid_call)
+        jsonl, summary = tmp_path / "super.jsonl", tmp_path / "super.json"
+        sup = run_sweep(specs, replicas=3, backend="super", sinks=[JsonlSink(str(jsonl))])
+        sup.write_json(str(summary))
+        monkeypatch.undo()
+        ref = run_sweep(specs, replicas=3, backend="scalar")
+
+        assert calls[0] == 4 and len(calls) > 1
+        emitted = [
+            RunRecord.from_json_dict(json.loads(line)).cell_key
+            for line in jsonl.read_text().splitlines()
+        ]
+        assert sorted(emitted) == sorted(replace(spec, replicas=3).cell_key for spec in specs)
+        for a, b in zip(sup.records, ref.records):
+            assert a.error is None
+            assert a.replicas["outcomes"] == b.replicas["outcomes"]
+        assert sup.aggregate() == ref.aggregate()
+        runs = json.loads(summary.read_text())["runs"]
+        assert [(r["scenario"], r["fault_model"], r["n"], r["seed"]) for r in runs] == [
+            (s.scenario, s.fault_model, s.n, s.seed) for s in specs
+        ]
 
 
 class TestBuilderRegistry:
