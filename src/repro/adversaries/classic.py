@@ -297,33 +297,27 @@ class CounterKernelOracle(MaskOracleBase):
         self.pi0 = validate_process_subset(pi0, n)
         self._pi0_mask = mask_of(self.pi0)
         self._ctr = oracle_rng(seed, rng).counter_stream("oracle.kernel")
-        self._memo: Dict[Tuple[Round, ProcessId], int] = {}
 
     def counter_batch_signature(self) -> Tuple[object, ...]:
         return ("counter-kernel", self.n, self._pi0_mask)
 
     def ho_mask(self, round: Round, process: ProcessId) -> int:
-        key = (round, process)
-        mask = self._memo.get(key)
-        if mask is None:
-            ctr = self._ctr
-            if (1 << process) & self._pi0_mask:
-                extras = 0
-                outside = self._full & ~self._pi0_mask
-                bit = 1
-                for q in range(self.n):
-                    if outside & bit and ctr.below(0.5, 0, round, process, q):
-                        extras |= bit
-                    bit <<= 1
-                mask = self._pi0_mask | extras
-            else:
-                mask = 1 << process
-                bit = 1
-                for q in range(self.n):
-                    if ctr.below(0.5, 1, round, process, q):
-                        mask |= bit
-                    bit <<= 1
-            self._memo[key] = mask
+        ctr = self._ctr
+        if (1 << process) & self._pi0_mask:
+            mask = self._pi0_mask
+            outside = self._full & ~self._pi0_mask
+            bit = 1
+            for q in range(self.n):
+                if outside & bit and ctr.below(0.5, 0, round, process, q):
+                    mask |= bit
+                bit <<= 1
+        else:
+            mask = 1 << process
+            bit = 1
+            for q in range(self.n):
+                if ctr.below(0.5, 1, round, process, q):
+                    mask |= bit
+                bit <<= 1
         return mask
 
 

@@ -21,7 +21,7 @@ is a perfectly good environment.
 
 :class:`IntersectOracle` and :class:`UnionOracle` always query *every*
 component, even once the accumulated mask is already empty (or full):
-stateful components (the dynamic families, ``RandomOmissionOracle``, ...)
+stateful components (``RandomOmissionOracle``, ``GoodPeriodOracle``, ...)
 draw lazily per query, so skipping one would make its seeded sub-stream
 advance differently depending on *sibling* outcomes -- violating the
 documented rule that concerns cannot perturb each other.
@@ -147,12 +147,6 @@ class WindowSwitchOracle(MaskOracleBase):
     component behaves identically on every visit -- this models environments
     that *churn* between regimes (e.g. alternating partitions) rather than
     ones that settle.
-
-    For lazily-drawing components (the :mod:`repro.adversaries.dynamic`
-    families) the identical-visit guarantee rests on their per-round memos:
-    when the window exceeds their retention
-    (:data:`~repro.adversaries.dynamic.MEMO_RETAIN_ROUNDS`), construct the
-    component with ``retain_rounds >= window`` or the re-visit raises.
     """
 
     def __init__(self, n: int, oracles: Sequence[HOOracle], window: int = 1) -> None:

@@ -19,9 +19,9 @@ the single run seeded ``seed + i``.
 The recurrent families keep their recurrences, vectorised over rows: the
 rotating partition chains each epoch's assignment on the previous epoch's,
 and the Gilbert-Elliott link states advance round by round.  Both advance
-monotonically (engines query rounds in nondecreasing order) and, mirroring
-the scalar memos, raise :class:`LookupError` on a query behind the frontier
-rather than silently replaying history.
+monotonically (engines query rounds in nondecreasing order) and raise
+:class:`LookupError` on a query behind the frontier; the scalar oracles
+replay from round 1 instead, which only a combinator re-visit asks of them.
 
 The three families that draw ``(R, n, n)`` link coins (bursty loss, the
 coordinator's background, the kernel oracle) compare the ``uint64`` hash

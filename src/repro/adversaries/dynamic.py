@@ -21,96 +21,34 @@ those environments expressible at the heard-of level:
   the system behaves synchronously (the round-level shape of an
   eventually-stable leader).
 
-All are mask-native, memoise per (round, process), support an eventual
-stabilisation round (so liveness experiments terminate), and draw from
-named *counter-based* streams (:meth:`~repro.engine.rng.SeededRng.
-counter_stream`: ``oracle.mobile``, ``oracle.partition``, ``oracle.burst``,
-``oracle.coordinator``).  A draw is a pure function of the stream key and a
-counter tuple ``(tag, round, ...)`` -- no sequential cursor -- so the
-replica-vectorised batch duals (:mod:`repro.adversaries.batch`) recompute
-the very same values array-wide, in any order, bit-identically; each oracle
-exposes its key and its :meth:`counter_batch_signature` for that purpose.
+All are mask-native, support an eventual stabilisation round (so liveness
+experiments terminate), and draw from named *counter-based* streams
+(:meth:`~repro.engine.rng.SeededRng.counter_stream`: ``oracle.mobile``,
+``oracle.partition``, ``oracle.burst``, ``oracle.coordinator``).  A draw is
+a pure function of the stream key and a counter tuple ``(tag, round, ...)``
+-- no sequential cursor -- so the replica-vectorised batch duals
+(:mod:`repro.adversaries.batch`) recompute the very same values array-wide,
+in any order, bit-identically; each oracle exposes its key and its
+:meth:`counter_batch_signature` for that purpose.
 
-The memos are *bounded*: like the engine's ``_BITS_CACHE_LIMIT``, an
-oracle driven for a long run must not accumulate O(rounds · n) state, so
-only the :data:`MEMO_RETAIN_ROUNDS` most recent rounds are retained.
-Eviction never changes a draw -- counter-based values do not depend on when
-they are computed -- but the recurrent families (partition churn chains on
-the previous epoch, Gilbert-Elliott states advance round by round) would
-have to replay their whole history to honour a stale re-query, so a lookup
-at or below the eviction horizon still raises instead of silently paying
-that replay.  Engines query rounds in nondecreasing order and
-:class:`~repro.adversaries.combinators.WindowSwitchOracle` rebases its
-components to small local rounds, so the window is invisible in practice.
+An oracle keeps only the state its array dual keeps: the current round's
+(or epoch's) answer, so a long run holds O(n) state, never O(rounds · n).
+Any ``(round, process)`` may be asked in any order and gets the same bits.
+The two recurrences (partition churn chains on the previous epoch,
+Gilbert-Elliott link states advance round by round) replay from round 1
+when asked for a round behind their current one -- which only a
+:class:`~repro.adversaries.combinators.WindowSwitchOracle` re-visit does,
+at the cost of the window's own rounds.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from ..core.types import ProcessId, Round
 from ..engine.rng import SeededRng
 from ..rounds.bitmask import mask_of
 from .base import MaskOracleBase, oracle_rng
-
-#: How much recent history a dynamic oracle's memo retains before evicting:
-#: round-keyed memos keep this many rounds, (round, process)-keyed memos
-#: this many rounds' worth of entries, epoch-keyed memos this many epochs.
-#: Per-oracle override: the ``retain_rounds`` constructor argument (needed
-#: e.g. for a WindowSwitchOracle component whose window exceeds this).
-MEMO_RETAIN_ROUNDS = 256
-
-
-def _retention(retain_rounds: Optional[int]) -> int:
-    if retain_rounds is None:
-        return MEMO_RETAIN_ROUNDS
-    if retain_rounds <= 0:
-        raise ValueError(f"retain_rounds must be positive, got {retain_rounds}")
-    return retain_rounds
-
-
-class _BoundedMemo:
-    """An insertion-ordered memo bounded to the most recent entries.
-
-    Counter-based draws could in principle be recomputed after eviction,
-    but the recurrent families would have to replay every epoch/round since
-    the beginning to do so; a lookup at or below the eviction horizon
-    therefore raises :class:`LookupError` instead of silently paying an
-    O(rounds) replay.  Keys must be mutually comparable and arrive in
-    (roughly) ascending order -- true for engine-driven queries.
-    """
-
-    __slots__ = ("_entries", "_limit", "_horizon", "_label")
-
-    def __init__(self, limit: int, label: str) -> None:
-        self._entries: Dict[Any, Any] = {}
-        self._limit = limit
-        self._horizon: Any = None
-        self._label = label
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: Any) -> Any:
-        """The memoised value for *key*, or None when it is yet to be drawn."""
-        value = self._entries.get(key)
-        if value is None and self._horizon is not None and key <= self._horizon:
-            raise LookupError(
-                f"{self._label} {key!r} was evicted (only the most recent "
-                f"{self._limit} entries are retained); construct the oracle "
-                "with a larger retain_rounds when old rounds must stay "
-                "re-queryable, e.g. as a WindowSwitchOracle component whose "
-                "window exceeds the retention"
-            )
-        return value
-
-    def put(self, key: Any, value: Any) -> None:
-        self._entries[key] = value
-        while len(self._entries) > self._limit:
-            oldest = next(iter(self._entries))
-            del self._entries[oldest]
-            if self._horizon is None or oldest > self._horizon:
-                self._horizon = oldest
 
 
 class MobileOmissionOracle(MaskOracleBase):
@@ -135,7 +73,6 @@ class MobileOmissionOracle(MaskOracleBase):
         seed: int = 0,
         stable_from: Optional[Round] = None,
         rng: Optional[SeededRng] = None,
-        retain_rounds: Optional[int] = None,
     ) -> None:
         super().__init__(n)
         if not 0 <= faults <= n:
@@ -143,20 +80,20 @@ class MobileOmissionOracle(MaskOracleBase):
         self.faults = faults
         self.stable_from = stable_from
         self._ctr = oracle_rng(seed, rng).counter_stream("oracle.mobile")
-        self._silenced = _BoundedMemo(_retention(retain_rounds), "mobile-omission round")
+        #: the last round asked and its silenced mask: every receiver of a
+        #: round asks for the same mask, which costs a sort to draw.
+        self._silenced: Tuple[Optional[Round], int] = (None, 0)
 
     def counter_batch_signature(self) -> Tuple[Any, ...]:
         """The construction state a batch dual must see shared by all replicas."""
         return ("mobile-omission", self.n, self.faults, self.stable_from)
 
     def _silenced_mask(self, round: Round) -> int:
-        mask = self._silenced.get(round)
-        if mask is None:
+        if self._silenced[0] != round:
             ctr = self._ctr
             order = sorted(range(self.n), key=lambda q: (ctr.hash(round, q), q))
-            mask = mask_of(order[: self.faults])
-            self._silenced.put(round, mask)
-        return mask
+            self._silenced = (round, mask_of(order[: self.faults]))
+        return self._silenced[1]
 
     def ho_mask(self, round: Round, process: ProcessId) -> int:
         if self.stable_from is not None and round >= self.stable_from:
@@ -193,7 +130,6 @@ class RotatingPartitionOracle(MaskOracleBase):
         seed: int = 0,
         heal_from: Optional[Round] = None,
         rng: Optional[SeededRng] = None,
-        retain_rounds: Optional[int] = None,
     ) -> None:
         super().__init__(n)
         if blocks <= 0:
@@ -207,16 +143,12 @@ class RotatingPartitionOracle(MaskOracleBase):
         self.churn = churn
         self.heal_from = heal_from
         self._ctr = oracle_rng(seed, rng).counter_stream("oracle.partition")
-        #: the most recent epoch's per-process block assignment -- churn only
-        #: needs the previous epoch, so earlier assignments are not retained.
-        self._last_assignment: Optional[List[int]] = None
-        #: index of the next epoch to be drawn; epochs are computed in order
-        #: because each assignment chains on the previous one.
-        self._next_epoch = 0
-        #: epoch -> per-process block mask, precomputed once per epoch so
-        #: that ho_mask is a lookup (the bitmask hot path); bounded to the
-        #: most recent epochs.
-        self._epoch_masks = _BoundedMemo(_retention(retain_rounds), "partition epoch")
+        #: the last epoch drawn (-1: none yet), its per-process block
+        #: assignment -- churn only needs the previous epoch -- and its
+        #: per-process block mask, so that ho_mask is a lookup.
+        self._epoch = -1
+        self._assignment: List[int] = []
+        self._epoch_masks: List[int] = []
 
     def counter_batch_signature(self) -> Tuple[Any, ...]:
         """The construction state a batch dual must see shared by all replicas."""
@@ -230,29 +162,27 @@ class RotatingPartitionOracle(MaskOracleBase):
         )
 
     def _masks_for_epoch(self, epoch: int) -> List[int]:
-        masks = self._epoch_masks.get(epoch)
-        if masks is not None:
-            return masks
-        while self._next_epoch <= epoch:
-            e = self._next_epoch
-            ctr = self._ctr
-            if self._last_assignment is None:
-                assignment = [ctr.mod(self.blocks, 1, e, q) for q in range(self.n)]
-            else:
-                previous = self._last_assignment
-                assignment = [
-                    ctr.mod(self.blocks, 1, e, q)
-                    if ctr.unit(0, e, q) < self.churn
-                    else previous[q]
-                    for q in range(self.n)
-                ]
-            self._last_assignment = assignment
-            block_masks = [0] * self.blocks
-            for q, block in enumerate(assignment):
-                block_masks[block] |= 1 << q
-            self._epoch_masks.put(e, [block_masks[block] for block in assignment])
-            self._next_epoch += 1
-        return self._epoch_masks.get(epoch)
+        if epoch == self._epoch:
+            return self._epoch_masks
+        if epoch < self._epoch:
+            # Behind the recurrence: replay it from the first epoch.
+            self._epoch = -1
+        ctr = self._ctr
+        while self._epoch < epoch:
+            e = self._epoch + 1
+            previous = self._assignment
+            self._assignment = [
+                ctr.mod(self.blocks, 1, e, q)
+                if e == 0 or ctr.unit(0, e, q) < self.churn
+                else previous[q]
+                for q in range(self.n)
+            ]
+            self._epoch = e
+        block_masks = [0] * self.blocks
+        for q, block in enumerate(self._assignment):
+            block_masks[block] |= 1 << q
+        self._epoch_masks = [block_masks[block] for block in self._assignment]
+        return self._epoch_masks
 
     def ho_mask(self, round: Round, process: ProcessId) -> int:
         if self.heal_from is not None and round >= self.heal_from:
@@ -289,7 +219,6 @@ class BurstyLossOracle(MaskOracleBase):
         seed: int = 0,
         stable_from: Optional[Round] = None,
         rng: Optional[SeededRng] = None,
-        retain_rounds: Optional[int] = None,
     ) -> None:
         super().__init__(n)
         for name, value in (
@@ -306,13 +235,12 @@ class BurstyLossOracle(MaskOracleBase):
         self.loss_good = loss_good
         self.stable_from = stable_from
         self._ctr = oracle_rng(seed, rng).counter_stream("oracle.burst")
-        #: bursty-link masks per receiver, advanced one round at a time:
-        #: ``_burst_state[p]`` has bit q set iff link q -> p is in a burst.
-        self._burst_state: List[int] = [0] * n
+        #: the last round drawn (0: none yet) and, per receiver p, its
+        #: bursty-link mask (bit q set iff link q -> p is in a burst) and
+        #: its heard mask in that round.
         self._computed_round: Round = 0
-        self._memo = _BoundedMemo(
-            _retention(retain_rounds) * n, "bursty-loss (round, process)"
-        )
+        self._burst_state: List[int] = [0] * n
+        self._heard: List[int] = [0] * n
 
     def counter_batch_signature(self) -> Tuple[Any, ...]:
         """The construction state a batch dual must see shared by all replicas."""
@@ -327,6 +255,10 @@ class BurstyLossOracle(MaskOracleBase):
         )
 
     def _advance_to(self, round: Round) -> None:
+        if round < self._computed_round:
+            # Behind the recurrence: replay it from round 1.
+            self._computed_round = 0
+            self._burst_state = [0] * self.n
         while self._computed_round < round:
             self._computed_round += 1
             current = self._computed_round
@@ -351,15 +283,13 @@ class BurstyLossOracle(MaskOracleBase):
                         heard |= bit
                     bit <<= 1
                 self._burst_state[p] = new_state
-                self._memo.put((current, p), heard)
+                self._heard[p] = heard
 
     def ho_mask(self, round: Round, process: ProcessId) -> int:
         if self.stable_from is not None and round >= self.stable_from:
             return self._full
         self._advance_to(round)
-        # get() raises for rounds already evicted from the bounded memo;
-        # link states only advance forward, so re-drawing is impossible.
-        return self._memo.get((round, process))
+        return self._heard[process]
 
 
 class EventuallyStableCoordinatorOracle(MaskOracleBase):
@@ -387,7 +317,6 @@ class EventuallyStableCoordinatorOracle(MaskOracleBase):
         background_probability: float = 0.4,
         seed: int = 0,
         rng: Optional[SeededRng] = None,
-        retain_rounds: Optional[int] = None,
     ) -> None:
         super().__init__(n)
         if stable_from <= 0:
@@ -405,9 +334,6 @@ class EventuallyStableCoordinatorOracle(MaskOracleBase):
         self.flaky_probability = flaky_probability
         self.background_probability = background_probability
         self._ctr = oracle_rng(seed, rng).counter_stream("oracle.coordinator")
-        retain = _retention(retain_rounds)
-        self._pretenders = _BoundedMemo(retain, "coordinator round")
-        self._memo = _BoundedMemo(retain * n, "coordinator (round, process)")
 
     def counter_batch_signature(self) -> Tuple[Any, ...]:
         """The construction state a batch dual must see shared by all replicas."""
@@ -424,37 +350,27 @@ class EventuallyStableCoordinatorOracle(MaskOracleBase):
         """The coordinator of *round*: the pretender before stabilisation, fixed after."""
         if round >= self.stable_from:
             return self.stable_coordinator
-        pretender = self._pretenders.get(round)
-        if pretender is None:
-            pretender = self._ctr.mod(self.n, 0, round)
-            self._pretenders.put(round, pretender)
-        return pretender
+        return self._ctr.mod(self.n, 0, round)
 
     def ho_mask(self, round: Round, process: ProcessId) -> int:
         if round >= self.stable_from:
             return self._full
-        key = (round, process)
-        mask = self._memo.get(key)
-        if mask is None:
-            pretender = self.coordinator(round)
-            ctr = self._ctr
-            mask = 0
-            bit = 1
-            for q in range(self.n):
-                if ctr.unit(2, round, process, q) < self.background_probability:
-                    mask |= bit
-                bit <<= 1
-            if ctr.unit(1, round, process) >= self.flaky_probability:
-                mask |= 1 << pretender
-            else:
-                mask &= ~(1 << pretender)
-            mask |= 1 << process
-            self._memo.put(key, mask)
-        return mask
+        ctr = self._ctr
+        mask = 0
+        bit = 1
+        for q in range(self.n):
+            if ctr.unit(2, round, process, q) < self.background_probability:
+                mask |= bit
+            bit <<= 1
+        pretender = 1 << self.coordinator(round)
+        if ctr.unit(1, round, process) >= self.flaky_probability:
+            mask |= pretender
+        else:
+            mask &= ~pretender
+        return mask | (1 << process)
 
 
 __all__ = [
-    "MEMO_RETAIN_ROUNDS",
     "MobileOmissionOracle",
     "RotatingPartitionOracle",
     "BurstyLossOracle",

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Iterator, Tuple
+from typing import Dict
 
 from .counter import CounterStream
 
@@ -81,10 +81,6 @@ class SeededRng:
         if index < 0:
             raise ValueError(f"replica index must be non-negative, got {index}")
         return SeededRng(self.seed + index)
-
-    def streams(self) -> Iterator[Tuple[str, random.Random]]:
-        """The streams created so far (for state snapshots in tests)."""
-        return iter(self._streams.items())
 
 
 __all__ = ["SeededRng", "derive_seed"]

@@ -527,7 +527,6 @@ class MonitorBank:
         n: int,
         monitors: Sequence[PredicateMonitor],
         stop_after_held: Optional[int] = None,
-        window: int = DEFAULT_WINDOW,
         completion_scope: Optional[Iterable[ProcessId]] = None,
     ) -> None:
         if stop_after_held is not None and stop_after_held < 1:
@@ -536,7 +535,7 @@ class MonitorBank:
         self.monitors = list(monitors)
         self.stop_after_held = stop_after_held
         completion_mask = None if completion_scope is None else _pi0_mask(completion_scope, n)
-        self._collator = RoundCollator(n, window=window, completion_mask=completion_mask)
+        self._collator = RoundCollator(n, completion_mask=completion_mask)
         self._stop = False
         self._finalized = False
 
@@ -635,7 +634,6 @@ def build_monitor_bank(
     predicates: Sequence[str],
     pi0: Optional[Iterable[ProcessId]] = None,
     stop_after_held: Optional[int] = None,
-    window: int = DEFAULT_WINDOW,
     completion_scope: Optional[Iterable[ProcessId]] = None,
 ) -> MonitorBank:
     """One bank with a monitor per name in *predicates* -- the scenario-runner helper.
@@ -652,7 +650,6 @@ def build_monitor_bank(
         n,
         [build_monitor(name, n, pi0=pi0) for name in predicates],
         stop_after_held=stop_after_held,
-        window=window,
         completion_scope=completion_scope,
     )
 

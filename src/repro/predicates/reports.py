@@ -5,7 +5,7 @@ run is over: when the predicate first held, how long its per-round good
 condition held and was violated for, and the final verdict.  It is the
 trace-free currency of predicate measurement -- small, picklable and
 JSON-round-trippable, so it rides inside the sweep harness's slim wire
-records (``repro-sweep/3``) where a full heard-of collection never could.
+records (``repro-sweep/4``) where a full heard-of collection never could.
 """
 
 from __future__ import annotations

@@ -241,8 +241,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.predicates:
+    if args.predicates is not None:
         raw_names = [name for entry in args.predicates for name in entry.split(",") if name]
+        if not raw_names:
+            print(
+                f"error: --predicates names no predicate; known: {', '.join(MONITOR_NAMES)}",
+                file=sys.stderr,
+            )
+            return 2
         try:
             predicate_names = tuple(canonical_predicate_name(name) for name in raw_names)
         except ValueError as exc:

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.adversaries import (
     BurstyLossOracle,
+    CounterKernelOracle,
     EventuallyStableCoordinatorOracle,
+    FaultFreeOracle,
     MobileOmissionOracle,
     RotatingPartitionOracle,
+    WindowSwitchOracle,
 )
 from repro.rounds.bitmask import bit_count
 
@@ -173,103 +178,59 @@ class TestEventuallyStableCoordinator:
             EventuallyStableCoordinatorOracle(4, stable_from=5, stable_coordinator=9)
 
 
-class TestBoundedMemos:
-    """The dynamic families must not grow O(rounds * n) state on long runs."""
+#: The five counter-stream oracles, each built so that every round draws
+#: (a one-round partition period makes every round a new epoch).
+COUNTER_ORACLES = {
+    "mobile": lambda n: MobileOmissionOracle(n, faults=1, seed=9),
+    "partition": lambda n: RotatingPartitionOracle(
+        n, blocks=2, period=1, churn=0.5, seed=9
+    ),
+    "bursty": lambda n: BurstyLossOracle(n, p_burst=0.3, p_recover=0.3, seed=9),
+    "coordinator": lambda n: EventuallyStableCoordinatorOracle(
+        n, stable_from=10_000, seed=9
+    ),
+    "kernel": lambda n: CounterKernelOracle(n, pi0=range(n - 1), seed=9),
+}
 
-    def test_bursty_memo_is_bounded_on_long_runs(self):
-        from repro.adversaries.dynamic import MEMO_RETAIN_ROUNDS
 
+@pytest.mark.parametrize("make", COUNTER_ORACLES.values(), ids=COUNTER_ORACLES.keys())
+class TestOneRoundOfState:
+    """A counter-stream oracle keeps only the current round's (or epoch's)
+    answer, yet answers any (round, process) in any order with the same bits."""
+
+    def test_state_stays_within_n_entries_on_long_runs(self, make):
         n = 4
-        oracle = BurstyLossOracle(n, p_burst=0.3, p_recover=0.3, seed=2)
-        for r in range(1, 4 * MEMO_RETAIN_ROUNDS):
-            oracle.ho_mask(r, r % n)
-        assert len(oracle._memo) <= MEMO_RETAIN_ROUNDS * n
-
-    def test_mobile_memo_is_bounded_on_long_runs(self):
-        from repro.adversaries.dynamic import MEMO_RETAIN_ROUNDS
-
-        oracle = MobileOmissionOracle(6, faults=2, seed=1)
-        for r in range(1, 4 * MEMO_RETAIN_ROUNDS):
-            oracle.ho_mask(r, 0)
-        assert len(oracle._silenced) <= MEMO_RETAIN_ROUNDS
-
-    def test_partition_memo_is_bounded_on_long_runs(self):
-        from repro.adversaries.dynamic import MEMO_RETAIN_ROUNDS
-
-        oracle = RotatingPartitionOracle(6, blocks=2, period=2, churn=0.5, seed=3)
-        for r in range(1, 4 * MEMO_RETAIN_ROUNDS):
-            oracle.ho_mask(r, 0)
-        assert len(oracle._epoch_masks) <= MEMO_RETAIN_ROUNDS
-
-    def test_coordinator_memo_is_bounded_on_long_runs(self):
-        from repro.adversaries.dynamic import MEMO_RETAIN_ROUNDS
-
-        n = 5
-        oracle = EventuallyStableCoordinatorOracle(n, stable_from=10_000, seed=4)
-        for r in range(1, 3 * MEMO_RETAIN_ROUNDS):
+        oracle = make(n)
+        for r in range(1, 4097):
             for p in range(n):
                 oracle.ho_mask(r, p)
-        assert len(oracle._memo) <= MEMO_RETAIN_ROUNDS * n
-        assert len(oracle._pretenders) <= MEMO_RETAIN_ROUNDS
-
-    def test_pruning_never_changes_the_draw_sequence(self, monkeypatch):
-        """Eviction is invisible to an engine-style (ascending) query order."""
-        import repro.adversaries.dynamic as dynamic
-
-        n, horizon = 4, 1200
-
-        def drive(oracle):
-            return [
-                oracle.ho_mask(r, p) for r in range(1, horizon) for p in range(n)
-            ]
-
-        bounded = {
-            "bursty": BurstyLossOracle(n, p_burst=0.3, p_recover=0.3, seed=9),
-            "mobile": MobileOmissionOracle(n, faults=1, seed=9),
-            "partition": RotatingPartitionOracle(n, blocks=2, period=3, seed=9),
-            "coordinator": EventuallyStableCoordinatorOracle(n, stable_from=10_000, seed=9),
+        sizes = {
+            name: len(value)
+            for name, value in vars(oracle).items()
+            if hasattr(value, "__len__") and not isinstance(value, str)
         }
-        bounded_masks = {name: drive(oracle) for name, oracle in bounded.items()}
+        assert all(size <= n for size in sizes.values()), sizes
 
-        # the same oracles with (effectively) unbounded memos draw identically
-        monkeypatch.setattr(dynamic, "MEMO_RETAIN_ROUNDS", 10**9)
-        unbounded = {
-            "bursty": BurstyLossOracle(n, p_burst=0.3, p_recover=0.3, seed=9),
-            "mobile": MobileOmissionOracle(n, faults=1, seed=9),
-            "partition": RotatingPartitionOracle(n, blocks=2, period=3, seed=9),
-            "coordinator": EventuallyStableCoordinatorOracle(n, stable_from=10_000, seed=9),
-        }
-        for name, oracle in unbounded.items():
-            assert drive(oracle) == bounded_masks[name], name
+    def test_any_query_order_gets_the_same_answers(self, make):
+        n = 5
+        queries = [(r, p) for r in range(1, 41) for p in range(n)]
+        reference = make(n)
+        expected = {query: reference.ho_mask(*query) for query in queries}
+        shuffled = list(queries)
+        random.Random(4).shuffle(shuffled)
+        for order in (queries, queries[::-1], shuffled):
+            oracle = make(n)
+            assert {query: oracle.ho_mask(*query) for query in order} == expected
 
-    def test_stale_requery_raises_instead_of_redrawing(self):
-        from repro.adversaries.dynamic import MEMO_RETAIN_ROUNDS
-
-        oracle = MobileOmissionOracle(4, faults=1, seed=0)
-        for r in range(1, 3 * MEMO_RETAIN_ROUNDS):
-            oracle.ho_mask(r, 0)
-        # round 1 was evicted long ago; silently re-drawing it would shift
-        # every later draw, so the oracle refuses.
-        with pytest.raises(LookupError, match="evicted"):
-            oracle.ho_mask(1, 0)
-
-    def test_retain_rounds_override_for_large_switch_windows(self):
-        """A WindowSwitchOracle window beyond the default retention works
-        when the component is built with retain_rounds >= window."""
-        from repro.adversaries import FaultFreeOracle, WindowSwitchOracle
-        from repro.adversaries.dynamic import MEMO_RETAIN_ROUNDS
-
-        n, window = 4, MEMO_RETAIN_ROUNDS + 50
-        mobile = MobileOmissionOracle(n, faults=1, seed=0, retain_rounds=window)
-        oracle = WindowSwitchOracle(n, [mobile, FaultFreeOracle(n)], window=window)
-        first_visit = [oracle.ho_mask(r, 0) for r in range(1, window + 1)]
+    def test_a_window_300_revisit_repeats_the_first_visit(self, make):
+        n, window = 4, 300
+        oracle = WindowSwitchOracle(n, [make(n), FaultFreeOracle(n)], window=window)
+        rounds = range(1, window + 1)
+        first_visit = [oracle.ho_mask(r, p) for r in rounds for p in range(n)]
         # skip the fault-free window, then revisit: identical on every visit
-        revisit_start = 2 * window
         second_visit = [
-            oracle.ho_mask(revisit_start + r, 0) for r in range(1, window + 1)
+            oracle.ho_mask(2 * window + r, p) for r in rounds for p in range(n)
         ]
+        fresh = make(n)
         assert second_visit == first_visit
-
-    def test_retain_rounds_must_be_positive(self):
-        with pytest.raises(ValueError, match="retain_rounds"):
-            MobileOmissionOracle(4, faults=1, retain_rounds=0)
+        assert first_visit == [fresh.ho_mask(r, p) for r in rounds for p in range(n)]

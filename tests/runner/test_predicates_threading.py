@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import json
 
+import pytest
+
 from repro.analysis import GoodPeriodStats, good_period_stats
 from repro.runner.__main__ import main
 from repro.runner.registry import REGISTRY
@@ -151,6 +153,22 @@ class TestCliFlags:
         assert code == 2
         err = capsys.readouterr().err
         assert "p_bogus" in err and "p_otr" in err
+
+    @pytest.mark.parametrize("stop", [[], ["--stop-after-held", "2"]], ids=["plain", "stop"])
+    @pytest.mark.parametrize("names", [",", ""], ids=["comma", "empty"])
+    def test_predicates_naming_no_predicate_exits_2(self, capsys, names, stop):
+        code = main(
+            [
+                "--scenarios", "ho-round-mobile-omission",
+                "--fault-models", "fault-free",
+                "--predicates", names,
+                *stop,
+                "--quiet",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "names no predicate" in err and "p_otr" in err
 
     def test_predicates_on_a_des_scenario_exits_2(self, capsys):
         code = main(
