@@ -1,5 +1,7 @@
 """The predicate-implementation layer (Section 4 of the paper).
 
+* :mod:`repro.predimpl.program` -- the process scaffold Algorithms 2 and 3
+  share (stable storage, engine wiring, reception rule, one builder);
 * :mod:`repro.predimpl.down_good_period` -- Algorithm 2: ``P_su`` in
   "pi0-down" good periods;
 * :mod:`repro.predimpl.arbitrary_good_period` -- Algorithm 3: ``P_k`` in
@@ -10,13 +12,14 @@
   of Algorithm 4 (registered as the translation's batch kernel on import);
 * :mod:`repro.predimpl.bounds` -- the closed-form good-period lengths of
   Theorems 3, 5, 6, 7 and Corollary 4;
-* :mod:`repro.predimpl.stack` -- glue to assemble complete stacks;
+* :mod:`repro.predimpl.stack` -- the two complete stacks, one
+  :meth:`~repro.predimpl.program.RoundProgram.build` call each;
 * :mod:`repro.predimpl.step_backend` -- the step-path execution backends
   (``step-scalar``/``step-batch``) wrapping the system simulator behind
   :class:`~repro.rounds.backend.ReplicaBatch`.
 """
 
-from .arbitrary_good_period import ArbitraryGoodPeriodProgram, build_arbitrary_period_programs
+from .arbitrary_good_period import ArbitraryGoodPeriodProgram
 from .batched_translation import BatchTranslationKernel
 from .bounds import (
     BoundSummary,
@@ -33,7 +36,8 @@ from .bounds import (
     theorem6_good_period_length,
     theorem7_initial_good_period_length,
 )
-from .down_good_period import DownGoodPeriodProgram, build_down_period_programs
+from .down_good_period import DownGoodPeriodProgram
+from .program import RoundProgram
 from .stack import PredicateStack, build_arbitrary_stack, build_down_stack
 from .translation import KernelToUniformTranslation, TranslationMessage, TranslationState
 from .wire import WireKind, WireMessage, init_message, round_message
@@ -43,10 +47,9 @@ __all__ = [
     "WireMessage",
     "round_message",
     "init_message",
+    "RoundProgram",
     "DownGoodPeriodProgram",
-    "build_down_period_programs",
     "ArbitraryGoodPeriodProgram",
-    "build_arbitrary_period_programs",
     "KernelToUniformTranslation",
     "TranslationMessage",
     "TranslationState",

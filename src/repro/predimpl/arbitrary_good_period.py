@@ -22,7 +22,9 @@ the highest round number *from process* ``p_(i mod n)``, falling back to an
 arbitrary message; this guarantees that a fast process cannot starve the
 messages of slower ones.
 
-Round number and upper-layer state live on stable storage; recovery restarts
+Round number and upper-layer state live on stable storage (the
+:class:`~repro.predimpl.program.RoundProgram` scaffold shared with
+Algorithm 2, which also supplies the highest-round rule); recovery restarts
 the main loop with the volatile message set and next-round variable
 reinitialised.
 
@@ -38,18 +40,16 @@ from typing import Any, Dict, Optional, Sequence, Set
 
 from ..core.algorithm import HOAlgorithm
 from ..core.types import ProcessId, Round
-from ..rounds.engine import RoundEngine, StepTransport
+from ..rounds.engine import RoundEngine
 from ..sysmodel.network import Envelope
 from ..sysmodel.params import SynchronyParams
-from ..sysmodel.process import ReceiveStep, SendStep, StepProgram, StepProgramGenerator
+from ..sysmodel.process import ReceiveStep, SendStep, StepProgramGenerator
 from ..sysmodel.trace import SystemRunTrace
+from .program import ROUND_KEY, STATE_KEY, RoundProgram
 from .wire import WireKind, WireMessage, init_message, round_message
 
-ROUND_KEY = "round"
-STATE_KEY = "state"
 
-
-class ArbitraryGoodPeriodProgram(StepProgram):
+class ArbitraryGoodPeriodProgram(RoundProgram):
     """One process of Algorithm 3, implementing ``P_k`` in "pi0-arbitrary" good periods."""
 
     def __init__(
@@ -63,50 +63,21 @@ class ArbitraryGoodPeriodProgram(StepProgram):
         trace: SystemRunTrace,
         engine: Optional[RoundEngine] = None,
     ) -> None:
-        super().__init__(process_id, n)
         if not 0 <= f < n / 2:
             raise ValueError(f"Algorithm 3 requires 0 <= f < n/2, got f={f}, n={n}")
+        super().__init__(process_id, n, algorithm, initial_value, params, trace, engine)
         self.f = f
-        self.algorithm = algorithm
-        self.params = params
-        self.trace = trace
-        if engine is None:
-            engine = RoundEngine(algorithm, StepTransport(n), trace)
-        self.engine = engine
-        self.transport: StepTransport = engine.transport
         #: receive-step budget per round: ceil(tau_0) = ceil(2*delta + (2n+1)*phi)
         self.timeout = params.algorithm3_timeout(n)
         #: global receive-step counter driving the round-robin reception policy
         self._policy_counter = 0
-        self.stable_storage.store(ROUND_KEY, 1)
-        self.stable_storage.store(
-            STATE_KEY, algorithm.initial_state(process_id, initial_value)
-        )
-
-    # ------------------------------------------------------------------ #
-    # reception policy: highest round message from each process, round robin
-    # ------------------------------------------------------------------ #
 
     def select_message(self, buffered: Sequence[Envelope]) -> Optional[Envelope]:
-        if not buffered:
-            return None
+        # Round robin over senders: the shared rule among the messages of
+        # p_(i mod n), or among all of them when it has none buffered.
         target = self._policy_counter % self.n
         from_target = [envelope for envelope in buffered if envelope.sender == target]
-        candidates = from_target if from_target else buffered
-        return max(
-            candidates,
-            key=lambda envelope: (
-                self._round_of(envelope),
-                -envelope.sequence,
-            ),
-        )
-
-    @staticmethod
-    def _round_of(envelope: Envelope) -> Round:
-        payload = envelope.payload
-        if isinstance(payload, WireMessage):
-            return payload.round
-        return 0
+        return super().select_message(from_target or buffered)
 
     # ------------------------------------------------------------------ #
     # the program (Algorithm 3, lines 6-24)
@@ -178,43 +149,4 @@ class ArbitraryGoodPeriodProgram(StepProgram):
             }
 
 
-def build_arbitrary_period_programs(
-    algorithm: HOAlgorithm,
-    f: int,
-    initial_values: Sequence[Any],
-    params: SynchronyParams,
-    trace: SystemRunTrace,
-    observers: Sequence[Any] = (),
-) -> list[ArbitraryGoodPeriodProgram]:
-    """One :class:`ArbitraryGoodPeriodProgram` per process, sharing *trace*.
-
-    All processes share one :class:`~repro.rounds.RoundEngine` (and its
-    step transport), mirroring the shared trace.  *observers* are
-    :class:`~repro.rounds.engine.RoundObserver` hooks fed every record the
-    shared engine produces (streaming predicate monitors ride here).
-    """
-    n = algorithm.n
-    if len(initial_values) != n:
-        raise ValueError(f"expected {n} initial values, got {len(initial_values)}")
-    engine = RoundEngine(algorithm, StepTransport(n), trace, observers=observers)
-    return [
-        ArbitraryGoodPeriodProgram(
-            process_id=p,
-            n=n,
-            f=f,
-            algorithm=algorithm,
-            initial_value=initial_values[p],
-            params=params,
-            trace=trace,
-            engine=engine,
-        )
-        for p in range(n)
-    ]
-
-
-__all__ = [
-    "ArbitraryGoodPeriodProgram",
-    "build_arbitrary_period_programs",
-    "ROUND_KEY",
-    "STATE_KEY",
-]
+__all__ = ["ArbitraryGoodPeriodProgram"]

@@ -13,7 +13,9 @@ functions) from the step-based system model:
   ``T_p^{r'}`` with the empty set for every skipped round ``r'``.
 
 The reception policy is "highest round number first".  The round number and
-the upper-layer state live on stable storage; after a crash the process
+the upper-layer state live on stable storage -- both are the
+:class:`~repro.predimpl.program.RoundProgram` scaffold shared with
+Algorithm 3 -- and after a crash the process
 recovers at the top of the loop with the message set and the next-round
 variable reinitialised, exactly as specified in Section 4.2.1.
 
@@ -30,23 +32,19 @@ code shared with the HO machine and Algorithm 3.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 from ..core.algorithm import HOAlgorithm
 from ..core.types import ProcessId, Round
-from ..rounds.engine import RoundEngine, StepTransport
-from ..sysmodel.network import Envelope
+from ..rounds.engine import RoundEngine
 from ..sysmodel.params import SynchronyParams
-from ..sysmodel.process import ReceiveStep, SendStep, StepProgram, StepProgramGenerator
+from ..sysmodel.process import ReceiveStep, SendStep, StepProgramGenerator
 from ..sysmodel.trace import SystemRunTrace
+from .program import ROUND_KEY, STATE_KEY, RoundProgram
 from .wire import WireKind, WireMessage, round_message
 
-#: Stable-storage keys used by the program (Section 4.2: ``r_p`` and ``s_p``).
-ROUND_KEY = "round"
-STATE_KEY = "state"
 
-
-class DownGoodPeriodProgram(StepProgram):
+class DownGoodPeriodProgram(RoundProgram):
     """One process of Algorithm 2, implementing ``P_su`` in "pi0-down" good periods."""
 
     def __init__(
@@ -59,42 +57,9 @@ class DownGoodPeriodProgram(StepProgram):
         trace: SystemRunTrace,
         engine: Optional[RoundEngine] = None,
     ) -> None:
-        super().__init__(process_id, n)
-        self.algorithm = algorithm
-        self.params = params
-        self.trace = trace
-        if engine is None:
-            engine = RoundEngine(algorithm, StepTransport(n), trace)
-        self.engine = engine
-        self.transport: StepTransport = engine.transport
+        super().__init__(process_id, n, algorithm, initial_value, params, trace, engine)
         #: receive-step budget per round: ceil(2*delta + (n+2)*phi)
         self.timeout = params.algorithm2_timeout(n)
-        self.stable_storage.store(ROUND_KEY, 1)
-        self.stable_storage.store(
-            STATE_KEY, algorithm.initial_state(process_id, initial_value)
-        )
-
-    # ------------------------------------------------------------------ #
-    # reception policy: highest round number first
-    # ------------------------------------------------------------------ #
-
-    def select_message(self, buffered: Sequence[Envelope]) -> Optional[Envelope]:
-        if not buffered:
-            return None
-        return max(
-            buffered,
-            key=lambda envelope: (
-                self._round_of(envelope),
-                -envelope.sequence,
-            ),
-        )
-
-    @staticmethod
-    def _round_of(envelope: Envelope) -> Round:
-        payload = envelope.payload
-        if isinstance(payload, WireMessage):
-            return payload.round
-        return 0
 
     # ------------------------------------------------------------------ #
     # the program (Algorithm 2, lines 6-22)
@@ -144,38 +109,4 @@ class DownGoodPeriodProgram(StepProgram):
             self.stable_storage.store(STATE_KEY, state)
 
 
-def build_down_period_programs(
-    algorithm: HOAlgorithm,
-    initial_values: Sequence[Any],
-    params: SynchronyParams,
-    trace: SystemRunTrace,
-    observers: Sequence[Any] = (),
-) -> list[DownGoodPeriodProgram]:
-    """One :class:`DownGoodPeriodProgram` per process, sharing *trace*.
-
-    All processes share one :class:`~repro.rounds.RoundEngine` (and its
-    step transport), mirroring the shared trace.  *observers* are
-    :class:`~repro.rounds.engine.RoundObserver` hooks fed every record the
-    shared engine produces (streaming predicate monitors ride here).
-    """
-    n = algorithm.n
-    if len(initial_values) != n:
-        raise ValueError(
-            f"expected {n} initial values, got {len(initial_values)}"
-        )
-    engine = RoundEngine(algorithm, StepTransport(n), trace, observers=observers)
-    return [
-        DownGoodPeriodProgram(
-            process_id=p,
-            n=n,
-            algorithm=algorithm,
-            initial_value=initial_values[p],
-            params=params,
-            trace=trace,
-            engine=engine,
-        )
-        for p in range(n)
-    ]
-
-
-__all__ = ["DownGoodPeriodProgram", "build_down_period_programs", "ROUND_KEY", "STATE_KEY"]
+__all__ = ["DownGoodPeriodProgram"]

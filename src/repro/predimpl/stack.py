@@ -2,7 +2,8 @@
 
 The paper's architecture (Figure 1) stacks an HO algorithm on top of a
 predicate-implementation layer, which in turn runs on the system model.
-This module wires the pieces together:
+This module wires the pieces together, each stack with one
+:meth:`RoundProgram.build <repro.predimpl.program.RoundProgram.build>` call:
 
 * :func:`build_down_stack` -- OneThirdRule (or any HO algorithm) over
   Algorithm 2, for "pi0-down" good periods;
@@ -25,8 +26,8 @@ from ..core.algorithm import HOAlgorithm
 from ..sysmodel.params import SynchronyParams
 from ..sysmodel.process import StepProgram
 from ..sysmodel.trace import SystemRunTrace
-from .arbitrary_good_period import build_arbitrary_period_programs
-from .down_good_period import build_down_period_programs
+from .arbitrary_good_period import ArbitraryGoodPeriodProgram
+from .down_good_period import DownGoodPeriodProgram
 from .translation import KernelToUniformTranslation
 
 
@@ -36,18 +37,10 @@ class PredicateStack:
 
     programs: List[StepProgram]
     trace: SystemRunTrace
-    upper_algorithm: HOAlgorithm
-    round_algorithm: HOAlgorithm
-    translation: Optional[KernelToUniformTranslation] = None
-
-    @property
-    def n(self) -> int:
-        """Number of processes."""
-        return len(self.programs)
 
 
 def build_down_stack(
-    upper_algorithm: HOAlgorithm,
+    algorithm: HOAlgorithm,
     initial_values: Sequence[Any],
     params: SynchronyParams,
     trace: Optional[SystemRunTrace] = None,
@@ -59,24 +52,13 @@ def build_down_stack(
     record as the step-level run produces it (streaming predicate
     monitors use this hook).
     """
-    shared_trace = trace if trace is not None else SystemRunTrace(n=upper_algorithm.n)
-    programs = build_down_period_programs(
-        algorithm=upper_algorithm,
-        initial_values=initial_values,
-        params=params,
-        trace=shared_trace,
-        observers=observers,
-    )
-    return PredicateStack(
-        programs=list(programs),
-        trace=shared_trace,
-        upper_algorithm=upper_algorithm,
-        round_algorithm=upper_algorithm,
-    )
+    trace = trace if trace is not None else SystemRunTrace(n=algorithm.n)
+    programs = DownGoodPeriodProgram.build(algorithm, initial_values, params, trace, observers)
+    return PredicateStack(programs, trace)
 
 
 def build_arbitrary_stack(
-    upper_algorithm: HOAlgorithm,
+    algorithm: HOAlgorithm,
     f: int,
     initial_values: Sequence[Any],
     params: SynchronyParams,
@@ -93,27 +75,13 @@ def build_arbitrary_stack(
     *observers* attach to the shared round engine (streaming predicate
     monitors use this hook).
     """
-    shared_trace = trace if trace is not None else SystemRunTrace(n=upper_algorithm.n)
-    translation: Optional[KernelToUniformTranslation] = None
-    round_algorithm: HOAlgorithm = upper_algorithm
+    trace = trace if trace is not None else SystemRunTrace(n=algorithm.n)
     if use_translation:
-        translation = KernelToUniformTranslation(upper_algorithm, f)
-        round_algorithm = translation
-    programs = build_arbitrary_period_programs(
-        algorithm=round_algorithm,
-        f=f,
-        initial_values=initial_values,
-        params=params,
-        trace=shared_trace,
-        observers=observers,
+        algorithm = KernelToUniformTranslation(algorithm, f)
+    programs = ArbitraryGoodPeriodProgram.build(
+        algorithm, initial_values, params, trace, observers, f=f
     )
-    return PredicateStack(
-        programs=list(programs),
-        trace=shared_trace,
-        upper_algorithm=upper_algorithm,
-        round_algorithm=round_algorithm,
-        translation=translation,
-    )
+    return PredicateStack(programs, trace)
 
 
 __all__ = ["PredicateStack", "build_down_stack", "build_arbitrary_stack"]

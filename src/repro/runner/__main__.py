@@ -45,6 +45,10 @@ from .sweep import (
 )
 
 
+#: scenario parameters only their own flag may set: it validates them first.
+_FLAG_PARAMS = {"predicates": "--predicates", "stop_after_held": "--stop-after-held"}
+
+
 def _parse_params(entries: Optional[Sequence[str]]) -> Dict[str, object]:
     """Parse repeated ``--param key=value`` flags (values as JSON, else str)."""
     params: Dict[str, object] = {}
@@ -52,6 +56,8 @@ def _parse_params(entries: Optional[Sequence[str]]) -> Dict[str, object]:
         key, separator, raw = entry.partition("=")
         if not separator or not key:
             raise ValueError(f"--param expects key=value, got {entry!r}")
+        if key in _FLAG_PARAMS:
+            raise ValueError(f"--param {key} is not accepted; set it with {_FLAG_PARAMS[key]}")
         try:
             params[key] = json.loads(raw)
         except json.JSONDecodeError:

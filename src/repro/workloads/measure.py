@@ -11,10 +11,11 @@ parameter grids and asserts measured <= bound at every point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from ..algorithms import OneThirdRule
 from ..predimpl import (
+    PredicateStack,
     arbitrary_p2otr_length,
     build_arbitrary_stack,
     build_down_stack,
@@ -31,6 +32,7 @@ from ..sysmodel import (
     GoodPeriodKind,
     PeriodSchedule,
     SynchronyParams,
+    SystemRunTrace,
     SystemSimulator,
 )
 
@@ -87,51 +89,23 @@ def _initial_values(n: int) -> list[int]:
     return [10 * (p + 1) for p in range(n)]
 
 
-def _run_down(
+def _run(
+    build_stack: Callable[..., PredicateStack],
     n: int,
     phi: float,
     delta: float,
     schedule: PeriodSchedule,
     until: float,
     seed: int,
-):
+    **options: Any,
+) -> SystemRunTrace:
+    """Simulate OneThirdRule over the stack *build_stack* assembles with *options*."""
     params = SynchronyParams(phi=phi, delta=delta)
-    stack = build_down_stack(OneThirdRule(n), _initial_values(n), params)
+    values = _initial_values(n)
+    stack = build_stack(OneThirdRule(n), initial_values=values, params=params, **options)
     simulator = SystemSimulator(
-        stack.programs,
-        params,
-        schedule,
-        seed=seed,
-        trace=stack.trace,
-        bad_network=DEFAULT_BAD_NETWORK,
-        bad_process_behavior=DEFAULT_BAD_BEHAVIOR,
-    )
-    simulator.run(until=until)
-    return stack.trace
-
-
-def _run_arbitrary(
-    n: int,
-    f: int,
-    phi: float,
-    delta: float,
-    schedule: PeriodSchedule,
-    until: float,
-    seed: int,
-    use_translation: bool = False,
-):
-    params = SynchronyParams(phi=phi, delta=delta)
-    stack = build_arbitrary_stack(
-        OneThirdRule(n), f, _initial_values(n), params, use_translation=use_translation
-    )
-    simulator = SystemSimulator(
-        stack.programs,
-        params,
-        schedule,
-        seed=seed,
-        trace=stack.trace,
-        bad_network=DEFAULT_BAD_NETWORK,
-        bad_process_behavior=DEFAULT_BAD_BEHAVIOR,
+        stack.programs, params, schedule, seed=seed, trace=stack.trace,
+        bad_network=DEFAULT_BAD_NETWORK, bad_process_behavior=DEFAULT_BAD_BEHAVIOR,
     )
     simulator.run(until=until)
     return stack.trace
@@ -156,7 +130,7 @@ def measure_theorem3(
     schedule = PeriodSchedule.single_good_period(
         n, start=good_start, length=3 * bound + 50.0, kind=GoodPeriodKind.PI0_DOWN, pi0=pi0
     )
-    trace = _run_down(n, phi, delta, schedule, until=good_start + 3 * bound + 50.0, seed=seed)
+    trace = _run(build_down_stack, n, phi, delta, schedule, good_start + 3 * bound + 50.0, seed)
     window = trace.earliest_psu_window(pi0, x, not_before=good_start)
     measured = None if window is None else window[1] - good_start
     return Measurement("theorem3", n, x, phi, delta, seed, measured, bound)
@@ -169,7 +143,7 @@ def measure_theorem5(
     bound = theorem5_initial_good_period_length(x, n, phi, delta)
     pi0 = frozenset(range(n))
     schedule = PeriodSchedule.always_good(n, GoodPeriodKind.PI0_DOWN, pi0=pi0)
-    trace = _run_down(n, phi, delta, schedule, until=2 * bound + 50.0, seed=seed)
+    trace = _run(build_down_stack, n, phi, delta, schedule, until=2 * bound + 50.0, seed=seed)
     window = trace.earliest_psu_window(pi0, x)
     measured = None if window is None else window[1]
     return Measurement("theorem5", n, x, phi, delta, seed, measured, bound)
@@ -188,7 +162,7 @@ def measure_corollary4(
     schedule = PeriodSchedule.single_good_period(
         n, start=good_start, length=3 * p2_bound, kind=GoodPeriodKind.PI0_DOWN, pi0=pi0
     )
-    trace = _run_down(n, phi, delta, schedule, until=good_start + 3 * p2_bound, seed=seed)
+    trace = _run(build_down_stack, n, phi, delta, schedule, good_start + 3 * p2_bound, seed)
     p2otr = trace.earliest_p2otr(pi0, not_before=good_start)
     p2_measurement = Measurement(
         "corollary4_p2otr",
@@ -252,8 +226,9 @@ def measure_theorem6(
     schedule = PeriodSchedule.single_good_period(
         n, start=good_start, length=3 * bound + 50.0, kind=GoodPeriodKind.PI0_ARBITRARY, pi0=pi0
     )
-    trace = _run_arbitrary(
-        n, f, phi, delta, schedule, until=good_start + 3 * bound + 50.0, seed=seed
+    trace = _run(
+        build_arbitrary_stack, n, phi, delta, schedule, good_start + 3 * bound + 50.0, seed,
+        f=f, use_translation=False,
     )
     window = trace.earliest_pk_window(
         pi0, x, not_before=good_start, last_round_by_reception=True
@@ -269,7 +244,10 @@ def measure_theorem7(
     bound = theorem7_initial_good_period_length(x, n, phi, delta)
     pi0 = frozenset(range(n - f))
     schedule = PeriodSchedule.always_good(n, GoodPeriodKind.PI0_ARBITRARY, pi0=pi0)
-    trace = _run_arbitrary(n, f, phi, delta, schedule, until=3 * bound + 100.0, seed=seed)
+    trace = _run(
+        build_arbitrary_stack, n, phi, delta, schedule, 3 * bound + 100.0, seed,
+        f=f, use_translation=False,
+    )
     window = trace.earliest_pk_window(pi0, x, last_round_by_reception=True)
     measured = None if window is None else window[1]
     return Measurement("theorem7", n, x, phi, delta, seed, measured, bound, f=f)
@@ -295,15 +273,8 @@ def measure_arbitrary_p2otr(
     schedule = PeriodSchedule.single_good_period(
         n, start=good_start, length=3 * bound, kind=GoodPeriodKind.PI0_ARBITRARY, pi0=pi0
     )
-    trace = _run_arbitrary(
-        n,
-        f,
-        phi,
-        delta,
-        schedule,
-        until=good_start + 3 * bound,
-        seed=seed,
-        use_translation=True,
+    trace = _run(
+        build_arbitrary_stack, n, phi, delta, schedule, good_start + 3 * bound, seed, f=f
     )
     decision_time = trace.last_decision_time(pi0)
     measured = None if decision_time is None else max(decision_time - good_start, 0.0)

@@ -15,14 +15,15 @@ and ``lossy`` (DT transmission faults without process crashes).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..runner.registry import REGISTRY
 from ..algorithms import OneThirdRule
 from ..analysis.consensus_check import ConsensusVerdict, check_consensus
 from ..analysis.metrics import RunMetrics, metrics_from_des, metrics_from_trace
 from ..analysis.taxonomy import FaultConfiguration, classify
-from ..des import ChannelConfig, EventSimulator
+from ..des import ChannelConfig, DESProcess, EventSimulator
+from ..des.simulator import FailureDetectorOracle
 from ..failure_detectors import (
     EventuallyStrongDetector,
     EventuallyStrongRecoveryDetector,
@@ -183,6 +184,45 @@ def _des_fault_schedule(fault_model: str, n: int) -> Dict[str, Dict[int, float]]
     return {"crash_times": {}, "recovery_times": {}}
 
 
+def _run_fd_baseline(
+    stack: str,
+    fault_model: str,
+    n: int,
+    seed: int,
+    horizon: float,
+    build_processes: Callable[[int, List[Any]], Sequence[DESProcess]],
+    detector: FailureDetectorOracle,
+) -> ScenarioResult:
+    """Run a failure-detector consensus baseline on the DES under *fault_model*."""
+    if fault_model not in FAULT_MODELS:
+        raise ValueError(f"unknown fault model {fault_model!r}; expected one of {FAULT_MODELS}")
+    values = _initial_values(n)
+    processes = build_processes(n, values)
+    faults = _des_fault_schedule(fault_model, n)
+    channel = ChannelConfig(
+        loss_probability=0.3 if fault_model in ("lossy", "crash-recovery") else 0.0
+    )
+    simulator = EventSimulator(
+        processes,
+        channel=channel,
+        crash_times=faults["crash_times"],
+        recovery_times=faults["recovery_times"],
+        seed=seed,
+    )
+    simulator.register_failure_detector("default", detector)
+    scope = _scope_for(fault_model, n)
+    simulator.run_until_all_decided(until=horizon, scope=scope)
+    verdict = check_consensus(simulator, values, scope=scope)
+    return ScenarioResult(
+        stack=stack,
+        fault_model=fault_model,
+        n=n,
+        seed=seed,
+        verdict=verdict,
+        metrics=metrics_from_des(simulator, scope=scope),
+    )
+
+
 def run_chandra_toueg(
     fault_model: str,
     n: int = 4,
@@ -197,34 +237,9 @@ def run_chandra_toueg(
     the paper describes (it may block forever, which shows up as a
     termination failure -- never as a safety violation).
     """
-    if fault_model not in FAULT_MODELS:
-        raise ValueError(f"unknown fault model {fault_model!r}; expected one of {FAULT_MODELS}")
-    values = _initial_values(n)
-    processes = build_chandra_toueg_processes(n, values)
-    faults = _des_fault_schedule(fault_model, n)
-    channel = ChannelConfig(
-        loss_probability=0.3 if fault_model in ("lossy", "crash-recovery") else 0.0
-    )
-    simulator = EventSimulator(
-        processes,
-        channel=channel,
-        crash_times=faults["crash_times"],
-        recovery_times=faults["recovery_times"],
-        seed=seed,
-    )
-    simulator.register_failure_detector(
-        "default", EventuallyStrongDetector(stabilization_time=stabilization_time, seed=seed + 1)
-    )
-    scope = _scope_for(fault_model, n)
-    simulator.run_until_all_decided(until=horizon, scope=scope)
-    verdict = check_consensus(simulator, values, scope=scope)
-    return ScenarioResult(
-        stack="chandra-toueg",
-        fault_model=fault_model,
-        n=n,
-        seed=seed,
-        verdict=verdict,
-        metrics=metrics_from_des(simulator, scope=scope),
+    detector = EventuallyStrongDetector(stabilization_time=stabilization_time, seed=seed + 1)
+    return _run_fd_baseline(
+        "chandra-toueg", fault_model, n, seed, horizon, build_chandra_toueg_processes, detector
     )
 
 
@@ -236,35 +251,11 @@ def run_aguilera(
     horizon: float = 600.0,
 ) -> ScenarioResult:
     """Run the Aguilera et al. ◇Su baseline under the given fault model."""
-    if fault_model not in FAULT_MODELS:
-        raise ValueError(f"unknown fault model {fault_model!r}; expected one of {FAULT_MODELS}")
-    values = _initial_values(n)
-    processes = build_aguilera_processes(n, values)
-    faults = _des_fault_schedule(fault_model, n)
-    channel = ChannelConfig(
-        loss_probability=0.3 if fault_model in ("lossy", "crash-recovery") else 0.0
+    detector = EventuallyStrongRecoveryDetector(
+        stabilization_time=stabilization_time, seed=seed + 1
     )
-    simulator = EventSimulator(
-        processes,
-        channel=channel,
-        crash_times=faults["crash_times"],
-        recovery_times=faults["recovery_times"],
-        seed=seed,
-    )
-    simulator.register_failure_detector(
-        "default",
-        EventuallyStrongRecoveryDetector(stabilization_time=stabilization_time, seed=seed + 1),
-    )
-    scope = _scope_for(fault_model, n)
-    simulator.run_until_all_decided(until=horizon, scope=scope)
-    verdict = check_consensus(simulator, values, scope=scope)
-    return ScenarioResult(
-        stack="aguilera",
-        fault_model=fault_model,
-        n=n,
-        seed=seed,
-        verdict=verdict,
-        metrics=metrics_from_des(simulator, scope=scope),
+    return _run_fd_baseline(
+        "aguilera", fault_model, n, seed, horizon, build_aguilera_processes, detector
     )
 
 

@@ -154,6 +154,28 @@ class TestCliFlags:
         err = capsys.readouterr().err
         assert "p_bogus" in err and "p_otr" in err
 
+    @pytest.mark.parametrize(
+        "scenario, flags, key, flag",
+        [
+            ("ho-round-mobile-omission", ["--param", "predicates=p_otr"],
+             "predicates", "--predicates"),
+            ("chandra-toueg", ["--param", 'predicates=["p_otr"]'], "predicates", "--predicates"),
+            ("ho-round-mobile-omission",
+             ["--predicates", "p_otr", "--param", 'predicates=["p_su"]'],
+             "predicates", "--predicates"),
+            ("ho-round-mobile-omission",
+             ["--predicates", "p_su", "--param", "stop_after_held=3"],
+             "stop_after_held", "--stop-after-held"),
+        ],
+        ids=["bare-string", "unmonitorable", "overridden", "stop-after-held"],
+    )
+    def test_param_cannot_set_a_flag_parameter(self, capsys, scenario, flags, key, flag):
+        code = main(
+            ["--scenarios", scenario, "--fault-models", "fault-free", *flags, "--quiet"]
+        )
+        assert code == 2
+        assert f"--param {key} is not accepted; set it with {flag}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("stop", [[], ["--stop-after-held", "2"]], ids=["plain", "stop"])
     @pytest.mark.parametrize("names", [",", ""], ids=["comma", "empty"])
     def test_predicates_naming_no_predicate_exits_2(self, capsys, names, stop):
