@@ -183,11 +183,13 @@ class BatchKernel(abc.ABC):
     # ------------------------------------------------------------------ #
 
     @abc.abstractmethod
-    def step(self, round: int, heard: Any, active: Any) -> None:
+    def step(self, round: int, heard: Any, heard_count: Any, active: Any) -> None:
         """Advance every replica where ``active[r]`` through *round*.
 
         *heard* is the round's boolean heard-matrix ``(R, n, n)``
-        (receiver-major); inactive replicas' state must not change.
+        (receiver-major) and *heard_count* its ``(R, n)`` row sums,
+        ``|HO(p, r)|``, which the round loop already takes from the packed
+        words; inactive replicas' state must not change.
         """
 
     def _scratch(self, name: str, shape: Tuple[int, ...], dtype: Any) -> Any:
@@ -307,49 +309,105 @@ class BatchKernel(abc.ABC):
         return self._heard_codes(heard, self.n + 1).min(axis=2)
 
 
+def _flat_positions(index: Any, width: int) -> Any:
+    """Where ``take_along_axis(a, index, axis=-1)`` reads in ``a.reshape(-1)``.
+
+    *a* is a C-contiguous ``(..., width)`` array whose leading shape is
+    ``index.shape[:-1]``.  Indexing the flat view with these positions is
+    the same gather (or, assigned to, scatter) as ``take_along_axis`` /
+    ``put_along_axis``, without their per-call index broadcasting -- a
+    fourfold difference at ``(R, n)`` shapes.
+    """
+    rows = np.arange(0, index.size // index.shape[-1] * width, width, dtype=np.intp)
+    return index + rows.reshape(*index.shape[:-1], 1)
+
+
 class BatchOneThirdRule(BatchKernel):
     """The ``(R, n)`` dual of :class:`~repro.algorithms.OneThirdRule`."""
 
     algorithm_class = OneThirdRule
 
-    def step(self, round: int, heard: Any, active: Any) -> None:
+    def step(self, round: int, heard: Any, heard_count: Any, active: Any) -> None:
         n = self.n
         x = self.x
         n_col = self._row_sizes()                                   # row's n
-        hc = heard.sum(axis=2, dtype=np.int32)                      # (R, n)
+        hc = heard_count                                            # (R, n)
         act = active[:, None] & (3 * hc > 2 * n_col)                # update gate
+        if not act.any():
+            return
+        votes, code_at_rank, width = self._held_ranks(act)
 
-        # Multiplicity of every value code among heard senders, via one
-        # batched matmul: counts[r, p, v] = |{q in HO(p) : x_q = v}|.
-        shape = (self.replicas, n, n)
-        onehot = self._scratch("otr_onehot", shape, np.float32)
-        np.equal(x[:, :, None], np.arange(n, dtype=np.int32), out=onehot)
-        heard_f = self._scratch("otr_heard_f32", shape, np.float32)
+        # Multiplicity of every rank among heard senders, via one batched
+        # matmul: counts[r, p, v] = |{q in HO(p) : rank(x_q) = v}|.  The
+        # scratch is allocated at width n once and viewed at width V.
+        shape = (self.replicas, n, width)
+
+        def leading(name: str, dtype: Any) -> Any:
+            full = self._scratch(name, (self.replicas, n, n), dtype)
+            return full.reshape(-1)[: self.replicas * n * width].reshape(shape)
+
+        onehot = leading("otr_onehot", np.float32)
+        np.equal(votes[:, :, None], np.arange(width, dtype=np.int32), out=onehot)
+        heard_f = self._scratch("otr_heard_f32", heard.shape, np.float32)
         np.copyto(heard_f, heard)
-        counts = self._scratch("otr_counts", shape, np.float32)
-        np.matmul(heard_f, onehot, out=counts)                      # (R, n, n)
-        # The top code is unique wherever it is read: adopting needs
+        counts = leading("otr_counts", np.float32)
+        np.matmul(heard_f, onehot, out=counts)                      # (R, n, V)
+        # The top rank is unique wherever it is read: adopting needs
         # hc - top <= n//3 and the gate gives 3*hc > 2n, deciding needs
         # 3*top > 2n with hc <= n; either way top > hc - top, so no second
-        # code reaches top and argmax's first-maximum rule never chooses
+        # rank reaches top and argmax's first-maximum rule never chooses
         # (the scalar Counter.most_common tie-break is equally unobservable).
         winner = counts.argmax(axis=2)                              # (R, n)
         top_i = np.take_along_axis(counts, winner[:, :, None], axis=2)[:, :, 0]
         top_i = top_i.astype(np.int32)
-        winner = winner.astype(np.int32)
 
-        # Codes sort like values, so the smallest heard value is the first
-        # code with a nonzero count (garbage when nothing was heard).
-        flags = self._scratch("otr_flags", shape, bool)
+        # Ranks sort like values, so the smallest heard value is the first
+        # rank with a nonzero count (garbage when nothing was heard).
+        flags = leading("otr_flags", bool)
         np.greater(counts, 0, out=flags)
-        min_heard = flags.argmax(axis=2).astype(np.int32)
+        min_heard = flags.argmax(axis=2)
 
         adopt_top = (hc - top_i) <= n_col // 3
         new_x = np.where(adopt_top, winner, min_heard)
+        if code_at_rank is not None:
+            new_x = code_at_rank[_flat_positions(new_x, width)]
+        new_x = new_x.astype(np.int32, copy=False)
         self.x = np.where(act, new_x, x)
 
-        # A value with multiplicity > 2n/3 is unique, and is the top value.
-        self._record_decisions(round, act & (3 * top_i > 2 * n_col), winner)
+        # A value with multiplicity > 2n/3 is unique, and is the top value;
+        # it was also adopted (3*top > 2n >= 2*hc leaves hc - top < n/3),
+        # so new_x holds it wherever a decision fires.
+        self._record_decisions(round, act & (3 * top_i > 2 * n_col), new_x)
+
+    def _held_ranks(self, act: Any) -> Tuple[Any, Optional[Any], int]:
+        """``(votes, code_at_rank, V)`` -- the codes still held, ranked.
+
+        In every row with an acting process the codes held in ``x`` get
+        dense ranks in code order; V is the most codes such a row holds.
+        ``votes`` is ``(R, n)``: each process's rank, -1 in a row with no
+        acting process (a zero one-hot row).  ``code_at_rank`` is the
+        ``(R*V,)`` flattened table mapping row r's ranks back to codes.
+        Ranks sort like codes, and a code nobody holds has count 0, so every
+        read of the counts sees what it saw at width n.  When V == n the
+        codes themselves are the votes and ``code_at_rank`` is None.
+        """
+        n = self.n
+        at_code = _flat_positions(self.x, n)
+        held = np.zeros((self.replicas, n), dtype=bool)
+        held.reshape(-1)[at_code] = True
+        held &= act.any(axis=1)[:, None]
+        rank_end = held.cumsum(axis=1, dtype=np.int32)
+        width = int(rank_end[:, -1].max())
+        if width == n:
+            return self.x, None, n
+        votes = rank_end.reshape(-1)[at_code]
+        votes -= 1
+        # flatnonzero walks ``held`` row-major: position r*n + c, codes
+        # ascending within a row, each landing at its rank in row r.
+        held_at = np.flatnonzero(held)
+        code_at_rank = np.zeros(self.replicas * width, dtype=np.int32)
+        code_at_rank[held_at // n * width + rank_end.reshape(-1)[held_at] - 1] = held_at % n
+        return votes, code_at_rank, width
 
 
 class BatchUniformVoting(BatchKernel):
@@ -370,9 +428,9 @@ class BatchUniformVoting(BatchKernel):
     def _state_array_names(self) -> List[str]:
         return super()._state_array_names() + ["vote"]
 
-    def step(self, round: int, heard: Any, active: Any) -> None:
+    def step(self, round: int, heard: Any, heard_count: Any, active: Any) -> None:
         n = self.n
-        hc = heard.sum(axis=2, dtype=np.int32)
+        hc = heard_count
         act = np.broadcast_to(active[:, None], (self.replicas, n))
         if round % 2 == 1:
             # Voting round: vote for the common estimate iff every heard
@@ -448,7 +506,7 @@ class BatchLastVoting(BatchKernel):
         """``array[r, coord[r]] = values[r]`` in place."""
         np.put_along_axis(array, coord[:, None], values[:, None], axis=1)
 
-    def step(self, round: int, heard: Any, active: Any) -> None:
+    def step(self, round: int, heard: Any, heard_count: Any, active: Any) -> None:
         n = self.n
         phase = (round - 1) // self.ROUNDS_PER_PHASE + 1
         step = (round - 1) % self.ROUNDS_PER_PHASE + 1

@@ -62,8 +62,13 @@ def pack_bools(bits: Any, n: int) -> Any:
 
 
 def popcount_words(words: Any) -> Any:
-    """Per-row popcounts of a ``(..., W)`` uint64 word array (int64 ``(...,)``)."""
-    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+    """Per-row popcounts of a ``(..., W)`` uint64 word array (int32 ``(...,)``).
+
+    int32, the dtype of the kernels' other ``(R, n)`` vectors: the round
+    loop keeps the counts alive across the kernel step, whose gates read
+    them.
+    """
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int32)
 
 
 def int_masks_from_words(words: Any) -> List[int]:

@@ -178,17 +178,20 @@ class BatchEngine:
                     watched.append((cell, rows, words, cell_active))
 
             heard = unpack_words(buffer, n_max, out=heard_buffer)
+            # |HO(p, r)| of every row, stale words included, so it is
+            # exactly heard.sum(axis=2): the kernels' gates read it, the
+            # delivered-message count and the observers too.
+            popc = popcount_words(buffer)
             decided_before = kernel.decided() if watched else None
-            kernel.step(round, heard, alive)
+            kernel.step(round, heard, popc, alive)
             updated = orig_of[alive]
             self.rounds_executed[updated] = round
             self.messages_sent[updated] += self.row_sq[updated]
-            popc = popcount_words(buffer)
             self.messages_delivered[updated] += popc.sum(axis=1)[alive]
             for observed in watched:
                 self._observe(round, observed, heard, popc, decided_before)
-            # Only the observers need the (rows, n_max) popcount whole; it
-            # must not sit beside the next round's unpack.
+            # The (rows, n_max) popcount must not sit beside the next
+            # round's unpack.
             del popc
 
         return [

@@ -117,7 +117,7 @@ class BatchTranslationKernel(BatchKernel):
     # the lockstep step
     # ------------------------------------------------------------------ #
 
-    def step(self, round: int, heard: Any, active: Any) -> None:
+    def step(self, round: int, heard: Any, heard_count: Any, active: Any) -> None:
         shape = (self.replicas, self.n, self.n)
         listen_new = np.logical_and(
             self.listen, heard, out=self._scratch("tr_listen_new", shape, bool)
@@ -141,7 +141,7 @@ class BatchTranslationKernel(BatchKernel):
             return
         at_boundary = active & boundary
         new_ho = counts >= self.threshold[:, None, None]
-        self._inner.step(round, new_ho, at_boundary)
+        self._inner.step(round, new_ho, new_ho.sum(axis=2), at_boundary)
         self.last_new_ho = new_ho
         reset = at_boundary[:, None, None]
         self.listen = np.where(reset, True, self.listen)

@@ -557,6 +557,12 @@ def _cell_record(
     )
 
 
+#: Pool workers start from a fork server, never by forking the sweeping
+#: process itself: after one float32 ``np.matmul`` (every OneThirdRule step)
+#: that process owns a BLAS thread pool, and a child forked from it can hang.
+_POOL_CONTEXT = multiprocessing.get_context("forkserver")
+
+
 def _execute_indexed(job: Tuple[int, RunSpec]) -> Tuple[int, "RunRecord"]:
     """Run one grid cell, tagged with its grid position (picklable for workers).
 
@@ -1121,7 +1127,11 @@ def run_sweep(
     out over a ``multiprocessing`` pool, one cell per job.  In the parallel
     path only the slim wire record is pickled back -- the full
     ``ScenarioResult`` stays in the worker (inline runs keep it, so
-    in-process consumers read it).
+    in-process consumers read it).  Workers start from a fork server
+    (:data:`_POOL_CONTEXT`): they import the caller's main module afresh,
+    so a script that sweeps in parallel guards its entry point with
+    ``if __name__ == "__main__"``, and a scenario registered at run time
+    is unknown to them (the sweep raises its ``KeyError``).
 
     ``replicas=R`` turns every spec without its own ``replicas`` into a
     *batched cell* covering the R consecutive seeds ``spec.seed .. spec.seed
@@ -1209,7 +1219,7 @@ def run_sweep(
         else:
             # Index by grid position, not by spec fields: the position is
             # unambiguous even for specs differing only in extra params.
-            with multiprocessing.Pool(processes=worker_count) as pool:
+            with _POOL_CONTEXT.Pool(processes=worker_count) as pool:
                 for index, record in pool.imap_unordered(
                     _execute_indexed, pending, chunksize=1
                 ):

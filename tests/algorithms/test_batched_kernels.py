@@ -8,9 +8,13 @@ suites only reach by accident:
   and ``Counter.most_common`` then name different winners, and neither may
   be adopted or decided) and empty or sub-threshold HO sets (winner and
   minimum heard code are garbage and must be masked by the update gate) --
-  with mixed-``row_n`` padding, compared to the scalar ``OneThirdRule``
-  after every round; the arithmetic that makes the tie unobservable is
-  checked exhaustively for small n, and directed tie rounds pin it;
+  with mixed-``row_n`` padding and drawn replica activity, over few values
+  (the counts are ranked over the values still held) or all-distinct ones
+  (full width), compared to the scalar ``OneThirdRule`` after every round;
+  the arithmetic that makes the tie unobservable is checked exhaustively
+  for small n, and directed rounds pin the ties, a round nobody passes the
+  gate in, rows holding different values and a padding value nobody real
+  holds any more;
 * the steady-state ``step`` of each kernel allocates no ``(R, n, n)``
   temporary: every full-shape intermediate lives in the kernel's scratch;
 * every kernel registration is coherent with the scalar algorithm it is
@@ -42,17 +46,27 @@ ROUNDS = 3
 
 @st.composite
 def padded_replicas(draw):
-    """Replicas of 1..N_MAX processes over a three-letter alphabet, with schedules.
+    """Replicas of 1..N_MAX processes with schedules and activity.
 
-    Three values among up to seven processes make top-count ties the common
-    case; the HO sets are arbitrary subsets, so empty and sub-threshold
-    ones are too.
+    Values come from a three-letter alphabet or are all distinct.  Three
+    values among up to seven processes make top-count ties the common
+    case; a ladder of distinct values in a full-size row makes a full-width
+    round (every code held) possible.  Half the HO sets are arbitrary
+    subsets, so empty and sub-threshold ones are common; the other half
+    miss at most two senders, so most rounds have processes past the gate.
+    A replica sits out about one round in four.
     """
     replicas = []
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
-        size = draw(st.integers(min_value=1, max_value=N_MAX))
-        values = draw(st.lists(st.sampled_from([3, 5, 8]), min_size=size, max_size=size))
-        subset = st.frozensets(st.integers(min_value=0, max_value=size - 1), max_size=size)
+        size = draw(st.integers(min_value=1, max_value=N_MAX) | st.just(N_MAX))
+        values = draw(
+            st.lists(st.sampled_from([3, 5, 8]), min_size=size, max_size=size)
+            | st.permutations([10 * (v + 1) for v in range(size)])
+        )
+        senders = st.integers(min_value=0, max_value=size - 1)
+        subset = st.frozensets(senders, max_size=size) | st.frozensets(senders, max_size=2).map(
+            lambda missed: frozenset(range(size)) - missed
+        )
         schedule = draw(
             st.lists(
                 st.lists(subset, min_size=size, max_size=size),
@@ -60,7 +74,8 @@ def padded_replicas(draw):
                 max_size=ROUNDS,
             )
         )
-        replicas.append((size, values, schedule))
+        awake = draw(st.lists(st.integers(0, 3).map(bool), min_size=ROUNDS, max_size=ROUNDS))
+        replicas.append((size, values, schedule, awake))
     return replicas
 
 
@@ -75,38 +90,45 @@ def scalar_round(algorithm, round, states, ho_sets):
 
 
 def assert_matches_scalar_every_round(replicas, width=N_MAX, rounds=ROUNDS):
-    """Step ``(size, values, schedule)`` replicas through both duals.
+    """Step ``(size, values, schedule[, awake])`` replicas through both duals.
 
     The super-batch layout: every row padded to *width* columns with its
-    own first value, padded receivers and senders never heard.  After every
-    round the estimates, the decisions and the rounds they were taken in
-    must equal the scalar run's.
+    own first value, padded receivers and senders never heard.  A replica
+    whose ``awake`` entry for a round is False (default: always awake) is
+    inactive then: the kernel is still handed its heard rows, the scalar
+    run skips the round.  After every round the estimates, the decisions
+    and the rounds they were taken in must equal the scalar run's.
     """
     import numpy as np
 
-    sizes = [size for size, _, _ in replicas]
+    sizes = [size for size, *_ in replicas]
     kernel = BatchOneThirdRule(
         width,
-        [encode_values(values + values[:1] * (width - size)) for size, values, _ in replicas],
+        [encode_values(values + values[:1] * (width - size)) for size, values, *_ in replicas],
         row_n=None if all(size == width for size in sizes) else sizes,
     )
     algorithms = [OneThirdRule(size) for size in sizes]
     states = [
         [algorithm.initial_state(p, values[p]) for p in range(size)]
-        for algorithm, (size, values, _) in zip(algorithms, replicas)
+        for algorithm, (size, values, *_) in zip(algorithms, replicas)
     ]
     scalar_rounds = [{} for _ in replicas]
-    active = np.ones(len(replicas), dtype=bool)
+    awake = np.array(
+        [replica[3] if len(replica) > 3 else [True] * rounds for replica in replicas], dtype=bool
+    )
     for round in range(1, rounds + 1):
         heard = np.zeros((len(replicas), width, width), dtype=bool)
-        for r, (size, _, schedule) in enumerate(replicas):
+        active = awake[:, round - 1]
+        for r, (size, _, schedule, *_) in enumerate(replicas):
             for p, ho in enumerate(schedule[round - 1]):
                 heard[r, p, sorted(ho)] = True
+            if not active[r]:
+                continue
             states[r] = scalar_round(algorithms[r], round, states[r], schedule[round - 1])
             for p, state in enumerate(states[r]):
                 if state.decision is not None:
                     scalar_rounds[r].setdefault(p, round)
-        kernel.step(round, heard, active)
+        kernel.step(round, heard, heard.sum(axis=2), active)
         assert kernel.x.dtype == np.int32
         for r, size in enumerate(sizes):
             estimates = [kernel.decode(r, int(code)) for code in kernel.x[r, :size]]
@@ -174,13 +196,56 @@ TIE_REPLICAS["mixed-row-n"] = [
 ] + [(3, [8, 3, 8], [_everyone(3)] * 3)]
 
 
-@pytest.mark.parametrize("case", sorted(TIE_REPLICAS))
+#: Rounds that reach the kernel's value ranking: which rows count votes, and
+#: over which held values.  Each entry is one row space, like TIE_REPLICAS;
+#: a fourth tuple element is the replica's per-round activity.
+RANKED_REPLICAS = {
+    # Round 1 has no process past the gate -- the first replica hears two
+    # of six, the second would pass but sits the round out -- so the step
+    # returns before counting anything.
+    "gate-closed": [
+        (6, [5, 3, 8, 5, 3, 8], [[frozenset({0, 1})] * 6, _everyone(6), _everyone(6)]),
+        (4, [1, 2, 1, 2], [_everyone(4)] * 3, [False, True, True]),
+    ],
+    # Round 1: only the first replica acts, so only its two values are
+    # ranked; the second (six distinct values, sub-threshold) and the third
+    # (asleep) rank -1.  Round 2: the second acts over all six codes, the
+    # full-width case.
+    "rows-hold-different-values": [
+        (6, [5, 5, 5, 5, 3, 3], [_everyone(6)] * 3),
+        (6, [1, 2, 3, 4, 5, 6], [[frozenset({0, 1, 2})] * 6, _everyone(6), _everyone(6)]),
+        (6, [8, 8, 8, 8, 1, 1], [_everyone(6)] * 3, [False, True, True]),
+    ],
+    # Round 1: only process 0 acts and trades its 3 for a 5, so nobody holds
+    # the smallest code any more.  Round 2 is a 4-3 split, not adoptable:
+    # the smallest heard value is rank 0, which is code 1.  Round 3
+    # decides 5, rank 0 again.
+    "smallest-value-gone": [
+        (
+            7,
+            [3, 5, 5, 5, 8, 8, 8],
+            [[frozenset(range(5))] + [frozenset({p}) for p in range(1, 7)]]
+            + [_everyone(7)] * 2,
+        )
+    ],
+    # The four-process row decides 8 in round 1; from round 2 its padding
+    # columns are the only holders of 3, its smallest code, which nobody
+    # real hears: the first heard rank is 8's.
+    "stale-padding": [
+        (6, [5, 5, 5, 5, 3, 3], [_everyone(6)] * 3),
+        (4, [3, 8, 8, 8], [_everyone(4)] * 3),
+    ],
+}
+DIRECTED_REPLICAS = {**TIE_REPLICAS, **RANKED_REPLICAS}
+
+
+@pytest.mark.parametrize("case", sorted(DIRECTED_REPLICAS))
 def test_directed_tie_rounds_match_scalar(case):
-    replicas = TIE_REPLICAS[case]
-    width = max(size for size, _, _ in replicas)
+    replicas = DIRECTED_REPLICAS[case]
+    width = max(size for size, *_ in replicas)
     kernel = assert_matches_scalar_every_round(replicas, width=width)
     # every directed replica ends decided on one value (ties only delay it)
-    for r, (size, _, _) in enumerate(replicas):
+    for r, (size, *_) in enumerate(replicas):
         decisions, _ = kernel.decisions_of(r)
         assert len(decisions) == size and len(set(decisions.values())) == 1, (case, r)
 
@@ -199,12 +264,13 @@ def test_steady_state_step_allocates_no_heard_matrix(kernel_class):
     cells = np.arange(replicas * n * n, dtype=np.int64).reshape(replicas, n, n)
     heard = (cells * 2654435761 >> 9) % 5 != 0
     heard |= np.eye(n, dtype=bool)
+    heard_count = heard.sum(axis=2)
     active = np.ones(replicas, dtype=bool)
     encoded = [encode_values([10 * (p + 1) for p in range(n)])] * replicas
 
     def build():
         kernel = kernel_class(n, encoded)
-        return lambda round: kernel.step(round, heard, active)
+        return lambda round: kernel.step(round, heard, heard_count, active)
 
     growth = steady_state_peak_growth(build)
     assert growth < replicas * n * n, (kernel_class.__name__, growth)

@@ -97,7 +97,7 @@ class TestKernelLockstep:
                     mask = shadow.ho_mask(round, p)
                     for q in range(n):
                         heard[r, p, q] = bool(mask >> q & 1)
-            kernel.step(round, heard, active)
+            kernel.step(round, heard, heard.sum(axis=2), active)
             for machine in machines:
                 machine.run_round()
             yield round, f, kernel, machines
@@ -204,14 +204,14 @@ class TestRowCompaction:
         # round 11 compares them mid-macro-round again.
         for round in range(1, 12):
             heard = rng.random((len(seeds), n, n)) < 0.9
-            kept.step(round, heard[keep], np.ones(len(keep), dtype=bool))
+            kept.step(round, heard[keep], heard[keep].sum(axis=2), np.ones(len(keep), dtype=bool))
             if round == 5:
                 assert not whole.listen.all() and whole.known.sum() > whole.known.shape[0] * n
                 whole.compact(np.array(keep))
                 assert whole.replicas == len(keep) and whole.last_new_ho is None
             if round >= 5:
                 heard = heard[keep]
-            whole.step(round, heard, np.ones(len(heard), dtype=bool))
+            whole.step(round, heard, heard.sum(axis=2), np.ones(len(heard), dtype=bool))
         assert not whole.listen.all() and whole._inner.decided().any()
         assert whole.tables == kept.tables
         for name in ("listen", "known", "last_new_ho"):
@@ -250,7 +250,8 @@ class TestRowCompaction:
             for part, cell in zip(parts, cells):
                 span, n = slice(start, start + cell.replicas), cell.n
                 heard[span, :n, :n] = rng.random((cell.replicas, n, n)) < 0.9
-                part.step(round, heard[span, :n, :n], active[span])
+                part_heard = heard[span, :n, :n]
+                part.step(round, part_heard, part_heard.sum(axis=2), active[span])
                 start = span.stop
             if round == 6:
                 # Rounds per macro are 1, 2, 3 and 4: after round 5 every
@@ -258,7 +259,7 @@ class TestRowCompaction:
                 keep = np.flatnonzero(orig % 3 != 1)
                 whole.compact(keep)
                 orig = orig[keep]
-            whole.step(round, heard[orig], active[orig])
+            whole.step(round, heard[orig], heard[orig].sum(axis=2), active[orig])
             for i, o in enumerate(orig.tolist()):
                 part, r, n = rows[o]
                 assert whole.f[i] == part.f[r] and whole.threshold[i] == part.threshold[r]

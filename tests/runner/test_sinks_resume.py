@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import csv
 import json
-import multiprocessing
 import os
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -19,6 +19,7 @@ from repro.runner.sweep import (
     RunRecord,
     RunSpec,
     SweepResult,
+    _execute_indexed,
     build_grid,
     execute_run,
     load_jsonl_records,
@@ -57,16 +58,20 @@ class TestLightweightRecords:
         sweep = run_sweep(GRID[:2], workers=1)
         assert all(isinstance(r.result, ScenarioResult) for r in sweep.records)
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="locally registered scenarios need fork-inherited registries",
-    )
     def test_no_result_crosses_the_pool_by_default(self):
-        """The full result never touches pickle: the worker strips it first."""
+        """The full result never touches pickle: the worker strips it first.
+
+        Pool workers start from a fork server and so never see a scenario
+        registered here; the pool's job function runs in-process instead,
+        and what it returns is exactly what a worker pickles back.
+        """
         _register_unpicklable_scenario()
-        specs = [RunSpec.make("unpicklable-result", "fault-free", s, n=3) for s in (0, 1)]
-        sweep = run_sweep(specs, workers=2)
-        assert all(r.error is None and r.result is None for r in sweep.records)
+        for index, seed in enumerate((0, 1)):
+            job = (index, RunSpec.make("unpicklable-result", "fault-free", seed, n=3))
+            with pytest.raises((pickle.PicklingError, AttributeError)):
+                pickle.dumps(execute_run(job[1]).result)
+            returned, record = pickle.loads(pickle.dumps(_execute_indexed(job)))
+            assert returned == index and record.error is None and record.result is None
 
     def test_parallel_matches_inline_with_slim_records(self):
         inline = run_sweep(GRID, workers=1)

@@ -199,6 +199,28 @@ class TestSweepExecutor:
             sweep.record_for("chandra-toueg", "fault-free", 0)
         assert sweep.record_for("chandra-toueg", "fault-free", 0, n=4).n == 4
 
+    def test_pool_starts_from_a_forkserver_after_a_matmul(self):
+        """A float32 matmul leaves this process owning a BLAS thread pool;
+        the pool must not fork it, and its records must equal inline ones."""
+        import numpy as np
+
+        from repro.runner import sweep
+
+        square = np.ones((64, 64), dtype=np.float32)
+        assert np.matmul(square, square)[0, 0] == 64
+        assert sweep._POOL_CONTEXT.get_start_method() == "forkserver"
+        specs = build_grid(
+            ["ho-classic-otr", "ho-stack", "chandra-toueg"], ["fault-free", "lossy"], [0, 1], n=4
+        )
+
+        def projection(result):
+            return [
+                {k: v for k, v in record.to_json_dict().items() if k != "wall_seconds"}
+                for record in result.records
+            ]
+
+        assert projection(run_sweep(specs, workers=2)) == projection(run_sweep(specs, workers=1))
+
     def test_streaming_callback_sees_every_record(self):
         seen = []
         run_sweep(self.GRID[:4], workers=2, on_record=seen.append)
