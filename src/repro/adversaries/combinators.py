@@ -6,39 +6,28 @@ models *compose* by set algebra on the heard-of sets themselves:
 * :class:`IntersectOracle` -- both adversaries act: a sender is heard only
   if every component hears it (composition of fault models: the union of
   the faults);
-* :class:`UnionOracle` -- either environment suffices: a sender is heard if
-  any component hears it (composition of guarantees);
 * :class:`SequenceOracle` -- phase scripting: run each component for a fixed
   number of rounds, then move to the next (bad period, then good period,
-  then churn, ...);
-* :class:`WindowSwitchOracle` -- per-window switching: rotate through a set
-  of components every *window* rounds, forever.
+  then churn, ...).
 
 All combinators work on bitmasks end-to-end, accept any oracle callable
 (plain callables are adapted), and are themselves oracles -- so they nest:
 ``IntersectOracle(n, SequenceOracle(n, ...), RandomOmissionOracle(n, ...))``
 is a perfectly good environment.
 
-:class:`IntersectOracle` and :class:`UnionOracle` always query *every*
-component, even once the accumulated mask is already empty (or full):
-stateful components (``RandomOmissionOracle``, ``GoodPeriodOracle``, ...)
-draw lazily per query, so skipping one would make its seeded sub-stream
-advance differently depending on *sibling* outcomes -- violating the
-documented rule that concerns cannot perturb each other.
+:class:`IntersectOracle` always queries *every* component, even once the
+accumulated mask is already empty: stateful components
+(``RandomOmissionOracle``, ``GoodPeriodOracle``, ...) draw lazily per query,
+so skipping one would make its seeded sub-stream advance differently
+depending on *sibling* outcomes -- violating the documented rule that
+concerns cannot perturb each other.
 """
-
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
 from ..core.types import ProcessId, Round
 from .base import HOOracle, HOOracleBase, MaskOracleBase, ensure_oracle
-
-
-def _adapt_all(n: int, oracles: Sequence[HOOracle]) -> List[HOOracleBase]:
-    if not oracles:
-        raise ValueError("at least one component oracle is required")
-    return [ensure_oracle(oracle, n) for oracle in oracles]
 
 
 def _all_replica_invariant(oracles: Sequence[HOOracleBase]) -> bool:
@@ -58,7 +47,9 @@ class IntersectOracle(MaskOracleBase):
 
     def __init__(self, n: int, *oracles: HOOracle) -> None:
         super().__init__(n)
-        self.oracles = _adapt_all(n, oracles)
+        if not oracles:
+            raise ValueError("at least one component oracle is required")
+        self.oracles = [ensure_oracle(oracle, n) for oracle in oracles]
         self.replica_invariant = _all_replica_invariant(self.oracles)
 
     def ho_mask(self, round: Round, process: ProcessId) -> int:
@@ -69,27 +60,6 @@ class IntersectOracle(MaskOracleBase):
         for oracle in self.oracles:
             mask &= oracle.ho_mask(round, process)
         return mask
-
-
-class UnionOracle(MaskOracleBase):
-    """Hear a sender if *any* component environment delivers it.
-
-    Useful for modelling redundant channels (a message arrives if any path
-    survives) and for weakening an adversary in controlled steps.
-    """
-
-    def __init__(self, n: int, *oracles: HOOracle) -> None:
-        super().__init__(n)
-        self.oracles = _adapt_all(n, oracles)
-        self.replica_invariant = _all_replica_invariant(self.oracles)
-
-    def ho_mask(self, round: Round, process: ProcessId) -> int:
-        # As in IntersectOracle: never short-circuit past a component, so
-        # stateful components' draw sequences stay sibling-independent.
-        mask = 0
-        for oracle in self.oracles:
-            mask |= oracle.ho_mask(round, process)
-        return mask & self._full
 
 
 class SequenceOracle(MaskOracleBase):
@@ -138,35 +108,7 @@ class SequenceOracle(MaskOracleBase):
         return oracle.ho_mask(local_round, process) & self._full
 
 
-class WindowSwitchOracle(MaskOracleBase):
-    """Per-window switching: rotate through component oracles every *window* rounds.
-
-    Rounds ``1..window`` use the first component, ``window+1..2*window`` the
-    second, and so on, wrapping around forever.  Components see local round
-    numbers within their window occurrence, counted per visit, so a
-    component behaves identically on every visit -- this models environments
-    that *churn* between regimes (e.g. alternating partitions) rather than
-    ones that settle.
-    """
-
-    def __init__(self, n: int, oracles: Sequence[HOOracle], window: int = 1) -> None:
-        super().__init__(n)
-        if window <= 0:
-            raise ValueError(f"window must be positive, got {window}")
-        self.window = window
-        self.oracles = _adapt_all(n, oracles)
-        self.replica_invariant = _all_replica_invariant(self.oracles)
-
-    def ho_mask(self, round: Round, process: ProcessId) -> int:
-        epoch = (round - 1) // self.window
-        local = (round - 1) % self.window + 1
-        oracle = self.oracles[epoch % len(self.oracles)]
-        return oracle.ho_mask(local, process) & self._full
-
-
 __all__ = [
     "IntersectOracle",
-    "UnionOracle",
     "SequenceOracle",
-    "WindowSwitchOracle",
 ]

@@ -21,7 +21,8 @@ rotating partition chains each epoch's assignment on the previous epoch's,
 and the Gilbert-Elliott link states advance round by round.  Both advance
 monotonically (engines query rounds in nondecreasing order) and raise
 :class:`LookupError` on a query behind the frontier; the scalar oracles
-replay from round 1 instead, which only a combinator re-visit asks of them.
+replay from round 1 instead, so that any query order gets the same bits
+(``test_any_query_order_gets_the_same_answers``).
 
 The three families that draw ``(R, n, n)`` link coins (bursty loss, the
 coordinator's background, the kernel oracle) compare the ``uint64`` hash

@@ -36,9 +36,10 @@ An oracle keeps only the state its array dual keeps: the current round's
 Any ``(round, process)`` may be asked in any order and gets the same bits.
 The two recurrences (partition churn chains on the previous epoch,
 Gilbert-Elliott link states advance round by round) replay from round 1
-when asked for a round behind their current one -- which only a
-:class:`~repro.adversaries.combinators.WindowSwitchOracle` re-visit does,
-at the cost of the window's own rounds.
+when asked for a round behind their current one.  The engines query rounds
+in nondecreasing order, so a run never replays; the replay is there so that
+any query order gets the same bits, as
+``test_any_query_order_gets_the_same_answers`` pins.
 """
 
 from __future__ import annotations

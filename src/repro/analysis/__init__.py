@@ -3,11 +3,9 @@
 from .consensus_check import ConsensusVerdict, DecidingTrace, check_consensus
 from .metrics import (
     AlgorithmComplexity,
-    GoodPeriodStats,
     RunMetrics,
     UnifiedTrace,
     algorithm_complexity_summary,
-    good_period_stats,
     metrics_from_des,
     metrics_from_trace,
 )
@@ -28,8 +26,6 @@ __all__ = [
     "UnifiedTrace",
     "metrics_from_trace",
     "metrics_from_des",
-    "GoodPeriodStats",
-    "good_period_stats",
     "AlgorithmComplexity",
     "algorithm_complexity_summary",
     "FaultClass",

@@ -13,11 +13,10 @@ Two kinds of measurements back the benchmark reports:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Mapping, Optional, Protocol, Sequence, Union
+from typing import Dict, Iterable, Optional, Protocol
 
 from ..core.types import DecisionRecord, ProcessId
 from ..des.simulator import EventSimulator
-from ..predicates.reports import PredicateReport
 
 
 class UnifiedTrace(Protocol):
@@ -102,80 +101,6 @@ def metrics_from_des(
     )
 
 
-# --------------------------------------------------------------------------- #
-# good-period statistics from streaming predicate reports
-# --------------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class GoodPeriodStats:
-    """Good-period statistics of one predicate, computed from its monitor report.
-
-    The paper's good periods are exactly the runs of rounds whose per-round
-    predicate condition holds (a space-uniform streak for ``P_su``, a
-    kernel streak for ``P_k``, ...).  Pre-monitoring, extracting these
-    numbers meant re-scanning a recorded trace; now they are a direct
-    re-reading of the compact :class:`~repro.predicates.reports.PredicateReport`
-    a run already streamed out, so sweeps measure good periods without
-    shipping traces.
-    """
-
-    predicate: str
-    rounds_observed: int
-    #: rounds whose per-round good condition held (good-period rounds).
-    good_rounds: int
-    #: first round of the earliest good period (None if none).
-    first_good_round: Optional[int]
-    #: length of the longest good period, in rounds.
-    longest_good_period: int
-    #: length of the longest bad period, in rounds.
-    longest_bad_period: int
-    #: first prefix of the run on which the predicate itself held.
-    first_hold_round: Optional[int]
-    #: whether the predicate held on the whole run.
-    holds: bool
-
-    @property
-    def good_fraction(self) -> Optional[float]:
-        """Fraction of rounds inside good periods (None when nothing observed)."""
-        if self.rounds_observed == 0:
-            return None
-        return self.good_rounds / self.rounds_observed
-
-    @classmethod
-    def from_report(cls, report: Union[PredicateReport, Mapping[str, Any]]) -> "GoodPeriodStats":
-        """Build from a :class:`PredicateReport` or its JSON dict form."""
-        if isinstance(report, Mapping):
-            report = PredicateReport.from_json_dict(report)
-        return cls(
-            predicate=report.name,
-            rounds_observed=report.rounds_observed,
-            good_rounds=report.good_rounds,
-            first_good_round=report.first_good_round,
-            longest_good_period=report.longest_good_run,
-            longest_bad_period=report.longest_bad_run,
-            first_hold_round=report.first_hold_round,
-            holds=report.holds,
-        )
-
-
-def good_period_stats(
-    reports: Union[
-        Mapping[str, Union[PredicateReport, Mapping[str, Any]]],
-        Sequence[Union[PredicateReport, Mapping[str, Any]]],
-    ],
-) -> Dict[str, GoodPeriodStats]:
-    """Good-period statistics for a batch of predicate reports, keyed by predicate.
-
-    Accepts the shapes the stack hands around: a ``MonitorBank.reports()``
-    mapping, the JSON ``predicate_reports`` dict of a scenario result or
-    sweep wire record, or a plain sequence of reports.
-    """
-    entries = reports.values() if isinstance(reports, Mapping) else reports
-    stats = [GoodPeriodStats.from_report(entry) for entry in entries]
-    return {stat.predicate: stat for stat in stats}
-
-
 @dataclass(frozen=True)
 class AlgorithmComplexity:
     """Structural complexity of a consensus algorithm (the Section 2 comparison)."""
@@ -236,8 +161,6 @@ __all__ = [
     "UnifiedTrace",
     "metrics_from_trace",
     "metrics_from_des",
-    "GoodPeriodStats",
-    "good_period_stats",
     "AlgorithmComplexity",
     "algorithm_complexity_summary",
 ]

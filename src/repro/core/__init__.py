@@ -12,7 +12,7 @@ Communication predicates (Table 1 and Section 4.2) live in
 """
 
 from .algorithm import ConsensusAlgorithm, HOAlgorithm
-from .machine import HOMachine, HOOracle, run_ho_algorithm
+from .machine import HOMachine, HOOracle
 from .types import (
     DecisionRecord,
     HOCollection,
@@ -42,5 +42,4 @@ __all__ = [
     # machine
     "HOMachine",
     "HOOracle",
-    "run_ho_algorithm",
 ]

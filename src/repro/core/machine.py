@@ -10,9 +10,7 @@ The loop itself lives in the shared :class:`repro.rounds.RoundEngine`; the
 machine is a thin round-level policy over it, pairing the engine with an
 :class:`~repro.rounds.engine.OracleTransport` (the heard-of oracle plays the
 adversary/environment) and a :class:`~repro.core.types.RunTrace`.  The
-oracles shipped with the library live in :mod:`repro.adversaries`; they
-range from the fault-free oracle to oracles that are built to satisfy (or to
-violate) a given communication predicate.
+oracles shipped with the library live in :mod:`repro.adversaries`.
 
 This executor is deliberately independent of the step-level system model of
 Section 4 (see :mod:`repro.sysmodel` and :mod:`repro.predimpl`), which
@@ -191,19 +189,4 @@ class HOMachine:
         return self._trace
 
 
-def run_ho_algorithm(
-    algorithm: HOAlgorithm,
-    oracle: HOOracle,
-    initial_values: Sequence[Any] | Mapping[ProcessId, Any],
-    max_rounds: int = 100,
-    scope: Optional[Iterable[ProcessId]] = None,
-) -> RunTrace:
-    """Convenience helper: build an :class:`HOMachine` and run it until decision.
-
-    This is the one-call entry point used by the quickstart example.
-    """
-    machine = HOMachine(algorithm, oracle, initial_values)
-    return machine.run_until_decision(max_rounds=max_rounds, scope=scope)
-
-
-__all__ = ["HOMachine", "HOOracle", "run_ho_algorithm"]
+__all__ = ["HOMachine", "HOOracle"]

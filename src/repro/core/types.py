@@ -302,13 +302,6 @@ class RunTrace:
         """The number of rounds recorded in the trace."""
         return self.ho_collection.max_round
 
-    def records_for_process(self, process: ProcessId) -> List[RoundRecord]:
-        """All per-round records for a given process, in round order."""
-        return sorted(
-            (record for record in self.records if record.process == process),
-            key=lambda record: record.round,
-        )
-
 
 __all__ = [
     "ProcessId",

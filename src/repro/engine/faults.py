@@ -111,10 +111,6 @@ class FaultSchedule:
         )
         return cls(events=events)
 
-    def affected_processes(self) -> frozenset[ProcessId]:
-        """Processes hit by at least one event."""
-        return frozenset(event.process for event in self.events)
-
     def merged_with(self, other: "FaultSchedule") -> "FaultSchedule":
         """A schedule containing the events of both schedules."""
         return FaultSchedule(events=self.events + other.events)

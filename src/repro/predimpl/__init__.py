@@ -22,15 +22,12 @@
 from .arbitrary_good_period import ArbitraryGoodPeriodProgram
 from .batched_translation import BatchTranslationKernel
 from .bounds import (
-    BoundSummary,
     algorithm3_timeout,
     arbitrary_p2otr_length,
     arbitrary_p2otr_rounds,
     corollary4_p11otr_length,
     corollary4_p2otr_length,
     noninitial_to_initial_ratio,
-    summarize_arbitrary_bounds,
-    summarize_down_bounds,
     theorem3_good_period_length,
     theorem5_initial_good_period_length,
     theorem6_good_period_length,
@@ -57,7 +54,6 @@ __all__ = [
     "PredicateStack",
     "build_down_stack",
     "build_arbitrary_stack",
-    "BoundSummary",
     "algorithm3_timeout",
     "theorem3_good_period_length",
     "theorem5_initial_good_period_length",
@@ -68,6 +64,4 @@ __all__ = [
     "arbitrary_p2otr_length",
     "arbitrary_p2otr_rounds",
     "noninitial_to_initial_ratio",
-    "summarize_down_bounds",
-    "summarize_arbitrary_bounds",
 ]

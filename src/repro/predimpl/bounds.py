@@ -30,8 +30,6 @@ the bound, and must scale with the same shape (linear in ``x``, ``n``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 def _check(n: int, phi: float, delta: float) -> None:
     if n <= 0:
@@ -162,49 +160,6 @@ def arbitrary_p2otr_length(f: int, n: int, phi: float, delta: float) -> float:
     return theorem6_good_period_length(arbitrary_p2otr_rounds(f), n, phi, delta)
 
 
-# --------------------------------------------------------------------------- #
-# Aggregated views used by benchmark reports
-# --------------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class BoundSummary:
-    """A named analytic bound, convenient for tabulated benchmark output."""
-
-    name: str
-    x: int
-    n: int
-    phi: float
-    delta: float
-    value: float
-
-
-def summarize_down_bounds(x: int, n: int, phi: float, delta: float) -> list[BoundSummary]:
-    """All Algorithm 2 bounds for one parameter point (Theorems 3, 5, Corollary 4)."""
-    return [
-        BoundSummary("theorem3", x, n, phi, delta, theorem3_good_period_length(x, n, phi, delta)),
-        BoundSummary("theorem5", x, n, phi, delta, theorem5_initial_good_period_length(x, n, phi, delta)),
-        BoundSummary("corollary4_p2otr", 2, n, phi, delta, corollary4_p2otr_length(n, phi, delta)),
-        BoundSummary("corollary4_p11otr", 1, n, phi, delta, corollary4_p11otr_length(n, phi, delta)),
-    ]
-
-
-def summarize_arbitrary_bounds(x: int, n: int, f: int, phi: float, delta: float) -> list[BoundSummary]:
-    """All Algorithm 3/4 bounds for one parameter point (Theorems 6, 7, Section 4.2.2c)."""
-    return [
-        BoundSummary("theorem6", x, n, phi, delta, theorem6_good_period_length(x, n, phi, delta)),
-        BoundSummary("theorem7", x, n, phi, delta, theorem7_initial_good_period_length(x, n, phi, delta)),
-        BoundSummary(
-            "arbitrary_p2otr",
-            arbitrary_p2otr_rounds(f),
-            n,
-            phi,
-            delta,
-            arbitrary_p2otr_length(f, n, phi, delta),
-        ),
-    ]
-
-
 __all__ = [
     "theorem3_good_period_length",
     "corollary4_p2otr_length",
@@ -216,7 +171,4 @@ __all__ = [
     "theorem7_initial_good_period_length",
     "arbitrary_p2otr_rounds",
     "arbitrary_p2otr_length",
-    "BoundSummary",
-    "summarize_down_bounds",
-    "summarize_arbitrary_bounds",
 ]

@@ -82,10 +82,6 @@ class KernelToUniformTranslation(HOAlgorithm[TranslationState, TranslationMessag
     # round structure helpers
     # ------------------------------------------------------------------ #
 
-    def macro_round_of(self, round: Round) -> Round:
-        """The macro-round an inner round belongs to (1-based)."""
-        return (round - 1) // self.rounds_per_macro + 1
-
     def is_boundary_round(self, round: Round) -> bool:
         """Whether *round* is the last round of its macro-round (``r = 0 mod f+1``)."""
         return round % self.rounds_per_macro == 0

@@ -29,8 +29,6 @@ from .bitmask import (
     bit_count,
     full_mask,
     iter_bits,
-    mask_contains,
-    mask_issubset,
     mask_of,
     mask_to_frozenset,
     mask_to_words,
@@ -55,8 +53,6 @@ __all__ = [
     "mask_of",
     "mask_to_frozenset",
     "iter_bits",
-    "mask_contains",
-    "mask_issubset",
     "WORD_BITS",
     "word_count",
     "mask_to_words",

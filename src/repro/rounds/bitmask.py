@@ -53,16 +53,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def mask_contains(mask: int, process: int) -> bool:
-    """Whether bit *process* is set in *mask*."""
-    return (mask >> process) & 1 == 1
-
-
-def mask_issubset(inner: int, outer: int) -> bool:
-    """Whether every member of *inner* is a member of *outer*."""
-    return inner & ~outer == 0
-
-
 # --------------------------------------------------------------------------- #
 # uint64 word spill: the boundary between Python int masks and array backends
 # --------------------------------------------------------------------------- #
@@ -115,8 +105,6 @@ __all__ = [
     "mask_of",
     "mask_to_frozenset",
     "iter_bits",
-    "mask_contains",
-    "mask_issubset",
     "WORD_BITS",
     "word_count",
     "mask_to_words",

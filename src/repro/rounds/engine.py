@@ -242,10 +242,6 @@ class RoundEngine:
         self.n = algorithm.n
         self.observers: List[RoundObserver] = list(observers)
 
-    def add_observer(self, observer: RoundObserver) -> None:
-        """Attach *observer* to the record stream (fed after the trace sink)."""
-        self.observers.append(observer)
-
     @property
     def stop_requested(self) -> bool:
         """Whether any observer requests an early stop (polled between rounds)."""

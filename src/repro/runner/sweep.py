@@ -810,31 +810,6 @@ class SweepResult:
     def __len__(self) -> int:
         return len(self.records)
 
-    def record_for(
-        self, scenario: str, fault_model: str, seed: int, n: Optional[int] = None
-    ) -> RunRecord:
-        """The record of one grid cell (raises when absent or ambiguous).
-
-        *n* may be omitted on single-size grids; on multi-size grids an
-        ambiguous lookup raises instead of silently picking one.
-        """
-        matches = [
-            record
-            for record in self.records
-            if (record.scenario, record.fault_model, record.seed)
-            == (scenario, fault_model, seed)
-            and (n is None or record.n == n)
-        ]
-        if not matches:
-            raise KeyError(f"no record for {(scenario, fault_model, seed, n)}")
-        if len(matches) > 1:
-            sizes = sorted(record.n for record in matches)
-            raise KeyError(
-                f"{len(matches)} records match {(scenario, fault_model, seed)}; "
-                f"pass n= to disambiguate (sizes: {sizes})"
-            )
-        return matches[0]
-
     def aggregate(self) -> Dict[str, Dict[str, Any]]:
         """Seed-stable aggregates per ``(scenario, fault_model, n)`` group.
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 from ..core.types import ProcessId, all_processes, validate_process_subset
 
@@ -133,26 +133,6 @@ class PeriodSchedule:
         pi0_set = all_processes(n) if pi0 is None else validate_process_subset(pi0, n)
         return cls(n=n, good_periods=[GoodPeriod(start, start + length, kind, pi0_set)])
 
-    @classmethod
-    def alternating(
-        cls,
-        n: int,
-        good_length: float,
-        bad_length: float,
-        count: int,
-        kind: GoodPeriodKind = GoodPeriodKind.PI_GOOD,
-        pi0: Optional[Iterable[ProcessId]] = None,
-        first_bad: bool = True,
-    ) -> "PeriodSchedule":
-        """*count* good periods of *good_length* separated by bad periods of *bad_length*."""
-        pi0_set = all_processes(n) if pi0 is None else validate_process_subset(pi0, n)
-        periods = []
-        time = bad_length if first_bad else 0.0
-        for _ in range(count):
-            periods.append(GoodPeriod(time, time + good_length, kind, pi0_set))
-            time += good_length + bad_length
-        return cls(n=n, good_periods=periods)
-
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
@@ -183,24 +163,6 @@ class PeriodSchedule:
         if period is None or period.kind != GoodPeriodKind.PI0_DOWN:
             return False
         return process not in period.pi0
-
-    def next_boundary_after(self, time: float) -> Optional[float]:
-        """The next period start or end strictly after *time* (``None`` if none)."""
-        boundaries: List[float] = []
-        for period in self.good_periods:
-            for value in (period.start, period.end):
-                if value > time and not math.isinf(value):
-                    boundaries.append(value)
-        return min(boundaries) if boundaries else None
-
-    def boundaries(self) -> Sequence[float]:
-        """All finite period boundaries in increasing order."""
-        values = set()
-        for period in self.good_periods:
-            values.add(period.start)
-            if not math.isinf(period.end):
-                values.add(period.end)
-        return sorted(values)
 
 
 __all__ = ["GoodPeriodKind", "GoodPeriod", "PeriodSchedule", "step_scope"]

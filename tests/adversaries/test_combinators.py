@@ -8,12 +8,9 @@ from repro.adversaries import (
     FaultFreeOracle,
     IntersectOracle,
     PartitionOracle,
-    ScriptedOracle,
     SequenceOracle,
     SilentRoundsOracle,
     StaticCrashOracle,
-    UnionOracle,
-    WindowSwitchOracle,
     ensure_oracle,
 )
 from repro.rounds.bitmask import mask_of
@@ -41,22 +38,6 @@ class TestIntersect:
     def test_requires_components(self):
         with pytest.raises(ValueError):
             IntersectOracle(3)
-
-
-class TestUnion:
-    def test_redundant_channels(self):
-        n = 4
-        left = ScriptedOracle(n, {}, default=[0, 1])
-        right = ScriptedOracle(n, {}, default=[2])
-        oracle = UnionOracle(n, left, right)
-        assert oracle(1, 0) == frozenset({0, 1, 2})
-
-    def test_union_with_silence_is_identity(self):
-        n = 3
-        base = PartitionOracle(n, blocks=[[0, 1], [2]])
-        oracle = UnionOracle(n, base, SilentRoundsOracle(n, range(1, 100)))
-        for p in range(n):
-            assert oracle(5, p) == base(5, p)
 
 
 class TestSequence:
@@ -106,23 +87,6 @@ class TestSequence:
             SequenceOracle(n, [(FaultFreeOracle(n), 0)])
 
 
-class TestWindowSwitch:
-    def test_rotates_through_components(self):
-        n = 4
-        a = PartitionOracle(n, blocks=[[0, 1], [2, 3]])
-        b = PartitionOracle(n, blocks=[[0, 2], [1, 3]])
-        oracle = WindowSwitchOracle(n, [a, b], window=2)
-        assert oracle(1, 0) == frozenset({0, 1})
-        assert oracle(2, 0) == frozenset({0, 1})
-        assert oracle(3, 0) == frozenset({0, 2})
-        assert oracle(4, 0) == frozenset({0, 2})
-        assert oracle(5, 0) == frozenset({0, 1})  # wrapped around
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            WindowSwitchOracle(2, [FaultFreeOracle(2)], window=0)
-
-
 class TestAdapters:
     def test_plain_callables_are_adapted_and_clamped(self):
         oracle = IntersectOracle(3, lambda r, p: [0, 1, 2, 99])
@@ -145,10 +109,10 @@ class TestAdapters:
 
 
 class TestStatefulComponentIsolation:
-    """Regression: combinators must query every component every round.
+    """Regression: IntersectOracle must query every component every round.
 
-    The old short-circuit (``if not mask: break`` / ``if mask == full:
-    break``) skipped queries to later components; a skipped *stateful*
+    The old short-circuit (``if not mask: break``) skipped queries to later
+    components; a skipped *stateful*
     component consumes its seeded sub-stream differently depending on
     sibling outcomes, violating the documented rule that concerns cannot
     perturb each other.
@@ -176,25 +140,6 @@ class TestStatefulComponentIsolation:
         assert self._drive(stateful, n, rounds)[: n * rounds] == self._drive(
             standalone, n, rounds
         ), "stateful component's draw sequence was perturbed by its sibling"
-
-    def test_union_queries_stateful_siblings_behind_a_full_mask(self):
-        from repro.adversaries import EventuallyStableCoordinatorOracle
-
-        n, rounds = 4, 12
-
-        def floodlight(round, process):
-            # fills the accumulated mask on odd rounds before the stateful
-            # component is reached (the Union short-circuit condition).
-            return range(n) if round % 2 else []
-
-        stateful = EventuallyStableCoordinatorOracle(n, stable_from=100, seed=5)
-        composed = UnionOracle(n, floodlight, stateful)
-        self._drive(composed, n, rounds)
-
-        standalone = EventuallyStableCoordinatorOracle(n, stable_from=100, seed=5)
-        assert self._drive(stateful, n, rounds)[: n * rounds] == self._drive(
-            standalone, n, rounds
-        )
 
     def test_two_stateful_components_compose_reproducibly(self):
         """Composing two lazily-drawing oracles replays per seed, cell by cell."""

@@ -10,10 +10,8 @@ from repro.adversaries import (
     BurstyLossOracle,
     CounterKernelOracle,
     EventuallyStableCoordinatorOracle,
-    FaultFreeOracle,
     MobileOmissionOracle,
     RotatingPartitionOracle,
-    WindowSwitchOracle,
 )
 from repro.rounds.bitmask import bit_count
 
@@ -221,16 +219,3 @@ class TestOneRoundOfState:
         for order in (queries, queries[::-1], shuffled):
             oracle = make(n)
             assert {query: oracle.ho_mask(*query) for query in order} == expected
-
-    def test_a_window_300_revisit_repeats_the_first_visit(self, make):
-        n, window = 4, 300
-        oracle = WindowSwitchOracle(n, [make(n), FaultFreeOracle(n)], window=window)
-        rounds = range(1, window + 1)
-        first_visit = [oracle.ho_mask(r, p) for r in rounds for p in range(n)]
-        # skip the fault-free window, then revisit: identical on every visit
-        second_visit = [
-            oracle.ho_mask(2 * window + r, p) for r in rounds for p in range(n)
-        ]
-        fresh = make(n)
-        assert second_visit == first_visit
-        assert first_visit == [fresh.ho_mask(r, p) for r in rounds for p in range(n)]

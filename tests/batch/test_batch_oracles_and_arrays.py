@@ -15,8 +15,6 @@ from repro.adversaries import (
     SequenceOracle,
     SilentRoundsOracle,
     StaticCrashOracle,
-    UnionOracle,
-    WindowSwitchOracle,
     vectorize_oracles,
 )
 from repro.adversaries.batch import (
@@ -52,10 +50,8 @@ class TestReplicaInvariance:
         noisy = RandomOmissionOracle(n, 0.1)
         assert IntersectOracle(n, det, FaultFreeOracle(n)).replica_invariant
         assert not IntersectOracle(n, det, noisy).replica_invariant
-        assert not UnionOracle(n, noisy, det).replica_invariant
         assert SequenceOracle(n, [(det, 3), (FaultFreeOracle(n), None)]).replica_invariant
         assert not SequenceOracle(n, [(noisy, 3), (det, None)]).replica_invariant
-        assert WindowSwitchOracle(n, [det, FaultFreeOracle(n)], window=2).replica_invariant
 
 
 class TestVectorizeOracles:

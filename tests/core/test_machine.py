@@ -6,7 +6,7 @@ import pytest
 
 from repro.algorithms import OneThirdRule
 from repro.adversaries import FaultFreeOracle, ScriptedOracle, StaticCrashOracle
-from repro.core.machine import HOMachine, run_ho_algorithm
+from repro.core.machine import HOMachine
 
 
 class TestHOMachineBasics:
@@ -95,12 +95,3 @@ class TestRunUntilDecision:
         with pytest.raises(ValueError):
             machine.run_until_decision(max_rounds=0)
 
-
-class TestRunHelper:
-    def test_run_ho_algorithm_convenience(self):
-        trace = run_ho_algorithm(
-            OneThirdRule(4), FaultFreeOracle(4), [4, 3, 2, 1], max_rounds=10
-        )
-        decisions = trace.decisions()
-        assert len(decisions) == 4
-        assert set(decisions.values()) == {1}

@@ -141,10 +141,3 @@ class TestRunTrace:
         trace.records.append(RoundRecord(0, 1, 0, "s", 1))
         assert not trace.all_decided()
         assert trace.all_decided(scope=[0])
-
-    def test_records_for_process_sorted_by_round(self):
-        trace = RunTrace(n=1, ho_collection=HOCollection(1))
-        trace.records.append(RoundRecord(0, 2, 0, "b", None))
-        trace.records.append(RoundRecord(0, 1, 0, "a", None))
-        rounds = [record.round for record in trace.records_for_process(0)]
-        assert rounds == [1, 2]

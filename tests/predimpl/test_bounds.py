@@ -107,14 +107,3 @@ class TestAlgorithm3Bounds:
         with pytest.raises(ValueError):
             bounds.arbitrary_p2otr_rounds(-1)
 
-
-class TestSummaries:
-    def test_down_summary_contains_all_bounds(self):
-        summary = bounds.summarize_down_bounds(2, 4, PHI, DELTA)
-        names = {item.name for item in summary}
-        assert names == {"theorem3", "theorem5", "corollary4_p2otr", "corollary4_p11otr"}
-
-    def test_arbitrary_summary_contains_all_bounds(self):
-        summary = bounds.summarize_arbitrary_bounds(2, 5, 2, PHI, DELTA)
-        names = {item.name for item in summary}
-        assert names == {"theorem6", "theorem7", "arbitrary_p2otr"}

@@ -21,9 +21,6 @@ class TestConstruction:
 
     def test_round_structure(self):
         translation = KernelToUniformTranslation(OneThirdRule(5), f=2)
-        assert translation.macro_round_of(1) == 1
-        assert translation.macro_round_of(3) == 1
-        assert translation.macro_round_of(4) == 2
         assert translation.is_boundary_round(3)
         assert not translation.is_boundary_round(4)
 

@@ -48,25 +48,19 @@ class TestLockstepObservers:
         assert isinstance(RecordingObserver(), RoundObserver)
         assert isinstance(MonitorBank(2, []), RoundObserver)
 
-    def test_add_observer_after_construction(self):
-        n = 3
-        trace = RunTrace(n=n, ho_collection=HOCollection(n))
-        engine = RoundEngine(OneThirdRule(n), OracleTransport(full_oracle, n), trace)
-        observer = RecordingObserver()
-        engine.add_observer(observer)
-        states = {p: OneThirdRule(n).initial_state(p, p) for p in range(n)}
-        engine.execute_round(1, states)
-        assert len(observer.records) == n
-
     def test_stop_requested_aggregates_observers(self):
         n = 3
-        trace = RunTrace(n=n, ho_collection=HOCollection(n))
-        engine = RoundEngine(OneThirdRule(n), OracleTransport(full_oracle, n), trace)
-        assert not engine.stop_requested
-        engine.add_observer(RecordingObserver())  # no stop_requested attribute
-        assert not engine.stop_requested
-        engine.add_observer(StopImmediately())
-        assert engine.stop_requested
+
+        def engine(*observers):
+            trace = RunTrace(n=n, ho_collection=HOCollection(n))
+            return RoundEngine(
+                OneThirdRule(n), OracleTransport(full_oracle, n), trace, observers=observers
+            )
+
+        assert not engine().stop_requested
+        # RecordingObserver has no stop_requested attribute
+        assert not engine(RecordingObserver()).stop_requested
+        assert engine(RecordingObserver(), StopImmediately()).stop_requested
 
     def test_run_until_decision_honours_stop_policies(self):
         n = 4

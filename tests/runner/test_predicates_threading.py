@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.analysis import GoodPeriodStats, good_period_stats
+from repro.predicates.reports import PredicateReport
 from repro.runner.__main__ import main
 from repro.runner.registry import REGISTRY
 from repro.runner.sweep import (
@@ -40,6 +40,12 @@ class TestWireRecords:
         assert set(record.predicates) == {"p_su", "p_2otr"}
         report = record.predicates["p_2otr"]
         assert {"holds", "first_hold_round", "longest_good_run", "satisfaction"} <= set(report)
+
+    def test_wire_reports_rebuild_as_predicate_reports(self):
+        record = execute_run(monitored_spec())
+        su = PredicateReport.from_json_dict(record.predicates["p_su"])
+        assert su.rounds_observed > 0
+        assert su.to_json_dict() == record.predicates["p_su"]
 
     def test_unmonitored_runs_carry_none(self):
         record = execute_run(RunSpec.make("ho-round-mobile-omission", "fault-free", 0, n=4))
@@ -270,14 +276,3 @@ class TestRegistryMetadata:
         assert out.returncode == 0, out.stderr
         assert "fault-free" in out.stdout.split(",")
 
-
-class TestGoodPeriodStats:
-    def test_stats_read_straight_from_wire_reports(self):
-        record = execute_run(monitored_spec())
-        stats = good_period_stats(record.predicates)
-        assert set(stats) == {"p_su", "p_2otr"}
-        su = stats["p_su"]
-        assert isinstance(su, GoodPeriodStats)
-        assert su.rounds_observed > 0
-        assert su.good_fraction == record.predicates["p_su"]["satisfaction"]
-        assert su.longest_good_period == record.predicates["p_su"]["longest_good_run"]

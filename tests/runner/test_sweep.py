@@ -189,16 +189,6 @@ class TestSweepExecutor:
         assert seen == []  # rejected before anything executed
         assert len(run_sweep(specs, replicas=5).records) == 2
 
-    def test_record_for_rejects_ambiguous_lookup(self):
-        specs = [
-            RunSpec.make("chandra-toueg", "fault-free", 0, n=3),
-            RunSpec.make("chandra-toueg", "fault-free", 0, n=4),
-        ]
-        sweep = run_sweep(specs, workers=1)
-        with pytest.raises(KeyError, match="disambiguate"):
-            sweep.record_for("chandra-toueg", "fault-free", 0)
-        assert sweep.record_for("chandra-toueg", "fault-free", 0, n=4).n == 4
-
     def test_pool_starts_from_a_forkserver_after_a_matmul(self):
         """A float32 matmul leaves this process owning a BLAS thread pool;
         the pool must not fork it, and its records must equal inline ones."""

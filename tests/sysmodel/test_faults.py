@@ -32,7 +32,7 @@ class TestFaultSchedule:
         schedule = FaultSchedule.crash_stop([(0, 3.0), (2, 7.0)])
         assert len(schedule.events) == 2
         assert all(event.kind is FaultKind.CRASH for event in schedule.events)
-        assert schedule.affected_processes() == frozenset({0, 2})
+        assert {event.process for event in schedule.events} == {0, 2}
 
     def test_crash_recovery_constructor(self):
         schedule = FaultSchedule.crash_recovery([(1, 2.0, 9.0)])
@@ -47,7 +47,7 @@ class TestFaultSchedule:
         a = FaultSchedule.crash_stop([(0, 1.0)])
         b = FaultSchedule.crash_stop([(1, 2.0)])
         merged = a.merged_with(b)
-        assert merged.affected_processes() == frozenset({0, 1})
+        assert {event.process for event in merged.events} == {0, 1}
 
     def test_none(self):
         assert FaultSchedule.none().events == []
