@@ -219,3 +219,16 @@ class TestOneRoundOfState:
         for order in (queries, queries[::-1], shuffled):
             oracle = make(n)
             assert {query: oracle.ho_mask(*query) for query in order} == expected
+
+    def test_a_window_300_revisit_repeats_the_first_visit(self, make):
+        n, window = 4, 300
+        oracle = make(n)
+        rounds = range(1, window + 1)
+        first_visit = [oracle.ho_mask(r, p) for r in rounds for p in range(n)]
+        # run on past the window, then revisit it from round 1: the oracle
+        # replays its recurrence and repeats every answer
+        oracle.ho_mask(3 * window, 0)
+        second_visit = [oracle.ho_mask(r, p) for r in rounds for p in range(n)]
+        fresh = make(n)
+        assert second_visit == first_visit
+        assert first_visit == [fresh.ho_mask(r, p) for r in rounds for p in range(n)]

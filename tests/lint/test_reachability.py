@@ -6,19 +6,27 @@ plus the methods of those classes other than dunders.  A definition is
 it anywhere in ``src/repro`` (imports and ``__all__`` strings do not count).
 The unreached set must equal :data:`KEPT`, so the test fails both on a new
 definition that nothing in the program uses and on a ``KEPT`` entry that
-has since been deleted or gained a caller.
+has since been deleted or gained a caller.  Each ``KEPT`` reason is checked
+too: a cited test or example must name the definition, a ``protocol`` must
+be a ``typing.Protocol``, and any other entry must be named by some test
+or example.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
+import re
 from collections import defaultdict
 from pathlib import Path
 from typing import Dict, List, Set, Tuple
 
+import pytest
+
 import repro
 
 SRC = Path(repro.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[2]
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -29,11 +37,14 @@ KEPT: Dict[str, str] = {
     # Table 1 witnesses and the HO test oracle
     "repro.adversaries.classic.PartitionOracle": "claims: tests/claims/test_table1.py witness",
     "repro.adversaries.classic.SilentRoundsOracle": "claims: tests/claims/test_table1.py witness",
-    "repro.adversaries.classic.ScriptedOracle": "claims: tests/claims/test_table1.py witness",
+    "repro.adversaries.classic.ScriptedOracle": (
+        "reference: scripts exact HO sets for the algorithm unit tests"
+        " (tests/algorithms/test_one_third_rule.py)"
+    ),
     "repro.adversaries.classic.GoodPeriodOracle": "claims: tests/claims/test_table1.py witness",
     "repro.core.machine.HOMachine": (
-        "reference: the test oracle of the HO model; tests/claims/test_table1.py"
-        " and examples/quickstart.py run it"
+        "reference: the test oracle of the HO model, run by tests/claims/test_table1.py"
+        " and examples/quickstart.py"
     ),
     "repro.core.machine.HOMachine.current_round": "example: examples/quickstart.py",
     "repro.core.machine.HOMachine.run_until_decision": "example: examples/quickstart.py",
@@ -182,3 +193,57 @@ def test_unreached_definitions_are_exactly_the_kept_ones():
 
 def test_every_kept_entry_names_its_reason():
     assert [name for name, reason in KEPT.items() if not reason.strip()] == []
+
+
+#: The kinds of reason a ``KEPT`` clause may give, and the tree a cited path
+#: of that kind must lie in (``None``: any of ``tests/`` and ``examples/``).
+_KINDS = {"claims": "tests/claims/", "example": "examples/", "reference": None,
+          "protocol": None, "des/": None}
+_CITED = re.compile(r"(?:tests|examples)/[\w/]*(?:\.py|/)")
+
+
+@functools.lru_cache(maxsize=None)
+def _names_in(path: Path) -> Set[str]:
+    """Every identifier a ``Name`` or ``Attribute`` node of *path* names."""
+    files = sorted(path.rglob("*.py")) if path.is_dir() else [path]
+    names: Set[str] = set()
+    for file in files:
+        for node in ast.walk(ast.parse(file.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def _class_node(qualified: str) -> ast.ClassDef:
+    module, name = qualified.rsplit(".", 1)
+    path = SRC.parent.joinpath(*module.split("."))
+    path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return next(
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == name
+    )
+
+
+@pytest.mark.parametrize("qualified", sorted(KEPT))
+def test_kept_reason_holds(qualified):
+    reason = KEPT[qualified]
+    name = qualified.rsplit(".", 1)[1]
+    clauses = [clause.strip() for clause in reason.split(";")]
+    for clause in clauses:
+        kind = clause.split(":", 1)[0]
+        assert kind in _KINDS, f"unknown reason kind {kind!r}"
+        cited = _CITED.findall(clause)
+        if _KINDS[kind] is not None:
+            assert any(path.startswith(_KINDS[kind]) for path in cited), clause
+        for path in cited:
+            assert (ROOT / path).exists(), f"{path} does not exist"
+            assert name in _names_in(ROOT / path), f"{path} does not name {name}"
+        if kind == "protocol":
+            bases = {ast.unparse(base) for base in _class_node(qualified).bases}
+            assert bases & {"Protocol", "typing.Protocol"}, bases
+    if not _CITED.findall(reason) and not reason.startswith("protocol:"):
+        assert name in _names_in(ROOT / "tests") | _names_in(ROOT / "examples"), (
+            f"no test or example names {name}"
+        )
