@@ -4,18 +4,30 @@ Every monitor of :mod:`repro.predicates.monitors` exists here a third time,
 vectorised across the replica axis: a :class:`BatchMonitorBank` consumes one
 lockstep round of ``(R, n, ceil(n/64))`` uint64 heard-of mask arrays and
 maintains, per replica, exactly the state the scalar monitor would hold
-after the same rounds -- popcounts over word arrays replace per-mask
-``bit_count``, row comparisons replace per-process equality, and the
-run-length statistics (good rounds, streaks, first-hold rounds) update as
-``(R,)`` arrays under the batch's per-replica *active* mask, so replicas
-that stop early simply freeze, just like a finished scalar run.
+after the same rounds.  A round is one pass over a handful of ``(R, n, W)``
+and ``(M, R)`` arrays:
+
+* the bank runs the two Pi0 round tests once -- *space uniform* (every Pi0
+  member heard exactly Pi0) and *kernel* (every Pi0 member heard all of
+  Pi0) -- and hands both to the M monitors as a :class:`RoundView`;
+* each monitor turns the view into its ``(R,)`` good vector and advances its
+  verdict state.  ``P_restr_otr``'s candidate scan compares every row with
+  one row: a candidate Pi0 is the row of each of its more than
+  ``2n/3 > n/2`` members, so at most one exists per round and it is the
+  per-word median row (see :class:`BatchPRestrOtrMonitor`);
+* the bank updates the run-length statistics (rounds observed, good rounds,
+  streaks, first good and first hold rounds) of all M monitors at once, as
+  one ``(8, M, R)`` int32 array under the per-replica *active* mask, so
+  replicas that stop early simply freeze, just like a finished scalar run.
+  Each monitor's ``rounds_observed``, ``good_rounds``, ... are row views of
+  that array.
 
 ``P_restr_otr`` is the one monitor whose verdict state (the open-candidate
 table) is per-replica and sparse; it too lives in arrays -- a
 ``(R, C, W)`` candidate table, a ``(R, C, n)`` pending table and a ``(R,)``
 count -- so a round is one masked superset pass over the rows that have
 open candidates plus one append for the rows that open a new one, with no
-Python loop over replicas (see :class:`BatchPRestrOtrMonitor`).
+Python loop over replicas.
 
 Equivalence with the scalar monitors (and therefore, transitively, with the
 whole-collection checkers) is pinned by tests: for every predicate, every
@@ -26,7 +38,7 @@ same rounds.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -37,70 +49,42 @@ from .reports import PredicateReport
 from .static import otr_threshold
 
 
-class BatchPredicateMonitor:
-    """Shared run-length machinery of one predicate over R replicas.
+class RoundView(NamedTuple):
+    """One lockstep round as every monitor of a bank sees it."""
 
-    Subclasses implement ``_round_good`` (an ``(R,)`` bool array), optionally
-    ``_advance`` (verdict state), and ``_verdict`` (an ``(R,)`` bool array);
-    the base keeps the per-replica statistics that feed
-    :class:`~repro.predicates.reports.PredicateReport`, frozen wherever the
-    replica is inactive.
+    words: Any    # (R, n, W) uint64 heard-of rows
+    heard: Any    # (R, n, n) bool, the same rows unpacked
+    popc: Any     # (R, n) heard-of set sizes
+    su: Any       # (R,) bool: every Pi0 member heard exactly Pi0
+    kernel: Any   # (R,) bool: every Pi0 member heard all of Pi0
+
+
+class BatchPredicateMonitor:
+    """One predicate over R replicas: its round test and its verdict state.
+
+    Subclasses implement ``_observe`` (advance the verdict state on one
+    :class:`RoundView`, return the round's ``(R,)`` good vector) and
+    ``_verdict`` (an ``(R,)`` bool array).  The per-replica statistics that
+    feed :class:`~repro.predicates.reports.PredicateReport` are the rows of
+    *stats*, the monitor's ``(8, R)`` block of its bank's array; the bank
+    updates them, frozen wherever the replica is inactive.
     """
 
     name = "predicate"
 
-    def __init__(self, n: int, replicas: int) -> None:
+    def __init__(self, n: int, replicas: int, stats: Any) -> None:
         self.n = n
         self.replicas = replicas
         self.words = word_count(n)
-        zeros = lambda: np.zeros(replicas, dtype=np.int32)  # noqa: E731
-        self.rounds_observed = zeros()
-        self.good_rounds = zeros()
-        self.first_good = zeros()          # 0 = not yet
-        self.longest_good = zeros()
-        self.longest_bad = zeros()
-        self.current_good = zeros()
-        self.current_bad = zeros()
-        self.first_hold = zeros()          # 0 = not yet
-        self.last_good = np.zeros(replicas, dtype=bool)
+        # first_good and first_hold read 0 while not yet.
+        (self.rounds_observed, self.good_rounds, self.first_good, self.longest_good,
+         self.longest_bad, self.current_good, self.current_bad, self.first_hold) = stats
 
-    # ------------------------------------------------------------------ #
-    # streaming entry point
-    # ------------------------------------------------------------------ #
-
-    def observe(self, round: int, words: Any, heard: Any, popc: Any, active: Any) -> None:
-        good = self._round_good(words, heard, popc)
-        self._advance(round, words, heard, popc, good, active)
-        g = good & active
-        self.rounds_observed = np.where(active, np.int32(round), self.rounds_observed)
-        self.good_rounds += g
-        self.first_good = np.where(g & (self.first_good == 0), np.int32(round), self.first_good)
-        self.current_good = np.where(active, np.where(good, self.current_good + 1, 0),
-                                     self.current_good)
-        self.current_bad = np.where(active, np.where(good, 0, self.current_bad + 1),
-                                    self.current_bad)
-        self.longest_good = np.maximum(self.longest_good, self.current_good)
-        self.longest_bad = np.maximum(self.longest_bad, self.current_bad)
-        self.last_good = np.where(active, good, self.last_good)
-        holds = self._verdict()
-        self.first_hold = np.where(
-            active & holds & (self.first_hold == 0), np.int32(round), self.first_hold
-        )
-
-    # subclass hooks ---------------------------------------------------- #
-
-    def _round_good(self, words: Any, heard: Any, popc: Any) -> Any:
+    def _observe(self, round: int, view: RoundView, active: Any) -> Any:
         raise NotImplementedError
-
-    def _advance(
-        self, round: int, words: Any, heard: Any, popc: Any, good: Any, active: Any
-    ) -> None:
-        pass
 
     def _verdict(self) -> Any:
         raise NotImplementedError
-
-    # reports ----------------------------------------------------------- #
 
     def report_of(self, replica: int) -> PredicateReport:
         holds = bool(self._verdict()[replica])
@@ -116,30 +100,23 @@ class BatchPredicateMonitor:
         )
 
 
-def _pi0_state(n: int, pi0_mask: Optional[int]) -> Any:
-    mask = ((1 << n) - 1) if pi0_mask is None else pi0_mask
-    indices = list(iter_bits(mask))
-    words = np.array(mask_to_words(mask, n), dtype=np.uint64)
-    return mask, indices, words
-
-
 class BatchPSuMonitor(BatchPredicateMonitor):
     """Vectorised :class:`~repro.predicates.monitors.PSuMonitor` (open window)."""
 
     name = "p_su"
 
-    def __init__(self, n: int, replicas: int, pi0_mask: Optional[int] = None) -> None:
-        super().__init__(n, replicas)
-        self.pi0_mask, self._pi0_idx, self._pi0_words = _pi0_state(n, pi0_mask)
+    def __init__(self, n: int, replicas: int, stats: Any, pi0_mask: int) -> None:
+        super().__init__(n, replicas, stats)
+        self.pi0_mask = pi0_mask
         self._ok = np.ones(replicas, dtype=bool)
 
-    def _round_good(self, words: Any, heard: Any, popc: Any) -> Any:
-        if not self._pi0_idx:
-            return np.ones(self.replicas, dtype=bool)
-        return (words[:, self._pi0_idx, :] == self._pi0_words).all(axis=(1, 2))
+    def _good(self, view: RoundView) -> Any:
+        return view.su
 
-    def _advance(self, round, words, heard, popc, good, active) -> None:
+    def _observe(self, round: int, view: RoundView, active: Any) -> Any:
+        good = self._good(view)
         self._ok &= good | ~active
+        return good
 
     def _verdict(self) -> Any:
         observed = self.rounds_observed >= 1
@@ -153,11 +130,8 @@ class BatchPKernelMonitor(BatchPSuMonitor):
 
     name = "p_k"
 
-    def _round_good(self, words: Any, heard: Any, popc: Any) -> Any:
-        if not self._pi0_idx:
-            return np.ones(self.replicas, dtype=bool)
-        rows = words[:, self._pi0_idx, :]
-        return ((rows & self._pi0_words) == self._pi0_words).all(axis=(1, 2))
+    def _good(self, view: RoundView) -> Any:
+        return view.kernel
 
 
 class BatchPOtrMonitor(BatchPredicateMonitor):
@@ -165,27 +139,24 @@ class BatchPOtrMonitor(BatchPredicateMonitor):
 
     name = "p_otr"
 
-    def __init__(self, n: int, replicas: int) -> None:
-        super().__init__(n, replicas)
+    def __init__(self, n: int, replicas: int, stats: Any) -> None:
+        super().__init__(n, replicas, stats)
         self.threshold = otr_threshold(n)
         self._u_min = np.zeros(replicas, dtype=np.int32)  # 0 = unset
         self._later = np.zeros((replicas, self.words), dtype=np.uint64)
         self._full_words = np.array(mask_to_words((1 << n) - 1, n), dtype=np.uint64)
 
-    def _round_good(self, words: Any, heard: Any, popc: Any) -> Any:
-        uniform = (words == words[:, :1, :]).all(axis=(1, 2))
-        return uniform & (popc[:, 0] >= self.threshold)
-
-    def _advance(self, round, words, heard, popc, good, active) -> None:
+    def _observe(self, round: int, view: RoundView, active: Any) -> Any:
+        words, popc = view.words, view.popc
+        good = (words == words[:, :1, :]).all(axis=(1, 2)) & (popc[:, 0] >= self.threshold)
         done = (self._later == self._full_words).all(axis=1)
         witnessed = self._u_min > 0
         grow = active & witnessed & ~done
         if grow.any():
             big = pack_bools(popc >= self.threshold, self.n)
             self._later = np.where(grow[:, None], self._later | big, self._later)
-        self._u_min = np.where(
-            active & ~witnessed & good, np.int32(round), self._u_min
-        )
+        np.copyto(self._u_min, np.int32(round), where=active & ~witnessed & good)
+        return good
 
     def _verdict(self) -> Any:
         return (self._u_min > 0) & (self._later == self._full_words).all(axis=1)
@@ -196,26 +167,15 @@ class BatchP2OtrMonitor(BatchPredicateMonitor):
 
     name = "p_2otr"
 
-    def __init__(self, n: int, replicas: int, pi0_mask: Optional[int] = None) -> None:
-        super().__init__(n, replicas)
-        self.pi0_mask, self._pi0_idx, self._pi0_words = _pi0_state(n, pi0_mask)
+    def __init__(self, n: int, replicas: int, stats: Any) -> None:
+        super().__init__(n, replicas, stats)
         self._prev_su = np.zeros(replicas, dtype=bool)
         self._satisfied = np.zeros(replicas, dtype=bool)
 
-    def _space_uniform(self, words: Any) -> Any:
-        if not self._pi0_idx:
-            return np.ones(self.replicas, dtype=bool)
-        return (words[:, self._pi0_idx, :] == self._pi0_words).all(axis=(1, 2))
-
-    def _round_good(self, words: Any, heard: Any, popc: Any) -> Any:
-        if not self._pi0_idx:
-            return np.ones(self.replicas, dtype=bool)
-        rows = words[:, self._pi0_idx, :]
-        return ((rows & self._pi0_words) == self._pi0_words).all(axis=(1, 2))
-
-    def _advance(self, round, words, heard, popc, good, active) -> None:
-        self._satisfied |= active & self._prev_su & good
-        self._prev_su = np.where(active, self._space_uniform(words), self._prev_su)
+    def _observe(self, round: int, view: RoundView, active: Any) -> Any:
+        self._satisfied |= active & self._prev_su & view.kernel
+        np.copyto(self._prev_su, view.su, where=active)
+        return view.kernel
 
     def _verdict(self) -> Any:
         return self._satisfied
@@ -226,28 +186,39 @@ class BatchP11OtrMonitor(BatchP2OtrMonitor):
 
     name = "p_1/1otr"
 
-    def __init__(self, n: int, replicas: int, pi0_mask: Optional[int] = None) -> None:
-        super().__init__(n, replicas, pi0_mask)
+    def __init__(self, n: int, replicas: int, stats: Any) -> None:
+        super().__init__(n, replicas, stats)
         self._su_seen = np.zeros(replicas, dtype=bool)
 
-    def _advance(self, round, words, heard, popc, good, active) -> None:
-        self._satisfied |= active & self._su_seen & good
-        self._su_seen |= active & self._space_uniform(words)
+    def _observe(self, round: int, view: RoundView, active: Any) -> Any:
+        self._satisfied |= active & self._su_seen & view.kernel
+        self._su_seen |= active & view.su
+        return view.kernel
 
 
 class BatchPRestrOtrMonitor(BatchPredicateMonitor):
     """Vectorised :class:`~repro.predicates.monitors.PRestrOtrMonitor`.
 
     The candidate scan (is there a > 2n/3 set whose members all heard
-    exactly each other?) runs as array comparisons for all replicas at
-    once, and so does the open-candidate table, the scalar monitor's
-    ``{Pi0 mask: pending mask}`` dict laid out as arrays: row r's first
-    ``_count[r]`` slots of ``_cand[r]`` hold its candidates' words in the
-    order they opened, ``_pending[r, c]`` the members still lacking a later
-    round with ``HO >= Pi0``; unused slots are all-zero.  The slot axis
-    doubles when a row fills it and -- like the scalar dict -- never evicts:
-    a candidate dropped today could have completed tomorrow, which would
-    change the verdict.
+    exactly each other?) compares each row with one row.  A candidate Pi0
+    is the row of each of its more than ``2n/3`` members; two candidates
+    would need two disjoint such sets, so at most one exists per round.
+    Its more than ``n/2`` members hold every one of its W words, so sorting
+    each word along the process axis puts the candidate's word at position
+    ``n // 2``: the candidate, if any, is that median row.  The round has
+    one iff some process holds the median row, the row has at least
+    ``otr_threshold(n)`` members and each member holds it; the processes
+    passing the scan are exactly those members (a process holding the row
+    without hearing itself does not pass).
+
+    The open-candidate table is the scalar monitor's ``{Pi0 mask: pending
+    mask}`` dict laid out as arrays: row r's first ``_count[r]`` slots of
+    ``_cand[r]`` hold its candidates' words in the order they opened,
+    ``_pending[r, c]`` the members still lacking a later round with
+    ``HO >= Pi0``; unused slots are all-zero.  The slot axis doubles when a
+    row fills it and -- like the scalar dict -- never evicts: a candidate
+    dropped today could have completed tomorrow, which would change the
+    verdict.
     """
 
     name = "p_restr_otr"
@@ -255,23 +226,32 @@ class BatchPRestrOtrMonitor(BatchPredicateMonitor):
     #: initial width of the slot axis (at most one candidate opens per round).
     INITIAL_SLOTS = 4
 
-    def __init__(self, n: int, replicas: int) -> None:
-        super().__init__(n, replicas)
+    def __init__(self, n: int, replicas: int, stats: Any) -> None:
+        super().__init__(n, replicas, stats)
         self.threshold = otr_threshold(n)
         self._satisfied = np.zeros(replicas, dtype=bool)
         self._cand = np.zeros((replicas, self.INITIAL_SLOTS, self.words), dtype=np.uint64)
         self._pending = np.zeros((replicas, self.INITIAL_SLOTS, n), dtype=bool)
         self._count = np.zeros(replicas, dtype=np.intp)
-        self._diag = np.arange(n)
+        self._replica = np.arange(replicas)
 
-    def _round_good(self, words: Any, heard: Any, popc: Any) -> Any:
-        rows_equal = (words[:, :, None, :] == words[:, None, :, :]).all(axis=3)
-        members_equal = (~heard | rows_equal).all(axis=2)
-        hears_self = heard[:, self._diag, self._diag]
-        self._ok_p = (popc >= self.threshold) & hears_self & members_equal
-        return self._ok_p.any(axis=1)
+    def _scan(self, words: Any, heard: Any, popc: Any) -> Any:
+        """(R, n) bool: the processes of each replica that pass the candidate scan."""
+        row = np.sort(words, axis=1)[:, self.n // 2]                  # (R, W)
+        same = (words == row[:, None, :]).all(axis=2)                 # (R, n)
+        owner = same.argmax(axis=1)                   # the median row's first holder
+        members = heard[self._replica, owner]                         # (R, n)
+        found = (
+            same[self._replica, owner]
+            & (popc[self._replica, owner] >= self.threshold)
+            & (same | ~members).all(axis=1)
+        )
+        return members & found[:, None]
 
-    def _advance(self, round, words, heard, popc, good, active) -> None:
+    def _observe(self, round: int, view: RoundView, active: Any) -> Any:
+        words, heard = view.words, view.heard
+        ok_p = self._scan(words, heard, view.popc)
+        good = ok_p.any(axis=1)
         # Clear first: a pending member p of candidate c is done once
         # HO(p) >= c.  Satisfied and inactive rows are frozen.
         rows = np.flatnonzero(active & ~self._satisfied & (self._count > 0))
@@ -291,8 +271,8 @@ class BatchPRestrOtrMonitor(BatchPredicateMonitor):
         # just completed it and the row is no longer open.
         rows = np.flatnonzero(active & ~self._satisfied & good)
         if not rows.size:
-            return
-        p_star = self._ok_p[rows].argmax(axis=1)
+            return good
+        p_star = ok_p[rows].argmax(axis=1)
         slot = self._count[rows]
         if int(slot.max()) == self._cand.shape[1]:
             self._cand = np.concatenate([self._cand, np.zeros_like(self._cand)], axis=1)
@@ -302,6 +282,7 @@ class BatchPRestrOtrMonitor(BatchPredicateMonitor):
         self._cand[rows, slot] = words[rows, p_star]
         self._pending[rows, slot] = heard[rows, p_star]
         self._count[rows] = slot + 1
+        return good
 
     def _verdict(self) -> Any:
         return self._satisfied
@@ -338,20 +319,45 @@ class BatchMonitorBank:
         self.n = n
         self.replicas = replicas
         self.stop_after_held = stop_after_held
+        full = (1 << n) - 1
+        pi0 = full if pi0_mask is None else pi0_mask
+        # Pi0 = everyone tests the words themselves, not a fancy-index copy.
+        self._pi0_idx = None if pi0 == full else list(iter_bits(pi0))
+        self._pi0_words = np.array(mask_to_words(pi0, n), dtype=np.uint64)
+        #: rounds observed, good rounds, first good, longest good, longest
+        #: bad, current good, current bad, first hold -- per monitor, replica.
+        self._stats = np.zeros((8, len(predicates), replicas), dtype=np.int32)
         self.monitors = [
-            build_batch_monitor(name, n, replicas, pi0_mask=pi0_mask)
-            for name in predicates
+            build_batch_monitor(name, n, replicas, self._stats[:, i], pi0)
+            for i, name in enumerate(predicates)
         ]
         self._stop = np.zeros(replicas, dtype=bool)
 
     def observe_round(self, round: int, words: Any, heard: Any, popc: Any, active: Any) -> None:
-        for monitor in self.monitors:
-            monitor.observe(round, words, heard, popc, active)
+        rows = words if self._pi0_idx is None else words[:, self._pi0_idx, :]
+        pi0 = self._pi0_words
+        su = (rows == pi0).all(axis=(1, 2))
+        kernel = ((rows & pi0) == pi0).all(axis=(1, 2))
+        view = RoundView(words, heard, popc, su, kernel)
+        good = np.array([monitor._observe(round, view, active) for monitor in self.monitors])
+        (observed, good_rounds, first_good, longest_good, longest_bad,
+         current_good, current_bad, first_hold) = self._stats
+        counted = good & active
+        missed = active & ~good
+        at = np.int32(round)
+        np.copyto(observed, at, where=active)
+        good_rounds += counted
+        np.copyto(first_good, at, where=counted & (first_good == 0))
+        current_good += counted
+        np.copyto(current_good, 0, where=missed)
+        current_bad += missed
+        np.copyto(current_bad, 0, where=counted)
+        np.maximum(longest_good, current_good, out=longest_good)
+        np.maximum(longest_bad, current_bad, out=longest_bad)
+        holds = np.array([monitor._verdict() for monitor in self.monitors])
+        np.copyto(first_hold, at, where=active & holds & (first_hold == 0))
         if self.stop_after_held is not None:
-            held = np.zeros(self.replicas, dtype=bool)
-            for monitor in self.monitors:
-                held |= monitor.current_good >= self.stop_after_held
-            self._stop |= active & held
+            self._stop |= active & (current_good >= self.stop_after_held).any(axis=0)
 
     @property
     def stop_array(self) -> Any:
@@ -371,30 +377,33 @@ def build_batch_monitor(
     name: str,
     n: int,
     replicas: int,
-    pi0_mask: Optional[int] = None,
+    stats: Any,
+    pi0_mask: int,
 ) -> BatchPredicateMonitor:
     """Build the vectorised monitor for predicate *name* over R replicas.
 
     Accepts the same names (and aliases) as
-    :func:`repro.predicates.build_monitor`; the Pi0-scoped predicates take
-    *pi0_mask* as a bitmask (``None`` means the full process set).
+    :func:`repro.predicates.build_monitor`.  *stats* is the monitor's
+    ``(8, R)`` int32 block of its bank's statistics; *pi0_mask* is the
+    bank's Pi0 as a bitmask (the bank runs the Pi0 round tests itself).
     """
     key = canonical_predicate_name(name)
     if key == "p_otr":
-        return BatchPOtrMonitor(n, replicas)
+        return BatchPOtrMonitor(n, replicas, stats)
     if key == "p_restr_otr":
-        return BatchPRestrOtrMonitor(n, replicas)
+        return BatchPRestrOtrMonitor(n, replicas, stats)
     if key == "p_su":
-        return BatchPSuMonitor(n, replicas, pi0_mask)
+        return BatchPSuMonitor(n, replicas, stats, pi0_mask)
     if key == "p_k":
-        return BatchPKernelMonitor(n, replicas, pi0_mask)
+        return BatchPKernelMonitor(n, replicas, stats, pi0_mask)
     if key == "p_2otr":
-        return BatchP2OtrMonitor(n, replicas, pi0_mask)
-    return BatchP11OtrMonitor(n, replicas, pi0_mask)
+        return BatchP2OtrMonitor(n, replicas, stats)
+    return BatchP11OtrMonitor(n, replicas, stats)
 
 
 __all__ = [
     "MONITOR_NAMES",
+    "RoundView",
     "BatchPredicateMonitor",
     "BatchPOtrMonitor",
     "BatchPRestrOtrMonitor",

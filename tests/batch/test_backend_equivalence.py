@@ -205,8 +205,7 @@ class TestBitIdenticalReplicas:
 
 
 class TestMonitoredBatches:
-    def _make(self, fault_model, stop=None, horizon=False):
-        n = 5
+    def _make(self, n, fault_model, stop=None, horizon=False):
         pi0 = frozenset(range(n))
         names = tuple(MONITOR_NAMES)
         batch = make_batch(
@@ -218,11 +217,13 @@ class TestMonitoredBatches:
         )
         return batch
 
+    # n = 64 is monitored-grid's size; n = 65 crosses a word boundary.
+    @pytest.mark.parametrize("n", [5, 64, 65])
     @pytest.mark.parametrize("fault_model", ["partition-heal", "lossy", "crash-recovery"])
     @pytest.mark.parametrize("stop,horizon", [(None, False), (4, False), (None, True), (3, True)])
-    def test_all_six_monitors_agree(self, fault_model, stop, horizon):
-        scalar = get_backend("scalar").run(self._make(fault_model, stop, horizon))
-        batched = get_backend("batch").run(self._make(fault_model, stop, horizon))
+    def test_all_six_monitors_agree(self, n, fault_model, stop, horizon):
+        scalar = get_backend("scalar").run(self._make(n, fault_model, stop, horizon))
+        batched = get_backend("batch").run(self._make(n, fault_model, stop, horizon))
         assert batched == scalar
 
 

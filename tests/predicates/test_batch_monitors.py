@@ -13,7 +13,9 @@ import random
 import pytest
 
 from repro.predicates import MONITOR_NAMES, MonitorBank, build_monitor
-from repro.rounds.bitmask import mask_of
+from repro.predicates.monitors import PRestrOtrMonitor
+from repro.predicates.static import otr_threshold
+from repro.rounds.bitmask import mask_of, mask_to_words
 
 
 def random_mask_rounds(n, rounds, seed, shape_bias):
@@ -146,6 +148,111 @@ class TestBatchedMonitorEquivalence:
             for r in range(5)
         ]
         assert batch_stops == stops
+
+    def test_stop_after_held_fires_through_any_monitor(self):
+        import numpy as np
+
+        from repro.predicates import build_monitor_bank
+        from repro.predicates.batch import BatchMonitorBank
+
+        n, pi0, names = 4, {0, 1, 2}, ("p_otr", "p_su")
+        su = [0b0111] * 3 + [0b1000]        # space uniform for Pi0, not uniform
+        full = [0b1111] * n                 # uniform quorum, not space uniform
+        streams = [
+            [su] * 5,                       # stops at round 3 through p_su only
+            [full] * 5,                     # stops at round 3 through p_otr
+            [su, full] * 2 + [su],          # neither holds 3 rounds in a row
+            [full, full, su, su, su],       # p_otr's run breaks, p_su's completes
+            random_mask_rounds(n, 5, 90, 0.5),
+        ]
+        batch_bank = BatchMonitorBank(n, 5, names, pi0_mask=mask_of(pi0), stop_after_held=3)
+        scalar_banks = [build_monitor_bank(n, names, pi0=pi0, stop_after_held=3) for _ in streams]
+        active = np.ones(5, dtype=bool)
+        stops = [None] * 5
+        batch_stops = [None] * 5
+        for round in range(1, 6):
+            batch_bank.observe_round(round, *round_arrays(n, streams, round), active)
+            for r, bank in enumerate(scalar_banks):
+                if stops[r] is None:
+                    bank.observe_round(round, streams[r][round - 1])
+                    if bank.stop_requested:
+                        stops[r] = round
+                if batch_stops[r] is None and batch_bank.stop_array[r]:
+                    batch_stops[r] = round
+            active &= ~batch_bank.stop_array
+        assert batch_stops == stops
+        assert stops[:4] == [3, 3, None, 5]
+        otr, su_monitor = batch_bank.monitors
+        assert otr.longest_good[0] == 0 and su_monitor.current_good[0] == 3
+
+
+# --------------------------------------------------------------------------- #
+# P_restr_otr: the median-row candidate scan against the scalar scan
+# --------------------------------------------------------------------------- #
+
+
+def scan_probe_rounds(n, seed):
+    """Heard-of vectors that probe the candidate scan at system size *n*.
+
+    Everybody and nobody heard; planted candidates of size threshold - 1,
+    threshold and n, alone, with every non-member holding the candidate's
+    row without hearing itself, and with one member holding another row;
+    two near-candidates splitting the processes; a majority row with random
+    members; and random noise, with and without self-delivery.
+    """
+    rng = random.Random(seed)
+    full = (1 << n) - 1
+    noise = lambda: rng.getrandbits(n)  # noqa: E731
+    rounds = [[full] * n, [0] * n]
+    for size in sorted({otr_threshold(n) - 1, otr_threshold(n), n} - {0}):
+        members = rng.sample(range(n), size)
+        mask = mask_of(members)
+        planted = [mask if p in members else noise() for p in range(n)]
+        defector = list(planted)
+        defector[members[-1]] = mask ^ (1 << rng.randrange(n))
+        rounds += [planted, [mask] * n, defector]
+    split = mask_of(rng.sample(range(n), n // 2))
+    rounds.append([split if split >> p & 1 else full & ~split for p in range(n)])
+    for _ in range(4):
+        common = noise() | 1 << rng.randrange(n)
+        rounds.append([common if rng.random() < 0.8 else noise() for _ in range(n)])
+        rounds.append([noise() for _ in range(n)])
+        rounds.append([noise() | 1 << p for p in range(n)])
+    return rounds
+
+
+class TestRestrOtrMedianScan:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 63, 64, 65, 129])
+    def test_scan_matches_the_scalar_candidate_round_by_round(self, n):
+        import numpy as np
+
+        from repro.predicates.batch import BatchMonitorBank
+
+        probes = scan_probe_rounds(n, seed=n)
+        replicas = len(probes)
+        # replica r sees probes r, r + 1, r + 2: every probe opens a table
+        # in round 1 and meets a non-empty one later
+        streams = [[probes[(r + k) % replicas] for k in range(3)] for r in range(replicas)]
+        scalar = PRestrOtrMonitor(n)
+        bank = BatchMonitorBank(n, replicas, ("p_restr_otr",))
+        monitor = bank.monitors[0]
+        active = np.ones(replicas, dtype=bool)
+        candidates = []
+        for round in range(1, 4):
+            good_before = monitor.good_rounds.copy()
+            count_before = monitor._count.copy()
+            bank.observe_round(round, *round_arrays(n, streams, round), active)
+            for r in range(replicas):
+                candidate = scalar._candidate_of(streams[r][round - 1])
+                candidates.append(candidate)
+                assert monitor.good_rounds[r] - good_before[r] == (candidate != 0), (round, r)
+                opened = monitor._count[r] > count_before[r]
+                assert opened == (candidate != 0 and not monitor._satisfied[r]), (round, r)
+                if opened:
+                    appended = monitor._cand[r, count_before[r]].tolist()
+                    assert appended == list(mask_to_words(candidate, n)), (round, r)
+        assert any(candidates) and not all(candidates)
+        restr_otr_round_by_round(n, streams)
 
 
 # --------------------------------------------------------------------------- #
