@@ -3,10 +3,10 @@ for Coping with Transient and Dynamic Faults" (Hutle & Schiper, DSN 2007).
 
 The package implements the full stack described by the paper:
 
-* :mod:`repro.engine` -- the shared discrete-event engine core: the
+* :mod:`repro.engine` -- the discrete-event engine core: the
   (time, sequence)-ordered event queue, the simulated clock, named seeded
-  random sub-streams and the crash/recovery fault-injection layer that both
-  simulators delegate to;
+  random sub-streams and the crash/recovery fault-injection layer that the
+  step-level simulator delegates to;
 * :mod:`repro.core` -- the Heard-Of (HO) model: rounds, algorithms and the
   HO machine;
 * :mod:`repro.predicates` / :mod:`repro.adversaries` -- communication
@@ -14,14 +14,14 @@ The package implements the full stack described by the paper:
 * :mod:`repro.algorithms` -- consensus algorithms in the HO model
   (OneThirdRule, LastVoting, UniformVoting);
 * :mod:`repro.sysmodel` -- the step-level partially synchronous system model
-  with good/bad periods, crash-recovery and message loss;
+  with good/bad periods, crash-recovery and message loss: the one simulator
+  every compared stack runs on;
 * :mod:`repro.predimpl` -- the predicate-implementation layer
   (Algorithms 2, 3, 4) and the analytic good-period bounds
   (Theorems 3, 5, 6, 7, Corollary 4);
-* :mod:`repro.des` -- an event-driven asynchronous simulator used by the
-  failure-detector baselines;
 * :mod:`repro.failure_detectors` -- the Chandra-Toueg and Aguilera et al.
-  baseline consensus algorithms with their failure detectors;
+  baseline consensus algorithms with their failure detectors, written in
+  the upon-event style and run as step programs of the system model;
 * :mod:`repro.analysis` -- fault taxonomy, predicate checking and consensus
   property checking over traces;
 * :mod:`repro.workloads` -- scenario generators and the measurement harness

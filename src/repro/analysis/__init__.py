@@ -6,7 +6,6 @@ from .metrics import (
     RunMetrics,
     UnifiedTrace,
     algorithm_complexity_summary,
-    metrics_from_des,
     metrics_from_trace,
 )
 from .taxonomy import (
@@ -25,7 +24,6 @@ __all__ = [
     "RunMetrics",
     "UnifiedTrace",
     "metrics_from_trace",
-    "metrics_from_des",
     "AlgorithmComplexity",
     "algorithm_complexity_summary",
     "FaultClass",

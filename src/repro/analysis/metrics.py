@@ -3,7 +3,7 @@
 Two kinds of measurements back the benchmark reports:
 
 * *run metrics* -- decision latency, rounds needed, messages exchanged --
-  extracted from recorded traces (HO machine, step simulator or DES);
+  extracted from recorded traces (HO machine or step simulator);
 * *structural metrics* -- a quantitative rendering of the paper's Section 2
   argument that the crash-recovery failure-detector algorithm (Algorithm 6)
   is far more complex than the crash-stop one (Algorithm 5), while the HO
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Protocol
 
 from ..core.types import DecisionRecord, ProcessId
-from ..des.simulator import EventSimulator
 
 
 class UnifiedTrace(Protocol):
@@ -82,25 +81,6 @@ def metrics_from_trace(
     )
 
 
-def metrics_from_des(
-    simulator: EventSimulator, scope: Optional[Iterable[ProcessId]] = None
-) -> RunMetrics:
-    """Metrics of an event-driven (failure-detector baseline) run."""
-    scope_set = set(range(simulator.n)) if scope is None else set(scope)
-    decisions = {p: event for p, event in simulator.decisions.items() if p in scope_set}
-    times = [event.time for event in decisions.values()]
-    return RunMetrics(
-        decided_processes=len(decisions),
-        scope_size=len(scope_set),
-        unanimous=len({event.value for event in decisions.values()}) <= 1,
-        first_decision_time=min(times) if times else None,
-        last_decision_time=max(times) if times else None,
-        first_decision_round=None,
-        last_decision_round=None,
-        messages_sent=simulator.messages_sent,
-    )
-
-
 @dataclass(frozen=True)
 class AlgorithmComplexity:
     """Structural complexity of a consensus algorithm (the Section 2 comparison)."""
@@ -160,7 +140,6 @@ __all__ = [
     "RunMetrics",
     "UnifiedTrace",
     "metrics_from_trace",
-    "metrics_from_des",
     "AlgorithmComplexity",
     "algorithm_complexity_summary",
 ]

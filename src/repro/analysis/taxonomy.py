@@ -23,10 +23,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet
+from typing import TYPE_CHECKING, Dict, FrozenSet
 
 from ..core.types import ProcessId
 from ..sysmodel.faults import FaultKind, FaultSchedule
+
+if TYPE_CHECKING:
+    from ..sysmodel.simulator import SystemSimulator
 
 
 class FaultClass(enum.Enum):
@@ -55,6 +58,15 @@ class FaultConfiguration:
     schedule: FaultSchedule
     lossy_links: bool = False
     omission_processes: FrozenSet[ProcessId] = frozenset()
+
+    @classmethod
+    def of_run(cls, simulator: "SystemSimulator") -> "FaultConfiguration":
+        """The configuration of a step-level run: its fault schedule and bad-period links."""
+        return cls(
+            n=simulator.n,
+            schedule=simulator.fault_schedule,
+            lossy_links=simulator.network.bad_behavior.loss_probability > 0.0,
+        )
 
     def crashed_processes(self) -> FrozenSet[ProcessId]:
         """Processes that crash at least once."""

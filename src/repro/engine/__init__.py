@@ -1,18 +1,18 @@
-"""repro.engine: the shared discrete-event engine core.
+"""repro.engine: the discrete-event engine core.
 
-The two simulators of the library -- the message-driven DES the
-failure-detector baselines run on (:mod:`repro.des`) and the step-level
-simulator of the paper's system model (:mod:`repro.sysmodel`) -- are thin
-policy layers over this package:
+The library's one simulator -- the step-level simulator of the paper's
+system model (:mod:`repro.sysmodel`), which the HO stack and the
+failure-detector baselines both run on -- is a thin policy layer over this
+package:
 
 * :class:`EventQueue` -- the (time, sequence)-ordered future-event list;
 * :class:`Clock` / :class:`TraceRecorder` -- simulated time and the
   crash/recovery accounting protocol;
 * :class:`SeededRng` -- named, mutually isolated random sub-streams for
   replayable channel / step / fault randomness;
-* :class:`FaultSchedule` / :class:`CrashRecoveryInjector` -- the common
+* :class:`FaultSchedule` / :class:`CrashRecoveryInjector` -- the
   crash/recovery fault-injection layer;
-* :class:`EngineCore` -- the bundle of all of the above plus the run loop.
+* :class:`EngineCore` -- the queue, the clock and the rng plus the run loop.
 """
 
 from .core import EngineCore

@@ -1,29 +1,21 @@
-"""The shared crash / recovery fault-injection layer.
+"""The crash / recovery fault-injection layer.
 
-Both simulators inject the same kind of fault -- a process crashes at a
-scheduled time, possibly recovering later -- but used to express it twice:
-the DES with ``crash_times`` / ``recovery_times`` maps, the step-level model
-with a :class:`FaultSchedule`.  The schedule types now live here, and a
-:class:`CrashRecoveryInjector` applies them uniformly:
-
-* :meth:`CrashRecoveryInjector.arm` schedules the fault events into the
-  engine's event queue;
-* :meth:`CrashRecoveryInjector.apply` runs when a fault event is dispatched,
-  calling the simulator-specific ``crash`` / ``recover`` callbacks (which
-  return whether they actually changed the process state), recording applied
-  faults on the :class:`~repro.engine.trace.TraceRecorder`, and honouring an
-  optional *veto* (the system model forbids faults on processes currently
-  covered by a good period's synchrony guarantee).
+A :class:`FaultSchedule` lists timed crash and recovery events; the
+simulator schedules them, and :meth:`CrashRecoveryInjector.apply` runs when
+one is dispatched: it calls the simulator's ``crash`` / ``recover``
+callbacks (which return whether they actually changed the process state),
+records applied faults on the :class:`~repro.engine.trace.TraceRecorder`,
+and honours an optional *veto* (the system model forbids faults on
+processes currently covered by a good period's synchrony guarantee).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Mapping, Optional
+from typing import Callable, Iterable, List, Optional
 
 from ..core.types import ProcessId
-from .queue import EventQueue
 from .trace import TraceRecorder
 
 
@@ -83,34 +75,6 @@ class FaultSchedule:
             events.append(FaultEvent(recover_time, FaultKind.RECOVER, process))
         return cls(events=events)
 
-    @classmethod
-    def from_maps(
-        cls,
-        crash_times: Mapping[ProcessId, float],
-        recovery_times: Mapping[ProcessId, float],
-    ) -> "FaultSchedule":
-        """The DES-style description: per-process crash and recovery times.
-
-        Every recovery must follow a crash of the same process; this is where
-        the validation that used to live in ``EventSimulator.__init__`` now
-        happens, for both simulators.
-        """
-        for process, recover_at in recovery_times.items():
-            crash_at = crash_times.get(process)
-            if crash_at is None or recover_at <= crash_at:
-                raise ValueError(
-                    f"process {process} recovers at {recover_at} without a prior crash"
-                )
-        events = [
-            FaultEvent(time, FaultKind.CRASH, process)
-            for process, time in crash_times.items()
-        ]
-        events.extend(
-            FaultEvent(time, FaultKind.RECOVER, process)
-            for process, time in recovery_times.items()
-        )
-        return cls(events=events)
-
     def merged_with(self, other: "FaultSchedule") -> "FaultSchedule":
         """A schedule containing the events of both schedules."""
         return FaultSchedule(events=self.events + other.events)
@@ -123,23 +87,21 @@ FaultVeto = Callable[[FaultEvent], bool]
 
 
 class CrashRecoveryInjector:
-    """Applies a :class:`FaultSchedule` to a simulator, uniformly.
+    """Applies the events of a :class:`FaultSchedule` to a simulator.
 
     The simulator supplies ``crash`` / ``recover`` callbacks that flip its
     own process state (and return whether they did); the injector owns the
-    scheduling, the veto bookkeeping and the trace accounting.
+    veto bookkeeping and the trace accounting.
     """
 
     def __init__(
         self,
-        schedule: FaultSchedule,
         *,
         crash: FaultCallback,
         recover: FaultCallback,
         veto: Optional[FaultVeto] = None,
         recorder: Optional[TraceRecorder] = None,
     ) -> None:
-        self.schedule = schedule
         self._crash = crash
         self._recover = recover
         self._veto = veto
@@ -147,11 +109,6 @@ class CrashRecoveryInjector:
         #: fault events skipped because the veto refused them (e.g. faults
         #: falling inside a good period's synchronous scope).
         self.skipped: List[FaultEvent] = []
-
-    def arm(self, queue: EventQueue) -> None:
-        """Schedule every fault event of the schedule into *queue*."""
-        for event in self.schedule.events:
-            queue.schedule(event.time, event)
 
     def apply(self, event: FaultEvent) -> bool:
         """Dispatch one fault event; returns whether it changed process state."""

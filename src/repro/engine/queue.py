@@ -1,10 +1,7 @@
-"""The shared event-queue kernel: a (time, sequence)-ordered min-heap.
+"""The event-queue kernel: a (time, sequence)-ordered min-heap.
 
-Both simulators of the library -- the message-driven
-:class:`repro.des.simulator.EventSimulator` and the step-driven
-:class:`repro.sysmodel.simulator.SystemSimulator` -- used to own their own
-``heapq`` + ``itertools.count`` scheduling code.  This module is the single
-implementation they now delegate to.
+The future-event list of the step-driven
+:class:`repro.sysmodel.simulator.SystemSimulator`.
 
 Events are arbitrary objects; the queue imposes the ordering externally by
 storing ``(time, sequence, event)`` triples, so event classes need neither a
@@ -18,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Tuple
 
 
 class EventQueue:
@@ -36,21 +33,9 @@ class EventQueue:
     def __bool__(self) -> bool:
         return bool(self._heap)
 
-    def next_sequence(self) -> int:
-        """Hand out the next global sequence number (also used for event ids)."""
-        return next(self._counter)
-
-    def schedule(self, time: float, event: Any, sequence: Optional[int] = None) -> int:
-        """Insert *event* at *time*; returns the sequence number used for ordering.
-
-        A caller that already drew a number from :meth:`next_sequence` (for
-        example to stamp it into a public event dataclass) passes it back via
-        *sequence* so queue order and event numbering agree.
-        """
-        if sequence is None:
-            sequence = next(self._counter)
-        heapq.heappush(self._heap, (time, sequence, event))
-        return sequence
+    def schedule(self, time: float, event: Any) -> None:
+        """Insert *event* at *time*, after every event already scheduled for that time."""
+        heapq.heappush(self._heap, (time, next(self._counter), event))
 
     def pop_due(self, until: float) -> Iterator[Tuple[float, Any]]:
         """Yield ``(time, event)`` for every event with ``time <= until``, in order.

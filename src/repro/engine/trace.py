@@ -2,11 +2,10 @@
 
 Simulated time is a real-valued global clock that only the engine may
 advance; processes never read it.  Trace recording is defined as a
-*protocol* rather than a class: the DES keeps its counters on the simulator
-object itself, the step-level model records into a
-:class:`repro.sysmodel.trace.SystemRunTrace`, and both satisfy
-:class:`TraceRecorder` so the shared fault-injection layer can account
-crashes and recoveries without knowing which simulator it serves.
+*protocol* rather than a class: the step-level model records into a
+:class:`repro.sysmodel.trace.SystemRunTrace`, which satisfies
+:class:`TraceRecorder`, so the fault-injection layer accounts crashes and
+recoveries without knowing the trace class.
 """
 
 from __future__ import annotations
@@ -34,8 +33,7 @@ class Clock:
 class TraceRecorder(Protocol):
     """What the engine needs from a trace: crash / recovery accounting.
 
-    Both :class:`repro.des.simulator.EventSimulator` (which records onto
-    itself) and :class:`repro.sysmodel.trace.SystemRunTrace` implement this.
+    :class:`repro.sysmodel.trace.SystemRunTrace` implements this.
     """
 
     def record_crash(self, process: ProcessId, time: float) -> None:

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core.types import ProcessId
-from ..des.simulator import DESProcess, ProcessContext
+from ..sysmodel.params import SynchronyParams
 from .detectors import TrustListOutput
+from .program import EventProcess, ProcessContext
 
 
 @dataclass(frozen=True)
@@ -40,16 +41,13 @@ class ACTMessage:
     timestamp: int = 0
 
 
-class AguileraProcess(DESProcess):
+class AguileraProcess(EventProcess):
     """One process of the Aguilera et al. crash-recovery consensus algorithm."""
 
-    #: period between retransmissions of the last message sent per link
-    RETRANSMIT_PERIOD = 2.0
-    #: period between failure-detector polls of the skip_round task
-    FD_POLL_PERIOD = 1.0
-
-    def __init__(self, process_id: ProcessId, n: int, initial_value: Any) -> None:
-        super().__init__(process_id, n)
+    def __init__(
+        self, process_id: ProcessId, n: int, params: SynchronyParams, initial_value: Any
+    ) -> None:
+        super().__init__(process_id, n, params)
         self.initial_value = initial_value
         # Volatile state; rebuilt from stable storage on recovery.
         self.round = 1
@@ -124,8 +122,8 @@ class AguileraProcess(DESProcess):
         self._start_4phases(ctx)
 
     def _start_tasks(self, ctx: ProcessContext) -> None:
-        ctx.set_timer(self.RETRANSMIT_PERIOD, "retransmit")
-        ctx.set_timer(self.FD_POLL_PERIOD, "skip-round")
+        ctx.set_timer(self.retransmit_period, "retransmit")
+        ctx.set_timer(self.poll_period, "skip-round")
 
     # ------------------------------------------------------------------ #
     # the 4phases task
@@ -169,11 +167,11 @@ class AguileraProcess(DESProcess):
     def on_timer(self, ctx: ProcessContext, name: str) -> None:
         if name == "retransmit":
             self._retransmit(ctx)
-            ctx.set_timer(self.RETRANSMIT_PERIOD, "retransmit")
+            ctx.set_timer(self.retransmit_period, "retransmit")
         elif name == "skip-round":
             self._skip_round_check(ctx)
             if self.decided is None:
-                ctx.set_timer(self.FD_POLL_PERIOD, "skip-round")
+                ctx.set_timer(self.poll_period, "skip-round")
 
     def _retransmit(self, ctx: ProcessContext) -> None:
         if self.decided is not None:
@@ -287,11 +285,13 @@ class AguileraProcess(DESProcess):
             ctx.decide(value)
 
 
-def build_aguilera_processes(n: int, initial_values: List[Any]) -> List[AguileraProcess]:
+def build_aguilera_processes(
+    n: int, initial_values: List[Any], params: SynchronyParams
+) -> List[AguileraProcess]:
     """One :class:`AguileraProcess` per process."""
     if len(initial_values) != n:
         raise ValueError(f"expected {n} initial values, got {len(initial_values)}")
-    return [AguileraProcess(p, n, initial_values[p]) for p in range(n)]
+    return [AguileraProcess(p, n, params, initial_values[p]) for p in range(n)]
 
 
 __all__ = ["ACTMessage", "AguileraProcess", "build_aguilera_processes"]

@@ -14,9 +14,9 @@ correct processes, and **reliable** channels.  Each round has four phases:
    reliably broadcasts the decision.
 
 The dependence on reliable links and on the crash-*stop* assumption is the
-point of experiment E8: the same algorithm breaks (blocks forever or loses
-its quorum) under message loss or crash-recovery, whereas the HO stack of
-Section 4 is unchanged.
+point of experiment E8: once a message it waits for is lost, or a process
+recovers without its state, the same algorithm may block forever (never
+decide wrongly), whereas the HO stack of Section 4 is unchanged.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.types import ProcessId
-from ..des.simulator import DESProcess, ProcessContext
+from ..sysmodel.params import SynchronyParams
+from .program import EventProcess, ProcessContext
 
 
 @dataclass(frozen=True)
@@ -38,14 +39,13 @@ class CTMessage:
     timestamp: int = 0
 
 
-class ChandraTouegProcess(DESProcess):
+class ChandraTouegProcess(EventProcess):
     """One process of the Chandra-Toueg ◇S rotating-coordinator algorithm."""
 
-    #: period (simulated time) between failure-detector polls in phase 3
-    FD_POLL_PERIOD = 1.0
-
-    def __init__(self, process_id: ProcessId, n: int, initial_value: Any) -> None:
-        super().__init__(process_id, n)
+    def __init__(
+        self, process_id: ProcessId, n: int, params: SynchronyParams, initial_value: Any
+    ) -> None:
+        super().__init__(process_id, n, params)
         self.initial_value = initial_value
         # Volatile algorithm state (crash-stop: nothing survives a crash).
         self.estimate = initial_value
@@ -85,7 +85,7 @@ class ChandraTouegProcess(DESProcess):
 
     def on_start(self, ctx: ProcessContext) -> None:
         self._start_round(ctx, 1)
-        ctx.set_timer(self.FD_POLL_PERIOD, "fd-poll")
+        ctx.set_timer(self.poll_period, "fd-poll")
 
     def _start_round(self, ctx: ProcessContext, round: int) -> None:
         if self.decided is not None:
@@ -113,7 +113,7 @@ class ChandraTouegProcess(DESProcess):
                 # Suspect the coordinator: NACK and move on to the next round.
                 self._send(ctx, coordinator, CTMessage("nack", self.round))
                 self._start_round(ctx, self.round + 1)
-        ctx.set_timer(self.FD_POLL_PERIOD, "fd-poll")
+        ctx.set_timer(self.poll_period, "fd-poll")
 
     def on_message(self, ctx: ProcessContext, sender: ProcessId, payload: Any) -> None:
         if not isinstance(payload, CTMessage):
@@ -192,11 +192,13 @@ class ChandraTouegProcess(DESProcess):
             ctx.decide(value)
 
 
-def build_chandra_toueg_processes(n: int, initial_values: List[Any]) -> List[ChandraTouegProcess]:
+def build_chandra_toueg_processes(
+    n: int, initial_values: List[Any], params: SynchronyParams
+) -> List[ChandraTouegProcess]:
     """One :class:`ChandraTouegProcess` per process."""
     if len(initial_values) != n:
         raise ValueError(f"expected {n} initial values, got {len(initial_values)}")
-    return [ChandraTouegProcess(p, n, initial_values[p]) for p in range(n)]
+    return [ChandraTouegProcess(p, n, params, initial_values[p]) for p in range(n)]
 
 
 __all__ = ["CTMessage", "ChandraTouegProcess", "build_chandra_toueg_processes"]

@@ -5,12 +5,15 @@ The failure-detector model is the baseline the paper argues against
 to each process; its output only has to satisfy *eventual* completeness and
 accuracy properties, so any finite prefix of bad output is allowed.
 
-The oracles here are *ground-truth based*: they look at the simulator's
-actual crash state, but deliberately behave badly (arbitrary suspicions,
-noisy epochs) before a configurable stabilisation time.  This mirrors the
-standard way failure-detector algorithms are evaluated -- the algorithm must
-cope with the bad prefix and exploit the eventual guarantees -- while
-keeping runs deterministic.
+The oracles here are *ground-truth based*: they read the step-level
+simulator's process state (``runtimes[q].up`` and ``runtimes[q].stats``),
+but deliberately behave badly (arbitrary suspicions, noisy epochs) before
+they stabilise.  The run's environment fixes when that is: at the start of
+the simulator's last good period, the paper's own premise for the HO stack
+("eventually accurate" = accurate from the good period on), and the
+processes that are eventually up are that period's pi0.  A schedule without
+a good period never stabilises.  The noise is drawn from the ``detector``
+sub-stream of the run's seed.
 
 * :class:`EventuallyStrongDetector` implements ◇S for the crash-stop model:
   after stabilisation it suspects exactly the crashed processes (strong
@@ -24,58 +27,56 @@ keeping runs deterministic.
 
 from __future__ import annotations
 
-# The oracles draw their pre-stabilisation noise from random.Random(seed)
-# directly: behavioural tests pin outcomes of this exact draw sequence
-# (e.g. that stabilization_time 10 vs 60 yields different decision times at
-# seed 0), so re-routing through SeededRng's hashed sub-seeds would silently
-# re-roll every detector experiment.  The draws are still seeded, isolated
-# per detector instance, and never shared with any other concern.  REP001's
-# scope leaves this module out (repro.lint.determinism.RANDOM_OWNERS).
-import random
-
+import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Mapping
 
 from ..core.types import ProcessId
-from ..des.simulator import EventSimulator
+from ..engine.rng import SeededRng
+from ..sysmodel.simulator import SystemSimulator
 
 
-class EventuallyStrongDetector:
+class _Oracle:
+    """What both oracles share: the simulator, its last good period and the noise stream."""
+
+    def __init__(self, simulator: SystemSimulator, seed: int, noise: float) -> None:
+        if not 0.0 <= noise <= 1.0:
+            raise ValueError(f"noise probability must be in [0, 1], got {noise}")
+        self.simulator = simulator
+        periods = simulator.schedule.good_periods
+        self.stabilization_time = periods[-1].start if periods else math.inf
+        self.eventually_up: FrozenSet[ProcessId] = periods[-1].pi0 if periods else frozenset()
+        self._rng = SeededRng(seed).stream("detector")
+
+    def _stable(self) -> bool:
+        return self.simulator.now >= self.stabilization_time
+
+
+class EventuallyStrongDetector(_Oracle):
     """The ◇S failure detector for the crash-stop model.
 
-    ``query`` returns the set of *suspected* processes.  Before
-    *stabilization_time* any process may be wrongly suspected (with
-    probability *false_suspicion_probability* per query and per process);
-    afterwards exactly the crashed processes are suspected.
+    A query returns the set of *suspected* processes.  Before stabilisation
+    any process may be wrongly suspected (with probability
+    *false_suspicion_probability* per query and per process); afterwards
+    exactly the crashed processes are.
     """
 
     def __init__(
-        self,
-        stabilization_time: float = 0.0,
-        false_suspicion_probability: float = 0.3,
-        seed: int = 0,
+        self, simulator: SystemSimulator, seed: int, false_suspicion_probability: float = 0.3
     ) -> None:
-        if stabilization_time < 0:
-            raise ValueError("stabilization_time must be non-negative")
-        if not 0.0 <= false_suspicion_probability <= 1.0:
-            raise ValueError("false_suspicion_probability must be in [0, 1]")
-        self.stabilization_time = stabilization_time
+        super().__init__(simulator, seed, false_suspicion_probability)
         self.false_suspicion_probability = false_suspicion_probability
-        self._rng = random.Random(seed)
 
-    def query(self, simulator: EventSimulator, process: ProcessId) -> FrozenSet[ProcessId]:
-        """The set of processes *process* currently suspects."""
-        crashed = frozenset(q for q in range(simulator.n) if not simulator.is_up(q))
-        if simulator.now >= self.stabilization_time:
+    def __call__(self, process: ProcessId) -> FrozenSet[ProcessId]:
+        runtimes = self.simulator.runtimes
+        crashed = frozenset(q for q, runtime in enumerate(runtimes) if not runtime.up)
+        if self._stable():
             return crashed
         noisy = set(crashed)
-        for q in range(simulator.n):
+        for q in range(len(runtimes)):
             if q != process and self._rng.random() < self.false_suspicion_probability:
                 noisy.add(q)
         return frozenset(noisy)
-
-    def __call__(self, simulator: EventSimulator, process: ProcessId) -> FrozenSet[ProcessId]:
-        return self.query(simulator, process)
 
 
 @dataclass(frozen=True)
@@ -90,52 +91,39 @@ class TrustListOutput:
         return process in self.trustlist
 
 
-class EventuallyStrongRecoveryDetector:
+class EventuallyStrongRecoveryDetector(_Oracle):
     """The ◇Su failure detector for the crash-recovery model (Aguilera et al.).
 
-    ``query`` returns a :class:`TrustListOutput`.  After stabilisation the
-    trust list contains exactly the *good* processes (those that are up and
-    will stay up given the configured fault schedule) and the epoch of every
-    good process stops increasing.  Before stabilisation, trust and epochs
-    are noisy.
+    A query returns a :class:`TrustListOutput`; a process's epoch is its
+    crash count.  After stabilisation the trust list contains exactly the
+    good processes that are up (plus the querying process, when up) and the
+    epochs stop increasing.  Before stabilisation, trust and epochs are
+    noisy.
     """
 
     def __init__(
-        self,
-        stabilization_time: float = 0.0,
-        mistrust_probability: float = 0.3,
-        seed: int = 0,
+        self, simulator: SystemSimulator, seed: int, mistrust_probability: float = 0.3
     ) -> None:
-        if stabilization_time < 0:
-            raise ValueError("stabilization_time must be non-negative")
-        if not 0.0 <= mistrust_probability <= 1.0:
-            raise ValueError("mistrust_probability must be in [0, 1]")
-        self.stabilization_time = stabilization_time
+        super().__init__(simulator, seed, mistrust_probability)
         self.mistrust_probability = mistrust_probability
-        self._rng = random.Random(seed)
 
-    def query(self, simulator: EventSimulator, process: ProcessId) -> TrustListOutput:
+    def __call__(self, process: ProcessId) -> TrustListOutput:
+        runtimes = self.simulator.runtimes
         epochs: Dict[ProcessId, int] = {
-            q: simulator.crash_count[q] for q in range(simulator.n)
+            q: runtime.stats.crashes for q, runtime in enumerate(runtimes)
         }
-        if simulator.now >= self.stabilization_time:
-            good = simulator.eventually_up_processes()
-            trusted = frozenset(q for q in good if simulator.is_up(q)) | frozenset(
-                {process} if simulator.is_up(process) else set()
-            )
+        if self._stable():
+            trusted = frozenset(q for q in self.eventually_up if runtimes[q].up)
+            if runtimes[process].up:
+                trusted |= {process}
             return TrustListOutput(trustlist=trusted, epoch=epochs)
         trusted = set()
-        for q in range(simulator.n):
-            if simulator.is_up(q) and (
-                q == process or self._rng.random() >= self.mistrust_probability
-            ):
+        for q, runtime in enumerate(runtimes):
+            if runtime.up and (q == process or self._rng.random() >= self.mistrust_probability):
                 trusted.add(q)
             if self._rng.random() < self.mistrust_probability / 2:
-                epochs[q] = epochs.get(q, 0) + 1
+                epochs[q] += 1
         return TrustListOutput(trustlist=frozenset(trusted), epoch=epochs)
-
-    def __call__(self, simulator: EventSimulator, process: ProcessId) -> TrustListOutput:
-        return self.query(simulator, process)
 
 
 __all__ = [

@@ -8,8 +8,8 @@ into lint findings:
 
 * REP001 -- no bare ``random`` module; draw through
   :class:`~repro.engine.rng.SeededRng` named sub-streams or
-  :class:`~repro.engine.counter.CounterStream`.  The two modules that own
-  a ``random.Random`` by design are outside its scope.
+  :class:`~repro.engine.counter.CounterStream`.  :mod:`repro.engine.rng`,
+  which owns the ``random.Random`` streams by design, is outside its scope.
 * REP002 -- numba is imported only in :mod:`repro._optional`; everywhere
   else uses ``NUMBA`` / ``have_numba()`` so the numba-free fallback stays
   honest.  numpy is a declared dependency, imported the ordinary way.
@@ -42,14 +42,9 @@ from typing import List, Optional
 from .findings import Finding
 from .rules import FileContext, SourceRule, dotted_name
 
-#: the modules that own a ``random.Random`` by design, and why.
+#: the module that owns the ``random.Random`` streams by design, and why.
 RANDOM_OWNERS = {
     "repro.engine.rng": "SeededRng IS the sanctioned wrapper around the random module",
-    "repro.failure_detectors.detectors": (
-        "pinned-seed detector noise: behavioural tests pin outcomes of the "
-        "detectors' exact draw sequence, so re-routing it through SeededRng's "
-        "hashed sub-seeds would silently re-roll every detector experiment"
-    ),
 }
 
 

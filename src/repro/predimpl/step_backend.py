@@ -155,8 +155,9 @@ def _fault_plan(
     """The period schedule, fault schedule and bad-period lossiness of a cell.
 
     The one spelling of the fault-model axis at step level: the step
-    backends and the ``ho-stack`` scenario
-    (:func:`repro.workloads.run_ho_stack`) both read it through
+    backends and the three comparison scenarios of
+    :mod:`repro.workloads.scenarios` (the HO stack and the two
+    failure-detector baselines) all read it through
     :func:`build_step_simulator`.
     """
     if env.fault_model == "fault-free":
@@ -194,9 +195,9 @@ def build_step_simulator(
     """The :class:`SystemSimulator` of one step-level run under *env*.
 
     The one place the fault plan meets the bad-period network and process
-    constants.  The step backends and the ``ho-stack`` scenario both build
-    here and keep their own ``until``/``stop_when``, so one seed replays
-    the same run on either.
+    constants.  The step backends and the three comparison scenarios all
+    build here and keep their own ``until``/``stop_when``, so one seed
+    replays the same environment on each.
     """
     schedule, faults, lossy = _fault_plan(env, len(programs))
     return SystemSimulator(

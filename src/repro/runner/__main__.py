@@ -5,10 +5,13 @@ report and optionally writes machine-readable outputs: the JSON summary
 consumed by CI, a CSV of the per-run records, and a streamed JSONL file
 (one line per finished run) that a killed grid can be resumed from::
 
+    # the three compared stacks, each cell under one shared environment
+    # (--param bad_period_length / good_period_length set it for all three)
     python -m repro.runner \
-        --scenarios ho-stack chandra-toueg \
+        --scenarios ho-stack chandra-toueg aguilera \
         --fault-models fault-free crash-stop \
         --seeds 0 1 --ns 4 8 --workers 2 \
+        --param bad_period_length=40 \
         --jsonl sweep.jsonl --json sweep.json
 
     # the box died mid-grid?  completed cells are skipped:

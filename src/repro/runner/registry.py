@@ -46,8 +46,9 @@ class TaskRegistry:
 
         *monitorable* declares that the scenario accepts the
         ``predicates`` / ``stop_after_held`` keyword arguments and attaches
-        streaming predicate monitors (DES-based baselines have no heard-of
-        collection, so the CLI refuses ``--predicates`` for them up front).
+        streaming predicate monitors (the failure-detector baselines have no
+        heard-of collection, so the CLI refuses ``--predicates`` for them up
+        front).
 
         *batch_builder* declares the scenario batchable by exposing the
         cell's construction as data: a callable ``fn(fault_model, n=...,

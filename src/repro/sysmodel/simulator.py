@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence
 
 from ..core.types import ProcessId
-from ..engine import EngineCore, FaultEvent
+from ..engine import CrashRecoveryInjector, EngineCore, FaultEvent
 from .faults import BadPeriodProcessBehavior, FaultSchedule
 from .network import BadPeriodNetwork, Network
 from .params import SynchronyParams
@@ -117,8 +117,7 @@ class SystemSimulator:
         self._clock = self._engine.clock
         self._schedule_event = self._engine.queue.schedule
         self._rng = self._engine.rng.stream("steps")
-        self._injector = self._engine.attach_faults(
-            self.fault_schedule,
+        self._injector = CrashRecoveryInjector(
             crash=self._apply_crash,
             recover=self._apply_recover,
             veto=self._fault_vetoed,

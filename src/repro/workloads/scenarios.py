@@ -1,15 +1,19 @@
 """End-to-end consensus scenarios used by the comparison benchmarks (E7-E9).
 
-Three stacks are compared under identical fault models:
+Three stacks are compared under identical faults -- each on the step-level
+system model's simulator, under the same :class:`StepEnvironment` and seed:
 
-* the HO stack: OneThirdRule over Algorithm 2 (or Algorithm 4 over 3) on the
-  step-level system model;
-* the Chandra-Toueg ◇S baseline (crash-stop, reliable links) on the DES;
-* the Aguilera et al. ◇Su baseline (crash-recovery, lossy links) on the DES.
+* the HO stack: OneThirdRule over Algorithm 2;
+* the Chandra-Toueg ◇S baseline (written for crash-stop and reliable links);
+* the Aguilera et al. ◇Su baseline (written for crash-recovery and lossy
+  links).
 
 The fault models are named after the Section 2.2 taxonomy scenarios they
-instantiate: ``fault-free``, ``crash-stop`` (SP), ``crash-recovery`` (ST/DT)
-and ``lossy`` (DT transmission faults without process crashes).
+instantiate: ``fault-free``, ``crash-stop``, ``crash-recovery`` and
+``lossy`` (transmission faults without process crashes).  Every bad period
+loses messages, so the run's own classification -- in
+``extra["fault_class"]`` for every stack -- is what says whether a
+failure-detector algorithm's assumptions hold.
 """
 
 from __future__ import annotations
@@ -20,11 +24,11 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from ..runner.registry import REGISTRY
 from ..algorithms import OneThirdRule
 from ..analysis.consensus_check import ConsensusVerdict, check_consensus
-from ..analysis.metrics import RunMetrics, metrics_from_des, metrics_from_trace
+from ..analysis.metrics import RunMetrics, metrics_from_trace
 from ..analysis.taxonomy import FaultConfiguration, classify
-from ..des import ChannelConfig, DESProcess, EventSimulator
-from ..des.simulator import FailureDetectorOracle
 from ..failure_detectors import (
+    EventProcess,
+    EventProgram,
     EventuallyStrongDetector,
     EventuallyStrongRecoveryDetector,
     build_aguilera_processes,
@@ -33,6 +37,7 @@ from ..failure_detectors import (
 from ..predicates import MonitorBank, build_monitor_bank
 from ..predimpl import build_down_stack
 from ..predimpl.step_backend import FAULT_MODELS, StepEnvironment, build_step_simulator
+from ..sysmodel import SynchronyParams, SystemRunTrace, SystemSimulator
 
 
 @dataclass(frozen=True)
@@ -81,16 +86,37 @@ def _scope_for(fault_model: str, n: int) -> frozenset:
     return frozenset(range(n))
 
 
+def _scenario_result(
+    stack: str,
+    fault_model: str,
+    seed: int,
+    simulator: SystemSimulator,
+    values: List[int],
+    scope: frozenset,
+    extra: Dict[str, Any],
+) -> ScenarioResult:
+    """Check and measure one finished run; every stack classifies its faults here."""
+    trace = simulator.trace
+    fault_class = classify(FaultConfiguration.of_run(simulator)).value
+    return ScenarioResult(
+        stack=stack,
+        fault_model=fault_model,
+        n=simulator.n,
+        seed=seed,
+        verdict=check_consensus(trace, values, scope=scope),
+        metrics=metrics_from_trace(trace, scope=scope),
+        extra={"fault_class": fault_class, **extra},
+    )
+
+
 # --------------------------------------------------------------------------- #
-# the HO stack on the step-level system model
+# the HO stack
 # --------------------------------------------------------------------------- #
 
 
 def run_ho_stack(
     fault_model: str,
     n: int = 4,
-    phi: float = 1.0,
-    delta: float = 2.0,
     seed: int = 0,
     bad_period_length: float = 80.0,
     good_period_length: float = 400.0,
@@ -118,7 +144,7 @@ def run_ho_stack(
     """
     # The environment validates the fault model.
     env = StepEnvironment(
-        fault_model=fault_model, phi=phi, delta=delta,
+        fault_model=fault_model,
         bad_period_length=bad_period_length, good_period_length=good_period_length,
     )
     values = _initial_values(n)
@@ -142,14 +168,8 @@ def run_ho_stack(
     stop_when = None
     if bank is not None and stop_after_held is not None:
         stop_when = lambda: bank.stop_requested  # noqa: E731
-    trace = simulator.run(until=bad_period_length + good_period_length, stop_when=stop_when)
-    verdict = check_consensus(trace, values, scope=scope)
-    configuration = FaultConfiguration(
-        n=n,
-        schedule=simulator.fault_schedule,
-        lossy_links=simulator.network.bad_behavior.loss_probability > 0.0,
-    )
-    extra: Dict[str, Any] = {"fault_class": classify(configuration).value}
+    simulator.run(until=bad_period_length + good_period_length, stop_when=stop_when)
+    extra: Dict[str, Any] = {}
     if bank is not None:
         extra["predicate_reports"] = bank.reports_json()
         extra["stopped_early"] = bank.stop_requested
@@ -158,88 +178,65 @@ def run_ho_stack(
         # unscoped ones (p_otr, p_restr_otr) then carry anytime verdicts
         # rather than exact whole-collection ones.
         extra["predicate_late_records"] = bank.late_records
-    return ScenarioResult(
-        stack="ho-stack",
-        fault_model=fault_model,
-        n=n,
-        seed=seed,
-        verdict=verdict,
-        metrics=metrics_from_trace(trace, scope=scope),
-        extra=extra,
-    )
+    return _scenario_result("ho-stack", fault_model, seed, simulator, values, scope, extra)
 
 
 # --------------------------------------------------------------------------- #
-# failure-detector baselines on the DES
+# the failure-detector baselines, as step programs under the same environment
 # --------------------------------------------------------------------------- #
-
-
-def _des_fault_schedule(fault_model: str, n: int) -> Dict[str, Dict[int, float]]:
-    if fault_model == "crash-stop":
-        return {"crash_times": {n - 1: 5.0}, "recovery_times": {}}
-    if fault_model == "crash-recovery":
-        crash_times = {p: 3.0 + 2.0 * p for p in range(n)}
-        recovery_times = {p: 20.0 + 2.0 * p for p in range(n)}
-        return {"crash_times": crash_times, "recovery_times": recovery_times}
-    return {"crash_times": {}, "recovery_times": {}}
 
 
 def _run_fd_baseline(
     stack: str,
+    build_processes: Callable[[int, List[Any], SynchronyParams], Sequence[EventProcess]],
+    detector_class: Callable[[SystemSimulator, int], Any],
     fault_model: str,
     n: int,
     seed: int,
-    horizon: float,
-    build_processes: Callable[[int, List[Any]], Sequence[DESProcess]],
-    detector: FailureDetectorOracle,
+    bad_period_length: float,
+    good_period_length: float,
 ) -> ScenarioResult:
-    """Run a failure-detector consensus baseline on the DES under *fault_model*."""
-    if fault_model not in FAULT_MODELS:
-        raise ValueError(f"unknown fault model {fault_model!r}; expected one of {FAULT_MODELS}")
-    values = _initial_values(n)
-    processes = build_processes(n, values)
-    faults = _des_fault_schedule(fault_model, n)
-    channel = ChannelConfig(
-        loss_probability=0.3 if fault_model in ("lossy", "crash-recovery") else 0.0
-    )
-    simulator = EventSimulator(
-        processes,
-        channel=channel,
-        crash_times=faults["crash_times"],
-        recovery_times=faults["recovery_times"],
-        seed=seed,
-    )
-    simulator.register_failure_detector("default", detector)
-    scope = _scope_for(fault_model, n)
-    simulator.run_until_all_decided(until=horizon, scope=scope)
-    verdict = check_consensus(simulator, values, scope=scope)
-    return ScenarioResult(
-        stack=stack,
+    """Run a failure-detector consensus baseline under *fault_model*'s environment.
+
+    The simulator, fault plan and seed are exactly the HO stack's; the
+    detector stabilises when the environment's good period starts, and the
+    run stops once the scope decided.
+    """
+    env = StepEnvironment(
         fault_model=fault_model,
-        n=n,
-        seed=seed,
-        verdict=verdict,
-        metrics=metrics_from_des(simulator, scope=scope),
+        bad_period_length=bad_period_length, good_period_length=good_period_length,
     )
+    values = _initial_values(n)
+    trace = SystemRunTrace(n=n)
+    programs = [EventProgram(process, trace) for process in build_processes(n, values, env.params())]
+    simulator = build_step_simulator(env, programs, trace, seed)
+    detector = detector_class(simulator, seed)
+    for program in programs:
+        program.detector = detector
+    scope = _scope_for(fault_model, n)
+    simulator.run(
+        until=bad_period_length + good_period_length,
+        stop_when=lambda: trace.all_decided(scope),
+    )
+    return _scenario_result(stack, fault_model, seed, simulator, values, scope, {})
 
 
 def run_chandra_toueg(
     fault_model: str,
     n: int = 4,
     seed: int = 0,
-    stabilization_time: float = 30.0,
-    horizon: float = 400.0,
+    bad_period_length: float = 80.0,
+    good_period_length: float = 400.0,
 ) -> ScenarioResult:
     """Run the Chandra-Toueg ◇S baseline under the given fault model.
 
-    The algorithm assumes reliable links and crash-stop faults; running it
-    under ``lossy`` or ``crash-recovery`` exercises exactly the limitation
-    the paper describes (it may block forever, which shows up as a
-    termination failure -- never as a safety violation).
+    The algorithm assumes reliable links and crash-stop faults; when a run's
+    bad period loses a message it waits for, it may block forever, which
+    shows up as a termination failure -- never as a safety violation.
     """
-    detector = EventuallyStrongDetector(stabilization_time=stabilization_time, seed=seed + 1)
     return _run_fd_baseline(
-        "chandra-toueg", fault_model, n, seed, horizon, build_chandra_toueg_processes, detector
+        "chandra-toueg", build_chandra_toueg_processes, EventuallyStrongDetector,
+        fault_model, n, seed, bad_period_length, good_period_length,
     )
 
 
@@ -247,15 +244,13 @@ def run_aguilera(
     fault_model: str,
     n: int = 4,
     seed: int = 0,
-    stabilization_time: float = 40.0,
-    horizon: float = 600.0,
+    bad_period_length: float = 80.0,
+    good_period_length: float = 400.0,
 ) -> ScenarioResult:
     """Run the Aguilera et al. ◇Su baseline under the given fault model."""
-    detector = EventuallyStrongRecoveryDetector(
-        stabilization_time=stabilization_time, seed=seed + 1
-    )
     return _run_fd_baseline(
-        "aguilera", fault_model, n, seed, horizon, build_aguilera_processes, detector
+        "aguilera", build_aguilera_processes, EventuallyStrongRecoveryDetector,
+        fault_model, n, seed, bad_period_length, good_period_length,
     )
 
 

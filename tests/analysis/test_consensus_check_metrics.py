@@ -8,12 +8,10 @@ from repro.algorithms import OneThirdRule
 from repro.analysis import (
     algorithm_complexity_summary,
     check_consensus,
-    metrics_from_des,
     metrics_from_trace,
 )
 from repro.adversaries import FaultFreeOracle, ScriptedOracle
 from repro.core.machine import HOMachine
-from repro.des import DESProcess, EventSimulator
 from repro.sysmodel.trace import SystemRunTrace
 
 
@@ -95,17 +93,6 @@ class TestMetrics:
         assert metrics.decided_processes == 1
         assert metrics.scope_size == 2
         assert not metrics.all_decided
-
-    def test_metrics_from_des(self):
-        class Decider(DESProcess):
-            def on_start(self, ctx):
-                ctx.decide("v")
-
-        simulator = EventSimulator([Decider(0, 2), Decider(1, 2)], seed=0)
-        simulator.run(until=5.0)
-        metrics = metrics_from_des(simulator)
-        assert metrics.all_decided
-        assert metrics.unanimous
 
 
 class TestComplexitySummary:

@@ -10,7 +10,6 @@ from repro.engine import (
     EngineCore,
     EventQueue,
     FaultEvent,
-    FaultKind,
     FaultSchedule,
     SeededRng,
     derive_seed,
@@ -60,14 +59,6 @@ class TestEventQueue:
                 break
         assert [event for _, event in queue.pop_due(1.0)] == ["b", "c"]
 
-    def test_explicit_sequence_controls_ties(self):
-        queue = EventQueue()
-        first = queue.next_sequence()
-        second = queue.next_sequence()
-        queue.schedule(1.0, "second", sequence=second)
-        queue.schedule(1.0, "first", sequence=first)
-        assert [event for _, event in queue.pop_due(1.0)] == ["first", "second"]
-
 
 class TestClock:
     def test_advances_monotonically(self):
@@ -109,19 +100,9 @@ class TestSeededRng:
 
 
 class TestFaultSchedule:
-    def test_from_maps_validates_recovery(self):
+    def test_crash_recovery_rejects_a_recovery_before_its_crash(self):
         with pytest.raises(ValueError):
-            FaultSchedule.from_maps({}, {0: 5.0})
-        with pytest.raises(ValueError):
-            FaultSchedule.from_maps({0: 5.0}, {0: 5.0})
-
-    def test_from_maps_builds_sorted_events(self):
-        schedule = FaultSchedule.from_maps({0: 2.0, 1: 1.0}, {0: 4.0})
-        assert [(e.time, e.kind, e.process) for e in schedule.events] == [
-            (1.0, FaultKind.CRASH, 1),
-            (2.0, FaultKind.CRASH, 0),
-            (4.0, FaultKind.RECOVER, 0),
-        ]
+            FaultSchedule.crash_recovery([(0, 5.0, 5.0)])
 
     def test_merged_with(self):
         merged = FaultSchedule.crash_stop([(0, 1.0)]).merged_with(
@@ -131,29 +112,26 @@ class TestFaultSchedule:
 
 
 class TestCrashRecoveryInjector:
-    def _make(self, schedule, veto=None):
+    def _make(self, veto=None):
         applied = []
         injector = CrashRecoveryInjector(
-            schedule,
             crash=lambda p: applied.append(("crash", p)) or True,
             recover=lambda p: applied.append(("recover", p)) or True,
             veto=veto,
         )
         return injector, applied
 
-    def test_arm_and_apply(self):
+    def test_apply_routes_each_kind(self):
         schedule = FaultSchedule.crash_recovery([(1, 2.0, 5.0)])
-        injector, applied = self._make(schedule)
-        queue = EventQueue()
-        injector.arm(queue)
-        for _, event in queue.pop_due(10.0):
+        injector, applied = self._make()
+        for event in schedule.events:
             injector.apply(event)
         assert applied == [("crash", 1), ("recover", 1)]
         assert injector.skipped == []
 
     def test_veto_records_skipped(self):
         schedule = FaultSchedule.crash_stop([(0, 1.0)])
-        injector, applied = self._make(schedule, veto=lambda fault: True)
+        injector, applied = self._make(veto=lambda fault: True)
         injector.apply(schedule.events[0])
         assert applied == []
         assert injector.skipped == schedule.events

@@ -1,10 +1,8 @@
 """Replay guarantees of the unified engine core.
 
-Two properties the refactor must preserve (and the engine now enforces by
-construction):
+Two properties the engine enforces by construction:
 
-* *byte-identical replay*: the same seed yields byte-identical traces, for
-  both simulators built on the engine;
+* *byte-identical replay*: the same seed yields byte-identical traces;
 * *sub-stream isolation*: randomness is drawn from named engine sub-streams,
   so changing the channel-noise model does not perturb step or fault timing
   (and vice versa).
@@ -13,10 +11,9 @@ construction):
 from __future__ import annotations
 
 import json
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.algorithms import OneThirdRule
-from repro.des import ChannelConfig, DESProcess, EventSimulator
 from repro.predimpl import build_down_stack
 from repro.sysmodel import (
     BadPeriodNetwork,
@@ -31,7 +28,7 @@ from repro.sysmodel.trace import SystemRunTrace
 
 
 # --------------------------------------------------------------------------- #
-# helpers: canonical byte serialisations of both trace kinds
+# helpers: a canonical byte serialisation of a step-level trace
 # --------------------------------------------------------------------------- #
 
 
@@ -62,63 +59,6 @@ def system_trace_bytes(trace: SystemRunTrace) -> bytes:
         ],
     }
     return json.dumps(payload, sort_keys=True).encode()
-
-
-class RecordingProcess(DESProcess):
-    """DES process logging everything it observes (for trace comparison)."""
-
-    def __init__(self, process_id, n):
-        super().__init__(process_id, n)
-        self.log = []
-
-    def on_start(self, ctx):
-        self.log.append(("start", ctx.now))
-        ctx.broadcast(("ping", self.process_id), include_self=False)
-        ctx.set_timer(4.0, "tick")
-
-    def on_message(self, ctx, sender, payload):
-        self.log.append(("recv", sender, payload, ctx.now))
-        if payload[0] == "ping":
-            ctx.send(sender, ("pong", self.process_id))
-
-    def on_timer(self, ctx, name):
-        self.log.append(("timer", name, ctx.now))
-        ctx.broadcast(("ping", self.process_id), include_self=False)
-        if ctx.now < 40.0:
-            ctx.set_timer(4.0, name)
-
-    def on_recover(self, ctx):
-        self.log.append(("recover", ctx.now))
-
-
-def des_trace_bytes(simulator: EventSimulator, processes) -> bytes:
-    payload = {
-        "logs": [process.log for process in processes],
-        "counters": [
-            simulator.messages_sent,
-            simulator.messages_delivered,
-            simulator.messages_lost,
-            simulator.crash_count,
-        ],
-        "decisions": {
-            str(p): [event.value, event.time]
-            for p, event in sorted(simulator.decisions.items())
-        },
-    }
-    return json.dumps(payload, sort_keys=True).encode()
-
-
-def run_des(seed: int, channel: Optional[ChannelConfig] = None):
-    processes = [RecordingProcess(p, 3) for p in range(3)]
-    simulator = EventSimulator(
-        processes,
-        channel=channel if channel is not None else ChannelConfig(loss_probability=0.2),
-        crash_times={2: 10.0},
-        recovery_times={2: 25.0},
-        seed=seed,
-    )
-    simulator.run(until=60.0)
-    return simulator, processes
 
 
 def run_system(seed: int, bad_network: Optional[BadPeriodNetwork] = None):
@@ -163,17 +103,6 @@ class TestByteIdenticalReplay:
         _, trace_a = run_system(seed=11)
         _, trace_b = run_system(seed=12)
         assert system_trace_bytes(trace_a) != system_trace_bytes(trace_b)
-
-    def test_event_simulator_same_seed_same_bytes(self):
-        sim_a, procs_a = run_des(seed=11)
-        sim_b, procs_b = run_des(seed=11)
-        assert des_trace_bytes(sim_a, procs_a) == des_trace_bytes(sim_b, procs_b)
-
-    def test_event_simulator_different_seed_different_bytes(self):
-        sim_a, procs_a = run_des(seed=11)
-        sim_b, procs_b = run_des(seed=13)
-        assert des_trace_bytes(sim_a, procs_a) != des_trace_bytes(sim_b, procs_b)
-
 
 # --------------------------------------------------------------------------- #
 # RNG sub-stream isolation
@@ -259,9 +188,3 @@ class TestSubStreamIsolation:
         assert [h.step_times for h in holders_quiet] == [
             h.step_times for h in holders_noisy
         ]
-
-    def test_des_loss_stream_isolated_from_delay_stream(self):
-        """Changing the delay range must not change which messages get lost."""
-        fast, _ = run_des(seed=9, channel=ChannelConfig(0.5, 2.0, loss_probability=0.2))
-        slow, _ = run_des(seed=9, channel=ChannelConfig(0.5, 1.0, loss_probability=0.2))
-        assert fast.messages_lost == slow.messages_lost

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.lint.determinism import RANDOM_OWNERS
+
 from .conftest import check_rule, codes_of, rule, run_lint
 
 #: (code, fixture path, source, 1-based line the finding lands on).
@@ -104,7 +106,9 @@ def test_rep001_ignores_non_repro_modules():
 def test_rep001_random_owning_modules_are_exempt():
     rep001 = rule("REP001")
     assert not rep001.applies_to("repro.engine.rng")
-    assert not rep001.applies_to("repro.failure_detectors.detectors")
+    assert set(RANDOM_OWNERS) == {"repro.engine.rng"}
+    # The detector oracles draw their noise from SeededRng sub-streams.
+    assert rep001.applies_to("repro.failure_detectors.detectors")
     assert rep001.applies_to("repro.engine.counter")
     assert rep001.applies_to("repro.failure_detectors.chandra_toueg")
 

@@ -30,8 +30,6 @@ ROOT = Path(__file__).resolve().parents[2]
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-_DES = "des/: the event simulator stays whole for the failure-detector gap measurement"
-
 #: Unreached definitions that stay, each with what reaches it instead.
 KEPT: Dict[str, str] = {
     # Table 1 witnesses and the HO test oracle
@@ -135,9 +133,6 @@ KEPT: Dict[str, str] = {
     "repro.sysmodel.periods.PeriodSchedule.is_good": "reference: good/bad classification of a time",
     "repro.sysmodel.process.StableStorage.snapshot": "reference: copy of the stable storage",
     "repro.sysmodel.process.ProcessRuntime.has_work": "reference: whether a process can step",
-    "repro.des.simulator.ProcessContext.broadcast": _DES,
-    "repro.des.simulator.EventSimulator.cancel_timer": _DES,
-    "repro.des.simulator.EventSimulator.decision_times": _DES,
 }
 
 
@@ -198,7 +193,7 @@ def test_every_kept_entry_names_its_reason():
 #: The kinds of reason a ``KEPT`` clause may give, and the tree a cited path
 #: of that kind must lie in (``None``: any of ``tests/`` and ``examples/``).
 _KINDS = {"claims": "tests/claims/", "example": "examples/", "reference": None,
-          "protocol": None, "des/": None}
+          "protocol": None}
 _CITED = re.compile(r"(?:tests|examples)/[\w/]*(?:\.py|/)")
 
 

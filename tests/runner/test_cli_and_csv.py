@@ -111,7 +111,7 @@ class TestCli:
                 "--fault-models", "fault-free",
                 "--seeds", "0",
                 "--ns", "3", "4",
-                "--param", "stabilization_time=20.0",
+                "--param", "bad_period_length=40.0",
                 "--quiet",
                 "--json", str(json_path),
             ]
@@ -121,7 +121,7 @@ class TestCli:
         assert payload["grid_size"] == 2
         assert sorted(run["n"] for run in payload["runs"]) == [3, 4]
         assert all(
-            run["params"] == {"stabilization_time": 20.0} for run in payload["runs"]
+            run["params"] == {"bad_period_length": 40.0} for run in payload["runs"]
         )
         assert set(payload["aggregates"]) == {
             "chandra-toueg/fault-free/n=3",

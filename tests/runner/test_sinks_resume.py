@@ -392,8 +392,8 @@ class TestResume:
         """Cells differing only in extra params never collide on resume."""
         path = tmp_path / "sweep.jsonl"
         specs = [
-            RunSpec.make("chandra-toueg", "fault-free", 0, n=3, stabilization_time=10.0),
-            RunSpec.make("chandra-toueg", "fault-free", 0, n=3, stabilization_time=60.0),
+            RunSpec.make("aguilera", "lossy", 0, n=3, bad_period_length=40.0),
+            RunSpec.make("aguilera", "lossy", 0, n=3, bad_period_length=80.0),
         ]
         sink = JsonlSink(str(path))
         sink.write(run_sweep(specs[:1], workers=1).records[0])

@@ -123,17 +123,18 @@ class TestSweepExecutor:
         assert parallel.aggregate() == inline.aggregate()
 
     def test_aggregate_contents(self):
-        sweep = run_sweep(self.GRID, workers=4)
+        grid = build_grid(list(STACKS), ["fault-free"], seeds=[0, 1, 2, 3], n=4)
+        sweep = run_sweep(grid, workers=4)
         aggregates = sweep.aggregate()
         # single-size grids keep the classic scenario/fault_model keys
-        assert set(aggregates) == {f"{stack}/crash-stop" for stack in STACKS}
+        assert set(aggregates) == {f"{stack}/fault-free" for stack in STACKS}
         for aggregate in aggregates.values():
             assert aggregate["runs"] == 4
             assert aggregate["n"] == 4
             assert aggregate["seeds"] == [0, 1, 2, 3]
             assert aggregate["errors"] == 0
             assert aggregate["all_safe"] is True
-        # Every stack solves crash-stop (the paper's E8 matrix, row one).
+        # Every stack solves the fault-free runs (the E8 matrix, row one).
         assert all(a["solve_rate"] == 1.0 for a in aggregates.values())
 
     def test_aggregate_groups_multi_size_grids_per_n(self):
@@ -150,7 +151,7 @@ class TestSweepExecutor:
         """An infrastructure failure must not deflate the scientific solve rate."""
         specs = [
             RunSpec.make("chandra-toueg", "fault-free", 0, n=3),
-            # an unknown stabilization_time type makes the runner raise
+            # an unknown parameter makes the runner raise
             RunSpec.make("chandra-toueg", "fault-free", 1, n=3, no_such_param=1),
         ]
         sweep = run_sweep(specs, workers=1)
@@ -171,8 +172,8 @@ class TestSweepExecutor:
     def test_specs_differing_only_in_params_do_not_collide(self):
         """Parallel results are indexed by grid position, not by spec fields."""
         specs = [
-            RunSpec.make("chandra-toueg", "fault-free", 0, n=3, stabilization_time=10.0),
-            RunSpec.make("chandra-toueg", "fault-free", 0, n=3, stabilization_time=60.0),
+            RunSpec.make("aguilera", "lossy", 0, n=3, bad_period_length=40.0),
+            RunSpec.make("aguilera", "lossy", 0, n=3, bad_period_length=80.0),
         ]
         parallel = run_sweep(specs, workers=2)
         inline = run_sweep(specs, workers=1)

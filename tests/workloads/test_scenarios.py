@@ -6,7 +6,7 @@ is asserted in ``tests/claims/test_fd_gap.py``.
 
 from __future__ import annotations
 
-from repro.workloads import run_chandra_toueg, run_ho_stack
+from repro.workloads import FAULT_MODELS, run_aguilera, run_chandra_toueg, run_ho_stack
 
 
 class TestHOStackScenarios:
@@ -19,6 +19,15 @@ class TestHOStackScenarios:
 
 
 class TestFailureDetectorScenarios:
+    def test_every_stack_reports_the_fault_class_of_the_shared_environment(self):
+        for fault_model in FAULT_MODELS:
+            classes = {
+                runner(fault_model, n=4, seed=0).extra["fault_class"]
+                for runner in (run_ho_stack, run_chandra_toueg, run_aguilera)
+            }
+            expected = "fault-free" if fault_model == "fault-free" else "dynamic-transient"
+            assert classes == {expected}, fault_model
+
     def test_rows_are_printable(self):
         result = run_chandra_toueg("fault-free", n=3, seed=0)
         assert "chandra-toueg" in result.row()
