@@ -3,10 +3,8 @@ for Coping with Transient and Dynamic Faults" (Hutle & Schiper, DSN 2007).
 
 The package implements the full stack described by the paper:
 
-* :mod:`repro.engine` -- the discrete-event engine core: the
-  (time, sequence)-ordered event queue, the simulated clock, named seeded
-  random sub-streams and the crash/recovery fault-injection layer that the
-  step-level simulator delegates to;
+* :mod:`repro.engine` -- the randomness every simulation draws from: named
+  seeded sub-streams and stateless counter-based streams;
 * :mod:`repro.core` -- the Heard-Of (HO) model: rounds, algorithms and the
   HO machine;
 * :mod:`repro.predicates` / :mod:`repro.adversaries` -- communication
@@ -14,8 +12,9 @@ The package implements the full stack described by the paper:
 * :mod:`repro.algorithms` -- consensus algorithms in the HO model
   (OneThirdRule, LastVoting, UniformVoting);
 * :mod:`repro.sysmodel` -- the step-level partially synchronous system model
-  with good/bad periods, crash-recovery and message loss: the one simulator
-  every compared stack runs on;
+  with good/bad periods, crash-recovery and message loss: the one simulator,
+  with its own clock, event queue and fault injection, that every compared
+  stack runs on;
 * :mod:`repro.predimpl` -- the predicate-implementation layer
   (Algorithms 2, 3, 4) and the analytic good-period bounds
   (Theorems 3, 5, 6, 7, Corollary 4);

@@ -288,10 +288,6 @@ class RunTrace:
         """Map process -> decided value (the unified-trace spelling of :meth:`decisions`)."""
         return self.decisions()
 
-    def decision_times(self) -> Dict[ProcessId, float]:
-        """Map process -> time of first decision (round-level time is the round number)."""
-        return {p: record.time for p, record in self.decision_records().items()}
-
     def all_decided(self, scope: Optional[Iterable[ProcessId]] = None) -> bool:
         """Whether every process in *scope* (default: all) decided."""
         scope_set = all_processes(self.n) if scope is None else validate_process_subset(scope, self.n)

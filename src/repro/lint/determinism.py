@@ -21,11 +21,11 @@ into lint findings:
 * REP005 -- no direct iteration over set displays/constructors: string
   hash randomisation makes the order vary per process; sort first.
 * REP006 -- the import-layering DAG: ``repro.core`` / ``repro.engine`` /
-  ``repro.rounds`` sit below the execution and orchestration layers and
-  must never import ``repro.batch`` / ``repro.compiled`` /
-  ``repro.runner`` / ``repro.workloads`` at module level (function-local
-  lazy imports are the sanctioned pattern); nothing outside
-  :mod:`repro.lint` imports the linter.
+  ``repro.rounds`` / ``repro.sysmodel`` sit below the execution and
+  orchestration layers and must never import ``repro.batch`` /
+  ``repro.compiled`` / ``repro.runner`` / ``repro.workloads`` at module
+  level (function-local lazy imports are the sanctioned pattern); nothing
+  outside :mod:`repro.lint` imports the linter.
 * REP104 -- fallback reasons in the backends' decision functions are
   rendered from the shared :class:`~repro.rounds.fallback.FallbackReason`
   enum, never inline literals: a mis-labelled degradation does not crash,
@@ -279,6 +279,9 @@ FORBIDDEN_EDGES = {
     "repro.rounds": (
         "repro.batch", "repro.compiled", "repro.runner", "repro.workloads",
     ),
+    "repro.sysmodel": (
+        "repro.batch", "repro.compiled", "repro.runner", "repro.workloads",
+    ),
 }
 
 
@@ -286,9 +289,9 @@ class ImportLayeringRule(SourceRule):
     code = "REP006"
     name = "import-layering"
     summary = (
-        "the layering DAG: core/engine/rounds never import batch/compiled/"
-        "runner/workloads at module level, and only repro.lint imports "
-        "repro.lint"
+        "the layering DAG: core/engine/rounds/sysmodel never import batch/"
+        "compiled/runner/workloads at module level, and only repro.lint "
+        "imports repro.lint"
     )
 
     def check(self, ctx: FileContext) -> List[Finding]:

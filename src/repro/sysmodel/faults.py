@@ -4,12 +4,12 @@ Bad periods allow every benign fault: process crashes and recoveries, send
 and receive omissions, message loss, arbitrary process speeds.  They are
 described in two complementary ways:
 
-* an explicit :class:`~repro.engine.faults.FaultSchedule` of timed crash /
-  recovery events (deterministic, used by the worst-case benchmarks) --
-  this now lives in the shared engine core and is re-exported here, and
+* an explicit :class:`FaultSchedule` of timed crash / recovery events
+  (deterministic, used by the worst-case benchmarks), which the simulator
+  applies outside the synchronous scope of good periods, and
 * a probabilistic :class:`BadPeriodProcessBehavior` describing how
   unsynchronised processes behave between good periods (step gaps, the
-  chance of being crashed), driven by the engine's seeded ``steps``
+  chance of being crashed), driven by the simulator's seeded ``steps``
   sub-stream.
 
 Link loss and delay in bad periods is configured separately on the network
@@ -20,9 +20,68 @@ or the receiver dropped a message.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import enum
+from dataclasses import dataclass, field
+from typing import Iterable, List
 
-from ..engine.faults import FaultEvent, FaultKind, FaultSchedule
+from ..core.types import ProcessId
+
+
+class FaultKind(enum.Enum):
+    """Kinds of timed fault events."""
+
+    CRASH = "crash"
+    RECOVER = "recover"
+
+
+@dataclass(frozen=True)
+class FaultEvent:
+    """A timed fault event applied to one process."""
+
+    time: float
+    kind: FaultKind
+    process: ProcessId
+
+    def __post_init__(self) -> None:
+        if self.time < 0:
+            raise ValueError(f"fault events cannot happen before time 0, got {self.time}")
+
+
+@dataclass
+class FaultSchedule:
+    """An explicit, deterministic schedule of crash and recovery events."""
+
+    events: List[FaultEvent] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.events = sorted(self.events, key=lambda event: (event.time, event.process))
+
+    @classmethod
+    def none(cls) -> "FaultSchedule":
+        """No injected faults."""
+        return cls(events=[])
+
+    @classmethod
+    def crash_stop(cls, crashes: Iterable[tuple[ProcessId, float]]) -> "FaultSchedule":
+        """Permanent crashes: each ``(process, time)`` crashes and never recovers."""
+        return cls(
+            events=[FaultEvent(time, FaultKind.CRASH, process) for process, time in crashes]
+        )
+
+    @classmethod
+    def crash_recovery(
+        cls, incidents: Iterable[tuple[ProcessId, float, float]]
+    ) -> "FaultSchedule":
+        """Transient crashes: each ``(process, crash_time, recover_time)`` triple."""
+        events: List[FaultEvent] = []
+        for process, crash_time, recover_time in incidents:
+            if recover_time <= crash_time:
+                raise ValueError(
+                    f"recovery at {recover_time} must come after crash at {crash_time}"
+                )
+            events.append(FaultEvent(crash_time, FaultKind.CRASH, process))
+            events.append(FaultEvent(recover_time, FaultKind.RECOVER, process))
+        return cls(events=events)
 
 
 @dataclass

@@ -129,7 +129,7 @@ class Network:
         self.schedule = schedule
         self.bad_behavior = bad_behavior if bad_behavior is not None else BadPeriodNetwork()
         self.good_delay_factor = good_delay_factor
-        # The simulator injects the engine's "network" sub-stream here, so
+        # The simulator injects its "network" sub-stream here, so
         # bad-period link randomness is isolated from step/fault randomness;
         # *seed* remains as a fallback for stand-alone Network construction,
         # drawing from the same named sub-stream a simulator-owned network

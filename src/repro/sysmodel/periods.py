@@ -60,15 +60,6 @@ class GoodPeriod:
         """The (normalised) length of the period."""
         return self.end - self.start
 
-    @property
-    def is_initial(self) -> bool:
-        """Whether this is an *initial* good period (starts at time 0)."""
-        return self.start == 0.0
-
-    def contains(self, time: float) -> bool:
-        """Whether *time* falls inside the period (half-open ``[start, end)``)."""
-        return self.start <= time < self.end
-
 
 def step_scope(period: Optional[GoodPeriod], process: ProcessId) -> Tuple[bool, bool]:
     """``(down, synchronous)`` for *process* under *period* (``None`` = bad period).
@@ -147,10 +138,6 @@ class PeriodSchedule:
             if time < period.end:
                 return period
         return None
-
-    def is_good(self, time: float) -> bool:
-        """Whether *time* falls inside some good period."""
-        return self.period_at(time) is not None
 
     def is_synchronous(self, process: ProcessId, time: float) -> bool:
         """Whether *process* is bound by ``pi0-sync`` at *time*."""

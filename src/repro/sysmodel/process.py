@@ -83,10 +83,6 @@ class StableStorage:
     def __contains__(self, key: str) -> bool:
         return key in self._data
 
-    def snapshot(self) -> Dict[str, Any]:
-        """A copy of the stored data (for assertions in tests)."""
-        return dict(self._data)
-
 
 class StepProgram(abc.ABC):
     """A process program in the step-based system model.
@@ -197,11 +193,6 @@ class ProcessRuntime:
     # ------------------------------------------------------------------ #
     # step execution
     # ------------------------------------------------------------------ #
-
-    @property
-    def has_work(self) -> bool:
-        """Whether the process has a next step to execute."""
-        return self.up and self._pending_action is not None
 
     def next_action(self) -> Optional[StepAction]:
         """The action the process will perform at its next step (``None`` when terminated)."""

@@ -1,9 +1,11 @@
 """The step-level discrete-event simulator of the system model (Section 4.1).
 
-The simulator is a *policy layer* over the shared engine core
-(:mod:`repro.engine`): event scheduling, the simulated clock, seeded random
-sub-streams and crash/recovery injection live in the engine, while this
-module decides what the events mean:
+The paper's system has one real-valued global clock, advanced by process
+steps and make-ready steps.  :class:`SystemSimulator` owns that clock
+(:attr:`SystemSimulator.now`), the future-event list (a heap of
+``(time, sequence, event)`` triples; the sequence number keeps events of
+equal time in FIFO order) and the run loop, and decides what each event
+means:
 
 * process steps -- each up process executes its next send or receive step at
   times governed by the synchrony assumptions (``pi0-sync`` in good periods,
@@ -13,25 +15,27 @@ module decides what the events mean:
   periods and the bad-period policy otherwise;
 * good/bad period boundaries (recovering the pi0 processes, forcing down the
   others for ``pi0-down`` periods, purging their in-transit messages);
-* injected crash / recovery fault events, routed through the engine's
-  :class:`~repro.engine.faults.CrashRecoveryInjector` (events violating a
-  good period are vetoed and show up in :attr:`skipped_fault_events`).
+* injected crash / recovery fault events of a
+  :class:`~repro.sysmodel.faults.FaultSchedule` (events violating a good
+  period are vetoed and show up in :attr:`SystemSimulator.skipped_fault_events`).
 
-Randomness is split over two named engine sub-streams: ``steps`` drives
-bad-period step gaps and stalls, ``network`` drives bad-period link delay
-and loss -- so changing the channel noise model never perturbs step or
-fault timing.  Everything is deterministic for a fixed seed; no wall-clock
-time, threads or asyncio are involved, so worst-case schedules can be
-replayed exactly.
+Randomness is split over two named :class:`~repro.engine.rng.SeededRng`
+sub-streams: ``steps`` drives bad-period step gaps and stalls, ``network``
+drives bad-period link delay and loss -- so changing the channel noise model
+never perturbs step or fault timing.  Everything is deterministic for a
+fixed seed; no wall-clock time, threads or asyncio are involved, so
+worst-case schedules can be replayed exactly.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+import heapq
+import itertools
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..core.types import ProcessId
-from ..engine import CrashRecoveryInjector, EngineCore, FaultEvent
-from .faults import BadPeriodProcessBehavior, FaultSchedule
+from ..engine.rng import SeededRng
+from .faults import BadPeriodProcessBehavior, FaultEvent, FaultKind, FaultSchedule
 from .network import BadPeriodNetwork, Network
 from .params import SynchronyParams
 from .periods import GoodPeriod, GoodPeriodKind, PeriodSchedule, step_scope
@@ -43,11 +47,6 @@ from .process import (
     StepResult,
 )
 from .trace import SystemRunTrace
-
-
-def _dispatch(event: tuple) -> None:
-    """Route a queue entry: every entry is a tuple headed by its bound handler."""
-    event[0](event)
 
 
 class SystemSimulator:
@@ -77,8 +76,7 @@ class SystemSimulator:
         worst case).
     seed:
         Master seed for all randomised choices (bad-period behaviour); the
-        engine derives the isolated ``steps`` and ``network`` sub-streams
-        from it.
+        isolated ``steps`` and ``network`` sub-streams are derived from it.
     """
 
     def __init__(
@@ -104,6 +102,12 @@ class SystemSimulator:
         self.params = params
         self.schedule = schedule
         self.fault_schedule = fault_schedule if fault_schedule is not None else FaultSchedule.none()
+        for fault in self.fault_schedule.events:
+            if not 0 <= fault.process < self.n:
+                raise ValueError(
+                    f"fault event at time {fault.time} names process {fault.process},"
+                    f" outside 0..{self.n - 1}"
+                )
         self.bad_process_behavior = (
             bad_process_behavior if bad_process_behavior is not None else BadPeriodProcessBehavior()
         )
@@ -113,36 +117,24 @@ class SystemSimulator:
                 f"good_step_gap must be in [1, phi={params.phi}], got {self.good_step_gap}"
             )
         self.trace = trace if trace is not None else SystemRunTrace(n=self.n)
-        self._engine = EngineCore(seed)
-        self._clock = self._engine.clock
-        self._schedule_event = self._engine.queue.schedule
-        self._rng = self._engine.rng.stream("steps")
-        self._injector = CrashRecoveryInjector(
-            crash=self._apply_crash,
-            recover=self._apply_recover,
-            veto=self._fault_vetoed,
-            recorder=self.trace,
-        )
+        #: current simulated time; only the run loop moves it, never backwards.
+        self.now = 0.0
+        self._heap: List[Tuple[float, int, Any]] = []
+        self._sequence = itertools.count()
+        rng = SeededRng(seed)
+        self._rng = rng.stream("steps")
+        #: fault events vetoed because they fell inside a good period's scope.
+        self.skipped_fault_events: List[FaultEvent] = []
         self.network = Network(
             n=self.n,
             params=params,
             schedule=schedule,
             bad_behavior=bad_network,
             good_delay_factor=good_delay_factor,
-            rng=self._engine.rng.stream("network"),
+            rng=rng.stream("network"),
         )
         self.runtimes: List[ProcessRuntime] = [ProcessRuntime(program) for program in programs]
         self._started = False
-
-    @property
-    def now(self) -> float:
-        """Current simulated time (owned by the engine clock)."""
-        return self._clock.now
-
-    @property
-    def skipped_fault_events(self) -> List[FaultEvent]:
-        """Fault events vetoed because they fell inside a good period's scope."""
-        return self._injector.skipped
 
     # ------------------------------------------------------------------ #
     # event-queue helpers
@@ -151,6 +143,10 @@ class SystemSimulator:
     # Queue entries are plain tuples headed by the bound handler that
     # consumes them -- ``(handler, *payload)`` -- so routing an event is one
     # index and one call, with nothing to construct or type-test.
+
+    def _schedule_event(self, time: float, event: tuple) -> None:
+        """Queue *event* at *time*, after every event already queued for that time."""
+        heapq.heappush(self._heap, (time, next(self._sequence), event))
 
     def _schedule_step(self, process: ProcessId, time: float) -> None:
         self._schedule_event(
@@ -201,7 +197,7 @@ class SystemSimulator:
         runtime = self.runtimes[process]
         if not runtime.up or generation != runtime.schedule_generation:
             return
-        now = self._clock.now
+        now = self.now
         period = self.schedule.period_at(now)
         down, synchronous = step_scope(period, process)
         if down:
@@ -262,11 +258,27 @@ class SystemSimulator:
         self.network.make_ready(event[1])
 
     def _handle_fault(self, event: tuple) -> None:
-        self._injector.apply(event[1])
+        fault: FaultEvent = event[1]
+        process = fault.process
+        runtime = self.runtimes[process]
+        if self.schedule.is_synchronous(process, self.now):
+            # Good periods forbid faults on processes in their synchronous scope.
+            self.skipped_fault_events.append(fault)
+        elif fault.kind is FaultKind.CRASH:
+            if runtime.up:
+                runtime.crash()
+                self.network.purge_process_state(process)
+                self.trace.record_crash(process, fault.time)
+        elif not runtime.up:  # FaultKind.RECOVER of a down process
+            runtime.recover()
+            gap = self._step_gap(process, self.now)
+            if gap is not None:
+                self._schedule_step(process, self.now + gap)
+            self.trace.record_recovery(process, fault.time)
 
     def _handle_period_start(self, event: tuple) -> None:
         period: GoodPeriod = event[1]
-        now = self._clock.now
+        now = self.now
         if period.kind in (GoodPeriodKind.PI0_DOWN, GoodPeriodKind.PI_GOOD):
             outside = [p for p in range(self.n) if p not in period.pi0]
             for process in outside:
@@ -287,49 +299,42 @@ class SystemSimulator:
             self._schedule_step(process, now + self.good_step_gap)
 
     # ------------------------------------------------------------------ #
-    # fault-injection hooks (called by the engine's CrashRecoveryInjector)
-    # ------------------------------------------------------------------ #
-
-    def _fault_vetoed(self, fault: FaultEvent) -> bool:
-        # Good periods forbid faults on processes in their synchronous scope.
-        return self.schedule.is_synchronous(fault.process, self.now)
-
-    def _apply_crash(self, process: ProcessId) -> bool:
-        runtime = self.runtimes[process]
-        if not runtime.up:
-            return False
-        runtime.crash()
-        self.network.purge_process_state(process)
-        return True
-
-    def _apply_recover(self, process: ProcessId) -> bool:
-        runtime = self.runtimes[process]
-        if runtime.up:
-            return False
-        runtime.recover()
-        gap = self._step_gap(process, self.now)
-        if gap is not None:
-            self._schedule_step(process, self.now + gap)
-        return True
-
-    # ------------------------------------------------------------------ #
     # main loop
     # ------------------------------------------------------------------ #
 
     def run(self, until: float, stop_when: Optional[Callable[[], bool]] = None) -> SystemRunTrace:
         """Run the simulation until simulated time *until*; returns the trace.
 
-        *stop_when* is an optional early-stop predicate polled between
-        events (e.g. a streaming predicate monitor bank's
-        ``stop_requested``); when it fires, the run ends before *until*.
+        Events are handled in ``(time, sequence)`` order, an event at exactly
+        *until* included.  *stop_when* is an optional early-stop predicate
+        polled before the first event and after each one (e.g. a streaming
+        predicate monitor bank's ``stop_requested``); when it fires, the run
+        ends with :attr:`now` at the last handled event.  Otherwise
+        :attr:`now` ends at ``max(now, until)``.  A later call resumes with
+        the events still pending.
         """
         if until < self.now:
             raise ValueError(f"cannot run backwards: now={self.now}, until={until}")
         if not self._started:
             self._start()
-        self._engine.run(until, _dispatch, stop_when=stop_when)
+        self._drain(until, stop_when)
         self._finalise_trace()
         return self.trace
+
+    def _drain(self, until: float, stop_when: Optional[Callable[[], bool]]) -> None:
+        if stop_when is not None and stop_when():
+            return
+        heap = self._heap
+        pop = heapq.heappop
+        while heap and heap[0][0] <= until:
+            time, _, event = pop(heap)
+            if time > self.now:  # the clock never moves backwards
+                self.now = time
+            event[0](event)
+            if stop_when is not None and stop_when():
+                return
+        if until > self.now:
+            self.now = until
 
     def _finalise_trace(self) -> None:
         # The network owns the drop counter; the trace mirrors it.  (messages_sent

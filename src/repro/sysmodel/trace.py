@@ -91,11 +91,11 @@ class SystemRunTrace:
             self.decisions[process] = DecisionRecord(process, value, round, time)
 
     def record_crash(self, process: ProcessId, time: float) -> None:
-        """Account one applied crash (the engine's TraceRecorder hook)."""
+        """Account one applied crash (called by the simulator)."""
         self.crashes += 1
 
     def record_recovery(self, process: ProcessId, time: float) -> None:
-        """Account one applied recovery (the engine's TraceRecorder hook)."""
+        """Account one applied recovery (called by the simulator)."""
         self.recoveries += 1
 
     # ------------------------------------------------------------------ #

@@ -48,8 +48,9 @@ class TestClassification:
         assert classify(config(schedule=schedule, lossy=True)) is FaultClass.DT
 
     def test_crashed_and_recovering_helpers(self):
-        schedule = FaultSchedule.crash_recovery([(1, 1.0, 2.0)]).merged_with(
-            FaultSchedule.crash_stop([(3, 4.0)])
+        schedule = FaultSchedule(
+            events=FaultSchedule.crash_recovery([(1, 1.0, 2.0)]).events
+            + FaultSchedule.crash_stop([(3, 4.0)]).events
         )
         configuration = config(schedule=schedule)
         assert configuration.crashed_processes() == frozenset({1, 3})
@@ -80,8 +81,9 @@ class TestClassificationEdgeCases:
 
     def test_recovering_subset_plus_permanent_crashes_stays_transient(self):
         """Mixed permanent + transient faults on a subset classify as ST."""
-        schedule = FaultSchedule.crash_recovery([(0, 1.0, 2.0)]).merged_with(
-            FaultSchedule.crash_stop([(1, 3.0)])
+        schedule = FaultSchedule(
+            events=FaultSchedule.crash_recovery([(0, 1.0, 2.0)]).events
+            + FaultSchedule.crash_stop([(1, 3.0)]).events
         )
         assert classify(config(schedule=schedule)) is FaultClass.ST
 

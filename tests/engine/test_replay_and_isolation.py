@@ -1,9 +1,9 @@
-"""Replay guarantees of the unified engine core.
+"""Replay guarantees of the step-level simulator.
 
-Two properties the engine enforces by construction:
+Two properties the simulator enforces by construction:
 
 * *byte-identical replay*: the same seed yields byte-identical traces;
-* *sub-stream isolation*: randomness is drawn from named engine sub-streams,
+* *sub-stream isolation*: randomness is drawn from named ``SeededRng`` sub-streams,
   so changing the channel-noise model does not perturb step or fault timing
   (and vice versa).
 """
@@ -113,7 +113,7 @@ class AlternatingProgram:
     """A step program with a message-independent action sequence.
 
     Sends and receives strictly alternate, so the times at which its steps
-    run depend only on the engine's ``steps`` sub-stream and the fault
+    run depend only on the simulator's ``steps`` sub-stream and the fault
     schedule -- never on what the network delivered.  Used to observe step
     timing in isolation.
     """
@@ -171,7 +171,7 @@ class TestSubStreamIsolation:
     def test_channel_noise_does_not_perturb_step_and_fault_timing(self):
         """Changing the bad-period network leaves process step times untouched.
 
-        Step gaps come from the engine's ``steps`` sub-stream, link delay and
+        Step gaps come from the simulator's ``steps`` sub-stream, link delay and
         loss from ``network``: making the network ten times noisier must not
         move a single step (or fault application) in time.
         """

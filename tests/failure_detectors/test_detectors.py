@@ -103,8 +103,9 @@ class TestEventuallyStrong:
 
 class TestEventuallyStrongRecovery:
     def test_after_stabilization_trusts_exactly_the_good_up_processes(self):
-        faults = FaultSchedule.crash_stop([(1, 0.0)]).merged_with(
-            FaultSchedule.crash_recovery([(2, 0.0, 5.0)])
+        faults = FaultSchedule(
+            events=FaultSchedule.crash_stop([(1, 0.0)]).events
+            + FaultSchedule.crash_recovery([(2, 0.0, 5.0)]).events
         )
         simulator = make_simulator(good_from=10.0, pi0={0, 2, 3}, faults=faults)
         simulator.run(until=20.0)

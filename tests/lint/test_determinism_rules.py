@@ -43,6 +43,7 @@ VIOLATIONS = [
     ("REP104", "repro/algorithms/fake.py",
      "def encode(values):\n    raise batched.BatchUnsupported(f'bad {values}')\n", 2),
     ("REP002", "repro/fake.py", "from numba.core import types\n", 1),
+    ("REP006", "repro/sysmodel/fake.py", "import repro.workloads\n", 1),
 ]
 
 IDS = [f"{code}-{i}" for i, (code, _, _, _) in enumerate(VIOLATIONS)]

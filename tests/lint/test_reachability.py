@@ -114,25 +114,15 @@ KEPT: Dict[str, str] = {
     "repro.batch.arrays.words_array_from_masks": (
         "reference: builds array rows from int masks for the batch parity tests"
     ),
-    "repro.sysmodel.simulator.SystemSimulator.skipped_fault_events": (
-        "reference: part of the step-level golden fingerprints (tests/predimpl/_golden_step.py)"
-    ),
     "repro.core.types.HOCollection.has_record": (
         "reference: tests/engine/test_replay_and_isolation.py serialises recorded cells"
     ),
     # query accessors that only unit tests read
     "repro.core.types.HOCollection.restrict": "reference: the scope projection of a collection",
-    "repro.core.types.RunTrace.decision_times": "reference: decision times of a round-level trace",
     "repro.sysmodel.trace.SystemRunTrace.decision_times": (
         "reference: decision times of a step-level trace"
         " (tests/predimpl/test_arbitrary_good_period.py checks them against the P_2otr bound)"
     ),
-    "repro.engine.faults.FaultSchedule.merged_with": "reference: composes fault schedules",
-    "repro.sysmodel.periods.GoodPeriod.is_initial": "reference: the paper's initial good period",
-    "repro.sysmodel.periods.GoodPeriod.contains": "reference: half-open period membership",
-    "repro.sysmodel.periods.PeriodSchedule.is_good": "reference: good/bad classification of a time",
-    "repro.sysmodel.process.StableStorage.snapshot": "reference: copy of the stable storage",
-    "repro.sysmodel.process.ProcessRuntime.has_work": "reference: whether a process can step",
 }
 
 

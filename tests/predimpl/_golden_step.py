@@ -2,13 +2,15 @@
 
 The values in ``tests/data/golden_step_fingerprints.json`` were captured
 from the event loop as it stood *before* the lean-loop rewrite of
-``SystemSimulator`` / ``EngineCore.run`` / ``sysmodel.Network``.  The
-rewrite is specified as bit-identical per seed, so the same cells run
-through :class:`~repro.predimpl.step_backend.ScalarStepBackend` must
-reproduce every per-replica fingerprint, decision round and executed-round
-count, and two directly built simulator runs must reproduce their
-trace-level counters.  Only public APIs present on both sides of the
-rewrite are used.
+``SystemSimulator`` and ``sysmodel.Network``, and have held since through
+every change to the loop (folding the event queue, clock and fault
+injection into ``SystemSimulator`` among them).  Each change is specified
+as bit-identical per seed, so the same cells run through
+:class:`~repro.predimpl.step_backend.ScalarStepBackend` must reproduce
+every per-replica fingerprint, decision round and executed-round count,
+and two directly built simulator runs must reproduce their trace-level
+counters, the vetoed fault events (``skipped_fault_events``) included.
+Only public APIs present on both sides of each change are used.
 
 Regenerate (only when a semantic change is intended)::
 

@@ -56,7 +56,8 @@ class TestLockstepExecution:
         assert machine.all_decided()
         # decisions are derived from the unified records
         assert machine.trace.decision_values() == machine.decisions()
-        assert set(machine.trace.decision_times().values()) <= {1.0, 2.0, 3.0}
+        times = {record.time for record in machine.trace.decision_records().values()}
+        assert times <= {1.0, 2.0, 3.0}
 
 
 class TestStepTransport:

@@ -43,11 +43,11 @@ class TestFaultSchedule:
         with pytest.raises(ValueError):
             FaultSchedule.crash_recovery([(1, 5.0, 5.0)])
 
-    def test_merge(self):
+    def test_concatenated_schedules_are_sorted(self):
         a = FaultSchedule.crash_stop([(0, 1.0)])
-        b = FaultSchedule.crash_stop([(1, 2.0)])
-        merged = a.merged_with(b)
-        assert {event.process for event in merged.events} == {0, 1}
+        b = FaultSchedule.crash_stop([(1, 0.5)])
+        merged = FaultSchedule(events=a.events + b.events)
+        assert [event.process for event in merged.events] == [1, 0]
 
     def test_none(self):
         assert FaultSchedule.none().events == []

@@ -41,15 +41,14 @@ class TestGoodPeriod:
     def test_length_and_containment(self):
         period = GoodPeriod(10.0, 30.0, GoodPeriodKind.PI_GOOD, frozenset({0, 1}))
         assert period.length == 20.0
-        assert period.contains(10.0)
-        assert period.contains(29.999)
-        assert not period.contains(30.0)
-        assert not period.is_initial
+        schedule = PeriodSchedule(n=2, good_periods=[period])
+        assert schedule.period_at(10.0) is period
+        assert schedule.period_at(29.999) is period
+        assert schedule.period_at(30.0) is None
 
     def test_initial_period(self):
         period = GoodPeriod(0.0, math.inf, GoodPeriodKind.PI_GOOD, frozenset({0}))
-        assert period.is_initial
-        assert period.contains(1e9)
+        assert PeriodSchedule(n=1, good_periods=[period]).period_at(1e9) is period
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -61,8 +60,8 @@ class TestGoodPeriod:
 class TestPeriodSchedule:
     def test_always_good(self):
         schedule = PeriodSchedule.always_good(3)
-        assert schedule.is_good(0.0)
-        assert schedule.is_good(12345.0)
+        assert schedule.period_at(0.0) is not None
+        assert schedule.period_at(12345.0) is not None
         assert schedule.is_synchronous(2, 10.0)
         assert not schedule.is_down(2, 10.0)
 
@@ -70,10 +69,10 @@ class TestPeriodSchedule:
         schedule = PeriodSchedule.single_good_period(
             3, start=50.0, length=20.0, kind=GoodPeriodKind.PI0_DOWN, pi0=[0, 1]
         )
-        assert not schedule.is_good(49.9)
-        assert schedule.is_good(50.0)
-        assert schedule.is_good(69.9)
-        assert not schedule.is_good(70.0)
+        assert schedule.period_at(49.9) is None
+        assert schedule.period_at(50.0) is not None
+        assert schedule.period_at(69.9) is not None
+        assert schedule.period_at(70.0) is None
         assert schedule.is_synchronous(0, 60.0)
         assert not schedule.is_synchronous(2, 60.0)
         assert schedule.is_down(2, 60.0)

@@ -58,21 +58,12 @@ class TestStableStorage:
         assert storage.write_count == 1
         assert storage.read_count == 2
 
-    def test_snapshot_is_a_copy(self):
-        storage = StableStorage()
-        storage.store("x", [1])
-        snapshot = storage.snapshot()
-        snapshot["x"].append(2)
-        snapshot["y"] = 3
-        assert "y" not in storage
-
 
 class TestProcessRuntime:
     def test_boot_produces_first_action(self):
         runtime = ProcessRuntime(PingProgram())
         runtime.boot()
         assert isinstance(runtime.next_action(), SendStep)
-        assert runtime.has_work
 
     def test_steps_alternate_according_to_program(self):
         runtime = ProcessRuntime(PingProgram())
@@ -105,7 +96,6 @@ class TestProcessRuntime:
         runtime.crash()
         assert not runtime.up
         assert runtime.next_action() is None
-        assert not runtime.has_work
         runtime.recover()
         assert runtime.up
         # The counter survived on stable storage: the next send uses counter=3.
@@ -140,7 +130,6 @@ class TestProcessRuntime:
         assert isinstance(runtime.next_action(), SendStep)
         runtime.complete_step(StepResult(time=1.0))
         assert runtime.next_action() is None
-        assert not runtime.has_work
 
     def test_completing_steps_while_down_is_a_noop(self):
         runtime = ProcessRuntime(PingProgram())

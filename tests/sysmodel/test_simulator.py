@@ -6,7 +6,12 @@ from typing import Optional, Sequence
 
 import pytest
 
-from repro.sysmodel.faults import BadPeriodProcessBehavior, FaultSchedule
+from repro.sysmodel.faults import (
+    BadPeriodProcessBehavior,
+    FaultEvent,
+    FaultKind,
+    FaultSchedule,
+)
 from repro.sysmodel.network import BadPeriodNetwork, Envelope
 from repro.sysmodel.params import SynchronyParams
 from repro.sysmodel.periods import GoodPeriodKind, PeriodSchedule
@@ -80,11 +85,91 @@ class TestConstruction:
                 good_step_gap=3.0,
             )
 
+    @pytest.mark.parametrize("process", [-1, 3])
+    def test_fault_events_must_name_a_process(self, process):
+        faults = FaultSchedule(events=[FaultEvent(5.0, FaultKind.CRASH, process)])
+        programs = [ChattyProgram(p, 3) for p in range(3)]
+        with pytest.raises(ValueError, match="outside 0..2"):
+            make_simulator(n=3, programs=programs, fault_schedule=faults)
+        assert [program.step_times for program in programs] == [[], [], []]
+
+
+def lockstep_bad_period(**kwargs):
+    """Two processes in one endless bad period, each stepping at t = 1, 2, 3, ..."""
+    return make_simulator(
+        n=2,
+        schedule=PeriodSchedule(n=2, good_periods=[]),
+        bad_process_behavior=BadPeriodProcessBehavior(
+            min_step_gap=1.0, max_step_gap=1.0, stall_probability=0.0
+        ),
+        **kwargs,
+    )
+
+
+class TestEventLoop:
+    def test_equal_time_events_run_in_scheduling_order(self):
+        # The first steps are queued before the fault events, so a crash at
+        # exactly the first step's time applies after that step.
+        simulator, programs = lockstep_bad_period(
+            fault_schedule=FaultSchedule.crash_stop([(1, 1.0)])
+        )
+        simulator.run(until=5.0)
+        assert programs[1].step_times == [1.0]
+        assert programs[0].step_times == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert simulator.trace.crashes == 1
+
+    def test_an_event_at_the_horizon_runs_and_the_clock_ends_there(self):
+        simulator, programs = lockstep_bad_period()
+        simulator.run(until=3.0)
+        assert [program.step_times for program in programs] == [[1.0, 2.0, 3.0]] * 2
+        assert simulator.now == 3.0
+        simulator.run(until=4.5)
+        assert programs[0].step_times == [1.0, 2.0, 3.0, 4.0]
+        assert simulator.now == 4.5  # advanced to the horizon past the last event
+
+    def test_a_stop_condition_already_true_runs_nothing(self):
+        simulator, programs = lockstep_bad_period()
+        trace = simulator.run(until=10.0, stop_when=lambda: True)
+        assert [program.step_times for program in programs] == [[], []]
+        assert trace.total_send_steps == trace.total_receive_steps == 0
+        assert simulator.now == 0.0
+
+    def test_a_stopped_run_resumes_into_the_unstopped_run(self):
+        def run(stop_after):
+            simulator, programs = make_simulator(
+                n=3,
+                schedule=PeriodSchedule.single_good_period(
+                    3, start=25.0, length=30.0, kind=GoodPeriodKind.PI0_DOWN, pi0=[0, 1]
+                ),
+                seed=4,
+                fault_schedule=FaultSchedule.crash_recovery([(2, 6.0, 14.0)]),
+                bad_network=BadPeriodNetwork(loss_probability=0.3, min_delay=0.5, max_delay=9.0),
+            )
+            if stop_after is not None:
+                simulator.run(
+                    until=60.0, stop_when=lambda: len(programs[0].step_times) >= stop_after
+                )
+                # The clock stays at the event that fired the stop.
+                assert simulator.now == programs[0].step_times[-1] < 60.0
+            trace = simulator.run(until=60.0)
+            assert simulator.now == 60.0
+            return (
+                [program.step_times for program in programs],
+                [program.received for program in programs],
+                trace.messages_sent,
+                trace.messages_dropped,
+                trace.crashes,
+                trace.recoveries,
+            )
+
+        assert run(None) == run(5) == run(1)
+
     def test_cannot_run_backwards(self):
         simulator, _ = make_simulator()
         simulator.run(until=10.0)
         with pytest.raises(ValueError):
             simulator.run(until=5.0)
+        assert simulator.now == 10.0
 
 
 class TestSynchronousExecution:
