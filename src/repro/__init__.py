@@ -23,10 +23,10 @@ The package implements the full stack described by the paper:
   the upon-event style and run as step programs of the system model;
 * :mod:`repro.analysis` -- fault taxonomy, predicate checking and consensus
   property checking over traces;
-* :mod:`repro.workloads` -- scenario generators and the measurement harness
-  used by the benchmarks;
-* :mod:`repro.runner` -- the scenario/measurement registry and the parallel
-  (scenario × seed × fault-model) sweep executor behind the benchmarks and
+* :mod:`repro.workloads` -- the scenario builders the sweep runs, and the
+  good-period measurements ``tests/claims`` checks against the paper's bounds;
+* :mod:`repro.runner` -- the scenario registry and the parallel
+  (scenario × seed × fault-model) sweep executor behind
   ``python -m repro.runner``.
 """
 

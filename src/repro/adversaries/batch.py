@@ -28,11 +28,31 @@ assumes the per-replica oracles were *constructed identically* (a
 replica-invariant oracle whose constructor arguments varied per seed would
 still differ across replicas); the scenario builders guarantee this by
 constructing deterministic oracles independently of the replica seed.
+
+Inside one engine run of the ``super`` backend, cells that differ only in
+their fault-model overlay or algorithm carry the same environment: the same
+family keys, the same loss streams.  :func:`vectorize_oracles` with a
+*shared* table hands every such cell the same component object (a
+:class:`SharedDraw`), and :func:`shared_components` tells the engine which
+objects several cells hold, so that it draws each of them once per round
+(:meth:`SharedDraw.share_round`) for the union of its sharers' live rows.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Protocol, Sequence, runtime_checkable
+import array
+from typing import (
+    Any,
+    Dict,
+    Hashable,
+    Iterator,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    runtime_checkable,
+)
 
 import numpy as np
 
@@ -57,6 +77,34 @@ class BatchOracle(Protocol):
     replicas: int
 
     def round_masks(self, round: int, active: Any) -> Any: ...
+
+
+class SharedDraw:
+    """A component that several cells of one engine run may hold as one object.
+
+    Sharing is sound only between provably identical components: equal
+    :meth:`share_key` (never None) means equal draws, row for row, in every
+    future round.  The engine then calls :meth:`share_round` once per round
+    with the union of the sharers' live rows, *before* any sharer asks, and
+    every ``round_masks`` of that round returns the one draw -- each sharer
+    reads its own rows of it, and rows live in no sharer are not drawn, so
+    a row's draws are exactly its scalar twin's.  The memo holds one round
+    and lives as long as the component, which is one engine run.  Each
+    subclass's ``round_masks`` reads the memo itself, so that the method a
+    sharer calls stays the one that draws.
+    """
+
+    _shared_round = 0
+    _shared_words: Any = None
+
+    def share_key(self) -> Optional[Hashable]:
+        """What must be equal for two components to draw alike (None: never share)."""
+        return None
+
+    def share_round(self, round: int, union: Any) -> None:
+        """Draw *round* for the replicas *union*; this round's queries read it."""
+        self._shared_words = self.round_masks(round, union)  # type: ignore[attr-defined]
+        self._shared_round = round
 
 
 class BroadcastBatchOracle:
@@ -90,7 +138,7 @@ class BroadcastBatchOracle:
         return self._view
 
 
-class PerReplicaBatchOracle:
+class PerReplicaBatchOracle(SharedDraw):
     """The fallback loop: one scalar oracle per replica, queried in a loop.
 
     Queries follow the scalar engine's order (ascending process id per
@@ -99,7 +147,9 @@ class PerReplicaBatchOracle:
     their oracles stop being queried the moment their run would have ended.
 
     :meth:`round_masks` is the one entry point; a subclass that knows its
-    oracles' family overrides :meth:`_fill` only.
+    oracles' family overrides :meth:`_fill` only.  An opaque loop is never
+    shared (its oracles may hold any state), so its :meth:`share_key` is
+    None.
     """
 
     def __init__(self, oracles: Sequence[HOOracleBase]) -> None:
@@ -117,6 +167,8 @@ class PerReplicaBatchOracle:
         self._buffer = np.zeros((self.replicas, n, self._words), dtype=np.uint64)
 
     def round_masks(self, round: int, active: Any) -> Any:
+        if round == self._shared_round:
+            return self._shared_words
         self._fill(round, np.flatnonzero(active))
         return self._buffer
 
@@ -142,6 +194,13 @@ class RandomOmissionBatchOracle(PerReplicaBatchOracle):
     and all active rows are then compared, scattered and packed together.
     ``ho_mask`` is never called, so the oracles' memos stay empty; what a
     run leaves behind is each stream exactly where the scalar oracle's is.
+
+    Two such loops whose rows' streams stand at equal states, with one
+    ``(n, loss_probability, always_hear_self)``, draw alike from here on
+    (:meth:`share_key`).  A shared loop draws from its first sharer's
+    streams only, each round for the union of the sharers' live rows, so a
+    shared stream ends where its longest-running sharer's scalar oracle
+    would, and the other sharers' streams are never advanced.
     """
 
     def __init__(self, oracles: Sequence[RandomOmissionOracle]) -> None:
@@ -158,6 +217,18 @@ class RandomOmissionBatchOracle(PerReplicaBatchOracle):
                 self.replicas, n - 1, n + 1
             )[:, :, :n]
         self._draws = range(self._drawn[0].size)
+
+    def share_key(self) -> Optional[Hashable]:
+        # A stream's Mersenne-Twister words (and position) alone decide its
+        # random() draws; packed, a row's state is 2.5 KB, not 625 ints.
+        states = b"".join(
+            array.array("I", oracle._stream.getstate()[1]).tobytes()
+            for oracle in self.oracles
+        )
+        return (
+            RandomOmissionBatchOracle, self.n, self._loss,
+            self.oracles[0].always_hear_self, states,
+        )
 
     def _fill(self, round: int, rows: Any) -> None:
         draws = self._draws
@@ -234,7 +305,40 @@ def _bulk_drawable(oracles: Sequence[HOOracleBase]) -> bool:
     )
 
 
-def vectorize_oracles(oracles: Sequence[HOOracleBase], replicas: int) -> Any:
+def _share(component: Any, shared: Optional[Dict[Hashable, Any]]) -> Any:
+    """*component*, or the identical one the table *shared* already holds."""
+    if shared is None or not isinstance(component, SharedDraw):
+        return component
+    key = component.share_key()
+    return component if key is None else shared.setdefault(key, component)
+
+
+def _components(oracle: Any) -> Iterator[Any]:
+    """*oracle* itself or, recursively, the parts of an :class:`IntersectBatchOracle`."""
+    if isinstance(oracle, IntersectBatchOracle):
+        for component in oracle.components:
+            yield from _components(component)
+    else:
+        yield oracle
+
+
+def shared_components(oracles: Sequence[Any]) -> List[Tuple[SharedDraw, List[int]]]:
+    """Every component two or more of *oracles* hold, with its holders' indices."""
+    holders: Dict[int, Tuple[Any, List[int]]] = {}
+    for index, oracle in enumerate(oracles):
+        for component in _components(oracle):
+            if isinstance(component, SharedDraw):
+                indices = holders.setdefault(id(component), (component, []))[1]
+                if index not in indices:
+                    indices.append(index)
+    return [(component, indices) for component, indices in holders.values() if len(indices) > 1]
+
+
+def vectorize_oracles(
+    oracles: Sequence[HOOracleBase],
+    replicas: int,
+    shared: Optional[Dict[Hashable, Any]] = None,
+) -> Any:
     """The batch oracle for one oracle per replica, broadcast when sound.
 
     *oracles* holds the scalar oracle of every replica (length R).  The
@@ -261,6 +365,13 @@ def vectorize_oracles(oracles: Sequence[HOOracleBase], replicas: int) -> Any:
     that remains is: at most one component may resolve to the opaque
     :class:`PerReplicaBatchOracle` loop (of which the bulk-drawing
     :class:`RandomOmissionBatchOracle` is one: its draws are sequential too).
+
+    *shared*, when given, is the table of one engine run: a counter dual or
+    bulk-drawing loop whose :meth:`~SharedDraw.share_key` it already holds
+    is returned as that very object, so cells with identical components
+    hold one (see :func:`shared_components`).  The object is the real
+    component, never a wrapper, so every ``isinstance`` reading of the
+    result is what it would be unshared.
     """
     from .combinators import IntersectOracle
     from .counter_batch import counter_batch_dual
@@ -273,7 +384,7 @@ def vectorize_oracles(oracles: Sequence[HOOracleBase], replicas: int) -> Any:
         return BroadcastBatchOracle(oracles[0], replicas)
     dual = counter_batch_dual(oracles, replicas)
     if dual is not None:
-        return dual
+        return _share(dual, shared)
     if isinstance(oracles[0], IntersectOracle):
         arity = len(oracles[0].oracles)
         if arity > 1 and all(
@@ -288,9 +399,11 @@ def vectorize_oracles(oracles: Sequence[HOOracleBase], replicas: int) -> Any:
                 1 for c in components if isinstance(c, PerReplicaBatchOracle)
             )
             if sequential <= 1:
-                return IntersectBatchOracle(*components)
+                # Shared only once the intersect decomposes: a component of
+                # an opaque loop must not be handed to another cell.
+                return IntersectBatchOracle(*(_share(c, shared) for c in components))
     if _bulk_drawable(oracles):
-        return RandomOmissionBatchOracle(oracles)
+        return _share(RandomOmissionBatchOracle(oracles), shared)
     return PerReplicaBatchOracle(oracles)
 
 
@@ -300,5 +413,7 @@ __all__ = [
     "PerReplicaBatchOracle",
     "RandomOmissionBatchOracle",
     "IntersectBatchOracle",
+    "SharedDraw",
+    "shared_components",
     "vectorize_oracles",
 ]

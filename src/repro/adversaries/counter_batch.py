@@ -35,7 +35,7 @@ and stay whole.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, Hashable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from ..engine.counter import (
     units_of_counters,
 )
 from ..rounds.bitmask import WORD_BITS, word_count
+from .batch import SharedDraw
 from .classic import CounterKernelOracle
 from .dynamic import (
     BurstyLossOracle,
@@ -58,7 +59,7 @@ from .dynamic import (
 )
 
 
-class _CounterDualBase:
+class _CounterDualBase(SharedDraw):
     """Shared scaffolding: per-row keys, full/self word constants, draw scratch.
 
     The ``(R, n, n)`` link-coin draws of a round all run in one lazily built
@@ -66,12 +67,17 @@ class _CounterDualBase:
     hash, one bool matrix for the threshold comparison that follows --
     which never leaves the dual: whatever ``round_masks`` returns or
     memoises is a fresh array or a constant.
+
+    A dual's draws are a function of its class, its construction signature,
+    ``n`` and its per-row keys, so two duals equal in those draw alike
+    (:meth:`share_key`); each subclass draws a round in :meth:`_draw`.
     """
 
     def __init__(self, oracles: Sequence[Any]) -> None:
         first = oracles[0]
         self.n = first.n
         self.replicas = len(oracles)
+        self.signature = first.counter_batch_signature()
         # The per-replica stream keys -- the same derive_seed(seed_i, name)
         # values the scalar oracles hash under (friend access within the
         # adversaries package).
@@ -89,6 +95,18 @@ class _CounterDualBase:
         eye = np.ones((1, n), dtype=bool)
         self._full_words = np.broadcast_to(pack_bools(eye, n), (n, W))
         self._scratch: Optional[Tuple[DrawScratch, Any]] = None
+
+    def share_key(self) -> Hashable:
+        return (type(self), self.signature, self.n, self.keys.tobytes())
+
+    def round_masks(self, round: int, active: Any) -> Any:
+        if round == self._shared_round:
+            return self._shared_words
+        return self._draw(round, active)
+
+    def _draw(self, round: int, active: Any) -> Any:
+        """*round*'s ``(R, n, W)`` words; rows not *active* may hold anything."""
+        raise NotImplementedError
 
     def _link_scratch(self) -> Tuple[DrawScratch, Any]:
         """The ``(R, n, n)`` draw scratch and its bool companion."""
@@ -156,7 +174,7 @@ class MobileOmissionBatchDual(_CounterDualBase):
         self.faults = first.faults
         self.stable_from = first.stable_from
 
-    def round_masks(self, round: int, active: Any) -> Any:
+    def _draw(self, round: int, active: Any) -> Any:
         if (
             self.stable_from is not None and round >= self.stable_from
         ) or self.faults == 0:
@@ -213,7 +231,7 @@ class RotatingPartitionBatchDual(_CounterDualBase):
             self._epoch_words = pack_bools(same_block, self.n)
             self._epoch = epoch
 
-    def round_masks(self, round: int, active: Any) -> Any:
+    def _draw(self, round: int, active: Any) -> Any:
         if self.heal_from is not None and round >= self.heal_from:
             return self._full_rows()
         epoch = (round - 1) // self.period
@@ -234,9 +252,12 @@ class BurstyLossBatchDual(_CounterDualBase):
     Gilbert-Elliott chain is a recurrence); state and loss coins are the
     scalar oracle's counter draws ``(0, r, p, q)`` and ``(1, r, p, q)``
     computed array-wide.  The scalar path skips the loss coin when the loss
-    probability is zero; the dual always computes it, which is equivalent
-    because a uniform in ``[0, 1)`` is never below zero and counter draws
-    have no cursor to shift.
+    probability is zero; the dual computes it for every link, which is
+    equivalent because a uniform in ``[0, 1)`` is never below zero and
+    counter draws have no cursor to shift -- unless both loss probabilities
+    are 0 or 1 (the defaults are ``loss_burst=1``, ``loss_good=0``): then a
+    link is heard exactly when its state's loss probability is 0, and the
+    loss coin is not hashed at all.
 
     Only active replicas advance, so a replica's link states freeze at the
     round it goes inactive; one that is marked active again later is an
@@ -251,6 +272,10 @@ class BurstyLossBatchDual(_CounterDualBase):
         self._recover = coin_threshold(first.p_recover)
         self._loss_burst = coin_threshold(first.loss_burst)
         self._loss_good = coin_threshold(first.loss_good)
+        #: (heard if bursty, heard if good) when no loss coin can matter.
+        self._fixed_loss: Optional[Tuple[bool, bool]] = None
+        if {self._loss_burst, self._loss_good} <= {0, 1 << 64}:
+            self._fixed_loss = (self._loss_burst == 0, self._loss_good == 0)
         self._bursty = np.zeros((self.replicas, self.n, self.n), dtype=bool)
         # The second comparison of each two-threshold select (see _select).
         self._alt_coins = np.empty_like(self._bursty)
@@ -275,17 +300,26 @@ class BurstyLossBatchDual(_CounterDualBase):
             coins_not_below(state, self._recover, out=coins)
             coins_below(state, self._burst, out=alt)
             _select(bursty, coins, alt, out=bursty)
-            loss = counter_hash_array(keys, [np.uint64(1), r, p_axis, q_axis], out=draw)
-            coins_not_below(loss, self._loss_burst, out=coins)
-            coins_not_below(loss, self._loss_good, out=alt)
-            _select(bursty, coins, alt, out=coins)
+            if self._fixed_loss is None:
+                loss = counter_hash_array(keys, [np.uint64(1), r, p_axis, q_axis], out=draw)
+                coins_not_below(loss, self._loss_burst, out=coins)
+                coins_not_below(loss, self._loss_good, out=alt)
+                _select(bursty, coins, alt, out=coins)
+        if self._fixed_loss is not None:
+            heard_if_bursty, heard_if_good = self._fixed_loss
+            if heard_if_bursty == heard_if_good:
+                coins.fill(heard_if_good)
+            elif heard_if_good:
+                np.logical_not(bursty, out=coins)
+            else:
+                np.copyto(coins, bursty)
         coins |= self._eye
         if rows is not None:
             self._bursty[rows] = bursty
             self._retired_at[~active & (self._retired_at == 0)] = round
         self._round_words = self._spread(rows, pack_bools(coins, self.n))
 
-    def round_masks(self, round: int, active: Any) -> Any:
+    def _draw(self, round: int, active: Any) -> Any:
         if self.stable_from is not None and round >= self.stable_from:
             return self._full_rows()
         if round < self._computed_round:
@@ -325,7 +359,7 @@ class EventuallyStableCoordinatorBatchDual(_CounterDualBase):
         self.flaky_probability = first.flaky_probability
         self._background = coin_threshold(first.background_probability)
 
-    def round_masks(self, round: int, active: Any) -> Any:
+    def _draw(self, round: int, active: Any) -> Any:
         if round >= self.stable_from:
             return self._full_rows()
         r = np.uint64(round)
@@ -375,7 +409,7 @@ class CounterKernelBatchDual(_CounterDualBase):
         self._outsider = ~member
         self._pi0_words = pack_bools(member[None, :], self.n)[0]
 
-    def round_masks(self, round: int, active: Any) -> Any:
+    def _draw(self, round: int, active: Any) -> Any:
         r = np.uint64(round)
         rows, keys, draw, coins = self._live(active)
         keys = keys[:, None, None]

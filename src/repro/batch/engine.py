@@ -110,6 +110,12 @@ class BatchEngine:
         self.full_horizon = np.repeat([batch.run_full_horizon for batch in batches], sizes)
         self.row_sq = np.repeat([batch.n**2 for batch in batches], sizes)
         self.pinned = np.repeat([cell.observed for cell in self.cells], sizes)
+        # Imported here: repro.adversaries imports this package.
+        from ..adversaries.batch import shared_components
+
+        #: (component, holding cell indices) of every oracle component that
+        #: several cells hold as one object: drawn once a round for them all.
+        self.shared = shared_components([cell.oracle for cell in self.cells])
         self.scope = np.zeros((self.rows, kernel.n), dtype=bool)
         for batch, span in zip(batches, self.spans):
             self.scope[span, list(iter_bits(batch.effective_scope_mask))] = True
@@ -143,7 +149,7 @@ class BatchEngine:
             alive = (round < self.horizon[orig_of]) & (
                 self.full_horizon[orig_of] | ~kernel.scope_all_decided(self.scope[orig_of])
             )
-            for cell, rows, _, _ in layout:
+            for _, cell, rows, _, _ in layout:
                 if cell.monitors is not None:
                     alive[rows] &= ~cell.monitors.stop_array  # pinned: all R_b rows
             if not alive.any():
@@ -164,14 +170,18 @@ class BatchEngine:
                 layout = self._layout(orig_of)
 
             round += 1
-            watched = []
-            for cell, rows, replica_idx, cell_active in layout:
+            live = []
+            for index, cell, rows, replica_idx, cell_active in layout:
                 cell_alive = alive[rows]
-                if not cell_alive.any():
+                if cell_alive.any():
                     # A finished cell is not asked: its rows keep stale
                     # words, which nothing below reads (alive gates both).
-                    continue
-                cell_active[replica_idx] = cell_alive
+                    cell_active[replica_idx] = cell_alive
+                    live.append((index, cell, rows, replica_idx, cell_active))
+            if self.shared:
+                self._share_round(round, {index: act for index, _, _, _, act in live})
+            watched = []
+            for _, cell, rows, replica_idx, cell_active in live:
                 words = cell.oracle.round_masks(round, cell_active)
                 buffer[rows, : cell.batch.n, : words.shape[-1]] = words[replica_idx]
                 if cell.observed:
@@ -203,27 +213,43 @@ class BatchEngine:
             for cell, span in zip(self.cells, self.spans)
         ]
 
-    def _layout(self, orig_of: Any) -> List[Tuple[Cell, slice, Any, Any]]:
+    def _share_round(self, round: int, active: Dict[int, Any]) -> None:
+        """Draw each shared component once, for the union of its live holders' rows.
+
+        *active* maps each live cell's index to its active vector.  The draw
+        precedes every holder's ``round_masks`` of the round, which then
+        reads it; a row no holder still runs is not drawn, so each holder
+        sees exactly the draws it would see alone.
+        """
+        for component, holders in self.shared:
+            actives = [active[i] for i in holders if i in active]
+            if actives:
+                component.share_round(round, np.logical_or.reduce(actives))
+
+    def _layout(self, orig_of: Any) -> List[Tuple[int, Cell, slice, Any, Any]]:
         """Where each cell still present sits in the kernel's current rows.
 
         Rows are cell-major and compaction preserves their order, so a
         cell's rows are one contiguous slice: one ``searchsorted`` per
-        compaction instead of one scan per cell per round.  Per cell: the
-        cell, that slice, the replica index of each row in it, and the
-        cell's ``(R_b,)`` active vector (replicas compacted away stay
-        False in it for good).
+        compaction instead of one scan per cell per round.  Per cell: its
+        index, the cell, that slice, the replica index of each row in it,
+        and the cell's ``(R_b,)`` active vector (replicas compacted away
+        stay False in it for good).
         """
         bounds = np.searchsorted(
             self.row_cell[orig_of], np.arange(len(self.cells) + 1)
         ).tolist()
         return [
             (
+                index,
                 cell,
                 slice(start, stop),
                 self.row_replica[orig_of[start:stop]],
                 np.zeros(cell.batch.replicas, dtype=bool),
             )
-            for cell, start, stop in zip(self.cells, bounds, bounds[1:])
+            for index, (cell, start, stop) in enumerate(
+                zip(self.cells, bounds, bounds[1:])
+            )
             if stop > start
         ]
 

@@ -14,7 +14,11 @@ gate, and per-row task parameters such as the translation kernel's ``f``
 as row vectors).  Heterogeneous horizons, scopes and fault models coexist
 because every per-row quantity is a row vector of the loop; monitored and
 fingerprinted cells pack like any other because their observers are a slot
-of it.
+of it.  Cells of one row space that carry the same environment -- the same
+family keys, the same loss streams, under another fault model or
+algorithm -- hold one oracle component, drawn once per round for all of
+them (:func:`repro.adversaries.batch.shared_components`); sharing never
+crosses row spaces.
 
 The tier adds no rung of its own: a cell the shared admission
 (:func:`repro.batch.backends.admit`) or ``from_cells`` declines (unencodable
@@ -87,10 +91,15 @@ class SuperBatchBackend:
             if kernel is None:
                 continue
             members = [i for j, i in enumerate(indices) if j not in declined]
+            # One table per engine run: cells of this row space whose
+            # environments are provably identical hold one component.
+            shared: Dict[Any, Any] = {}
             cells = []
             for i in members:
                 oracles = [task.oracle for task in batches[i].tasks]
-                cells.append(Cell(batches[i], vectorize_oracles(oracles, batches[i].replicas)))
+                cells.append(
+                    Cell(batches[i], vectorize_oracles(oracles, batches[i].replicas, shared))
+                )
             for i, outcomes in zip(members, BatchEngine(kernel, cells).run()):
                 results[i] = outcomes
         for i in sorted(reasons):

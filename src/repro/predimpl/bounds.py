@@ -20,12 +20,12 @@ exact expressions of:
 The paper's main text and appendix differ by one additive constant inside
 the parenthesis of Corollary 4 (``+3`` in the main text, ``+2`` in
 Proposition B.1); both variants are provided, the main-text one being the
-default used by the benchmarks (it is the larger, i.e. the safe one).
+default (it is the larger, i.e. the safe one).
 
-The benchmark harness compares these bounds against good-period lengths
-*measured* in the step-level simulator: measured values must never exceed
-the bound, and must scale with the same shape (linear in ``x``, ``n``,
-``delta``, ``f``).
+:mod:`repro.workloads.measure` sets these bounds beside good-period lengths
+*measured* in the step-level simulator, and ``tests/claims/test_good_periods.py``
+asserts that measured values never exceed the bound and scale with the same
+shape (linear in ``x``, ``n``, ``delta``, ``f``).
 """
 
 from __future__ import annotations

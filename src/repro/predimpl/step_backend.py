@@ -7,9 +7,9 @@ good periods, Algorithm 3 (optionally under the Algorithm 4 translation) in
 pi0-arbitrary good periods -- running on the discrete-event
 :class:`~repro.sysmodel.simulator.SystemSimulator`.  This module puts those
 stacks behind the same :class:`~repro.rounds.backend.ReplicaBatch` /
-:class:`~repro.rounds.backend.ReplicaOutcome` unit of work, so sweeps,
-benchmarks and the CLI choose *how* R seeded replicas execute without
-knowing *what* a replica is:
+:class:`~repro.rounds.backend.ReplicaOutcome` unit of work, so the sweep
+runner and its CLI choose *how* R seeded replicas execute without knowing
+*what* a replica is:
 
 * ``step-scalar`` -- :class:`ScalarStepBackend`, the reference: one full
   :class:`SystemSimulator` run per replica, its

@@ -16,10 +16,12 @@ satisfy ``P_k(Pi0, -, -)`` then every process of Pi0 computes the *same*
 space-uniform macro-round.  The property-based tests and benchmark E6 check
 this empirically.
 
-The translation is itself an HO algorithm: it can be executed directly by
-the round-level :class:`~repro.core.machine.HOMachine` (as in the Theorem 8
-benchmark) or stacked on top of Algorithm 3 in the step-level simulator (as
-in the end-to-end consensus benchmarks).
+The translation is itself an HO algorithm: it runs directly in the round
+model (the ``ho-theorem8-translation`` scenario of
+:mod:`repro.workloads.theorems`, checked by ``tests/claims/test_theorem8.py``)
+or stacked on top of Algorithm 3 in the step-level simulator
+(:func:`repro.predimpl.stack.build_arbitrary_stack`, which the
+``ho-step-arbitrary-otr`` scenario runs).
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ and receive omissions, message loss, arbitrary process speeds.  They are
 described in two complementary ways:
 
 * an explicit :class:`FaultSchedule` of timed crash / recovery events
-  (deterministic, used by the worst-case benchmarks), which the simulator
+  (deterministic; the step backends' crash-stop and crash-recovery
+  environments and the fault-taxonomy classifier use it), which the simulator
   applies outside the synchronous scope of good periods, and
 * a probabilistic :class:`BadPeriodProcessBehavior` describing how
   unsynchronised processes behave between good periods (step gaps, the

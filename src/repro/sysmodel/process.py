@@ -101,9 +101,6 @@ class StepProgram(abc.ABC):
         self.process_id = process_id
         self.n = n
         self.stable_storage = StableStorage()
-        #: number of receive steps taken since the last send step; exposed for
-        #: reception policies that rotate over senders (Algorithm 3).
-        self.receive_step_index = 0
 
     @abc.abstractmethod
     def program(self) -> StepProgramGenerator:
@@ -124,11 +121,11 @@ class StepProgram(abc.ABC):
 
 @dataclass
 class ProcessStats:
-    """Per-process step accounting, filled in by the runtime."""
+    """Per-process crash accounting, filled in by the runtime.
 
-    send_steps: int = 0
-    receive_steps: int = 0
-    empty_receives: int = 0
+    Step totals are run-wide, in :class:`~repro.sysmodel.trace.SystemRunTrace`.
+    """
+
     crashes: int = 0
     recoveries: int = 0
 
@@ -177,7 +174,6 @@ class ProcessRuntime:
             return
         self.up = True
         self.stats.recoveries += 1
-        self.program.receive_step_index = 0
         self._generator = self.program.on_recovery()
         self._pending_action = self._advance_to_first_action()
         self.schedule_generation += 1
@@ -206,15 +202,6 @@ class ProcessRuntime:
         """
         if not self.up or self._generator is None:
             return
-        action = self._pending_action
-        if isinstance(action, SendStep):
-            self.stats.send_steps += 1
-            self.program.receive_step_index = 0
-        elif isinstance(action, ReceiveStep):
-            self.stats.receive_steps += 1
-            self.program.receive_step_index += 1
-            if result.envelope is None:
-                self.stats.empty_receives += 1
         try:
             self._pending_action = self._generator.send(result)
         except StopIteration:

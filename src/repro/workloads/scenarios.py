@@ -1,4 +1,4 @@
-"""End-to-end consensus scenarios used by the comparison benchmarks (E7-E9).
+"""End-to-end consensus scenarios: the ``ho-stack``, ``chandra-toueg`` and ``aguilera`` cells.
 
 Three stacks are compared under identical faults -- each on the step-level
 system model's simulator, under the same :class:`StepEnvironment` and seed:
@@ -14,6 +14,10 @@ instantiate: ``fault-free``, ``crash-stop``, ``crash-recovery`` and
 loses messages, so the run's own classification -- in
 ``extra["fault_class"]`` for every stack -- is what says whether a
 failure-detector algorithm's assumptions hold.
+
+The three are registered sweep scenarios; :func:`compare_stacks` runs them
+side by side for ``examples/failure_detector_comparison.py`` and
+``tests/claims/test_fd_gap.py``.
 """
 
 from __future__ import annotations

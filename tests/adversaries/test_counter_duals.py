@@ -256,6 +256,44 @@ class TestPartiallyActiveDraws:
             assert words.shape == (3, 8, 1) and not words.any()
 
 
+class TestBurstyFixedLossCoin:
+    """With both loss probabilities 0 or 1 a link's outcome is a function of
+    its state, so the bursty dual hashes no ``(1, r, p, q)`` loss coin; with
+    either strictly between, it hashes one per link and round."""
+
+    @pytest.mark.parametrize(
+        "loss_burst, loss_good",
+        [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.7, 0.15)],
+    )
+    def test_masks_equal_on_every_round_prefix(self, loss_burst, loss_good, monkeypatch):
+        from repro.adversaries import counter_batch
+
+        hashed_tags = set()
+        hash_array = counter_batch.counter_hash_array
+
+        def recording(keys, counters, out=None):
+            hashed_tags.add(int(counters[0]))
+            return hash_array(keys, counters, out=out)
+
+        monkeypatch.setattr(counter_batch, "counter_hash_array", recording)
+        n, replicas = 6, 4
+
+        def make(seed):
+            return BurstyLossOracle(
+                n, p_burst=0.3, p_recover=0.3,
+                loss_burst=loss_burst, loss_good=loss_good, seed=seed,
+            )
+
+        dual = counter_batch_dual([make(30 + i) for i in range(replicas)], replicas)
+        shadows = [make(30 + i) for i in range(replicas)]
+        for round in range(1, 16):
+            assert dual_masks(dual, round, replicas, n) == scalar_masks(
+                shadows, round
+            ), f"diverges at round {round}"
+        fixed = {loss_burst, loss_good} <= {0.0, 1.0}
+        assert hashed_tags == ({0} if fixed else {0, 1})
+
+
 class TestRetiredReplicaStaysRetired:
     """The bursty dual's link states stop advancing when a replica goes
     inactive, so marking it active again is an error, never stale state."""

@@ -7,6 +7,8 @@ from typing import Optional, Sequence
 import pytest
 
 from repro.sysmodel.network import Envelope
+from repro.sysmodel.params import SynchronyParams
+from repro.sysmodel.periods import PeriodSchedule
 from repro.sysmodel.process import (
     ProcessRuntime,
     ReceiveStep,
@@ -15,6 +17,8 @@ from repro.sysmodel.process import (
     StepProgram,
     StepResult,
 )
+from repro.sysmodel.simulator import SystemSimulator
+from repro.sysmodel.trace import SystemRunTrace
 
 
 class PingProgram(StepProgram):
@@ -33,6 +37,21 @@ class PingProgram(StepProgram):
             result = yield ReceiveStep()
             if result.envelope is not None:
                 self.received_payloads.append(result.envelope.payload)
+
+    def select_message(self, buffered: Sequence[Envelope]) -> Optional[Envelope]:
+        return buffered[0] if buffered else None
+
+
+class CountingProgram(StepProgram):
+    """Alternately send and receive, counting the steps handed back."""
+
+    def program(self):
+        self.sends = self.receives = 0
+        while True:
+            yield SendStep(payload="ping")
+            self.sends += 1
+            yield ReceiveStep()
+            self.receives += 1
 
     def select_message(self, buffered: Sequence[Envelope]) -> Optional[Envelope]:
         return buffered[0] if buffered else None
@@ -73,9 +92,20 @@ class TestProcessRuntime:
         assert isinstance(runtime.next_action(), ReceiveStep)
         runtime.complete_step(StepResult(time=2.0, envelope=None))
         assert isinstance(runtime.next_action(), SendStep)
-        assert runtime.stats.send_steps == 1
-        assert runtime.stats.receive_steps == 1
-        assert runtime.stats.empty_receives == 1
+
+    def test_the_trace_counts_every_step(self):
+        """The run's trace counts every step the programs were handed back."""
+        n = 2
+        programs = [CountingProgram(p, n) for p in range(n)]
+        trace = SystemRunTrace(n=n)
+        SystemSimulator(
+            programs=programs,
+            params=SynchronyParams(phi=1.0, delta=2.0),
+            schedule=PeriodSchedule.always_good(n),
+            trace=trace,
+        ).run(until=20.0)
+        assert trace.total_send_steps == sum(p.sends for p in programs) > 0
+        assert trace.total_receive_steps == sum(p.receives for p in programs) > 0
 
     def test_received_envelope_reaches_the_program(self):
         program = PingProgram()
@@ -136,4 +166,6 @@ class TestProcessRuntime:
         runtime.boot()
         runtime.crash()
         runtime.complete_step(StepResult(time=1.0))
-        assert runtime.stats.send_steps == 0
+        # The program did not advance: only boot's store of counter=1 happened.
+        assert runtime.program.stable_storage.write_count == 1
+        assert runtime.next_action() is None
