@@ -23,11 +23,11 @@ strategies cover the whole oracle zoo:
   sequential -- but draws each replica's whole round in one go
   (:class:`RandomOmissionBatchOracle`).
 
-:func:`vectorize_oracles` picks the strategy.  Broadcasting additionally
-assumes the per-replica oracles were *constructed identically* (a
-replica-invariant oracle whose constructor arguments varied per seed would
-still differ across replicas); the scenario builders guarantee this by
-constructing deterministic oracles independently of the replica seed.
+:func:`vectorize_oracles` picks the strategy.  It broadcasts only when
+every replica holds the *same* replica-invariant object: a deterministic
+environment is one object per cell (the scenario builders construct each
+deterministic overlay once, outside their seed loop), so agreement across
+replicas is a fact of construction, never re-proved by comparing objects.
 
 Inside one engine run of the ``super`` backend, cells that differ only in
 their fault-model overlay or algorithm carry the same environment: the same
@@ -259,34 +259,6 @@ class IntersectBatchOracle:
         return masks
 
 
-def _structurally_equal(a: Any, b: Any) -> bool:
-    """Whether two oracle objects were constructed with the same parameters.
-
-    Replica invariance says an oracle's masks depend only on ``(round,
-    process)`` *and its constructor arguments* -- a batch may still have
-    been built with per-replica arguments (say, a different crash round per
-    seed), in which case broadcasting replica 0 would be silently wrong.
-    Deterministic oracles keep all their construction state in plain
-    instance attributes (ints, masks, dicts, nested component oracles), so
-    structural equality over those attributes is a sound broadcast check;
-    anything uncomparable conservatively fails it.
-    """
-    if a is b:
-        return True
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, HOOracleBase):
-        return _structurally_equal(a.__dict__, b.__dict__)
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(_structurally_equal(a[k], b[k]) for k in a)
-    if isinstance(a, (list, tuple)):
-        return len(a) == len(b) and all(map(_structurally_equal, a, b))
-    try:
-        return bool(a == b)
-    except Exception:
-        return False
-
-
 def _bulk_drawable(oracles: Sequence[HOOracleBase]) -> bool:
     """Whether the loop over *oracles* may draw whole rounds off their streams.
 
@@ -342,11 +314,11 @@ def vectorize_oracles(
     """The batch oracle for one oracle per replica, broadcast when sound.
 
     *oracles* holds the scalar oracle of every replica (length R).  The
-    batch is served by broadcasting replica 0's oracle exactly when every
-    oracle is replica-invariant *and* structurally equal to it (same class,
-    same constructor state, recursively through combinator components) --
-    replica-varying or stateful environments keep one oracle per replica
-    via the fallback loop, so broadcasting can never silently change a
+    batch is served by broadcasting exactly when every replica holds the
+    same replica-invariant object -- the shape the scenario builders
+    produce for a deterministic overlay, built once per cell.  Anything
+    else (seeded oracles, or distinct objects that merely look alike) keeps
+    one oracle per replica, so broadcasting can never silently change a
     replica's environment.
 
     The dynamic adversary families draw counter-based randomness
@@ -378,10 +350,9 @@ def vectorize_oracles(
 
     if len(oracles) != replicas:
         raise ValueError(f"expected {replicas} oracles, got {len(oracles)}")
-    if getattr(oracles[0], "replica_invariant", False) and all(
-        _structurally_equal(oracle, oracles[0]) for oracle in oracles[1:]
-    ):
-        return BroadcastBatchOracle(oracles[0], replicas)
+    first = oracles[0]
+    if getattr(first, "replica_invariant", False) and all(o is first for o in oracles):
+        return BroadcastBatchOracle(first, replicas)
     dual = counter_batch_dual(oracles, replicas)
     if dual is not None:
         return _share(dual, shared)

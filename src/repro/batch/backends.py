@@ -1,9 +1,8 @@
 """The ``batch`` execution backend, and the admission every array tier shares.
 
 A :class:`~repro.rounds.backend.ReplicaBatch` reaches an array round loop
-through :func:`admit` (one algorithm class, a batched kernel registered
-for it), defined here once,
-and then the kernel's one constructor,
+through :func:`admit` (a batched kernel registered for the cell's
+algorithm), defined here once, and then the kernel's one constructor,
 :meth:`~repro.algorithms.batched.BatchKernel.from_cells` (values that do
 not encode, or task parameters the kernel cannot represent, are only
 detectable there).  :func:`build_cell` is that constructor on one batch,
@@ -35,25 +34,15 @@ from .engine import BatchEngine, Cell
 
 
 def admit(batch: ReplicaBatch) -> Tuple[Optional[str], Any]:
-    """The admission rungs of every array tier, in their one order.
+    """The admission rung every array tier shares.
 
     Returns ``(reason, None)`` for a declined batch and ``(None,
     kernel_class)`` for an admitted one.
     """
-    algorithm_classes = {type(task.algorithm) for task in batch.tasks}
-    if len(algorithm_classes) != 1:
-        return (
-            FallbackReason.MIXED_ALGORITHMS.render(
-                classes=sorted(c.__name__ for c in algorithm_classes)
-            ),
-            None,
-        )
-    kernel_class = batch_kernel_for(batch.tasks[0].algorithm)
+    kernel_class = batch_kernel_for(batch.algorithm)
     if kernel_class is None:
         return (
-            FallbackReason.NO_BATCH_KERNEL.render(
-                algorithm=batch.tasks[0].algorithm.__class__.__name__
-            ),
+            FallbackReason.NO_BATCH_KERNEL.render(algorithm=type(batch.algorithm).__name__),
             None,
         )
     return None, kernel_class

@@ -285,67 +285,42 @@ class PRestrOtrMonitor(PredicateMonitor):
 
 
 class PSuMonitor(PredicateMonitor):
-    """Streaming ``P_su(Pi0, r1, r2)`` (space uniformity over a round window).
+    """Streaming ``P_su(Pi0, 1, r)`` over the observed prefix (space uniformity).
 
     Good condition: the round is space uniform for Pi0 (every ``p in Pi0``
-    has ``HO(p, r) = Pi0``), counted over *all* observed rounds regardless
-    of the window.  The verdict restricts to the window: with
-    ``last_round=None`` the window is open-ended (``r2 = max_round``, the
-    "uniform throughout the run so far" reading); a fixed window that
-    extends beyond the observed rounds treats the missing rounds as empty
-    heard-of sets, exactly like the whole-collection checker.
+    has ``HO(p, r) = Pi0``).  The verdict is the "uniform throughout the
+    run so far" reading: every observed round was good, and at least one
+    round was observed (vacuously true for an empty Pi0).
     """
 
     name = "p_su"
 
-    def __init__(
-        self,
-        n: int,
-        pi0: Optional[Iterable[ProcessId]] = None,
-        first_round: Round = 1,
-        last_round: Optional[Round] = None,
-    ) -> None:
+    def __init__(self, n: int, pi0: Optional[Iterable[ProcessId]] = None) -> None:
         super().__init__(n)
         self.pi0_mask = _pi0_mask(pi0, n)
-        self.first_round = first_round
-        self.last_round = last_round
         self._ok = True
-
-    def _in_window(self, round: Round) -> bool:
-        return self.first_round <= round and (
-            self.last_round is None or round <= self.last_round
-        )
 
     def _round_good(self, masks: Sequence[int]) -> bool:
         pi0 = self.pi0_mask
         return all(masks[p] == pi0 for p in iter_bits(pi0))
 
     def _advance(self, round: Round, masks: Sequence[int], good: bool) -> None:
-        if self._in_window(round) and not good:
+        if not good:
             self._ok = False
 
     @property
     def verdict(self) -> bool:
-        if self.first_round <= 0:
+        if self._rounds_observed == 0:
             return False
-        if self.last_round is not None and self.last_round < self.first_round:
-            return False
-        last = self.last_round if self.last_round is not None else self._rounds_observed
-        if last < self.first_round:
-            return False
-        if self.pi0_mask == 0:
-            return True  # vacuously space uniform for the empty set
-        if self.last_round is not None and self._rounds_observed < self.last_round:
-            return False  # unobserved window rounds have empty heard-of sets
-        return self._ok
+        return self.pi0_mask == 0 or self._ok
 
 
 class PKernelMonitor(PSuMonitor):
-    """Streaming ``P_k(Pi0, r1, r2)`` (kernel rounds over a round window).
+    """Streaming ``P_k(Pi0, 1, r)`` over the observed prefix (kernel rounds).
 
     Good condition: the round is a *kernel round* for Pi0 (every
-    ``p in Pi0`` has ``HO(p, r) >= Pi0``); the window semantics are those
-    of :class:`PSuMonitor`.
+    ``p in Pi0`` has ``HO(p, r) >= Pi0``); the verdict is that of
+    :class:`PSuMonitor`.
     """
 
     name = "p_k"
@@ -655,17 +630,12 @@ def build_monitor_bank(
 
 
 def build_monitor(
-    name: str,
-    n: int,
-    pi0: Optional[Iterable[ProcessId]] = None,
-    first_round: Round = 1,
-    last_round: Optional[Round] = None,
+    name: str, n: int, pi0: Optional[Iterable[ProcessId]] = None
 ) -> PredicateMonitor:
     """Build the streaming monitor for predicate *name* (see :data:`MONITOR_NAMES`).
 
     *pi0* parameterises the Pi0-scoped predicates (default: the full
-    process set); *first_round* / *last_round* only apply to the windowed
-    ``p_su`` / ``p_k`` forms (open-ended by default).
+    process set).
     """
     key = canonical_predicate_name(name)
     if key == "p_otr":
@@ -673,9 +643,9 @@ def build_monitor(
     if key == "p_restr_otr":
         return PRestrOtrMonitor(n)
     if key == "p_su":
-        return PSuMonitor(n, pi0, first_round=first_round, last_round=last_round)
+        return PSuMonitor(n, pi0)
     if key == "p_k":
-        return PKernelMonitor(n, pi0, first_round=first_round, last_round=last_round)
+        return PKernelMonitor(n, pi0)
     if key == "p_2otr":
         return P2OtrMonitor(n, pi0)
     return P11OtrMonitor(n, pi0)

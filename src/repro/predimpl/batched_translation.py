@@ -74,13 +74,12 @@ class BatchTranslationKernel(BatchKernel):
 
     @classmethod
     def _cell_parameters(cls, batch: Any) -> Dict[str, List[Any]]:
-        for task in batch.tasks:
-            inner = task.algorithm.inner
-            if type(inner) is not OneThirdRule:
-                raise BatchUnsupported(
-                    FallbackReason.INNER_NOT_ROUND_OBLIVIOUS.render(inner=type(inner).__name__)
-                )
-        return {"f": [task.algorithm.f for task in batch.tasks]}
+        inner = batch.algorithm.inner
+        if type(inner) is not OneThirdRule:
+            raise BatchUnsupported(
+                FallbackReason.INNER_NOT_ROUND_OBLIVIOUS.render(inner=type(inner).__name__)
+            )
+        return {"f": [batch.algorithm.f] * batch.replicas}
 
     def __init__(
         self,

@@ -235,7 +235,7 @@ class ScalarStepBackend:
     def _run_replica(self, batch: ReplicaBatch, task: ReplicaTask) -> ReplicaOutcome:
         env = _environment_of(task)
         n = batch.n
-        algorithm = task.algorithm
+        algorithm = batch.algorithm
         scope = tuple(iter_bits(batch.effective_scope_mask))
         if not scope and not batch.run_full_horizon:
             # The scalar round loop runs zero rounds for an empty scope;
@@ -513,10 +513,11 @@ class BatchStepBackend:
         from ..adversaries import FaultFreeOracle
 
         # The same cell -- scope, horizon, monitors, fingerprints -- with the
-        # step environment swapped for the oracle it is equivalent to.
+        # step environment swapped for the oracle it is equivalent to: one
+        # object every replica holds, so the batch tier broadcasts it.
+        oracle = FaultFreeOracle(batch.n)
         lowered = replace(
-            batch,
-            tasks=[replace(task, oracle=FaultFreeOracle(batch.n)) for task in batch.tasks],
+            batch, tasks=[replace(task, oracle=oracle) for task in batch.tasks]
         )
         return get_backend("batch").run(lowered)
 

@@ -72,15 +72,18 @@ AUTO_BACKEND = "auto"
 
 @dataclass(frozen=True)
 class ReplicaTask:
-    """One replica of a batch: a fully built lockstep run for one seed.
+    """What one replica of a batch owns: its seed, environment and initial values.
 
-    *algorithm* and *oracle* must be freshly constructed per replica (they
-    may be stateful); building them from the seed is the caller's job, which
-    keeps the backend layer free of scenario knowledge.
+    The algorithm is the cell's (:attr:`ReplicaBatch.algorithm`).  A seeded
+    (stateful) *oracle* must be freshly constructed per replica; a
+    deterministic one is built once per cell and held by every task, which
+    is what lets the array tiers broadcast it
+    (:func:`repro.adversaries.batch.vectorize_oracles`).  Building both from
+    the seed is the caller's job, which keeps the backend layer free of
+    scenario knowledge.
     """
 
     seed: int
-    algorithm: RoundAlgorithm
     oracle: Any
     initial_values: Sequence[Any]
 
@@ -123,13 +126,17 @@ class MonitorSpec:
 class ReplicaBatch:
     """R seeded replicas of one oracle-driven scenario, as one unit of work.
 
-    *scope_mask* is the set of processes whose decisions end a replica
-    (``None`` means all of Pi); *run_full_horizon* keeps executing rounds
-    after the scope decided (monitored runs measuring first-hold rounds).
+    *algorithm* is the cell's one (stateless) algorithm, shared by every
+    replica; a task's oracle that knows its system size (``n``) must be
+    sized for the batch, like the algorithm.  *scope_mask* is the set of
+    processes whose decisions end a replica (``None`` means all of Pi);
+    *run_full_horizon* keeps executing rounds after the scope decided
+    (monitored runs measuring first-hold rounds).
     *monitor_spec* describes the predicate monitors every replica carries.
     """
 
     n: int
+    algorithm: RoundAlgorithm
     tasks: List[ReplicaTask]
     max_rounds: int
     scope_mask: Optional[int] = None
@@ -144,11 +151,14 @@ class ReplicaBatch:
             raise ValueError(f"max_rounds must be positive, got {self.max_rounds}")
         if not self.tasks:
             raise ValueError("a replica batch needs at least one task")
+        if self.algorithm.n != self.n:
+            raise ValueError(
+                f"algorithm is sized for n={self.algorithm.n}, batch has n={self.n}"
+            )
         for task in self.tasks:
-            if task.algorithm.n != self.n:
-                raise ValueError(
-                    f"algorithm is sized for n={task.algorithm.n}, batch has n={self.n}"
-                )
+            oracle_n = getattr(task.oracle, "n", self.n)
+            if oracle_n != self.n:
+                raise ValueError(f"oracle is sized for n={oracle_n}, batch has n={self.n}")
 
     @property
     def replicas(self) -> int:
@@ -307,7 +317,7 @@ class ScalarBackend:
 
     def _run_replica(self, batch: ReplicaBatch, task: ReplicaTask) -> ReplicaOutcome:
         n = batch.n
-        algorithm = task.algorithm
+        algorithm = batch.algorithm
         scope = tuple(iter_bits(batch.effective_scope_mask))
         sink = _TallySink()
         monitor = batch.monitor_spec.scalar_bank(n) if batch.monitor_spec is not None else None

@@ -33,7 +33,6 @@ class FallbackReason(Enum):
     """
 
     # -- the round-level tiers' one admission (repro.batch.backends) --- #
-    MIXED_ALGORITHMS = "mixed algorithm classes: {classes}"
     NO_BATCH_KERNEL = "no batched kernel for {algorithm}"
 
     # -- value encoding (repro.algorithms.batched.encode_values) ------- #

@@ -140,23 +140,17 @@ def build_round_adversary_batch(
     if stabilize_round is None:
         stabilize_round = max(2, rounds // 2)
     values = _initial_values(n)
+    overlay_of = fault_overlay(fault_model, n, stabilize_round // 3, 0.2)
     tasks: List[ReplicaTask] = []
     for seed in seeds:
         rng = SeededRng(seed)
         oracle: HOOracleBase = _family_oracle(family, n, stabilize_round, rng, params)
-        overlay = fault_overlay(fault_model, n, stabilize_round // 3, 0.2, rng.spawn("overlay"))
+        overlay = overlay_of(rng.spawn("overlay"))
         if overlay is not None:
             oracle = IntersectOracle(n, oracle, overlay)
-        tasks.append(
-            ReplicaTask(
-                seed=seed,
-                algorithm=OneThirdRule(n),
-                oracle=oracle,
-                initial_values=list(values),
-            )
-        )
+        tasks.append(ReplicaTask(seed=seed, oracle=oracle, initial_values=list(values)))
     return cell_plan(
-        n, tasks, rounds, _scope_for(fault_model, n),
+        n, OneThirdRule(n), tasks, rounds, _scope_for(fault_model, n),
         predicates, stop_after_held, run_full_horizon,
     )
 

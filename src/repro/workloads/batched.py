@@ -40,7 +40,7 @@ equivalence tests pin that reference against every backend per seed.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..adversaries import (
     FaultFreeOracle,
@@ -90,25 +90,30 @@ def _classic_values(n: int, rng: SeededRng) -> List[int]:
 
 
 def fault_overlay(
-    fault_model: str, n: int, window: int, loss_probability: float, loss_rng: SeededRng
-) -> Optional[HOOracleBase]:
-    """The fault-model axis as an oracle to intersect a family with (None = fault-free).
+    fault_model: str, n: int, window: int, loss_probability: float
+) -> Callable[[SeededRng], Optional[HOOracleBase]]:
+    """The fault-model axis of one cell: each seed's overlay, from its loss rng.
 
-    ``crash-stop`` silences the last process for good from
-    :data:`CRASH_ROUND`; ``crash-recovery`` is a transient crash scripted
-    with :class:`SequenceOracle` -- fault-free, the last process down for
-    *window* rounds, fault-free again; ``lossy`` drops every message
-    independently with *loss_probability*, drawing from *loss_rng*.
+    The returned callable gives the oracle a family is intersected with
+    (None = fault-free).  ``crash-stop`` silences the last process for good
+    from :data:`CRASH_ROUND`; ``crash-recovery`` is a transient crash
+    scripted with :class:`SequenceOracle` -- fault-free, the last process
+    down for *window* rounds, fault-free again.  Both are deterministic, so
+    they are built here, once per cell, and every seed gets the one object
+    (which is what the array tiers broadcast).  ``lossy`` drops every
+    message independently with *loss_probability*: a fresh oracle per seed,
+    drawing from the rng it is called with.
 
     This is also where the round-level builders reject an unknown fault
-    model: once per seed, so a cell built with no seeds validates nothing.
+    model, once per cell.
     """
+    overlay: Optional[HOOracleBase]
     if fault_model == "fault-free":
-        return None
-    if fault_model == "crash-stop":
-        return StaticCrashOracle(n, {n - 1: CRASH_ROUND})
-    if fault_model == "crash-recovery":
-        return SequenceOracle(
+        overlay = None
+    elif fault_model == "crash-stop":
+        overlay = StaticCrashOracle(n, {n - 1: CRASH_ROUND})
+    elif fault_model == "crash-recovery":
+        overlay = SequenceOracle(
             n,
             [
                 (FaultFreeOracle(n), max(2, window) - 1),
@@ -116,9 +121,11 @@ def fault_overlay(
                 (FaultFreeOracle(n), None),
             ],
         )
-    if fault_model == "lossy":
-        return RandomOmissionOracle(n, loss_probability, rng=loss_rng)
-    raise ValueError(f"unknown fault model {fault_model!r}; expected one of {FAULT_MODELS}")
+    elif fault_model == "lossy":
+        return lambda loss_rng: RandomOmissionOracle(n, loss_probability, rng=loss_rng)
+    else:
+        raise ValueError(f"unknown fault model {fault_model!r}; expected one of {FAULT_MODELS}")
+    return lambda loss_rng: overlay
 
 
 class _DecisionsView:
@@ -161,6 +168,7 @@ def project_outcome(
 
 def cell_plan(
     n: int,
+    algorithm: Any,
     tasks: List[ReplicaTask],
     rounds: int,
     scope: Iterable[int],
@@ -187,6 +195,7 @@ def cell_plan(
         )
     batch = ReplicaBatch(
         n=n,
+        algorithm=algorithm,
         tasks=tasks,
         max_rounds=rounds,
         scope_mask=mask_of(scope),
@@ -256,12 +265,12 @@ def build_classic_batch(
 ) -> CellPlan:
     """Build one sweep cell -- all *seeds* of one classic scenario -- as data.
 
-    One :class:`~repro.rounds.backend.ReplicaTask` per seed (algorithm,
-    oracle, seed-shuffled values) plus the flattener from backend outcomes
-    to the sweep's per-replica wire dicts.  *predicates* attaches streaming
-    monitors scoped to the surviving processes, *stop_after_held* adds the
-    early-stop policy, and *run_full_horizon* keeps executing after the
-    scope decided.  Execution is the caller's choice: :func:`run_seed`
+    The cell's one algorithm, one :class:`~repro.rounds.backend.ReplicaTask`
+    per seed (oracle, seed-shuffled values), plus the flattener from backend
+    outcomes to the sweep's per-replica wire dicts.  *predicates* attaches
+    streaming monitors scoped to the surviving processes, *stop_after_held*
+    adds the early-stop policy, and *run_full_horizon* keeps executing after
+    the scope decided.  Execution is the caller's choice: :func:`run_seed`
     runs one seed on the scalar reference, the sweep hands the batch to one
     backend, the super-batch path packs many plans into one engine run.
     """
@@ -269,18 +278,18 @@ def build_classic_batch(
         raise ValueError(
             f"unknown algorithm {algorithm!r}; expected one of {sorted(CLASSIC_ALGORITHMS)}"
         )
-    algorithm_class = CLASSIC_ALGORITHMS[algorithm]
+    # crash-recovery: the down window sits in the first half of the horizon.
+    overlay_of = fault_overlay(fault_model, n, rounds // 6, loss_probability)
+    fault_free = FaultFreeOracle(n)
     tasks: List[ReplicaTask] = []
     for seed in seeds:
         rng = SeededRng(seed)
         values = _classic_values(n, rng)
-        # crash-recovery: the down window sits in the first half of the horizon.
-        overlay = fault_overlay(fault_model, n, rounds // 6, loss_probability, rng)
-        oracle = FaultFreeOracle(n) if overlay is None else overlay
-        tasks.append(ReplicaTask(seed=seed, algorithm=algorithm_class(n), oracle=oracle,
-                                 initial_values=values))
+        overlay = overlay_of(rng)
+        oracle = fault_free if overlay is None else overlay
+        tasks.append(ReplicaTask(seed=seed, oracle=oracle, initial_values=values))
     return cell_plan(
-        n, tasks, rounds, _scope_for(fault_model, n),
+        n, CLASSIC_ALGORITHMS[algorithm](n), tasks, rounds, _scope_for(fault_model, n),
         predicates, stop_after_held, run_full_horizon,
     )
 

@@ -105,16 +105,11 @@ def build_step_batch(
     if rounds is None:
         rounds = step_horizon_rounds(env, n)
     tasks = [
-        ReplicaTask(
-            seed=seed,
-            algorithm=OneThirdRule(n),
-            oracle=env,
-            initial_values=_classic_values(n, SeededRng(seed)),
-        )
+        ReplicaTask(seed=seed, oracle=env, initial_values=_classic_values(n, SeededRng(seed)))
         for seed in seeds
     ]
     return cell_plan(
-        n, tasks, rounds, _scope_for(fault_model, n),
+        n, OneThirdRule(n), tasks, rounds, _scope_for(fault_model, n),
         predicates, stop_after_held, run_full_horizon, completion_scope=True,
     )
 
@@ -160,21 +155,18 @@ def build_translation_batch(
     if rounds is None:
         rounds = max(60, 12 * (f + 1))
     pi0 = list(range(n - f))
+    overlay_of = fault_overlay(fault_model, n, rounds // 6, loss_probability)
     tasks: List[ReplicaTask] = []
     for seed in seeds:
         rng = SeededRng(seed)
         values = _classic_values(n, rng)
         oracle: HOOracleBase = CounterKernelOracle(n, pi0, rng=rng)
-        overlay = fault_overlay(
-            fault_model, n, rounds // 6, loss_probability, rng.spawn("overlay")
-        )
+        overlay = overlay_of(rng.spawn("overlay"))
         if overlay is not None:
             oracle = IntersectOracle(n, oracle, overlay)
-        tasks.append(
-            ReplicaTask(seed=seed, algorithm=algorithm, oracle=oracle, initial_values=values)
-        )
+        tasks.append(ReplicaTask(seed=seed, oracle=oracle, initial_values=values))
     return cell_plan(
-        n, tasks, rounds, frozenset(pi0) & _scope_for(fault_model, n),
+        n, algorithm, tasks, rounds, frozenset(pi0) & _scope_for(fault_model, n),
         predicates, stop_after_held, run_full_horizon,
     )
 

@@ -6,7 +6,7 @@ Every array tier (``batch``, ``super``, ``compiled``) admits a
 its own, if it has any.  Each row below is one input on one tier: the
 rendered reason is pinned (``None`` for the rows a tier admits -- observed
 and translation cells on ``super``, which no rung turns away, and
-translation cells that mix f), rows where two rungs apply pin the
+translation cells of any f), rows where two rungs apply pin the
 precedence, and the outcomes must equal the reference backend's -- a
 declined batch takes a lower tier, never a different answer.
 
@@ -55,35 +55,30 @@ class Custom(OneThirdRule):
 
 
 def cell(
-    algorithms=(OneThirdRule, OneThirdRule),
+    algorithm=OneThirdRule,
     n=3,
     values=(10, 20, 30),
-    oracle=lambda n, seed: FaultFreeOracle(n),
+    oracle=None,
     **kwargs,
 ) -> ReplicaBatch:
-    """A small batch, one task per entry of *algorithms*."""
+    """A small batch of two tasks.
+
+    *oracle(n, seed)* builds each task's environment; by default every task
+    holds one fault-free oracle, as a builder's cell does.
+    """
+    fault_free = FaultFreeOracle(n)
+    oracle = oracle or (lambda n, seed: fault_free)
     tasks = [
-        ReplicaTask(
-            seed=seed,
-            algorithm=algorithm(n),
-            oracle=oracle(n, seed),
-            initial_values=list(values),
-        )
-        for seed, algorithm in enumerate(algorithms)
+        ReplicaTask(seed=seed, oracle=oracle(n, seed), initial_values=list(values))
+        for seed in range(2)
     ]
-    return ReplicaBatch(n=n, tasks=tasks, max_rounds=8, **kwargs)
+    return ReplicaBatch(n=n, algorithm=algorithm(n), tasks=tasks, max_rounds=8, **kwargs)
 
 
-def mixed(**kwargs) -> ReplicaBatch:
-    return cell(algorithms=(OneThirdRule, UniformVoting), **kwargs)
-
-
-def translated(inner=OneThirdRule, fs=(1, 1), n=4, **kwargs) -> ReplicaBatch:
-    """Theorem 8 translation cells, one task per entry of *fs*."""
+def translated(inner=OneThirdRule, f=1, n=4, **kwargs) -> ReplicaBatch:
+    """A Theorem 8 translation cell: Algorithm 4 with parameter *f* over *inner*."""
     return cell(
-        algorithms=tuple(
-            lambda n, f=f: KernelToUniformTranslation(inner(n), f) for f in fs
-        ),
+        algorithm=lambda n: KernelToUniformTranslation(inner(n), f),
         n=n, values=tuple(10 * (p + 1) for p in range(n)), **kwargs,
     )
 
@@ -121,7 +116,6 @@ COMPLEX = (1 + 1j, 2 + 2j, 1 + 1j)  # not totally ordered
 COLLIDING = (1.0, 1, 2)  # 1.0 == 1, repr differs
 COLLIDING_5 = COLLIDING + (3, 4)  # the same collision, for the n = 5 cells
 
-MIXED = FallbackReason.MIXED_ALGORITHMS.render(classes=["OneThirdRule", "UniformVoting"])
 NO_KERNEL = FallbackReason.NO_BATCH_KERNEL.render(algorithm="Custom")
 UNENCODABLE = FallbackReason.UNENCODABLE_VALUES.render(
     error="'<' not supported between instances of 'complex' and 'complex'"
@@ -148,16 +142,12 @@ class Row:
 def shared_rows(tier: str):
     """The rungs of the one admission, identical on every array tier."""
     return [
-        Row(tier, "mixed-classes", mixed, MIXED),
-        Row(tier, "unregistered", lambda: cell(algorithms=(Custom, Custom)), NO_KERNEL),
+        Row(tier, "unregistered", lambda: cell(algorithm=Custom), NO_KERNEL),
         Row(tier, "unencodable", lambda: cell(values=COMPLEX), UNENCODABLE),
         Row(tier, "repr-collision", lambda: cell(values=COLLIDING), COLLISION),
         # precedence inside the shared rungs
-        Row(tier, "mixed+unregistered",
-            lambda: cell(algorithms=(Custom, UniformVoting)),
-            FallbackReason.MIXED_ALGORITHMS.render(classes=["Custom", "UniformVoting"])),
         Row(tier, "unregistered+unencodable",
-            lambda: cell(algorithms=(Custom, Custom), values=COMPLEX), NO_KERNEL),
+            lambda: cell(algorithm=Custom, values=COMPLEX), NO_KERNEL),
     ]
 
 
@@ -172,9 +162,8 @@ def observed_rows(
         Row(tier, "monitored", lambda: cell(monitor_spec=MONITORED), monitored),
         Row(tier, "fingerprinted", lambda: cell(fingerprints=True), fingerprinted),
         # shared rungs come first, value encoding last
-        Row(tier, "mixed+monitored", lambda: mixed(monitor_spec=MONITORED), MIXED),
         Row(tier, "unregistered+fingerprinted",
-            lambda: cell(algorithms=(Custom, Custom), fingerprints=True), NO_KERNEL),
+            lambda: cell(algorithm=Custom, fingerprints=True), NO_KERNEL),
         Row(tier, "monitored+fingerprinted",
             lambda: cell(monitor_spec=MONITORED, fingerprints=True), monitored),
         Row(tier, "fingerprinted+unencodable",
@@ -198,7 +187,7 @@ ROWS = [
         lambda: translated(monitor_spec=MONITORED), None),
     *(Row(tier, "uniform-voting-inner", lambda: translated(inner=UniformVoting), INNER)
       for tier in ("batch", "super", "compiled")),
-    *(Row(tier, "mixed-f-translation", lambda: translated(fs=(1, 2, 1), n=7), None)
+    *(Row(tier, "translation-f2", lambda: translated(f=2, n=7), None)
       for tier in ("batch", "compiled")),
     Row("compiled", "per-replica-oracle", lossy,
         FallbackReason.OPAQUE_COMPILED_ORACLE.render()),

@@ -34,49 +34,55 @@ from repro.rounds.bitmask import mask_of
 from tests.conftest import count_compactions
 
 
+def _each(oracle):
+    """A deterministic environment: one object every replica of the cell holds."""
+    return lambda rng: oracle
+
+
+def _crash_and_loss(n):
+    crash = StaticCrashOracle(n, {n - 1: 4})
+    return lambda rng: IntersectOracle(n, crash, RandomOmissionOracle(n, 0.2, rng=rng))
+
+
+#: fault model -> n -> the per-seed oracle builder of one cell; a
+#: deterministic environment is built once per cell, as the scenario
+#: builders do, so the array tiers broadcast it.
 ORACLE_FACTORIES = {
-    "fault-free": lambda n, rng: FaultFreeOracle(n),
-    "crash-stop": lambda n, rng: StaticCrashOracle(n, {n - 1: 3}),
-    "partition-heal": lambda n, rng: PartitionOracle(
-        n, [range(0, n // 2), range(n // 2, n)], heal_round=6
+    "fault-free": lambda n: _each(FaultFreeOracle(n)),
+    "crash-stop": lambda n: _each(StaticCrashOracle(n, {n - 1: 3})),
+    "partition-heal": lambda n: _each(
+        PartitionOracle(n, [range(0, n // 2), range(n // 2, n)], heal_round=6)
     ),
-    "crash-recovery": lambda n, rng: SequenceOracle(
-        n,
-        [
-            (FaultFreeOracle(n), 3),
-            (StaticCrashOracle(n, {n - 1: 1}), 4),
-            (FaultFreeOracle(n), None),
-        ],
+    "crash-recovery": lambda n: _each(
+        SequenceOracle(
+            n,
+            [
+                (FaultFreeOracle(n), 3),
+                (StaticCrashOracle(n, {n - 1: 1}), 4),
+                (FaultFreeOracle(n), None),
+            ],
+        )
     ),
-    "lossy": lambda n, rng: RandomOmissionOracle(n, 0.25, rng=rng),
+    "lossy": lambda n: lambda rng: RandomOmissionOracle(n, 0.25, rng=rng),
     # Deterministic crash schedule intersected with seeded loss: exercises
     # the IntersectBatchOracle decomposition (broadcast + per-replica).
-    "crash+lossy": lambda n, rng: IntersectOracle(
-        n, StaticCrashOracle(n, {n - 1: 4}), RandomOmissionOracle(n, 0.2, rng=rng)
-    ),
+    "crash+lossy": _crash_and_loss,
 }
 
 
 def make_batch(algo_cls, fault_model, n, base_seed, replicas, **kwargs):
-    factory = ORACLE_FACTORIES[fault_model]
+    oracle_of = ORACLE_FACTORIES[fault_model](n)
     tasks = []
     for i in range(replicas):
         seed = base_seed + i
         rng = SeededRng(seed)
         values = [10 * (p + 1) for p in range(n)]
         rng.stream("values").shuffle(values)
-        tasks.append(
-            ReplicaTask(
-                seed=seed,
-                algorithm=algo_cls(n),
-                oracle=factory(n, rng),
-                initial_values=values,
-            )
-        )
+        tasks.append(ReplicaTask(seed=seed, oracle=oracle_of(rng), initial_values=values))
     scope = range(n - 1) if fault_model == "crash-stop" else range(n)
     kwargs.setdefault("scope_mask", mask_of(scope))
     kwargs.setdefault("fingerprints", True)
-    return ReplicaBatch(n=n, tasks=tasks, max_rounds=40, **kwargs)
+    return ReplicaBatch(n=n, algorithm=algo_cls(n), tasks=tasks, max_rounds=40, **kwargs)
 
 
 class TestBackendRegistry:
@@ -134,17 +140,15 @@ class TestBitIdenticalReplicas:
 
     def test_fallback_on_unencodable_values(self):
         backend = BatchBackend()
+        oracle = FaultFreeOracle(3)
         tasks = [
-            ReplicaTask(
-                seed=s,
-                algorithm=OneThirdRule(3),
-                oracle=FaultFreeOracle(3),
-                # complex numbers are not totally ordered -> scalar loop
-                initial_values=[1 + 1j, 2 + 2j, 1 + 1j],
-            )
+            # complex numbers are not totally ordered -> scalar loop
+            ReplicaTask(seed=s, oracle=oracle, initial_values=[1 + 1j, 2 + 2j, 1 + 1j])
             for s in range(2)
         ]
-        outcomes = backend.run(ReplicaBatch(n=3, tasks=tasks, max_rounds=5))
+        outcomes = backend.run(
+            ReplicaBatch(n=3, algorithm=OneThirdRule(3), tasks=tasks, max_rounds=5)
+        )
         assert "not encodable" in backend.last_fallback_reason
         # OneThirdRule still decides on the unanimous-majority value.
         assert all(o.decisions for o in outcomes)
@@ -152,43 +156,55 @@ class TestBitIdenticalReplicas:
     def test_equal_values_with_distinct_reprs_take_the_scalar_loop(self):
         """1 and 1.0 compare equal but print differently -- not encodable."""
         backend = BatchBackend()
-        tasks = [
-            ReplicaTask(s, OneThirdRule(3), FaultFreeOracle(3), [1.0, 1, 2])
-            for s in range(2)
-        ]
-        batch = ReplicaBatch(n=3, tasks=tasks, max_rounds=5, fingerprints=True)
-        outcomes = backend.run(batch)
-        assert "differ in repr" in backend.last_fallback_reason
-        reference = get_backend("scalar").run(
-            ReplicaBatch(
+
+        def batch():
+            oracle = FaultFreeOracle(3)
+            return ReplicaBatch(
                 n=3,
-                tasks=[
-                    ReplicaTask(s, OneThirdRule(3), FaultFreeOracle(3), [1.0, 1, 2])
-                    for s in range(2)
-                ],
+                algorithm=OneThirdRule(3),
+                tasks=[ReplicaTask(s, oracle, [1.0, 1, 2]) for s in range(2)],
                 max_rounds=5,
                 fingerprints=True,
             )
-        )
-        assert outcomes == reference
+
+        outcomes = backend.run(batch())
+        assert "differ in repr" in backend.last_fallback_reason
+        assert outcomes == get_backend("scalar").run(batch())
 
     def test_mis_sized_algorithm_rejected_identically(self):
         """No tier sees an algorithm sized for a different n: the batch
-        cannot be built, whatever algorithm mix or environment it carries."""
+        cannot be built, whatever environment it carries."""
         from repro.predimpl.step_backend import StepEnvironment
 
-        def task(seed, algorithm, oracle=FaultFreeOracle(5)):
-            return ReplicaTask(seed, algorithm, oracle, [1, 2, 3, 4, 5])
+        for oracle in (FaultFreeOracle(5), StepEnvironment()):
+            tasks = [ReplicaTask(0, oracle, [1, 2, 3, 4, 5])]
+            for algorithm in (OneThirdRule(8), UniformVoting(8)):
+                with pytest.raises(ValueError, match="algorithm is sized for n=8, batch has n=5"):
+                    ReplicaBatch(n=5, algorithm=algorithm, tasks=tasks, max_rounds=5)
 
-        shapes = [
-            [task(0, OneThirdRule(8))],
-            [task(0, OneThirdRule(5)), task(1, OneThirdRule(8))],
-            [task(0, OneThirdRule(8)), task(1, UniformVoting(5))],
-            [task(0, OneThirdRule(8), StepEnvironment())],
-        ]
-        for tasks in shapes:
-            with pytest.raises(ValueError, match="algorithm is sized for n=8, batch has n=5"):
-                ReplicaBatch(n=5, tasks=tasks, max_rounds=5)
+    @pytest.mark.parametrize("backend", ["scalar", "batch", "super"])
+    @pytest.mark.parametrize("oracle_n", [3, 5])
+    def test_mis_sized_oracle_refused_alike_at_construction(self, backend, oracle_n):
+        """An oracle sized for another n never reaches a backend.
+
+        Run, it would split them: ``scalar`` queries it as given (a
+        3-process crash oracle leaves process 3 deaf and nobody decides),
+        the array tiers raise on its mask shape.  The batch refuses it
+        instead, for every backend alike; an oracle without ``n`` (a step
+        environment) is exempt.
+        """
+        from repro.predimpl.step_backend import StepEnvironment
+
+        oracle = StaticCrashOracle(oracle_n, {0: 2})
+        tasks = [ReplicaTask(s, oracle, [1, 2, 3, 4]) for s in range(2)]
+        with pytest.raises(ValueError, match=f"oracle is sized for n={oracle_n}, batch has n=4"):
+            get_backend(backend).run(
+                ReplicaBatch(n=4, algorithm=OneThirdRule(4), tasks=tasks, max_rounds=10)
+            )
+        ReplicaBatch(
+            n=4, algorithm=OneThirdRule(4), max_rounds=10,
+            tasks=[ReplicaTask(0, StepEnvironment(), [1, 2, 3, 4])],
+        )
 
     def test_fallback_on_unknown_algorithm(self):
         class Custom(OneThirdRule):
@@ -196,10 +212,11 @@ class TestBitIdenticalReplicas:
                 return state  # never changes -> different from OneThirdRule
 
         backend = BatchBackend()
-        tasks = [
-            ReplicaTask(s, Custom(3), FaultFreeOracle(3), [1, 2, 3]) for s in range(2)
-        ]
-        outcomes = backend.run(ReplicaBatch(n=3, tasks=tasks, max_rounds=5))
+        oracle = FaultFreeOracle(3)
+        tasks = [ReplicaTask(s, oracle, [1, 2, 3]) for s in range(2)]
+        outcomes = backend.run(
+            ReplicaBatch(n=3, algorithm=Custom(3), tasks=tasks, max_rounds=5)
+        )
         assert "no batched kernel" in backend.last_fallback_reason
         assert all(not o.decisions for o in outcomes)
 

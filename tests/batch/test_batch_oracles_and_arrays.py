@@ -64,7 +64,7 @@ class TestVectorizeOracles:
         import numpy as np
 
         n, replicas = 5, 3
-        oracles = [StaticCrashOracle(n, {4: 2}) for _ in range(replicas)]
+        oracles = [StaticCrashOracle(n, {4: 2})] * replicas
         batch = vectorize_oracles(oracles, replicas)
         assert isinstance(batch, BroadcastBatchOracle)
         active = np.ones(replicas, dtype=bool)
@@ -106,15 +106,32 @@ class TestVectorizeOracles:
         for r in range(replicas):
             assert rows[r] == [oracles[r].ho_mask(3, p) for p in range(n)]
 
-    def test_identically_built_combinators_still_broadcast(self):
-        n, replicas = 4, 3
-        def build():
-            return SequenceOracle(
-                n, [(StaticCrashOracle(n, {3: 1}), 2), (FaultFreeOracle(n), None)]
-            )
+    @staticmethod
+    def _crash_then_recover(n):
+        return SequenceOracle(
+            n, [(StaticCrashOracle(n, {3: 1}), 2), (FaultFreeOracle(n), None)]
+        )
 
-        batch = vectorize_oracles([build() for _ in range(replicas)], replicas)
+    def test_one_shared_combinator_broadcasts(self):
+        n, replicas = 4, 3
+        oracle = self._crash_then_recover(n)
+        batch = vectorize_oracles([oracle] * replicas, replicas)
         assert isinstance(batch, BroadcastBatchOracle)
+        assert batch.oracle is oracle
+
+    def test_distinct_but_equal_combinators_take_the_loop_with_scalar_masks(self):
+        """Equal-looking objects are not compared: only identity broadcasts."""
+        import numpy as np
+
+        n, replicas = 4, 3
+        oracles = [self._crash_then_recover(n) for _ in range(replicas)]
+        batch = vectorize_oracles(oracles, replicas)
+        assert type(batch) is PerReplicaBatchOracle
+        active = np.ones(replicas, dtype=bool)
+        for round in (1, 2, 3, 4):
+            rows = self._masks_as_ints(batch.round_masks(round, active))
+            expected = [oracles[0].ho_mask(round, p) for p in range(n)]
+            assert rows == [expected] * replicas
 
     def test_inactive_replicas_are_not_queried(self):
         import numpy as np
@@ -143,11 +160,11 @@ class TestVectorizeOracles:
 
         n, replicas = 5, 3
 
+        crash = StaticCrashOracle(n, {n - 1: 2})
+
         def build(i):
             return IntersectOracle(
-                n,
-                StaticCrashOracle(n, {n - 1: 2}),
-                RandomOmissionOracle(n, 0.4, rng=SeededRng(10 + i)),
+                n, crash, RandomOmissionOracle(n, 0.4, rng=SeededRng(10 + i))
             )
 
         batch = vectorize_oracles([build(i) for i in range(replicas)], replicas)
@@ -365,8 +382,10 @@ class TestWhoGetsTheBulkDraw:
             ]
 
     def test_lossy_overlay_component_is_bulk_drawn(self):
+        crash = StaticCrashOracle(self.n, {3: 2})
+
         def build(i):
-            return IntersectOracle(self.n, StaticCrashOracle(self.n, {3: 2}), self._lossy(i))
+            return IntersectOracle(self.n, crash, self._lossy(i))
 
         batch = vectorize_oracles([build(i) for i in range(self.replicas)], self.replicas)
         assert [type(c) for c in batch.components] == [

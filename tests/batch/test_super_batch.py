@@ -60,18 +60,21 @@ def make_cell(
     max_rounds=30,
     **kwargs,
 ):
-    factory = oracle_factory or (lambda n, seed: FaultFreeOracle(n))
+    """A cell of *replicas* seeds; the default environment is one fault-free oracle."""
+    fault_free = FaultFreeOracle(n)
+    factory = oracle_factory or (lambda n, seed: fault_free)
     tasks = [
         ReplicaTask(
             seed=base_seed + i,
-            algorithm=algo_cls(n),
             oracle=factory(n, base_seed + i),
             initial_values=[10 * (p + 1) for p in range(n)],
         )
         for i in range(replicas)
     ]
     kwargs.setdefault("fingerprints", False)
-    return ReplicaBatch(n=n, tasks=tasks, max_rounds=max_rounds, **kwargs)
+    return ReplicaBatch(
+        n=n, algorithm=algo_cls(n), tasks=tasks, max_rounds=max_rounds, **kwargs
+    )
 
 
 class TestCrossCellBitIdentity:
@@ -142,13 +145,9 @@ class TestCrossCellBitIdentity:
 
     def test_scope_mask_rows_respected(self):
         """Per-row scopes: a crash-stop cell stops at its scope, not n_max."""
+        crash = StaticCrashOracle(4, {3: 2})
         crashed = make_cell(
-            OneThirdRule,
-            4,
-            0,
-            3,
-            lambda n, seed: StaticCrashOracle(n, {n - 1: 2}),
-            scope_mask=mask_of(range(3)),
+            OneThirdRule, 4, 0, 3, lambda n, seed: crash, scope_mask=mask_of(range(3))
         )
         wide = make_cell(OneThirdRule, 8, 50, 2)
         backend = SuperBatchBackend()
@@ -424,7 +423,7 @@ def test_translation_cells_super_batch_beside_classic_cells():
     assert backend.last_fallback_reasons == {}
     scalar = get_backend("scalar")
     for cell, outcomes in zip(theorem8_grid(), results):
-        assert outcomes == scalar.run(cell), (cell.tasks[0].algorithm, cell.n)
+        assert outcomes == scalar.run(cell), (cell.algorithm, cell.n)
     observed = [o for o in sum(results, []) if o.predicate_reports or o.fingerprint]
     assert any(o.predicate_reports for o in observed) and any(o.fingerprint for o in observed)
 

@@ -95,7 +95,8 @@ def test_table1_matrix_crosses_the_packed_row_space():
     batches = [
         ReplicaBatch(
             n=N,
-            tasks=[ReplicaTask(0, OneThirdRule(N), build(), VALUES)],
+            algorithm=OneThirdRule(N),
+            tasks=[ReplicaTask(0, build(), VALUES)],
             max_rounds=ROUNDS,
             run_full_horizon=True,
             monitor_spec=MonitorSpec(predicates=("p_otr",)),

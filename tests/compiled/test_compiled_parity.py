@@ -47,29 +47,37 @@ from repro.rounds.fallback import FallbackReason
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
-#: classic (pure, broadcastable) and dynamic (counter-stream) adversaries;
-#: all of them vectorise without the per-replica query loop, so the fused
-#: chunked precompute engages for every cell.
+def _each(oracle):
+    """A deterministic environment: one object every replica of the cell holds."""
+    return lambda seed: oracle
+
+
+#: classic (pure, broadcastable) and dynamic (counter-stream) adversaries,
+#: as ``n -> (seed -> oracle)``: a classic one is built once per cell, as
+#: the scenario builders do.  All of them vectorise without the per-replica
+#: query loop, so the fused chunked precompute engages for every cell.
 ORACLE_FACTORIES = {
-    "fault-free": lambda n, seed: FaultFreeOracle(n),
-    "crash-stop": lambda n, seed: StaticCrashOracle(n, {n - 1: 3}),
-    "partition-heal": lambda n, seed: PartitionOracle(
-        n, [range(0, n // 2), range(n // 2, n)], heal_round=6
+    "fault-free": lambda n: _each(FaultFreeOracle(n)),
+    "crash-stop": lambda n: _each(StaticCrashOracle(n, {n - 1: 3})),
+    "partition-heal": lambda n: _each(
+        PartitionOracle(n, [range(0, n // 2), range(n // 2, n)], heal_round=6)
     ),
-    "crash-recovery": lambda n, seed: SequenceOracle(
-        n,
-        [
-            (FaultFreeOracle(n), 3),
-            (StaticCrashOracle(n, {n - 1: 1}), 4),
-            (FaultFreeOracle(n), None),
-        ],
+    "crash-recovery": lambda n: _each(
+        SequenceOracle(
+            n,
+            [
+                (FaultFreeOracle(n), 3),
+                (StaticCrashOracle(n, {n - 1: 1}), 4),
+                (FaultFreeOracle(n), None),
+            ],
+        )
     ),
-    "mobile": lambda n, seed: MobileOmissionOracle(
+    "mobile": lambda n: lambda seed: MobileOmissionOracle(
         n, faults=max(0, (n - 1) // 3), seed=seed
     ),
-    "rotating": lambda n, seed: RotatingPartitionOracle(n, seed=seed),
-    "bursty": lambda n, seed: BurstyLossOracle(n, seed=seed),
-    "stable-coord": lambda n, seed: EventuallyStableCoordinatorOracle(
+    "rotating": lambda n: lambda seed: RotatingPartitionOracle(n, seed=seed),
+    "bursty": lambda n: lambda seed: BurstyLossOracle(n, seed=seed),
+    "stable-coord": lambda n: lambda seed: EventuallyStableCoordinatorOracle(
         n, stable_from=6, seed=seed
     ),
 }
@@ -85,25 +93,18 @@ def compiled_backend():
 
 
 def make_batch(algo_factory, oracle_name, n, base_seed, replicas, **kwargs):
-    factory = ORACLE_FACTORIES[oracle_name]
+    oracle_of = ORACLE_FACTORIES[oracle_name](n)
     tasks = []
     for i in range(replicas):
         seed = base_seed + i
         rng = SeededRng(seed)
         values = [10 * (p + 1) for p in range(n)]
         rng.stream("values").shuffle(values)
-        tasks.append(
-            ReplicaTask(
-                seed=seed,
-                algorithm=algo_factory(n),
-                oracle=factory(n, seed),
-                initial_values=values,
-            )
-        )
+        tasks.append(ReplicaTask(seed=seed, oracle=oracle_of(seed), initial_values=values))
     scope = range(n - 1) if (oracle_name == "crash-stop" and n > 1) else range(n)
     kwargs.setdefault("scope_mask", mask_of(scope))
     kwargs.setdefault("max_rounds", 40)
-    return ReplicaBatch(n=n, tasks=tasks, **kwargs)
+    return ReplicaBatch(n=n, algorithm=algo_factory(n), tasks=tasks, **kwargs)
 
 
 def assert_compiled_engaged_and_identical(make, reference_backend="scalar"):
@@ -280,27 +281,16 @@ def test_stateful_oracles_are_opaque_to_the_fused_loop():
             rng.stream("values").shuffle(values)
             tasks.append(ReplicaTask(
                 seed=seed,
-                algorithm=OneThirdRule(5),
                 oracle=RandomOmissionOracle(5, 0.25, rng=rng),
                 initial_values=values,
             ))
-        return ReplicaBatch(n=5, tasks=tasks, max_rounds=40)
+        return ReplicaBatch(n=5, algorithm=OneThirdRule(5), tasks=tasks, max_rounds=40)
 
     backend = compiled_backend()
     outcomes = backend.run(make())
     assert backend.last_fallback_reason == \
         FallbackReason.OPAQUE_COMPILED_ORACLE.render()
     assert outcomes == get_backend("scalar").run(make())
-
-
-def test_mixed_algorithms_fall_back():
-    tasks = [
-        ReplicaTask(0, OneThirdRule(3), FaultFreeOracle(3), [1, 2, 3]),
-        ReplicaTask(1, UniformVoting(3), FaultFreeOracle(3), [1, 2, 3]),
-    ]
-    backend = compiled_backend()
-    backend.run(ReplicaBatch(n=3, tasks=tasks, max_rounds=10))
-    assert "mixed" in backend.last_fallback_reason
 
 
 def test_disable_env_forces_numba_off(monkeypatch):

@@ -94,23 +94,6 @@ def test_all_six_monitors_match_their_checkers(collection, data):
     assert monitor_verdicts(collection, pi0) == checker_verdicts(collection, pi0)
 
 
-@settings(max_examples=200, deadline=None)
-@given(collection=collections(), data=st.data())
-def test_windowed_su_and_kernel_monitors_match_the_window_functions(collection, data):
-    pi0 = data.draw(
-        st.frozensets(st.integers(min_value=0, max_value=N - 1), max_size=N)
-    )
-    first = data.draw(st.integers(min_value=1, max_value=collection.max_round + 2))
-    last = data.draw(st.integers(min_value=first, max_value=first + 4))
-    monitors = [
-        build_monitor("p_su", N, pi0=pi0, first_round=first, last_round=last),
-        build_monitor("p_k", N, pi0=pi0, first_round=first, last_round=last),
-    ]
-    reports = monitor_collection(collection, monitors)
-    assert reports["p_su"].holds == psu_holds(collection, pi0, first, last)
-    assert reports["p_k"].holds == pk_holds(collection, pi0, first, last)
-
-
 @settings(max_examples=150, deadline=None)
 @given(collection=collections(max_rounds=8))
 def test_prefix_verdicts_track_the_checker_on_every_prefix(collection):

@@ -64,15 +64,8 @@ class TestMonitorBasics:
         assert monitor.verdict
         assert monitor.report().first_hold_round == 3
 
-    def test_psu_windowed_counts_unobserved_rounds_as_empty(self):
-        n = 3
-        monitor = PSuMonitor(n, pi0={0, 1, 2}, first_round=1, last_round=5)
-        for round in (1, 2, 3):
-            monitor.observe(round, [full(n)] * n)
-        assert not monitor.verdict  # rounds 4..5 missing = empty HO sets
-
     def test_psu_empty_pi0_is_vacuously_true(self):
-        monitor = PSuMonitor(3, pi0=(), first_round=1, last_round=9)
+        monitor = PSuMonitor(3, pi0=())
         monitor.observe(1, [0b001, 0b010, 0b100])
         assert monitor.verdict
 

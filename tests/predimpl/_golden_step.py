@@ -79,13 +79,9 @@ def run_cell(kind: str, f: int, use_translation: bool, fault_model: str, n: int)
     )
     batch = ReplicaBatch(
         n=n,
+        algorithm=OneThirdRule(n),
         tasks=[
-            ReplicaTask(
-                seed=seed,
-                algorithm=OneThirdRule(n),
-                oracle=env,
-                initial_values=shuffled_values(n, seed),
-            )
+            ReplicaTask(seed=seed, oracle=env, initial_values=shuffled_values(n, seed))
             for seed in SEEDS
         ],
         max_rounds=step_horizon_rounds(env, n),

@@ -41,19 +41,23 @@ def translation_f(n):
 
 
 def make_batch(n, seeds, f, max_rounds, inner=OneThirdRule, **kwargs):
-    """One translation cell; *f* is one value or one per seed."""
-    fs = f if isinstance(f, list) else [f] * len(seeds)
+    """One translation cell: Algorithm 4 with parameter *f* over *inner*."""
     tasks = [
         ReplicaTask(
             seed=seed,
-            algorithm=KernelToUniformTranslation(inner(n), f),
             oracle=kernel_oracle(n, seed, f),
             initial_values=shuffled_values(n, seed),
         )
-        for seed, f in zip(seeds, fs)
+        for seed in seeds
     ]
     kwargs.setdefault("fingerprints", True)
-    return ReplicaBatch(n=n, tasks=tasks, max_rounds=max_rounds, **kwargs)
+    return ReplicaBatch(
+        n=n,
+        algorithm=KernelToUniformTranslation(inner(n), f),
+        tasks=tasks,
+        max_rounds=max_rounds,
+        **kwargs,
+    )
 
 
 def translation_kernel(*batches):
@@ -223,8 +227,8 @@ class TestRowCompaction:
         ]
 
     def test_mixed_n_and_f_row_space_equals_the_per_cell_kernels(self):
-        """Cells differing in n and f -- one of them mixing f itself -- in
-        one padded row space, stepped with random heard rows and random
+        """Cells differing in n and f -- two of them of one n, differing in
+        f only -- in one padded row space, stepped with random heard rows and random
         activity and compacted when every row with f > 0 is mid-macro-round,
         equal each cell's own kernel row by row.  Padded processes stay
         invisible: no real row learns a padded one's message, and neither
@@ -234,13 +238,14 @@ class TestRowCompaction:
         cells = [
             make_batch(1, [0, 1], 0, 12),
             make_batch(4, [2, 3, 4], 1, 12),
-            make_batch(7, [5, 6, 7, 8], [2, 1, 2, 1], 12),
+            make_batch(7, [5, 7], 2, 12),
+            make_batch(7, [6, 8], 1, 12),
             make_batch(65, [9, 10], 3, 12),
         ]
         whole = translation_kernel(*cells)
         parts = [translation_kernel(cell) for cell in cells]
         rows = [(part, r, cell.n) for part, cell in zip(parts, cells) for r in range(cell.replicas)]
-        assert whole.n == 65 and whole.f.tolist() == [0, 0, 1, 1, 1, 2, 1, 2, 1, 3, 3]
+        assert whole.n == 65 and whole.f.tolist() == [0, 0, 1, 1, 1, 2, 2, 1, 1, 3, 3]
         orig = np.arange(len(rows))
         rng = np.random.default_rng(1)
         for round in range(1, 13):

@@ -47,16 +47,13 @@ def make_batch(env, n, seeds, max_rounds=None, **kwargs):
     if max_rounds is None:
         max_rounds = step_horizon_rounds(env, n)
     tasks = [
-        ReplicaTask(
-            seed=seed,
-            algorithm=OneThirdRule(n),
-            oracle=env,
-            initial_values=shuffled_values(n, seed),
-        )
+        ReplicaTask(seed=seed, oracle=env, initial_values=shuffled_values(n, seed))
         for seed in seeds
     ]
     kwargs.setdefault("fingerprints", True)
-    return ReplicaBatch(n=n, tasks=tasks, max_rounds=max_rounds, **kwargs)
+    return ReplicaBatch(
+        n=n, algorithm=OneThirdRule(n), tasks=tasks, max_rounds=max_rounds, **kwargs
+    )
 
 
 class TestRegistration:
@@ -99,14 +96,8 @@ class TestScalarStepBackend:
     def test_non_step_oracle_is_rejected(self):
         batch = ReplicaBatch(
             n=2,
-            tasks=[
-                ReplicaTask(
-                    seed=0,
-                    algorithm=OneThirdRule(2),
-                    oracle=object(),
-                    initial_values=[1, 2],
-                )
-            ],
+            algorithm=OneThirdRule(2),
+            tasks=[ReplicaTask(seed=0, oracle=object(), initial_values=[1, 2])],
             max_rounds=4,
         )
         with pytest.raises(TypeError):
@@ -174,18 +165,15 @@ MONITOR_SETS = [(name,) for name in MONITOR_NAMES] + [tuple(MONITOR_NAMES)]
 
 
 def monitored_batch(oracle_of, n, predicates, stop_after_held, run_full_horizon):
-    """A monitored 12-round cell over ``oracle_of(n)``, three seeds."""
+    """A monitored 12-round cell over one ``oracle_of(n)``, three seeds."""
+    oracle = oracle_of(n)
     tasks = [
-        ReplicaTask(
-            seed=seed,
-            algorithm=OneThirdRule(n),
-            oracle=oracle_of(n),
-            initial_values=shuffled_values(n, seed),
-        )
+        ReplicaTask(seed=seed, oracle=oracle, initial_values=shuffled_values(n, seed))
         for seed in range(3)
     ]
     return ReplicaBatch(
         n=n,
+        algorithm=OneThirdRule(n),
         tasks=tasks,
         max_rounds=12,
         run_full_horizon=run_full_horizon,
@@ -269,14 +257,13 @@ class TestDegradation:
         tasks = [
             ReplicaTask(
                 seed=seed,
-                algorithm=OneThirdRule(n),
                 oracle=StepEnvironment(phi=phi),
                 initial_values=shuffled_values(n, seed),
             )
             for seed, phi in ((0, 1.0), (1, 2.0))
         ]
         backend = BatchStepBackend()
-        backend.run(ReplicaBatch(n=n, tasks=tasks, max_rounds=8))
+        backend.run(ReplicaBatch(n=n, algorithm=OneThirdRule(n), tasks=tasks, max_rounds=8))
         assert "disagree" in backend.last_fallback_reason
 
     def test_lowerable_cell_records_no_reason(self):

@@ -9,8 +9,8 @@ import pytest
 from repro.rounds.fallback import FallbackReason
 
 
-def test_the_vocabulary_has_thirteen_reasons():
-    assert len(FallbackReason) == 13
+def test_the_vocabulary_has_twelve_reasons():
+    assert len(FallbackReason) == 12
 
 
 @pytest.mark.parametrize("reason", list(FallbackReason), ids=lambda r: r.name)

@@ -64,7 +64,7 @@ def build_complex_valued_batch(fault_model, n=4, seeds=(0,), **params):
         for task in batch.tasks
     ]
     scope = iter_bits(batch.effective_scope_mask)
-    return cell_plan(n, tasks, batch.max_rounds, scope, None, None, False)
+    return cell_plan(n, batch.algorithm, tasks, batch.max_rounds, scope, None, None, False)
 
 
 def build_raising_at_seed_100(fault_model, n=4, seeds=(0,), **params):

@@ -54,7 +54,7 @@ def on_homachine(scenario, fault_model, n, **params):
     for task in batch.tasks:
         bank = None if batch.monitor_spec is None else batch.monitor_spec.scalar_bank(batch.n)
         machine = HOMachine(
-            task.algorithm, task.oracle, task.initial_values,
+            batch.algorithm, task.oracle, task.initial_values,
             observers=() if bank is None else (bank,),
         )
         if batch.run_full_horizon:

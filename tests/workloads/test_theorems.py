@@ -75,7 +75,7 @@ class TestTranslationScenario:
     def test_decides_at_the_macro_round_cadence(self):
         result = run_one("ho-theorem8-translation", "fault-free", n=7)
         assert result.solved
-        algorithm = build_translation_batch("fault-free", n=7).batch.tasks[0].algorithm
+        algorithm = build_translation_batch("fault-free", n=7).batch.algorithm
         per_macro = algorithm.rounds_per_macro
         assert per_macro == algorithm.f + 1 == 3
         assert result.metrics.last_decision_round % per_macro == 0
