@@ -6,9 +6,9 @@ HO machine, first in a fault-free environment, then under heavy message
 loss, and finally under a *composed* adversary built with the
 :mod:`repro.adversaries` combinators -- a churning partition that heals into
 a crash-free-but-lossy regime.  After each run the communication predicates
-of Table 1 are checked on the recorded heard-of collection -- and monitored
-*online* by their streaming duals, which reach the same verdicts without
-the collection ever being needed.  Then a monitored run demonstrates
+of Table 1 are checked on the recorded heard-of collection -- their
+whole-collection form -- and monitored *online* by their streaming form,
+which reaches the same verdicts without the collection ever being needed.  Then a monitored run demonstrates
 early stopping ("end the run once P_su held for 5 consecutive rounds"),
 and a small sweep grid is run through the resumable JSONL pipeline: the
 "first attempt" dies halfway, and the second call picks up exactly where
@@ -34,7 +34,7 @@ from repro.adversaries import (
 from repro.algorithms import OneThirdRule
 from repro.analysis import check_consensus
 from repro.core import HOMachine
-from repro.predicates import MonitorBank, POtr, PRestrOtr, build_monitor
+from repro.predicates import MonitorBank, POtr, PRestrOtr
 from repro.runner import JsonlSink, build_grid, run_sweep
 
 
@@ -43,7 +43,7 @@ def run(label: str, oracle, initial_values) -> None:
     n = len(initial_values)
     # Streaming monitors watch the predicates online, one round at a time,
     # through the engine's observer hook -- no recorded collection needed.
-    bank = MonitorBank(n, [build_monitor("p_otr", n), build_monitor("p_restr_otr", n)])
+    bank = MonitorBank(n, ["p_otr", "p_restr_otr"])
     machine = HOMachine(algorithm, oracle, initial_values, observers=[bank])
     trace = machine.run_until_decision(max_rounds=50)
     verdict = check_consensus(trace, initial_values)
@@ -108,11 +108,7 @@ def main() -> None:
             (FaultFreeOracle(n), None),  # the good period begins at round 21
         ],
     )
-    bank = MonitorBank(
-        n,
-        [build_monitor("p_su", n), build_monitor("p_2otr", n)],
-        stop_after_held=5,
-    )
+    bank = MonitorBank(n, ["p_su", "p_2otr"], stop_after_held=5)
     machine = HOMachine(OneThirdRule(n), oracle, initial_values, observers=[bank])
     while machine.current_round < 200 and not machine.engine.stop_requested:
         machine.run_round()

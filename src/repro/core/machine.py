@@ -57,8 +57,9 @@ class HOMachine:
         process id or a mapping.
     observers:
         :class:`~repro.rounds.engine.RoundObserver` hooks fed every round
-        record as it is produced (e.g. a streaming predicate
-        :class:`~repro.predicates.monitors.MonitorBank`).  An observer whose
+        record as it is produced (e.g. a
+        :class:`~repro.predicates.monitors.MonitorBank`, which runs the
+        array predicate monitors over the run).  An observer whose
         ``stop_requested`` turns true stops :meth:`run_until_decision`
         early, between rounds.
     """

@@ -1,39 +1,25 @@
 """Communication predicates: whole-collection checkers and streaming monitors.
 
 The paper's central object -- the communication predicate of a ``<A, P>``
-pair (Section 3.1, Table 1) -- lives here in two dual forms:
+pair (Section 3.1, Table 1) -- lives here in two forms:
 
-* :mod:`repro.predicates.static` -- the classic *whole-collection* checkers,
-  evaluated over a fully recorded :class:`~repro.core.types.HOCollection`
-  (``P.holds(collection)``);
-* :mod:`repro.predicates.monitors` -- *streaming* monitors that consume one
-  round of bitmask heard-of sets at a time in O(window * n) memory, reach
-  the same verdicts online, accumulate hold/violation run-lengths into
-  compact :class:`~repro.predicates.reports.PredicateReport` objects, and
-  drive the early-stop rule through the round engine's observer hook;
-* :mod:`repro.predicates.batch` -- the replica-vectorised duals of the
-  streaming monitors, consuming ``(R, n, ceil(n/64))`` uint64 mask arrays
-  for all R replicas of a batch at once (imported lazily by the batch
-  execution backend, hence not re-exported here).
+* :mod:`repro.predicates.static` -- the paper's *whole-collection*
+  definitions, evaluated over a fully recorded
+  :class:`~repro.core.types.HOCollection` (``P.holds(collection)``);
+* :mod:`repro.predicates.batch` -- the *streaming* monitors, vectorised
+  over R replicas: they consume one round of ``(R, n, ceil(n/64))`` uint64
+  heard-of masks at a time in O(n) state per replica, reach the same
+  verdicts online and accumulate hold/violation run-lengths into compact
+  :class:`~repro.predicates.reports.PredicateReport` objects.
+
+:mod:`repro.predicates.monitors` runs those monitors over a single run: its
+:class:`MonitorBank` collates the round engine's record stream into
+completed rounds, feeds them to the monitors at R = 1 and drives the
+early-stop rule through the engine's observer hook.
 """
 
-from .monitors import (
-    DEFAULT_WINDOW,
-    MONITOR_NAMES,
-    MonitorBank,
-    P2OtrMonitor,
-    P11OtrMonitor,
-    PKernelMonitor,
-    POtrMonitor,
-    PRestrOtrMonitor,
-    PSuMonitor,
-    PredicateMonitor,
-    RoundCollator,
-    build_monitor,
-    build_monitor_bank,
-    canonical_predicate_name,
-    monitor_collection,
-)
+from .batch import MONITOR_NAMES, canonical_predicate_name, canonical_predicate_names
+from .monitors import DEFAULT_WINDOW, MonitorBank, RoundCollator
 from .reports import PredicateReport
 from .static import (
     And,
@@ -89,19 +75,10 @@ __all__ = [
     # streaming monitors
     "DEFAULT_WINDOW",
     "MONITOR_NAMES",
-    "PredicateMonitor",
-    "POtrMonitor",
-    "PRestrOtrMonitor",
-    "PSuMonitor",
-    "PKernelMonitor",
-    "P2OtrMonitor",
-    "P11OtrMonitor",
     "RoundCollator",
     "MonitorBank",
-    "monitor_collection",
     "canonical_predicate_name",
-    "build_monitor",
-    "build_monitor_bank",
+    "canonical_predicate_names",
     # reports
     "PredicateReport",
 ]

@@ -1,11 +1,17 @@
-"""Replica-vectorised predicate monitors: the batched dual of the streaming duals.
+"""Replica-vectorised predicate monitors: the one streaming form of each predicate.
 
-Every monitor of :mod:`repro.predicates.monitors` exists here a third time,
-vectorised across the replica axis: a :class:`BatchMonitorBank` consumes one
-lockstep round of ``(R, n, ceil(n/64))`` uint64 heard-of mask arrays and
-maintains, per replica, exactly the state the scalar monitor would hold
-after the same rounds.  A round is one pass over a handful of ``(R, n, W)``
-and ``(M, R)`` arrays:
+Every predicate of Table 1 / Section 4.2 has two forms: its whole-collection
+definition in :mod:`repro.predicates.static`, and the monitor here.  A
+:class:`BatchMonitorBank` consumes one lockstep round of
+``(R, n, ceil(n/64))`` uint64 heard-of mask arrays and maintains, per
+replica, in O(n) state (plus, for ``P_restr_otr``, its open-candidate
+table), the verdict the whole-collection checker would reach on the prefix
+of rounds observed so far, together with the run-length statistics of a
+per-round *good condition*.  The heard-of collection is never materialised
+and nothing is re-scanned.  The batch engine feeds the bank every replica
+of a cell at once; :class:`~repro.predicates.monitors.MonitorBank` feeds it
+one run's collated rounds at R = 1.  A round is one pass over a handful of
+``(R, n, W)`` and ``(M, R)`` arrays:
 
 * the bank runs the two Pi0 round tests once -- *space uniform* (every Pi0
   member heard exactly Pi0) and *kernel* (every Pi0 member heard all of
@@ -18,7 +24,7 @@ and ``(M, R)`` arrays:
 * the bank updates the run-length statistics (rounds observed, good rounds,
   streaks, first good and first hold rounds) of all M monitors at once, as
   one ``(8, M, R)`` int32 array under the per-replica *active* mask, so
-  replicas that stop early simply freeze, just like a finished scalar run.
+  replicas that stop early simply freeze, just like a finished run.
   Each monitor's ``rounds_observed``, ``good_rounds``, ... are row views of
   that array.
 
@@ -29,24 +35,57 @@ count -- so a round is one masked superset pass over the rows that have
 open candidates plus one append for the rows that open a new one, with no
 Python loop over replicas.
 
-Equivalence with the scalar monitors (and therefore, transitively, with the
-whole-collection checkers) is pinned by tests: for every predicate, every
-replica's :class:`~repro.predicates.reports.PredicateReport` must be equal
-to the report of a scalar :class:`~repro.predicates.MonitorBank` fed the
-same rounds.
+Equivalence with the whole-collection checkers is pinned by generated
+tests: for every predicate, every replica's
+:class:`~repro.predicates.reports.PredicateReport` must equal the report
+folded from the static definitions -- the checker on every round prefix for
+the verdict and first hold round, the checker's one-round condition for
+the good rounds and their runs.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, NamedTuple, Optional, Sequence
+from typing import Any, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..batch.arrays import pack_bools
 from ..rounds.bitmask import iter_bits, mask_to_words, word_count
-from .monitors import MONITOR_NAMES, canonical_predicate_name
 from .reports import PredicateReport
 from .static import otr_threshold
+
+#: Canonical monitorable predicate names, as accepted by
+#: :class:`BatchMonitorBank` and the ``--predicates`` CLI flag.
+MONITOR_NAMES = ("p_otr", "p_restr_otr", "p_su", "p_k", "p_2otr", "p_1/1otr")
+
+_ALIASES = {"p_11otr": "p_1/1otr", "p_1_1otr": "p_1/1otr", "p1/1otr": "p_1/1otr"}
+
+
+def canonical_predicate_name(name: str) -> str:
+    """Normalise *name* to its canonical form; raises on unknown predicates."""
+    key = name.strip().lower().replace("-", "_")
+    key = _ALIASES.get(key, key)
+    if key not in MONITOR_NAMES:
+        raise ValueError(
+            f"unknown predicate {name!r}; known: {', '.join(MONITOR_NAMES)}"
+        )
+    return key
+
+
+def canonical_predicate_names(names: Sequence[str]) -> Tuple[str, ...]:
+    """Normalise every name of *names*; raises on unknown or repeated predicates.
+
+    Repeats are judged after aliases resolve (``p_11otr`` repeats
+    ``p_1/1otr``): a bank keys its reports by canonical name, so a repeated
+    predicate would get a second statistics row that no report shows.
+    """
+    keys = tuple(canonical_predicate_name(name) for name in names)
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            raise ValueError(
+                f"predicate {key!r} is named more than once in {', '.join(names)}"
+            )
+    return keys
 
 
 class RoundView(NamedTuple):
@@ -101,7 +140,13 @@ class BatchPredicateMonitor:
 
 
 class BatchPSuMonitor(BatchPredicateMonitor):
-    """Vectorised :class:`~repro.predicates.monitors.PSuMonitor` (open window)."""
+    """``P_su(Pi0, 1, r)`` over the observed prefix (space uniformity).
+
+    Good condition: the round is space uniform for Pi0 (every ``p in Pi0``
+    has ``HO(p, r) = Pi0``).  The verdict is the "uniform throughout the run
+    so far" reading: every observed round was good, and at least one round
+    was observed (vacuously true for an empty Pi0).
+    """
 
     name = "p_su"
 
@@ -126,7 +171,12 @@ class BatchPSuMonitor(BatchPredicateMonitor):
 
 
 class BatchPKernelMonitor(BatchPSuMonitor):
-    """Vectorised :class:`~repro.predicates.monitors.PKernelMonitor` (open window)."""
+    """``P_k(Pi0, 1, r)`` over the observed prefix (kernel rounds).
+
+    Good condition: the round is a *kernel round* for Pi0 (every
+    ``p in Pi0`` has ``HO(p, r) >= Pi0``); the verdict is that of
+    :class:`BatchPSuMonitor`.
+    """
 
     name = "p_k"
 
@@ -135,7 +185,15 @@ class BatchPKernelMonitor(BatchPSuMonitor):
 
 
 class BatchPOtrMonitor(BatchPredicateMonitor):
-    """Vectorised :class:`~repro.predicates.monitors.POtrMonitor`."""
+    """``P_otr`` (Table 1, eq. 1).
+
+    Good condition: a *uniform quorum round* -- every process has the same
+    heard-of set and its cardinality exceeds ``2n/3``.  The verdict uses the
+    earliest such round as the witness ``r0`` (any witness implies the
+    earliest one works, since the second clause only needs rounds strictly
+    after ``r0``) and then waits for every process to hear ``> 2n/3``
+    senders in some later round.
+    """
 
     name = "p_otr"
 
@@ -163,7 +221,13 @@ class BatchPOtrMonitor(BatchPredicateMonitor):
 
 
 class BatchP2OtrMonitor(BatchPredicateMonitor):
-    """Vectorised :class:`~repro.predicates.monitors.P2OtrMonitor`."""
+    """``P_2otr(Pi0)``: a space-uniform round immediately followed by a kernel round.
+
+    Good condition: the round is a kernel round for Pi0 (space-uniform
+    rounds are kernel rounds, so this counts every round usable in the
+    pattern).  The verdict fires, and stays true, once a kernel round
+    directly follows a space-uniform round.
+    """
 
     name = "p_2otr"
 
@@ -182,7 +246,12 @@ class BatchP2OtrMonitor(BatchPredicateMonitor):
 
 
 class BatchP11OtrMonitor(BatchP2OtrMonitor):
-    """Vectorised :class:`~repro.predicates.monitors.P11OtrMonitor`."""
+    """``P_1/1otr(Pi0)``: a space-uniform round, then (eventually) a kernel round.
+
+    Same good condition as :class:`BatchP2OtrMonitor`; the verdict fires
+    once any kernel round follows any strictly earlier space-uniform round
+    (the earliest space-uniform round subsumes all later witnesses).
+    """
 
     name = "p_1/1otr"
 
@@ -197,7 +266,12 @@ class BatchP11OtrMonitor(BatchP2OtrMonitor):
 
 
 class BatchPRestrOtrMonitor(BatchPredicateMonitor):
-    """Vectorised :class:`~repro.predicates.monitors.PRestrOtrMonitor`.
+    """``P_restr_otr`` (Table 1, eq. 2).
+
+    Good condition: the round hosts a *candidate* Pi0 -- a set of more than
+    ``2n/3`` processes that all heard exactly each other.  The verdict holds
+    once every member of some candidate heard all of it in a strictly later
+    round.
 
     The candidate scan (is there a > 2n/3 set whose members all heard
     exactly each other?) compares each row with one row.  A candidate Pi0
@@ -211,14 +285,15 @@ class BatchPRestrOtrMonitor(BatchPredicateMonitor):
     passing the scan are exactly those members (a process holding the row
     without hearing itself does not pass).
 
-    The open-candidate table is the scalar monitor's ``{Pi0 mask: pending
-    mask}`` dict laid out as arrays: row r's first ``_count[r]`` slots of
-    ``_cand[r]`` hold its candidates' words in the order they opened,
-    ``_pending[r, c]`` the members still lacking a later round with
-    ``HO >= Pi0``; unused slots are all-zero.  The slot axis doubles when a
-    row fills it and -- like the scalar dict -- never evicts: a candidate
-    dropped today could have completed tomorrow, which would change the
-    verdict.
+    The open-candidate table holds, per replica, the candidates seen so
+    far and the members of each still lacking a later round with
+    ``HO >= Pi0``: row r's first ``_count[r]`` slots of ``_cand[r]`` hold
+    its candidates' words in the order they opened, ``_pending[r, c]`` the
+    members still pending; unused slots are all-zero.  The slot axis doubles
+    when a row fills it and never evicts: a candidate dropped today could
+    have completed tomorrow, which would change the verdict.  An adversary
+    minting a fresh never-completed candidate every round therefore grows
+    the table by one slot per round.
     """
 
     name = "p_restr_otr"
@@ -296,12 +371,13 @@ class BatchPRestrOtrMonitor(BatchPredicateMonitor):
 class BatchMonitorBank:
     """Vectorised monitors for R replicas, fed one lockstep round at a time.
 
-    The batched twin of :class:`repro.predicates.MonitorBank` for the
-    lockstep oracle path (rounds arrive complete and in order, so no
-    collator is needed).  ``stop_after_held`` is the scalar bank's stop
-    rule: a replica requests a stop once any of its monitors' good
-    condition held for that many consecutive rounds; requests are sticky
-    and per replica.
+    Rounds must arrive complete and in order (the batch engine's lockstep
+    rounds do; :class:`repro.predicates.MonitorBank` collates a run's
+    record stream into such rounds for R = 1).  *predicates* are names or
+    aliases of :data:`MONITOR_NAMES`, each at most once.
+    ``stop_after_held`` is the early-stop rule: a replica requests a stop
+    once any of its monitors' good condition held for that many
+    consecutive rounds; requests are sticky and per replica.
     """
 
     def __init__(
@@ -314,6 +390,7 @@ class BatchMonitorBank:
     ) -> None:
         if not predicates:
             raise ValueError("at least one predicate name is required")
+        predicates = canonical_predicate_names(predicates)
         if stop_after_held is not None and stop_after_held < 1:
             raise ValueError(f"stop_after_held must be at least 1, got {stop_after_held}")
         self.n = n
@@ -382,10 +459,10 @@ def build_batch_monitor(
 ) -> BatchPredicateMonitor:
     """Build the vectorised monitor for predicate *name* over R replicas.
 
-    Accepts the same names (and aliases) as
-    :func:`repro.predicates.build_monitor`.  *stats* is the monitor's
-    ``(8, R)`` int32 block of its bank's statistics; *pi0_mask* is the
-    bank's Pi0 as a bitmask (the bank runs the Pi0 round tests itself).
+    Accepts the names (and aliases) of :data:`MONITOR_NAMES`.  *stats* is
+    the monitor's ``(8, R)`` int32 block of its bank's statistics; *pi0_mask*
+    is the bank's Pi0 as a bitmask (the bank runs the Pi0 round tests
+    itself).
     """
     key = canonical_predicate_name(name)
     if key == "p_otr":
@@ -403,6 +480,8 @@ def build_batch_monitor(
 
 __all__ = [
     "MONITOR_NAMES",
+    "canonical_predicate_name",
+    "canonical_predicate_names",
     "RoundView",
     "BatchPredicateMonitor",
     "BatchPOtrMonitor",

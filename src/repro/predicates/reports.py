@@ -16,7 +16,7 @@ from typing import Any, Dict, Mapping, Optional
 
 @dataclass(frozen=True)
 class PredicateReport:
-    """What one :class:`~repro.predicates.monitors.PredicateMonitor` observed.
+    """What one predicate monitor (:mod:`repro.predicates.batch`) observed.
 
     Two signals are summarised.  The *cumulative verdict* is the predicate
     itself, evaluated on the prefix of rounds seen so far (it equals the

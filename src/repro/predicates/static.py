@@ -1,4 +1,4 @@
-"""Whole-collection communication predicates (the *batch* dual).
+"""Whole-collection communication predicates: the paper's definitions.
 
 Communication predicates (Section 3.1 and Table 1 of the paper) are
 predicates over the collection of heard-of sets ``(HO(p, r))_{p in Pi, r>0}``.
@@ -19,10 +19,11 @@ evaluation over a fully recorded :class:`repro.core.types.HOCollection`:
 Predicates are evaluated over *finite* recorded collections; existential
 round quantifiers range over the recorded window ``1 .. max_round``.
 
-Every Table 1 / Section 4.2 predicate also has a *streaming* dual in
-:mod:`repro.predicates.monitors` that consumes one round of bitmask HO sets
-at a time in O(window) memory and reaches the same verdict without ever
-materialising the collection.
+Every Table 1 / Section 4.2 predicate also has a *streaming* form, the
+array monitor of :mod:`repro.predicates.batch`, that consumes one round of
+heard-of masks at a time in O(n) state and reaches the same verdict
+without ever materialising the collection.  These definitions are its
+reference.
 """
 
 from __future__ import annotations

@@ -93,14 +93,14 @@ class MonitorSpec:
     """A declarative description of the predicate monitors a batch wants.
 
     Data only (predicate names as accepted by
-    :func:`repro.predicates.build_monitor`, the Pi0 scope as a bitmask, and
-    the optional stop-after-held rule), so every backend builds its own
-    form from it: the vectorised ones a
-    :class:`~repro.predicates.batch.BatchMonitorBank`, the scalar reference
-    loops the observer :meth:`scalar_bank` returns.  *completion_scope*
-    narrows the observer's round-completion quorum to Pi0 -- step cells set
-    it, because a crashed process stops reporting forever and rounds
-    complete once the surviving scope did.
+    :class:`~repro.predicates.batch.BatchMonitorBank`, the Pi0 scope as a
+    bitmask, and the optional stop-after-held rule), so every backend
+    builds its bank from it: the vectorised ones a ``BatchMonitorBank`` over
+    all their replicas, the scalar reference loops the per-run observer
+    :meth:`scalar_bank` returns, which runs the same array monitors at
+    R = 1.  *completion_scope* narrows the observer's round-completion
+    quorum to Pi0 -- step cells set it, because a crashed process stops
+    reporting forever and rounds complete once the surviving scope did.
     """
 
     predicates: Tuple[str, ...]
@@ -110,15 +110,14 @@ class MonitorSpec:
 
     def scalar_bank(self, n: int) -> Any:
         """A fresh :class:`~repro.predicates.MonitorBank` for one scalar replica."""
-        from ..predicates import build_monitor_bank  # lazy: rounds never imports upward
+        from ..predicates import MonitorBank  # lazy: rounds never imports upward
 
-        pi0 = None if self.pi0_mask is None else frozenset(iter_bits(self.pi0_mask))
-        return build_monitor_bank(
+        return MonitorBank(
             n,
             self.predicates,
-            pi0=pi0,
+            pi0_mask=self.pi0_mask,
             stop_after_held=self.stop_after_held,
-            completion_scope=pi0 if self.completion_scope else None,
+            completion_mask=self.pi0_mask if self.completion_scope else None,
         )
 
 

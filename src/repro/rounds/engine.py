@@ -94,8 +94,8 @@ class RoundObserver(Protocol):
 
     Observers see records on *both* transport paths -- lockstep oracle
     rounds and per-process step-backed rounds -- right after the trace sink
-    does, so online consumers (the streaming predicate monitors of
-    :mod:`repro.predicates.monitors`) never need the recorded collection.
+    does, so online consumers (the predicate monitors, through
+    :class:`repro.predicates.MonitorBank`) never need the recorded collection.
     An observer may additionally expose a boolean ``stop_requested``
     attribute; :attr:`RoundEngine.stop_requested` folds those into one
     early-stop signal that run loops poll between rounds.

@@ -36,7 +36,7 @@ import os
 import sys
 from typing import Dict, Optional, Sequence
 
-from ..predicates import MONITOR_NAMES, canonical_predicate_name
+from ..predicates import MONITOR_NAMES, canonical_predicate_names
 from .registry import REGISTRY
 from .sweep import (
     BACKEND_CHOICES,
@@ -259,8 +259,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
             return 2
         try:
-            predicate_names = tuple(canonical_predicate_name(name) for name in raw_names)
-        except ValueError as exc:
+            predicate_names = canonical_predicate_names(raw_names)
+        except ValueError as exc:  # an unknown or a repeated name
             print(f"error: {exc}", file=sys.stderr)
             return 2
         unmonitorable = [

@@ -38,9 +38,10 @@ from ..failure_detectors import (
     build_aguilera_processes,
     build_chandra_toueg_processes,
 )
-from ..predicates import MonitorBank, build_monitor_bank
+from ..predicates import MonitorBank
 from ..predimpl import build_down_stack
 from ..predimpl.step_backend import FAULT_MODELS, StepEnvironment, build_step_simulator
+from ..rounds.bitmask import mask_of
 from ..sysmodel import SynchronyParams, SystemRunTrace, SystemSimulator
 
 
@@ -156,13 +157,14 @@ def run_ho_stack(
     bank: Optional[MonitorBank] = None
     observers: Sequence[Any] = ()
     if predicates:
-        # completion_scope: under crash-stop the dead process stops
+        # completion_mask: under crash-stop the dead process stops
         # reporting forever, and waiting out the collator window on every
         # round would defer all monitoring to the end of the run -- rounds
         # complete once the surviving scope reported instead.
-        bank = build_monitor_bank(
-            n, predicates, pi0=scope, stop_after_held=stop_after_held,
-            completion_scope=scope,
+        scope_mask = mask_of(scope)
+        bank = MonitorBank(
+            n, predicates, pi0_mask=scope_mask, stop_after_held=stop_after_held,
+            completion_mask=scope_mask,
         )
         observers = (bank,)
     elif stop_after_held is not None:

@@ -69,10 +69,6 @@ KEPT: Dict[str, str] = {
     "repro.predicates.static.exists_p11otr": "reference: the paper's P_1/1otr",
     "repro.predicates.static.find_psu_window": "reference: P_su window search over a collection",
     "repro.predicates.static.find_pk_window": "reference: P_k window search over a collection",
-    "repro.predicates.monitors.monitor_collection": (
-        "reference: replays a recorded collection through the streaming monitors"
-        " (tests/predicates/test_monitor_equivalence.py)"
-    ),
     # Theorem 3-8 runners and the Section 2 comparison
     "repro.workloads.measure.measure_corollary4": "claims: tests/claims/test_good_periods.py",
     "repro.workloads.measure.measure_ratio_noninitial_vs_initial": (
@@ -110,9 +106,6 @@ KEPT: Dict[str, str] = {
     "repro.algorithms.batched.BatchKernel.decode": (
         "reference: decodes kernel rows for the scalar parity of"
         " tests/algorithms/test_batched_kernels.py"
-    ),
-    "repro.batch.arrays.words_array_from_masks": (
-        "reference: builds array rows from int masks for the batch parity tests"
     ),
     "repro.core.types.HOCollection.has_record": (
         "reference: tests/engine/test_replay_and_isolation.py serialises recorded cells"

@@ -1,8 +1,9 @@
-"""Batched predicate monitors == scalar streaming monitors, replica by replica.
+"""The array monitors == the paper's definitions, replica by replica.
 
-The scalar monitors are themselves property-pinned against the
-whole-collection checkers, so agreeing with them transitively pins the
-batched kernels to Table 1 / Section 4.2.
+The reference is :mod:`tests.predicates._reference`: the whole-collection
+checkers of :mod:`repro.predicates.static` on every round prefix, folded
+into run-length reports.  No monitor code runs in it, so every replica's
+report is checked against an independent witness.
 """
 
 from __future__ import annotations
@@ -12,10 +13,17 @@ import random
 
 import pytest
 
-from repro.predicates import MONITOR_NAMES, MonitorBank, build_monitor
-from repro.predicates.monitors import PRestrOtrMonitor
+from repro.predicates import MONITOR_NAMES, MonitorBank
 from repro.predicates.static import otr_threshold
 from repro.rounds.bitmask import mask_of, mask_to_words
+
+from ._reference import (
+    collection_of,
+    reference_report,
+    reference_reports,
+    reference_stop_round,
+    restr_otr_candidate,
+)
 
 
 def random_mask_rounds(n, rounds, seed, shape_bias):
@@ -35,14 +43,12 @@ def random_mask_rounds(n, rounds, seed, shape_bias):
     return out
 
 
-def scalar_reports(n, streams, pi0):
-    reports = []
-    for masks_per_round in streams:
-        bank = MonitorBank(n, [build_monitor(name, n, pi0=pi0) for name in MONITOR_NAMES])
-        for round, masks in enumerate(masks_per_round, start=1):
-            bank.observe_round(round, masks)
-        reports.append({name: r.to_json_dict() for name, r in bank.reports().items()})
-    return reports
+def expected_reports(n, streams, pi0):
+    """Every stream's reports for all six predicates, folded from the definitions."""
+    return [
+        {name: reference_report(name, n, stream, pi0).to_json_dict() for name in MONITOR_NAMES}
+        for stream in streams
+    ]
 
 
 def round_arrays(n, streams, round):
@@ -77,13 +83,13 @@ class TestBatchedMonitorEquivalence:
     def test_all_six_monitors_match_per_replica(self, n, shape_bias):
         streams = [random_mask_rounds(n, 25, seed, shape_bias) for seed in range(6)]
         pi0 = frozenset(range(n))
-        assert batched_reports(n, streams, pi0) == scalar_reports(n, streams, pi0)
+        assert batched_reports(n, streams, pi0) == expected_reports(n, streams, pi0)
 
     def test_restricted_pi0_scope(self):
         n = 6
         streams = [random_mask_rounds(n, 20, 50 + seed, 0.3) for seed in range(4)]
         pi0 = frozenset({0, 1, 2, 4})
-        assert batched_reports(n, streams, pi0) == scalar_reports(n, streams, pi0)
+        assert batched_reports(n, streams, pi0) == expected_reports(n, streams, pi0)
 
     def test_word_boundary_system_size(self):
         n = 65
@@ -98,7 +104,7 @@ class TestBatchedMonitorEquivalence:
             for _ in range(3)
         ]
         pi0 = frozenset(range(n))
-        assert batched_reports(n, streams, pi0) == scalar_reports(n, streams, pi0)
+        assert batched_reports(n, streams, pi0) == expected_reports(n, streams, pi0)
 
     def test_inactive_replicas_freeze(self):
         import numpy as np
@@ -112,34 +118,23 @@ class TestBatchedMonitorEquivalence:
             # replica 1 stops after round 4
             active = np.array([True, round <= 4, True])
             bank.observe_round(round, *round_arrays(n, streams, round), active)
-        # replica 1 must equal a scalar bank fed only the first 4 rounds
-        expected = scalar_reports(n, [streams[1][:4]], frozenset(range(n)))[0]
+        # replica 1 must report exactly its first 4 rounds
+        expected = expected_reports(n, [streams[1][:4]], frozenset(range(n)))[0]
         assert bank.reports_json_of(1) == expected
-        full_expected = scalar_reports(n, [streams[0]], frozenset(range(n)))[0]
+        full_expected = expected_reports(n, [streams[0]], frozenset(range(n)))[0]
         assert bank.reports_json_of(0) == full_expected
 
-    def test_stop_after_held_matches_scalar_policy(self):
+    def test_stop_after_held_matches_the_run_length_rule(self):
         import numpy as np
 
         from repro.predicates.batch import BatchMonitorBank
-        from repro.predicates import build_monitor_bank
 
         n = 4
         streams = [random_mask_rounds(n, 15, 70 + seed, 0.5) for seed in range(5)]
         batch_bank = BatchMonitorBank(n, 5, ("p_k",), stop_after_held=3)
-        scalar_banks = [
-            build_monitor_bank(n, ("p_k",), stop_after_held=3) for _ in streams
-        ]
-        assert scalar_banks[0].stop_after_held == 3
         active = np.ones(5, dtype=bool)
-        stops = [None] * 5
         for round in range(1, 16):
             batch_bank.observe_round(round, *round_arrays(n, streams, round), active)
-            for r, bank in enumerate(scalar_banks):
-                if stops[r] is None:
-                    bank.observe_round(round, streams[r][round - 1])
-                    if bank.stop_requested:
-                        stops[r] = round
             active &= ~batch_bank.stop_array
         batch_stops = [
             None if not batch_bank.stop_array[r] else int(
@@ -147,12 +142,11 @@ class TestBatchedMonitorEquivalence:
             )
             for r in range(5)
         ]
-        assert batch_stops == stops
+        assert batch_stops == [reference_stop_round(("p_k",), n, s, 3) for s in streams]
 
     def test_stop_after_held_fires_through_any_monitor(self):
         import numpy as np
 
-        from repro.predicates import build_monitor_bank
         from repro.predicates.batch import BatchMonitorBank
 
         n, pi0, names = 4, {0, 1, 2}, ("p_otr", "p_su")
@@ -166,13 +160,15 @@ class TestBatchedMonitorEquivalence:
             random_mask_rounds(n, 5, 90, 0.5),
         ]
         batch_bank = BatchMonitorBank(n, 5, names, pi0_mask=mask_of(pi0), stop_after_held=3)
-        scalar_banks = [build_monitor_bank(n, names, pi0=pi0, stop_after_held=3) for _ in streams]
+        # the single-run bank evaluates the same rule itself, on its R = 1 monitors
+        run_banks = [MonitorBank(n, names, pi0_mask=mask_of(pi0), stop_after_held=3)
+                     for _ in streams]
         active = np.ones(5, dtype=bool)
         stops = [None] * 5
         batch_stops = [None] * 5
         for round in range(1, 6):
             batch_bank.observe_round(round, *round_arrays(n, streams, round), active)
-            for r, bank in enumerate(scalar_banks):
+            for r, bank in enumerate(run_banks):
                 if stops[r] is None:
                     bank.observe_round(round, streams[r][round - 1])
                     if bank.stop_requested:
@@ -181,13 +177,90 @@ class TestBatchedMonitorEquivalence:
                     batch_stops[r] = round
             active &= ~batch_bank.stop_array
         assert batch_stops == stops
+        assert stops == [reference_stop_round(names, n, s, 3, pi0) for s in streams]
         assert stops[:4] == [3, 3, None, 5]
         otr, su_monitor = batch_bank.monitors
         assert otr.longest_good[0] == 0 and su_monitor.current_good[0] == 3
 
 
 # --------------------------------------------------------------------------- #
-# P_restr_otr: the median-row candidate scan against the scalar scan
+# generated collections: every report field against the static definitions
+# --------------------------------------------------------------------------- #
+
+
+def generated_rounds(n, rounds, rng, pi0):
+    """Rounds that make each of the six good conditions and verdicts go both ways.
+
+    Everybody heard; Pi0 space uniform and Pi0 kernel rounds (the other
+    processes hear noise); planted candidates at and around the ``2n/3``
+    threshold; large but non-uniform heard-of sets (``P_otr``'s second
+    clause); noise with self-delivery; and silence.
+    """
+    full = (1 << n) - 1
+    pi0_mask = mask_of(pi0)
+    threshold = otr_threshold(n)
+    noise = lambda: rng.getrandbits(n)  # noqa: E731
+    out = []
+    for _ in range(rounds):
+        kind = rng.randrange(7)
+        if kind == 0:
+            row = [full] * n
+        elif kind == 1:
+            row = [pi0_mask if p in pi0 else noise() for p in range(n)]
+        elif kind == 2:
+            row = [pi0_mask | noise() if p in pi0 else noise() for p in range(n)]
+        elif kind == 3:
+            members = rng.sample(range(n), rng.randint(max(threshold - 1, 1), n))
+            mask = mask_of(members)
+            row = [mask if p in members else noise() for p in range(n)]
+        elif kind == 4:
+            row = [mask_of(rng.sample(range(n), rng.randint(threshold, n))) for _ in range(n)]
+        elif kind == 5:
+            row = [noise() | 1 << p for p in range(n)]
+        else:
+            row = [0] * n
+        out.append(row)
+    return out
+
+
+GENERATED_SIZES = [1, 2, 3, 7, 63, 64, 65, 129]
+
+
+class TestGeneratedAgainstTheDefinitions:
+    """R replicas, rows retiring at different rounds, Pi0 everyone or restricted:
+    every field of every report equals the fold of the static definitions."""
+
+    REPLICAS = 4
+    ROUNDS = 9
+
+    @pytest.mark.parametrize("restricted", [False, True], ids=["pi0-all", "pi0-restricted"])
+    @pytest.mark.parametrize("n", GENERATED_SIZES)
+    def test_every_report_field_matches(self, n, restricted):
+        import numpy as np
+
+        from repro.predicates.batch import BatchMonitorBank
+
+        rng = random.Random(1000 * n + restricted)
+        pi0 = frozenset(
+            rng.sample(range(n), rng.randint(0, n - 1)) if restricted else range(n)
+        )
+        streams = [
+            generated_rounds(n, self.ROUNDS, rng, pi0) for _ in range(self.REPLICAS)
+        ]
+        # replica 0 runs the distance; the others retire mid-run, one after round 1
+        active_rounds = [self.ROUNDS, 1, self.ROUNDS // 2, self.ROUNDS - 1]
+        bank = BatchMonitorBank(n, self.REPLICAS, MONITOR_NAMES, pi0_mask=mask_of(pi0))
+        for round in range(1, self.ROUNDS + 1):
+            active = np.array([round <= limit for limit in active_rounds])
+            bank.observe_round(round, *round_arrays(n, streams, round), active)
+        for r, stream in enumerate(streams):
+            seen = stream[:active_rounds[r]]
+            expected = {name: reference_report(name, n, seen, pi0) for name in MONITOR_NAMES}
+            assert bank.reports_of(r) == expected, (n, sorted(pi0), r)
+
+
+# --------------------------------------------------------------------------- #
+# P_restr_otr: the median-row candidate scan against the definition's candidates
 # --------------------------------------------------------------------------- #
 
 
@@ -223,7 +296,7 @@ def scan_probe_rounds(n, seed):
 
 class TestRestrOtrMedianScan:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 63, 64, 65, 129])
-    def test_scan_matches_the_scalar_candidate_round_by_round(self, n):
+    def test_scan_matches_the_static_candidate_round_by_round(self, n):
         import numpy as np
 
         from repro.predicates.batch import BatchMonitorBank
@@ -233,7 +306,6 @@ class TestRestrOtrMedianScan:
         # replica r sees probes r, r + 1, r + 2: every probe opens a table
         # in round 1 and meets a non-empty one later
         streams = [[probes[(r + k) % replicas] for k in range(3)] for r in range(replicas)]
-        scalar = PRestrOtrMonitor(n)
         bank = BatchMonitorBank(n, replicas, ("p_restr_otr",))
         monitor = bank.monitors[0]
         active = np.ones(replicas, dtype=bool)
@@ -243,7 +315,8 @@ class TestRestrOtrMedianScan:
             count_before = monitor._count.copy()
             bank.observe_round(round, *round_arrays(n, streams, round), active)
             for r in range(replicas):
-                candidate = scalar._candidate_of(streams[r][round - 1])
+                found = restr_otr_candidate(collection_of(n, [streams[r][round - 1]]), 1)
+                candidate = 0 if found is None else mask_of(found)
                 candidates.append(candidate)
                 assert monitor.good_rounds[r] - good_before[r] == (candidate != 0), (round, r)
                 opened = monitor._count[r] > count_before[r]
@@ -256,7 +329,7 @@ class TestRestrOtrMedianScan:
 
 
 # --------------------------------------------------------------------------- #
-# P_restr_otr: the array-form candidate table against the scalar dict
+# P_restr_otr: the array-form candidate table against the definition
 # --------------------------------------------------------------------------- #
 
 
@@ -277,11 +350,11 @@ def quiet_round(n):
 
 
 def restr_otr_round_by_round(n, streams, active_rounds=None):
-    """Feed *streams* to both duals; reports must agree after every round.
+    """Feed *streams* to the array monitor; reports must match after every round.
 
     Replica r is active for its first ``active_rounds[r]`` rounds (default:
-    all); its scalar monitor simply stops being fed, which is what a
-    finished scalar run looks like.  Returns the batched monitor.
+    all); its reference is the fold over exactly those rounds, which is
+    what a finished run looks like.  Returns the monitor.
     """
     import numpy as np
 
@@ -291,14 +364,16 @@ def restr_otr_round_by_round(n, streams, active_rounds=None):
     rounds = len(streams[0])
     active_rounds = active_rounds or [rounds] * replicas
     bank = BatchMonitorBank(n, replicas, ("p_restr_otr",))
-    scalars = [build_monitor("p_restr_otr", n) for _ in streams]
+    expected = [
+        reference_reports("p_restr_otr", n, stream[:limit])
+        for stream, limit in zip(streams, active_rounds)
+    ]
     for round in range(1, rounds + 1):
         active = np.array([round <= limit for limit in active_rounds])
         bank.observe_round(round, *round_arrays(n, streams, round), active)
-        for r, scalar in enumerate(scalars):
-            if active[r]:
-                scalar.observe(round, streams[r][round - 1])
-            assert bank.reports_of(r)["p_restr_otr"] == scalar.report(), (round, r)
+        for r in range(replicas):
+            seen = min(round, active_rounds[r])
+            assert bank.reports_of(r)["p_restr_otr"] == expected[r][seen - 1], (round, r)
     return bank.monitors[0]
 
 

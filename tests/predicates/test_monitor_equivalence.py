@@ -1,12 +1,14 @@
-"""Property tests: every streaming monitor equals its whole-collection checker.
+"""Property tests: the monitor bank equals the paper's whole-collection definitions.
 
 The acceptance bar of the predicate subsystem: for each predicate of
 Table 1 and Section 4.2 (``P_otr``, ``P_restr_otr``, ``P_su``, ``P_k``,
-``P_2otr``, ``P_1/1otr``), replaying a heard-of collection through the
-streaming monitor round by round must reach exactly the verdict the
-whole-collection checker computes on the full collection -- on arbitrary
-hypothesis-generated collections, and on collections recorded from the
-seeded adversary zoo driving real engine runs.
+``P_2otr``, ``P_1/1otr``), replaying a heard-of collection through a
+:class:`~repro.predicates.MonitorBank` round by round must reach exactly
+the verdict the whole-collection checker computes on the full collection,
+and report exactly the statistics folded from the definitions
+(:mod:`tests.predicates._reference`) -- on arbitrary hypothesis-generated
+collections, and on collections recorded from the seeded adversary zoo
+driving real engine runs.
 """
 
 from __future__ import annotations
@@ -27,18 +29,10 @@ from repro.adversaries import (
 from repro.algorithms import OneThirdRule
 from repro.core.machine import HOMachine
 from repro.core.types import HOCollection
-from repro.predicates import (
-    MONITOR_NAMES,
-    MonitorBank,
-    P2Otr,
-    P11Otr,
-    POtr,
-    PRestrOtr,
-    build_monitor,
-    monitor_collection,
-    pk_holds,
-    psu_holds,
-)
+from repro.predicates import MONITOR_NAMES, MonitorBank, POtr, PRestrOtr
+from repro.rounds.bitmask import mask_of
+
+from ._reference import checker_holds, reference_report
 
 N = 5
 
@@ -68,21 +62,21 @@ def collections(n: int = N, max_rounds: int = 6):
 
 def checker_verdicts(collection: HOCollection, pi0: frozenset) -> dict:
     """The whole-collection verdicts for all six predicates."""
-    return {
-        "p_otr": POtr().holds(collection),
-        "p_restr_otr": PRestrOtr().holds(collection),
-        "p_su": psu_holds(collection, pi0, 1, collection.max_round),
-        "p_k": pk_holds(collection, pi0, 1, collection.max_round),
-        "p_2otr": P2Otr(pi0).holds(collection),
-        "p_1/1otr": P11Otr(pi0).holds(collection),
-    }
+    return {name: checker_holds(name, collection, pi0) for name in MONITOR_NAMES}
 
 
-def monitor_verdicts(collection: HOCollection, pi0: frozenset) -> dict:
-    reports = monitor_collection(
-        collection, [build_monitor(name, collection.n, pi0=pi0) for name in MONITOR_NAMES]
-    )
-    return {name: reports[name].holds for name in MONITOR_NAMES}
+def mask_rounds(collection: HOCollection) -> list:
+    return [
+        [collection.ho_mask(p, round) for p in range(collection.n)]
+        for round in collection.rounds()
+    ]
+
+
+def monitor_reports(collection: HOCollection, pi0: frozenset) -> dict:
+    bank = MonitorBank(collection.n, MONITOR_NAMES, pi0_mask=mask_of(pi0))
+    for round, masks in enumerate(mask_rounds(collection), start=1):
+        bank.observe_round(round, masks)
+    return bank.reports()
 
 
 @settings(max_examples=300, deadline=None)
@@ -91,30 +85,36 @@ def test_all_six_monitors_match_their_checkers(collection, data):
     pi0 = data.draw(
         st.frozensets(st.integers(min_value=0, max_value=N - 1), max_size=N)
     )
-    assert monitor_verdicts(collection, pi0) == checker_verdicts(collection, pi0)
+    reports = monitor_reports(collection, pi0)
+    verdicts = {name: report.holds for name, report in reports.items()}
+    assert verdicts == checker_verdicts(collection, pi0)
+    rounds = mask_rounds(collection)
+    assert reports == {name: reference_report(name, N, rounds, pi0) for name in MONITOR_NAMES}
 
 
 @settings(max_examples=150, deadline=None)
 @given(collection=collections(max_rounds=8))
 def test_prefix_verdicts_track_the_checker_on_every_prefix(collection):
-    """The monitor's first_hold_round is the first prefix the checker accepts."""
-    monitors = [build_monitor(name, N) for name in ("p_otr", "p_restr_otr")]
-    bank = MonitorBank(N, monitors)
-    first_holds = {m.name: None for m in monitors}
+    """The bank's first_hold_round is the first prefix the checker accepts."""
+    checkers = {"p_otr": POtr(), "p_restr_otr": PRestrOtr()}
+    bank = MonitorBank(N, tuple(checkers))
+    first_holds = dict.fromkeys(checkers)
     prefix = HOCollection(N)
     for round in collection.rounds():
         masks = [collection.ho_mask(p, round) for p in range(N)]
         for p in range(N):
             prefix.record_mask(p, round, masks[p])
         bank.observe_round(round, masks)
-        for monitor, checker in ((monitors[0], POtr()), (monitors[1], PRestrOtr())):
-            assert monitor.verdict == checker.holds(prefix), (
-                f"{monitor.name} diverged on the prefix ending at round {round}"
+        reports = bank.reports()
+        for name, checker in checkers.items():
+            assert reports[name].holds == checker.holds(prefix), (
+                f"{name} diverged on the prefix ending at round {round}"
             )
-            if first_holds[monitor.name] is None and monitor.verdict:
-                first_holds[monitor.name] = round
-    for monitor in monitors:
-        assert monitor.report().first_hold_round == first_holds[monitor.name]
+            if first_holds[name] is None and reports[name].holds:
+                first_holds[name] = round
+    reports = bank.reports()
+    for name in checkers:
+        assert reports[name].first_hold_round == first_holds[name]
 
 
 def seeded_oracles(n: int, seed: int):
@@ -136,15 +136,18 @@ def test_monitors_match_checkers_on_engine_runs_under_seeded_adversaries(seed):
     n = 5
     pi0 = frozenset(range(n - 1))
     for oracle in seeded_oracles(n, seed):
-        bank = MonitorBank(
-            n, [build_monitor(name, n, pi0=pi0) for name in MONITOR_NAMES]
-        )
+        bank = MonitorBank(n, MONITOR_NAMES, pi0_mask=mask_of(pi0))
         machine = HOMachine(
             OneThirdRule(n), oracle, [10 * (p + 1) for p in range(n)], observers=[bank]
         )
         machine.run(25)
         collection = machine.trace.ho_collection
-        streamed = {name: report.holds for name, report in bank.reports().items()}
+        reports = bank.reports()
+        streamed = {name: report.holds for name, report in reports.items()}
         assert streamed == checker_verdicts(collection, pi0), (
             f"divergence under {type(oracle).__name__} with seed {seed}"
         )
+        rounds = mask_rounds(collection)
+        assert reports == {
+            name: reference_report(name, n, rounds, pi0) for name in MONITOR_NAMES
+        }, f"statistics diverge under {type(oracle).__name__} with seed {seed}"

@@ -1,4 +1,4 @@
-"""Unit tests for the streaming predicate monitors, collator, bank and stop rule."""
+"""Unit tests for the streaming monitor bank, its collator and its stop rule."""
 
 from __future__ import annotations
 
@@ -6,21 +6,13 @@ import json
 
 import pytest
 
-from repro.core.types import HOCollection
 from repro.predicates import (
     MONITOR_NAMES,
     MonitorBank,
-    P2OtrMonitor,
-    P11OtrMonitor,
-    PKernelMonitor,
-    POtrMonitor,
     PredicateReport,
-    PRestrOtrMonitor,
-    PSuMonitor,
     RoundCollator,
-    build_monitor,
     canonical_predicate_name,
-    monitor_collection,
+    canonical_predicate_names,
 )
 from repro.rounds.record import RoundRecord
 
@@ -29,25 +21,30 @@ def full(n):
     return (1 << n) - 1
 
 
+def feed(bank, rounds):
+    """Observe *rounds* (mask vectors) as rounds 1, 2, ... and return the reports."""
+    for round, masks in enumerate(rounds, start=bank.rounds_observed + 1):
+        bank.observe_round(round, masks)
+    return bank.reports()
+
+
 class TestMonitorBasics:
     def test_rounds_must_arrive_consecutively(self):
-        monitor = POtrMonitor(3)
-        monitor.observe(1, [0b111] * 3)
+        bank = MonitorBank(3, ["p_otr"])
+        bank.observe_round(1, [0b111] * 3)
         with pytest.raises(ValueError, match="expects round 2"):
-            monitor.observe(3, [0b111] * 3)
+            bank.observe_round(3, [0b111] * 3)
 
     def test_potr_needs_a_uniform_quorum_round_then_big_rounds(self):
         n = 3
-        monitor = POtrMonitor(n)
-        monitor.observe(1, [0b011, 0b110, 0b101])  # not uniform
-        assert not monitor.verdict
-        monitor.observe(2, [0b111] * n)  # uniform quorum round (the witness)
-        assert not monitor.verdict  # second clause needs *later* rounds
-        monitor.observe(3, [0b111, 0b111, 0b011])
-        assert not monitor.verdict  # |{0,1}| = 2 < threshold 3 for process 2
-        monitor.observe(4, [0b001, 0b111, 0b111])
-        assert monitor.verdict
-        report = monitor.report()
+        bank = MonitorBank(n, ["p_otr"])
+        assert not feed(bank, [[0b011, 0b110, 0b101]])["p_otr"].holds  # not uniform
+        # uniform quorum round (the witness); the second clause needs *later* rounds
+        assert not feed(bank, [[0b111] * n])["p_otr"].holds
+        # |{0,1}| = 2 < threshold 3 for process 2
+        assert not feed(bank, [[0b111, 0b111, 0b011]])["p_otr"].holds
+        report = feed(bank, [[0b001, 0b111, 0b111]])["p_otr"]
+        assert report.holds
         assert report.first_hold_round == 4
         assert report.first_good_round == 2
 
@@ -55,59 +52,49 @@ class TestMonitorBasics:
         # Pi0 = {0,1,2} space-uniform at round 1; process 3 hears nothing.
         n = 4
         pi0 = 0b0111
-        monitor = PRestrOtrMonitor(n)
-        monitor.observe(1, [pi0, pi0, pi0, 0])
-        assert not monitor.verdict
+        bank = MonitorBank(n, ["p_restr_otr"])
+        assert not feed(bank, [[pi0, pi0, pi0, 0]])["p_restr_otr"].holds
         # Later kernel rounds for Pi0 members complete the witness.
-        monitor.observe(2, [pi0, 0, 0, 0])
-        monitor.observe(3, [0, full(n), pi0, 0])
-        assert monitor.verdict
-        assert monitor.report().first_hold_round == 3
+        report = feed(bank, [[pi0, 0, 0, 0], [0, full(n), pi0, 0]])["p_restr_otr"]
+        assert report.holds
+        assert report.first_hold_round == 3
 
     def test_psu_empty_pi0_is_vacuously_true(self):
-        monitor = PSuMonitor(3, pi0=())
-        monitor.observe(1, [0b001, 0b010, 0b100])
-        assert monitor.verdict
+        bank = MonitorBank(3, ["p_su"], pi0_mask=0)
+        assert feed(bank, [[0b001, 0b010, 0b100]])["p_su"].holds
 
     def test_pk_accepts_supersets_where_psu_requires_equality(self):
         n = 3
-        pi0 = {0, 1}
-        su = PSuMonitor(n, pi0)
-        pk = PKernelMonitor(n, pi0)
-        masks = [full(n), full(n), 0]  # HO = Pi > Pi0
-        su.observe(1, masks)
-        pk.observe(1, masks)
-        assert not su.verdict
-        assert pk.verdict
+        bank = MonitorBank(n, ["p_su", "p_k"], pi0_mask=0b011)
+        reports = feed(bank, [[full(n), full(n), 0]])  # HO = Pi > Pi0
+        assert not reports["p_su"].holds
+        assert reports["p_k"].holds
 
     def test_p2otr_needs_adjacent_su_then_kernel(self):
         n = 3
-        pi0 = {0, 1, 2}
-        monitor = P2OtrMonitor(n, pi0)
-        monitor.observe(1, [full(n)] * n)  # space uniform
-        monitor.observe(2, [0, 0, 0])      # violation in between
-        monitor.observe(3, [full(n)] * n)  # space uniform again
-        monitor.observe(4, [full(n)] * n)  # kernel round right after
-        assert monitor.verdict
-        assert monitor.report().first_hold_round == 4
+        bank = MonitorBank(n, ["p_2otr"])
+        report = feed(
+            bank,
+            [
+                [full(n)] * n,  # space uniform
+                [0, 0, 0],      # violation in between
+                [full(n)] * n,  # space uniform again
+                [full(n)] * n,  # kernel round right after
+            ],
+        )["p_2otr"]
+        assert report.holds
+        assert report.first_hold_round == 4
 
     def test_p11otr_allows_a_gap_between_su_and_kernel(self):
         n = 3
-        pi0 = {0, 1, 2}
-        p2 = P2OtrMonitor(n, pi0)
-        p11 = P11OtrMonitor(n, pi0)
-        rounds = [[full(n)] * n, [0, 0, 0], [full(n)] * n]
-        for round, masks in enumerate(rounds, start=1):
-            p2.observe(round, masks)
-            p11.observe(round, masks)
-        assert not p2.verdict  # su at 1 and 3, never adjacent su->kernel
-        assert p11.verdict    # kernel round 3 follows su round 1
+        bank = MonitorBank(n, ["p_2otr", "p_1/1otr"])
+        reports = feed(bank, [[full(n)] * n, [0, 0, 0], [full(n)] * n])
+        assert not reports["p_2otr"].holds  # su at 1 and 3, never adjacent su->kernel
+        assert reports["p_1/1otr"].holds    # kernel round 3 follows su round 1
 
     def test_report_round_trips_through_json(self):
-        monitor = PSuMonitor(3, {0, 1, 2})
-        monitor.observe(1, [full(3)] * 3)
-        monitor.observe(2, [0, 0, 0])
-        report = monitor.report()
+        bank = MonitorBank(3, ["p_su"])
+        report = feed(bank, [[full(3)] * 3, [0, 0, 0]])["p_su"]
         clone = PredicateReport.from_json_dict(json.loads(json.dumps(report.to_json_dict())))
         assert clone == report
         assert clone.satisfaction == 0.5
@@ -116,12 +103,9 @@ class TestMonitorBasics:
 class TestRunLengths:
     def test_good_and_bad_runs_are_tracked(self):
         n = 2
-        monitor = PSuMonitor(n, {0, 1})
         pattern = [1, 1, 0, 1, 1, 1, 0, 0]  # 1 = space-uniform round
-        for round, bit in enumerate(pattern, start=1):
-            masks = [full(n)] * n if bit else [0, 0]
-            monitor.observe(round, masks)
-        report = monitor.report()
+        bank = MonitorBank(n, ["p_su"])
+        report = feed(bank, [[full(n)] * n if bit else [0, 0] for bit in pattern])["p_su"]
         assert report.good_rounds == 5
         assert report.first_good_round == 1
         assert report.longest_good_run == 3
@@ -171,7 +155,7 @@ class TestRoundCollator:
 class TestStopPolicies:
     def test_stop_after_held(self):
         n = 2
-        bank = MonitorBank(n, [PSuMonitor(n, {0, 1})], stop_after_held=3)
+        bank = MonitorBank(n, ["p_su"], stop_after_held=3)
         for round in (1, 2):
             bank.observe_round(round, [full(n)] * n)
             assert not bank.stop_requested
@@ -180,16 +164,24 @@ class TestStopPolicies:
 
     def test_stop_after_held_validates_rounds(self):
         with pytest.raises(ValueError, match="at least 1"):
-            MonitorBank(2, [PSuMonitor(2)], stop_after_held=0)
+            MonitorBank(2, ["p_su"], stop_after_held=0)
+
+    def test_drained_rounds_never_request_a_stop(self):
+        n = 2
+        bank = MonitorBank(n, ["p_su"], stop_after_held=1)
+        bank.observe_round(1, [full(n)] * n, live=False)
+        assert bank.reports()["p_su"].longest_good_run == 1
+        assert not bank.stop_requested
 
 
 class TestBank:
     def test_bank_feeds_from_records_and_finalizes_pending_rounds(self):
         n = 2
-        bank = MonitorBank(n, [PKernelMonitor(n, {0})])
+        bank = MonitorBank(n, ["p_k"], pi0_mask=0b01)
         bank.on_record(RoundRecord(process=0, round=1, ho_mask=0b11))
         bank.on_record(RoundRecord(process=1, round=1, ho_mask=0b10))
         bank.on_record(RoundRecord(process=0, round=2, ho_mask=0b01))
+        assert bank.rounds_observed == 1
         # round 2 is incomplete; reports() drains it
         reports = bank.reports()
         assert reports["p_k"].rounds_observed == 2
@@ -197,37 +189,53 @@ class TestBank:
 
     def test_reports_json_matches_reports(self):
         n = 2
-        bank = MonitorBank(n, [PSuMonitor(n)])
+        bank = MonitorBank(n, ["p_su"])
         bank.observe_round(1, [full(n)] * n)
         assert bank.reports_json()["p_su"] == bank.reports()["p_su"].to_json_dict()
 
+    def test_completion_mask_makes_scoped_rounds_live(self):
+        n = 2
+        bank = MonitorBank(n, ["p_su"], pi0_mask=0b01, completion_mask=0b01)
+        bank.on_record(RoundRecord(process=0, round=1, ho_mask=0b01))
+        assert bank.rounds_observed == 1
+        assert bank.late_records == 0
+        bank.on_record(RoundRecord(process=1, round=1, ho_mask=0b11))
+        assert bank.late_records == 1
 
-class TestFactory:
-    def test_every_canonical_name_builds(self):
-        for name in MONITOR_NAMES:
-            monitor = build_monitor(name, 4)
-            assert monitor.name == name
+
+class TestNames:
+    def test_every_canonical_name_reports_under_its_own_name(self):
+        bank = MonitorBank(4, MONITOR_NAMES)
+        bank.observe_round(1, [full(4)] * 4)
+        assert tuple(bank.reports()) == MONITOR_NAMES
 
     def test_aliases_and_case(self):
         assert canonical_predicate_name("P_OTR") == "p_otr"
         assert canonical_predicate_name("p-restr-otr") == "p_restr_otr"
         assert canonical_predicate_name("p_11otr") == "p_1/1otr"
+        bank = MonitorBank(3, ["P_11OTR"])
+        assert list(bank.reports()) == ["p_1/1otr"]
 
     def test_unknown_name_raises_with_known_list(self):
         with pytest.raises(ValueError, match="p_otr"):
-            build_monitor("p_bogus", 4)
+            MonitorBank(4, ["p_bogus"])
 
-    def test_pi0_ids_are_validated(self):
+    def test_no_name_raises(self):
+        with pytest.raises(ValueError, match="at least one"):
+            MonitorBank(4, [])
+
+    @pytest.mark.parametrize(
+        "names", [["p_otr", "p_otr"], ["p_11otr", "p_1/1otr"], ["p_su", "P-SU"]]
+    )
+    def test_repeated_name_raises_after_aliases_resolve(self, names):
+        with pytest.raises(ValueError, match="more than once"):
+            canonical_predicate_names(names)
+        with pytest.raises(ValueError, match="more than once"):
+            MonitorBank(4, names)
+
+    @pytest.mark.parametrize("scope", ["pi0_mask", "completion_mask"])
+    def test_scope_ids_are_validated(self, scope):
         with pytest.raises(ValueError, match="outside"):
-            build_monitor("p_su", 3, pi0={0, 7})
-
-
-class TestMonitorCollection:
-    def test_replaying_a_collection_observes_every_round(self):
-        collection = HOCollection(3)
-        for round in (1, 2, 3):
-            for p in range(3):
-                collection.record_mask(p, round, 0b111)
-        reports = monitor_collection(collection, [build_monitor("p_su", 3)])
-        assert reports["p_su"].rounds_observed == 3
-        assert reports["p_su"].holds
+            MonitorBank(3, ["p_su"], **{scope: 0b10000001})
+        with pytest.raises(ValueError, match="outside"):
+            MonitorBank(3, ["p_su"], **{scope: -1})

@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.algorithms import OneThirdRule
 from repro.core.machine import HOMachine
 from repro.core.types import HOCollection, RunTrace
-from repro.predicates import MonitorBank, PSuMonitor, build_monitor
+from repro.predicates import MonitorBank
 from repro.rounds.engine import OracleTransport, RoundEngine, RoundObserver, StepTransport
 
 
@@ -46,7 +46,7 @@ class TestLockstepObservers:
 
     def test_observer_protocol_is_runtime_checkable(self):
         assert isinstance(RecordingObserver(), RoundObserver)
-        assert isinstance(MonitorBank(2, []), RoundObserver)
+        assert isinstance(MonitorBank(2, ["p_su"]), RoundObserver)
 
     def test_stop_requested_aggregates_observers(self):
         n = 3
@@ -64,7 +64,7 @@ class TestLockstepObservers:
 
     def test_run_until_decision_honours_stop_policies(self):
         n = 4
-        bank = MonitorBank(n, [PSuMonitor(n)], stop_after_held=1)
+        bank = MonitorBank(n, ["p_su"], stop_after_held=1)
         # With distinct initial values OneThirdRule needs two fault-free
         # rounds to decide; the fault-free oracle is space uniform from
         # round 1, so the held-for-1 rule stops the machine first.
@@ -131,7 +131,7 @@ class TestStepPathObservers:
         algorithm = EchoAlgorithm(n)
         trace = RunTrace(n=n, ho_collection=HOCollection(n))
         transport = StepTransport(n)
-        bank = MonitorBank(n, [build_monitor("p_k", n, pi0={0, 1})])
+        bank = MonitorBank(n, ["p_k"], pi0_mask=0b11)
         engine = RoundEngine(algorithm, transport, trace, observers=[bank])
         states = {p: algorithm.initial_state(p, p + 1) for p in range(n)}
         for p in range(n):
@@ -141,7 +141,7 @@ class TestStepPathObservers:
         # processes finish round 1 at their own pace; the bank completes the
         # round only once both records arrived
         engine.finish_rounds(0, 1, 2, states[0], time=1.0)
-        assert bank.monitors[0].rounds_observed == 0  # round 1 still incomplete
+        assert bank.rounds_observed == 0  # round 1 still incomplete
         engine.finish_rounds(1, 1, 2, states[1], time=1.2)
         report = bank.reports()["p_k"]
         assert report.rounds_observed == 1

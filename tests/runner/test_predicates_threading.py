@@ -161,6 +161,30 @@ class TestCliFlags:
         assert "p_bogus" in err and "p_otr" in err
 
     @pytest.mark.parametrize(
+        "names, repeat",
+        [(["p_otr,p_otr"], "p_otr"), (["p_11otr", "p_1/1otr"], "p_1/1otr")],
+        ids=["verbatim", "alias"],
+    )
+    def test_repeated_predicate_exits_2_before_any_sink_opens(
+        self, tmp_path, capsys, names, repeat
+    ):
+        jsonl = tmp_path / "kept.jsonl"
+        jsonl.write_text("an earlier run\n")
+        code = main(
+            [
+                "--scenarios", "ho-round-mobile-omission",
+                "--fault-models", "fault-free",
+                "--predicates", *names,
+                "--jsonl", str(jsonl),
+                "--quiet",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"predicate {repeat!r} is named more than once" in err
+        assert jsonl.read_text() == "an earlier run\n"
+
+    @pytest.mark.parametrize(
         "scenario, flags, key, flag",
         [
             ("ho-round-mobile-omission", ["--param", "predicates=p_otr"],

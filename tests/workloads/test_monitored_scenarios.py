@@ -106,11 +106,11 @@ class TestHoStackMonitoring:
         the stop rule, so a run that went the distance must report
         stopped_early=False even though the drained tail would have
         satisfied it."""
-        from repro.predicates import MonitorBank, PSuMonitor
+        from repro.predicates import MonitorBank
         from repro.rounds.record import RoundRecord
 
         n = 2
-        bank = MonitorBank(n, [PSuMonitor(n, pi0={0})], stop_after_held=2)
+        bank = MonitorBank(n, ["p_su"], pi0_mask=0b01, stop_after_held=2)
         # only process 0 ever reports: no round completes live, but every
         # drained round is space uniform for pi0={0}
         for round in (1, 2, 3):
