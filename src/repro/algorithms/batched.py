@@ -76,14 +76,16 @@ def encode_values(initial_values: Sequence[Any]) -> Tuple[List[Any], List[int]]:
             FallbackReason.UNENCODABLE_VALUES.render(error=exc)
         ) from None
     index = {value: code for code, value in enumerate(table)}
-    codes = []
-    for value in initial_values:
-        code = index[value]
-        if repr(table[code]) != repr(value):
-            raise BatchUnsupported(
-                FallbackReason.VALUE_REPR_COLLISION.render(kept=table[code], value=value)
-            )
-        codes.append(code)
+    codes = [index[value] for value in initial_values]
+    # Equal values of exactly int, or of exactly str, share one repr; any
+    # other mix (bool beside int, float, subclasses) is checked value by value.
+    kinds = set(map(type, initial_values))
+    if kinds != {int} and kinds != {str}:
+        for value, code in zip(initial_values, codes):
+            if repr(table[code]) != repr(value):
+                raise BatchUnsupported(
+                    FallbackReason.VALUE_REPR_COLLISION.render(kept=table[code], value=value)
+                )
     return table, codes
 
 
@@ -333,9 +335,18 @@ class BatchOneThirdRule(BatchKernel):
         n_col = self._row_sizes()                                   # row's n
         hc = heard_count                                            # (R, n)
         act = active[:, None] & (3 * hc > 2 * n_col)                # update gate
-        if not act.any():
+        acting_rows = act.any(axis=1)
+        if not acting_rows.any():
             return
-        votes, code_at_rank, width = self._held_ranks(act)
+        # A settled row (every process holds one value) has nothing to
+        # count: an acting process hears only that value, keeps it, and its
+        # count is its heard count, which the gate already puts above 2n/3,
+        # so it decides.  When every acting row is settled, skip the count.
+        # A padded row settles only once its padding holds the value too.
+        if (x == x[:, :1]).all(axis=1)[acting_rows].all():
+            self._record_decisions(round, act, x)
+            return
+        votes, code_at_rank, width = self._held_ranks(acting_rows)
 
         # Multiplicity of every rank among heard senders, via one batched
         # matmul: counts[r, p, v] = |{q in HO(p) : rank(x_q) = v}|.  The
@@ -379,11 +390,12 @@ class BatchOneThirdRule(BatchKernel):
         # so new_x holds it wherever a decision fires.
         self._record_decisions(round, act & (3 * top_i > 2 * n_col), new_x)
 
-    def _held_ranks(self, act: Any) -> Tuple[Any, Optional[Any], int]:
+    def _held_ranks(self, acting_rows: Any) -> Tuple[Any, Optional[Any], int]:
         """``(votes, code_at_rank, V)`` -- the codes still held, ranked.
 
-        In every row with an acting process the codes held in ``x`` get
-        dense ranks in code order; V is the most codes such a row holds.
+        In every row with an acting process (``acting_rows``, ``(R,)``) the
+        codes held in ``x`` get dense ranks in code order; V is the most
+        codes such a row holds.
         ``votes`` is ``(R, n)``: each process's rank, -1 in a row with no
         acting process (a zero one-hot row).  ``code_at_rank`` is the
         ``(R*V,)`` flattened table mapping row r's ranks back to codes.
@@ -395,7 +407,7 @@ class BatchOneThirdRule(BatchKernel):
         at_code = _flat_positions(self.x, n)
         held = np.zeros((self.replicas, n), dtype=bool)
         held.reshape(-1)[at_code] = True
-        held &= act.any(axis=1)[:, None]
+        held &= acting_rows[:, None]
         rank_end = held.cumsum(axis=1, dtype=np.int32)
         width = int(rank_end[:, -1].max())
         if width == n:

@@ -45,6 +45,7 @@ from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -793,6 +794,92 @@ def _aggregate_predicates(entries: Sequence[Mapping[str, Any]]) -> Dict[str, Dic
     return summary
 
 
+#: What the JSON encoders write as an array or object.
+_NESTED = (list, tuple, dict)
+#: The exact types of a flat container's items.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _encode_items(items: Any, depth: int) -> str:
+    """What the C encoder writes between the brackets of *items*, a dict or
+    list of scalars, with a comma, a newline and the indent of *depth*
+    between two items."""
+    separators = (",\n" + "  " * depth, ": ")
+    return json.JSONEncoder(separators=separators, default=str).encode(items)[1:-1]
+
+
+def _flat_json(value: Any, depth: int) -> Optional[str]:
+    """The indented text of *value* at *depth*, or None if an item of it may nest.
+
+    A scalar, an empty container and a container whose items are all of
+    exactly the :data:`_SCALARS` types are one call of a C encoder.
+    """
+    if not isinstance(value, _NESTED):
+        return json.dumps(value, default=str)
+    is_dict = isinstance(value, dict)
+    opener, closer = "{}" if is_dict else "[]"
+    if not value:
+        return opener + closer
+    if not _SCALARS.issuperset(map(type, value.values() if is_dict else value)):
+        return None
+    outer = "\n" + "  " * depth
+    return opener + outer + "  " + _encode_items(value, depth + 1) + outer + closer
+
+
+def _json_chunks(value: Any, depth: int = 0) -> Iterator[str]:
+    """``json.dumps(value, indent=2, default=str)`` for *value* at *depth*, in pieces.
+
+    The stdlib encodes an indented document in pure Python, one call per
+    token.  Here a flat container is one call of the unindented C encoder
+    (:func:`_flat_json`), and so is every run of consecutive scalar items
+    of any other container.  Such a container is one piece, except that it
+    yields what it has before each item that is not flat and recurses into
+    it, so a piece never spans two of those.  A dict with a non-str key on
+    a container item is left whole to the stdlib, re-indented to *depth*.
+    The pieces join to the stdlib's text, byte for byte.
+    """
+    text = _flat_json(value, depth)
+    if text is not None:
+        yield text
+        return
+    is_dict = isinstance(value, dict)
+    outer = "\n" + "  " * depth
+    items = value.items() if is_dict else value
+    if is_dict and not all(
+        isinstance(key, str) for key, item in items if isinstance(item, _NESTED)
+    ):
+        yield json.dumps(value, indent=2, default=str).replace("\n", outer)
+        return
+    inner = outer + "  "
+    pieces = ["{" if is_dict else "["]
+    separator = inner
+    run: List[Any] = []
+    for item in items:
+        child = item[1] if is_dict else item
+        if not isinstance(child, _NESTED):
+            run.append(item)
+            continue
+        if run:
+            pieces.append(separator + _encode_items(dict(run) if is_dict else run, depth + 1))
+            separator = "," + inner
+            run = []
+        pieces.append(separator)
+        if is_dict:
+            pieces.append(json.encoder.encode_basestring_ascii(item[0]) + ": ")
+        separator = "," + inner
+        text = _flat_json(child, depth + 1)
+        if text is None:
+            yield "".join(pieces)
+            pieces = []
+            yield from _json_chunks(child, depth + 1)
+        else:
+            pieces.append(text)
+    if run:
+        pieces.append(separator + _encode_items(dict(run) if is_dict else run, depth + 1))
+    pieces.append(outer + ("}" if is_dict else "]"))
+    yield "".join(pieces)
+
+
 @dataclass
 class SweepResult:
     """All records of one sweep, in grid order, plus deterministic aggregates."""
@@ -889,7 +976,7 @@ class SweepResult:
     def write_json(self, path: str) -> None:
         """Write the JSON summary to *path* (creating parent directories)."""
         with _open_fresh(path) as handle:
-            json.dump(self.to_json(), handle, indent=2, sort_keys=False, default=str)
+            handle.writelines(_json_chunks(self.to_json()))
             handle.write("\n")
 
     #: column order of the CSV export (the per-run JSON fields).

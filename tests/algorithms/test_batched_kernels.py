@@ -15,8 +15,12 @@ suites only reach by accident:
   for small n, and directed rounds pin the ties, a round nobody passes the
   gate in, rows holding different values and a padding value nobody real
   holds any more;
+* directed rounds around OneThirdRule's settled-row skip: every acting
+  row settled, one acting row not, processes of a settled row below the
+  gate, padding that keeps a row from looking settled, asleep rows;
 * the steady-state ``step`` of each kernel allocates no ``(R, n, n)``
-  temporary: every full-shape intermediate lives in the kernel's scratch;
+  temporary, whether OneThirdRule counts votes or skips the count: every
+  full-shape intermediate lives in the kernel's scratch;
 * every kernel registration is coherent with the scalar algorithm it is
   the dual of (a mis-registration does not crash, it silently drops cells
   to the scalar loop or runs the wrong dual).
@@ -33,6 +37,7 @@ from repro.algorithms.batched import (
     BatchLastVoting,
     BatchOneThirdRule,
     BatchUniformVoting,
+    BatchUnsupported,
     encode_values,
 )
 from tests.conftest import steady_state_peak_growth
@@ -48,12 +53,14 @@ ROUNDS = 3
 def padded_replicas(draw):
     """Replicas of 1..N_MAX processes with schedules and activity.
 
-    Values come from a three-letter alphabet or are all distinct.  Three
-    values among up to seven processes make top-count ties the common
-    case; a ladder of distinct values in a full-size row makes a full-width
-    round (every code held) possible.  Half the HO sets are arbitrary
-    subsets, so empty and sub-threshold ones are common; the other half
-    miss at most two senders, so most rounds have processes past the gate.
+    Values come from a three-letter alphabet, a one-letter one or are all
+    distinct.  Three values among up to seven processes make top-count
+    ties the common case; one value makes a settled row, whose step skips
+    the vote count when every acting row is settled; a ladder of distinct
+    values in a full-size row makes a full-width round (every code held)
+    possible.  Half the HO sets are arbitrary subsets, so empty and
+    sub-threshold ones are common; the other half miss at most two
+    senders, so most rounds have processes past the gate.
     A replica sits out about one round in four.
     """
     replicas = []
@@ -61,6 +68,7 @@ def padded_replicas(draw):
         size = draw(st.integers(min_value=1, max_value=N_MAX) | st.just(N_MAX))
         values = draw(
             st.lists(st.sampled_from([3, 5, 8]), min_size=size, max_size=size)
+            | st.just([5] * size)
             | st.permutations([10 * (v + 1) for v in range(size)])
         )
         senders = st.integers(min_value=0, max_value=size - 1)
@@ -236,7 +244,55 @@ RANKED_REPLICAS = {
         (4, [3, 8, 8, 8], [_everyone(4)] * 3),
     ],
 }
-DIRECTED_REPLICAS = {**TIE_REPLICAS, **RANKED_REPLICAS}
+#: Rounds around the settled-row skip: a step whose every acting row holds
+#: one value decides the acting processes without counting votes.
+SETTLED_REPLICAS = {
+    # Every row settled from the start, the four-process one padded with
+    # its own value: all three rounds skip.
+    "all-settled": [
+        (6, [5] * 6, [_everyone(6)] * 3),
+        (4, [8] * 4, [_everyone(4)] * 3),
+    ],
+    # Round 1: the second row is 4-2 and still counts for both rows (it
+    # adopts 5 but 4 of 6 is no decision).  Round 2 it is settled too.
+    "one-unsettled": [
+        (6, [5] * 6, [_everyone(6)] * 3),
+        (6, [5, 5, 5, 5, 3, 3], [_everyone(6)] * 3),
+    ],
+    # Round 1 skips, but processes 3..5 hear only themselves: they are
+    # below the gate and must not decide until round 2.
+    "sub-threshold-in-settled-row": [
+        (
+            6,
+            [5] * 6,
+            [[frozenset(range(6))] * 3 + [frozenset({p}) for p in range(3, 6)]]
+            + [_everyone(6)] * 2,
+        )
+    ],
+    # The four-process row decides 8 in round 1, but its padding still
+    # holds 3: it never looks settled, so every round counts.
+    "padded-row-never-looks-settled": [
+        (6, [5] * 6, [_everyone(6)] * 3),
+        (4, [3, 8, 8, 8], [_everyone(4)] * 3),
+    ],
+    # An asleep row neither blocks the skip nor decides in it: round 1 skips
+    # past the unsettled second row, round 2 counts for it, round 3 skips
+    # and the third row decides only once it wakes.
+    "inactive-replicas": [
+        (6, [5] * 6, [_everyone(6)] * 3),
+        (6, [5, 5, 5, 5, 3, 3], [_everyone(6)] * 3, [False, True, True]),
+        (6, [8] * 6, [_everyone(6)] * 3, [False, False, True]),
+    ],
+}
+#: The rounds in which each settled case counts votes.
+SETTLED_COUNTED_ROUNDS = {
+    "all-settled": [],
+    "one-unsettled": [1],
+    "sub-threshold-in-settled-row": [],
+    "padded-row-never-looks-settled": [1, 2, 3],
+    "inactive-replicas": [2],
+}
+DIRECTED_REPLICAS = {**TIE_REPLICAS, **RANKED_REPLICAS, **SETTLED_REPLICAS}
 
 
 @pytest.mark.parametrize("case", sorted(DIRECTED_REPLICAS))
@@ -250,6 +306,40 @@ def test_directed_tie_rounds_match_scalar(case):
         assert len(decisions) == size and len(set(decisions.values())) == 1, (case, r)
 
 
+@pytest.mark.parametrize("case", sorted(SETTLED_REPLICAS))
+def test_settled_rows_skip_the_vote_count(case, monkeypatch):
+    """A step counts votes (``_held_ranks`` runs) exactly in the rounds in
+    which some acting row is not settled."""
+    events = []
+    held_ranks = BatchOneThirdRule._held_ranks
+    record = BatchOneThirdRule._record_decisions
+
+    def counting(kernel, acting_rows):
+        events.append("count")
+        return held_ranks(kernel, acting_rows)
+
+    def recording(kernel, round, fire, codes):
+        events.append(round)
+        return record(kernel, round, fire, codes)
+
+    monkeypatch.setattr(BatchOneThirdRule, "_held_ranks", counting)
+    monkeypatch.setattr(BatchOneThirdRule, "_record_decisions", recording)
+    replicas = SETTLED_REPLICAS[case]
+    assert_matches_scalar_every_round(replicas, width=max(size for size, *_ in replicas))
+    counted = [event for before, event in zip(events, events[1:]) if before == "count"]
+    assert counted == SETTLED_COUNTED_ROUNDS[case]
+
+
+def _steady_heard(replicas, n):
+    """A fixed, aperiodic ~80 % heard pattern (diagonal included)."""
+    import numpy as np
+
+    cells = np.arange(replicas * n * n, dtype=np.int64).reshape(replicas, n, n)
+    heard = (cells * 2654435761 >> 9) % 5 != 0
+    heard |= np.eye(n, dtype=bool)
+    return heard
+
+
 @pytest.mark.parametrize(
     "kernel_class", [BatchOneThirdRule, BatchUniformVoting, BatchLastVoting]
 )
@@ -260,20 +350,62 @@ def test_steady_state_step_allocates_no_heard_matrix(kernel_class):
     import numpy as np
 
     replicas = n = 64
-    # A fixed, aperiodic ~80 % heard pattern (diagonal included).
-    cells = np.arange(replicas * n * n, dtype=np.int64).reshape(replicas, n, n)
-    heard = (cells * 2654435761 >> 9) % 5 != 0
-    heard |= np.eye(n, dtype=bool)
+    heard = _steady_heard(replicas, n)
+    # The rows settle during the warm-up, and a OneThirdRule step over
+    # settled rows skips its vote count.  In row 0, process 0 hears only
+    # itself and nobody hears it, so it keeps the one value nobody else
+    # holds and every step counts.
+    heard[0, 0, :] = heard[0, :, 0] = False
+    heard[0, 0, 0] = True
     heard_count = heard.sum(axis=2)
     active = np.ones(replicas, dtype=bool)
     encoded = [encode_values([10 * (p + 1) for p in range(n)])] * replicas
+    kernels = []
 
     def build():
-        kernel = kernel_class(n, encoded)
-        return lambda round: kernel.step(round, heard, heard_count, active)
+        kernels.append(kernel_class(n, encoded))
+        return lambda round: kernels[0].step(round, heard, heard_count, active)
 
     growth = steady_state_peak_growth(build)
     assert growth < replicas * n * n, (kernel_class.__name__, growth)
+    assert len(set(kernels[0].x[0].tolist())) > 1
+
+
+def test_settled_step_allocates_no_heard_matrix():
+    """The same bound for a OneThirdRule step that skips its vote count:
+    every row holds one value from the start."""
+    import numpy as np
+
+    replicas = n = 64
+    heard = _steady_heard(replicas, n)
+    heard_count = heard.sum(axis=2)
+    active = np.ones(replicas, dtype=bool)
+    encoded = [encode_values([10] * n)] * replicas
+
+    def build():
+        kernel = BatchOneThirdRule(n, encoded)
+        return lambda round: kernel.step(round, heard, heard_count, active)
+
+    growth = steady_state_peak_growth(build)
+    assert growth < replicas * n * n, growth
+
+
+@pytest.mark.parametrize(
+    "values", [[30, 10, 20, 10], ["b", "a", "b"], [2**70, -1, 2**70], [2.5, 1, 2.5], [True, 2]]
+)
+def test_encoded_codes_sort_and_decode_like_the_values(values):
+    table, codes = encode_values(values)
+    assert table == sorted(set(values))
+    assert [repr(table[code]) for code in codes] == [repr(value) for value in values]
+
+
+@pytest.mark.parametrize(
+    "values", [[1.0, 1, 2], [1, 1.0], [True, 1], [1, True, 2], [0, False], [2, 1, 1.0]]
+)
+def test_equal_values_with_different_reprs_decline(values):
+    """Only all-int and all-str rows skip the per-value repr check."""
+    with pytest.raises(BatchUnsupported, match="repr"):
+        encode_values(values)
 
 
 def test_every_kernel_is_registered_under_the_algorithm_it_duals():
